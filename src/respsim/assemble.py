@@ -21,14 +21,14 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, RespsimError
 from .estimate import (BinSearchConfig, binary_search_1d, binary_search_nd,
-                       estimate_box, estimate_window)
+                       dipole_one_norm, estimate_box, estimate_window,
+                       hamiltonian_one_norm, prepare)
 from .models import ModelSpec
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
@@ -400,26 +400,22 @@ def _child_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence((seed, 7919 + idx)).generate_state(1)[0])
 
 
-def _spawn_estimates(jobs, threads):
-    if threads <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
                  order: int = 1, axes=(0, 0), grid=None, seed: int = 0,
                  method: str = "ae", mode: str = "simulate",
-                 out_dir: str = None, threads: int = 1,
-                 window_width: float = None, search_config: dict = None
-                 ) -> dict:
+                 out_dir: str = None, window_width: float = None,
+                 search_config: dict = None) -> dict:
     """Search, estimate and assemble a response function on a grid.
 
     order 1: axes = (axis_out, axis_in); order 3: axes = (i, i3, i2, i1)
     and the grid is used diagonally, (w, w, w).  mode "oracle" skips the
     measurement simulation and reports the exact sum over states only.
-    Returns a dict of results; writes CSV/JSON files when out_dir is set.
+    Found windows are estimated one after another with seeds derived from
+    `seed`; two estimates on one chain whose windows overlap beyond the
+    filter margin raise InputError.  window_width (order 1) sets the
+    estimation window, default gamma/8; search_config overrides
+    BinSearchConfig fields.  Returns a dict of results; writes CSV/JSON
+    files when out_dir is set.
     """
     if gamma <= 0:
         raise InputError("gamma must be positive")
@@ -459,11 +455,11 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if mode == "simulate":
         if order == 1:
             result.update(_simulate_alpha1(
-                model, sd, gamma, eps, axes, grid, seed, method, threads,
+                model, sd, gamma, eps, axes, grid, seed, method,
                 window_width, search_config))
         else:
             result.update(_simulate_alpha3(
-                model, sd, gamma, eps, axes, grid, seed, method, threads,
+                model, sd, gamma, eps, axes, grid, seed, method,
                 search_config))
         manifest["queries_total"] = result["trace"].queries_total \
             if order == 1 else sum(t.queries_total
@@ -472,10 +468,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     alpha_h = None
     beta = 1.0
     try:
-        from .errors import RespsimError
-        from .estimate import _hamiltonian_one_norm, _dipole_one_norm
-        alpha_h = _hamiltonian_one_norm(model)
-        beta = max(_dipole_one_norm(model, axes[-1]), 1e-12)
+        alpha_h = hamiltonian_one_norm(model)
+        beta = max(dipole_one_norm(model, axes[-1]), 1e-12)
     except RespsimError:
         alpha_h = None
     if alpha_h is not None:
@@ -494,11 +488,10 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
 
 
 def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
-                     threads, window_width, search_config):
+                     window_width, search_config):
     ax_out, ax_in = axes
     width = gamma / 8.0
-    from .estimate import _prepare
-    prep = _prepare(model, sd, (ax_out, ax_in))
+    prep = prepare(model, sd, (ax_out, ax_in))
     overrides = dict(search_config or {})
     span = overrides.pop("span", _aligned_span(prep.alpha_shift, width))
     cfg = BinSearchConfig(
@@ -518,13 +511,11 @@ def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
         if win not in windows:
             windows.append(win)
     table = ResponseTable(order=1, margin=cfg.overlap * est_width)
-    jobs = []
     for idx, win in enumerate(windows):
-        jobs.append(lambda w=win, k=idx: estimate_window(
-            model, (ax_in, ax_out), w, eps, method=method,
-            delta=(w[1] - w[0]) / 3.0, seed=_child_seed(seed, k), sd=sd))
-    for est in _spawn_estimates(jobs, threads):
-        table.add(est)
+        table.add(estimate_window(
+            model, (ax_in, ax_out), win, eps, method=method,
+            delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx),
+            sd=sd))
     out = {"trace": trace, "table": table, "windows": windows}
     if table.entries:
         out["result"] = assemble_alpha1(table, grid, gamma)
@@ -534,11 +525,10 @@ def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
 
 
 def _simulate_alpha3(model, sd, gamma, eps, axes, grid, seed, method,
-                     threads, search_config):
+                     search_config):
     i_tr, i3, i2, i1 = axes
     chain3 = (i1, i_tr, i3, i2)
-    from .estimate import _prepare
-    prep = _prepare(model, sd, chain3)
+    prep = prepare(model, sd, chain3)
     width = gamma
     overrides = dict(search_config or {})
     span = overrides.pop("span", _aligned_span(prep.alpha_shift, width))
@@ -569,27 +559,18 @@ def _simulate_alpha3(model, sd, gamma, eps, axes, grid, seed, method,
               1: ResponseTable(order=1, margin=cfg.overlap * width)}
     idx = 0
     for box in traces[3].peaks:
-        est = estimate_box(model, chain3, box, eps, method=method,
-                           seed=_child_seed(seed, idx), sd=sd)
-        tables[3].add(est)
+        tables[3].add(estimate_box(model, chain3, box, eps, method=method,
+                                   seed=_child_seed(seed, idx), sd=sd))
         idx += 1
     for ch in chains2:
         for box in traces[("d2", ch)].peaks:
-            est = estimate_box(model, ch, box, eps, method=method,
-                               seed=_child_seed(seed, idx), sd=sd)
-            try:
-                tables[2].add(est)
-            except InputError:
-                pass        # same window reached through two searches
+            tables[2].add(estimate_box(model, ch, box, eps, method=method,
+                                       seed=_child_seed(seed, idx), sd=sd))
             idx += 1
     for ch in chains1:
         for win in traces[("d1", ch)].peaks:
-            est = estimate_box(model, ch, (win,), eps, method=method,
-                               seed=_child_seed(seed, idx), sd=sd)
-            try:
-                tables[1].add(est)
-            except InputError:
-                pass
+            tables[1].add(estimate_box(model, ch, (win,), eps, method=method,
+                                       seed=_child_seed(seed, idx), sd=sd))
             idx += 1
     gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
             for ax in set(axes)}

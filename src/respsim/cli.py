@@ -117,12 +117,11 @@ def main(argv=None) -> int:
         axes_text = args.axes or ("xx" if args.order == 1 else "xxxx")
         axes = _parse_axes(axes_text, args.order)
         grid = _parse_grid(args.grid) if args.grid else None
-        threads = int(os.environ.get("RESPSIM_THREADS", "1"))
         result = run_pipeline(
             model, gamma=args.gamma, eps=args.eps, order=args.order,
             axes=axes, grid=grid, seed=args.seed, method=args.method,
             mode="oracle" if args.oracle_only else "simulate",
-            out_dir=args.out, threads=max(1, threads))
+            out_dir=args.out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,23 @@
 """Measurement-protocol simulation: Hadamard tests, bin search, estimation.
 
-The quantities being estimated are windowed transition-amplitude sums
-    d_[a,b] = sum_{excitation in [a,b)} d_out[0,j] d_in[j,0].
-A hypothetical device prepares the ground state, applies the encoded chain
-D' p((H - E0 - w_c I)/s) D, and reads the ancilla of a Hadamard test:
-P(0) = (1 + Re v)/2 with
+The quantities being estimated are nested-window amplitudes of a dipole
+chain D_0 p(H) D_1 ... p(H) D_n with one eigenstate filter between
+consecutive dipoles; a first-order window sum
+    d_[a,b] = sum_{excitation in [a,b)} d_out[0,j] d_in[j,0]
+is the depth-1 case.  A hypothetical device prepares the ground state,
+applies the encoded chain with each filter p((H - E0 - w_c I)/s) and reads
+the ancilla of a Hadamard test: P(0) = (1 + Re v)/2 with
 v = <0|chain|0>/zeta.  Classically we have the eigensystem, so v is computed
-through it (sum of d' p(y_j) d over eigenstates) and only the *statistics*
-are simulated.  The ground state contributes p(y_0) d'_00 d_00 to the raw
-sandwich; that term is classically known and is subtracted from estimates
-and from the bin-search test statistics (the physical protocol would apply
-the same correction to its empirical frequencies).
+through it and only the *statistics* are simulated.  The ground state
+contributes to the raw chain through every filter slot; those terms are
+classically known and are subtracted from estimates and from the
+bin-search test statistics (the physical protocol would apply the same
+correction to its empirical frequencies).
+
+One channel builder (`_box_channel`), one search engine (`_search`, whose
+1-D and n-D forms differ only in the quadratures sampled and the score)
+and one estimator (`estimate_box`) serve every depth; `binary_search_1d`
+and `estimate_window` are the depth-1 forms with first-order axis order.
 
 Filter polynomials are cached module-wide on their shape (half-width,
 smoothing, eps in rescaled units), and their eigenvalue evaluations on
@@ -52,7 +59,7 @@ def clear_caches():
 # model preparation (subnormalizations + eigensystem bundle)
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_one_norm(model: ModelSpec) -> float:
+def hamiltonian_one_norm(model: ModelSpec) -> float:
     key = ("H", model.T.tobytes(), model.V.tobytes())
     if key not in _NORM_CACHE:
         pauli = jordan_wigner(build_hamiltonian(model.T, model.V),
@@ -61,7 +68,7 @@ def _hamiltonian_one_norm(model: ModelSpec) -> float:
     return _NORM_CACHE[key]
 
 
-def _dipole_one_norm(model: ModelSpec, axis: int) -> float:
+def dipole_one_norm(model: ModelSpec, axis: int) -> float:
     key = ("D", axis, model.dipole[axis].tobytes())
     if key not in _NORM_CACHE:
         mat = model.dipole[axis]
@@ -85,13 +92,13 @@ class _Prep:
     zeta: float
 
 
-def _prepare(model: ModelSpec, sd: SpectralData, chain_axes) -> _Prep:
+def prepare(model: ModelSpec, sd: SpectralData, chain_axes) -> _Prep:
     chain_axes = tuple(int(a) for a in chain_axes)
-    alpha_h = _hamiltonian_one_norm(model)
+    alpha_h = hamiltonian_one_norm(model)
     e0 = sd.ground_energy - model.nuclear_shift
     betas = []
     for ax in chain_axes:
-        beta = _dipole_one_norm(model, ax)
+        beta = dipole_one_norm(model, ax)
         betas.append(beta if beta > 0 else 1.0)   # zero dipole: unit encoding
     zeta = 1.0
     for b in betas:
@@ -199,30 +206,14 @@ def sample_hadamard(ch: HadamardChannel, shots: int, rng=None) -> float:
     return float(rng.binomial(shots, ch.p0)) / shots
 
 
-def _window_channel(prep: _Prep, window, delta: float, eps: float,
-                    label: str = "") -> HadamardChannel:
-    """Channel for a depth-1 window on the excitation axis (chain D' p D)."""
-    lo, hi = window
-    sd = prep.sd
-    wc = (lo + hi) / 2.0
-    h = (hi - lo) / 2.0
-    s = _rescale(prep, wc)
-    key, filt = _cached_filter(h / s, delta / s, eps)
-    pvals = _filter_eigvals(sd, key, filt, wc, s)
-    ax0, ax1 = prep.chain_axes
-    d_out0 = sd.transition_dipoles[ax0][0, :]
-    d_in0 = sd.transition_dipoles[ax1][:, 0]
-    prods = d_out0 * pvals * d_in0
-    g = complex(prods[0]) / prep.zeta
-    v = complex(np.sum(prods[1:])) / prep.zeta
-    return HadamardChannel(value=v, ground_term=g, zeta=prep.zeta,
-                           degree=filt.degree, window=(lo, hi), label=label)
+def _box_channel(prep: _Prep, windows, deltas, eps: float):
+    """Channel for a depth-n box (a 1-D window is the depth-1 box): nested
+    filters, ground zeroed at every depth (the classical subtraction applied
+    once per nesting level).
 
-
-def _box_channel(prep: _Prep, windows, deltas, eps: float,
-                 label: str = "") -> HadamardChannel:
-    """Channel for a depth-n box: nested filters, ground zeroed at every
-    depth (the classical subtraction applied once per nesting level)."""
+    Returns the channel and the uncorrected image u_raw of the chain, whose
+    norm sets the amplification rounds.
+    """
     sd = prep.sd
     axes = prep.chain_axes
     if len(axes) != len(windows) + 1:
@@ -244,8 +235,9 @@ def _box_channel(prep: _Prep, windows, deltas, eps: float,
         u = sd.transition_dipoles[ax] @ (u * masked)
     v = complex(u[0]) / prep.zeta
     g = complex(u_raw[0]) / prep.zeta - v
-    return HadamardChannel(value=v, ground_term=g, zeta=prep.zeta,
-                           degree=degree, window=tuple(windows), label=label)
+    ch = HadamardChannel(value=v, ground_term=g, zeta=prep.zeta,
+                         degree=degree, window=tuple(windows))
+    return ch, u_raw
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +303,11 @@ def inequality_test(counts_i: int, counts_j: int, N_s: int, tau: float) -> str:
     return "indistinguishable"
 
 
-def _relation_matrix(counts, N_s: int, tau: float) -> np.ndarray:
-    nb = len(counts)
-    R = np.zeros((nb, nb), dtype=int)
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            rel = inequality_test(int(counts[i]), int(counts[j]), N_s, tau)
-            if rel == "greater":
-                R[i, j], R[j, i] = 1, -1
-            elif rel == "less":
-                R[i, j], R[j, i] = -1, 1
-    return R
+def _relation_matrix(scores, tau: float) -> np.ndarray:
+    """R[i, j] = +1 (-1) when score i exceeds (trails) score j by more
+    than tau, else 0; antisymmetric with a zero diagonal."""
+    gap = np.subtract.outer(scores, scores)
+    return (gap > tau).astype(int) - (gap < -tau).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +415,17 @@ def sort_bins(channels, config: BinSearchConfig, rng=None,
     if counts is None:
         dist = lcu_hadamard_distribution(channels)
         counts = dist.sample_counts(rng, config.N_s)
-    return _relation_matrix(counts, config.N_s, config.tau)
+    nb = len(counts)
+    R = np.zeros((nb, nb), dtype=int)
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            rel = inequality_test(int(counts[i]), int(counts[j]), config.N_s,
+                                  config.tau)
+            if rel == "greater":
+                R[i, j], R[j, i] = 1, -1
+            elif rel == "less":
+                R[i, j], R[j, i] = -1, 1
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +477,7 @@ def _search(model: ModelSpec, chain_axes, ndim: int,
             sd: SpectralData = None) -> SearchTrace:
     if sd is None:
         sd = diagonalize(model)
-    prep = _prepare(model, sd, chain_axes)
+    prep = prepare(model, sd, chain_axes)
     if config.span is None:
         span = (0.0, prep.alpha_shift)
     else:
@@ -491,6 +487,13 @@ def _search(model: ModelSpec, chain_axes, ndim: int,
     root = tuple((span[0], span[1]) for _ in range(ndim))
     queue = deque([(root, 0, (config.branching,) * ndim)])
     seen_peaks = set()
+    # 1-D amplitudes are sums of |d|^2 weights, hence real and nonnegative:
+    # one quadrature and the signed elevation over the flat background
+    # suffice.  Nested box amplitudes are products of signed dipole matrix
+    # elements and may sit anywhere in the complex plane, so a bright box
+    # can just as well depress its bin probability: both quadratures are
+    # sampled and a bin scores its largest absolute deviation.
+    quadratures = ("re",) if ndim == 1 else ("re", "im")
 
     while queue:
         if len(trace.levels) >= config.max_boxes:
@@ -503,47 +506,23 @@ def _search(model: ModelSpec, chain_axes, ndim: int,
         cells, widths = _split_box(box, nbins)
         ncells = len(cells)
         deltas = [config.overlap * w for w in widths]
-        if ndim == 1:
-            channels = [_window_channel(prep, c[0], deltas[0],
-                                        config.filter_eps) for c in cells]
-        else:
-            channels = [_box_channel(prep, c, deltas, config.filter_eps)
-                        for c in cells]
+        channels = [_box_channel(prep, c, deltas, config.filter_eps)[0]
+                    for c in cells]
         base = 1.0 / (2.0 * ncells)
-        if ndim == 1:
-            # 1-D amplitudes are sums of |d|^2 weights, hence real and
-            # nonnegative: a one-sided elevation test on one quadrature
-            # suffices and the relation matrix compares raw counts.
-            dist = lcu_hadamard_distribution(channels)
+        level_counts = {}
+        devs = []
+        for q in quadratures:
+            dist = lcu_hadamard_distribution(
+                channels if q == "re"
+                else [imaginary_part_channel(ch) for ch in channels])
             counts = dist.sample_counts(rng, config.N_s)
-            charge = config.N_s * sum(ch.degree for ch in channels)
-            scores = counts / config.N_s - base
-            R = _relation_matrix(counts, config.N_s, config.tau)
-            level_counts = {"counts": [int(c) for c in counts]}
-        else:
-            # Nested box amplitudes are products of signed dipole matrix
-            # elements and may sit anywhere in the complex plane, so a
-            # bright box can just as well depress its bin probability.
-            # Sample both quadratures and score each bin by its largest
-            # absolute deviation from the flat background.
-            dist_re = lcu_hadamard_distribution(channels)
-            dist_im = lcu_hadamard_distribution(
-                [imaginary_part_channel(ch) for ch in channels])
-            counts_re = dist_re.sample_counts(rng, config.N_s)
-            counts_im = dist_im.sample_counts(rng, config.N_s)
-            charge = 2 * config.N_s * sum(ch.degree for ch in channels)
-            dev_re = counts_re / config.N_s - base
-            dev_im = counts_im / config.N_s - base
-            scores = np.maximum(np.abs(dev_re), np.abs(dev_im))
-            R = np.zeros((ncells, ncells), dtype=int)
-            for i in range(ncells):
-                for j in range(i + 1, ncells):
-                    if scores[i] - scores[j] > config.tau:
-                        R[i, j], R[j, i] = 1, -1
-                    elif scores[j] - scores[i] > config.tau:
-                        R[i, j], R[j, i] = -1, 1
-            level_counts = {"counts": [int(c) for c in counts_re],
-                            "counts_im": [int(c) for c in counts_im]}
+            level_counts["counts" if q == "re" else "counts_im"] = \
+                [int(c) for c in counts]
+            devs.append(counts / config.N_s - base)
+        charge = (len(quadratures) * config.N_s
+                  * sum(ch.degree for ch in channels))
+        scores = devs[0] if ndim == 1 else np.max(np.abs(devs), axis=0)
+        R = _relation_matrix(scores, config.tau)
         trace.queries_total += charge
         lvl_key = str(depth)
         trace.per_level_queries[lvl_key] = \
@@ -691,78 +670,36 @@ def estimate_window(model: ModelSpec, axes, window, eps: float,
                     method: str = "direct", delta: float = None,
                     gamma: float = None, seed: int = 0,
                     sd: SpectralData = None) -> WindowEstimate:
-    """Estimate the window amplitude to additive accuracy eps (plus the
-    unavoidable delta-margin mass).
+    """Depth-1 form of estimate_box for the sandwich D_out p D_in.
 
-    methods: "direct" Bernoulli Hadamard sampling (shots ~ 1/eps^2);
-    "ae" idealized amplitude estimation (exact value + seeded perturbation
-    bounded by the statistical budget, shots ~ 1/eps); "exact" the ae
-    query accounting with the perturbation switched off.
+    axes = (axis_in, axis_out); gamma, when given, caps the window width.
+    The result carries the window as (a, b) and the axes in this order.
     """
-    if method not in ("direct", "ae", "exact"):
-        raise InputError(f"unknown method {method!r}")
-    if eps <= 0:
-        raise InputError("eps must be positive")
     a, b = window
-    if not 0 <= a < b:
-        raise InputError(f"window [{a}, {b}) is empty, reversed or negative")
     if gamma is not None and (b - a) > gamma * (1.0 + 1e-9):
         raise InputError(f"window width {b - a:.4g} exceeds target {gamma}")
-    if sd is None:
-        sd = diagonalize(model)
     ax_in, ax_out = axes
-    prep = _prepare(model, sd, (ax_out, ax_in))
-    zeta = prep.zeta
-    if delta is None:
-        delta = (b - a) / 4.0
-    if not 0 < delta < (b - a) / 2.0:
-        raise InputError("delta must lie in (0, half-width)")
-    eps_f = min(eps / (2.0 * zeta), 0.4)
-    ch = _window_channel(prep, (a, b), delta, eps_f)
-    # amplification accounting uses the physical (uncorrected) image norm
-    wc, h = (a + b) / 2.0, (b - a) / 2.0
-    s = _rescale(prep, wc)
-    key, filt = _cached_filter(h / s, delta / s, eps_f)
-    pvals = _filter_eigvals(sd, key, filt, wc, s)
-    u = sd.transition_dipoles[prep.chain_axes[1]][:, 0] * pvals
-    xi = float(np.linalg.norm(
-        sd.transition_dipoles[prep.chain_axes[0]] @ u))
-    rng = np.random.default_rng(seed)
-    if method == "direct":
-        eps_v = eps / (2.0 * math.sqrt(2.0) * zeta)
-        shots_per = math.ceil(2.0 * math.log(12.0) / eps_v ** 2)
-        ch_im = imaginary_part_channel(ch)
-        f_re = sample_hadamard(ch, shots_per, rng)
-        f_im = sample_hadamard(ch_im, shots_per, rng)
-        v_hat = complex(2.0 * f_re - 1.0, 2.0 * f_im - 1.0) - ch.ground_term
-    else:
-        eps_v = eps / (2.0 * zeta)
-        shots_per = math.ceil(2.0 / eps_v)
-        if method == "ae":
-            mag = eps_v * rng.uniform(0.0, 1.0)
-            phase = 2.0 * math.pi * rng.uniform(0.0, 1.0)
-            v_hat = ch.value + mag * complex(math.cos(phase),
-                                             math.sin(phase))
-        else:
-            v_hat = ch.value
-    d_hat = zeta * v_hat
-    if abs(d_hat) > zeta:
-        d_hat *= zeta / abs(d_hat)
-    xi_eff = max(xi, eps_v * zeta)
-    rounds = max(1, math.ceil(zeta / xi_eff))
-    shots = 2 * shots_per
-    queries = ch.degree * shots * rounds
-    return WindowEstimate(
-        window=(float(a), float(b)), axes=(int(ax_in), int(ax_out)),
-        value=d_hat, method=method, shots=shots, queries=queries,
-        eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=ch.degree,
-        rounds=rounds, delta=delta, zeta=zeta)
+    est = estimate_box(model, (ax_out, ax_in), [window], eps, method=method,
+                       delta=delta, seed=seed, sd=sd)
+    return dataclasses.replace(est, window=est.window[0],
+                               axes=(int(ax_in), int(ax_out)))
 
 
 def estimate_box(model: ModelSpec, chain_axes, windows, eps: float,
                  method: str = "ae", delta: float = None, seed: int = 0,
                  sd: SpectralData = None) -> WindowEstimate:
-    """Nested-window analogue of estimate_window for depth >= 2 boxes."""
+    """Estimate a nested-window amplitude to additive accuracy eps (plus
+    the unavoidable delta-margin mass).
+
+    chain_axes is the dipole chain, one entry longer than `windows`, ordered
+    as in nested window amplitudes.  delta (default a quarter of each
+    window's width) must lie inside every window's half-width.
+    methods: "direct" Bernoulli Hadamard sampling (shots ~ 1/eps^2);
+    "ae" idealized amplitude estimation (exact value + seeded perturbation
+    bounded by the statistical budget, shots ~ 1/eps); "exact" the ae
+    query accounting with the perturbation switched off.  Amplification
+    rounds follow from the norm of the uncorrected filtered image.
+    """
     if method not in ("direct", "ae", "exact"):
         raise InputError(f"unknown method {method!r}")
     if eps <= 0:
@@ -772,16 +709,19 @@ def estimate_box(model: ModelSpec, chain_axes, windows, eps: float,
         if not 0 <= lo < hi:
             raise InputError(
                 f"window [{lo}, {hi}) is empty, reversed or negative")
-    if sd is None:
-        sd = diagonalize(model)
-    prep = _prepare(model, sd, tuple(chain_axes))
-    zeta = prep.zeta
     if delta is None:
         deltas = [(hi - lo) / 4.0 for lo, hi in windows]
     else:
         deltas = [delta] * len(windows)
+    for (lo, hi), d in zip(windows, deltas):
+        if not 0 < d < (hi - lo) / 2.0:
+            raise InputError("delta must lie in (0, half-width)")
+    if sd is None:
+        sd = diagonalize(model)
+    prep = prepare(model, sd, chain_axes)
+    zeta = prep.zeta
     eps_f = min(eps / (2.0 * zeta), 0.4)
-    ch = _box_channel(prep, windows, deltas, eps_f)
+    ch, u_raw = _box_channel(prep, windows, deltas, eps_f)
     rng = np.random.default_rng(seed)
     if method == "direct":
         eps_v = eps / (2.0 * math.sqrt(2.0) * zeta)
@@ -802,11 +742,12 @@ def estimate_box(model: ModelSpec, chain_axes, windows, eps: float,
     d_hat = zeta * v_hat
     if abs(d_hat) > zeta:
         d_hat *= zeta / abs(d_hat)
+    xi = float(np.linalg.norm(u_raw))
+    rounds = max(1, math.ceil(zeta / max(xi, eps_v * zeta)))
     shots = 2 * shots_per
-    rounds = 1
     queries = ch.degree * shots * rounds
     return WindowEstimate(
-        window=tuple(windows), axes=tuple(int(a) for a in chain_axes),
+        window=tuple(windows), axes=prep.chain_axes,
         value=d_hat, method=method, shots=shots, queries=queries,
         eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=ch.degree,
         rounds=rounds, delta=deltas[0], zeta=zeta)

@@ -17,7 +17,9 @@ from respsim import (
     r_pathway_fd,
     run_pipeline,
 )
+from respsim import assemble
 from respsim.assemble import _aligned_span, _ancestor_bin, _dedupe_windows
+from respsim.estimate import SearchTrace
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,24 @@ def test_pipeline_writes_outputs(dimer, tmp_path):
     assert manifest["gamma"] == 0.2
     trace = json.loads((out / "search_trace.json").read_text())
     assert trace["found"] is True
+
+
+def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
+    # two distinct depth-2 boxes on one chain that overlap beyond the
+    # filter margin on both axes: the table must refuse the second one
+    # rather than drop its weight
+    def fake_search(model, axes, depth_n, config, seed=0, sd=None):
+        if depth_n == 2:
+            peaks = [[[4.4, 4.6], [4.4, 4.6]], [[4.45, 4.65], [4.45, 4.65]]]
+        else:
+            peaks = [[[4.4, 4.6]] * depth_n]
+        return SearchTrace(config=config.as_dict(), seed=seed, dims=depth_n,
+                           peaks=peaks)
+
+    monkeypatch.setattr(assemble, "binary_search_nd", fake_search)
+    with pytest.raises(InputError, match="overlaps"):
+        run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+                     grid=np.linspace(1.0, 3.9, 3), method="exact")
 
 
 def test_pipeline_validation(dimer):

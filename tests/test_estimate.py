@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respsim import (
     BinSearchConfig,
@@ -305,7 +307,7 @@ def test_estimate_box_depth_one_matches_window(dimer, dimer_sd):
     a = estimate_window(dimer, (0, 0), w, 1e-3, method="exact", sd=dimer_sd)
     b = estimate_box(dimer, (0, 0), [w], 1e-3, method="exact", sd=dimer_sd)
     assert b.value == pytest.approx(a.value, abs=1e-12)
-    assert b.rounds == 1
+    assert (b.rounds, b.queries, b.degree) == (a.rounds, a.queries, a.degree)
 
 
 def test_estimate_box_depth_three(dimer, dimer_sd):
@@ -322,6 +324,38 @@ def test_estimate_box_validation(dimer, dimer_sd):
         estimate_box(dimer, (0, 0, 0), [(4.4, 4.5)], 1e-3, sd=dimer_sd)
     with pytest.raises(InputError):
         estimate_box(dimer, (0, 0), [(4.5, 4.4)], 1e-3, sd=dimer_sd)
+    with pytest.raises(InputError):
+        estimate_box(dimer, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
+                     delta=0.06, sd=dimer_sd)
+
+
+@pytest.mark.parametrize("which", ["dimer", "random"])
+@settings(max_examples=10, deadline=None)
+@given(frac=st.floats(0.0, 1.0), width=st.floats(0.1, 0.8),
+       ax_in=st.integers(0, 2), ax_out=st.integers(0, 2))
+def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
+                                              ax_out, dimer, dimer_sd,
+                                              random_model, random_sd):
+    model, sd = ((dimer, dimer_sd) if which == "dimer"
+                 else (random_model, random_sd))
+    lo = frac * float(sd.eigenvalues[-1])
+    hi = lo + width
+    a = estimate_window(model, (ax_in, ax_out), (lo, hi), 2e-2,
+                        method="exact", sd=sd)
+    b = estimate_box(model, (ax_out, ax_in), [(lo, hi)], 2e-2,
+                     method="exact", sd=sd)
+    assert (a.value, a.degree, a.rounds, a.queries) == \
+        (b.value, b.degree, b.rounds, b.queries)
+    # criterion 04's bound: filter error plus the mass in the delta-margins
+    d = a.delta
+    lam = sd.eigenvalues[1:]
+    weights = np.abs(sd.transition_dipoles[ax_out][0, 1:]
+                     * sd.transition_dipoles[ax_in][1:, 0])
+    in_margin = ((lo - d <= lam) & (lam <= lo + d)) | \
+        ((hi - d <= lam) & (lam <= hi + d))
+    ref = window_amplitude(sd, ax_in, ax_out, lo, hi)
+    assert abs(a.value - ref) <= (a.eps_filter + weights[in_margin].sum()
+                                  + 1e-12)
 
 
 def test_clear_caches_is_safe(dimer, dimer_sd):
