@@ -30,10 +30,9 @@ from .blockenc import (BlockEncoding, EncodingChain, amplification_rounds,
                        shift_encoding, success_probability)
 from .estimate import (BinSearchConfig, HadamardChannel, SearchTrace,
                        WindowEstimate, binary_search_1d, binary_search_nd,
-                       channel_from_chain, clear_caches, estimate_box,
-                       estimate_window, imaginary_part_channel,
-                       inequality_test, lcu_hadamard_distribution,
-                       sample_hadamard, sort_bins)
+                       channel_from_chain, estimate_box, estimate_window,
+                       imaginary_part_channel, inequality_test,
+                       lcu_hadamard_distribution, sample_hadamard, sort_bins)
 from .assemble import (CostInputs, ResponseTable, assemble_alpha1,
                        assemble_alpha3, cost_report, qpe_baseline_report,
                        run_pipeline)
@@ -60,7 +59,7 @@ __all__ = [
     "success_probability",
     "BinSearchConfig", "HadamardChannel", "SearchTrace", "WindowEstimate",
     "binary_search_1d", "binary_search_nd", "channel_from_chain",
-    "clear_caches", "estimate_box", "estimate_window",
+    "estimate_box", "estimate_window",
     "imaginary_part_channel", "inequality_test",
     "lcu_hadamard_distribution", "sample_hadamard", "sort_bins",
     "CostInputs", "ResponseTable", "assemble_alpha1", "assemble_alpha3",

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, RespsimError
+from .errors import InputError
 from .estimate import (BinSearchConfig, binary_search_1d, binary_search_nd,
-                       dipole_one_norm, estimate_box, estimate_window,
-                       hamiltonian_one_norm, prepare)
+                       estimate_box, estimate_window, prepare)
 from .models import ModelSpec
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
@@ -465,20 +464,13 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
             if order == 1 else sum(t.queries_total
                                    for t in result["traces"].values())
 
-    alpha_h = None
-    beta = 1.0
-    try:
-        alpha_h = hamiltonian_one_norm(model)
-        beta = max(dipole_one_norm(model, axes[-1]), 1e-12)
-    except RespsimError:
-        alpha_h = None
-    if alpha_h is not None:
-        ci = CostInputs(alpha=alpha_h, beta=beta, gamma=gamma, eps=eps,
-                        n_order=order)
-        result["cost"] = cost_report(ci)
-        result["qpe"] = qpe_baseline_report(ci)
-        manifest["alpha"] = alpha_h
-        manifest["beta"] = beta
+    beta = max(sd.betas[axes[-1]], 1e-12)
+    ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
+                    n_order=order)
+    result["cost"] = cost_report(ci)
+    result["qpe"] = qpe_baseline_report(ci)
+    manifest["alpha"] = sd.alpha
+    manifest["beta"] = beta
     result["manifest"] = manifest
     result["csv"] = _render_csv(result, axes, order)
 
@@ -622,11 +614,10 @@ def _write_outputs(result: dict, out_dir: str, order: int) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(result["manifest"], fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if "cost" in result:
-        with open(os.path.join(out_dir, "cost_report.json"), "w") as fh:
-            json.dump({"cost": result["cost"], "qpe": result["qpe"]},
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    with open(os.path.join(out_dir, "cost_report.json"), "w") as fh:
+        json.dump({"cost": result["cost"], "qpe": result["qpe"]},
+                  fh, sort_keys=True, indent=2)
+        fh.write("\n")
     if order == 1 and result.get("table") is not None:
         with open(os.path.join(out_dir, "response_table.json"), "w") as fh:
             fh.write(result["table"].to_json())

@@ -109,6 +109,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.toy:
+            if args.dipole is not None:
+                raise InputError("--dipole applies to --model, not --toy")
             model = _parse_toy(args.toy)
         else:
             if not os.path.exists(args.model):

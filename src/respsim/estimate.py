@@ -19,11 +19,13 @@ One channel builder (`_box_channel`), one search engine (`_search`, whose
 and one estimator (`estimate_box`) serve every depth; `binary_search_1d`
 and `estimate_window` are the depth-1 forms with first-order axis order.
 
-Filter polynomials are cached module-wide on their shape (half-width,
-smoothing, eps in rescaled units), and their eigenvalue evaluations on
-(shape, centre, scale, spectrum); repeated searches over the same model
-rebuild nothing.  Caches never affect values, only speed, so determinism
-is preserved.
+Subnormalizations (alpha, beta per dipole axis) and filter values at the
+eigenvalues belong to the SpectralData of the model, so they live and die
+with one spectrum.  Filter polynomials depend on no model: they are
+memoized process-wide on their shape (half-width, smoothing, eps in
+rescaled units), the first caller building each one, in a dict capped at
+FILTER_MEMO_CAP entries that evicts the oldest first.  Repeated searches
+over the same spectrum rebuild and re-evaluate nothing.
 """
 
 from __future__ import annotations
@@ -39,47 +41,17 @@ import numpy as np
 from .chebfilter import build_indicator
 from .errors import InputError
 from .models import ModelSpec
-from .operators import build_dipole, build_hamiltonian, jordan_wigner, lcu_one_norm
 from .spectra import SpectralData, diagonalize
 
-_FILTER_CACHE = {}
-_EVAL_CACHE = {}
-_NORM_CACHE = {}
+FILTER_MEMO_CAP = 128
+_FILTER_MEMO = {}
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
-
-
-def clear_caches():
-    _FILTER_CACHE.clear()
-    _EVAL_CACHE.clear()
-    _NORM_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
 # model preparation (subnormalizations + eigensystem bundle)
 # ---------------------------------------------------------------------------
-
-def hamiltonian_one_norm(model: ModelSpec) -> float:
-    key = ("H", model.T.tobytes(), model.V.tobytes())
-    if key not in _NORM_CACHE:
-        pauli = jordan_wigner(build_hamiltonian(model.T, model.V),
-                              model.n_orbitals)
-        _NORM_CACHE[key] = lcu_one_norm(pauli)
-    return _NORM_CACHE[key]
-
-
-def dipole_one_norm(model: ModelSpec, axis: int) -> float:
-    key = ("D", axis, model.dipole[axis].tobytes())
-    if key not in _NORM_CACHE:
-        mat = model.dipole[axis]
-        if np.count_nonzero(mat) == 0:
-            beta = 0.0
-        else:
-            pauli = jordan_wigner(build_dipole(mat), model.n_orbitals)
-            beta = lcu_one_norm(pauli)
-        _NORM_CACHE[key] = beta
-    return _NORM_CACHE[key]
-
 
 @dataclass
 class _Prep:
@@ -94,24 +66,20 @@ class _Prep:
 
 def prepare(model: ModelSpec, sd: SpectralData, chain_axes) -> _Prep:
     chain_axes = tuple(int(a) for a in chain_axes)
-    alpha_h = hamiltonian_one_norm(model)
     e0 = sd.ground_energy - model.nuclear_shift
-    betas = []
-    for ax in chain_axes:
-        beta = dipole_one_norm(model, ax)
-        betas.append(beta if beta > 0 else 1.0)   # zero dipole: unit encoding
-    zeta = 1.0
-    for b in betas:
-        zeta *= b
-    return _Prep(sd, chain_axes, alpha_h + abs(e0), tuple(betas), zeta)
+    # a zero dipole gets the unit encoding
+    betas = tuple(sd.betas[ax] or 1.0 for ax in chain_axes)
+    return _Prep(sd, chain_axes, sd.alpha + abs(e0), betas, math.prod(betas))
 
 
 def _cached_filter(half_y: float, delta_y: float, eps: float):
     key = (round(half_y, 12), round(delta_y, 12), float(eps))
-    filt = _FILTER_CACHE.get(key)
+    filt = _FILTER_MEMO.get(key)
     if filt is None:
         filt = build_indicator(-half_y, half_y, delta_y, eps)
-        _FILTER_CACHE[key] = filt
+        if len(_FILTER_MEMO) >= FILTER_MEMO_CAP:
+            del _FILTER_MEMO[next(iter(_FILTER_MEMO))]
+        _FILTER_MEMO[key] = filt
     return key, filt
 
 
@@ -129,13 +97,12 @@ def _rescale(prep: _Prep, wc: float) -> float:
 
 def _filter_eigvals(sd: SpectralData, key, filt, center: float, scale: float
                     ) -> np.ndarray:
-    ekey = key + (round(center, 12), round(scale, 12),
-                  sd.eigenvalues.tobytes())
-    vals = _EVAL_CACHE.get(ekey)
+    ekey = key + (round(center, 12), round(scale, 12))
+    vals = sd.filter_values.get(ekey)
     if vals is None:
         y = (sd.eigenvalues - center) / scale
         vals = np.asarray(filt.eval(y), dtype=float)
-        _EVAL_CACHE[ekey] = vals
+        sd.filter_values[ekey] = vals
     return vals
 
 
@@ -303,10 +270,9 @@ def inequality_test(counts_i: int, counts_j: int, N_s: int, tau: float) -> str:
     return "indistinguishable"
 
 
-def _relation_matrix(scores, tau: float) -> np.ndarray:
-    """R[i, j] = +1 (-1) when score i exceeds (trails) score j by more
-    than tau, else 0; antisymmetric with a zero diagonal."""
-    gap = np.subtract.outer(scores, scores)
+def _relation_matrix(gap, tau: float) -> np.ndarray:
+    """R[i, j] = +1 (-1) when gap[i, j] = s_i - s_j exceeds tau (is below
+    -tau), else 0; antisymmetric with a zero diagonal."""
     return (gap > tau).astype(int) - (gap < -tau).astype(int)
 
 
@@ -409,23 +375,16 @@ class SearchTrace:
 def sort_bins(channels, config: BinSearchConfig, rng=None,
               counts=None) -> np.ndarray:
     """Relation matrix over bins: sample the joint distribution once, then
-    run every pairwise inequality test on the shared counts."""
+    run every pairwise inequality test on the shared counts (R[i, j] is +1,
+    -1 or 0 as inequality_test(counts[i], counts[j]) says greater, less or
+    indistinguishable)."""
     if rng is None:
         rng = np.random.default_rng(0)
     if counts is None:
         dist = lcu_hadamard_distribution(channels)
         counts = dist.sample_counts(rng, config.N_s)
-    nb = len(counts)
-    R = np.zeros((nb, nb), dtype=int)
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            rel = inequality_test(int(counts[i]), int(counts[j]), config.N_s,
-                                  config.tau)
-            if rel == "greater":
-                R[i, j], R[j, i] = 1, -1
-            elif rel == "less":
-                R[i, j], R[j, i] = -1, 1
-    return R
+    return _relation_matrix(np.subtract.outer(counts, counts) / config.N_s,
+                            config.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +481,7 @@ def _search(model: ModelSpec, chain_axes, ndim: int,
         charge = (len(quadratures) * config.N_s
                   * sum(ch.degree for ch in channels))
         scores = devs[0] if ndim == 1 else np.max(np.abs(devs), axis=0)
-        R = _relation_matrix(scores, config.tau)
+        R = _relation_matrix(np.subtract.outer(scores, scores), config.tau)
         trace.queries_total += charge
         lvl_key = str(depth)
         trace.per_level_queries[lvl_key] = \

@@ -183,10 +183,13 @@ def _stripped_lines(path):
 
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     """Read spatial integrals plus an optional dipole file; return the
-    spin-lifted ModelSpec."""
+    spin-lifted ModelSpec.  Without a dipole file the dipoles are zero and
+    the model is flagged dipole_missing; a named file must exist."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"integral file not found: {path}")
+    if dipole_path is not None and not Path(dipole_path).exists():
+        raise InputError(f"dipole file not found: {dipole_path}")
     lines = _stripped_lines(path)
     if not lines:
         raise InputError(f"{path}: empty file")
@@ -224,9 +227,8 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
             for perm in _TWO_BODY_IMAGES:
                 V[tuple(entry[a] for a in perm)] = val
     dip = np.zeros((3, norb, norb))
-    missing = False
-    if dipole_path is None or not Path(dipole_path).exists():
-        missing = True
+    missing = dipole_path is None
+    if missing:
         warnings.warn(
             f"no dipole file for {path.name}; dipole set to zero", stacklevel=2
         )

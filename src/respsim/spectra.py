@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .models import ModelSpec
-from .operators import build_dipole, build_hamiltonian, jordan_wigner
+from .operators import (build_dipole, build_hamiltonian, jordan_wigner,
+                        lcu_one_norm)
 
 DEGENERACY_TOL = 1e-10
 
@@ -50,10 +51,16 @@ _PATHWAY_SIDES = {
 
 @dataclass
 class SpectralData:
-    """Eigensystem of one model, restricted to a particle sector if asked.
+    """Eigensystem of one model, restricted to a particle sector if asked,
+    and everything derived from it.
 
     eigenvalues are ascending and shifted so eigenvalues[0] == 0;
-    transition_dipoles[i] is the axis-i dipole in the eigenbasis.
+    transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
+    and betas[i] are the LCU one-norms of the Jordan-Wigner images of H and
+    of the axis-i dipole (0 for an all-zero dipole): the block-encoding
+    subnormalizations.  filter_values holds filter polynomials evaluated at
+    the eigenvalues, filled by the measurement layer and freed with the
+    spectrum.
     """
 
     eigenvalues: np.ndarray          # (M,)
@@ -61,8 +68,12 @@ class SpectralData:
     transition_dipoles: np.ndarray   # (3, M, M)
     sector: int | None
     ground_energy: float             # unshifted lowest eigenvalue
+    alpha: float
+    betas: tuple                     # (beta_x, beta_y, beta_z)
     degenerate_ground: bool = False
     label: str = ""
+    filter_values: dict = field(default_factory=dict, repr=False,
+                                compare=False)
 
     @property
     def n_states(self) -> int:
@@ -78,11 +89,17 @@ class SusceptibilityResult:
     axes: tuple
 
 
+def _qubit_image(op, n: int):
+    """Dense real matrix and LCU one-norm of the Jordan-Wigner image."""
+    pauli = jordan_wigner(op, n)
+    return pauli.dense().matrix.real, lcu_one_norm(pauli)
+
+
 def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
-    """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles."""
+    """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles
+    and the one-norms of their qubit images."""
     n = model.n_orbitals
-    ham = build_hamiltonian(model.T, model.V)
-    H = jordan_wigner(ham, n).dense().matrix.real
+    H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), n)
     dim = H.shape[0]
     if fix_sector:
         occupancy = np.array([bin(s).count("1") for s in range(dim)])
@@ -102,8 +119,10 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
     full_vecs = np.zeros((dim, len(keep)))
     full_vecs[keep, :] = evecs
     dips = np.empty((3, len(keep), len(keep)))
+    betas = []
     for ax in range(3):
-        D = jordan_wigner(build_dipole(model.dipole[ax]), n).dense().matrix.real
+        D, beta = _qubit_image(build_dipole(model.dipole[ax]), n)
+        betas.append(beta)
         dips[ax] = evecs.T @ D[np.ix_(keep, keep)] @ evecs
     return SpectralData(
         eigenvalues=evals - evals[0],
@@ -111,6 +130,8 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
         transition_dipoles=dips,
         sector=model.n_electrons if fix_sector else None,
         ground_energy=ground,
+        alpha=alpha,
+        betas=tuple(betas),
         degenerate_ground=degenerate,
         label=model.label,
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from respsim import InputError
+from respsim import InputError, make_hubbard_dimer, write_fcidump_like
 from respsim.cli import _parse_axes, _parse_grid, _parse_toy, main
 
 
@@ -86,8 +86,16 @@ def test_main_input_errors(tmp_path, capsys):
     assert main(["--model", str(tmp_path / "missing.txt")]) == 2
     assert main(["--toy", "hubbard", "--grid", "5:1:10"]) == 2
     assert main(["--toy", "hubbard", "--axes", "qq"]) == 2
+    missing_dip = str(tmp_path / "missing-dip.txt")
+    assert main(["--toy", "hubbard", "--dipole", missing_dip,
+                 "--oracle-only"]) == 2
+    ints = tmp_path / "ints.txt"
+    write_fcidump_like(make_hubbard_dimer(1.0, 2.0, 0.5), ints)
+    assert main(["--model", str(ints), "--dipole", missing_dip,
+                 "--oracle-only"]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+    assert "dipole file not found" in err
 
 
 def test_main_resource_cap(capsys):

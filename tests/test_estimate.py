@@ -15,7 +15,7 @@ from respsim import (
     build_dipole,
     build_indicator,
     channel_from_chain,
-    clear_caches,
+    diagonalize,
     encode_lcu,
     estimate_box,
     estimate_window,
@@ -24,12 +24,14 @@ from respsim import (
     inequality_test,
     jordan_wigner,
     lcu_hadamard_distribution,
+    lcu_one_norm,
     nested_window_amplitude,
     sample_hadamard,
     sort_bins,
     window_amplitude,
 )
-from respsim.estimate import P0_SLACK
+from respsim import estimate as estimate_mod
+from respsim.estimate import FILTER_MEMO_CAP, P0_SLACK, prepare
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
@@ -149,7 +151,9 @@ def test_inequality_test():
         inequality_test(1, 0, 0, 0.1)
 
 
-def test_sort_bins_relation_matrix():
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), tau=st.floats(0.05, 0.5), extra=st.integers(0, 300))
+def test_sort_bins_relation_matrix(data, tau, extra):
     cfg = BinSearchConfig(gamma=0.5, branching=3, tau=0.15, N_s=200)
     R = sort_bins(None, cfg, counts=np.array([80, 20, 50]))
     assert R[0, 1] == 1 and R[1, 0] == -1             # gap 0.30 > tau
@@ -157,6 +161,15 @@ def test_sort_bins_relation_matrix():
     assert R[2, 1] == 0                               # gap 0.15
     assert np.array_equal(R, -R.T)
     assert np.all(np.diag(R) == 0)
+    # on any counts the matrix is the pairwise inequality test
+    n_min = BinSearchConfig(gamma=0.5, tau=tau).N_s
+    cfg = BinSearchConfig(gamma=0.5, tau=tau, N_s=n_min + extra)
+    counts = data.draw(st.lists(st.integers(0, cfg.N_s), min_size=1,
+                                max_size=9))
+    sign = {"greater": 1, "less": -1, "indistinguishable": 0}
+    expect = [[sign[inequality_test(a, b, cfg.N_s, tau)] for b in counts]
+              for a in counts]
+    assert sort_bins(None, cfg, counts=np.array(counts)).tolist() == expect
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +371,57 @@ def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
                                   + 1e-12)
 
 
-def test_clear_caches_is_safe(dimer, dimer_sd):
+# ---------------------------------------------------------------------------
+# what the spectrum owns, and the process-wide filter memo
+# ---------------------------------------------------------------------------
+
+def test_fresh_spectrum_gives_identical_estimate(dimer, dimer_sd):
     before = estimate_window(dimer, (0, 0), (4.35, 4.55), 1e-3,
                              method="exact", sd=dimer_sd)
-    clear_caches()
+    fresh = diagonalize(dimer)
+    assert not fresh.filter_values
     after = estimate_window(dimer, (0, 0), (4.35, 4.55), 1e-3,
-                            method="exact", sd=dimer_sd)
-    assert after.value == before.value
-    assert after.degree == before.degree
+                            method="exact", sd=fresh)
+    assert after.as_dict() == before.as_dict()
+    assert fresh.filter_values
+
+
+@pytest.mark.parametrize("names", [("dimer", "dimer_sd"),
+                                   ("random_model", "random_sd")])
+def test_spectrum_carries_lcu_one_norms(request, names):
+    model, sd = (request.getfixturevalue(n) for n in names)
+    assert sd.alpha == lcu_one_norm(
+        jordan_wigner(build_hamiltonian(model.T, model.V)))
+    assert sd.betas == tuple(
+        lcu_one_norm(jordan_wigner(build_dipole(model.dipole[ax])))
+        for ax in range(3))
+    assert sd.alpha > 0 and sd.betas[0] > 0
+    if names[0] == "dimer":
+        # only the x dipole is set: y and z encode with unit subnorm
+        assert sd.betas[1:] == (0.0, 0.0)
+        prep = prepare(model, sd, (1, 0, 2))
+        assert prep.betas == (1.0, sd.betas[0], 1.0)
+        assert prep.zeta == sd.betas[0]
+
+
+def test_filter_memo_evicts_oldest_at_cap(monkeypatch):
+    built = []
+
+    def fake_build(lo, hi, delta, eps):
+        built.append(hi)
+        return hi
+
+    monkeypatch.setattr(estimate_mod, "_FILTER_MEMO", {})
+    monkeypatch.setattr(estimate_mod, "build_indicator", fake_build)
+    keys = [estimate_mod._cached_filter(0.1 + 1e-3 * k, 0.01, 1e-2)[0]
+            for k in range(FILTER_MEMO_CAP + 1)]
+    memo = estimate_mod._FILTER_MEMO
+    assert len(memo) == FILTER_MEMO_CAP
+    assert list(memo) == keys[1:]
+    # a hit builds nothing; a rebuilt evictee pushes out the next oldest
+    estimate_mod._cached_filter(0.1 + 1e-3, 0.01, 1e-2)
+    assert len(built) == FILTER_MEMO_CAP + 1
+    estimate_mod._cached_filter(0.1, 0.01, 1e-2)
+    assert len(built) == FILTER_MEMO_CAP + 2
+    assert len(memo) == FILTER_MEMO_CAP
+    assert list(memo) == keys[2:] + keys[:1]

@@ -119,6 +119,10 @@ def test_load_without_dipole_warns_and_flags(tmp_path):
 def test_load_errors(tmp_path):
     with pytest.raises(InputError):
         load_fcidump_like(tmp_path / "missing.txt")
+    ints = tmp_path / "ints.txt"
+    write_fcidump_like(make_hubbard_dimer(1.0, 2.0, 0.5), ints)
+    with pytest.raises(InputError):       # named dipole file absent
+        load_fcidump_like(ints, dipole_path=tmp_path / "missing-dip.txt")
     bad = tmp_path / "bad.txt"
     bad.write_text("&FCI NORB=2\n&END\n1.0 1 1 0 0\n")
     with pytest.raises(InputError):       # no NELEC
