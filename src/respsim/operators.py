@@ -1,5 +1,5 @@
 """Second-quantized fermionic operators, the Jordan-Wigner map, and dense
-matrix realizations.
+matrix realizations (full or restricted to a set of basis states).
 
 Conventions used throughout the package:
 
@@ -16,6 +16,13 @@ Conventions used throughout the package:
   sum_pqrs V[p,q,r,s] a_p^dag a_q^dag a_r a_s.  Real-orbital inputs must
   carry the eight-fold index symmetry generated by p<->s, q<->r and the
   pair swap (p,q,r,s) -> (q,p,s,r); this is validated, never assumed.
+* Pauli strings are IXYZ words with qubit 0 leftmost.  Internally a string
+  is the symplectic pair of integer bit masks (x, z), qubit q being bit
+  n-1-q: X sets x, Z sets z, Y sets both and stands for i^{x.z} X^x Z^z
+  (Aaronson & Gottesman, PRA 70, 052328 (2004)).  Products follow
+  P_a P_b = i^k P_(xa^xb, za^zb) with
+  k = |xa&za| + |xb&zb| + 2|za&xb| - |x&z| (mod 4), and a string maps
+  basis state b to b^x with amplitude i^{|x&z|} (-1)^{|z&b|}.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ _TWO_BODY_PERMS = (
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A 2^n x 2^n matrix with an advisory hermiticity flag."""
+    """A square matrix (the full 2^n space or a block on chosen basis
+    states) with an advisory hermiticity flag."""
 
     matrix: np.ndarray
     hermitian: bool = False
@@ -246,25 +254,44 @@ def build_dipole(d_axis: np.ndarray) -> FermionOperator:
 # Pauli operators
 # ---------------------------------------------------------------------------
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# i**k for the phase exponent k of a Pauli product
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_WORD_CHAR = {"00": "I", "10": "X", "11": "Y", "01": "Z"}
 
-# (A, B) -> (phase, C) with A.B = phase * C
-_PAULI_PROD = {}
-for _a in "IXYZ":
-    _PAULI_PROD[("I", _a)] = (1.0, _a)
-    _PAULI_PROD[(_a, "I")] = (1.0, _a)
-    _PAULI_PROD[(_a, _a)] = (1.0, "I")
-_PAULI_PROD[("X", "Y")] = (1j, "Z")
-_PAULI_PROD[("Y", "X")] = (-1j, "Z")
-_PAULI_PROD[("Y", "Z")] = (1j, "X")
-_PAULI_PROD[("Z", "Y")] = (-1j, "X")
-_PAULI_PROD[("Z", "X")] = (1j, "Y")
-_PAULI_PROD[("X", "Z")] = (-1j, "Y")
+
+def _masks(word: str) -> tuple[int, int]:
+    """(x, z) bit masks of an IXYZ word; qubit q is bit len(word)-1-q."""
+    return (int("0" + word.translate(_X_BITS), 2),
+            int("0" + word.translate(_Z_BITS), 2))
+
+
+def _word(x: int, z: int, n: int) -> str:
+    """IXYZ word of the (x, z) masks on n qubits."""
+    xs, zs = bin(x | 1 << n)[3:], bin(z | 1 << n)[3:]
+    return "".join(_WORD_CHAR[a + b] for a, b in zip(xs, zs))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two mask-keyed Pauli sums, P_a P_b = i**k P_(xa^xb, za^zb).
+
+    Terms are visited with a outer and b inner and entered in that order;
+    each phase is ca*cb times the unit i**k (an exact multiply), and the
+    result is pruned once, after all terms are summed.
+    """
+    out: dict[tuple, complex] = {}
+    for (xa, za), ca in a.items():
+        ka = (xa & za).bit_count()
+        for (xb, zb), cb in b.items():
+            x, z = xa ^ xb, za ^ zb
+            k = (ka + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+                 - (x & z).bit_count()) & 3
+            phase = ca * cb
+            if k:
+                phase *= _I_POW[k]
+            out[x, z] = out.get((x, z), 0j) + phase
+    return {key: c for key, c in out.items() if abs(c) > PRUNE_TOL}
 
 
 @dataclass
@@ -278,11 +305,14 @@ class PauliOperator:
     def __post_init__(self):
         clean = {}
         for s, c in self.terms.items():
-            if len(s) != self.n_qubits or any(ch not in "IXYZ" for ch in s):
+            if len(s) != self.n_qubits or s.strip("IXYZ"):
                 raise InputError(f"bad Pauli string {s!r} for {self.n_qubits} qubits")
             if abs(c) > PRUNE_TOL:
                 clean[s] = complex(c)
         self.terms = clean
+
+    def _mask_terms(self) -> dict:
+        return {_masks(s): c for s, c in self.terms.items()}
 
     def one_norm(self) -> float:
         return float(sum(abs(c) for c in self.terms.values()))
@@ -299,56 +329,77 @@ class PauliOperator:
         return PauliOperator(self.n_qubits, out)
 
     def matmul(self, other: "PauliOperator") -> "PauliOperator":
-        out: dict[str, complex] = {}
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                phase = ca * cb
-                chars = []
-                for a, b in zip(sa, sb):
-                    ph, c = _PAULI_PROD[(a, b)]
-                    phase *= ph
-                    chars.append(c)
-                key = "".join(chars)
-                out[key] = out.get(key, 0j) + phase
-        return PauliOperator(self.n_qubits, out)
+        if other.n_qubits != self.n_qubits:
+            raise InputError("qubit-count mismatch in Pauli product")
+        n = self.n_qubits
+        prod = _product(self._mask_terms(), other._mask_terms())
+        return PauliOperator(n, {_word(x, z, n): c for (x, z), c in prod.items()})
 
-    def dense(self) -> DenseOperator:
+    def dense(self, states=None) -> DenseOperator:
+        """Matrix of the operator, or its block on the given basis states.
+
+        Term (x, z) with coefficient c sends basis state b to b ^ x with
+        amplitude c * i**|x & z| * (-1)**|z & b|; entries accumulate in term
+        order.  ``states`` lists distinct basis-state integers; only rows and
+        columns among them are filled, in that order, so a particle-number
+        sector never needs the full 2^n x 2^n matrix.
+        """
         dim = 1 << self.n_qubits
-        mat = np.zeros((dim, dim), dtype=complex)
+        if states is None:
+            cols = np.arange(dim, dtype=np.int64)
+        else:
+            cols = np.asarray(states, dtype=np.int64)
+            if (cols.ndim != 1 or np.any((cols < 0) | (cols >= dim))
+                    or np.unique(cols).size != cols.size):
+                raise InputError(
+                    f"states must be distinct basis states in [0, {dim})")
+        m = cols.size
+        pos = np.full(dim, -1, dtype=np.int64)
+        pos[cols] = np.arange(m)
+        idx = np.arange(m)
+        mat = np.zeros((m, m), dtype=complex)
         for s, c in self.terms.items():
-            acc = np.array([[1.0 + 0j]])
-            for ch in s:
-                acc = np.kron(acc, _PAULI_MATS[ch])
-            mat += c * acc
+            x, z = _masks(s)
+            rows = pos[cols ^ x]
+            hit = rows >= 0
+            v = c * _I_POW[(x & z).bit_count() & 3]
+            odd = (np.bitwise_count(cols[hit] & z) & 1).astype(bool)
+            mat[rows[hit], idx[hit]] += np.where(odd, -v, v)
         herm = all(abs(c.imag) < 1e-12 for c in self.terms.values())
         return DenseOperator(mat, hermitian=herm)
 
 
-def _jw_ladder(p: int, dagger: int, n: int) -> PauliOperator:
-    """JW image of a single ladder operator: (Z...Z)(X -/+ iY)/2 at mode p."""
-    zs = "Z" * p
-    tail = "I" * (n - p - 1)
-    sx = zs + "X" + tail
-    sy = zs + "Y" + tail
-    y_coeff = -0.5j if dagger else 0.5j
-    return PauliOperator(n, {sx: 0.5, sy: y_coeff})
+def _jw_ladder(p: int, dagger: int, n: int) -> dict:
+    """Mask-keyed JW image of one ladder operator: (Z...Z)(X -/+ iY)/2 at
+    mode p."""
+    bit = 1 << (n - 1 - p)
+    zs = ((1 << n) - 1) ^ ((bit << 1) - 1)  # Z on qubits 0..p-1
+    return {(bit, zs): 0.5 + 0j, (bit, zs | bit): -0.5j if dagger else 0.5j}
 
 
 def jordan_wigner(op: FermionOperator, qubit_cap: int = DEFAULT_MODE_CAP) -> PauliOperator:
-    """Map a FermionOperator to its Pauli-sum image."""
+    """Map a FermionOperator to its Pauli-sum image.
+
+    Each term's ladder images are multiplied left to right and the product
+    is added into one running sum, pruned key by key; a key that cancels
+    leaves the sum and re-enters at its end.
+    """
     n = op.n_modes
     if n > qubit_cap:
         raise ResourceError(f"{n} modes exceeds the qubit cap of {qubit_cap}")
-    if n == 0:
-        return PauliOperator(0, {"": sum(op.terms.values())} if op.terms else {})
-    identity = "I" * n
-    total = PauliOperator(n, {})
+    ladders = {(p, d): _jw_ladder(p, d, n) for p in range(n) for d in (0, 1)}
+    total: dict[tuple, complex] = {}
     for actions, coeff in op.terms.items():
-        cur = PauliOperator(n, {identity: coeff})
-        for p, d in actions:  # left-to-right operator product
-            cur = cur.matmul(_jw_ladder(p, d, n))
-        total = total + cur
-    return total
+        cur = {(0, 0): coeff} if abs(coeff) > PRUNE_TOL else {}
+        for action in actions:  # left-to-right operator product
+            cur = _product(cur, ladders[action])
+        for key, c in cur.items():
+            s = total.get(key, 0j) + c
+            if abs(s) > PRUNE_TOL:
+                total[key] = s
+            else:
+                total.pop(key, None)
+    return PauliOperator(n, {_word(x, z, n): c for (x, z), c in total.items()})
 
 
 def lcu_one_norm(op: PauliOperator) -> float:

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .models import ModelSpec
-from .operators import (build_dipole, build_hamiltonian, jordan_wigner,
-                        lcu_one_norm)
+from .operators import (DEFAULT_MODE_CAP, build_dipole, build_hamiltonian,
+                        jordan_wigner, lcu_one_norm)
 
 DEGENERACY_TOL = 1e-10
 
@@ -54,17 +54,21 @@ class SpectralData:
     """Eigensystem of one model, restricted to a particle sector if asked,
     and everything derived from it.
 
-    eigenvalues are ascending and shifted so eigenvalues[0] == 0;
-    transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
-    and betas[i] are the LCU one-norms of the Jordan-Wigner images of H and
-    of the axis-i dipole (0 for an all-zero dipole): the block-encoding
-    subnormalizations.  filter_values holds filter polynomials evaluated at
-    the eigenvalues, filled by the measurement layer and freed with the
-    spectrum.
+    eigenvalues are ascending and shifted so eigenvalues[0] == 0.
+    basis_states lists the Fock states the eigensystem lives on, as
+    ascending basis-state integers (mode p is bit N-1-p); eigenvectors[:, j]
+    holds eigenstate j's amplitudes on them, so both are sized by the
+    sector, not by 2^N.  transition_dipoles[i] is the axis-i dipole in the
+    eigenbasis.  alpha and betas[i] are the LCU one-norms of the
+    Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
+    dipole): the block-encoding subnormalizations.  filter_values holds
+    filter polynomials evaluated at the eigenvalues, filled by the
+    measurement layer and freed with the spectrum.
     """
 
     eigenvalues: np.ndarray          # (M,)
-    eigenvectors: np.ndarray         # (dim, M), columns orthonormal
+    eigenvectors: np.ndarray         # (M, M), columns orthonormal
+    basis_states: np.ndarray         # (M,) Fock-state integers
     transition_dipoles: np.ndarray   # (3, M, M)
     sector: int | None
     ground_energy: float             # unshifted lowest eigenvalue
@@ -89,44 +93,50 @@ class SusceptibilityResult:
     axes: tuple
 
 
-def _qubit_image(op, n: int):
-    """Dense real matrix and LCU one-norm of the Jordan-Wigner image."""
-    pauli = jordan_wigner(op, n)
-    return pauli.dense().matrix.real, lcu_one_norm(pauli)
+def _qubit_image(op, states: np.ndarray):
+    """Real block on ``states`` and LCU one-norm of the Jordan-Wigner
+    image."""
+    pauli = jordan_wigner(op)
+    return pauli.dense(states=states).matrix.real, lcu_one_norm(pauli)
 
 
 def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
     """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles
-    and the one-norms of their qubit images."""
+    and the one-norms of their qubit images.
+
+    Only the particle-number sector's block of each qubit image is built
+    (all 2^N states with fix_sector=False).  Models above DEFAULT_MODE_CAP
+    modes raise ResourceError before anything is built.
+    """
     n = model.n_orbitals
-    H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), n)
-    dim = H.shape[0]
+    if n > DEFAULT_MODE_CAP:
+        raise ResourceError(
+            f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
+    states = np.arange(1 << n, dtype=np.int64)
     if fix_sector:
-        occupancy = np.array([bin(s).count("1") for s in range(dim)])
-        keep = np.flatnonzero(occupancy == model.n_electrons)
+        keep = np.flatnonzero(np.bitwise_count(states) == model.n_electrons)
         if keep.size == 0:
             raise InputError(f"no Fock states with {model.n_electrons} electrons")
     else:
-        keep = np.arange(dim)
-    Hs = H[np.ix_(keep, keep)]
-    evals, evecs = np.linalg.eigh(Hs)
+        keep = states
+    H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), keep)
+    evals, evecs = np.linalg.eigh(H)
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL
     if degenerate:
         warnings.warn(
             f"ground state degenerate within {DEGENERACY_TOL:g}; "
             "keeping the lowest-index eigenvector", stacklevel=2)
-    full_vecs = np.zeros((dim, len(keep)))
-    full_vecs[keep, :] = evecs
     dips = np.empty((3, len(keep), len(keep)))
     betas = []
     for ax in range(3):
-        D, beta = _qubit_image(build_dipole(model.dipole[ax]), n)
+        D, beta = _qubit_image(build_dipole(model.dipole[ax]), keep)
         betas.append(beta)
-        dips[ax] = evecs.T @ D[np.ix_(keep, keep)] @ evecs
+        dips[ax] = evecs.T @ D @ evecs
     return SpectralData(
         eigenvalues=evals - evals[0],
-        eigenvectors=full_vecs,
+        eigenvectors=evecs,
+        basis_states=keep,
         transition_dipoles=dips,
         sector=model.n_electrons if fix_sector else None,
         ground_energy=ground,

@@ -98,7 +98,14 @@ def test_main_input_errors(tmp_path, capsys):
     assert "dipole file not found" in err
 
 
-def test_main_resource_cap(capsys):
+def test_main_resource_cap(tmp_path, capsys):
     # 8 spatial orbitals = 16 spin orbitals, beyond the dense-matrix cap
     assert main(["--toy", "random:n=8,ne=2", "--oracle-only"]) == 3
+    assert "resource cap" in capsys.readouterr().err
+    # the same size from a file is refused before any matrix is built
+    ints, dip = tmp_path / "norb8.txt", tmp_path / "norb8-dip.txt"
+    ints.write_text("&FCI NORB=8 NELEC=2\n&END\n")
+    dip.write_text("")
+    assert main(["--model", str(ints), "--dipole", str(dip),
+                 "--oracle-only"]) == 3
     assert "resource cap" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
 from respsim import (
@@ -179,6 +181,70 @@ def test_pauli_validation():
         PauliOperator(2, {"X": 1.0})              # wrong length
     with pytest.raises(InputError):
         PauliOperator(1, {"X": 1.0}) + PauliOperator(2, {"XX": 1.0})
+    with pytest.raises(InputError):
+        PauliOperator(1, {"X": 1.0}).matmul(PauliOperator(2, {"XX": 1.0}))
+    op = PauliOperator(2, {"XZ": 1.0})
+    for bad in ([0, 4], [1, 1], [-1], [[0, 1]]):
+        with pytest.raises(InputError):
+            op.dense(states=bad)
+
+
+# test-local single-qubit matrices: the kron chain the package no longer has
+_KRON_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_matrix(op):
+    dim = 2 ** op.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for word, c in op.terms.items():
+        m = np.ones((1, 1), dtype=complex)
+        for ch in word:
+            m = np.kron(m, _KRON_PAULI[ch])
+        out += c * m
+    return out
+
+
+def pauli_sums(n, max_terms=6):
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.complex_numbers(min_magnitude=0.01, max_magnitude=2.0,
+                                allow_nan=False, allow_infinity=False)
+    return st.dictionaries(words, coeffs, max_size=max_terms).map(
+        lambda terms: PauliOperator(n, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_pauli_dense_block_is_the_full_matrix_restricted(data, n):
+    op = data.draw(pauli_sums(n, max_terms=10))
+    states = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
+                                max_size=2 ** n, unique=True))
+    block = op.dense(states=states).matrix
+    assert block.shape == (len(states), len(states))
+    assert np.array_equal(block, op.dense().matrix[np.ix_(states, states)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_pauli_matmul_matches_kron_products(data, n):
+    word = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    wa, wb = data.draw(word), data.draw(word)
+    a, b = PauliOperator(n, {wa: 1.0}), PauliOperator(n, {wb: 1.0})
+    # one string times one string is one string with a unit phase, exactly
+    prod = a.matmul(b)
+    assert len(prod) == 1
+    (phase,) = prod.terms.values()
+    assert phase in (1, 1j, -1, -1j)
+    assert np.array_equal(kron_matrix(prod), kron_matrix(a) @ kron_matrix(b))
+    # sums multiply term by term
+    A, B = data.draw(pauli_sums(n)), data.draw(pauli_sums(n))
+    assert np.allclose(kron_matrix(A.matmul(B)),
+                       kron_matrix(A) @ kron_matrix(B), atol=1e-12)
+    assert np.array_equal(A.dense().matrix, kron_matrix(A))
 
 
 def test_jordan_wigner_single_ladder():

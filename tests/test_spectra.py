@@ -1,17 +1,24 @@
 """Exact diagonalization layer and sum-over-states references."""
 
+import hashlib
+import math
+import time
+
 import numpy as np
 import pytest
 
-from conftest import naive_sector_spectrum
+from conftest import naive_model_matrices, naive_sector_spectrum
 from respsim import (
     InputError,
+    ModelSpec,
+    ResourceError,
     alpha1,
     alpha3,
     alpha3_terms,
     chi1_time,
     diagonalize,
     make_hubbard_dimer,
+    make_random_model,
     nested_window_amplitude,
     r_pathway_fd,
     r_pathways,
@@ -64,6 +71,70 @@ def test_all_electron_sectors_diagonalize(dimer):
     full = diagonalize(dimer, fix_sector=False)
     assert full.n_states == 2 ** dimer.n_orbitals
     assert full.eigenvalues[0] == 0.0
+    assert np.array_equal(full.basis_states, np.arange(2 ** dimer.n_orbitals))
+
+
+def test_eigenvectors_live_on_the_sector_basis(random_model, random_sd):
+    H, _ = naive_model_matrices(random_model)
+    keep = random_sd.basis_states
+    M = random_sd.n_states
+    assert random_sd.eigenvectors.shape == (M, M)
+    assert all(bin(int(b)).count("1") == random_model.n_electrons
+               for b in keep)
+    assert np.all(np.diff(keep) > 0)
+    energies = random_sd.eigenvalues + random_sd.ground_energy
+    vecs = random_sd.eigenvectors
+    assert np.allclose(H[np.ix_(keep, keep)] @ vecs, vecs * energies,
+                       atol=1e-10)
+
+
+# alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes,
+# recorded before the sector-block rewrite of diagonalize.  The one-norms
+# are plain float sums; the hashes also depend on the LAPACK build (these
+# come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+FROZEN_SPECTRA = {
+    (3, 2, 4): ("0x1.cf2f188c30f98p+3",
+                ("0x1.b8aa1b4740af1p+2", "0x1.1b90c6d530605p+2",
+                 "0x1.6cc40b2a6c752p+2"),
+                "bf31bc7b6d1e5f592c261f2617102033b8f06d5271cb6f771efe360b39b368fd",
+                "a25a5dca4550470fb9b237e90e81e94e627ab7120ff63568a9ce5854a1554b51"),
+    (4, 4, 1): ("0x1.15ec581af04e2p+4",
+                ("0x1.0a4f3a9366b41p+4", "0x1.1f6314199bf49p+3",
+                 "0x1.6fef05a77b499p+3"),
+                "a0f3663dcb10eb42c4ba1e3d8e472fd7bc4604d16a411845f1b68d7b45d47f42",
+                "e6dec51a1a8e1c0fd6e303178afa8decfcc8736d43ac05dcc8a55bef5f92a53a"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_SPECTRA))
+def test_diagonalize_frozen_bits(args):
+    alpha, betas, ev_sha, td_sha = FROZEN_SPECTRA[args]
+    sd = diagonalize(make_random_model(*args))
+    assert sd.alpha.hex() == alpha
+    assert tuple(b.hex() for b in sd.betas) == betas
+    assert hashlib.sha256(sd.eigenvalues.tobytes()).hexdigest() == ev_sha
+    assert hashlib.sha256(
+        sd.transition_dipoles.tobytes()).hexdigest() == td_sha
+
+
+def test_diagonalize_enforces_mode_cap():
+    n = 16   # beyond DEFAULT_MODE_CAP; the full space would be 2^16 x 2^16
+    zero = ModelSpec(n, n // 2, np.zeros((n, n)), np.zeros((n,) * 4),
+                     np.zeros((3, n, n)))
+    with pytest.raises(ResourceError):
+        diagonalize(zero)
+
+
+def test_random_models_up_to_the_cap_diagonalize_quickly():
+    """5..7 spatial orbitals (7 fills the 14-mode cap) at four electrons,
+    under 20 s in total."""
+    t0 = time.monotonic()
+    for n in (5, 6, 7):
+        sd = diagonalize(make_random_model(n, 4, seed=n))
+        assert sd.n_states == math.comb(2 * n, 4)
+        assert sd.eigenvectors.shape == (sd.n_states, sd.n_states)
+        assert np.isfinite(sd.alpha) and np.all(np.isfinite(sd.betas))
+    assert time.monotonic() - t0 < 20.0
 
 
 # ---------------------------------------------------------------------------
