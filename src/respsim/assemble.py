@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import InputError
 from .estimate import (BinSearchConfig, binary_search_1d, binary_search_nd,
-                       estimate_box, estimate_window, prepare)
+                       estimate_box, estimate_window)
 from .models import ModelSpec
-from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
+from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
 
 _AXIS_LETTERS = "xyz"
@@ -402,8 +402,7 @@ def _child_seed(seed: int, idx: int) -> int:
 def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
                  order: int = 1, axes=(0, 0), grid=None, seed: int = 0,
                  method: str = "ae", mode: str = "simulate",
-                 out_dir: str = None, window_width: float = None,
-                 search_config: dict = None) -> dict:
+                 out_dir: str = None, window_width: float = None) -> dict:
     """Search, estimate and assemble a response function on a grid.
 
     order 1: axes = (axis_out, axis_in); order 3: axes = (i, i3, i2, i1)
@@ -412,12 +411,14 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     Found windows are estimated one after another with seeds derived from
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
-    estimation window, default gamma/8; search_config overrides
-    BinSearchConfig fields.  Returns a dict of results; writes CSV/JSON
-    files when out_dir is set.
+    estimation window, default gamma/8.  A model with a zero Hamiltonian
+    (alpha = 0) or eps outside (0, 1) raises InputError before any search.
+    Returns a dict of results; writes CSV/JSON files when out_dir is set.
     """
     if gamma <= 0:
         raise InputError("gamma must be positive")
+    if not 0 < eps < 1:
+        raise InputError("eps must lie in (0, 1)")
     if order not in (1, 3):
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
@@ -426,6 +427,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
     sd = diagonalize(model)
+    if sd.alpha == 0:
+        raise InputError("the Hamiltonian is zero (alpha = 0)")
     lam_max = float(sd.eigenvalues[-1])
     if grid is None:
         grid = np.linspace(0.0, 1.2 * lam_max, 121)
@@ -454,12 +457,10 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if mode == "simulate":
         if order == 1:
             result.update(_simulate_alpha1(
-                model, sd, gamma, eps, axes, grid, seed, method,
-                window_width, search_config))
+                sd, gamma, eps, axes, grid, seed, method, window_width))
         else:
             result.update(_simulate_alpha3(
-                model, sd, gamma, eps, axes, grid, seed, method,
-                search_config))
+                sd, gamma, eps, axes, grid, seed, method))
         manifest["queries_total"] = result["trace"].queries_total \
             if order == 1 else sum(t.queries_total
                                    for t in result["traces"].values())
@@ -479,22 +480,12 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     return result
 
 
-def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
-                     window_width, search_config):
+def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
     ax_out, ax_in = axes
     width = gamma / 8.0
-    prep = prepare(model, sd, (ax_out, ax_in))
-    overrides = dict(search_config or {})
-    span = overrides.pop("span", _aligned_span(prep.alpha_shift, width))
-    cfg = BinSearchConfig(
-        gamma=overrides.pop("gamma", width),
-        branching=overrides.pop("branching", 2),
-        tau=overrides.pop("tau", 0.02),
-        overlap=overrides.pop("overlap", 0.3),
-        filter_eps=overrides.pop("filter_eps", 1e-2),
-        max_depth=overrides.pop("max_depth", 60),
-        span=span, **overrides)
-    trace = binary_search_1d(model, (ax_in, ax_out), cfg, seed=seed, sd=sd)
+    cfg = BinSearchConfig(gamma=width, tau=0.02, overlap=0.3, max_depth=60,
+                          span=_aligned_span(sd.alpha_shift, width))
+    trace = binary_search_1d(sd, (ax_in, ax_out), cfg, seed=seed)
     peaks = _dedupe_windows(trace.peaks, gamma / 2.0)
     est_width = window_width if window_width is not None else width
     windows = []
@@ -505,9 +496,8 @@ def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
     table = ResponseTable(order=1, margin=cfg.overlap * est_width)
     for idx, win in enumerate(windows):
         table.add(estimate_window(
-            model, (ax_in, ax_out), win, eps, method=method,
-            delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx),
-            sd=sd))
+            sd, (ax_in, ax_out), win, eps, method=method,
+            delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx)))
     out = {"trace": trace, "table": table, "windows": windows}
     if table.entries:
         out["result"] = assemble_alpha1(table, grid, gamma)
@@ -516,53 +506,43 @@ def _simulate_alpha1(model, sd, gamma, eps, axes, grid, seed, method,
     return out
 
 
-def _simulate_alpha3(model, sd, gamma, eps, axes, grid, seed, method,
-                     search_config):
+def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     i_tr, i3, i2, i1 = axes
     chain3 = (i1, i_tr, i3, i2)
-    prep = prepare(model, sd, chain3)
     width = gamma
-    overrides = dict(search_config or {})
-    span = overrides.pop("span", _aligned_span(prep.alpha_shift, width))
     # Nested amplitudes spread over branching**3 cells per box, so the
     # per-bin elevation is far smaller than in the 1-D search; a tighter
     # threshold (with its matching sample-size bound) keeps genuine boxes
     # above the noise floor.
-    cfg = BinSearchConfig(
-        gamma=overrides.pop("gamma", width),
-        branching=overrides.pop("branching", 2),
-        tau=overrides.pop("tau", 0.004),
-        overlap=overrides.pop("overlap", 0.3),
-        filter_eps=overrides.pop("filter_eps", 1e-2),
-        max_depth=overrides.pop("max_depth", 40),
-        span=span, **overrides)
+    cfg = BinSearchConfig(gamma=width, tau=0.004, overlap=0.3, max_depth=40,
+                          span=_aligned_span(sd.alpha_shift, width))
     traces = {}
-    traces[3] = binary_search_nd(model, chain3, 3, cfg, seed=seed, sd=sd)
+    traces[3] = binary_search_nd(sd, chain3, 3, cfg, seed=seed)
     chains2 = {(i2, i3, i_tr): None, (i1, i_tr, i3): None}
     for k, ch in enumerate(chains2):
-        traces[("d2", ch)] = binary_search_nd(
-            model, ch, 2, cfg, seed=seed + 1 + k, sd=sd)
+        traces[("d2", ch)] = binary_search_nd(sd, ch, 2, cfg,
+                                              seed=seed + 1 + k)
     chains1 = {(i_tr, i1): None, (i2, i3): None, (i3, i_tr): None}
     for k, ch in enumerate(chains1):
-        traces[("d1", ch)] = binary_search_1d(
-            model, (ch[1], ch[0]), cfg, seed=seed + 11 + k, sd=sd)
+        traces[("d1", ch)] = binary_search_1d(sd, (ch[1], ch[0]), cfg,
+                                              seed=seed + 11 + k)
     tables = {3: ResponseTable(order=3, margin=cfg.overlap * width),
               2: ResponseTable(order=2, margin=cfg.overlap * width),
               1: ResponseTable(order=1, margin=cfg.overlap * width)}
     idx = 0
     for box in traces[3].peaks:
-        tables[3].add(estimate_box(model, chain3, box, eps, method=method,
-                                   seed=_child_seed(seed, idx), sd=sd))
+        tables[3].add(estimate_box(sd, chain3, box, eps, method=method,
+                                   seed=_child_seed(seed, idx)))
         idx += 1
     for ch in chains2:
         for box in traces[("d2", ch)].peaks:
-            tables[2].add(estimate_box(model, ch, box, eps, method=method,
-                                       seed=_child_seed(seed, idx), sd=sd))
+            tables[2].add(estimate_box(sd, ch, box, eps, method=method,
+                                       seed=_child_seed(seed, idx)))
             idx += 1
     for ch in chains1:
         for win in traces[("d1", ch)].peaks:
-            tables[1].add(estimate_box(model, ch, (win,), eps, method=method,
-                                       seed=_child_seed(seed, idx), sd=sd))
+            tables[1].add(estimate_box(sd, ch, (win,), eps, method=method,
+                                       seed=_child_seed(seed, idx)))
             idx += 1
     gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
             for ax in set(axes)}

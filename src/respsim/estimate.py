@@ -19,13 +19,15 @@ One channel builder (`_box_channel`), one search engine (`_search`, whose
 and one estimator (`estimate_box`) serve every depth; `binary_search_1d`
 and `estimate_window` are the depth-1 forms with first-order axis order.
 
-Subnormalizations (alpha, beta per dipole axis) and filter values at the
-eigenvalues belong to the SpectralData of the model, so they live and die
-with one spectrum.  Filter polynomials depend on no model: they are
-memoized process-wide on their shape (half-width, smoothing, eps in
-rescaled units), the first caller building each one, in a dict capped at
-FILTER_MEMO_CAP entries that evicts the oldest first.  Repeated searches
-over the same spectrum rebuild and re-evaluate nothing.
+Every search and estimate takes the SpectralData of one model and nothing
+else: the subnormalizations (alpha, beta per dipole axis), the excitation
+bound alpha_shift that sets each filter's rescale, and the filter values at
+the eigenvalues all belong to it, so they live and die with one spectrum.
+Filter polynomials depend on no model: they are memoized process-wide on
+their shape (half-width, smoothing, eps in rescaled units), the first
+caller building each one, in a dict capped at FILTER_MEMO_CAP entries that
+evicts the oldest first.  Repeated searches over the same spectrum rebuild
+and re-evaluate nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 
 from .chebfilter import build_indicator
 from .errors import InputError
-from .models import ModelSpec
-from .spectra import SpectralData, diagonalize
+from .spectra import SpectralData
 
 FILTER_MEMO_CAP = 128
 _FILTER_MEMO = {}
@@ -50,26 +51,24 @@ P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
 
 
 # ---------------------------------------------------------------------------
-# model preparation (subnormalizations + eigensystem bundle)
+# chain preparation (subnormalizations + eigensystem bundle)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Prep:
-    """Per-(model, chain-axes) bundle used by channels and searches."""
+    """Per-(spectrum, chain-axes) bundle used by channels and searches."""
 
     sd: SpectralData
     chain_axes: tuple        # (ax0, ..., axK) of the dipole chain
-    alpha_shift: float       # alpha_H + |E0|: bound on excitation energies
     betas: tuple             # encoding subnorm per chain axis (0 -> 1.0)
     zeta: float
 
 
-def prepare(model: ModelSpec, sd: SpectralData, chain_axes) -> _Prep:
+def prepare(sd: SpectralData, chain_axes) -> _Prep:
     chain_axes = tuple(int(a) for a in chain_axes)
-    e0 = sd.ground_energy - model.nuclear_shift
     # a zero dipole gets the unit encoding
     betas = tuple(sd.betas[ax] or 1.0 for ax in chain_axes)
-    return _Prep(sd, chain_axes, sd.alpha + abs(e0), betas, math.prod(betas))
+    return _Prep(sd, chain_axes, betas, math.prod(betas))
 
 
 def _cached_filter(half_y: float, delta_y: float, eps: float):
@@ -92,7 +91,7 @@ def _rescale(prep: _Prep, wc: float) -> float:
     The tight bound matters: the filter degree scales with s, and the
     generic alpha + |wc| would roughly double it.
     """
-    return max(wc, prep.alpha_shift - wc)
+    return max(wc, prep.sd.alpha_shift - wc)
 
 
 def _filter_eigvals(sd: SpectralData, key, filt, center: float, scale: float
@@ -125,10 +124,6 @@ class HadamardChannel:
     variant: str = "re"        # "re" or "im"
     seed: int = 0
     degree: int = 0            # filter degree charged per query
-    window: tuple = ()
-    label: str = ""
-    chain: object = None
-    state: object = None
 
     def __post_init__(self):
         if self.variant not in ("re", "im"):
@@ -147,7 +142,7 @@ class HadamardChannel:
 
 
 def channel_from_chain(chain, state, variant: str = "re", seed: int = 0,
-                       degree: int = 0, label: str = "") -> HadamardChannel:
+                       degree: int = 0) -> HadamardChannel:
     """Wrap an explicit encoding chain + state as a sampling channel."""
     v = np.asarray(state, dtype=complex).ravel()
     nrm = np.linalg.norm(v)
@@ -155,8 +150,7 @@ def channel_from_chain(chain, state, variant: str = "re", seed: int = 0,
         raise InputError(f"state norm {nrm:.6g} is not 1")
     val = complex(v.conj() @ (chain.effective.matrix @ v)) / chain.zeta
     return HadamardChannel(value=val, ground_term=0j, zeta=chain.zeta,
-                           variant=variant, seed=seed, degree=degree,
-                           label=label, chain=chain, state=state)
+                           variant=variant, seed=seed, degree=degree)
 
 
 def imaginary_part_channel(ch: HadamardChannel) -> HadamardChannel:
@@ -203,7 +197,7 @@ def _box_channel(prep: _Prep, windows, deltas, eps: float):
     v = complex(u[0]) / prep.zeta
     g = complex(u_raw[0]) / prep.zeta - v
     ch = HadamardChannel(value=v, ground_term=g, zeta=prep.zeta,
-                         degree=degree, window=tuple(windows))
+                         degree=degree)
     return ch, u_raw
 
 
@@ -431,14 +425,11 @@ def _adjacent_pair(i, j, nbins):
     return axis
 
 
-def _search(model: ModelSpec, chain_axes, ndim: int,
-            config: BinSearchConfig, seed: int = 0,
-            sd: SpectralData = None) -> SearchTrace:
-    if sd is None:
-        sd = diagonalize(model)
-    prep = prepare(model, sd, chain_axes)
+def _search(sd: SpectralData, chain_axes, ndim: int,
+            config: BinSearchConfig, seed: int = 0) -> SearchTrace:
+    prep = prepare(sd, chain_axes)
     if config.span is None:
-        span = (0.0, prep.alpha_shift)
+        span = (0.0, sd.alpha_shift)
     else:
         span = config.span
     rng = np.random.default_rng(seed)
@@ -568,20 +559,19 @@ def _search(model: ModelSpec, chain_axes, ndim: int,
     return trace
 
 
-def binary_search_1d(model: ModelSpec, axes, config: BinSearchConfig,
-                     seed: int = 0, sd: SpectralData = None) -> SearchTrace:
+def binary_search_1d(sd: SpectralData, axes, config: BinSearchConfig,
+                     seed: int = 0) -> SearchTrace:
     """Hierarchical peak search on the excitation axis.
 
     axes = (axis_in, axis_out) of the dipole sandwich; peaks come back as
     (lo, hi) windows of width <= gamma.
     """
     ax_in, ax_out = axes
-    return _search(model, (ax_out, ax_in), 1, config, seed=seed, sd=sd)
+    return _search(sd, (ax_out, ax_in), 1, config, seed=seed)
 
 
-def binary_search_nd(model: ModelSpec, axes, depth_n: int,
-                     config: BinSearchConfig, seed: int = 0,
-                     sd: SpectralData = None) -> SearchTrace:
+def binary_search_nd(sd: SpectralData, axes, depth_n: int,
+                     config: BinSearchConfig, seed: int = 0) -> SearchTrace:
     """Search over depth_n-dimensional boxes with nested window filters.
 
     axes is the dipole chain (one entry more than depth_n), ordered as in
@@ -592,7 +582,7 @@ def binary_search_nd(model: ModelSpec, axes, depth_n: int,
         raise InputError("depth must be at least 1")
     if len(tuple(axes)) != depth_n + 1:
         raise InputError("need depth_n + 1 chain axes")
-    return _search(model, tuple(axes), depth_n, config, seed=seed, sd=sd)
+    return _search(sd, tuple(axes), depth_n, config, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +615,9 @@ class WindowEstimate:
         }
 
 
-def estimate_window(model: ModelSpec, axes, window, eps: float,
+def estimate_window(sd: SpectralData, axes, window, eps: float,
                     method: str = "direct", delta: float = None,
-                    gamma: float = None, seed: int = 0,
-                    sd: SpectralData = None) -> WindowEstimate:
+                    gamma: float = None, seed: int = 0) -> WindowEstimate:
     """Depth-1 form of estimate_box for the sandwich D_out p D_in.
 
     axes = (axis_in, axis_out); gamma, when given, caps the window width.
@@ -638,15 +627,15 @@ def estimate_window(model: ModelSpec, axes, window, eps: float,
     if gamma is not None and (b - a) > gamma * (1.0 + 1e-9):
         raise InputError(f"window width {b - a:.4g} exceeds target {gamma}")
     ax_in, ax_out = axes
-    est = estimate_box(model, (ax_out, ax_in), [window], eps, method=method,
-                       delta=delta, seed=seed, sd=sd)
+    est = estimate_box(sd, (ax_out, ax_in), [window], eps, method=method,
+                       delta=delta, seed=seed)
     return dataclasses.replace(est, window=est.window[0],
                                axes=(int(ax_in), int(ax_out)))
 
 
-def estimate_box(model: ModelSpec, chain_axes, windows, eps: float,
-                 method: str = "ae", delta: float = None, seed: int = 0,
-                 sd: SpectralData = None) -> WindowEstimate:
+def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
+                 method: str = "ae", delta: float = None,
+                 seed: int = 0) -> WindowEstimate:
     """Estimate a nested-window amplitude to additive accuracy eps (plus
     the unavoidable delta-margin mass).
 
@@ -675,9 +664,7 @@ def estimate_box(model: ModelSpec, chain_axes, windows, eps: float,
     for (lo, hi), d in zip(windows, deltas):
         if not 0 < d < (hi - lo) / 2.0:
             raise InputError("delta must lie in (0, half-width)")
-    if sd is None:
-        sd = diagonalize(model)
-    prep = prepare(model, sd, chain_axes)
+    prep = prepare(sd, chain_axes)
     zeta = prep.zeta
     eps_f = min(eps / (2.0 * zeta), 0.4)
     ch, u_raw = _box_channel(prep, windows, deltas, eps_f)

@@ -61,8 +61,12 @@ class SpectralData:
     sector, not by 2^N.  transition_dipoles[i] is the axis-i dipole in the
     eigenbasis.  alpha and betas[i] are the LCU one-norms of the
     Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
-    dipole): the block-encoding subnormalizations.  filter_values holds
-    filter polynomials evaluated at the eigenvalues, filled by the
+    dipole): the block-encoding subnormalizations.  alpha_shift =
+    alpha + |lowest electronic eigenvalue| bounds every excitation energy,
+    since the electronic spectrum lies in [-alpha, alpha]; the measurement
+    layer sizes its filter rescales and search span with it.  The nuclear
+    shift moves no excitation energy and does not enter it.  filter_values
+    holds filter polynomials evaluated at the eigenvalues, filled by the
     measurement layer and freed with the spectrum.
     """
 
@@ -71,8 +75,9 @@ class SpectralData:
     basis_states: np.ndarray         # (M,) Fock-state integers
     transition_dipoles: np.ndarray   # (3, M, M)
     sector: int | None
-    ground_energy: float             # unshifted lowest eigenvalue
+    ground_energy: float             # lowest eigenvalue + nuclear shift
     alpha: float
+    alpha_shift: float               # alpha + |evals[0]|, electronic
     betas: tuple                     # (beta_x, beta_y, beta_z)
     degenerate_ground: bool = False
     label: str = ""
@@ -141,6 +146,7 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
         sector=model.n_electrons if fix_sector else None,
         ground_energy=ground,
         alpha=alpha,
+        alpha_shift=alpha + abs(float(evals[0])),
         betas=tuple(betas),
         degenerate_ground=degenerate,
         label=model.label,

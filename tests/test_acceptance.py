@@ -103,8 +103,8 @@ def test_criterion_04_windowed_amplitude_oracle_equivalence(dimer,
                (4.0, 4.9), (1.15, 1.3)]
     t0 = time.monotonic()
     for k, (a, b) in enumerate(windows):
-        est = estimate_window(dimer, (0, 0), (a, b), 2e-3, method="exact",
-                              seed=k, sd=dimer_sd)
+        est = estimate_window(dimer_sd, (0, 0), (a, b), 2e-3, method="exact",
+                              seed=k)
         d = est.delta
         margin_mass = 0.0
         for j in range(1, dimer_sd.n_states):
@@ -130,8 +130,7 @@ def test_criterion_05_search_soundness_and_heisenberg_scaling(dimer,
         for seed in range(50):
             cfg = BinSearchConfig(gamma=g, branching=2, tau=0.02,
                                   N_s=6213, span=(0.0, 6.4))
-            tr = binary_search_1d(dimer, (0, 0), cfg, seed=seed,
-                                  sd=dimer_sd)
+            tr = binary_search_1d(dimer_sd, (0, 0), cfg, seed=seed)
             if any(lo <= BRIGHT < hi and hi - lo <= g * (1 + 1e-9)
                    for lo, hi in tr.peaks):
                 hits += 1

@@ -333,7 +333,7 @@ def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
     # two distinct depth-2 boxes on one chain that overlap beyond the
     # filter margin on both axes: the table must refuse the second one
     # rather than drop its weight
-    def fake_search(model, axes, depth_n, config, seed=0, sd=None):
+    def fake_search(sd, axes, depth_n, config, seed=0):
         if depth_n == 2:
             peaks = [[[4.4, 4.6], [4.4, 4.6]], [[4.45, 4.65], [4.45, 4.65]]]
         else:

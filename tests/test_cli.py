@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from respsim import InputError, make_hubbard_dimer, write_fcidump_like
+from respsim import assemble
 from respsim.cli import _parse_axes, _parse_grid, _parse_toy, main
 
 
@@ -109,3 +110,19 @@ def test_main_resource_cap(tmp_path, capsys):
     assert main(["--model", str(ints), "--dipole", str(dip),
                  "--oracle-only"]) == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:ground state degenerate")
+@pytest.mark.parametrize("mode", ["--simulate", "--oracle-only"])
+def test_main_rejects_zero_hamiltonian_and_bad_eps(mode, monkeypatch,
+                                                   capsys):
+    # refused before any search starts, in both modes
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started on invalid input")
+
+    monkeypatch.setattr(assemble, "binary_search_1d", no_search)
+    assert main(["--toy", "hubbard:t=0,U=0", mode]) == 2
+    assert "Hamiltonian is zero" in capsys.readouterr().err
+    for eps in ("0", "1", "-0.1"):
+        assert main(["--toy", "hubbard", "--eps", eps, mode]) == 2
+        assert "input error" in capsys.readouterr().err

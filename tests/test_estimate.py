@@ -1,5 +1,7 @@
 """Measurement simulation: Hadamard channels, bin search, window estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,9 +215,9 @@ def test_config_validation():
 # hierarchical searches
 # ---------------------------------------------------------------------------
 
-def test_search_1d_finds_bright_line(dimer, dimer_sd):
+def test_search_1d_finds_bright_line(dimer_sd):
     cfg = BinSearchConfig(gamma=0.2, tau=0.02, span=(0.0, 6.4))
-    trace = binary_search_1d(dimer, (0, 0), cfg, seed=3, sd=dimer_sd)
+    trace = binary_search_1d(dimer_sd, (0, 0), cfg, seed=3)
     assert trace.found
     assert any(lo <= BRIGHT < hi for lo, hi in trace.peaks)
     for lo, hi in trace.peaks:
@@ -228,16 +230,16 @@ def test_search_1d_finds_bright_line(dimer, dimer_sd):
     assert not trace.truncated
 
 
-def test_search_1d_trace_is_deterministic(dimer, dimer_sd):
+def test_search_1d_trace_is_deterministic(dimer_sd):
     cfg = BinSearchConfig(gamma=0.4, tau=0.05, span=(0.0, 6.4))
-    a = binary_search_1d(dimer, (0, 0), cfg, seed=11, sd=dimer_sd)
-    b = binary_search_1d(dimer, (0, 0), cfg, seed=11, sd=dimer_sd)
+    a = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
+    b = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
     assert a.to_json() == b.to_json()
 
 
-def test_search_1d_dark_axis_finds_nothing(dimer, dimer_sd):
+def test_search_1d_dark_axis_finds_nothing(dimer_sd):
     cfg = BinSearchConfig(gamma=0.4, span=(0.0, 6.4))
-    trace = binary_search_1d(dimer, (1, 1), cfg, seed=0, sd=dimer_sd)
+    trace = binary_search_1d(dimer_sd, (1, 1), cfg, seed=0)
     assert not trace.found
     assert trace.peaks == []
     assert trace.levels[0]["decision"] == "empty"
@@ -247,7 +249,7 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
     # the only bright depth-2 box on the dimer has amplitude -0.179: the
     # two-quadrature deviation score must still flag it
     cfg = BinSearchConfig(gamma=0.2, tau=0.004, span=(0.0, 6.4))
-    trace = binary_search_nd(dimer, (0, 0, 0), 2, cfg, seed=5, sd=dimer_sd)
+    trace = binary_search_nd(dimer_sd, (0, 0, 0), 2, cfg, seed=5)
     assert trace.dims == 2
     assert trace.found
     hit = [box for box in trace.peaks
@@ -257,21 +259,20 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
     assert amp.real < -0.1
 
 
-def test_search_nd_validation(dimer):
+def test_search_nd_validation(dimer_sd):
     cfg = BinSearchConfig(gamma=0.2)
     with pytest.raises(InputError):
-        binary_search_nd(dimer, (0, 0), 0, cfg)
+        binary_search_nd(dimer_sd, (0, 0), 0, cfg)
     with pytest.raises(InputError):
-        binary_search_nd(dimer, (0, 0), 2, cfg)
+        binary_search_nd(dimer_sd, (0, 0), 2, cfg)
 
 
 # ---------------------------------------------------------------------------
 # window estimation
 # ---------------------------------------------------------------------------
 
-def test_estimate_window_exact(dimer, dimer_sd):
-    est = estimate_window(dimer, (0, 0), (4.35, 4.55), 1e-3,
-                          method="exact", sd=dimer_sd)
+def test_estimate_window_exact(dimer_sd):
+    est = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 1e-3, method="exact")
     oracle = window_amplitude(dimer_sd, 0, 0, 4.35, 4.55)
     # margins are line-free, so only the filter ripple remains
     assert abs(est.value - oracle) <= est.eps_filter * abs(oracle) + 1e-12
@@ -280,66 +281,62 @@ def test_estimate_window_exact(dimer, dimer_sd):
     assert est.zeta == pytest.approx(1.0)
 
 
-def test_estimate_window_ae_within_budget(dimer, dimer_sd):
-    exact = estimate_window(dimer, (0, 0), (4.35, 4.55), 2e-3,
-                            method="exact", sd=dimer_sd)
-    ae = estimate_window(dimer, (0, 0), (4.35, 4.55), 2e-3,
-                         method="ae", seed=9, sd=dimer_sd)
+def test_estimate_window_ae_within_budget(dimer_sd):
+    exact = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 2e-3,
+                            method="exact")
+    ae = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 2e-3,
+                         method="ae", seed=9)
     assert abs(ae.value - exact.value) <= 1e-3 + 1e-12   # eps_stat = eps/2
     assert ae.shots < exact.shots * 2 + 4
 
 
-def test_estimate_window_direct(dimer, dimer_sd):
+def test_estimate_window_direct(dimer_sd):
     eps = 2e-3
-    exact = estimate_window(dimer, (0, 0), (4.35, 4.55), eps,
-                            method="exact", sd=dimer_sd)
-    direct = estimate_window(dimer, (0, 0), (4.35, 4.55), eps,
-                             method="direct", seed=0, sd=dimer_sd)
+    exact = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), eps,
+                            method="exact")
+    direct = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), eps,
+                             method="direct", seed=0)
     assert abs(direct.value - exact.value) <= eps
     assert direct.shots > exact.shots            # 1/eps^2 vs 1/eps scaling
 
 
-def test_estimate_window_validation(dimer, dimer_sd):
+def test_estimate_window_validation(dimer_sd):
     with pytest.raises(InputError):
-        estimate_window(dimer, (0, 0), (4.4, 4.5), 1e-3, method="qpe",
-                        sd=dimer_sd)
+        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 1e-3, method="qpe")
     with pytest.raises(InputError):
-        estimate_window(dimer, (0, 0), (4.4, 4.5), 0.0, sd=dimer_sd)
+        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 0.0)
     with pytest.raises(InputError):
-        estimate_window(dimer, (0, 0), (4.5, 4.4), 1e-3, sd=dimer_sd)
+        estimate_window(dimer_sd, (0, 0), (4.5, 4.4), 1e-3)
     with pytest.raises(InputError):
-        estimate_window(dimer, (0, 0), (4.0, 4.5), 1e-3, gamma=0.2,
-                        sd=dimer_sd)
+        estimate_window(dimer_sd, (0, 0), (4.0, 4.5), 1e-3, gamma=0.2)
     with pytest.raises(InputError):
-        estimate_window(dimer, (0, 0), (4.4, 4.5), 1e-3, delta=0.2,
-                        sd=dimer_sd)
+        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 1e-3, delta=0.2)
 
 
-def test_estimate_box_depth_one_matches_window(dimer, dimer_sd):
+def test_estimate_box_depth_one_matches_window(dimer_sd):
     w = (4.35, 4.55)
-    a = estimate_window(dimer, (0, 0), w, 1e-3, method="exact", sd=dimer_sd)
-    b = estimate_box(dimer, (0, 0), [w], 1e-3, method="exact", sd=dimer_sd)
+    a = estimate_window(dimer_sd, (0, 0), w, 1e-3, method="exact")
+    b = estimate_box(dimer_sd, (0, 0), [w], 1e-3, method="exact")
     assert b.value == pytest.approx(a.value, abs=1e-12)
     assert (b.rounds, b.queries, b.degree) == (a.rounds, a.queries, a.degree)
 
 
-def test_estimate_box_depth_three(dimer, dimer_sd):
+def test_estimate_box_depth_three(dimer_sd):
     wins = [(4.4, 4.5)] * 3
-    est = estimate_box(dimer, (0, 0, 0, 0), wins, 2e-2,
-                       method="exact", sd=dimer_sd)
+    est = estimate_box(dimer_sd, (0, 0, 0, 0), wins, 2e-2, method="exact")
     oracle = nested_window_amplitude(dimer_sd, (0, 0, 0, 0), wins)
     assert oracle == pytest.approx(0.16, abs=1e-12)
     assert abs(est.value - oracle) <= 0.01
 
 
-def test_estimate_box_validation(dimer, dimer_sd):
+def test_estimate_box_validation(dimer_sd):
     with pytest.raises(InputError):
-        estimate_box(dimer, (0, 0, 0), [(4.4, 4.5)], 1e-3, sd=dimer_sd)
+        estimate_box(dimer_sd, (0, 0, 0), [(4.4, 4.5)], 1e-3)
     with pytest.raises(InputError):
-        estimate_box(dimer, (0, 0), [(4.5, 4.4)], 1e-3, sd=dimer_sd)
+        estimate_box(dimer_sd, (0, 0), [(4.5, 4.4)], 1e-3)
     with pytest.raises(InputError):
-        estimate_box(dimer, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
-                     delta=0.06, sd=dimer_sd)
+        estimate_box(dimer_sd, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
+                     delta=0.06)
 
 
 @pytest.mark.parametrize("which", ["dimer", "random"])
@@ -347,16 +344,12 @@ def test_estimate_box_validation(dimer, dimer_sd):
 @given(frac=st.floats(0.0, 1.0), width=st.floats(0.1, 0.8),
        ax_in=st.integers(0, 2), ax_out=st.integers(0, 2))
 def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
-                                              ax_out, dimer, dimer_sd,
-                                              random_model, random_sd):
-    model, sd = ((dimer, dimer_sd) if which == "dimer"
-                 else (random_model, random_sd))
+                                              ax_out, dimer_sd, random_sd):
+    sd = dimer_sd if which == "dimer" else random_sd
     lo = frac * float(sd.eigenvalues[-1])
     hi = lo + width
-    a = estimate_window(model, (ax_in, ax_out), (lo, hi), 2e-2,
-                        method="exact", sd=sd)
-    b = estimate_box(model, (ax_out, ax_in), [(lo, hi)], 2e-2,
-                     method="exact", sd=sd)
+    a = estimate_window(sd, (ax_in, ax_out), (lo, hi), 2e-2, method="exact")
+    b = estimate_box(sd, (ax_out, ax_in), [(lo, hi)], 2e-2, method="exact")
     assert (a.value, a.degree, a.rounds, a.queries) == \
         (b.value, b.degree, b.rounds, b.queries)
     # criterion 04's bound: filter error plus the mass in the delta-margins
@@ -376,12 +369,11 @@ def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
 # ---------------------------------------------------------------------------
 
 def test_fresh_spectrum_gives_identical_estimate(dimer, dimer_sd):
-    before = estimate_window(dimer, (0, 0), (4.35, 4.55), 1e-3,
-                             method="exact", sd=dimer_sd)
+    before = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 1e-3,
+                             method="exact")
     fresh = diagonalize(dimer)
     assert not fresh.filter_values
-    after = estimate_window(dimer, (0, 0), (4.35, 4.55), 1e-3,
-                            method="exact", sd=fresh)
+    after = estimate_window(fresh, (0, 0), (4.35, 4.55), 1e-3, method="exact")
     assert after.as_dict() == before.as_dict()
     assert fresh.filter_values
 
@@ -399,9 +391,31 @@ def test_spectrum_carries_lcu_one_norms(request, names):
     if names[0] == "dimer":
         # only the x dipole is set: y and z encode with unit subnorm
         assert sd.betas[1:] == (0.0, 0.0)
-        prep = prepare(model, sd, (1, 0, 2))
+        prep = prepare(sd, (1, 0, 2))
         assert prep.betas == (1.0, sd.betas[0], 1.0)
         assert prep.zeta == sd.betas[0]
+
+
+@pytest.mark.parametrize("names", [("dimer", "dimer_sd"),
+                                   ("random_model", "random_sd")])
+def test_measurement_ignores_the_nuclear_shift(request, names):
+    # the nuclear shift moves every total energy and no excitation energy,
+    # so searches and estimates on a shifted model are bit-identical
+    model, sd = (request.getfixturevalue(n) for n in names)
+    cfg = BinSearchConfig(gamma=sd.alpha_shift / 16.0, tau=0.05)
+    lo = 0.5 * float(sd.eigenvalues[1])
+    wins = [(lo, lo + 0.5)] * 2
+    ref_trace = binary_search_1d(sd, (0, 0), cfg, seed=4).to_json()
+    ref_box = estimate_box(sd, (0, 0, 0), wins, 2e-2, seed=2).as_dict()
+    for shift in (0.0, 1.2345678901, -7.5):
+        shifted = diagonalize(dataclasses.replace(model, nuclear_shift=shift))
+        assert shifted.ground_energy == pytest.approx(
+            sd.ground_energy + shift, abs=1e-12)
+        assert shifted.alpha_shift == sd.alpha_shift
+        assert binary_search_1d(shifted, (0, 0), cfg,
+                                seed=4).to_json() == ref_trace
+        assert estimate_box(shifted, (0, 0, 0), wins, 2e-2,
+                            seed=2).as_dict() == ref_box
 
 
 def test_filter_memo_evicts_oldest_at_cap(monkeypatch):
