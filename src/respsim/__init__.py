@@ -21,18 +21,13 @@ from .spectra import (SpectralData, SusceptibilityResult, alpha1, alpha3,
                       alpha3_terms, chi1_time, diagonalize,
                       nested_window_amplitude, r_pathway_fd, r_pathways,
                       window_amplitude)
-from .chebfilter import (ChebyshevFilter, ErfPolynomial, apply_filter_eigvals,
-                         apply_filter_matrix, build_erf_poly, build_indicator,
-                         chebyshev_grid, choose_k, degree_estimate,
-                         erf_chebyshev_coefficients, jump_error_integral)
-from .blockenc import (BlockEncoding, EncodingChain, amplification_rounds,
-                       chain_product, encode_lcu, filtered_chain,
-                       shift_encoding, success_probability)
+from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
+                         choose_k, jump_error_integral)
 from .estimate import (BinSearchConfig, HadamardChannel, SearchTrace,
                        WindowEstimate, binary_search_1d, binary_search_nd,
-                       channel_from_chain, estimate_box, estimate_window,
-                       imaginary_part_channel, inequality_test,
-                       lcu_hadamard_distribution, sample_hadamard, sort_bins)
+                       estimate_box, estimate_window, imaginary_part_channel,
+                       inequality_test, lcu_hadamard_distribution,
+                       sample_hadamard)
 from .assemble import (CostInputs, ResponseTable, assemble_alpha1,
                        assemble_alpha3, cost_report, qpe_baseline_report,
                        run_pipeline)
@@ -50,18 +45,12 @@ __all__ = [
     "SpectralData", "SusceptibilityResult", "alpha1", "alpha3",
     "alpha3_terms", "chi1_time", "diagonalize", "nested_window_amplitude",
     "r_pathway_fd", "r_pathways", "window_amplitude",
-    "ChebyshevFilter", "ErfPolynomial", "apply_filter_eigvals",
-    "apply_filter_matrix", "build_erf_poly", "build_indicator",
-    "chebyshev_grid", "choose_k", "degree_estimate",
-    "erf_chebyshev_coefficients", "jump_error_integral",
-    "BlockEncoding", "EncodingChain", "amplification_rounds",
-    "chain_product", "encode_lcu", "filtered_chain", "shift_encoding",
-    "success_probability",
+    "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",
+    "jump_error_integral",
     "BinSearchConfig", "HadamardChannel", "SearchTrace", "WindowEstimate",
-    "binary_search_1d", "binary_search_nd", "channel_from_chain",
-    "estimate_box", "estimate_window",
+    "binary_search_1d", "binary_search_nd", "estimate_box", "estimate_window",
     "imaginary_part_channel", "inequality_test",
-    "lcu_hadamard_distribution", "sample_hadamard", "sort_bins",
+    "lcu_hadamard_distribution", "sample_hadamard",
     "CostInputs", "ResponseTable", "assemble_alpha1", "assemble_alpha3",
     "cost_report", "qpe_baseline_report", "run_pipeline",
 ]

@@ -427,8 +427,6 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
     sd = diagonalize(model)
-    if sd.alpha == 0:
-        raise InputError("the Hamiltonian is zero (alpha = 0)")
     lam_max = float(sd.eigenvalues[-1])
     if grid is None:
         grid = np.linspace(0.0, 1.2 * lam_max, 121)

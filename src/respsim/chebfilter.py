@@ -1,20 +1,13 @@
 """Chebyshev spectral-filter machinery.
 
-Two polynomial families live here:
-
-* ErfPolynomial — an odd Chebyshev series approximating erf(k x) on [-1, 1],
-  built from the closed-form coefficients with exponentially scaled modified
-  Bessel factors (ive folds the e^{-k^2/2} prefactor in, so nothing
-  overflows at large k).
-
-* ChebyshevFilter — a smoothed window indicator.  A window [a, b] inside
-  [-1, 1] is recentred through y = (x - w)/R with w the window centre and
-  R = 1 + |w|; in the y variable the target
-      F(y) = (erf(k (y + kappa)) + erf(k (kappa - y))) / 2,
-  kappa = half-width + delta/2, is even, so the filter polynomial is a pure
-  even Chebyshev series.  Coefficients come from interpolation at first-kind
-  Chebyshev nodes (a DCT), which stays cheap at degrees ~1e5 where naive
-  O(n^2) constructions are hopeless.
+ChebyshevFilter is a smoothed window indicator.  A window [a, b] inside
+[-1, 1] is recentred through y = (x - w)/R with w the window centre and
+R = 1 + |w|; in the y variable the target
+    F(y) = (erf(k (y + kappa)) + erf(k (kappa - y))) / 2,
+kappa = half-width + delta/2, is even, so the filter polynomial is a pure
+even Chebyshev series.  Coefficients come from interpolation at first-kind
+Chebyshev nodes (a DCT), which stays cheap at degrees ~1e5 where naive
+O(n^2) constructions are hopeless.
 
 Every constructed object is grid-certified before it is returned: values on
 a dense Chebyshev grid (synthesized with an inverse DCT, not per-point
@@ -28,17 +21,15 @@ the margin budget (erf tail eps/4, interpolation eps/4) leaves room for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct, idct
 from scipy.integrate import quad
-from scipy.special import erf, ive
+from scipy.special import erf
 
 from .errors import InputError, ResourceError
-from .operators import DenseOperator
 
 DEGREE_CAP = 10 ** 5
 CERT_GRID_MIN = 10 ** 4
@@ -80,70 +71,6 @@ def choose_k(delta: float, eps: float) -> float:
     return math.sqrt(2.0) / delta * math.sqrt(math.log(2.0 / (math.pi * eps * eps)))
 
 
-def erf_chebyshev_coefficients(k: float, n_terms: int) -> np.ndarray:
-    """Chebyshev coefficients of the canonical erf(k x) series.
-
-    Term j contributes to order 2j+1; the telescoped coefficient is
-    (2k/sqrt(pi)) (-1)^j (I_j + I_{j+1})(k^2/2) e^{-k^2/2} / (2j+1).
-    Returns a dense array of length 2*n_terms (even slots zero).
-    """
-    if n_terms < 1:
-        raise InputError("need at least one term")
-    z = k * k / 2.0
-    j = np.arange(n_terms)
-    vals = (2.0 * k / math.sqrt(math.pi)) * (-1.0) ** j \
-        * (ive(j, z) + ive(j + 1, z)) / (2 * j + 1)
-    coeffs = np.zeros(2 * n_terms)
-    coeffs[1::2] = vals
-    return coeffs
-
-
-@dataclass
-class ErfPolynomial:
-    """Odd Chebyshev approximation of erf(k x), rescaled so |p| <= 1."""
-
-    k: float
-    coefficients: np.ndarray
-    eps_cert: float              # certified max |p(x) - erf(k x)| on the grid
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def eval(self, x):
-        return np.polynomial.chebyshev.chebval(x, self.coefficients)
-
-
-def build_erf_poly(k: float, eps: float) -> ErfPolynomial:
-    """Grow the canonical series until the grid error is within eps."""
-    if k <= 0:
-        raise InputError("k must be positive")
-    if not 0 < eps <= 1:
-        raise InputError("eps must lie in (0, 1]")
-    target_eps = eps / 2.0   # reserve half the budget for the sup rescale
-    L = math.log(2.0 / target_eps)
-    n_terms = max(4, int(0.55 * math.sqrt(2.0 * (k * k + L) * L)) + 2)
-    while True:
-        degree = 2 * n_terms - 1
-        if degree > DEGREE_CAP:
-            raise ResourceError(
-                f"erf series degree {degree} exceeds cap {DEGREE_CAP}")
-        coeffs = erf_chebyshev_coefficients(k, n_terms)
-        n_grid = max(CERT_GRID_MIN, 4 * degree)
-        grid = chebyshev_grid(n_grid)
-        vals = _values_on_grid(coeffs, n_grid)
-        dev = float(np.max(np.abs(vals - erf(k * grid))))
-        if dev <= target_eps:
-            sup = float(np.max(np.abs(vals)))
-            if sup > 1.0:
-                coeffs = coeffs / sup
-                vals = vals / sup
-            dev = float(np.max(np.abs(vals - erf(k * grid))))
-            if dev <= eps:
-                return ErfPolynomial(k, coeffs, dev)
-        n_terms = max(n_terms + 2, int(1.5 * n_terms))
-
-
 @dataclass
 class ChebyshevFilter:
     """Even-parity smoothed indicator for a window [a, b] in [-1, 1].
@@ -175,31 +102,6 @@ class ChebyshevFilter:
         y = (np.asarray(x, dtype=float) - self.center) / self.scale
         return np.polynomial.chebyshev.chebval(
             2.0 * y * y - 1.0, self.coefficients[::2])
-
-    def to_json(self) -> str:
-        payload = {
-            "center": self.center,
-            "half_width": self.half_width,
-            "delta": self.delta,
-            "eps": self.eps,
-            "k": self.k,
-            "kappa": self.kappa,
-            "scale": self.scale,
-            "coefficients": [float(c) for c in self.coefficients],
-            "certificate": self.certificate,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChebyshevFilter":
-        raw = json.loads(text)
-        return cls(
-            center=raw["center"], half_width=raw["half_width"],
-            delta=raw["delta"], eps=raw["eps"], k=raw["k"],
-            kappa=raw["kappa"], scale=raw["scale"],
-            coefficients=np.asarray(raw["coefficients"], dtype=float),
-            certificate=dict(raw["certificate"]),
-        )
 
 
 def _certify_indicator(coeffs, center, scale, half_width, delta, eps):
@@ -290,44 +192,6 @@ def build_indicator(a: float, b: float, delta: float, eps: float
         degree = int(1.2 * degree) + 2
 
 
-def apply_filter_eigvals(f: ChebyshevFilter, eigvals) -> np.ndarray:
-    """f evaluated at a set of (rescaled) eigenvalues."""
-    return np.asarray(f.eval(np.asarray(eigvals, dtype=float)))
-
-
-def apply_filter_matrix(f: ChebyshevFilter, H_rescaled) -> DenseOperator:
-    """p(H) by the three-term recurrence T_{j+1} = 2 Y T_j - T_{j-1}.
-
-    H_rescaled may be a DenseOperator or a plain ndarray; its spectrum must
-    already sit in [-1, 1] (2-norm checked).  The result is re-symmetrized
-    before wrapping — p(H) is exactly hermitian in exact arithmetic, and the
-    long recurrence otherwise leaves ~1e-13 of asymmetry behind.
-    """
-    H = getattr(H_rescaled, "matrix", H_rescaled)
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InputError("H must be a square matrix")
-    norm = float(np.linalg.norm(H, 2))
-    if norm > 1.0 + 1e-9:
-        raise InputError(f"spectral norm {norm:.6g} exceeds 1; rescale first")
-    dim = H.shape[0]
-    eye = np.eye(dim)
-    Y = ((H - f.center * eye) / f.scale).astype(complex)
-    c = f.coefficients
-    out = c[0] * eye.astype(complex)
-    if len(c) > 1:
-        Tprev, Tcur = eye.astype(complex), Y
-        out = out + c[1] * Tcur
-        for j in range(2, len(c)):
-            Tprev, Tcur = Tcur, 2.0 * (Y @ Tcur) - Tprev
-            if c[j] != 0.0:
-                out = out + c[j] * Tcur
-    hermitian = bool(np.max(np.abs(H - H.conj().T)) <= 1e-12)
-    if hermitian:
-        out = (out + out.conj().T) / 2.0
-    return DenseOperator(out, hermitian=hermitian)
-
-
 def jump_error_integral(delta: float, eps_cut: float = 0.0) -> float:
     """Accumulated indicator error across the smoothing ramp.
 
@@ -342,10 +206,3 @@ def jump_error_integral(delta: float, eps_cut: float = 0.0) -> float:
         raise InputError("eps_cut must lie in [0, delta)")
     val, _ = quad(lambda x: abs(erf(x / delta) - 1.0), eps_cut, delta)
     return float(val)
-
-
-def degree_estimate(delta: float, eps: float) -> int:
-    """Coarse predicted filter degree ~ log(1/eps)/delta (constant 2.5)."""
-    if delta <= 0 or eps <= 0:
-        raise InputError("delta and eps must be positive")
-    return int(math.ceil(2.5 * math.log(1.0 / eps) / delta))

@@ -141,18 +141,6 @@ class HadamardChannel:
         return 0.5 * (1.0 + min(1.0, max(-1.0, x)))
 
 
-def channel_from_chain(chain, state, variant: str = "re", seed: int = 0,
-                       degree: int = 0) -> HadamardChannel:
-    """Wrap an explicit encoding chain + state as a sampling channel."""
-    v = np.asarray(state, dtype=complex).ravel()
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-9:
-        raise InputError(f"state norm {nrm:.6g} is not 1")
-    val = complex(v.conj() @ (chain.effective.matrix @ v)) / chain.zeta
-    return HadamardChannel(value=val, ground_term=0j, zeta=chain.zeta,
-                           variant=variant, seed=seed, degree=degree)
-
-
 def imaginary_part_channel(ch: HadamardChannel) -> HadamardChannel:
     """Phase-shifted variant reading Im instead of Re."""
     return dataclasses.replace(ch, variant="im")
@@ -364,21 +352,6 @@ class SearchTrace:
             "found": self.found,
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def sort_bins(channels, config: BinSearchConfig, rng=None,
-              counts=None) -> np.ndarray:
-    """Relation matrix over bins: sample the joint distribution once, then
-    run every pairwise inequality test on the shared counts (R[i, j] is +1,
-    -1 or 0 as inequality_test(counts[i], counts[j]) says greater, less or
-    indistinguishable)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if counts is None:
-        dist = lcu_hadamard_distribution(channels)
-        counts = dist.sample_counts(rng, config.N_s)
-    return _relation_matrix(np.subtract.outer(counts, counts) / config.N_s,
-                            config.tau)
 
 
 # ---------------------------------------------------------------------------

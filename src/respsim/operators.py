@@ -27,7 +27,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,9 +71,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 # ---------------------------------------------------------------------------

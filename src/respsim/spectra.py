@@ -111,7 +111,8 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
 
     Only the particle-number sector's block of each qubit image is built
     (all 2^N states with fix_sector=False).  Models above DEFAULT_MODE_CAP
-    modes raise ResourceError before anything is built.
+    modes raise ResourceError before anything is built; a zero Hamiltonian
+    (alpha = 0) raises InputError before the spectrum is examined.
     """
     n = model.n_orbitals
     if n > DEFAULT_MODE_CAP:
@@ -125,6 +126,8 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
     else:
         keep = states
     H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), keep)
+    if alpha == 0:
+        raise InputError("the Hamiltonian is zero (alpha = 0)")
     evals, evecs = np.linalg.eigh(H)
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL

@@ -1,5 +1,7 @@
 """Command-line interface parsing and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,16 +114,19 @@ def test_main_resource_cap(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:ground state degenerate")
 @pytest.mark.parametrize("mode", ["--simulate", "--oracle-only"])
 def test_main_rejects_zero_hamiltonian_and_bad_eps(mode, monkeypatch,
                                                    capsys):
-    # refused before any search starts, in both modes
+    # refused before any search starts, in both modes, with one message
+    # and no warning about the (meaningless) spectrum
     def no_search(*args, **kwargs):
         raise AssertionError("search started on invalid input")
 
     monkeypatch.setattr(assemble, "binary_search_1d", no_search)
-    assert main(["--toy", "hubbard:t=0,U=0", mode]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--toy", "hubbard:t=0,U=0", mode]) == 2
+    assert [str(w.message) for w in caught] == []
     assert "Hamiltonian is zero" in capsys.readouterr().err
     for eps in ("0", "1", "-0.1"):
         assert main(["--toy", "hubbard", "--eps", eps, mode]) == 2

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_box_value
 from respsim import (
     BinSearchConfig,
     HadamardChannel,
     InputError,
     binary_search_1d,
     binary_search_nd,
-    build_hamiltonian,
     build_dipole,
-    build_indicator,
-    channel_from_chain,
+    build_hamiltonian,
     diagonalize,
-    encode_lcu,
     estimate_box,
     estimate_window,
-    filtered_chain,
     imaginary_part_channel,
     inequality_test,
     jordan_wigner,
@@ -29,7 +26,6 @@ from respsim import (
     lcu_one_norm,
     nested_window_amplitude,
     sample_hadamard,
-    sort_bins,
     window_amplitude,
 )
 from respsim import estimate as estimate_mod
@@ -74,33 +70,16 @@ def test_sample_hadamard_is_seed_deterministic():
 
 
 def test_channel_from_filtered_chain(dimer, dimer_sd):
-    # the chain's Hadamard amplitude is the filtered dipole sandwich / zeta
-    n = dimer.n_orbitals
-    U_H = encode_lcu(jordan_wigner(build_hamiltonian(dimer.T, dimer.V), n))
-    U_D = encode_lcu(jordan_wigner(build_dipole(dimer.dipole[0]), n))
-    omega = 3.0
-    s = U_H.subnorm + omega
-    filt = build_indicator(0.0, 0.06, 0.015, 1e-3)
-    chain = filtered_chain(U_D, filt, U_H, U_D, omega=omega)
-
-    lam, U = np.linalg.eigh(U_H.op.matrix)
-    ground = U[:, 0]
-    assert lam[0] == pytest.approx(dimer_sd.ground_energy, abs=1e-10)
-    ch = channel_from_chain(chain, ground)
-
-    E0 = dimer_sd.ground_energy
-    expect = 0j
-    for j in range(dimer_sd.n_states):
-        pos = (dimer_sd.eigenvalues[j] + E0 - omega) / s
-        expect += (filt.eval(pos)
-                   * dimer_sd.transition_dipoles[0][0, j]
-                   * dimer_sd.transition_dipoles[0][j, 0])
-    assert ch.value == pytest.approx(expect / chain.zeta, abs=1e-9)
-    # the bright line dominates and the filter passes it at weight ~1
+    # the channel's amplitude is the ground-masked filtered dipole sandwich
+    # over zeta, and the filter passes the bright line at weight ~1
+    window, delta = (4.35, 4.55), 0.05
+    ch, _ = estimate_mod._box_channel(prepare(dimer_sd, (0, 0)), [window],
+                                      [delta], 1e-3)
+    want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
+    assert abs(ch.value - want) <= 1e-9 * abs(want)
+    assert ch.zeta == 1.0
     assert ch.value.real == pytest.approx(
-        window_amplitude(dimer_sd, 0, 0, 4.4, 4.5).real, abs=2e-3)
-    with pytest.raises(InputError):
-        channel_from_chain(chain, 2.0 * ground)
+        window_amplitude(dimer_sd, 0, 0, *window).real, abs=2e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +134,28 @@ def test_inequality_test():
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), tau=st.floats(0.05, 0.5), extra=st.integers(0, 300))
-def test_sort_bins_relation_matrix(data, tau, extra):
-    cfg = BinSearchConfig(gamma=0.5, branching=3, tau=0.15, N_s=200)
-    R = sort_bins(None, cfg, counts=np.array([80, 20, 50]))
+def test_relation_matrix_is_the_pairwise_inequality_test(data, tau, extra):
+    # the search scores bins with the criterion-06 test: the count gap is
+    # divided by N_s once, so an exact tie at tau stays indistinguishable
+    def relation(counts, N_s, tau):
+        counts = np.array(counts)
+        return estimate_mod._relation_matrix(
+            np.subtract.outer(counts, counts) / N_s, tau)
+
+    R = relation([80, 20, 50], 200, 0.15)
     assert R[0, 1] == 1 and R[1, 0] == -1             # gap 0.30 > tau
     assert R[0, 2] == 0 and R[2, 0] == 0              # gap 0.15, not > tau
     assert R[2, 1] == 0                               # gap 0.15
     assert np.array_equal(R, -R.T)
     assert np.all(np.diag(R) == 0)
     # on any counts the matrix is the pairwise inequality test
-    n_min = BinSearchConfig(gamma=0.5, tau=tau).N_s
-    cfg = BinSearchConfig(gamma=0.5, tau=tau, N_s=n_min + extra)
-    counts = data.draw(st.lists(st.integers(0, cfg.N_s), min_size=1,
+    N_s = BinSearchConfig(gamma=0.5, tau=tau).N_s + extra
+    counts = data.draw(st.lists(st.integers(0, N_s), min_size=1,
                                 max_size=9))
     sign = {"greater": 1, "less": -1, "indistinguishable": 0}
-    expect = [[sign[inequality_test(a, b, cfg.N_s, tau)] for b in counts]
+    expect = [[sign[inequality_test(a, b, N_s, tau)] for b in counts]
               for a in counts]
-    assert sort_bins(None, cfg, counts=np.array(counts)).tolist() == expect
+    assert relation(counts, N_s, tau).tolist() == expect
 
 
 # ---------------------------------------------------------------------------

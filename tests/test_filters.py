@@ -8,13 +8,8 @@ from respsim import (
     ChebyshevFilter,
     InputError,
     ResourceError,
-    apply_filter_eigvals,
-    apply_filter_matrix,
-    build_erf_poly,
     build_indicator,
     choose_k,
-    degree_estimate,
-    erf_chebyshev_coefficients,
     jump_error_integral,
 )
 
@@ -43,49 +38,6 @@ def test_choose_k_validation():
         choose_k(0.1, 0.9)           # beyond the tail-bound validity range
     with pytest.raises(InputError):
         choose_k(0.1, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# erf series
-# ---------------------------------------------------------------------------
-
-def test_erf_coefficients_frozen_k5():
-    c = erf_chebyshev_coefficients(5.0, 20)
-    assert c[1] == pytest.approx(1.260305651054, abs=1e-10)
-    assert c[3] == pytest.approx(-0.387194907575, abs=1e-10)
-    assert np.all(c[0::2] == 0.0)
-
-
-def test_erf_coefficients_match_interpolation():
-    # Bessel-telescoped closed form vs a plain Chebyshev interpolation
-    c = erf_chebyshev_coefficients(5.0, 30)
-    interp = np.polynomial.chebyshev.chebinterpolate(
-        lambda x: erf(5.0 * x), 79)
-    assert np.allclose(c[:40], interp[:40], atol=1e-12)
-
-
-def test_erf_coefficients_validation():
-    with pytest.raises(InputError):
-        erf_chebyshev_coefficients(5.0, 0)
-
-
-def test_build_erf_poly_contract():
-    p = build_erf_poly(8.0, 1e-4)
-    assert p.eps_cert <= 1e-4
-    assert np.all(p.coefficients[0::2] == 0.0)       # odd polynomial
-    x = np.linspace(-1.0, 1.0, 4001)
-    vals = p.eval(x)
-    assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-    assert np.max(np.abs(vals - erf(8.0 * x))) <= 1e-4 + 1e-10
-
-
-def test_build_erf_poly_validation():
-    with pytest.raises(InputError):
-        build_erf_poly(0.0, 1e-3)
-    with pytest.raises(InputError):
-        build_erf_poly(5.0, 0.0)
-    with pytest.raises(ResourceError):
-        build_erf_poly(1e5, 1e-3)    # degree would exceed the cap
 
 
 # ---------------------------------------------------------------------------
@@ -141,43 +93,8 @@ def test_indicator_validation():
         build_indicator(-0.1, 0.1, 1e-5, 1e-2)       # degree cap
 
 
-def test_indicator_json_round_trip():
-    f = build_indicator(0.1, 0.5, 0.06, 1e-2)
-    g = ChebyshevFilter.from_json(f.to_json())
-    assert np.array_equal(f.coefficients, g.coefficients)
-    assert g.k == f.k and g.scale == f.scale and g.kappa == f.kappa
-    x = np.linspace(-1, 1, 101)
-    assert np.array_equal(f.eval(x), g.eval(x))
-
-
 # ---------------------------------------------------------------------------
-# matrix application
-# ---------------------------------------------------------------------------
-
-def test_apply_filter_matrix_matches_eigendecomposition():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(12, 12))
-    A = (A + A.T) / 2.0
-    A /= 1.05 * np.linalg.norm(A, 2)
-    f = build_indicator(-0.2, 0.4, 0.1, 1e-2)
-    got = apply_filter_matrix(f, A)
-    lam, U = np.linalg.eigh(A)
-    expect = (U * apply_filter_eigvals(f, lam)) @ U.T
-    assert got.hermitian
-    assert np.allclose(got.matrix, expect, atol=1e-10)
-    assert np.allclose(got.matrix, got.matrix.conj().T, atol=0.0)
-
-
-def test_apply_filter_matrix_validation():
-    f = build_indicator(-0.2, 0.2, 0.05, 1e-2)
-    with pytest.raises(InputError):
-        apply_filter_matrix(f, 2.0 * np.eye(3))      # spectral norm > 1
-    with pytest.raises(InputError):
-        apply_filter_matrix(f, np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# ramp-error integral and degree heuristics
+# ramp-error integral
 # ---------------------------------------------------------------------------
 
 def test_jump_error_constant():
@@ -201,10 +118,3 @@ def test_jump_error_cut_and_validation():
         jump_error_integral(0.5, eps_cut=-0.1)
     with pytest.raises(InputError):
         jump_error_integral(0.5, eps_cut=0.5)
-
-
-def test_degree_estimate():
-    assert degree_estimate(0.1, 1e-3) == int(np.ceil(2.5 * np.log(1e3) / 0.1))
-    assert degree_estimate(0.05, 1e-3) > degree_estimate(0.1, 1e-3)
-    with pytest.raises(InputError):
-        degree_estimate(0.0, 1e-3)

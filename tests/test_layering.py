@@ -1,4 +1,5 @@
-"""Import layering of the package, read from the source with ``ast``."""
+"""Import layering and public exports of the package (imports read from
+the source with ``ast``)."""
 
 import ast
 import pathlib
@@ -39,3 +40,26 @@ def test_measurement_layer_runs_on_the_spectrum_alone():
     imports = _package_imports(PACKAGE / "estimate.py")
     assert not [i for i in imports if i[0] == "respsim.models"]
     assert "diagonalize" not in {name for _, name in imports}
+
+
+def test_filters_stand_apart_from_the_operator_layer():
+    imports = _package_imports(PACKAGE / "chebfilter.py")
+    assert not [i for i in imports if i[0] == "respsim.operators"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_never_imports_the_test_references(path):
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    roots = {m.split(".")[0] for m in modules}
+    assert not roots & {"tests", "conftest", "dense_reference"}
+
+
+def test_public_names_resolve_once():
+    names = respsim.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(respsim, n)] == []

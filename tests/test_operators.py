@@ -16,6 +16,8 @@ from respsim import (
     eta_dipole_norm,
     jordan_wigner,
     lcu_one_norm,
+    make_hubbard_dimer,
+    make_random_model,
     number_operator,
     validate_two_body_symmetry,
 )
@@ -278,6 +280,29 @@ def test_dimer_one_norms(dimer):
     beta = lcu_one_norm(jordan_wigner(build_dipole(dimer.dipole[0])))
     assert alpha == pytest.approx(6.0, abs=1e-12)
     assert beta == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    None, (2, 1, 0), (2, 2, 3), (2, 3, 1), (3, 2, 1), (3, 3, 2), (3, 4, 0),
+    (4, 2, 1), (4, 4, 2), (4, 6, 3),
+], ids=lambda a: "dimer" if a is None else "random-n{}-ne{}-s{}".format(*a))
+def test_dipole_norm_hierarchy(args):
+    # the sector block of each dipole is bounded by both subnormalizations;
+    # neither of those bounds the other (above half filling the eta-norm can
+    # exceed the Pauli one-norm)
+    model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
+             else make_random_model(*args))
+    states = [b for b in range(2 ** model.n_orbitals)
+              if bin(b).count("1") == model.n_electrons]
+    for ax in range(3):
+        pauli = jordan_wigner(build_dipole(model.dipole[ax]))
+        norm = np.linalg.norm(pauli.dense(states=states).matrix, 2)
+        eta = eta_dipole_norm(model.dipole[ax], model.n_electrons)
+        assert norm <= eta + 1e-9
+        assert norm <= lcu_one_norm(pauli) + 1e-9
+    if args is None:
+        assert eta_dipole_norm(model.dipole[0], model.n_electrons) \
+            == pytest.approx(1.0)
 
 
 def test_eta_dipole_norm_oracle_value():

@@ -61,7 +61,7 @@ def test_dimer_ground_dipole(dimer_sd):
 
 
 def test_degenerate_ground_flag():
-    flat = make_hubbard_dimer(t=0.0, U=0.0, d01=0.5)
+    flat = make_hubbard_dimer(t=0.0, U=2.0, d01=0.5)     # four-fold ground
     with pytest.warns(UserWarning, match="degenerate"):
         sd = diagonalize(flat)
     assert sd.degenerate_ground
