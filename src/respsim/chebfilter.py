@@ -9,14 +9,18 @@ even Chebyshev series.  Coefficients come from interpolation at first-kind
 Chebyshev nodes (a DCT), which stays cheap at degrees ~1e5 where naive
 O(n^2) constructions are hopeless.
 
-Every constructed object is grid-certified before it is returned: values on
-a dense Chebyshev grid (synthesized with an inverse DCT, not per-point
-Clenshaw) must satisfy the three-region contract
-    >= 1 - eps  inside [a + delta, b - delta],
-    <= eps      outside [a - delta, b + delta],
-    in [0, 1 + eps] everywhere on the domain.
-A small constant is added to c0 when roundoff drags the minimum below zero;
-the margin budget (erf tail eps/4, interpolation eps/4) leaves room for it.
+Every constructed object is grid-certified before it is returned.  An even
+series p(y) = sum c_2m T_2m(y) equals q(t) = sum c_2m T_m(t) at
+t = 2 y^2 - 1, so q is synthesized once, with an inverse DCT, on a
+first-kind Chebyshev grid in t of at least 16 points per degree of q (an
+FFT-friendly length).  Those values serve twice: their minimum sets the
+constant added to c0 when roundoff drags the floor below zero, and the
+lifted values must satisfy the three-region contract
+    >= 1 - eps  inside [a + delta, b - delta]   (t <= 2 l_in^2 - 1),
+    <= eps      outside [a - delta, b + delta]  (t >= 2 l_out^2 - 1),
+    in [0, 1 + eps] everywhere on the domain,
+with l_in, l_out the region edges in y.  The margin budget (erf tail
+eps/4, interpolation eps/4) leaves room for the lift.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct, idct, next_fast_len
 from scipy.integrate import quad
 from scipy.special import erf
 
 from .errors import InputError, ResourceError
 
 DEGREE_CAP = 10 ** 5
-CERT_GRID_MIN = 10 ** 4
+CERT_GRID_PER_DEGREE = 16      # t-grid points per degree of the half-series
 EPS_VALIDITY = math.sqrt(2.0 / (math.e * math.pi))   # choose_k upper bound
 
 
@@ -104,19 +108,27 @@ class ChebyshevFilter:
             2.0 * y * y - 1.0, self.coefficients[::2])
 
 
-def _certify_indicator(coeffs, center, scale, half_width, delta, eps):
-    """Three-region check on a dense Chebyshev grid in the y variable.
+def _half_series_values(coeffs: np.ndarray):
+    """Values of the even series at the t-grid nodes, as (t, q(t)).
+
+    The grid has CERT_GRID_PER_DEGREE points per degree of the
+    half-series, rounded up to a length that pocketfft transforms without a
+    Bluestein plan (its plans for large prime factors cost memory).
+    """
+    half = coeffs[::2]
+    n_grid = next_fast_len(CERT_GRID_PER_DEGREE * (len(half) - 1), real=True)
+    return chebyshev_grid(n_grid), _values_on_grid(half, n_grid)
+
+
+def _certify_indicator(t, vals, scale, half_width, delta, eps):
+    """Three-region check of the values q(t) of the even series, t = 2y^2-1.
 
     Returns (ok, cert_record) with the region extrema recorded.
     """
-    degree = len(coeffs) - 1
-    n_grid = max(CERT_GRID_MIN, 2 * degree + 1)
-    y = chebyshev_grid(n_grid)
-    vals = _values_on_grid(coeffs, n_grid)
     lo_in = (half_width - delta) / scale
     lo_out = (half_width + delta) / scale
-    inner = np.abs(y) <= lo_in
-    outer = np.abs(y) >= lo_out
+    inner = t <= 2.0 * lo_in * lo_in - 1.0
+    outer = t >= 2.0 * lo_out * lo_out - 1.0
     inner_min = float(np.min(vals[inner])) if inner.any() else 1.0
     outer_max = float(np.max(vals[outer])) if outer.any() else 0.0
     global_min = float(np.min(vals))
@@ -124,7 +136,7 @@ def _certify_indicator(coeffs, center, scale, half_width, delta, eps):
     ok = (inner_min >= 1.0 - eps and outer_max <= eps
           and global_min >= 0.0 and global_max <= 1.0 + eps)
     cert = {
-        "grid_size": n_grid,
+        "grid_size": len(t),
         "inner_min": inner_min,
         "outer_max": outer_max,
         "global_min": global_min,
@@ -170,18 +182,17 @@ def build_indicator(a: float, b: float, delta: float, eps: float
         # lift a residual-negative floor back above zero with headroom: the
         # erf-pair target is strictly positive, but the interpolant
         # undershoots it by its residual, and the dips can land between the
-        # nodes of any one grid.  Measure the worst undershoot on a dense
-        # two-family grid (Chebyshev + uniform) and lift with a 3x margin;
-        # the shift is residual-sized, far below the eps head-room of the
-        # other region bounds.
-        n_grid = max(CERT_GRID_MIN, 4 * (len(coeffs) - 1) + 5)
-        vmin = float(np.min(_values_on_grid(coeffs, n_grid)))
-        uniform = np.linspace(-1.0, 1.0, 30001)
-        vmin = min(vmin, float(np.min(
-            np.polynomial.chebyshev.chebval(uniform, coeffs))))
+        # nodes of any one grid.  The t-grid samples every oscillation of
+        # the half-series many times, so its minimum is close to the true
+        # one; lift by 3x the undershoot.  The shift is residual-sized, far
+        # below the eps head-room of the other region bounds.
+        t, vals = _half_series_values(coeffs)
+        vmin = float(np.min(vals))
         if vmin < 1e-13:
-            coeffs[0] += 3.0 * (1e-13 - vmin)
-        ok, cert = _certify_indicator(coeffs, center, scale, half, delta, eps)
+            lift = 3.0 * (1e-13 - vmin)
+            coeffs[0] += lift
+            vals += lift
+        ok, cert = _certify_indicator(t, vals, scale, half, delta, eps)
         if ok:
             return ChebyshevFilter(
                 center=center, half_width=half, delta=delta, eps=eps,

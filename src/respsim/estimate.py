@@ -204,10 +204,20 @@ class LcuDistribution:
         return len(self.probabilities) - 1
 
     def sample_counts(self, rng, n: int) -> np.ndarray:
-        """Counts per bin over n draws (discard outcome dropped)."""
-        draws = rng.choice(len(self.probabilities), size=n,
-                           p=self.probabilities)
-        return np.bincount(draws, minlength=len(self.probabilities))[:-1]
+        """Counts per bin over n draws (discard outcome dropped).
+
+        Draws the uniform stream that numpy's ``Generator.choice(p=...)``
+        draws and counts it against the same normalized cdf, without a
+        per-draw search.  Seeded runs stay byte-identical to
+        ``np.bincount(rng.choice(B + 1, size=n, p=p))[:-1]`` only as long
+        as numpy keeps that recipe (cumsum, divide by the last entry,
+        ``rng.random(n)``, right-sided search); tests pin the equality.
+        """
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        below = np.array([np.count_nonzero(u < c) for c in cdf[:-1]])
+        return np.diff(below, prepend=0)
 
 
 def lcu_hadamard_distribution(channels) -> LcuDistribution:

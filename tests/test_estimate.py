@@ -29,7 +29,8 @@ from respsim import (
     window_amplitude,
 )
 from respsim import estimate as estimate_mod
-from respsim.estimate import FILTER_MEMO_CAP, P0_SLACK, prepare
+from respsim.estimate import (FILTER_MEMO_CAP, P0_SLACK, LcuDistribution,
+                              prepare)
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
@@ -122,6 +123,26 @@ def test_sample_counts():
     assert counts.sum() <= 10000                      # discards dropped
     assert counts[0] / 10000 == pytest.approx(1.5 / 4, abs=0.02)
     assert counts[1] / 10000 == pytest.approx(0.5 / 4, abs=0.02)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), B=st.integers(1, 9), n=st.integers(0, 200_000),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_sample_counts_equal_numpy_choice(data, B, n, seed):
+    """sample_counts is bit-identical to counting rng.choice draws and
+    leaves the generator in the same state; seeded outputs rely on it."""
+    w = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        min_size=B + 1, max_size=B + 1)))
+    if w.sum() == 0.0:
+        w[-1] = 1.0
+    p = w / w.sum()
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = LcuDistribution(p).sample_counts(rng_a, n)
+    ref = np.bincount(rng_b.choice(B + 1, size=n, p=p), minlength=B + 1)[:-1]
+    assert counts.dtype == ref.dtype
+    assert np.array_equal(counts, ref)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_inequality_test():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import erf
 
 from respsim import (
@@ -78,6 +81,50 @@ def test_indicator_certificate_recorded():
     assert cert["global_min"] >= 0.0
     assert cert["global_max"] <= 1.0 + f.eps
     assert cert["grid_size"] >= 2 * f.degree + 1
+
+
+UNIFORM_FLOOR_GRID = np.linspace(-1.0, 1.0, 30001)
+UNIFORM_CONTRACT_GRID = np.linspace(-1.0, 1.0, 200001)
+
+
+@settings(max_examples=12, deadline=None)
+@given(center=st.floats(-0.6, 0.6), half_frac=st.floats(0.1, 1.0),
+       delta_frac=st.floats(0.05, 0.9), log_eps=st.floats(-4.0, -1.0))
+def test_indicator_holds_on_uniform_grids(center, half_frac, delta_frac,
+                                          log_eps):
+    """The certificate comes from Chebyshev-grid values alone; uniform
+    grids, an independent family of points, arbitrate.  The filter is >= 0
+    on 30 001 points and meets the three-region contract on 200 001."""
+    half = max(0.08, half_frac * (1.0 - abs(center)))
+    delta = max(0.06, delta_frac * half)
+    eps = 10.0 ** log_eps
+    a, b = center - half, center + half
+    f = build_indicator(a, b, delta, eps)
+    assert np.min(f.eval(UNIFORM_FLOOR_GRID)) >= 0.0
+    x = UNIFORM_CONTRACT_GRID
+    vals = f.eval(x)
+    inner = np.abs(x - center) <= half - delta
+    outer = np.abs(x - center) >= half + delta
+    assert np.min(vals[inner]) >= 1.0 - eps
+    if outer.any():
+        assert np.max(vals[outer]) <= eps
+    assert np.min(vals) >= 0.0
+    assert np.max(vals) <= 1.0 + eps
+
+
+def test_indicator_certifies_without_pointwise_evaluation(monkeypatch):
+    """Certification synthesizes values with one inverse DCT on an
+    FFT-friendly grid; pointwise Clenshaw (chebval) is never called."""
+    def tripwire(*args, **kwargs):
+        raise AssertionError("chebval called during build_indicator")
+
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", tripwire)
+    for a, b, delta, eps in ((-0.3, 0.3, 0.08, 1e-2), (0.2, 0.7, 0.05, 1e-3),
+                             (-0.02, 0.02, 0.004, 1e-3)):
+        f = build_indicator(a, b, delta, eps)
+        n_grid = f.certificate["grid_size"]
+        assert n_grid >= 8 * f.degree
+        assert next_fast_len(n_grid, real=True) == n_grid
 
 
 def test_indicator_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
 from respsim import (
+    DenseOperator,
     FermionOperator,
     InputError,
     PauliOperator,
@@ -86,6 +87,22 @@ def test_is_hermitian():
     op = FermionOperator(2, {((0, 1), (1, 0)): 1.0, ((1, 1), (0, 0)): 1.0})
     assert op.is_hermitian()
     assert not FermionOperator(2, {((0, 1),): 1.0}).is_hermitian()
+
+
+@pytest.mark.parametrize("kick", [2e-12, 2e-12j])
+@pytest.mark.parametrize("i, j", [(3, 150), (150, 3), (0, 199), (130, 67)])
+def test_dense_operator_rejects_small_asymmetry(i, j, kick):
+    """A 2e-12 defect in one off-diagonal element, in its real or its
+    imaginary part and on either side of the diagonal, fails the 1e-12
+    hermiticity check; the exactly hermitian matrix passes."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    a = a + a.conj().T
+    DenseOperator(a, hermitian=True)
+    a[i, j] += kick
+    DenseOperator(a)                              # unflagged: no check
+    with pytest.raises(InputError, match="not hermitian"):
+        DenseOperator(a, hermitian=True)
 
 
 def test_operator_validation_errors():
