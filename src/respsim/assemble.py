@@ -515,14 +515,13 @@ def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     cfg = BinSearchConfig(gamma=width, tau=0.004, overlap=0.3, max_depth=40,
                           span=_aligned_span(sd.alpha_shift, width))
     traces = {}
-    traces[3] = binary_search_nd(sd, chain3, 3, cfg, seed=seed)
+    traces[3] = binary_search_nd(sd, chain3, cfg, seed=seed)
     chains2 = {(i2, i3, i_tr): None, (i1, i_tr, i3): None}
     for k, ch in enumerate(chains2):
-        traces[("d2", ch)] = binary_search_nd(sd, ch, 2, cfg,
-                                              seed=seed + 1 + k)
+        traces[("d2", ch)] = binary_search_nd(sd, ch, cfg, seed=seed + 1 + k)
     chains1 = {(i_tr, i1): None, (i2, i3): None, (i3, i_tr): None}
     for k, ch in enumerate(chains1):
-        traces[("d1", ch)] = binary_search_1d(sd, (ch[1], ch[0]), cfg,
+        traces[("d1", ch)] = binary_search_nd(sd, ch, cfg,
                                               seed=seed + 11 + k)
     tables = {3: ResponseTable(order=3, margin=cfg.overlap * width),
               2: ResponseTable(order=2, margin=cfg.overlap * width),

@@ -4,7 +4,7 @@ The quantities being estimated are nested-window amplitudes of a dipole
 chain D_0 p(H) D_1 ... p(H) D_n with one eigenstate filter between
 consecutive dipoles; a first-order window sum
     d_[a,b] = sum_{excitation in [a,b)} d_out[0,j] d_in[j,0]
-is the depth-1 case.  A hypothetical device prepares the ground state,
+is the depth-1 case.  A hypothetical device starts in the ground state,
 applies the encoded chain with each filter p((H - E0 - w_c I)/s) and reads
 the ancilla of a Hadamard test: P(0) = (1 + Re v)/2 with
 v = <0|chain|0>/zeta.  Classically we have the eigensystem, so v is computed
@@ -23,16 +23,17 @@ Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
 bound alpha_shift that sets each filter's rescale, and the filter values at
 the eigenvalues all belong to it, so they live and die with one spectrum.
-Filter polynomials depend on no model: they are memoized process-wide on
-their shape (half-width, smoothing, eps in rescaled units), the first
-caller building each one, in a dict capped at FILTER_MEMO_CAP entries that
-evicts the oldest first.  Repeated searches over the same spectrum rebuild
-and re-evaluate nothing.
+A filter is needed only as its degree and its values at the eigenvalues:
+each one is built once per spectrum, evaluated, and only (degree, values)
+is kept in SpectralData.filter_values; the polynomial is dropped.  No
+filter state is held at module level, and repeated searches over the same
+spectrum rebuild and re-evaluate nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from collections import deque
@@ -44,65 +45,42 @@ from .chebfilter import build_indicator
 from .errors import InputError
 from .spectra import SpectralData
 
-FILTER_MEMO_CAP = 128
-_FILTER_MEMO = {}
-
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
 
 
 # ---------------------------------------------------------------------------
-# chain preparation (subnormalizations + eigensystem bundle)
+# per-spectrum filter values and chain subnormalization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Prep:
-    """Per-(spectrum, chain-axes) bundle used by channels and searches."""
+def _filter_values(sd: SpectralData, lo: float, hi: float, delta: float,
+                   eps: float):
+    """(degree, values at sd.eigenvalues) of the indicator filter for the
+    excitation window [lo, hi) with margin delta, kept in sd.filter_values.
 
-    sd: SpectralData
-    chain_axes: tuple        # (ax0, ..., axK) of the dipole chain
-    betas: tuple             # encoding subnorm per chain axis (0 -> 1.0)
-    zeta: float
-
-
-def prepare(sd: SpectralData, chain_axes) -> _Prep:
-    chain_axes = tuple(int(a) for a in chain_axes)
-    # a zero dipole gets the unit encoding
-    betas = tuple(sd.betas[ax] or 1.0 for ax in chain_axes)
-    return _Prep(sd, chain_axes, betas, math.prod(betas))
-
-
-def _cached_filter(half_y: float, delta_y: float, eps: float):
-    key = (round(half_y, 12), round(delta_y, 12), float(eps))
-    filt = _FILTER_MEMO.get(key)
-    if filt is None:
-        filt = build_indicator(-half_y, half_y, delta_y, eps)
-        if len(_FILTER_MEMO) >= FILTER_MEMO_CAP:
-            del _FILTER_MEMO[next(iter(_FILTER_MEMO))]
-        _FILTER_MEMO[key] = filt
-    return key, filt
-
-
-def _rescale(prep: _Prep, wc: float) -> float:
-    """Encoding rescale for the shifted operator H - E0 - wc.
-
+    The filter acts on the shifted operator H - E0 - wc, rescaled by s.
     Excitation energies are certified to lie in [0, alpha_shift], so the
     shifted spectrum fits in [-s, s] with s = max(wc, alpha_shift - wc).
     Windows start at wc >= half-width > 0, hence s >= half-width always.
     The tight bound matters: the filter degree scales with s, and the
     generic alpha + |wc| would roughly double it.
     """
-    return max(wc, prep.sd.alpha_shift - wc)
+    wc = (lo + hi) / 2.0
+    h = (hi - lo) / 2.0
+    s = max(wc, sd.alpha_shift - wc)
+    key = (round(h / s, 12), round(delta / s, 12), float(eps),
+           round(wc, 12), round(s, 12))
+    hit = sd.filter_values.get(key)
+    if hit is None:
+        filt = build_indicator(-h / s, h / s, delta / s, eps)
+        vals = np.asarray(filt.eval((sd.eigenvalues - wc) / s), dtype=float)
+        hit = sd.filter_values[key] = (filt.degree, vals)
+    return hit
 
 
-def _filter_eigvals(sd: SpectralData, key, filt, center: float, scale: float
-                    ) -> np.ndarray:
-    ekey = key + (round(center, 12), round(scale, 12))
-    vals = sd.filter_values.get(ekey)
-    if vals is None:
-        y = (sd.eigenvalues - center) / scale
-        vals = np.asarray(filt.eval(y), dtype=float)
-        sd.filter_values[ekey] = vals
-    return vals
+def _zeta(sd: SpectralData, chain_axes) -> float:
+    """Subnormalization of the dipole chain: the product of its per-axis
+    encoding norms, a zero dipole getting the unit encoding."""
+    return math.prod(sd.betas[ax] or 1.0 for ax in chain_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +133,7 @@ def sample_hadamard(ch: HadamardChannel, shots: int, rng=None) -> float:
     return float(rng.binomial(shots, ch.p0)) / shots
 
 
-def _box_channel(prep: _Prep, windows, deltas, eps: float):
+def _box_channel(sd: SpectralData, chain_axes, windows, deltas, eps: float):
     """Channel for a depth-n box (a 1-D window is the depth-1 box): nested
     filters, ground zeroed at every depth (the classical subtraction applied
     once per nesting level).
@@ -163,29 +141,23 @@ def _box_channel(prep: _Prep, windows, deltas, eps: float):
     Returns the channel and the uncorrected image u_raw of the chain, whose
     norm sets the amplification rounds.
     """
-    sd = prep.sd
-    axes = prep.chain_axes
-    if len(axes) != len(windows) + 1:
+    if len(chain_axes) != len(windows) + 1:
         raise InputError("chain axes must be one longer than the box depth")
     degree = 0
-    u = sd.transition_dipoles[axes[-1]][:, 0].astype(complex)
+    u = sd.transition_dipoles[chain_axes[-1]][:, 0].astype(complex)
     u_raw = u.copy()
-    for ax, (lo, hi), delta in zip(axes[-2::-1], list(windows)[::-1],
+    for ax, (lo, hi), delta in zip(chain_axes[-2::-1], list(windows)[::-1],
                                    list(deltas)[::-1]):
-        wc = (lo + hi) / 2.0
-        h = (hi - lo) / 2.0
-        s = _rescale(prep, wc)
-        key, filt = _cached_filter(h / s, delta / s, eps)
-        pvals = _filter_eigvals(sd, key, filt, wc, s)
-        degree += filt.degree
+        deg, pvals = _filter_values(sd, lo, hi, delta, eps)
+        degree += deg
         u_raw = sd.transition_dipoles[ax] @ (u_raw * pvals)
         masked = pvals.copy()
         masked[0] = 0.0
         u = sd.transition_dipoles[ax] @ (u * masked)
-    v = complex(u[0]) / prep.zeta
-    g = complex(u_raw[0]) / prep.zeta - v
-    ch = HadamardChannel(value=v, ground_term=g, zeta=prep.zeta,
-                         degree=degree)
+    zeta = _zeta(sd, chain_axes)
+    v = complex(u[0]) / zeta
+    g = complex(u_raw[0]) / zeta - v
+    ch = HadamardChannel(value=v, ground_term=g, zeta=zeta, degree=degree)
     return ch, u_raw
 
 
@@ -374,43 +346,22 @@ def _split_box(box, nbins):
     box: tuple of (lo, hi) per axis; nbins: per-axis subdivision counts.
     Cells are ordered lexicographically by axis indices.
     """
-    axes_bins = []
-    widths = []
-    for (lo, hi), nb in zip(box, nbins):
-        w = (hi - lo) / nb
-        widths.append(w)
-        axes_bins.append([(lo + i * w, lo + (i + 1) * w) for i in range(nb)])
-    cells = [()]
-    for bins_d in axes_bins:
-        cells = [c + (b,) for c in cells for b in bins_d]
-    return cells, widths
-
-
-def _cell_index_tuple(flat_index, nbins):
-    idx = []
-    for nb in reversed(nbins):
-        idx.append(flat_index % nb)
-        flat_index //= nb
-    return tuple(reversed(idx))
+    widths = [(hi - lo) / nb for (lo, hi), nb in zip(box, nbins)]
+    axes_bins = [[(lo + i * w, lo + (i + 1) * w) for i in range(nb)]
+                 for (lo, _), nb, w in zip(box, nbins, widths)]
+    return list(itertools.product(*axes_bins)), widths
 
 
 def _adjacent_pair(i, j, nbins):
     """Axis along which flat cells i and j are face-adjacent, else None."""
-    ti = _cell_index_tuple(i, nbins)
-    tj = _cell_index_tuple(j, nbins)
-    axis = None
-    for d, (a, b) in enumerate(zip(ti, tj)):
-        if a != b:
-            if abs(a - b) == 1 and axis is None:
-                axis = d
-            else:
-                return None
-    return axis
+    diff = np.abs(np.subtract(np.unravel_index(i, nbins),
+                              np.unravel_index(j, nbins)))
+    return int(np.argmax(diff)) if diff.sum() == 1 else None
 
 
-def _search(sd: SpectralData, chain_axes, ndim: int,
-            config: BinSearchConfig, seed: int = 0) -> SearchTrace:
-    prep = prepare(sd, chain_axes)
+def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
+            seed: int = 0) -> SearchTrace:
+    ndim = len(chain_axes) - 1
     if config.span is None:
         span = (0.0, sd.alpha_shift)
     else:
@@ -439,8 +390,8 @@ def _search(sd: SpectralData, chain_axes, ndim: int,
         cells, widths = _split_box(box, nbins)
         ncells = len(cells)
         deltas = [config.overlap * w for w in widths]
-        channels = [_box_channel(prep, c, deltas, config.filter_eps)[0]
-                    for c in cells]
+        channels = [_box_channel(sd, chain_axes, c, deltas,
+                                 config.filter_eps)[0] for c in cells]
         base = 1.0 / (2.0 * ncells)
         level_counts = {}
         devs = []
@@ -550,22 +501,21 @@ def binary_search_1d(sd: SpectralData, axes, config: BinSearchConfig,
     (lo, hi) windows of width <= gamma.
     """
     ax_in, ax_out = axes
-    return _search(sd, (ax_out, ax_in), 1, config, seed=seed)
+    return _search(sd, (ax_out, ax_in), config, seed=seed)
 
 
-def binary_search_nd(sd: SpectralData, axes, depth_n: int,
-                     config: BinSearchConfig, seed: int = 0) -> SearchTrace:
-    """Search over depth_n-dimensional boxes with nested window filters.
+def binary_search_nd(sd: SpectralData, axes, config: BinSearchConfig,
+                     seed: int = 0) -> SearchTrace:
+    """Search over boxes of depth len(axes) - 1 with nested window filters.
 
-    axes is the dipole chain (one entry more than depth_n), ordered as in
-    nested window amplitudes: axes[0] couples the ground state to the first
-    (innermost) windowed index.
+    axes is the dipole chain, ordered as in nested window amplitudes:
+    axes[0] couples the ground state to the first (innermost) windowed
+    index.  At least two axes (a depth-1 search) are needed.
     """
-    if depth_n < 1:
-        raise InputError("depth must be at least 1")
-    if len(tuple(axes)) != depth_n + 1:
-        raise InputError("need depth_n + 1 chain axes")
-    return _search(sd, tuple(axes), depth_n, config, seed=seed)
+    axes = tuple(axes)
+    if len(axes) < 2:
+        raise InputError("need at least two chain axes")
+    return _search(sd, axes, config, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +597,10 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     for (lo, hi), d in zip(windows, deltas):
         if not 0 < d < (hi - lo) / 2.0:
             raise InputError("delta must lie in (0, half-width)")
-    prep = prepare(sd, chain_axes)
-    zeta = prep.zeta
+    chain_axes = tuple(int(a) for a in chain_axes)
+    zeta = _zeta(sd, chain_axes)
     eps_f = min(eps / (2.0 * zeta), 0.4)
-    ch, u_raw = _box_channel(prep, windows, deltas, eps_f)
+    ch, u_raw = _box_channel(sd, chain_axes, windows, deltas, eps_f)
     rng = np.random.default_rng(seed)
     if method == "direct":
         eps_v = eps / (2.0 * math.sqrt(2.0) * zeta)
@@ -676,7 +626,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     shots = 2 * shots_per
     queries = ch.degree * shots * rounds
     return WindowEstimate(
-        window=tuple(windows), axes=prep.chain_axes,
+        window=tuple(windows), axes=chain_axes,
         value=d_hat, method=method, shots=shots, queries=queries,
         eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=ch.degree,
         rounds=rounds, delta=deltas[0], zeta=zeta)

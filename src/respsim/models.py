@@ -30,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .operators import validate_two_body_symmetry
-
-_TWO_BODY_IMAGES = (
-    (0, 1, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (3, 2, 1, 0),
-    (1, 0, 3, 2), (1, 3, 0, 2), (2, 0, 3, 1), (2, 3, 0, 1),
-)
+from .operators import TWO_BODY_IMAGES, validate_two_body_symmetry
 
 RANDOM_MODEL_CAP = 7  # spatial orbitals
 
@@ -131,7 +126,7 @@ def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec
     T = rng.normal(size=(n, n))
     T = (T + T.T) / 2
     V = rng.normal(size=(n, n, n, n)) * (0.5 / n)
-    V = sum(V.transpose(perm) for perm in _TWO_BODY_IMAGES) / 8.0
+    V = sum(V.transpose(perm) for perm in TWO_BODY_IMAGES) / 8.0
     d = rng.normal(size=(3, n, n))
     d = (d + d.transpose(0, 2, 1)) / 2
     Ts, Vs, ds = spatial_to_spin(T, V, d)
@@ -224,7 +219,7 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
             raise InputError(f"{path}:{lineno}: mixed zero/nonzero indices")
         else:
             entry = (i - 1, j - 1, k - 1, l - 1)
-            for perm in _TWO_BODY_IMAGES:
+            for perm in TWO_BODY_IMAGES:
                 V[tuple(entry[a] for a in perm)] = val
     dip = np.zeros((3, norb, norb))
     missing = dipole_path is None
@@ -270,7 +265,7 @@ def write_fcidump_like(model: ModelSpec, path, dipole_path=None):
         idx = tuple(int(x) for x in idx)
         if idx in seen:
             continue
-        seen.update(tuple(idx[a] for a in perm) for perm in _TWO_BODY_IMAGES)
+        seen.update(tuple(idx[a] for a in perm) for perm in TWO_BODY_IMAGES)
         i, j, k, l = idx
         lines.append(f"{V[idx]:.17g}   {i + 1} {j + 1} {k + 1} {l + 1}")
     if model.nuclear_shift != 0.0:

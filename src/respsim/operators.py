@@ -36,8 +36,10 @@ from .errors import InputError, ResourceError
 PRUNE_TOL = 1e-14
 DEFAULT_MODE_CAP = 14
 
-# index permutations whose invariance defines the two-body symmetry group
-_TWO_BODY_PERMS = (
+# the eight index permutations of the real-orbital two-body symmetry group,
+# identity first
+TWO_BODY_IMAGES = (
+    (0, 1, 2, 3),
     (3, 1, 2, 0),  # p <-> s
     (0, 2, 1, 3),  # q <-> r
     (3, 2, 1, 0),  # both
@@ -240,7 +242,7 @@ def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
 
 def validate_two_body_symmetry(V: np.ndarray, tol: float = 1e-10):
     """Check the eight-fold real-orbital index symmetry of the V tensor."""
-    for perm in _TWO_BODY_PERMS:
+    for perm in TWO_BODY_IMAGES[1:]:
         dev = np.max(np.abs(V - V.transpose(perm)), initial=0.0)
         if dev > tol:
             raise InputError(

@@ -66,8 +66,9 @@ class SpectralData:
     since the electronic spectrum lies in [-alpha, alpha]; the measurement
     layer sizes its filter rescales and search span with it.  The nuclear
     shift moves no excitation energy and does not enter it.  filter_values
-    holds filter polynomials evaluated at the eigenvalues, filled by the
-    measurement layer and freed with the spectrum.
+    maps each filter the measurement layer used (window and shape) to its
+    (degree, values at the eigenvalues); it is filled by that layer and
+    freed with the spectrum.
     """
 
     eigenvalues: np.ndarray          # (M,)

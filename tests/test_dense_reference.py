@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dense_reference import dense_box_value, dense_filter
 from respsim import build_indicator, diagonalize, make_random_model
-from respsim.estimate import _box_channel, prepare
+from respsim.estimate import _box_channel
 
 
 def test_dense_filter_matches_eigendecomposition():
@@ -42,6 +42,6 @@ def test_box_channel_matches_dense_chain(data, n, seed, depth):
         windows.append((lo, lo + width))
         deltas.append(width * data.draw(st.floats(0.25, 0.45), label="ramp"))
     eps = 0.2
-    got = _box_channel(prepare(sd, axes), windows, deltas, eps)[0].value
+    got = _box_channel(sd, axes, windows, deltas, eps)[0].value
     want = dense_box_value(model, sd, axes, windows, deltas, eps)
     assert abs(got - want) <= 1e-9 * abs(want) + 1e-15

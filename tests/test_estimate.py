@@ -1,6 +1,8 @@
 """Measurement simulation: Hadamard channels, bin search, window estimates."""
 
+import copy
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -25,12 +27,12 @@ from respsim import (
     lcu_hadamard_distribution,
     lcu_one_norm,
     nested_window_amplitude,
+    run_pipeline,
     sample_hadamard,
     window_amplitude,
 )
 from respsim import estimate as estimate_mod
-from respsim.estimate import (FILTER_MEMO_CAP, P0_SLACK, LcuDistribution,
-                              prepare)
+from respsim.estimate import P0_SLACK, LcuDistribution
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
@@ -74,8 +76,8 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
     # the channel's amplitude is the ground-masked filtered dipole sandwich
     # over zeta, and the filter passes the bright line at weight ~1
     window, delta = (4.35, 4.55), 0.05
-    ch, _ = estimate_mod._box_channel(prepare(dimer_sd, (0, 0)), [window],
-                                      [delta], 1e-3)
+    ch, _ = estimate_mod._box_channel(dimer_sd, (0, 0), [window], [delta],
+                                      1e-3)
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
     assert abs(ch.value - want) <= 1e-9 * abs(want)
     assert ch.zeta == 1.0
@@ -254,7 +256,7 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
     # the only bright depth-2 box on the dimer has amplitude -0.179: the
     # two-quadrature deviation score must still flag it
     cfg = BinSearchConfig(gamma=0.2, tau=0.004, span=(0.0, 6.4))
-    trace = binary_search_nd(dimer_sd, (0, 0, 0), 2, cfg, seed=5)
+    trace = binary_search_nd(dimer_sd, (0, 0, 0), cfg, seed=5)
     assert trace.dims == 2
     assert trace.found
     hit = [box for box in trace.peaks
@@ -266,10 +268,9 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
 
 def test_search_nd_validation(dimer_sd):
     cfg = BinSearchConfig(gamma=0.2)
-    with pytest.raises(InputError):
-        binary_search_nd(dimer_sd, (0, 0), 0, cfg)
-    with pytest.raises(InputError):
-        binary_search_nd(dimer_sd, (0, 0), 2, cfg)
+    for axes in ((), (0,)):
+        with pytest.raises(InputError):
+            binary_search_nd(dimer_sd, axes, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +371,7 @@ def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
 
 
 # ---------------------------------------------------------------------------
-# what the spectrum owns, and the process-wide filter memo
+# what the spectrum owns, and what a run leaves behind
 # ---------------------------------------------------------------------------
 
 def test_fresh_spectrum_gives_identical_estimate(dimer, dimer_sd):
@@ -396,9 +397,7 @@ def test_spectrum_carries_lcu_one_norms(request, names):
     if names[0] == "dimer":
         # only the x dipole is set: y and z encode with unit subnorm
         assert sd.betas[1:] == (0.0, 0.0)
-        prep = prepare(sd, (1, 0, 2))
-        assert prep.betas == (1.0, sd.betas[0], 1.0)
-        assert prep.zeta == sd.betas[0]
+        assert estimate_mod._zeta(sd, (1, 0, 2)) == sd.betas[0]
 
 
 @pytest.mark.parametrize("names", [("dimer", "dimer_sd"),
@@ -423,24 +422,18 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
                             seed=2).as_dict() == ref_box
 
 
-def test_filter_memo_evicts_oldest_at_cap(monkeypatch):
-    built = []
+def test_a_run_leaves_no_module_state_behind(dimer):
+    # filters and their values belong to one spectrum: a pipeline run at a
+    # gamma no other test uses must leave every module-level container of
+    # the package as it found it
+    def snapshot():
+        return {(mod_name, name): copy.copy(value)
+                for mod_name, mod in list(sys.modules.items())
+                if mod_name == "respsim" or mod_name.startswith("respsim.")
+                for name, value in vars(mod).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))}
 
-    def fake_build(lo, hi, delta, eps):
-        built.append(hi)
-        return hi
-
-    monkeypatch.setattr(estimate_mod, "_FILTER_MEMO", {})
-    monkeypatch.setattr(estimate_mod, "build_indicator", fake_build)
-    keys = [estimate_mod._cached_filter(0.1 + 1e-3 * k, 0.01, 1e-2)[0]
-            for k in range(FILTER_MEMO_CAP + 1)]
-    memo = estimate_mod._FILTER_MEMO
-    assert len(memo) == FILTER_MEMO_CAP
-    assert list(memo) == keys[1:]
-    # a hit builds nothing; a rebuilt evictee pushes out the next oldest
-    estimate_mod._cached_filter(0.1 + 1e-3, 0.01, 1e-2)
-    assert len(built) == FILTER_MEMO_CAP + 1
-    estimate_mod._cached_filter(0.1, 0.01, 1e-2)
-    assert len(built) == FILTER_MEMO_CAP + 2
-    assert len(memo) == FILTER_MEMO_CAP
-    assert list(memo) == keys[2:] + keys[:1]
+    before = snapshot()
+    run_pipeline(dimer, gamma=0.137, seed=0, method="exact")
+    assert snapshot() == before

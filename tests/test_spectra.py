@@ -127,14 +127,15 @@ def test_diagonalize_enforces_mode_cap():
 
 def test_random_models_up_to_the_cap_diagonalize_quickly():
     """5..7 spatial orbitals (7 fills the 14-mode cap) at four electrons,
-    under 20 s in total."""
-    t0 = time.monotonic()
+    under 20 s of process CPU time in total (CPU time, so that other load
+    on the host does not count against the budget)."""
+    t0 = time.process_time()
     for n in (5, 6, 7):
         sd = diagonalize(make_random_model(n, 4, seed=n))
         assert sd.n_states == math.comb(2 * n, 4)
         assert sd.eigenvectors.shape == (sd.n_states, sd.n_states)
         assert np.isfinite(sd.alpha) and np.all(np.isfinite(sd.betas))
-    assert time.monotonic() - t0 < 20.0
+    assert time.process_time() - t0 < 20.0
 
 
 # ---------------------------------------------------------------------------
