@@ -157,8 +157,8 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     same window (for hermitian dipoles the swap equals the conjugate,
     which is used as fallback when the swapped entry is absent).
     """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InputError("gamma must be positive and finite")
     if table.depth != 1:
         raise InputError("first-order assembly needs a depth-1 table")
     if not table.entries:
@@ -207,8 +207,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     lower-depth amplitudes with the pinned centre frequency set to zero,
     multiplied by the ground-state dipole moments `ground_dipoles`.
     """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InputError("gamma must be positive and finite")
     for depth in (1, 2, 3):
         if depth not in tables or not tables[depth].entries:
             raise InputError(f"missing nesting depth {depth} in tables")
@@ -412,13 +412,18 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
     estimation window, default gamma/8.  A model with a zero Hamiltonian
-    (alpha = 0) or eps outside (0, 1) raises InputError before any search.
+    (alpha = 0), eps outside (0, 1), or a gamma, window_width or grid
+    point that is not finite (gamma and window_width must also be
+    positive) raises InputError before any search.
     Returns a dict of results; writes CSV/JSON files when out_dir is set.
     """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InputError("gamma must be positive and finite")
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
+    if window_width is not None and not (math.isfinite(window_width)
+                                         and window_width > 0):
+        raise InputError("window_width must be positive and finite")
     if order not in (1, 3):
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
@@ -431,6 +436,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if grid is None:
         grid = np.linspace(0.0, 1.2 * lam_max, 121)
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise InputError("grid frequencies must be finite")
 
     if order == 1:
         ax_out, ax_in = axes

@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import gc
+import math
 import os
 import sys
 
@@ -70,6 +72,8 @@ def _parse_grid(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad --grid value: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError("--grid bounds must be finite")
     if not lo < hi or n < 2:
         raise InputError("--grid needs lo < hi and n >= 2")
     return np.linspace(lo, hi, n)
@@ -106,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()   # one-shot run: what is imported by now lives until exit
     args = build_parser().parse_args(argv)
     try:
         if args.toy:

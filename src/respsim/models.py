@@ -59,10 +59,18 @@ class ModelSpec:
             raise InputError(f"V shape {self.V.shape} inconsistent with N={n}")
         if self.dipole.shape != (3, n, n):
             raise InputError(f"dipole shape {self.dipole.shape} != (3, {n}, {n})")
+        _require_finite(T=self.T, V=self.V, dipole=self.dipole,
+                        nuclear_shift=self.nuclear_shift)
         if not 0 <= self.n_electrons <= n:
             raise InputError(
                 f"electron count {self.n_electrons} outside [0, {n}]"
             )
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise InputError(f"{name} has non-finite entries")
 
 
 def spatial_to_spin(T_spat, V_spat, dipole_spat):
@@ -74,6 +82,8 @@ def spatial_to_spin(T_spat, V_spat, dipole_spat):
     T_spat = np.asarray(T_spat, dtype=float)
     V_spat = np.asarray(V_spat, dtype=float)
     dipole_spat = np.asarray(dipole_spat, dtype=float)
+    # before np.kron turns an inf into a warning about inf * 0
+    _require_finite(T=T_spat, V=V_spat, dipole=dipole_spat)
     n = T_spat.shape[0]
     eye2 = np.eye(2)
     T = np.kron(T_spat, eye2)

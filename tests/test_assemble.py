@@ -1,6 +1,7 @@
 """Response assembly from binned estimates, cost reports, pipeline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,8 +115,9 @@ def test_assemble_alpha1_uses_swapped_axes_entry():
 def test_assemble_alpha1_validation():
     t = ResponseTable(order=1)
     t.add({"axes": (0, 0), "window": (1.0, 2.0), "value": 0.1})
-    with pytest.raises(InputError):
-        assemble_alpha1(t, [1.0], 0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            assemble_alpha1(t, [1.0], gamma)
     with pytest.raises(InputError):
         assemble_alpha1(ResponseTable(order=1), [1.0], 0.1)
     t2 = ResponseTable(order=2)
@@ -154,8 +156,9 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 
 def test_assemble_alpha3_validation(dimer_sd):
     tabs, gd = oracle_tables(dimer_sd, (0, 0, 0, 0), width=0.05)
-    with pytest.raises(InputError):
-        assemble_alpha3(tabs, [(1.0, 0.2, 0.3)], 0.0, ground_dipoles=gd)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            assemble_alpha3(tabs, [(1.0, 0.2, 0.3)], gamma, ground_dipoles=gd)
     with pytest.raises(InputError):
         assemble_alpha3({3: tabs[3], 2: tabs[2], 1: ResponseTable(order=1)},
                         [(1.0, 0.2, 0.3)], 0.1, ground_dipoles=gd)
@@ -357,3 +360,14 @@ def test_pipeline_validation(dimer):
         run_pipeline(dimer, gamma=0.1, mode="dream")
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.1, order=3, axes=(0, 0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gamma": math.nan}, {"gamma": math.inf},
+    {"grid": [0.0, 1.0, math.inf]}, {"grid": [math.nan, 1.0]},
+    {"window_width": math.nan}, {"window_width": math.inf},
+    {"window_width": 0.0}, {"window_width": -0.01},
+], ids=repr)
+def test_pipeline_rejects_non_finite_inputs(dimer, kwargs):
+    with pytest.raises(InputError):
+        run_pipeline(dimer, **{"gamma": 0.2, "method": "exact", **kwargs})

@@ -59,6 +59,9 @@ def test_parse_grid():
         _parse_grid("0:5:1")
     with pytest.raises(InputError):
         _parse_grid("a:b:c")
+    for text in ("0:inf:5", "-inf:1:5", "nan:1:5", "0:nan:5"):
+        with pytest.raises(InputError, match="finite|lo < hi"):
+            _parse_grid(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,3 +134,37 @@ def test_main_rejects_zero_hamiltonian_and_bad_eps(mode, monkeypatch,
     for eps in ("0", "1", "-0.1"):
         assert main(["--toy", "hubbard", "--eps", eps, mode]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--toy", "hubbard", "--gamma", "nan", "--oracle-only"],
+    ["--toy", "hubbard", "--gamma", "inf", "--oracle-only"],
+    ["--toy", "hubbard", "--gamma", "nan", "--simulate"],
+    ["--toy", "hubbard", "--gamma", "inf", "--simulate"],
+    ["--toy", "hubbard", "--grid", "0:inf:5", "--oracle-only"],
+    ["--toy", "hubbard", "--grid", "nan:1:5", "--oracle-only"],
+    ["--toy", "hubbard:t=nan", "--oracle-only"],
+    ["--toy", "hubbard:t=-inf", "--oracle-only"],
+    ["--toy", "hubbard:U=inf", "--oracle-only"],
+    ["--toy", "hubbard:d=nan", "--oracle-only"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_main_rejects_non_finite_inputs(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, line", [
+    ("ints", "nan   1 1 0 0"), ("ints", "-inf   0 0 0 0"),
+    ("dip", "x inf 1 2")])
+def test_main_rejects_non_finite_model_files(which, line, tmp_path, capsys):
+    files = {"ints": tmp_path / "ints.txt", "dip": tmp_path / "dip.txt"}
+    write_fcidump_like(make_hubbard_dimer(1.0, 2.0, 0.5), files["ints"],
+                       dipole_path=files["dip"])
+    files[which].write_text(files[which].read_text() + line + "\n")
+    assert main(["--model", str(files["ints"]), "--dipole",
+                 str(files["dip"]), "--oracle-only"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

@@ -1,11 +1,14 @@
 """Smoothed-indicator polynomial construction and certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.special import erf
+from scipy.integrate import quad
+from scipy.special import erf, erfc
 
 from respsim import (
     ChebyshevFilter,
@@ -41,6 +44,14 @@ def test_choose_k_validation():
         choose_k(0.1, 0.9)           # beyond the tail-bound validity range
     with pytest.raises(InputError):
         choose_k(0.1, 0.0)
+
+
+@pytest.mark.parametrize("delta, eps", [
+    (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1),
+    (0.1, math.nan), (0.1, math.inf)])
+def test_choose_k_rejects_non_finite(delta, eps):
+    with pytest.raises(InputError):
+        choose_k(delta, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +176,41 @@ def test_jump_error_cut_and_validation():
         jump_error_integral(0.5, eps_cut=-0.1)
     with pytest.raises(InputError):
         jump_error_integral(0.5, eps_cut=0.5)
+
+
+@pytest.mark.parametrize("delta, eps_cut", [
+    (math.inf, 0.0), (math.nan, 0.0), (0.5, math.nan), (0.5, math.inf),
+    (math.inf, 1.0)])
+def test_jump_error_rejects_non_finite(delta, eps_cut):
+    with pytest.raises(InputError):
+        jump_error_integral(delta, eps_cut)
+
+
+def _ramp_quadrature(delta, eps_cut):
+    return quad(lambda x: erfc(x / delta), eps_cut, delta)[0]
+
+
+# quad warns about "bad integrand behavior" on a ramp cut a few ulps short
+# of delta; its value there still agrees to 1e-13
+quad_may_warn = pytest.mark.filterwarnings(
+    "ignore::scipy.integrate.IntegrationWarning")
+
+
+@quad_may_warn
+@settings(max_examples=200, deadline=None)
+@given(log_delta=st.floats(-4.0, 2.0), data=st.data())
+def test_jump_error_matches_quadrature(log_delta, data):
+    delta = 10.0 ** log_delta
+    eps_cut = data.draw(st.floats(0.0, delta, exclude_max=True))
+    assert jump_error_integral(delta, eps_cut) == pytest.approx(
+        _ramp_quadrature(delta, eps_cut), rel=1e-10, abs=0.0)
+
+
+@quad_may_warn
+@pytest.mark.parametrize("delta", [1e-4, 0.37, 85.0])
+@pytest.mark.parametrize("rest", [3e-3, 1e-3, 1e-5, 1e-8, 1e-12, 0.0])
+def test_jump_error_near_the_cut_matches_quadrature(delta, rest):
+    # the closed form cancels as eps_cut -> delta; rest = 0 is one ulp short
+    eps_cut = min(delta * (1.0 - rest), np.nextafter(delta, 0.0))
+    assert jump_error_integral(delta, eps_cut) == pytest.approx(
+        _ramp_quadrature(delta, eps_cut), rel=1e-10, abs=0.0)

@@ -1,8 +1,12 @@
 """Import layering and public exports of the package (imports read from
-the source with ``ast``)."""
+the source with ``ast``), and the import graph of a cold CLI start."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +67,18 @@ def test_public_names_resolve_once():
     names = respsim.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(respsim, n)] == []
+
+
+def test_cli_start_leaves_heavy_scipy_unloaded():
+    # every CLI run is a fresh process, so what `import respsim.cli` pulls
+    # in is paid on each call; the package needs scipy.fft and
+    # scipy.special only
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.linalg", "scipy.spatial"]
+    probe = ("import json, sys, respsim.cli; "
+             f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert json.loads(out.stdout) == []

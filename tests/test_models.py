@@ -92,6 +92,20 @@ def test_modelspec_validation():
         ModelSpec(**{**good, "n_electrons": 5})
 
 
+@pytest.mark.parametrize("field", ["T", "V", "dipole", "nuclear_shift"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_modelspec_rejects_non_finite(field, bad):
+    n = 2
+    spec = dict(n_orbitals=n, n_electrons=1, T=np.zeros((n, n)),
+                V=np.zeros((n, n, n, n)), dipole=np.zeros((3, n, n)))
+    if field == "nuclear_shift":
+        spec[field] = bad
+    else:
+        spec[field].flat[-1] = bad
+    with pytest.raises(InputError, match=f"{field} has non-finite"):
+        ModelSpec(**spec)
+
+
 def test_file_round_trip(tmp_path):
     m = make_random_model(2, 2, seed=9)
     path = tmp_path / "ints.txt"
