@@ -23,11 +23,27 @@ Conventions used throughout the package:
   P_a P_b = i^k P_(xa^xb, za^zb) with
   k = |xa&za| + |xb&zb| + 2|za&xb| - |x&z| (mod 4), and a string maps
   basis state b to b^x with amplitude i^{|x&z|} (-1)^{|z&b|}.
+* The Jordan-Wigner map runs on integer bit-mask arrays, with no Python
+  loop over terms, and gives the same bits as multiplying each term's
+  ladder images as dicts and adding them into one dict (that reference
+  lives in tests/pauli_reference.py).  Terms go in fixed-size blocks, one
+  ladder count at a time, on (terms x 2^j) arrays: each ladder factor
+  splits every string into its image's two strings, equal strings of a
+  term merge into the first of them, and strings at or below PRUNE_TOL
+  drop, after every factor.  The products then enter one running sum in
+  term order.  Order rule: a string whose sum falls to |s| <= PRUNE_TOL
+  leaves the sum and re-enters at the position of its next contribution,
+  so strings come out in the order they last entered the sum.  Only the
+  order of additions can move a bit: every product is exact (factors
+  +-1/2, +-i/2 and powers of i), and every sum starts from 0j, so a zero
+  component always comes out as +0.0.  One-norms sum |c| in that order,
+  one term after the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -35,6 +51,15 @@ from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
 DEFAULT_MODE_CAP = 14
+# largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
+# entries, 256 MiB
+FULL_SPACE_MODE_CAP = 12
+# terms multiplied at once by jordan_wigner, and matrix entries filled at
+# once by PauliOperator.dense; both bound temporaries, not results
+_JW_BLOCK = 256
+_DENSE_BLOCK = 1 << 14
+# jordan_wigner keys a string on n qubits as x << n | z in an int64
+_KEY_MODE_CAP = 31
 
 # the eight index permutations of the real-orbital two-body symmetry group,
 # identity first
@@ -185,9 +210,9 @@ class FermionOperator:
         keys = set(a) | set(b)
         return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= tol for k in keys)
 
-    def dense(self, mode_cap: int = DEFAULT_MODE_CAP) -> DenseOperator:
+    def dense(self, mode_cap: int = FULL_SPACE_MODE_CAP) -> DenseOperator:
         """Occupation-basis matrix built directly from ladder-operator action
-        (no qubit mapping involved)."""
+        (no qubit mapping involved); refused above ``mode_cap`` modes."""
         n = self.n_modes
         if n > mode_cap:
             raise ResourceError(f"{n} modes exceeds the dense cap of {mode_cap}")
@@ -220,6 +245,21 @@ class FermionOperator:
         return DenseOperator(mat, hermitian=herm)
 
 
+def _ladder_sum(tensor: np.ndarray, daggers: tuple) -> FermionOperator:
+    """sum tensor[p, q, ...] a_p^d0 a_q^d1 ... over the entries above
+    PRUNE_TOL, filled in one pass in np.nonzero (row-major) order, on
+    shape[0] modes."""
+    n = tensor.shape[0]
+    index = np.nonzero(np.abs(tensor) > PRUNE_TOL)
+    if index[0].size and max(int(i.max()) for i in index) >= n:
+        raise InputError(f"mode index out of range [0, {n})")
+    actions = zip(*(zip(i.tolist(), repeat(d))
+                    for i, d in zip(index, daggers)))
+    op = FermionOperator(n)
+    op.terms = dict(zip(actions, map(complex, tensor[index].tolist())))
+    return op
+
+
 def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
     """H = sum T[p,q] a_p^dag a_q + sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s."""
     T = np.asarray(T, dtype=float)
@@ -232,12 +272,9 @@ def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
     if np.max(np.abs(T - T.T), initial=0.0) > 1e-10:
         raise InputError("one-body matrix T is not symmetric to 1e-10")
     validate_two_body_symmetry(V)
-    op = FermionOperator(n)
-    for p, q in zip(*np.nonzero(np.abs(T) > PRUNE_TOL)):
-        op._add(((p, 1), (q, 0)), T[p, q])
-    for p, q, r, s in zip(*np.nonzero(np.abs(V) > PRUNE_TOL)):
-        op._add(((p, 1), (q, 1), (r, 0), (s, 0)), V[p, q, r, s])
-    return op.prune()
+    op = _ladder_sum(T, (1, 0))
+    op.terms.update(_ladder_sum(V, (1, 1, 0, 0)).terms)
+    return op
 
 
 def validate_two_body_symmetry(V: np.ndarray, tol: float = 1e-10):
@@ -257,10 +294,7 @@ def build_dipole(d_axis: np.ndarray) -> FermionOperator:
         raise InputError("dipole matrix must be square")
     if np.max(np.abs(d - d.T), initial=0.0) > 1e-10:
         raise InputError("dipole matrix is not symmetric to 1e-10")
-    op = FermionOperator(d.shape[0])
-    for p, q in zip(*np.nonzero(np.abs(d) > PRUNE_TOL)):
-        op._add(((p, 1), (q, 0)), d[p, q])
-    return op.prune()
+    return _ladder_sum(d, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +306,19 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _WORD_CHAR = {"00": "I", "10": "X", "11": "Y", "01": "Z"}
+# the same tables as arrays: i**k, the word byte of 2x + z, and the x and z
+# bit of a word byte
+_I_POW_ARRAY = np.array(_I_POW)
+_WORD_BYTES = np.frombuffer(b"IZXY", dtype=np.uint8)
+_X_OF = np.zeros(128, dtype=np.int64)
+_X_OF[[ord("X"), ord("Y")]] = 1
+_Z_OF = np.zeros(128, dtype=np.int64)
+_Z_OF[[ord("Y"), ord("Z")]] = 1
+# the two strings of a ladder image: child t, and its coefficients for an
+# annihilator and a creator
+_CHILD = np.array([0, 1])
+_LADDER = np.array([0.5 + 0j, 0.5j])
+_LADDER_DAG = np.array([0.5 + 0j, -0.5j])
 
 
 def _masks(word: str) -> tuple[int, int]:
@@ -352,13 +399,20 @@ class PauliOperator:
         """Matrix of the operator, or its block on the given basis states.
 
         Term (x, z) with coefficient c sends basis state b to b ^ x with
-        amplitude c * i**|x & z| * (-1)**|z & b|; entries accumulate in term
-        order.  ``states`` lists distinct basis-state integers; only rows and
-        columns among them are filled, in that order, so a particle-number
-        sector never needs the full 2^n x 2^n matrix.
+        amplitude c * i**|x & z| * (-1)**|z & b|.  ``states`` lists distinct
+        basis-state integers; only rows and columns among them are filled,
+        in that order, so a particle-number sector never needs the full
+        2^n x 2^n matrix.  Terms go a (terms x states) batch at a time, and
+        np.add.at accumulates each entry in term order.  The full matrix
+        (no ``states``) is refused above FULL_SPACE_MODE_CAP qubits.
         """
-        dim = 1 << self.n_qubits
+        n = self.n_qubits
+        dim = 1 << n
         if states is None:
+            if n > FULL_SPACE_MODE_CAP:
+                raise ResourceError(
+                    f"{n} qubits exceeds the full-space cap of "
+                    f"{FULL_SPACE_MODE_CAP}")
             cols = np.arange(dim, dtype=np.int64)
         else:
             cols = np.asarray(states, dtype=np.int64)
@@ -369,50 +423,188 @@ class PauliOperator:
         m = cols.size
         pos = np.full(dim, -1, dtype=np.int64)
         pos[cols] = np.arange(m)
-        idx = np.arange(m)
+        words = list(self.terms)
+        codes = np.frombuffer("".join(words).encode("ascii"),
+                              dtype=np.uint8).reshape(len(words), n)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        x, z = _X_OF[codes] @ weights, _Z_OF[codes] @ weights
+        c = np.fromiter(self.terms.values(), dtype=complex, count=len(words))
+        v = (c * _I_POW_ARRAY[np.bitwise_count(x & z) & 3])[:, None]
         mat = np.zeros((m, m), dtype=complex)
-        for s, c in self.terms.items():
-            x, z = _masks(s)
-            rows = pos[cols ^ x]
+        flat = mat.reshape(-1)
+        step = max(1, _DENSE_BLOCK // max(m, 1))
+        for lo in range(0, len(words), step):
+            hi = lo + step
+            rows = pos[cols ^ x[lo:hi, None]]
             hit = rows >= 0
-            v = c * _I_POW[(x & z).bit_count() & 3]
-            odd = (np.bitwise_count(cols[hit] & z) & 1).astype(bool)
-            mat[rows[hit], idx[hit]] += np.where(odd, -v, v)
+            odd = (np.bitwise_count(cols & z[lo:hi, None]) & 1).astype(bool)
+            np.add.at(flat, (rows * m + np.arange(m))[hit],
+                      np.where(odd, -v[lo:hi], v[lo:hi])[hit])
         herm = all(abs(c.imag) < 1e-12 for c in self.terms.values())
         return DenseOperator(mat, hermitian=herm)
 
 
-def _jw_ladder(p: int, dagger: int, n: int) -> dict:
-    """Mask-keyed JW image of one ladder operator: (Z...Z)(X -/+ iY)/2 at
-    mode p."""
-    bit = 1 << (n - 1 - p)
-    zs = ((1 << n) - 1) ^ ((bit << 1) - 1)  # Z on qubits 0..p-1
-    return {(bit, zs): 0.5 + 0j, (bit, zs | bit): -0.5j if dagger else 0.5j}
+def _ladder_products(n: int, modes: np.ndarray, daggers: np.ndarray,
+                     coeffs: np.ndarray) -> tuple:
+    """JW images of B terms of equal length j, on (B, 2**j) arrays.
+
+    modes and daggers are (B, j), coeffs (B,).  Column by column, each slot
+    (z, c) of a row splits into the ladder image's two strings, (bit, zs)
+    with 1/2 and (bit, zs | bit) with -/+ i/2: z ^ zs or z ^ zs ^ bit, and
+    c * cb * i**k.  The x mask is one per row.  Slot 2s + t is the t-th
+    child of slot s, so slot order is the dict's visiting order.  Equal
+    strings of a row then merge into their first slot, summed in slot order
+    (np.add.at), and every slot at or below PRUNE_TOL leaves ``live``.  Two
+    strings of a row can only meet at a mode the term already had, so at a
+    mode new to every row there is nothing to merge.  Returns
+    (keys x << n | z, coefficients, live), each (B, 2**j).
+    """
+    b = len(coeffs)
+    x = np.zeros((b, 1, 1), dtype=np.int64)
+    z = np.zeros((b, 1), dtype=np.int64)
+    xz = np.zeros((b, 1), dtype=np.int64)  # |x & z| of each slot
+    c = coeffs[:, None]
+    live = np.hypot(c.real, c.imag) > PRUNE_TOL
+    row = (np.arange(b, dtype=np.int64) << n)[:, None, None]
+    for col in range(modes.shape[1]):
+        shift = (n - 1 - modes[:, col])[:, None]
+        bit = (1 << shift)[..., None]
+        zs = ((1 << n) - 1) ^ ((bit << 1) - 1)  # Z on the qubits before
+        # k = |x & z| + |xb & zb| + 2|z & xb| - |x' & z'| (mod 4), with
+        # |xb & zb| = t for child t
+        k = (xz + 2 * ((z >> shift) & 1))[..., None] + _CHILD
+        x = x ^ bit
+        zt = z[..., None] ^ zs ^ bit * _CHILD  # (B, W, 2): child t of slot
+        xz = np.bitwise_count(x & zt)
+        k = (k - xz) & 3
+        phase = c[..., None] * np.where(daggers[:, col, None, None],
+                                        _LADDER_DAG, _LADDER)
+        phase = (phase * _I_POW_ARRAY[k]).ravel()
+        w = 2 * z.shape[1]
+        z, xz = zt.reshape(b, w), xz.reshape(b, w)
+        live = np.repeat(live, 2, axis=1).ravel()
+        if (modes[:, :col] == modes[:, col, None]).any():
+            at = np.flatnonzero(live)
+            _, first, inv = np.unique((zt + row).ravel()[at],
+                                      return_index=True, return_inverse=True)
+            sums = np.zeros(first.size, dtype=complex)
+            np.add.at(sums, inv, phase[at])
+            c = np.zeros(b * w, dtype=complex)
+            c[at[first]] = sums
+            live[:] = False
+            live[at[first]] = True
+        else:
+            c = phase
+        live &= np.hypot(c.real, c.imag) > PRUNE_TOL
+        c, live = c.reshape(b, w), live.reshape(b, w)
+    return x[:, :, 0] << n | z, c, live
+
+
+def _term_images(op: FermionOperator) -> tuple:
+    """Every term's JW image as one contribution list (keys, coefficients),
+    in term order and, within a term, in the dict's insertion order.
+
+    Terms go _JW_BLOCK at a time and, within a block, one length at a
+    time; a block's contributions are put back in (term, slot) order.
+    """
+    n = op.n_modes
+    actions = list(op.terms)
+    lengths = np.fromiter(map(len, actions), dtype=np.intp,
+                          count=len(actions))
+    ladders = np.fromiter(chain.from_iterable(chain.from_iterable(actions)),
+                          dtype=np.int64, count=2 * int(lengths.sum()))
+    ladders = ladders.reshape(-1, 2)
+    start = np.cumsum(lengths) - lengths
+    coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(actions))
+    keys, values = [], []
+    for lo in range(0, len(actions), _JW_BLOCK):
+        block = lengths[lo:lo + _JW_BLOCK]
+        width = 1 << int(block.max())
+        parts = []
+        for j in sorted(set(block.tolist())):
+            rows = lo + np.flatnonzero(block == j)
+            acts = ladders[start[rows, None] + np.arange(j)]
+            key, c, live = _ladder_products(n, acts[..., 0], acts[..., 1],
+                                            coeffs[rows])
+            r, s = np.nonzero(live)
+            parts.append((rows[r] * width + s, key[r, s], c[r, s]))
+        pos, key, c = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(pos, kind="stable")
+        keys.append(key[order])
+        values.append(c[order])
+    if not keys:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _running_total(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """Sum contributions into the dict's running total, key by key.
+
+    Contribution i adds values[i] to its key's sum s (0j when the key is
+    out of the sum); |s| <= PRUNE_TOL takes the key out, and a key that
+    (re-)enters the sum takes position i.  A key occurs at most once per
+    occurrence rank, so one fancy-indexed update per rank applies every
+    key's additions in contribution order.  Temporaries go as soon as they
+    are spent, which bounds the peak.  Returns (keys, sums) in the order of
+    the keys' positions.
+    """
+    out = keys.size  # the position of a key out of the sum
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(out, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    unique = ranked[new]
+    del ranked
+    kid = np.cumsum(new) - 1
+    rank = np.arange(out) - np.flatnonzero(new)[kid]
+    del new
+    by_rank = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank))
+    del rank
+    kid, src = kid[by_rank], order[by_rank]
+    del order, by_rank
+    values = values[src]
+    sums = np.zeros(unique.size, dtype=complex)
+    entry = np.full(unique.size, out)
+    lo = 0
+    for hi in ends:
+        ids = kid[lo:hi]
+        s = sums[ids] + values[lo:hi]
+        keep = np.hypot(s.real, s.imag) > PRUNE_TOL
+        sums[ids] = np.where(keep, s, 0)
+        entry[ids] = np.where(keep, np.minimum(entry[ids], src[lo:hi]), out)
+        lo = hi
+    inside = np.flatnonzero(entry < out)
+    inside = inside[np.argsort(entry[inside], kind="stable")]
+    return unique[inside], sums[inside]
+
+
+def _words(keys: np.ndarray, n: int) -> list:
+    """IXYZ words of string keys x << n | z."""
+    bits = keys[:, None] >> np.arange(n - 1, -1, -1)
+    xz = 2 * ((bits >> n) & 1) + (bits & 1)
+    text = _WORD_BYTES[xz].tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] for i in range(len(keys))]
 
 
 def jordan_wigner(op: FermionOperator, qubit_cap: int = DEFAULT_MODE_CAP) -> PauliOperator:
-    """Map a FermionOperator to its Pauli-sum image.
+    """Map a FermionOperator to its Pauli-sum image, on bit-mask arrays.
 
-    Each term's ladder images are multiplied left to right and the product
-    is added into one running sum, pruned key by key; a key that cancels
-    leaves the sum and re-enters at its end.
+    Bit for bit, this is the term-by-term dict computation: each term's
+    ladder images are multiplied left to right, merging equal strings in
+    first-insertion order and pruning after every factor
+    (_ladder_products, _JW_BLOCK terms at a time); each product is added
+    into one running sum in term order, pruned string by string, where a
+    string that cancels to |s| <= PRUNE_TOL leaves the sum and re-enters at
+    the position of its next contribution (_running_total).  The words come
+    out in the order they last entered the sum.
     """
     n = op.n_modes
-    if n > qubit_cap:
-        raise ResourceError(f"{n} modes exceeds the qubit cap of {qubit_cap}")
-    ladders = {(p, d): _jw_ladder(p, d, n) for p in range(n) for d in (0, 1)}
-    total: dict[tuple, complex] = {}
-    for actions, coeff in op.terms.items():
-        cur = {(0, 0): coeff} if abs(coeff) > PRUNE_TOL else {}
-        for action in actions:  # left-to-right operator product
-            cur = _product(cur, ladders[action])
-        for key, c in cur.items():
-            s = total.get(key, 0j) + c
-            if abs(s) > PRUNE_TOL:
-                total[key] = s
-            else:
-                total.pop(key, None)
-    return PauliOperator(n, {_word(x, z, n): c for (x, z), c in total.items()})
+    cap = min(qubit_cap, _KEY_MODE_CAP)
+    if n > cap:
+        raise ResourceError(f"{n} modes exceeds the qubit cap of {cap}")
+    keys, sums = _running_total(*_term_images(op))
+    return PauliOperator(n, dict(zip(_words(keys, n), sums.tolist())))
 
 
 def lcu_one_norm(op: PauliOperator) -> float:

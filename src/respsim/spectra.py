@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .models import ModelSpec
-from .operators import (DEFAULT_MODE_CAP, build_dipole, build_hamiltonian,
-                        jordan_wigner, lcu_one_norm)
+from .operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP, build_dipole,
+                        build_hamiltonian, jordan_wigner, lcu_one_norm)
 
 DEGENERACY_TOL = 1e-10
 
@@ -101,9 +101,10 @@ class SusceptibilityResult:
 
 def _qubit_image(op, states: np.ndarray):
     """Real block on ``states`` and LCU one-norm of the Jordan-Wigner
-    image."""
+    image; the block is a copy, so its complex original is freed before the
+    eigensolver runs."""
     pauli = jordan_wigner(op)
-    return pauli.dense(states=states).matrix.real, lcu_one_norm(pauli)
+    return pauli.dense(states=states).matrix.real.copy(), lcu_one_norm(pauli)
 
 
 def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
@@ -112,13 +113,16 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
 
     Only the particle-number sector's block of each qubit image is built
     (all 2^N states with fix_sector=False).  Models above DEFAULT_MODE_CAP
-    modes raise ResourceError before anything is built; a zero Hamiltonian
-    (alpha = 0) raises InputError before the spectrum is examined.
+    modes, or above FULL_SPACE_MODE_CAP with fix_sector=False, raise
+    ResourceError before anything is built; a zero Hamiltonian (alpha = 0)
+    raises InputError before the spectrum is examined.
     """
     n = model.n_orbitals
-    if n > DEFAULT_MODE_CAP:
+    cap = DEFAULT_MODE_CAP if fix_sector else FULL_SPACE_MODE_CAP
+    if n > cap:
         raise ResourceError(
-            f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
+            f"{n} modes exceeds the diagonalization cap of {cap}"
+            + ("" if fix_sector else " for the full space"))
     states = np.arange(1 << n, dtype=np.int64)
     if fix_sector:
         keep = np.flatnonzero(np.bitwise_count(states) == model.n_electrons)

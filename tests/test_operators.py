@@ -1,11 +1,14 @@
 """Fermionic algebra, Pauli algebra, and the mode->qubit mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
+from pauli_reference import dict_jordan_wigner, loop_dense
 from respsim import (
     DenseOperator,
     FermionOperator,
@@ -282,10 +285,143 @@ def test_jordan_wigner_matches_fermion_dense():
                            op.dense().matrix, atol=1e-12)
 
 
+def assert_same_bits(got, want):
+    """Same words in the same order, and the same coefficient bits."""
+    assert got.n_qubits == want.n_qubits
+    assert list(got.terms) == list(want.terms)
+    assert [(c.real.hex(), c.imag.hex()) for c in got.terms.values()] == \
+        [(c.real.hex(), c.imag.hex()) for c in want.terms.values()]
+
+
+# coefficients that cancel exactly or nearly, shrink below PRUNE_TOL
+# (1e-14) within a product, or are generic complex numbers down to 1e-13
+COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 1j, -1j, 0.25 - 0.5j, 1 - 1e-14,
+                     -1 + 3e-14, 1e-13, -1e-13, 3e-14, 1e-13j]),
+    st.complex_numbers(min_magnitude=1e-13, max_magnitude=2.0,
+                       allow_nan=False, allow_infinity=False),
+)
+
+
+def fermion_ops(n, max_terms=12):
+    ladder = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, 1))
+    actions = st.lists(ladder, max_size=4 if n else 0).map(tuple)
+    return st.dictionaries(actions, COEFFS, max_size=max_terms).map(
+        lambda terms: FermionOperator(n, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(data, n):
+    op = data.draw(fermion_ops(n))
+    pauli = jordan_wigner(op)
+    assert_same_bits(pauli, dict_jordan_wigner(op))
+    states = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
+                                max_size=2 ** n, unique=True))
+    block = pauli.dense(states=states).matrix
+    assert block.tobytes() == loop_dense(pauli, states).tobytes()
+    assert pauli.dense().matrix.tobytes() == loop_dense(pauli).tobytes()
+
+
+@pytest.mark.parametrize("args", [
+    None, (2, 2, 0), (3, 2, 4), (3, 4, 1), (4, 4, 1), (4, 2, 5),
+], ids=lambda a: "dimer" if a is None else "random-n{}-ne{}-s{}".format(*a))
+def test_jordan_wigner_of_model_operators_matches_the_dict_reference(args):
+    model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
+             else make_random_model(*args))
+    states = [b for b in range(2 ** model.n_orbitals)
+              if bin(b).count("1") == model.n_electrons]
+    ops = [build_hamiltonian(model.T, model.V)]
+    ops += [build_dipole(model.dipole[ax]) for ax in range(3)]
+    for op in ops:
+        pauli = jordan_wigner(op)
+        assert_same_bits(pauli, dict_jordan_wigner(op))
+        assert pauli.dense(states=states).matrix.tobytes() == \
+            loop_dense(pauli, states).tobytes()
+
+
+@pytest.mark.parametrize("cancel", [1.0, 1 - 1e-14], ids=["exact", "near"])
+def test_jordan_wigner_cancelled_string_reenters_last(cancel):
+    # a0^dag a0 = (I - Z0)/2 and a0 a0^dag = (I + Z0)/2: together Z0 sums
+    # to 0, or to about -5e-15, at or below PRUNE_TOL; either way it leaves
+    terms = {((0, 1), (0, 0)): 1.0, ((0, 0), (0, 1)): cancel}
+    assert list(jordan_wigner(FermionOperator(2, terms)).terms) == ["II"]
+    # a1^dag a1 then enters Z1; a0^dag a0 a0^dag a0 = a0^dag a0 brings Z0
+    # back from 0j, behind Z1 rather than at its first place
+    terms[((1, 1), (1, 0))] = 1.0
+    terms[((0, 1), (0, 0), (0, 1), (0, 0))] = 2.0
+    op = FermionOperator(2, terms)
+    pauli = jordan_wigner(op)
+    assert list(pauli.terms) == ["II", "IZ", "ZI"]
+    assert pauli.terms["IZ"] == -0.5 and pauli.terms["ZI"] == -1.0
+    assert_same_bits(pauli, dict_jordan_wigner(op))
+
+
+def test_jordan_wigner_prunes_within_a_product():
+    # 3e-14 a0^dag a1 halves to 1.5e-14 and then to 7.5e-15 per string, at
+    # or below PRUNE_TOL, so it never reaches the strings a1^dag a0 entered
+    op = FermionOperator(2, {((1, 1), (0, 0)): 1.0, ((0, 1), (1, 0)): 3e-14})
+    pauli = jordan_wigner(op)
+    assert pauli.terms == jordan_wigner(FermionOperator(
+        2, {((1, 1), (0, 0)): 1.0})).terms
+    assert sorted(abs(c) for c in pauli.terms.values()) == [0.25] * 4
+    assert_same_bits(pauli, dict_jordan_wigner(op))
+
+
+def test_jordan_wigner_total_cancellation_is_empty():
+    # a0^dag a0 + a0 a0^dag - 1 = 0
+    op = FermionOperator(1, {((0, 1), (0, 0)): 1.0, ((0, 0), (0, 1)): 1.0,
+                             (): -1.0})
+    pauli = jordan_wigner(op)
+    assert pauli.terms == {} and len(pauli) == 0
+    assert not pauli.dense().matrix.any()
+    assert jordan_wigner(FermionOperator(3)).terms == {}
+
+
+def test_jordan_wigner_memory_is_bounded():
+    model = make_random_model(5, 4, 0)
+    H = build_hamiltonian(model.T, model.V)
+    tracemalloc.start()
+    try:
+        jordan_wigner(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+
+
+def test_full_space_matrices_are_capped_before_allocation():
+    # 14 modes: the full matrix would be 16384^2 complex entries (4.3 GB)
+    n = 14
+    fermion = FermionOperator(n, {((0, 1), (0, 0)): 1.0})
+    pauli = PauliOperator(n, {"Z" + "I" * (n - 1): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            fermion.dense()
+        with pytest.raises(ResourceError):
+            pauli.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the sector block on the same operator is small and allowed
+    assert pauli.dense(states=[0, 1, 2]).matrix.shape == (3, 3)
+
+
 def test_jordan_wigner_qubit_cap():
     op = FermionOperator(4, {((0, 1), (1, 0)): 1.0})
     with pytest.raises(ResourceError):
         jordan_wigner(op, qubit_cap=3)
+    # a raised cap still stops where the int64 string keys would overflow,
+    # and holds up to there
+    hop = {((0, 1), (30, 0)): 1.0, ((30, 1), (0, 0)): 1.0}
+    with pytest.raises(ResourceError, match="cap of 31"):
+        jordan_wigner(FermionOperator(32, hop), qubit_cap=40)
+    edge = FermionOperator(31, hop)
+    pauli = jordan_wigner(edge, qubit_cap=40)
+    assert set(pauli.terms) == {"X" + "Z" * 29 + "X", "Y" + "Z" * 29 + "Y"}
+    assert_same_bits(pauli, dict_jordan_wigner(edge))
 
 
 # ---------------------------------------------------------------------------

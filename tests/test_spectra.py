@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ FROZEN_SPECTRA = {
                  "0x1.6fef05a77b499p+3"),
                 "a0f3663dcb10eb42c4ba1e3d8e472fd7bc4604d16a411845f1b68d7b45d47f42",
                 "e6dec51a1a8e1c0fd6e303178afa8decfcc8736d43ac05dcc8a55bef5f92a53a"),
+    (5, 4, 0): ("0x1.f99a75bf834ebp+4",
+                ("0x1.bd1068674945fp+3", "0x1.137e2ec1d1994p+4",
+                 "0x1.272ba083d1589p+4"),
+                "835cc5607f08603e48f674eb39fd88d985117168e40cdca28ae2a2a5932d42e5",
+                "e7f68d80b303d06da5f017a58d6897e0e54125210d7511ce8bcd068721b7d428"),
+    (7, 4, 7): ("0x1.1b5beaca06d56p+6",
+                ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218fap+5",
+                 "0x1.055acaa546a99p+5"),
+                "3564b0e167ae5e041864e95998d5e626879419bc42c1fa017eb27fe78c3bd3be",
+                "ae0c00a815333d264cbcb788cb9ef54331b3f6112591ae461c312866be13d0b6"),
 }
 
 
@@ -123,6 +134,22 @@ def test_diagonalize_enforces_mode_cap():
                      np.zeros((3, n, n)))
     with pytest.raises(ResourceError):
         diagonalize(zero)
+
+
+def test_diagonalize_full_space_cap_allocates_nothing():
+    # 14 modes fit the sector cap, but the full space would be a 16384^2
+    # matrix; the refusal comes before any of it is built
+    n = 14
+    zero = ModelSpec(n, 4, np.zeros((n, n)), np.zeros((n,) * 4),
+                     np.zeros((3, n, n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="full space"):
+            diagonalize(zero, fix_sector=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_random_models_up_to_the_cap_diagonalize_quickly():
