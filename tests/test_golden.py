@@ -1,0 +1,60 @@
+"""Golden outputs: seeded CLI runs must reproduce their committed files
+byte for byte.
+
+Each case's files under tests/golden/<name>/ were written by
+``respsim <argv> --out tests/golden/<name>``.  The spectra come from LAPACK
+eigensolvers, so the bytes also depend on the LAPACK build (these come from
+numpy 2.4 with OpenBLAS 0.3.31 on x86-64), as the frozen spectrum hashes in
+test_spectra.py do.  A change that moves output bits on purpose regenerates
+the affected directories (``python tests/test_golden.py NAME ...``, or every
+case without names) and lists each changed number; the comparison itself
+stays exact.
+"""
+
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+from respsim.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    # README scenarios 1-3
+    "readme-oracle": "--toy hubbard:t=1,U=2,d=0.5 --oracle-only --gamma 0.05"
+                     " --grid 0:5.4:109",
+    "readme-simulate": "--toy hubbard --simulate --gamma 0.1 --seed 7"
+                       " --method ae --grid 0:5.4:41",
+    "readme-order3": "--toy hubbard --simulate --order 3 --gamma 0.2"
+                     " --method exact --grid 1.0:3.9:3 --axes xxxx",
+    "random-n3-exact": "--toy random:n=3,ne=2,seed=4 --simulate"
+                       " --method exact",
+    "random-n4-oracle": "--toy random:n=4,ne=4,seed=1 --oracle-only",
+    "hubbard-gamma005": "--toy hubbard --simulate --gamma 0.05",
+    # the only case that writes frequency-domain pathway values to a file
+    "random-n3-order3-oracle": "--toy random:n=3,ne=2,seed=4 --order 3"
+                               " --axes xyzx --oracle-only --gamma 0.1"
+                               " --grid 0.5:3:7",
+}
+
+
+def _run(name, out):
+    assert main(CASES[name].split() + ["--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_golden_bytes(name, tmp_path, capsys):
+    _run(name, tmp_path)
+    want = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == want
+    for fname in want:
+        got = (tmp_path / fname).read_bytes()
+        assert got == (GOLDEN / name / fname).read_bytes(), fname
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or CASES:
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
+        _run(name, GOLDEN / name)
