@@ -12,8 +12,7 @@ from .errors import (InputError, ResourceError, RespsimError,
                      StatisticalFailure)
 from .operators import (DenseOperator, FermionOperator, PauliOperator,
                         build_dipole, build_hamiltonian, eta_dipole_norm,
-                        jordan_wigner, lcu_one_norm, number_operator,
-                        validate_two_body_symmetry)
+                        jordan_wigner, lcu_one_norm, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
                      make_random_model, spatial_to_spin, spin_to_spatial,
                      write_fcidump_like)
@@ -38,7 +37,7 @@ __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
     "DenseOperator", "FermionOperator", "PauliOperator", "build_dipole",
     "build_hamiltonian", "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
-    "number_operator", "validate_two_body_symmetry",
+    "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
     "make_random_model", "spatial_to_spin", "spin_to_spatial",
     "write_fcidump_like",

@@ -339,23 +339,20 @@ def cost_report(c: CostInputs) -> dict:
     return report
 
 
-def qpe_baseline_report(c: CostInputs, k_bits: int = None) -> dict:
+def qpe_baseline_report(c: CostInputs) -> dict:
     """Phase-estimation baseline for the same line-resolution task.
 
-    The register needs 2^k > alpha/gamma; total cost to the same accuracy
-    scales as alpha^2/(gamma^2 eps), a factor 1/gamma above the filtered
-    approach.
+    The register needs k bits with 2^k > alpha/gamma (reported as both
+    k_star and k_bits); total cost to the same accuracy scales as
+    alpha^2/(gamma^2 eps), a factor 1/gamma above the filtered approach.
     """
     a, g, e = c.alpha, c.gamma, c.eps
-    k_star = max(1, math.floor(math.log2(a / g)) + 1)
-    k = k_star if k_bits is None else int(k_bits)
-    if k < 1:
-        raise InputError("k_bits must be at least 1")
+    k = max(1, math.floor(math.log2(a / g)) + 1)
     per_energy = 2.0 ** k * a + k * k / max(math.log2(k), 1.0)
     total = a ** 2 / (g ** 2 * e)
     filtered = a ** 2 / (g * e)
     return {
-        "k_star": k_star,
+        "k_star": k,
         "k_bits": k,
         "per_energy_queries": per_energy,
         "total_queries": total,
@@ -412,9 +409,9 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
     estimation window, default gamma/8.  A model with a zero Hamiltonian
-    (alpha = 0), eps outside (0, 1), or a gamma, window_width or grid
-    point that is not finite (gamma and window_width must also be
-    positive) raises InputError before any search.
+    (alpha = 0), eps outside (0, 1), a negative seed, or a gamma,
+    window_width or grid point that is not finite (gamma and window_width
+    must also be positive) raises InputError before any search.
     Returns a dict of results; writes CSV/JSON files when out_dir is set.
     """
     if not (math.isfinite(gamma) and gamma > 0):
@@ -428,6 +425,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
         raise InputError("mode must be 'simulate' or 'oracle'")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     axes = tuple(int(a) for a in axes)
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")

@@ -96,10 +96,6 @@ class ChebyshevFilter:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def window(self) -> tuple:
-        return (self.center - self.half_width, self.center + self.half_width)
-
     def eval(self, x):
         """Pointwise evaluation; T_{2m}(y) = T_m(2y^2 - 1) keeps it O(d/2)."""
         y = (np.asarray(x, dtype=float) - self.center) / self.scale

@@ -24,10 +24,13 @@ from .errors import InputError, ResourceError, RespsimError, StatisticalFailure
 from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+_TOY_KEYS = {"hubbard": ("t", "U", "d"), "random": ("n", "ne", "seed")}
 
 
 def _parse_toy(text: str):
     kind, _, rest = text.partition(":")
+    if kind not in _TOY_KEYS:
+        raise InputError(f"unknown toy model {kind!r} (try hubbard or random)")
     params = {}
     if rest:
         for item in rest.split(","):
@@ -35,6 +38,10 @@ def _parse_toy(text: str):
             if not key or not val:
                 raise InputError(f"malformed toy parameter {item!r}")
             params[key.strip()] = val.strip()
+    unknown = sorted(set(params) - set(_TOY_KEYS[kind]))
+    if unknown:
+        raise InputError(f"unknown {kind} parameter(s) {', '.join(unknown)}"
+                         f" (accepted: {', '.join(_TOY_KEYS[kind])})")
     if kind == "hubbard":
         try:
             return make_hubbard_dimer(
@@ -43,15 +50,13 @@ def _parse_toy(text: str):
                 d01=float(params.get("d", 0.5)))
         except ValueError as exc:
             raise InputError(f"bad hubbard parameter: {exc}") from exc
-    if kind == "random":
-        try:
-            return make_random_model(
-                n_orbitals=int(params.get("n", 3)),
-                n_electrons=int(params.get("ne", 2)),
-                seed=int(params.get("seed", 0)))
-        except ValueError as exc:
-            raise InputError(f"bad random-model parameter: {exc}") from exc
-    raise InputError(f"unknown toy model {kind!r} (try hubbard or random)")
+    try:
+        return make_random_model(
+            n_orbitals=int(params.get("n", 3)),
+            n_electrons=int(params.get("ne", 2)),
+            seed=int(params.get("seed", 0)))
+    except ValueError as exc:
+        raise InputError(f"bad random-model parameter: {exc}") from exc
 
 
 def _parse_axes(text: str, order: int):

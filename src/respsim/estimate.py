@@ -100,7 +100,6 @@ class HadamardChannel:
     ground_term: complex
     zeta: float
     variant: str = "re"        # "re" or "im"
-    seed: int = 0
     degree: int = 0            # filter degree charged per query
 
     def __post_init__(self):
@@ -124,12 +123,10 @@ def imaginary_part_channel(ch: HadamardChannel) -> HadamardChannel:
     return dataclasses.replace(ch, variant="im")
 
 
-def sample_hadamard(ch: HadamardChannel, shots: int, rng=None) -> float:
-    """Empirical P(0) from `shots` Bernoulli draws (seeded, deterministic)."""
+def sample_hadamard(ch: HadamardChannel, shots: int, rng) -> float:
+    """Empirical P(0) from `shots` Bernoulli draws of the generator `rng`."""
     if shots < 1:
         raise InputError("need at least one shot")
-    if rng is None:
-        rng = np.random.default_rng(ch.seed)
     return float(rng.binomial(shots, ch.p0)) / shots
 
 
@@ -170,10 +167,6 @@ class LcuDistribution:
     """Categorical over bins 0..B-1 plus a terminal discard outcome."""
 
     probabilities: np.ndarray       # length B+1; last entry is the discard
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.probabilities) - 1
 
     def sample_counts(self, rng, n: int) -> np.ndarray:
         """Counts per bin over n draws (discard outcome dropped).
@@ -550,15 +543,12 @@ class WindowEstimate:
 
 def estimate_window(sd: SpectralData, axes, window, eps: float,
                     method: str = "direct", delta: float = None,
-                    gamma: float = None, seed: int = 0) -> WindowEstimate:
+                    seed: int = 0) -> WindowEstimate:
     """Depth-1 form of estimate_box for the sandwich D_out p D_in.
 
-    axes = (axis_in, axis_out); gamma, when given, caps the window width.
-    The result carries the window as (a, b) and the axes in this order.
+    axes = (axis_in, axis_out).  The result carries the window as (a, b)
+    and the axes in this order.
     """
-    a, b = window
-    if gamma is not None and (b - a) > gamma * (1.0 + 1e-9):
-        raise InputError(f"window width {b - a:.4g} exceeds target {gamma}")
     ax_in, ax_out = axes
     est = estimate_box(sd, (ax_out, ax_in), [window], eps, method=method,
                        delta=delta, seed=seed)

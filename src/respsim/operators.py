@@ -38,6 +38,9 @@ Conventions used throughout the package:
   +-1/2, +-i/2 and powers of i), and every sum starts from 0j, so a zero
   component always comes out as +0.0.  One-norms sum |c| in that order,
   one term after the other.
+* Size caps are constants: jordan_wigner maps at most DEFAULT_MODE_CAP
+  modes, and full 2^n x 2^n matrices are built up to FULL_SPACE_MODE_CAP
+  modes; both refuse before allocating.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ import numpy as np
 from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
+# largest mode count jordan_wigner maps (so diagonalize takes); it must stay
+# <= 31, since its string keys x << n | z are int64
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
@@ -58,8 +63,6 @@ FULL_SPACE_MODE_CAP = 12
 # once by PauliOperator.dense; both bound temporaries, not results
 _JW_BLOCK = 256
 _DENSE_BLOCK = 1 << 14
-# jordan_wigner keys a string on n qubits as x << n | z in an int64
-_KEY_MODE_CAP = 31
 
 # the eight index permutations of the real-orbital two-body symmetry group,
 # identity first
@@ -133,7 +136,7 @@ class FermionOperator:
         self.terms: dict[tuple, complex] = {}
         for actions, coeff in (terms or {}).items():
             self._add(tuple(actions), complex(coeff))
-        self.prune()
+        self.terms = {a: c for a, c in self.terms.items() if abs(c) > PRUNE_TOL}
 
     def _add(self, actions: tuple, coeff: complex):
         for p, d in actions:
@@ -144,25 +147,8 @@ class FermionOperator:
         key = tuple((int(p), int(bool(d))) for p, d in actions)
         self.terms[key] = self.terms.get(key, 0j) + coeff
 
-    def prune(self, tol: float = PRUNE_TOL):
-        self.terms = {a: c for a, c in self.terms.items() if abs(c) > tol}
-        return self
-
     def __len__(self):
         return len(self.terms)
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if other.n_modes != self.n_modes:
-            raise InputError("mode-count mismatch in operator sum")
-        out = FermionOperator(self.n_modes, dict(self.terms))
-        for a, c in other.terms.items():
-            out._add(a, c)
-        return out.prune()
-
-    def scaled(self, factor: complex) -> "FermionOperator":
-        return FermionOperator(
-            self.n_modes, {a: c * factor for a, c in self.terms.items()}
-        )
 
     def adjoint(self) -> "FermionOperator":
         out = {}
@@ -204,18 +190,20 @@ class FermionOperator:
                 out[key] = out.get(key, 0j) + coeff
         return FermionOperator(self.n_modes, out)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         a = self.normal_ordered().terms
         b = self.adjoint().normal_ordered().terms
         keys = set(a) | set(b)
-        return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= tol for k in keys)
+        return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= 1e-12 for k in keys)
 
-    def dense(self, mode_cap: int = FULL_SPACE_MODE_CAP) -> DenseOperator:
+    def dense(self) -> DenseOperator:
         """Occupation-basis matrix built directly from ladder-operator action
-        (no qubit mapping involved); refused above ``mode_cap`` modes."""
+        (no qubit mapping involved); refused above FULL_SPACE_MODE_CAP
+        modes."""
         n = self.n_modes
-        if n > mode_cap:
-            raise ResourceError(f"{n} modes exceeds the dense cap of {mode_cap}")
+        if n > FULL_SPACE_MODE_CAP:
+            raise ResourceError(
+                f"{n} modes exceeds the dense cap of {FULL_SPACE_MODE_CAP}")
         dim = 1 << n
         states = np.arange(dim, dtype=np.int64)
         pop = np.zeros(dim, dtype=np.int64)
@@ -277,11 +265,12 @@ def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
     return op
 
 
-def validate_two_body_symmetry(V: np.ndarray, tol: float = 1e-10):
-    """Check the eight-fold real-orbital index symmetry of the V tensor."""
+def validate_two_body_symmetry(V: np.ndarray):
+    """Check the eight-fold real-orbital index symmetry of the V tensor to
+    1e-10."""
     for perm in TWO_BODY_IMAGES[1:]:
         dev = np.max(np.abs(V - V.transpose(perm)), initial=0.0)
-        if dev > tol:
+        if dev > 1e-10:
             raise InputError(
                 f"two-body tensor violates index symmetry {perm} by {dev:.3e}"
             )
@@ -301,14 +290,9 @@ def build_dipole(d_axis: np.ndarray) -> FermionOperator:
 # Pauli operators
 # ---------------------------------------------------------------------------
 
-# i**k for the phase exponent k of a Pauli product
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
-_WORD_CHAR = {"00": "I", "10": "X", "11": "Y", "01": "Z"}
-# the same tables as arrays: i**k, the word byte of 2x + z, and the x and z
-# bit of a word byte
-_I_POW_ARRAY = np.array(_I_POW)
+# i**k for the phase exponent k of a Pauli product, the word byte of
+# 2x + z, and the x and z bit of a word byte
+_I_POW_ARRAY = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 _WORD_BYTES = np.frombuffer(b"IZXY", dtype=np.uint8)
 _X_OF = np.zeros(128, dtype=np.int64)
 _X_OF[[ord("X"), ord("Y")]] = 1
@@ -319,39 +303,6 @@ _Z_OF[[ord("Y"), ord("Z")]] = 1
 _CHILD = np.array([0, 1])
 _LADDER = np.array([0.5 + 0j, 0.5j])
 _LADDER_DAG = np.array([0.5 + 0j, -0.5j])
-
-
-def _masks(word: str) -> tuple[int, int]:
-    """(x, z) bit masks of an IXYZ word; qubit q is bit len(word)-1-q."""
-    return (int("0" + word.translate(_X_BITS), 2),
-            int("0" + word.translate(_Z_BITS), 2))
-
-
-def _word(x: int, z: int, n: int) -> str:
-    """IXYZ word of the (x, z) masks on n qubits."""
-    xs, zs = bin(x | 1 << n)[3:], bin(z | 1 << n)[3:]
-    return "".join(_WORD_CHAR[a + b] for a, b in zip(xs, zs))
-
-
-def _product(a: dict, b: dict) -> dict:
-    """Product of two mask-keyed Pauli sums, P_a P_b = i**k P_(xa^xb, za^zb).
-
-    Terms are visited with a outer and b inner and entered in that order;
-    each phase is ca*cb times the unit i**k (an exact multiply), and the
-    result is pruned once, after all terms are summed.
-    """
-    out: dict[tuple, complex] = {}
-    for (xa, za), ca in a.items():
-        ka = (xa & za).bit_count()
-        for (xb, zb), cb in b.items():
-            x, z = xa ^ xb, za ^ zb
-            k = (ka + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
-                 - (x & z).bit_count()) & 3
-            phase = ca * cb
-            if k:
-                phase *= _I_POW[k]
-            out[x, z] = out.get((x, z), 0j) + phase
-    return {key: c for key, c in out.items() if abs(c) > PRUNE_TOL}
 
 
 @dataclass
@@ -371,29 +322,11 @@ class PauliOperator:
                 clean[s] = complex(c)
         self.terms = clean
 
-    def _mask_terms(self) -> dict:
-        return {_masks(s): c for s, c in self.terms.items()}
-
     def one_norm(self) -> float:
         return float(sum(abs(c) for c in self.terms.values()))
 
     def __len__(self):
         return len(self.terms)
-
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        if other.n_qubits != self.n_qubits:
-            raise InputError("qubit-count mismatch in Pauli sum")
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0j) + c
-        return PauliOperator(self.n_qubits, out)
-
-    def matmul(self, other: "PauliOperator") -> "PauliOperator":
-        if other.n_qubits != self.n_qubits:
-            raise InputError("qubit-count mismatch in Pauli product")
-        n = self.n_qubits
-        prod = _product(self._mask_terms(), other._mask_terms())
-        return PauliOperator(n, {_word(x, z, n): c for (x, z), c in prod.items()})
 
     def dense(self, states=None) -> DenseOperator:
         """Matrix of the operator, or its block on the given basis states.
@@ -587,7 +520,7 @@ def _words(keys: np.ndarray, n: int) -> list:
     return [text[i * n:(i + 1) * n] for i in range(len(keys))]
 
 
-def jordan_wigner(op: FermionOperator, qubit_cap: int = DEFAULT_MODE_CAP) -> PauliOperator:
+def jordan_wigner(op: FermionOperator) -> PauliOperator:
     """Map a FermionOperator to its Pauli-sum image, on bit-mask arrays.
 
     Bit for bit, this is the term-by-term dict computation: each term's
@@ -597,12 +530,13 @@ def jordan_wigner(op: FermionOperator, qubit_cap: int = DEFAULT_MODE_CAP) -> Pau
     into one running sum in term order, pruned string by string, where a
     string that cancels to |s| <= PRUNE_TOL leaves the sum and re-enters at
     the position of its next contribution (_running_total).  The words come
-    out in the order they last entered the sum.
+    out in the order they last entered the sum.  Operators on more than
+    DEFAULT_MODE_CAP modes are refused.
     """
     n = op.n_modes
-    cap = min(qubit_cap, _KEY_MODE_CAP)
-    if n > cap:
-        raise ResourceError(f"{n} modes exceeds the qubit cap of {cap}")
+    if n > DEFAULT_MODE_CAP:
+        raise ResourceError(
+            f"{n} modes exceeds the qubit cap of {DEFAULT_MODE_CAP}")
     keys, sums = _running_total(*_term_images(op))
     return PauliOperator(n, dict(zip(_words(keys, n), sums.tolist())))
 
@@ -624,6 +558,3 @@ def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:
     mags = np.sort(np.abs(ev))[::-1]
     return float(mags[:eta].sum())
 
-
-def number_operator(n_modes: int) -> FermionOperator:
-    return FermionOperator(n_modes, {((p, 1), (p, 0)): 1.0 for p in range(n_modes)})

@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .models import ModelSpec
-from .operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP, build_dipole,
-                        build_hamiltonian, jordan_wigner, lcu_one_norm)
+from .operators import (DEFAULT_MODE_CAP, build_dipole, build_hamiltonian,
+                        jordan_wigner, lcu_one_norm)
 
 DEGENERACY_TOL = 1e-10
 
@@ -51,8 +51,8 @@ _PATHWAY_SIDES = {
 
 @dataclass
 class SpectralData:
-    """Eigensystem of one model, restricted to a particle sector if asked,
-    and everything derived from it.
+    """Eigensystem of one model on its particle-number sector, and
+    everything derived from it.
 
     eigenvalues are ascending and shifted so eigenvalues[0] == 0.
     basis_states lists the Fock states the eigensystem lives on, as
@@ -75,7 +75,7 @@ class SpectralData:
     eigenvectors: np.ndarray         # (M, M), columns orthonormal
     basis_states: np.ndarray         # (M,) Fock-state integers
     transition_dipoles: np.ndarray   # (3, M, M)
-    sector: int | None
+    sector: int                      # electron count of the sector
     ground_energy: float             # lowest eigenvalue + nuclear shift
     alpha: float
     alpha_shift: float               # alpha + |evals[0]|, electronic
@@ -107,29 +107,23 @@ def _qubit_image(op, states: np.ndarray):
     return pauli.dense(states=states).matrix.real.copy(), lcu_one_norm(pauli)
 
 
-def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
+def diagonalize(model: ModelSpec) -> SpectralData:
     """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles
     and the one-norms of their qubit images.
 
-    Only the particle-number sector's block of each qubit image is built
-    (all 2^N states with fix_sector=False).  Models above DEFAULT_MODE_CAP
-    modes, or above FULL_SPACE_MODE_CAP with fix_sector=False, raise
-    ResourceError before anything is built; a zero Hamiltonian (alpha = 0)
-    raises InputError before the spectrum is examined.
+    Only the particle-number sector's block of each qubit image is built.
+    Models above DEFAULT_MODE_CAP modes raise ResourceError before anything
+    is built; a zero Hamiltonian (alpha = 0) raises InputError before the
+    spectrum is examined.
     """
     n = model.n_orbitals
-    cap = DEFAULT_MODE_CAP if fix_sector else FULL_SPACE_MODE_CAP
-    if n > cap:
+    if n > DEFAULT_MODE_CAP:
         raise ResourceError(
-            f"{n} modes exceeds the diagonalization cap of {cap}"
-            + ("" if fix_sector else " for the full space"))
+            f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
     states = np.arange(1 << n, dtype=np.int64)
-    if fix_sector:
-        keep = np.flatnonzero(np.bitwise_count(states) == model.n_electrons)
-        if keep.size == 0:
-            raise InputError(f"no Fock states with {model.n_electrons} electrons")
-    else:
-        keep = states
+    keep = np.flatnonzero(np.bitwise_count(states) == model.n_electrons)
+    if keep.size == 0:
+        raise InputError(f"no Fock states with {model.n_electrons} electrons")
     H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), keep)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
@@ -151,7 +145,7 @@ def diagonalize(model: ModelSpec, fix_sector: bool = True) -> SpectralData:
         eigenvectors=evecs,
         basis_states=keep,
         transition_dipoles=dips,
-        sector=model.n_electrons if fix_sector else None,
+        sector=model.n_electrons,
         ground_energy=ground,
         alpha=alpha,
         alpha_shift=alpha + abs(float(evals[0])),
@@ -233,17 +227,6 @@ def chi1_time(sd: SpectralData, i: int, j: int, s_grid, gamma: float
     return out
 
 
-def _gamma_matrix(sd: SpectralData, gamma: float, gamma_map) -> np.ndarray:
-    """Per-coherence decay rates; a uniform constant unless a map is given."""
-    M = sd.n_states
-    if gamma_map is None:
-        return np.full((M, M), float(gamma))
-    G = np.asarray(gamma_map, dtype=float)
-    if G.shape != (M, M):
-        raise InputError(f"gamma_map shape {G.shape} != ({M}, {M})")
-    return G
-
-
 def _pathway_factors(sd: SpectralData, nu: int, axes):
     """Shared bookkeeping for both r_pathways routes.
 
@@ -262,8 +245,7 @@ def _pathway_factors(sd: SpectralData, nu: int, axes):
 
 
 def r_pathways(sd: SpectralData, nu: int, axes, s3: float, s2: float,
-               s1: float, gamma: float, method: str = "superop",
-               gamma_map=None) -> complex:
+               s1: float, gamma: float, method: str = "superop") -> complex:
     """Time-domain third-order pathway nu at delays (s3, s2, s1).
 
     method="superop" walks the density matrix through the left/right dipole
@@ -274,19 +256,16 @@ def r_pathways(sd: SpectralData, nu: int, axes, s3: float, s2: float,
     if min(s1, s2, s3) < 0:
         return 0j
     F, ops = _pathway_factors(sd, nu, axes)
-    G = _gamma_matrix(sd, gamma, gamma_map)
     w = sd.eigenvalues
     if method == "superop":
         rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
         rho[0, 0] = 1.0
         for (mat, side), s in zip(ops, (s1, s2, s3)):
             rho = mat @ rho if side == "l" else rho @ mat
-            rho = rho * np.exp((-1j * (w[:, None] - w[None, :]) - G) * s)
+            rho = rho * np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s)
         return complex(np.trace(F @ rho))
     if method == "sos":
-        # constant-gamma explicit forms (one per pathway pattern)
-        if gamma_map is not None:
-            raise InputError("sos route only supports constant gamma")
+        # explicit forms, one per pathway pattern
         A, B, C = ops[0][0], ops[1][0], ops[2][0]
         e1 = np.exp((-1j * w - gamma) * s1)        # e^{(-i w_x - g) s1}
         e1c = np.exp((+1j * w - gamma) * s1)       # coherence on the bra side
@@ -318,21 +297,19 @@ def r_pathways(sd: SpectralData, nu: int, axes, s3: float, s2: float,
 
 
 def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
-                 Omega2: float, Omega1: float, gamma: float,
-                 gamma_map=None) -> complex:
+                 Omega2: float, Omega1: float, gamma: float) -> complex:
     """Frequency-domain pathway value (i^3 folded in) at cumulative
     frequencies Omega1, Omega2, Omega3."""
     if gamma <= 0:
         raise InputError("gamma must be positive")
     F, ops = _pathway_factors(sd, nu, axes)
-    G = _gamma_matrix(sd, gamma, gamma_map)
     w = sd.eigenvalues
     wdiff = w[:, None] - w[None, :]
     rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
     rho[0, 0] = 1.0
     for (mat, side), Om in zip(ops, (Omega1, Omega2, Omega3)):
         rho = mat @ rho if side == "l" else rho @ mat
-        rho = rho / (wdiff - Om - 1j * G)
+        rho = rho / (wdiff - Om - 1j * gamma)
     return complex(np.trace(F @ rho))
 
 

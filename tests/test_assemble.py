@@ -237,12 +237,7 @@ def test_qpe_baseline():
     halved = qpe_baseline_report(CostInputs(alpha=1.0, beta=1.0, gamma=0.05,
                                             eps=0.1))
     assert halved["advantage_of_filtering"] == pytest.approx(20.0)
-    k8 = qpe_baseline_report(CostInputs(alpha=1.0, beta=1.0, gamma=0.1,
-                                        eps=0.1), k_bits=8)
-    assert k8["k_bits"] == 8 and k8["k_star"] == rep["k_star"]
-    with pytest.raises(InputError):
-        qpe_baseline_report(CostInputs(alpha=1.0, beta=1.0, gamma=0.1,
-                                       eps=0.1), k_bits=0)
+    assert rep["k_bits"] == rep["k_star"]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ def test_parse_toy_errors():
         _parse_toy("hubbard:t=")
     with pytest.raises(InputError):
         _parse_toy("hubbard:t=abc")
+    # a mistyped key is refused, not silently replaced by its default
+    with pytest.raises(InputError, match=r"u \(accepted: t, U, d\)"):
+        _parse_toy("hubbard:u=7")
+    with pytest.raises(InputError, match=r"e \(accepted: n, ne, seed\)"):
+        _parse_toy("random:n=3,e=4")
 
 
 def test_parse_axes():
@@ -102,6 +107,12 @@ def test_main_input_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err
     assert "dipole file not found" in err
+
+
+def test_main_rejects_negative_seed(capsys):
+    assert main(["--toy", "hubbard", "--simulate", "--gamma", "0.1",
+                 "--seed", "-1", "--grid", "0:5.4:41"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_main_resource_cap(tmp_path, capsys):

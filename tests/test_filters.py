@@ -74,7 +74,8 @@ def test_indicator_centered_window():
     a, b, delta, eps = -0.3, 0.3, 0.08, 1e-2
     f = build_indicator(a, b, delta, eps)
     assert np.all(f.coefficients[1::2] == 0.0)       # even polynomial in y
-    assert f.window == pytest.approx((a, b))
+    assert (f.center - f.half_width, f.center + f.half_width) == \
+        pytest.approx((a, b))
     _check_three_regions(f, a, b, delta, eps)
 
 

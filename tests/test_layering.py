@@ -14,6 +14,8 @@ import respsim
 
 PACKAGE = pathlib.Path(respsim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ARBITERS = [pathlib.Path(__file__).parent / name
+            for name in ("pauli_reference.py", "dense_reference.py")]
 
 
 def _package_imports(path):
@@ -35,6 +37,14 @@ def _package_imports(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_cross_modules(path):
+    private = [f"{mod}.{name}" for mod, name in _package_imports(path)
+               if name.startswith("_")]
+    assert not private, f"{path.name} imports private names {private}"
+
+
+@pytest.mark.parametrize("path", ARBITERS, ids=lambda p: p.name)
+def test_arbiters_share_no_private_code_with_the_package(path):
+    # a reference that reuses the package's internals is not independent
     private = [f"{mod}.{name}" for mod, name in _package_imports(path)
                if name.startswith("_")]
     assert not private, f"{path.name} imports private names {private}"

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
-from pauli_reference import dict_jordan_wigner, loop_dense
+from pauli_reference import (dict_jordan_wigner, loop_dense, pauli_masks,
+                             pauli_product, pauli_word)
 from respsim import (
     DenseOperator,
     FermionOperator,
@@ -22,9 +23,9 @@ from respsim import (
     lcu_one_norm,
     make_hubbard_dimer,
     make_random_model,
-    number_operator,
     validate_two_body_symmetry,
 )
+from respsim.operators import DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP
 
 
 def random_fermion_op(rng, n_modes, n_terms=5, max_len=4):
@@ -113,8 +114,6 @@ def test_operator_validation_errors():
         FermionOperator(-1)
     with pytest.raises(InputError):
         FermionOperator(2, {((5, 1),): 1.0})      # mode out of range
-    with pytest.raises(ResourceError):
-        FermionOperator(3, {((0, 1),): 1.0}).dense(mode_cap=2)
 
 
 def test_prune_drops_tiny_terms():
@@ -122,19 +121,10 @@ def test_prune_drops_tiny_terms():
     assert len(op) == 1
 
 
-def test_scaled_and_add():
-    a = FermionOperator(2, {((0, 1), (0, 0)): 2.0})
-    b = FermionOperator(2, {((0, 1), (0, 0)): -2.0, ((1, 1), (1, 0)): 1.0})
-    combined = a + b
-    assert np.allclose(combined.dense().matrix,
-                       naive_dense(2, {((1, 1), (1, 0)): 1.0}))
-    assert np.allclose(a.scaled(0.5).dense().matrix,
-                       naive_dense(2, {((0, 1), (0, 0)): 1.0}))
-
-
 def test_number_operator_counts_occupation():
     n = 3
-    mat = number_operator(n).dense().matrix
+    number = FermionOperator(n, {((p, 1), (p, 0)): 1.0 for p in range(n)})
+    mat = number.dense().matrix
     pops = [bin(b).count("1") for b in range(2 ** n)]
     assert np.allclose(mat, np.diag(pops))
 
@@ -180,13 +170,21 @@ def test_build_dipole_is_hermitian_one_body(dimer):
 # Pauli layer
 # ---------------------------------------------------------------------------
 
+def reference_matmul(a, b):
+    """a b by the mask-keyed product of the Jordan-Wigner reference."""
+    n = a.n_qubits
+    prod = pauli_product({pauli_masks(s): c for s, c in a.terms.items()},
+                         {pauli_masks(s): c for s, c in b.terms.items()})
+    return PauliOperator(n, {pauli_word(x, z, n): c
+                             for (x, z), c in prod.items()})
+
+
 def test_pauli_matmul_phases():
-    x = PauliOperator(1, {"X": 1.0})
-    y = PauliOperator(1, {"Y": 1.0})
-    z = PauliOperator(1, {"Z": 1.0})
-    assert x.matmul(y).terms == {"Z": 1j}
-    assert y.matmul(x).terms == {"Z": -1j}
-    assert z.matmul(z).terms == {"I": (1 + 0j)}
+    # the reference's product, which the Jordan-Wigner arbiter rests on
+    x, y, z, i = (pauli_masks(w) for w in "XYZI")
+    assert pauli_product({x: 1.0}, {y: 1.0}) == {z: 1j}
+    assert pauli_product({y: 1.0}, {x: 1.0}) == {z: -1j}
+    assert pauli_product({z: 1.0}, {z: 1.0}) == {i: (1 + 0j)}
 
 
 def test_pauli_dense_known_string():
@@ -201,10 +199,6 @@ def test_pauli_validation():
         PauliOperator(2, {"XQ": 1.0})
     with pytest.raises(InputError):
         PauliOperator(2, {"X": 1.0})              # wrong length
-    with pytest.raises(InputError):
-        PauliOperator(1, {"X": 1.0}) + PauliOperator(2, {"XX": 1.0})
-    with pytest.raises(InputError):
-        PauliOperator(1, {"X": 1.0}).matmul(PauliOperator(2, {"XX": 1.0}))
     op = PauliOperator(2, {"XZ": 1.0})
     for bad in ([0, 4], [1, 1], [-1], [[0, 1]]):
         with pytest.raises(InputError):
@@ -257,14 +251,14 @@ def test_pauli_matmul_matches_kron_products(data, n):
     wa, wb = data.draw(word), data.draw(word)
     a, b = PauliOperator(n, {wa: 1.0}), PauliOperator(n, {wb: 1.0})
     # one string times one string is one string with a unit phase, exactly
-    prod = a.matmul(b)
+    prod = reference_matmul(a, b)
     assert len(prod) == 1
     (phase,) = prod.terms.values()
     assert phase in (1, 1j, -1, -1j)
     assert np.array_equal(kron_matrix(prod), kron_matrix(a) @ kron_matrix(b))
     # sums multiply term by term
     A, B = data.draw(pauli_sums(n)), data.draw(pauli_sums(n))
-    assert np.allclose(kron_matrix(A.matmul(B)),
+    assert np.allclose(kron_matrix(reference_matmul(A, B)),
                        kron_matrix(A) @ kron_matrix(B), atol=1e-12)
     assert np.array_equal(A.dense().matrix, kron_matrix(A))
 
@@ -391,8 +385,9 @@ def test_jordan_wigner_memory_is_bounded():
 
 
 def test_full_space_matrices_are_capped_before_allocation():
-    # 14 modes: the full matrix would be 16384^2 complex entries (4.3 GB)
-    n = 14
+    # one mode above the cap: the full matrix would be 8192^2 complex
+    # entries (1 GiB)
+    n = FULL_SPACE_MODE_CAP + 1
     fermion = FermionOperator(n, {((0, 1), (0, 0)): 1.0})
     pauli = PauliOperator(n, {"Z" + "I" * (n - 1): 1.0})
     tracemalloc.start()
@@ -410,17 +405,23 @@ def test_full_space_matrices_are_capped_before_allocation():
 
 
 def test_jordan_wigner_qubit_cap():
-    op = FermionOperator(4, {((0, 1), (1, 0)): 1.0})
-    with pytest.raises(ResourceError):
-        jordan_wigner(op, qubit_cap=3)
-    # a raised cap still stops where the int64 string keys would overflow,
-    # and holds up to there
-    hop = {((0, 1), (30, 0)): 1.0, ((30, 1), (0, 0)): 1.0}
-    with pytest.raises(ResourceError, match="cap of 31"):
-        jordan_wigner(FermionOperator(32, hop), qubit_cap=40)
-    edge = FermionOperator(31, hop)
-    pauli = jordan_wigner(edge, qubit_cap=40)
-    assert set(pauli.terms) == {"X" + "Z" * 29 + "X", "Y" + "Z" * 29 + "Y"}
+    # string keys x << n | z must fit an int64
+    assert DEFAULT_MODE_CAP <= 31
+    n = DEFAULT_MODE_CAP
+    hop = {((0, 1), (n - 1, 0)): 1.0, ((n - 1, 1), (0, 0)): 1.0}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"cap of {n}"):
+            jordan_wigner(FermionOperator(n + 1, hop))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the cap itself is mapped, bit for bit
+    edge = FermionOperator(n, hop)
+    pauli = jordan_wigner(edge)
+    z = "Z" * (n - 2)
+    assert set(pauli.terms) == {"X" + z + "X", "Y" + z + "Y"}
     assert_same_bits(pauli, dict_jordan_wigner(edge))
 
 

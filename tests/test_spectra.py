@@ -25,6 +25,7 @@ from respsim import (
     r_pathways,
     window_amplitude,
 )
+from respsim.operators import DEFAULT_MODE_CAP
 
 SQRT5 = np.sqrt(5.0)
 
@@ -66,13 +67,6 @@ def test_degenerate_ground_flag():
     with pytest.warns(UserWarning, match="degenerate"):
         sd = diagonalize(flat)
     assert sd.degenerate_ground
-
-
-def test_all_electron_sectors_diagonalize(dimer):
-    full = diagonalize(dimer, fix_sector=False)
-    assert full.n_states == 2 ** dimer.n_orbitals
-    assert full.eigenvalues[0] == 0.0
-    assert np.array_equal(full.basis_states, np.arange(2 ** dimer.n_orbitals))
 
 
 def test_eigenvectors_live_on_the_sector_basis(random_model, random_sd):
@@ -129,23 +123,14 @@ def test_diagonalize_frozen_bits(args):
 
 
 def test_diagonalize_enforces_mode_cap():
-    n = 16   # beyond DEFAULT_MODE_CAP; the full space would be 2^16 x 2^16
+    # one mode beyond the cap: refused before anything is built
+    n = DEFAULT_MODE_CAP + 1
     zero = ModelSpec(n, n // 2, np.zeros((n, n)), np.zeros((n,) * 4),
-                     np.zeros((3, n, n)))
-    with pytest.raises(ResourceError):
-        diagonalize(zero)
-
-
-def test_diagonalize_full_space_cap_allocates_nothing():
-    # 14 modes fit the sector cap, but the full space would be a 16384^2
-    # matrix; the refusal comes before any of it is built
-    n = 14
-    zero = ModelSpec(n, 4, np.zeros((n, n)), np.zeros((n,) * 4),
                      np.zeros((3, n, n)))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="full space"):
-            diagonalize(zero, fix_sector=False)
+        with pytest.raises(ResourceError):
+            diagonalize(zero)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,14 +289,6 @@ def test_pathways_superop_equals_sos(random_sd):
 
 def test_pathways_vanish_for_negative_delay(dimer_sd):
     assert r_pathways(dimer_sd, 1, (0, 0, 0, 0), -0.1, 0.2, 0.3, 0.1) == 0j
-
-
-def test_pathway_gamma_map_uniform_matches_constant(dimer_sd):
-    G = np.full((6, 6), 0.1)
-    a = r_pathways(dimer_sd, 2, (0, 0, 0, 0), 0.3, 0.1, 0.4, 0.1)
-    b = r_pathways(dimer_sd, 2, (0, 0, 0, 0), 0.3, 0.1, 0.4, 123.0,
-                   gamma_map=G)
-    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_pathway_validation(dimer_sd):
