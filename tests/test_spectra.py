@@ -123,13 +123,22 @@ def test_diagonalize_frozen_bits(args):
 
 
 def test_diagonalize_enforces_mode_cap():
-    # one mode beyond the cap: refused before anything is built
     n = DEFAULT_MODE_CAP + 1
     zero = ModelSpec(n, n // 2, np.zeros((n, n)), np.zeros((n,) * 4),
                      np.zeros((3, n, n)))
+    with pytest.raises(ResourceError, match="cap"):
+        diagonalize(zero)
+
+
+def test_diagonalize_full_space_cap_allocates_nothing():
+    # 20 modes: enumerating the full Fock space alone would take 8 MiB of
+    # int64 states; the cap refuses before any of it is built
+    n = 20
+    zero = ModelSpec(n, 4, np.zeros((n, n)), np.zeros((n,) * 4),
+                     np.zeros((3, n, n)))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match="cap"):
             diagonalize(zero)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
