@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .estimate import (BinSearchConfig, binary_search_1d, binary_search_nd,
-                       estimate_box, estimate_window)
+from .estimate import (METHODS, BinSearchConfig, binary_search_1d,
+                       binary_search_nd, estimate_box, estimate_window)
 from .models import ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
@@ -408,10 +408,11 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     Found windows are estimated one after another with seeds derived from
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
-    estimation window, default gamma/8.  A model with a zero Hamiltonian
-    (alpha = 0), eps outside (0, 1), a negative seed, or a gamma,
-    window_width or grid point that is not finite (gamma and window_width
-    must also be positive) raises InputError before any search.
+    estimation window, default gamma/8.  A method outside METHODS (in
+    either mode), a model with a zero Hamiltonian (alpha = 0), eps outside
+    (0, 1), a negative seed, or a gamma, window_width or grid point that is
+    not finite (gamma and window_width must also be positive) raises
+    InputError before any search.
     Returns a dict of results; writes CSV/JSON files when out_dir is set.
     """
     if not (math.isfinite(gamma) and gamma > 0):
@@ -425,6 +426,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
         raise InputError("mode must be 'simulate' or 'oracle'")
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
     if seed < 0:
         raise InputError("seed must be non-negative")
     axes = tuple(int(a) for a in axes)

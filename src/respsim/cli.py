@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .assemble import run_pipeline
+from .estimate import METHODS
 from .errors import InputError, ResourceError, RespsimError, StatisticalFailure
 from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axis letters, e.g. xx (order 1) or xxxx (order 3)")
     p.add_argument("--grid", default=None, help="frequency grid lo:hi:n")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=("direct", "ae", "exact"),
+    p.add_argument("--method", choices=METHODS,
                    default="ae", help="estimation backend (default ae)")
     p.add_argument("--out", default=None, help="output directory")
     return p

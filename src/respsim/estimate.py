@@ -46,6 +46,7 @@ from .errors import InputError
 from .spectra import SpectralData
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
+METHODS = ("direct", "ae", "exact")    # estimate_box backends
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +172,12 @@ class LcuDistribution:
     def sample_counts(self, rng, n: int) -> np.ndarray:
         """Counts per bin over n draws (discard outcome dropped).
 
-        Draws the uniform stream that numpy's ``Generator.choice(p=...)``
-        draws and counts it against the same normalized cdf, without a
-        per-draw search.  Seeded runs stay byte-identical to
-        ``np.bincount(rng.choice(B + 1, size=n, p=p))[:-1]`` only as long
-        as numpy keeps that recipe (cumsum, divide by the last entry,
-        ``rng.random(n)``, right-sided search); tests pin the equality.
+        The n shots are independent categorical draws, so their counts are
+        one Multinomial(n, p) draw: O(B) time and memory whatever n is.
+        Seeded runs are byte-identical for as long as numpy keeps its
+        ``Generator.multinomial`` stream; tests pin the equality.
         """
-        cdf = self.probabilities.cumsum()
-        cdf /= cdf[-1]
-        u = rng.random(n)
-        below = np.array([np.count_nonzero(u < c) for c in cdf[:-1]])
-        return np.diff(below, prepend=0)
+        return rng.multinomial(n, self.probabilities)[:-1]
 
 
 def lcu_hadamard_distribution(channels) -> LcuDistribution:
@@ -571,7 +566,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     query accounting with the perturbation switched off.  Amplification
     rounds follow from the norm of the uncorrected filtered image.
     """
-    if method not in ("direct", "ae", "exact"):
+    if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
     if eps <= 0:
         raise InputError("eps must be positive")

@@ -53,6 +53,9 @@ import numpy as np
 from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
+# largest max |m_ij - conj(m_ji)| of a DenseOperator flagged hermitian; the
+# dense builders derive the flag from this same test, so it never contradicts
+HERMITIAN_TOL = 1e-12
 # largest mode count jordan_wigner maps (so diagonalize takes); it must stay
 # <= 31, since its string keys x << n | z are int64
 DEFAULT_MODE_CAP = 14
@@ -110,8 +113,9 @@ class DenseOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("DenseOperator needs a square matrix")
         object.__setattr__(self, "matrix", m)
-        if self.hermitian and _hermitian_defect(m) > 1e-12:
-            raise InputError("matrix flagged hermitian is not hermitian to 1e-12")
+        if self.hermitian and _hermitian_defect(m) > HERMITIAN_TOL:
+            raise InputError(
+                f"matrix flagged hermitian is not hermitian to {HERMITIAN_TOL:g}")
 
     @property
     def dim(self) -> int:
@@ -229,8 +233,8 @@ class FermionOperator:
                 cur = cur ^ bit
             rows, cols = cur[alive], states[alive]
             mat[rows, cols] += coeff * sign[alive]
-        herm = self.is_hermitian()
-        return DenseOperator(mat, hermitian=herm)
+        return DenseOperator(
+            mat, hermitian=_hermitian_defect(mat) <= HERMITIAN_TOL)
 
 
 def _ladder_sum(tensor: np.ndarray, daggers: tuple) -> FermionOperator:
@@ -373,8 +377,8 @@ class PauliOperator:
             odd = (np.bitwise_count(cols & z[lo:hi, None]) & 1).astype(bool)
             np.add.at(flat, (rows * m + np.arange(m))[hit],
                       np.where(odd, -v[lo:hi], v[lo:hi])[hit])
-        herm = all(abs(c.imag) < 1e-12 for c in self.terms.values())
-        return DenseOperator(mat, hermitian=herm)
+        return DenseOperator(
+            mat, hermitian=_hermitian_defect(mat) <= HERMITIAN_TOL)
 
 
 def _ladder_products(n: int, modes: np.ndarray, daggers: np.ndarray,

@@ -75,7 +75,6 @@ class SpectralData:
     eigenvectors: np.ndarray         # (M, M), columns orthonormal
     basis_states: np.ndarray         # (M,) Fock-state integers
     transition_dipoles: np.ndarray   # (3, M, M)
-    sector: int                      # electron count of the sector
     ground_energy: float             # lowest eigenvalue + nuclear shift
     alpha: float
     alpha_shift: float               # alpha + |evals[0]|, electronic
@@ -145,7 +144,6 @@ def diagonalize(model: ModelSpec) -> SpectralData:
         eigenvectors=evecs,
         basis_states=keep,
         transition_dipoles=dips,
-        sector=model.n_electrons,
         ground_energy=ground,
         alpha=alpha,
         alpha_shift=alpha + abs(float(evals[0])),

@@ -313,6 +313,25 @@ def test_pipeline_simulate_order3(dimer):
     assert cells[5] == "3" and cells[6] == "R1"
 
 
+def test_pipeline_order3_finds_weight_on_seeds_0_to_49(dimer):
+    """README scenario 3 over the contiguous seeds 0..49: every seed finds
+    weight and stays within criterion 08 (max|err| <= 15% of max|ref|) of
+    the oracle computed in the same run."""
+    misses = {}
+    for seed in range(50):
+        res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+                           grid=np.linspace(1.0, 3.9, 3), seed=seed,
+                           method="exact")
+        if res["result"] is None:
+            misses[seed] = "no weight"
+            continue
+        ref = res["oracle"].values
+        err = np.max(np.abs(res["result"].values - ref)) / np.max(np.abs(ref))
+        if err > 0.15:
+            misses[seed] = err
+    assert misses == {}
+
+
 def test_pipeline_writes_outputs(dimer, tmp_path):
     out = tmp_path / "run"
     run_pipeline(dimer, gamma=0.2, order=1, grid=np.linspace(0, 5.4, 12),
@@ -355,6 +374,17 @@ def test_pipeline_validation(dimer):
         run_pipeline(dimer, gamma=0.1, mode="dream")
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.1, order=3, axes=(0, 0))
+
+
+@pytest.mark.parametrize("mode", ["oracle", "simulate"])
+def test_pipeline_rejects_unknown_method_before_any_work(dimer, monkeypatch,
+                                                        mode):
+    def no_work(model):
+        raise AssertionError("diagonalize ran before method was checked")
+
+    monkeypatch.setattr(assemble, "diagonalize", no_work)
+    with pytest.raises(InputError, match="unknown method 'qpe'"):
+        run_pipeline(dimer, gamma=0.1, method="qpe", mode=mode)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,11 +130,12 @@ def test_sample_counts():
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), B=st.integers(1, 9), n=st.integers(0, 200_000),
+@given(data=st.data(), B=st.integers(1, 9), n=st.integers(0, 10 ** 12),
        seed=st.integers(0, 2 ** 63 - 1))
-def test_sample_counts_equal_numpy_choice(data, B, n, seed):
-    """sample_counts is bit-identical to counting rng.choice draws and
-    leaves the generator in the same state; seeded outputs rely on it."""
+def test_sample_counts_equal_numpy_multinomial(data, B, n, seed):
+    """sample_counts is bit-identical to one rng.multinomial draw with the
+    discard dropped and leaves the generator in the same state; seeded
+    outputs rely on it."""
     w = np.array(data.draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
         min_size=B + 1, max_size=B + 1)))
@@ -142,10 +144,44 @@ def test_sample_counts_equal_numpy_choice(data, B, n, seed):
     p = w / w.sum()
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     counts = LcuDistribution(p).sample_counts(rng_a, n)
-    ref = np.bincount(rng_b.choice(B + 1, size=n, p=p), minlength=B + 1)[:-1]
+    ref = rng_b.multinomial(n, p)[:-1]
     assert counts.dtype == ref.dtype
     assert np.array_equal(counts, ref)
-    assert rng_a.random() == rng_b.random()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_sample_counts_follow_the_multinomial_law():
+    """Over 4000 draws from seeds 0..3999, the counts' mean is n p within
+    4 standard errors per bin, and their covariance is n (diag p - p p^T)
+    within 4 standard errors of a sample covariance per entry."""
+    p = np.array([0.3, 0.05, 0.2, 0.15, 0.3])     # last entry: discard
+    n, draws = 1000, 4000
+    dist = LcuDistribution(p)
+    counts = np.array([dist.sample_counts(np.random.default_rng(s), n)
+                       for s in range(draws)])
+    q = p[:-1]
+    cov = n * (np.diag(q) - np.outer(q, q))
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(counts.mean(axis=0) - n * q)
+                  <= 4.0 * sd / np.sqrt(draws))
+    # the sample covariance of near-normal counts has standard error
+    # sqrt((s_i^2 s_j^2 + c_ij^2) / draws)
+    se = np.sqrt((np.outer(sd, sd) ** 2 + cov ** 2) / draws)
+    assert np.all(np.abs(np.cov(counts, rowvar=False) - cov) <= 4.0 * se)
+
+
+def test_sample_counts_memory_does_not_grow_with_shots():
+    dist = lcu_hadamard_distribution([_chan(0.5), _chan(-0.5), _chan(0.1)])
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        counts = dist.sample_counts(rng, 10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert counts.sum() <= 10 ** 12
+    assert counts[0] / 1e12 == pytest.approx(1.5 / 6, abs=1e-5)
 
 
 def test_inequality_test():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
@@ -25,7 +25,8 @@ from respsim import (
     make_random_model,
     validate_two_body_symmetry,
 )
-from respsim.operators import DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP
+from respsim.operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP,
+                               HERMITIAN_TOL)
 
 
 def random_fermion_op(rng, n_modes, n_terms=5, max_len=4):
@@ -304,17 +305,46 @@ def fermion_ops(n, max_terms=12):
         lambda terms: FermionOperator(n, terms))
 
 
+@st.composite
+def ops_with_states(draw):
+    n = draw(st.integers(0, 6))
+    op = draw(fermion_ops(n))
+    states = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
+                           max_size=2 ** n, unique=True))
+    return op, states
+
+
+# a0 a0^dag maps to I: 5e-13j, Z: 5e-13j; each term is below 1e-12 but
+# their sum on |0> is 2e-12 away from hermitian
+@example(case=(FermionOperator(1, {((0, 0), (0, 1)): 1e-12j}), [0, 1]))
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(0, 6))
-def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(data, n):
-    op = data.draw(fermion_ops(n))
+@given(case=ops_with_states())
+def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(case):
+    op, states = case
     pauli = jordan_wigner(op)
     assert_same_bits(pauli, dict_jordan_wigner(op))
-    states = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
-                                max_size=2 ** n, unique=True))
     block = pauli.dense(states=states).matrix
     assert block.tobytes() == loop_dense(pauli, states).tobytes()
     assert pauli.dense().matrix.tobytes() == loop_dense(pauli).tobytes()
+
+
+def _hermitian_flag_holds(dense):
+    m = dense.matrix
+    return dense.hermitian == (np.max(np.abs(m - m.conj().T), initial=0.0)
+                               <= HERMITIAN_TOL)
+
+
+# per term within 1e-12 of its adjoint's (is_hermitian holds), yet the two
+# terms add up to 2e-12 on the occupied state
+@example(op=FermionOperator(1, {(): 0.5e-12j, ((0, 1), (0, 0)): 0.5e-12j}))
+@example(op=FermionOperator(1, {((0, 0), (0, 1)): 1e-12j}))
+@settings(max_examples=100, deadline=None)
+@given(op=st.integers(0, 4).flatmap(fermion_ops))
+def test_dense_hermitian_flag_is_the_matrix_check(op):
+    """Both dense builders flag a matrix hermitian exactly when it passes
+    DenseOperator's check, however its terms' small imaginary parts add."""
+    assert _hermitian_flag_holds(op.dense())
+    assert _hermitian_flag_holds(jordan_wigner(op).dense())
 
 
 @pytest.mark.parametrize("args", [
