@@ -22,11 +22,9 @@ from .spectra import (SpectralData, SusceptibilityResult, alpha1, alpha3,
                       window_amplitude)
 from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
                          choose_k, jump_error_integral)
-from .estimate import (BinSearchConfig, HadamardChannel, SearchTrace,
-                       WindowEstimate, binary_search_1d, binary_search_nd,
-                       estimate_box, estimate_window, imaginary_part_channel,
-                       inequality_test, lcu_hadamard_distribution,
-                       sample_hadamard)
+from .estimate import (BinSearchConfig, SearchTrace, WindowEstimate,
+                       binary_search_1d, binary_search_nd, estimate_box,
+                       estimate_window, inequality_test)
 from .assemble import (CostInputs, ResponseTable, assemble_alpha1,
                        assemble_alpha3, cost_report, qpe_baseline_report,
                        run_pipeline)
@@ -46,10 +44,9 @@ __all__ = [
     "r_pathway_fd", "r_pathways", "window_amplitude",
     "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",
     "jump_error_integral",
-    "BinSearchConfig", "HadamardChannel", "SearchTrace", "WindowEstimate",
+    "BinSearchConfig", "SearchTrace", "WindowEstimate",
     "binary_search_1d", "binary_search_nd", "estimate_box", "estimate_window",
-    "imaginary_part_channel", "inequality_test",
-    "lcu_hadamard_distribution", "sample_hadamard",
+    "inequality_test",
     "CostInputs", "ResponseTable", "assemble_alpha1", "assemble_alpha3",
     "cost_report", "qpe_baseline_report", "run_pipeline",
 ]

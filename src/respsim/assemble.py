@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .estimate import (METHODS, BinSearchConfig, binary_search_1d,
                        binary_search_nd, estimate_box, estimate_window)
 from .models import ModelSpec
@@ -33,6 +33,10 @@ from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
 
 _AXIS_LETTERS = "xyz"
+# most frequency points a run evaluates: alpha1 holds two complex
+# (points x excited states) temporaries, 32 B per pair, so about 450 MB at
+# the cap on the largest accepted sector (3 432 states)
+GRID_POINT_CAP = 4096
 
 
 def _window_key(window):
@@ -412,7 +416,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     either mode), a model with a zero Hamiltonian (alpha = 0), eps outside
     (0, 1), a negative seed, or a gamma, window_width or grid point that is
     not finite (gamma and window_width must also be positive) raises
-    InputError before any search.
+    InputError, and a grid of more than GRID_POINT_CAP points raises
+    ResourceError, before any search.
     Returns a dict of results; writes CSV/JSON files when out_dir is set.
     """
     if not (math.isfinite(gamma) and gamma > 0):
@@ -433,13 +438,16 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     axes = tuple(int(a) for a in axes)
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if grid.size > GRID_POINT_CAP:
+            raise ResourceError(f"{grid.size} grid points exceeds the cap "
+                                f"of {GRID_POINT_CAP}")
+        if not np.all(np.isfinite(grid)):
+            raise InputError("grid frequencies must be finite")
     sd = diagonalize(model)
-    lam_max = float(sd.eigenvalues[-1])
     if grid is None:
-        grid = np.linspace(0.0, 1.2 * lam_max, 121)
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise InputError("grid frequencies must be finite")
+        grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
 
     if order == 1:
         ax_out, ax_in = axes

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .assemble import run_pipeline
+from .assemble import GRID_POINT_CAP, run_pipeline
 from .estimate import METHODS
 from .errors import InputError, ResourceError, RespsimError, StatisticalFailure
 from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
@@ -82,6 +82,9 @@ def _parse_grid(text: str):
         raise InputError("--grid bounds must be finite")
     if not lo < hi or n < 2:
         raise InputError("--grid needs lo < hi and n >= 2")
+    if n > GRID_POINT_CAP:
+        raise ResourceError(
+            f"--grid asks for {n} points, above the cap of {GRID_POINT_CAP}")
     return np.linspace(lo, hi, n)
 
 

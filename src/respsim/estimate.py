@@ -6,18 +6,24 @@ consecutive dipoles; a first-order window sum
     d_[a,b] = sum_{excitation in [a,b)} d_out[0,j] d_in[j,0]
 is the depth-1 case.  A hypothetical device starts in the ground state,
 applies the encoded chain with each filter p((H - E0 - w_c I)/s) and reads
-the ancilla of a Hadamard test: P(0) = (1 + Re v)/2 with
-v = <0|chain|0>/zeta.  Classically we have the eigensystem, so v is computed
-through it and only the *statistics* are simulated.  The ground state
-contributes to the raw chain through every filter slot; those terms are
-classically known and are subtracted from estimates and from the
+the ancilla of a Hadamard test: P(0) = (1 + x)/2, x the real or imaginary
+part of v = <0|chain|0>/zeta.  Classically we have the eigensystem, so v is
+computed through it and only the *statistics* are simulated.  The ground
+state contributes to the raw chain through every filter slot; those terms
+are classically known and are subtracted from estimates and from the
 bin-search test statistics (the physical protocol would apply the same
 correction to its empirical frequencies).
 
-One channel builder (`_box_channel`), one search engine (`_search`, whose
-1-D and n-D forms differ only in the quadratures sampled and the score)
-and one estimator (`estimate_box`) serve every depth; `binary_search_1d`
-and `estimate_window` are the depth-1 forms with first-order axis order.
+Hadamard tests run on plain arrays.  `_box_channel` returns the chain's
+images of the ground state; a search level reads one quadrature of its
+cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
+with the remainder discarded (`_lcu_probabilities`, the one place that
+checks for a wrong zeta), and draws the level's counts in one multinomial
+(`_sample_counts`).  A direct estimate is the one-bin case, read once per
+quadrature.  One search engine (`_search`, whose 1-D and n-D forms differ
+only in the quadratures sampled and the score) and one estimator
+(`estimate_box`) serve every depth; `binary_search_1d` and
+`estimate_window` are the depth-1 forms with first-order axis order.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
@@ -85,59 +91,18 @@ def _zeta(sd: SpectralData, chain_axes) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hadamard channels
+# chain images and the LCU-of-Hadamard-tests measurement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HadamardChannel:
-    """One Hadamard-test Bernoulli source.
-
-    `value` is the ground-corrected amplitude (the estimation target);
-    `ground_term` the classically known ground-state contribution.  The
-    physical 0-outcome probability uses their sum.
-    """
-
-    value: complex
-    ground_term: complex
-    zeta: float
-    variant: str = "re"        # "re" or "im"
-    degree: int = 0            # filter degree charged per query
-
-    def __post_init__(self):
-        if self.variant not in ("re", "im"):
-            raise InputError(f"unknown variant {self.variant!r}")
-        if self.zeta <= 0:
-            raise InputError("zeta must be positive")
-
-    @property
-    def p0(self) -> float:
-        v = self.value + self.ground_term
-        x = v.real if self.variant == "re" else v.imag
-        if abs(x) > 1.0 + P0_SLACK:
-            raise InputError(
-                f"|amplitude| {abs(x):.4f} exceeds 1: wrong zeta?")
-        return 0.5 * (1.0 + min(1.0, max(-1.0, x)))
-
-
-def imaginary_part_channel(ch: HadamardChannel) -> HadamardChannel:
-    """Phase-shifted variant reading Im instead of Re."""
-    return dataclasses.replace(ch, variant="im")
-
-
-def sample_hadamard(ch: HadamardChannel, shots: int, rng) -> float:
-    """Empirical P(0) from `shots` Bernoulli draws of the generator `rng`."""
-    if shots < 1:
-        raise InputError("need at least one shot")
-    return float(rng.binomial(shots, ch.p0)) / shots
-
-
 def _box_channel(sd: SpectralData, chain_axes, windows, deltas, eps: float):
-    """Channel for a depth-n box (a 1-D window is the depth-1 box): nested
-    filters, ground zeroed at every depth (the classical subtraction applied
-    once per nesting level).
+    """Images of the ground state under the chain of a depth-n box (a 1-D
+    window is the depth-1 box): nested filters, ground zeroed at every depth
+    (the classical subtraction applied once per nesting level).
 
-    Returns the channel and the uncorrected image u_raw of the chain, whose
-    norm sets the amplification rounds.
+    Returns (u, u_raw, degree): the ground-corrected image u, whose entry 0
+    over the chain's zeta is the box amplitude; the uncorrected image u_raw,
+    whose norm sets the amplification rounds; and the summed filter degree
+    charged per query.
     """
     if len(chain_axes) != len(windows) + 1:
         raise InputError("chain axes must be one longer than the box depth")
@@ -152,61 +117,38 @@ def _box_channel(sd: SpectralData, chain_axes, windows, deltas, eps: float):
         masked = pvals.copy()
         masked[0] = 0.0
         u = sd.transition_dipoles[ax] @ (u * masked)
-    zeta = _zeta(sd, chain_axes)
-    v = complex(u[0]) / zeta
-    g = complex(u_raw[0]) / zeta - v
-    ch = HadamardChannel(value=v, ground_term=g, zeta=zeta, degree=degree)
-    return ch, u_raw
+    return u, u_raw, degree
 
 
-# ---------------------------------------------------------------------------
-# LCU-of-Hadamard-tests distribution and the inequality test
-# ---------------------------------------------------------------------------
+def _lcu_probabilities(x) -> np.ndarray:
+    """P(i) = (1 + x_i)/(2B) over B bins, the remainder last (discarded).
 
-@dataclass(frozen=True)
-class LcuDistribution:
-    """Categorical over bins 0..B-1 plus a terminal discard outcome."""
-
-    probabilities: np.ndarray       # length B+1; last entry is the discard
-
-    def sample_counts(self, rng, n: int) -> np.ndarray:
-        """Counts per bin over n draws (discard outcome dropped).
-
-        The n shots are independent categorical draws, so their counts are
-        one Multinomial(n, p) draw: O(B) time and memory whatever n is.
-        Seeded runs are byte-identical for as long as numpy keeps its
-        ``Generator.multinomial`` stream; tests pin the equality.
-        """
-        return rng.multinomial(n, self.probabilities)[:-1]
-
-
-def lcu_hadamard_distribution(channels) -> LcuDistribution:
-    """P(i) = (1 + x_i)/(2B) over B channels, remainder discarded.
-
-    x_i is the quadrature each channel is configured for (Re or Im of its
-    amplitude).  Channels must share a subnormalization; probabilities
-    outside [0,1] mean the caller divided by the wrong zeta and are
-    rejected.
+    x holds one quadrature (Re or Im) of each bin's amplitude over zeta;
+    one Hadamard test is the B = 1 case, P(0) = (1 + x)/2.  A mild filter
+    overshoot beyond [-1, 1] is clipped; a larger one means the caller
+    divided by the wrong zeta and is rejected.
     """
-    if not channels:
-        raise InputError("need at least one channel")
-    B = len(channels)
-    zeta0 = channels[0].zeta
-    for ch in channels:
-        if abs(ch.zeta - zeta0) > 1e-9 * max(1.0, zeta0):
-            raise InputError("channels must share one subnormalization")
-    xs = np.array([ch.value.real if ch.variant == "re" else ch.value.imag
-                   for ch in channels])
-    if np.any(np.abs(xs) > 1.0 + P0_SLACK):
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise InputError("need at least one bin")
+    if np.any(np.abs(x) > 1.0 + P0_SLACK):
         raise InputError("bin amplitude outside [-1, 1]: wrong zeta?")
-    xs = np.clip(xs, -1.0, 1.0)
-    probs = (1.0 + xs) / (2.0 * B)
-    residual = 1.0 - probs.sum()
-    if residual < -1e-9:
-        raise InputError("bin probabilities exceed 1")
-    full = np.append(probs, max(residual, 0.0))
-    full = full / full.sum()
-    return LcuDistribution(full)
+    probs = (1.0 + np.clip(x, -1.0, 1.0)) / (2.0 * x.size)
+    # each clipped bin holds at most 1/B, so only roundoff can push the
+    # discard below 0
+    full = np.append(probs, max(1.0 - probs.sum(), 0.0))
+    return full / full.sum()
+
+
+def _sample_counts(rng, x, n: int) -> np.ndarray:
+    """Counts per bin of n LCU shots over quadratures x, discards dropped.
+
+    The n shots are independent categorical draws, so their counts are one
+    Multinomial(n, p) draw: O(B) time and memory whatever n is.  Seeded
+    runs are byte-identical for as long as numpy keeps its
+    ``Generator.multinomial`` stream; tests pin the equality.
+    """
+    return rng.multinomial(n, _lcu_probabilities(x))[:-1]
 
 
 def inequality_test(counts_i: int, counts_j: int, N_s: int, tau: float) -> str:
@@ -356,9 +298,11 @@ def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
         span = config.span
     rng = np.random.default_rng(seed)
     trace = SearchTrace(config=config.as_dict(), seed=seed, dims=ndim)
+    split = (config.branching,) * ndim
     root = tuple((span[0], span[1]) for _ in range(ndim))
-    queue = deque([(root, 0, (config.branching,) * ndim)])
+    queue = deque([(root, 0, split)])
     seen_peaks = set()
+    zeta = _zeta(sd, chain_axes)
     # 1-D amplitudes are sums of |d|^2 weights, hence real and nonnegative:
     # one quadrature and the signed elevation over the flat background
     # suffice.  Nested box amplitudes are products of signed dipole matrix
@@ -378,21 +322,23 @@ def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
         cells, widths = _split_box(box, nbins)
         ncells = len(cells)
         deltas = [config.overlap * w for w in widths]
-        channels = [_box_channel(sd, chain_axes, c, deltas,
-                                 config.filter_eps)[0] for c in cells]
+        amps, degree = [], 0
+        for c in cells:
+            u, _, deg = _box_channel(sd, chain_axes, c, deltas,
+                                     config.filter_eps)
+            amps.append(u[0])
+            degree += deg
+        amps = np.array(amps)
         base = 1.0 / (2.0 * ncells)
         level_counts = {}
         devs = []
         for q in quadratures:
-            dist = lcu_hadamard_distribution(
-                channels if q == "re"
-                else [imaginary_part_channel(ch) for ch in channels])
-            counts = dist.sample_counts(rng, config.N_s)
+            x = (amps.real if q == "re" else amps.imag) / zeta
+            counts = _sample_counts(rng, x, config.N_s)
             level_counts["counts" if q == "re" else "counts_im"] = \
                 [int(c) for c in counts]
             devs.append(counts / config.N_s - base)
-        charge = (len(quadratures) * config.N_s
-                  * sum(ch.degree for ch in channels))
+        charge = len(quadratures) * config.N_s * degree
         scores = devs[0] if ndim == 1 else np.max(np.abs(devs), axis=0)
         R = _relation_matrix(np.subtract.outer(scores, scores), config.tau)
         trace.queries_total += charge
@@ -426,57 +372,41 @@ def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
                     peak = [list(iv) for iv in cells[i]]
                     trace.peaks.append(peak if ndim > 1 else peak[0])
             continue
+        # each decision picks the box searched next and the cells it uses;
+        # the other prominent cells are marked and queued behind
         dominant = [i for i in prominent
                     if all(R[i, j] == 1 for j in range(ncells) if j != i)]
-        if dominant:
-            i_star = dominant[0]
-            rest = [i for i in prominent if i != i_star]
-            record("descend")
-            queue.appendleft((cells[i_star], depth + 1,
-                              (config.branching,) * ndim))
-            for r in rest:
-                trace.marked.append([list(iv) for iv in cells[r]])
-                queue.append((cells[r], depth + 1,
-                              (config.branching,) * ndim))
-            continue
-        # ties among prominent bins
-        tied = prominent
         merge = None
-        for a_i in range(len(tied)):
-            for b_i in range(a_i + 1, len(tied)):
-                i, j = tied[a_i], tied[b_i]
+        if not dominant:
+            tied = ((i, j) for a, i in enumerate(prominent)
+                    for j in prominent[a + 1:] if R[i, j] == 0)
+            for i, j in tied:
                 axis = _adjacent_pair(i, j, nbins)
-                if axis is not None and R[i, j] == 0:
+                if axis is not None:
                     merge = (i, j, axis)
                     break
-            if merge:
-                break
-        if merge is not None:
+        if dominant:
+            decision, used = "descend", (dominant[0],)
+            first, first_nbins = cells[dominant[0]], split
+        elif merge is not None:
             i, j, axis = merge
             lo = min(cells[i][axis][0], cells[j][axis][0])
             hi = max(cells[i][axis][1], cells[j][axis][1])
-            union = tuple(
-                (lo, hi) if d == axis else cells[i][d]
-                for d in range(ndim))
-            nb_union = tuple(
-                2 * config.branching if d == axis else config.branching
-                for d in range(ndim))
-            record("merge")
-            queue.appendleft((union, depth + 1, nb_union))
-            for r in tied:
-                if r not in (i, j):
-                    trace.marked.append([list(iv) for iv in cells[r]])
-                    queue.append((cells[r], depth + 1,
-                                  (config.branching,) * ndim))
-            continue
-        pick = int(rng.choice(np.array(tied)))
-        rest = [i for i in tied if i != pick]
-        record("random-pick")
-        queue.appendleft((cells[pick], depth + 1,
-                          (config.branching,) * ndim))
-        for r in rest:
-            trace.marked.append([list(iv) for iv in cells[r]])
-            queue.append((cells[r], depth + 1, (config.branching,) * ndim))
+            decision, used = "merge", (i, j)
+            first = tuple((lo, hi) if d == axis else cells[i][d]
+                          for d in range(ndim))
+            first_nbins = tuple(2 * config.branching if d == axis
+                                else config.branching for d in range(ndim))
+        else:
+            pick = int(rng.choice(np.array(prominent)))
+            decision, used = "random-pick", (pick,)
+            first, first_nbins = cells[pick], split
+        record(decision)
+        queue.appendleft((first, depth + 1, first_nbins))
+        for r in prominent:
+            if r not in used:
+                trace.marked.append([list(iv) for iv in cells[r]])
+                queue.append((cells[r], depth + 1, split))
 
     return trace
 
@@ -585,33 +515,38 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     chain_axes = tuple(int(a) for a in chain_axes)
     zeta = _zeta(sd, chain_axes)
     eps_f = min(eps / (2.0 * zeta), 0.4)
-    ch, u_raw = _box_channel(sd, chain_axes, windows, deltas, eps_f)
+    u, u_raw, degree = _box_channel(sd, chain_axes, windows, deltas, eps_f)
+    value = complex(u[0]) / zeta
     rng = np.random.default_rng(seed)
     if method == "direct":
+        # the device reads the raw chain, ground included, and the known
+        # ground term is subtracted from what it reads
+        ground = complex(u_raw[0]) / zeta - value
+        v = value + ground
         eps_v = eps / (2.0 * math.sqrt(2.0) * zeta)
         shots_per = math.ceil(2.0 * math.log(12.0) / eps_v ** 2)
-        f_re = sample_hadamard(ch, shots_per, rng)
-        f_im = sample_hadamard(imaginary_part_channel(ch), shots_per, rng)
-        v_hat = complex(2.0 * f_re - 1.0, 2.0 * f_im - 1.0) - ch.ground_term
+        f_re, f_im = (
+            float(rng.binomial(shots_per, _lcu_probabilities([x])[0]))
+            / shots_per for x in (v.real, v.imag))
+        v_hat = complex(2.0 * f_re - 1.0, 2.0 * f_im - 1.0) - ground
     else:
         eps_v = eps / (2.0 * zeta)
         shots_per = math.ceil(2.0 / eps_v)
         if method == "ae":
             mag = eps_v * rng.uniform(0.0, 1.0)
             phase = 2.0 * math.pi * rng.uniform(0.0, 1.0)
-            v_hat = ch.value + mag * complex(math.cos(phase),
-                                             math.sin(phase))
+            v_hat = value + mag * complex(math.cos(phase), math.sin(phase))
         else:
-            v_hat = ch.value
+            v_hat = value
     d_hat = zeta * v_hat
     if abs(d_hat) > zeta:
         d_hat *= zeta / abs(d_hat)
     xi = float(np.linalg.norm(u_raw))
     rounds = max(1, math.ceil(zeta / max(xi, eps_v * zeta)))
     shots = 2 * shots_per
-    queries = ch.degree * shots * rounds
+    queries = degree * shots * rounds
     return WindowEstimate(
         window=tuple(windows), axes=chain_axes,
         value=d_hat, method=method, shots=shots, queries=queries,
-        eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=ch.degree,
+        eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=degree,
         rounds=rounds, delta=deltas[0], zeta=zeta)

@@ -9,9 +9,6 @@ Conventions used throughout the package:
   Jordan-Wigner image, where qubit 0 is the leftmost tensor factor.
 * A term is an ordered product of ladder operators, written left to right;
   the rightmost operator acts on the ket first.
-* Canonical normal ordering: creation operators left of annihilation
-  operators, each group sorted by descending mode index, with fermionic
-  sign tracking and contraction terms from {a_p, a_q^dag} = delta_pq.
 * The two-body tensor enters the Hamiltonian literally as
   sum_pqrs V[p,q,r,s] a_p^dag a_q^dag a_r a_s.  Real-orbital inputs must
   carry the eight-fold index symmetry generated by p<->s, q<->r and the
@@ -53,8 +50,7 @@ import numpy as np
 from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
-# largest max |m_ij - conj(m_ji)| of a DenseOperator flagged hermitian; the
-# dense builders derive the flag from this same test, so it never contradicts
+# largest max |m_ij - conj(m_ji)| of a DenseOperator read as hermitian
 HERMITIAN_TOL = 1e-12
 # largest mode count jordan_wigner maps (so diagonalize takes); it must stay
 # <= 31, since its string keys x << n | z are int64
@@ -102,20 +98,22 @@ def _hermitian_defect(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A square matrix (the full 2^n space or a block on chosen basis
-    states) with an advisory hermiticity flag."""
+    """A square matrix: the full 2^n space or a block on chosen basis
+    states."""
 
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("DenseOperator needs a square matrix")
         object.__setattr__(self, "matrix", m)
-        if self.hermitian and _hermitian_defect(m) > HERMITIAN_TOL:
-            raise InputError(
-                f"matrix flagged hermitian is not hermitian to {HERMITIAN_TOL:g}")
+
+    @property
+    def hermitian(self) -> bool:
+        """Whether the matrix is hermitian to HERMITIAN_TOL, checked on
+        every read."""
+        return _hermitian_defect(self.matrix) <= HERMITIAN_TOL
 
     @property
     def dim(self) -> int:
@@ -154,52 +152,6 @@ class FermionOperator:
     def __len__(self):
         return len(self.terms)
 
-    def adjoint(self) -> "FermionOperator":
-        out = {}
-        for actions, coeff in self.terms.items():
-            adj = tuple((p, 1 - d) for p, d in reversed(actions))
-            out[adj] = out.get(adj, 0j) + np.conj(coeff)
-        return FermionOperator(self.n_modes, out)
-
-    def normal_ordered(self) -> "FermionOperator":
-        """Rewrite with daggers left (descending mode), annihilators right
-        (descending mode), expanding anticommutators as needed."""
-        out: dict[tuple, complex] = {}
-        stack = [(coeff, list(actions)) for actions, coeff in self.terms.items()]
-        while stack:
-            coeff, acts = stack.pop()
-            i = 0
-            reordered = False
-            while i < len(acts) - 1:
-                (p, dp), (q, dq) = acts[i], acts[i + 1]
-                if dp == dq:
-                    if p == q:  # a a or a^dag a^dag with equal modes -> 0
-                        reordered = True
-                        break
-                    if p < q:  # want descending within the group
-                        acts[i], acts[i + 1] = acts[i + 1], acts[i]
-                        stack.append((-coeff, acts))
-                        reordered = True
-                        break
-                elif dp == 0 and dq == 1:  # a_p a_q^dag out of order
-                    swapped = acts[:i] + [acts[i + 1], acts[i]] + acts[i + 2:]
-                    stack.append((-coeff, swapped))
-                    if p == q:
-                        stack.append((coeff, acts[:i] + acts[i + 2:]))
-                    reordered = True
-                    break
-                i += 1
-            if not reordered:
-                key = tuple(acts)
-                out[key] = out.get(key, 0j) + coeff
-        return FermionOperator(self.n_modes, out)
-
-    def is_hermitian(self) -> bool:
-        a = self.normal_ordered().terms
-        b = self.adjoint().normal_ordered().terms
-        keys = set(a) | set(b)
-        return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= 1e-12 for k in keys)
-
     def dense(self) -> DenseOperator:
         """Occupation-basis matrix built directly from ladder-operator action
         (no qubit mapping involved); refused above FULL_SPACE_MODE_CAP
@@ -233,8 +185,7 @@ class FermionOperator:
                 cur = cur ^ bit
             rows, cols = cur[alive], states[alive]
             mat[rows, cols] += coeff * sign[alive]
-        return DenseOperator(
-            mat, hermitian=_hermitian_defect(mat) <= HERMITIAN_TOL)
+        return DenseOperator(mat)
 
 
 def _ladder_sum(tensor: np.ndarray, daggers: tuple) -> FermionOperator:
@@ -377,8 +328,7 @@ class PauliOperator:
             odd = (np.bitwise_count(cols & z[lo:hi, None]) & 1).astype(bool)
             np.add.at(flat, (rows * m + np.arange(m))[hit],
                       np.where(odd, -v[lo:hi], v[lo:hi])[hit])
-        return DenseOperator(
-            mat, hermitian=_hermitian_defect(mat) <= HERMITIAN_TOL)
+        return DenseOperator(mat)
 
 
 def _ladder_products(n: int, modes: np.ndarray, daggers: np.ndarray,

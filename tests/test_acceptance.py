@@ -29,11 +29,7 @@ from respsim.assemble import CostInputs, assemble_alpha3, cost_report, \
     qpe_baseline_report
 from respsim.chebfilter import jump_error_integral
 from respsim.cli import main
-from respsim.estimate import (
-    HadamardChannel,
-    inequality_test,
-    lcu_hadamard_distribution,
-)
+from respsim.estimate import _sample_counts, inequality_test
 from respsim.operators import FermionOperator
 from respsim.spectra import alpha3_terms, r_pathway_fd
 
@@ -149,16 +145,13 @@ def test_criterion_06_inequality_test_calibration():
     tau, eps_conf = 0.1, 1.0 / 3.0
     N_s = math.ceil(math.log(4.0 / eps_conf) / tau ** 2)
     assert N_s == 249
-    # two re-quadrature channels: expected (counts_0 - counts_1)/N_s is
+    # two re-quadrature bins: expected (counts_0 - counts_1)/N_s is
     # (0.7 - (-0.5)) / (2 * 2 bins) = 0.3 = 3 * tau
-    dist = lcu_hadamard_distribution([
-        HadamardChannel(0.7 + 0j, 0j, 1.0),
-        HadamardChannel(-0.5 + 0j, 0j, 1.0),
-    ])
+    x = np.array([0.7, -0.5])
     correct = 0
     for trial in range(300):
         rng = np.random.default_rng(trial)
-        counts = dist.sample_counts(rng, N_s)
+        counts = _sample_counts(rng, x, N_s)
         if inequality_test(int(counts[0]), int(counts[1]),
                            N_s, tau) == "greater":
             correct += 1

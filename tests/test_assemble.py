@@ -10,6 +10,7 @@ from conftest import oracle_tables
 from respsim import (
     CostInputs,
     InputError,
+    ResourceError,
     ResponseTable,
     assemble_alpha1,
     assemble_alpha3,
@@ -385,6 +386,17 @@ def test_pipeline_rejects_unknown_method_before_any_work(dimer, monkeypatch,
     monkeypatch.setattr(assemble, "diagonalize", no_work)
     with pytest.raises(InputError, match="unknown method 'qpe'"):
         run_pipeline(dimer, gamma=0.1, method="qpe", mode=mode)
+
+
+def test_pipeline_refuses_an_oversized_grid_before_any_work(dimer,
+                                                            monkeypatch):
+    def no_work(model):
+        raise AssertionError("diagonalize ran before the grid was checked")
+
+    monkeypatch.setattr(assemble, "diagonalize", no_work)
+    grid = np.zeros(assemble.GRID_POINT_CAP + 1)
+    with pytest.raises(ResourceError, match="grid points"):
+        run_pipeline(dimer, gamma=0.1, grid=grid, mode="oracle")
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,5 +1,6 @@
 """Command-line interface parsing and exit codes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,23 @@ def test_main_rejects_negative_seed(capsys):
     assert main(["--toy", "hubbard", "--simulate", "--gamma", "0.1",
                  "--seed", "-1", "--grid", "0:5.4:41"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_main_refuses_an_oversized_grid_before_allocating(capsys):
+    # a 10^12-point grid would need 8 TB for the frequencies alone; the cap
+    # refuses it from the parsed count, before np.linspace runs
+    tracemalloc.start()
+    try:
+        rc = main(["--toy", "hubbard", "--oracle-only",
+                   "--grid", "0:5:1000000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "resource cap" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert len(_parse_grid(f"0:5:{assemble.GRID_POINT_CAP}")) == \
+        assemble.GRID_POINT_CAP
 
 
 def test_main_resource_cap(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Measurement simulation: Hadamard channels, bin search, window estimates."""
+"""Measurement simulation: Hadamard tests, bin search, window estimates."""
 
 import copy
 import dataclasses
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dense_reference import dense_box_value
 from respsim import (
     BinSearchConfig,
-    HadamardChannel,
     InputError,
     binary_search_1d,
     binary_search_nd,
@@ -22,69 +21,60 @@ from respsim import (
     diagonalize,
     estimate_box,
     estimate_window,
-    imaginary_part_channel,
     inequality_test,
     jordan_wigner,
-    lcu_hadamard_distribution,
     lcu_one_norm,
     nested_window_amplitude,
     run_pipeline,
-    sample_hadamard,
     window_amplitude,
 )
 from respsim import estimate as estimate_mod
-from respsim.estimate import P0_SLACK, LcuDistribution
+from respsim.estimate import P0_SLACK, _lcu_probabilities, _sample_counts
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
 
-def _chan(value, variant="re", zeta=1.0, ground=0j):
-    return HadamardChannel(value=complex(value), ground_term=ground,
-                           zeta=zeta, variant=variant)
-
-
 # ---------------------------------------------------------------------------
-# Hadamard channels
+# Hadamard tests
 # ---------------------------------------------------------------------------
 
 def test_channel_p0():
-    ch = _chan(0.3 + 0.7j, ground=0.1 + 0j)
-    assert ch.p0 == pytest.approx(0.5 * (1.0 + 0.4))
-    assert imaginary_part_channel(ch).p0 == pytest.approx(0.5 * (1.0 + 0.7))
+    # one Hadamard test is the one-bin LCU: each quadrature x of the
+    # amplitude reads 0 with P(0) = (1 + x)/2, bit for bit, and the discard
+    # entry is P(1)
+    v = 0.3 + 0.7j + 0.1
+    for x in (v.real, v.imag):
+        p = _lcu_probabilities([x])
+        assert p[0] == 0.5 * (1.0 + x)
+        assert p[0] + p[1] == 1.0
 
 
 def test_channel_validation():
-    with pytest.raises(InputError):
-        _chan(0.1, variant="abs")
-    with pytest.raises(InputError):
-        _chan(0.1, zeta=0.0)
     # mild filter overshoot is clipped, beyond the slack it is rejected
-    assert _chan(1.0 + P0_SLACK / 2).p0 == 1.0
-    with pytest.raises(InputError):
-        _ = _chan(1.0 + 2 * P0_SLACK).p0
-
-
-def test_sample_hadamard_is_seed_deterministic():
-    ch = _chan(0.25)
-    assert sample_hadamard(ch, 1000, np.random.default_rng(42)) == \
-        sample_hadamard(ch, 1000, np.random.default_rng(42))
-    f = sample_hadamard(ch, 200000, np.random.default_rng(42))
-    assert f == pytest.approx(ch.p0, abs=5e-3)
-    with pytest.raises(InputError):
-        sample_hadamard(ch, 0, np.random.default_rng(42))
+    assert _lcu_probabilities([1.0 + P0_SLACK / 2])[0] == 1.0
+    assert _lcu_probabilities([-1.0 - P0_SLACK / 2])[0] == 0.0
+    with pytest.raises(InputError, match="wrong zeta"):
+        _lcu_probabilities([1.0 + 2 * P0_SLACK])
 
 
 def test_channel_from_filtered_chain(dimer, dimer_sd):
     # the channel's amplitude is the ground-masked filtered dipole sandwich
     # over zeta, and the filter passes the bright line at weight ~1
     window, delta = (4.35, 4.55), 0.05
-    ch, _ = estimate_mod._box_channel(dimer_sd, (0, 0), [window], [delta],
-                                      1e-3)
+    u, u_raw, degree = estimate_mod._box_channel(dimer_sd, (0, 0), [window],
+                                                 [delta], 1e-3)
+    zeta = estimate_mod._zeta(dimer_sd, (0, 0))
+    assert zeta == 1.0
+    value = complex(u[0]) / zeta
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
-    assert abs(ch.value - want) <= 1e-9 * abs(want)
-    assert ch.zeta == 1.0
-    assert ch.value.real == pytest.approx(
+    assert abs(value - want) <= 1e-9 * abs(want)
+    assert value.real == pytest.approx(
         window_amplitude(dimer_sd, 0, 0, *window).real, abs=2e-3)
+    # the uncorrected image keeps the ground state's share
+    assert abs(complex(u_raw[0]) - value) > 0
+    # an estimate to eps builds its filter to eps / (2 zeta)
+    assert degree == estimate_window(dimer_sd, (0, 0), window, 2e-3,
+                                     method="exact", delta=delta).degree
 
 
 # ---------------------------------------------------------------------------
@@ -92,37 +82,27 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
 # ---------------------------------------------------------------------------
 
 def test_lcu_distribution_formula():
-    chans = [_chan(0.4), _chan(-0.2), _chan(0.0)]
-    dist = lcu_hadamard_distribution(chans)
-    assert len(dist.probabilities) == 4              # three bins + discard
-    assert dist.probabilities[:3] == pytest.approx(
-        [(1 + 0.4) / 6, (1 - 0.2) / 6, 1.0 / 6])
-    assert dist.probabilities.sum() == pytest.approx(1.0)
-    assert dist.probabilities[-1] == pytest.approx(
-        1.0 - (3 + 0.2) / 6)
-
-
-def test_lcu_distribution_respects_variants():
-    z = 0.6 - 0.3j
-    dist = lcu_hadamard_distribution([_chan(z, "re"), _chan(z, "im")])
-    assert dist.probabilities[0] == pytest.approx((1 + 0.6) / 4)
-    assert dist.probabilities[1] == pytest.approx((1 - 0.3) / 4)
+    p = _lcu_probabilities(np.array([0.4, -0.2, 0.0]))
+    assert len(p) == 4                                # three bins + discard
+    assert p[:3] == pytest.approx([(1 + 0.4) / 6, (1 - 0.2) / 6, 1.0 / 6])
+    assert p.sum() == pytest.approx(1.0)
+    assert p[-1] == pytest.approx(1.0 - (3 + 0.2) / 6)
 
 
 def test_lcu_distribution_validation():
     with pytest.raises(InputError):
-        lcu_hadamard_distribution([])
+        _lcu_probabilities([])
     with pytest.raises(InputError):
-        lcu_hadamard_distribution([_chan(0.1, zeta=1.0),
-                                   _chan(0.1, zeta=2.0)])
-    with pytest.raises(InputError):
-        lcu_hadamard_distribution([_chan(1.5)])
+        _lcu_probabilities([1.5])
+    # every bin at the clip edge fills the distribution: nothing discarded
+    p = _lcu_probabilities(np.full(3, 1.0 + P0_SLACK / 2))
+    assert p[-1] == 0.0
+    assert p[:3] == pytest.approx([1.0 / 3] * 3)
 
 
 def test_sample_counts():
-    dist = lcu_hadamard_distribution([_chan(0.5), _chan(-0.5)])
     rng = np.random.default_rng(7)
-    counts = dist.sample_counts(rng, 10000)
+    counts = _sample_counts(rng, np.array([0.5, -0.5]), 10000)
     assert counts.shape == (2,)
     assert counts.sum() <= 10000                      # discards dropped
     assert counts[0] / 10000 == pytest.approx(1.5 / 4, abs=0.02)
@@ -133,17 +113,15 @@ def test_sample_counts():
 @given(data=st.data(), B=st.integers(1, 9), n=st.integers(0, 10 ** 12),
        seed=st.integers(0, 2 ** 63 - 1))
 def test_sample_counts_equal_numpy_multinomial(data, B, n, seed):
-    """sample_counts is bit-identical to one rng.multinomial draw with the
-    discard dropped and leaves the generator in the same state; seeded
+    """A level's counts are bit-identical to one rng.multinomial draw with
+    the discard dropped and leave the generator in the same state; seeded
     outputs rely on it."""
-    w = np.array(data.draw(st.lists(
-        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-        min_size=B + 1, max_size=B + 1)))
-    if w.sum() == 0.0:
-        w[-1] = 1.0
-    p = w / w.sum()
+    x = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        min_size=B, max_size=B)))
+    p = _lcu_probabilities(x)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    counts = LcuDistribution(p).sample_counts(rng_a, n)
+    counts = _sample_counts(rng_a, x, n)
     ref = rng_b.multinomial(n, p)[:-1]
     assert counts.dtype == ref.dtype
     assert np.array_equal(counts, ref)
@@ -154,10 +132,10 @@ def test_sample_counts_follow_the_multinomial_law():
     """Over 4000 draws from seeds 0..3999, the counts' mean is n p within
     4 standard errors per bin, and their covariance is n (diag p - p p^T)
     within 4 standard errors of a sample covariance per entry."""
-    p = np.array([0.3, 0.05, 0.2, 0.15, 0.3])     # last entry: discard
+    x = np.array([0.6, -0.6, 0.2, 0.0])
+    p = _lcu_probabilities(x)                     # last entry: discard
     n, draws = 1000, 4000
-    dist = LcuDistribution(p)
-    counts = np.array([dist.sample_counts(np.random.default_rng(s), n)
+    counts = np.array([_sample_counts(np.random.default_rng(s), x, n)
                        for s in range(draws)])
     q = p[:-1]
     cov = n * (np.diag(q) - np.outer(q, q))
@@ -171,11 +149,11 @@ def test_sample_counts_follow_the_multinomial_law():
 
 
 def test_sample_counts_memory_does_not_grow_with_shots():
-    dist = lcu_hadamard_distribution([_chan(0.5), _chan(-0.5), _chan(0.1)])
+    x = np.array([0.5, -0.5, 0.1])
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        counts = dist.sample_counts(rng, 10 ** 12)
+        counts = _sample_counts(rng, x, 10 ** 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

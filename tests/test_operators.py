@@ -68,32 +68,6 @@ def test_anticommutation_relations():
             assert np.allclose(op.dense().matrix, expected)
 
 
-def test_normal_ordering_preserves_the_operator():
-    rng = np.random.default_rng(7)
-    for _ in range(6):
-        n = int(rng.integers(1, 5))
-        op = random_fermion_op(rng, n)
-        no = op.normal_ordered()
-        assert np.allclose(op.dense().matrix, no.dense().matrix, atol=1e-10)
-        # normal order is idempotent up to pruning
-        again = no.normal_ordered()
-        assert np.allclose(no.dense().matrix, again.dense().matrix,
-                           atol=1e-10)
-
-
-def test_adjoint_is_conjugate_transpose():
-    rng = np.random.default_rng(11)
-    op = random_fermion_op(rng, 4)
-    assert np.allclose(op.adjoint().dense().matrix,
-                       op.dense().matrix.conj().T, atol=1e-12)
-
-
-def test_is_hermitian():
-    op = FermionOperator(2, {((0, 1), (1, 0)): 1.0, ((1, 1), (0, 0)): 1.0})
-    assert op.is_hermitian()
-    assert not FermionOperator(2, {((0, 1),): 1.0}).is_hermitian()
-
-
 @pytest.mark.parametrize("kick", [2e-12, 2e-12j])
 @pytest.mark.parametrize("i, j", [(3, 150), (150, 3), (0, 199), (130, 67)])
 def test_dense_operator_rejects_small_asymmetry(i, j, kick):
@@ -103,11 +77,9 @@ def test_dense_operator_rejects_small_asymmetry(i, j, kick):
     rng = np.random.default_rng(11)
     a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
     a = a + a.conj().T
-    DenseOperator(a, hermitian=True)
+    assert DenseOperator(a).hermitian is True
     a[i, j] += kick
-    DenseOperator(a)                              # unflagged: no check
-    with pytest.raises(InputError, match="not hermitian"):
-        DenseOperator(a, hermitian=True)
+    assert DenseOperator(a).hermitian is False
 
 
 def test_operator_validation_errors():
@@ -162,7 +134,6 @@ def test_build_hamiltonian_rejects_asymmetric_inputs():
 
 def test_build_dipole_is_hermitian_one_body(dimer):
     op = build_dipole(dimer.dipole[0])
-    assert op.is_hermitian()
     D = op.dense().matrix
     assert np.allclose(D, D.conj().T)
 
@@ -334,15 +305,15 @@ def _hermitian_flag_holds(dense):
                                <= HERMITIAN_TOL)
 
 
-# per term within 1e-12 of its adjoint's (is_hermitian holds), yet the two
-# terms add up to 2e-12 on the occupied state
+# per term within 1e-12 of its adjoint's, yet the two terms add up to 2e-12
+# on the occupied state
 @example(op=FermionOperator(1, {(): 0.5e-12j, ((0, 1), (0, 0)): 0.5e-12j}))
 @example(op=FermionOperator(1, {((0, 0), (0, 1)): 1e-12j}))
 @settings(max_examples=100, deadline=None)
 @given(op=st.integers(0, 4).flatmap(fermion_ops))
 def test_dense_hermitian_flag_is_the_matrix_check(op):
-    """Both dense builders flag a matrix hermitian exactly when it passes
-    DenseOperator's check, however its terms' small imaginary parts add."""
+    """The hermitian property of both dense builders' matrices agrees with
+    a full-matrix check, however the terms' small imaginary parts add."""
     assert _hermitian_flag_holds(op.dense())
     assert _hermitian_flag_holds(jordan_wigner(op).dense())
 
