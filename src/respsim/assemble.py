@@ -619,7 +619,7 @@ def _write_outputs(result: dict, out_dir: str, order: int) -> None:
     if order == 3 and result.get("tables"):
         payload = {str(d): t.as_dict() for d, t in result["tables"].items()}
         with open(os.path.join(out_dir, "response_table.json"), "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
             fh.write("\n")
     trace = result.get("trace")
     if trace is not None:
@@ -636,5 +636,5 @@ def _write_outputs(result: dict, out_dir: str, order: int) -> None:
                 name = tag + "_" + "".join(_axis_letter(a) for a in chain)
             payload[name] = json.loads(t.to_json())
         with open(os.path.join(out_dir, "search_trace.json"), "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
             fh.write("\n")

@@ -24,7 +24,7 @@ entry are filled in.  The dipole file is a sibling with records
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from respsim import ModelSpec, diagonalize, make_hubbard_dimer
+from respsim import diagonalize, make_hubbard_dimer
 from respsim.assemble import ResponseTable
 from respsim.spectra import nested_window_amplitude
 

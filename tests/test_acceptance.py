@@ -8,7 +8,6 @@ pipelines use the pointwise maximum over the frequency grid.
 
 import itertools
 import math
-import os
 import time
 
 import numpy as np
@@ -18,10 +17,8 @@ from respsim import (
     BinSearchConfig,
     binary_search_1d,
     build_indicator,
-    diagonalize,
     estimate_window,
     jordan_wigner,
-    make_hubbard_dimer,
     run_pipeline,
     window_amplitude,
 )

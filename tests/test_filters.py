@@ -1,10 +1,11 @@
 """Smoothed-indicator polynomial construction and certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
@@ -17,7 +18,10 @@ from respsim import (
     build_indicator,
     choose_k,
     jump_error_integral,
+    make_hubbard_dimer,
+    run_pipeline,
 )
+from respsim.chebfilter import DEGREE_CAP, EVAL_BLOCK_DOUBLES
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +130,10 @@ def test_indicator_holds_on_uniform_grids(center, half_frac, delta_frac,
 
 def test_indicator_certifies_without_pointwise_evaluation(monkeypatch):
     """Certification synthesizes values with one inverse DCT on an
-    FFT-friendly grid; pointwise Clenshaw (chebval) is never called."""
+    FFT-friendly grid, and eval has its own path: pointwise Clenshaw
+    (chebval) is never called, in a build or in a whole pipeline run."""
     def tripwire(*args, **kwargs):
-        raise AssertionError("chebval called during build_indicator")
+        raise AssertionError("chebval called from the package")
 
     monkeypatch.setattr(np.polynomial.chebyshev, "chebval", tripwire)
     for a, b, delta, eps in ((-0.3, 0.3, 0.08, 1e-2), (0.2, 0.7, 0.05, 1e-3),
@@ -137,6 +142,94 @@ def test_indicator_certifies_without_pointwise_evaluation(monkeypatch):
         n_grid = f.certificate["grid_size"]
         assert n_grid >= 8 * f.degree
         assert next_fast_len(n_grid, real=True) == n_grid
+    dimer = make_hubbard_dimer(1.0, 2.0, 0.5)
+    assert run_pipeline(dimer, 0.1, seed=7)["result"] is not None
+    assert run_pipeline(dimer, 0.2, order=3, axes=(0, 0, 0, 0),
+                        grid=np.linspace(1.0, 3.9, 3),
+                        method="exact")["result"] is not None
+
+
+# ---------------------------------------------------------------------------
+# pointwise evaluation
+# ---------------------------------------------------------------------------
+
+CHEB = np.polynomial.chebyshev
+
+
+@settings(max_examples=12, deadline=None)
+@given(center=st.floats(-0.6, 0.6), log_delta_y=st.floats(-3.35, -0.7),
+       half_ratio=st.floats(1.2, 6.0), log_eps=st.floats(-3.5, -1.0),
+       n_points=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1))
+@example(center=0.0, log_delta_y=-3.35, half_ratio=1.2, log_eps=-3.5,
+         n_points=5000, seed=0)
+@example(center=0.0, log_delta_y=math.log10(2.8e-4), half_ratio=1e-3 / 2.8e-4,
+         log_eps=-3.0, n_points=5000, seed=2)       # degree 94 620
+@example(center=0.45, log_delta_y=-0.7, half_ratio=1.2, log_eps=-1.0,
+         n_points=1, seed=1)
+def test_eval_matches_clenshaw(center, log_delta_y, half_ratio, log_eps,
+                               n_points, seed):
+    """Degrees 32 to about 1e5 on up to 5 000 points, with +-1, 0, the
+    window edges and a cluster on the steep ramp.  Clenshaw (chebval) on
+    the half-series in t = 2y^2 - 1 is the arbiter.  They agree within
+    eps (d sum|c| + |q'(t)|): d eps sum|c| for either algorithm, and
+    eps |q'(t)| for the rounding of t, which Clenshaw pays (near t = -1,
+    the window, it dominates) and eval, working from y, does not."""
+    scale = 1.0 + abs(center)
+    delta = 10.0 ** log_delta_y * scale
+    half = min(half_ratio * delta, 1.0 - abs(center))
+    f = build_indicator(center - half, center + half, delta, 10.0 ** log_eps)
+    rng = np.random.default_rng(seed)
+    edges = center + np.array([-half, half])
+    x = np.concatenate([
+        [-1.0, 0.0, 1.0, center], edges,
+        rng.uniform(-1.0, 1.0, n_points),
+        (edges[:, None] + delta * rng.uniform(-2.0, 2.0, (2, 50))).ravel()])
+    x = x[np.abs(x) <= 1.0]
+    y = (x - f.center) / f.scale
+    t = 2.0 * y * y - 1.0
+    half_series = f.coefficients[::2]
+    want = CHEB.chebval(t, half_series)
+    slope = np.abs(CHEB.chebval(t, CHEB.chebder(half_series)))
+    bound = np.finfo(float).eps * (
+        f.degree * np.sum(np.abs(f.coefficients)) + slope)
+    assert 32 <= f.degree <= DEGREE_CAP
+    assert np.all(np.abs(f.eval(x) - want) <= bound)
+
+
+def test_eval_keeps_the_shape_and_takes_no_points():
+    f = build_indicator(-0.3, 0.3, 0.08, 1e-2)
+    grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    assert f.eval(grid).shape == (3, 4)
+    assert f.eval(grid).ravel().tolist() == f.eval(grid.ravel()).tolist()
+    assert f.eval(0.25).shape == ()
+    assert f.eval(np.empty(0)).shape == (0,)
+
+
+def test_eval_memory_stays_in_its_block_budget():
+    """200 001 points at a degree near DEGREE_CAP: unblocked, the baby and
+    giant tables would take about 2 GB.  The peak is the block budget plus
+    the clamped points, the output and the coefficient table."""
+    f = build_indicator(-1e-3, 1e-3, 2.8e-4, 1e-3)
+    assert f.degree > 0.9 * DEGREE_CAP
+    x = np.linspace(-1.0, 1.0, 200001)
+    tracemalloc.start()
+    try:
+        vals = f.eval(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * EVAL_BLOCK_DOUBLES + 3 * x.nbytes
+    assert vals[100000] >= 1.0 - f.eps and vals[0] <= f.eps
+
+
+def test_eval_clamps_roundoff_and_refuses_points_beyond_it():
+    f = build_indicator(0.2, 0.7, 0.05, 1e-3)     # y = (x - 0.45) / 1.45
+    lo, hi = f.center - f.scale, f.center + f.scale
+    assert f.eval(hi + 1e-14) == f.eval(hi)
+    assert f.eval(lo - 1e-14) == f.eval(lo)
+    for bad in (hi + 1e-9, lo - 1e-9, 3.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            f.eval(np.array([0.0, bad]))
 
 
 def test_indicator_validation():

@@ -11,15 +11,19 @@ case without names) and lists each changed number; the comparison itself
 stays exact.
 """
 
+import os
 import pathlib
 import shutil
+import subprocess
 import sys
 
 import pytest
 
+import respsim
 from respsim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+PACKAGE_ROOT = pathlib.Path(respsim.__file__).parent.parent
 
 CASES = {
     # README scenarios 1-3
@@ -44,14 +48,32 @@ def _run(name, out):
     assert main(CASES[name].split() + ["--out", str(out)]) == 0
 
 
+def _assert_golden_bytes(name, out):
+    want = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == want
+    for fname in want:
+        got = (out / fname).read_bytes()
+        assert got == (GOLDEN / name / fname).read_bytes(), fname
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden_bytes(name, tmp_path, capsys):
     _run(name, tmp_path)
-    want = sorted(p.name for p in (GOLDEN / name).iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == want
-    for fname in want:
-        got = (tmp_path / fname).read_bytes()
-        assert got == (GOLDEN / name / fname).read_bytes(), fname
+    _assert_golden_bytes(name, tmp_path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
+    """Filter evaluation runs a GEMM; a fresh process with one or two BLAS
+    threads (the thread count is read when numpy loads) writes the same
+    bytes."""
+    path = filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "OPENBLAS_NUM_THREADS": threads}
+    argv = CASES["readme-order3"].split() + ["--out", str(tmp_path)]
+    subprocess.run([sys.executable, "-m", "respsim.cli", *argv], env=env,
+                   check=True, capture_output=True, timeout=300)
+    _assert_golden_bytes("readme-order3", tmp_path)
 
 
 if __name__ == "__main__":
