@@ -41,6 +41,27 @@ CASES = {
     "random-n3-order3-oracle": "--toy random:n=3,ne=2,seed=4 --order 3"
                                " --axes xyzx --oracle-only --gamma 0.1"
                                " --grid 0.5:3:7",
+    # order 1 with axis_in != axis_out
+    "random-n2-yx": "--toy random:n=2,ne=2,seed=3 --simulate --axes yx"
+                    " --gamma 0.4 --method exact",
+    # order 3 over distinct chains: six searches, estimates at depth 1 only
+    "random-n2-order3-yxxy": "--toy random:n=2,ne=2,seed=0 --simulate"
+                             " --order 3 --axes yxxy --gamma 0.4"
+                             " --method exact --grid 0.5:3:4",
+}
+
+# the first line each case prints on stdout
+SUMMARY = {
+    "readme-oracle": "oracle sum over states evaluated on 109 points",
+    "readme-simulate": "simulated 1 window estimate(s); queries 859183344",
+    "readme-order3": "simulated 3 window estimate(s); queries 37197890184",
+    "random-n3-exact": "search found no spectral weight in the scanned span",
+    "random-n4-oracle": "oracle sum over states evaluated on 121 points",
+    "hubbard-gamma005": "simulated 1 window estimate(s); queries 1431226680",
+    "random-n3-order3-oracle": "oracle sum over states evaluated on 7 points",
+    "random-n2-yx": "simulated 1 window estimate(s); queries 234292230",
+    "random-n2-order3-yxxy": "search found no spectral weight in the scanned"
+                             " span",
 }
 
 
@@ -59,6 +80,7 @@ def _assert_golden_bytes(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden_bytes(name, tmp_path, capsys):
     _run(name, tmp_path)
+    assert capsys.readouterr().out.splitlines()[0] == SUMMARY[name]
     _assert_golden_bytes(name, tmp_path)
 
 
