@@ -10,9 +10,9 @@ from the same eigensystems backs every simulated quantity.
 
 from .errors import (InputError, ResourceError, RespsimError,
                      StatisticalFailure)
-from .operators import (DenseOperator, FermionOperator, PauliOperator,
-                        build_dipole, build_hamiltonian, eta_dipole_norm,
-                        jordan_wigner, lcu_one_norm, validate_two_body_symmetry)
+from .operators import (FermionOperator, PauliOperator, build_dipole,
+                        build_hamiltonian, eta_dipole_norm, jordan_wigner,
+                        lcu_one_norm, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
                      make_random_model, spatial_to_spin, spin_to_spatial,
                      write_fcidump_like)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
-    "DenseOperator", "FermionOperator", "PauliOperator", "build_dipole",
-    "build_hamiltonian", "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
+    "FermionOperator", "PauliOperator", "build_dipole", "build_hamiltonian",
+    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
     "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
     "make_random_model", "spatial_to_spin", "spin_to_spatial",

@@ -28,11 +28,10 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .estimate import (METHODS, BinSearchConfig, binary_search_1d,
                        binary_search_nd, estimate_box, estimate_window)
-from .models import ModelSpec
+from .models import AXIS_LETTERS, ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
 
-_AXIS_LETTERS = "xyz"
 # most frequency points a run evaluates: alpha1 holds two complex
 # (points x excited states) temporaries, 32 B per pair, so about 450 MB at
 # the cap on the largest accepted sector (3 432 states)
@@ -76,11 +75,6 @@ class ResponseTable:
         if self.margin < 0:
             raise InputError("margin must be non-negative")
 
-    @property
-    def depth(self) -> int:
-        """Number of nested windows per entry."""
-        return 1 if self.order == 1 else self.order
-
     def add(self, estimate) -> None:
         rec = self._normalize(estimate)
         for other in self.entries:
@@ -105,16 +99,16 @@ class ResponseTable:
             meta = {k: v for k, v in est.items()
                     if k not in ("axes", "window", "value")}
         depth = len(window) if isinstance(window[0], tuple) else 1
-        if depth != self.depth:
+        if depth != self.order:
             raise InputError(
-                f"entry has nesting depth {depth}, table holds {self.depth}")
+                f"entry has nesting depth {depth}, table holds {self.order}")
         if len(axes) != depth + 1:
             raise InputError(
                 f"entry has {len(axes)} axes for depth {depth}")
         return {"axes": axes, "window": window, "value": value, "meta": meta}
 
     def _clashes(self, w1, w2) -> bool:
-        if self.depth == 1:
+        if self.order == 1:
             return _overlap_length(w1, w2) > self.margin + 1e-12
         return all(_overlap_length(a, b) > self.margin + 1e-12
                    for a, b in zip(w1, w2))
@@ -137,15 +131,12 @@ class ResponseTable:
             "entries": [
                 {"axes": list(e["axes"]),
                  "window": [list(w) for w in e["window"]]
-                 if self.depth > 1 else list(e["window"]),
+                 if self.order > 1 else list(e["window"]),
                  "re": e["value"].real, "im": e["value"].imag,
                  "meta": {k: v for k, v in e["meta"].items()
                           if k not in ("re", "im")}}
                 for e in self.entries],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +154,7 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
-    if table.depth != 1:
+    if table.order != 1:
         raise InputError("first-order assembly needs a depth-1 table")
     if not table.entries:
         raise InputError("empty response table")
@@ -187,16 +178,8 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
 # third order (one double-sided pathway, binned)
 # ---------------------------------------------------------------------------
 
-def _pin_value(gd, axis) -> float:
-    if gd is None:
-        return 0.0
-    if isinstance(gd, dict):
-        return float(gd.get(axis, 0.0))
-    return float(gd[axis])
-
-
 def assemble_alpha3(tables, omega_triples, gamma: float,
-                    ground_dipoles=None) -> SusceptibilityResult:
+                    ground_dipoles: dict) -> SusceptibilityResult:
     """Binned third-order pathway response at frequency triples.
 
     tables: {3: boxes, 2: depth-2 amplitudes, 1: depth-1 amplitudes}.
@@ -209,7 +192,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
 
     Terms where an intermediate index is the ground state are added from
     lower-depth amplitudes with the pinned centre frequency set to zero,
-    multiplied by the ground-state dipole moments `ground_dipoles`.
+    multiplied by the ground-state dipole moments `ground_dipoles`
+    ({axis: moment}, 0 for an axis it lacks).
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -219,7 +203,7 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     boxes = tables[3].entries
     a0, a1, a2, a3 = boxes[0]["axes"]
     i1, i_tr, i3, i2 = a0, a1, a2, a3
-    gd = {ax: _pin_value(ground_dipoles, ax) for ax in (i_tr, i1, i2, i3)}
+    gd = {ax: float(ground_dipoles.get(ax, 0.0)) for ax in (i_tr, i1, i2, i3)}
 
     t2_lm = tables[2].select((i2, i3, i_tr))     # windows (W_l, W_m)
     t2_nm = tables[2].select((i1, i_tr, i3))     # windows (W_n, W_m)
@@ -418,7 +402,14 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     not finite (gamma and window_width must also be positive) raises
     InputError, and a grid of more than GRID_POINT_CAP points raises
     ResourceError, before any search.
-    Returns a dict of results; writes CSV/JSON files when out_dir is set.
+    Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
+    "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
+    "manifest" (manifest.json's content) and "csv" (response.csv's body).
+    A simulation adds "traces" ({search name: SearchTrace}; a search over
+    a chain is named d<depth>_<axis letters>, the order-3 box search
+    depth3), "tables" ({depth: ResponseTable}) and "result" (the
+    assembled SusceptibilityResult, or None unless every table has
+    entries).  Writes those as CSV/JSON files when out_dir is set.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -476,9 +467,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
         else:
             result.update(_simulate_alpha3(
                 sd, gamma, eps, axes, grid, seed, method))
-        manifest["queries_total"] = result["trace"].queries_total \
-            if order == 1 else sum(t.queries_total
-                                   for t in result["traces"].values())
+        manifest["queries_total"] = sum(
+            t.queries_total for t in result["traces"].values())
 
     beta = max(sd.betas[axes[-1]], 1e-12)
     ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
@@ -493,6 +483,11 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if out_dir is not None:
         _write_outputs(result, out_dir, order)
     return result
+
+
+def _search_name(chain) -> str:
+    """Name of a search over a dipole chain: its depth and axis letters."""
+    return f"d{len(chain) - 1}_" + "".join(AXIS_LETTERS[a] for a in chain)
 
 
 def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
@@ -513,17 +508,13 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
         table.add(estimate_window(
             sd, (ax_in, ax_out), win, eps, method=method,
             delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx)))
-    out = {"trace": trace, "table": table, "windows": windows}
-    if table.entries:
-        out["result"] = assemble_alpha1(table, grid, gamma)
-    else:
-        out["result"] = None
-    return out
+    return {"traces": {_search_name(axes): trace}, "tables": {1: table},
+            "result": (assemble_alpha1(table, grid, gamma)
+                       if table.entries else None)}
 
 
 def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     i_tr, i3, i2, i1 = axes
-    chain3 = (i1, i_tr, i3, i2)
     width = gamma
     # Nested amplitudes spread over branching**3 cells per box, so the
     # per-bin elevation is far smaller than in the 1-D search; a tighter
@@ -531,48 +522,29 @@ def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     # above the noise floor.
     cfg = BinSearchConfig(gamma=width, tau=0.004, overlap=0.3, max_depth=40,
                           span=_aligned_span(sd.alpha_shift, width))
-    traces = {}
-    traces[3] = binary_search_nd(sd, chain3, cfg, seed=seed)
-    chains2 = {(i2, i3, i_tr): None, (i1, i_tr, i3): None}
-    for k, ch in enumerate(chains2):
-        traces[("d2", ch)] = binary_search_nd(sd, ch, cfg, seed=seed + 1 + k)
-    chains1 = {(i_tr, i1): None, (i2, i3): None, (i3, i_tr): None}
-    for k, ch in enumerate(chains1):
-        traces[("d1", ch)] = binary_search_nd(sd, ch, cfg,
-                                              seed=seed + 11 + k)
-    tables = {3: ResponseTable(order=3, margin=cfg.overlap * width),
-              2: ResponseTable(order=2, margin=cfg.overlap * width),
-              1: ResponseTable(order=1, margin=cfg.overlap * width)}
-    idx = 0
-    for box in traces[3].peaks:
-        tables[3].add(estimate_box(sd, chain3, box, eps, method=method,
-                                   seed=_child_seed(seed, idx)))
-        idx += 1
-    for ch in chains2:
-        for box in traces[("d2", ch)].peaks:
-            tables[2].add(estimate_box(sd, ch, box, eps, method=method,
-                                       seed=_child_seed(seed, idx)))
-            idx += 1
-    for ch in chains1:
-        for win in traces[("d1", ch)].peaks:
-            tables[1].add(estimate_box(sd, ch, (win,), eps, method=method,
-                                       seed=_child_seed(seed, idx)))
-            idx += 1
-    gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
-            for ax in set(axes)}
-    out = {"traces": traces, "tables": tables, "ground_dipoles": gdip}
-    have_all = all(tables[d].entries for d in (1, 2, 3))
-    if have_all:
-        triples = np.stack([grid, grid, grid], axis=-1)
-        out["result"] = assemble_alpha3(tables, triples, gamma,
-                                        ground_dipoles=gdip)
-    else:
-        out["result"] = None
-    return out
-
-
-def _axis_letter(i: int) -> str:
-    return _AXIS_LETTERS[i]
+    # (trace name, chain, search seed): the box chain, then the distinct
+    # chains of the ground-pinned terms at depths 2 and 1
+    jobs = [("depth3", (i1, i_tr, i3, i2), seed)]
+    for chains, first in ((((i2, i3, i_tr), (i1, i_tr, i3)), seed + 1),
+                          (((i_tr, i1), (i2, i3), (i3, i_tr)), seed + 11)):
+        jobs += [(_search_name(ch), ch, first + k)
+                 for k, ch in enumerate(dict.fromkeys(chains))]
+    traces = {name: binary_search_nd(sd, ch, cfg, seed=s)
+              for name, ch, s in jobs}
+    tables = {d: ResponseTable(order=d, margin=cfg.overlap * width)
+              for d in (3, 2, 1)}
+    boxes = [(ch, box) for name, ch, _ in jobs for box in traces[name].peaks]
+    for idx, (ch, box) in enumerate(boxes):
+        tables[len(ch) - 1].add(estimate_box(
+            sd, ch, box if len(ch) > 2 else (box,), eps, method=method,
+            seed=_child_seed(seed, idx)))
+    result = None
+    if all(t.entries for t in tables.values()):
+        gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
+                for ax in set(axes)}
+        result = assemble_alpha3(tables, np.stack([grid, grid, grid], axis=-1),
+                                 gamma, ground_dipoles=gdip)
+    return {"traces": traces, "tables": tables, "result": result}
 
 
 def _render_csv(result: dict, axes, order: int) -> str:
@@ -587,12 +559,12 @@ def _render_csv(result: dict, axes, order: int) -> str:
     vals = np.atleast_1d(res.values)
     if order == 1:
         ax_out, ax_in = axes
-        a_in, a_out = _axis_letter(ax_in), _axis_letter(ax_out)
+        a_in, a_out = AXIS_LETTERS[ax_in], AXIS_LETTERS[ax_out]
         pathway = ""
         omegas = freqs
     else:
-        a_out = _axis_letter(axes[0])
-        a_in = "".join(_axis_letter(a) for a in axes[1:])
+        a_out = AXIS_LETTERS[axes[0]]
+        a_in = "".join(AXIS_LETTERS[a] for a in axes[1:])
         pathway = "R1"
         omegas = freqs if freqs.ndim == 1 else freqs[:, 0]
     for w, v in zip(omegas, vals):
@@ -601,40 +573,25 @@ def _render_csv(result: dict, axes, order: int) -> str:
     return buf.getvalue()
 
 
+def _json_text(obj, indent=None) -> str:
+    return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+
+
 def _write_outputs(result: dict, out_dir: str, order: int) -> None:
+    texts = {
+        "response.csv": result["csv"],
+        "manifest.json": _json_text(result["manifest"], indent=2),
+        "cost_report.json": _json_text({"cost": result["cost"],
+                                        "qpe": result["qpe"]}, indent=2),
+    }
+    if "tables" in result:
+        tables = {str(d): t.as_dict() for d, t in result["tables"].items()}
+        traces = {name: t.as_dict() for name, t in result["traces"].items()}
+        if order == 1:      # its one table and one search, written bare
+            (tables,), (traces,) = tables.values(), traces.values()
+        texts["response_table.json"] = _json_text(tables)
+        texts["search_trace.json"] = _json_text(traces)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "response.csv"), "w") as fh:
-        fh.write(result["csv"])
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(result["manifest"], fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "cost_report.json"), "w") as fh:
-        json.dump({"cost": result["cost"], "qpe": result["qpe"]},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if order == 1 and result.get("table") is not None:
-        with open(os.path.join(out_dir, "response_table.json"), "w") as fh:
-            fh.write(result["table"].to_json())
-            fh.write("\n")
-    if order == 3 and result.get("tables"):
-        payload = {str(d): t.as_dict() for d, t in result["tables"].items()}
-        with open(os.path.join(out_dir, "response_table.json"), "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
-    trace = result.get("trace")
-    if trace is not None:
-        with open(os.path.join(out_dir, "search_trace.json"), "w") as fh:
-            fh.write(trace.to_json())
-            fh.write("\n")
-    elif result.get("traces"):
-        payload = {}
-        for key, t in result["traces"].items():
-            if isinstance(key, int):
-                name = f"depth{key}"
-            else:
-                tag, chain = key
-                name = tag + "_" + "".join(_axis_letter(a) for a in chain)
-            payload[name] = json.loads(t.to_json())
-        with open(os.path.join(out_dir, "search_trace.json"), "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)

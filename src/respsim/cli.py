@@ -22,9 +22,9 @@ import numpy as np
 from .assemble import GRID_POINT_CAP, run_pipeline
 from .estimate import METHODS
 from .errors import InputError, ResourceError, RespsimError, StatisticalFailure
-from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
+from .models import (AXIS_LETTERS, load_fcidump_like, make_hubbard_dimer,
+                     make_random_model)
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _TOY_KEYS = {"hubbard": ("t", "U", "d"), "random": ("n", "ne", "seed")}
 
 
@@ -63,11 +63,11 @@ def _parse_toy(text: str):
 def _parse_axes(text: str, order: int):
     need = 2 if order == 1 else 4
     text = text.strip().lower()
-    if len(text) != need or any(c not in _AXIS_INDEX for c in text):
+    if len(text) != need or any(c not in AXIS_LETTERS for c in text):
         raise InputError(
             f"--axes needs {need} letters from xyz for order {order}, "
             f"got {text!r}")
-    return tuple(_AXIS_INDEX[c] for c in text)
+    return tuple(AXIS_LETTERS.index(c) for c in text)
 
 
 def _parse_grid(text: str):
@@ -158,9 +158,7 @@ def main(argv=None) -> int:
     elif res is None:
         print("search found no spectral weight in the scanned span")
     else:
-        n_win = (len(result["table"].entries) if args.order == 1
-                 else sum(len(t.entries)
-                          for t in result["tables"].values()))
+        n_win = sum(len(t.entries) for t in result["tables"].values())
         print(f"simulated {n_win} window estimate(s); "
               f"queries {result['manifest']['queries_total']}")
     if args.out:

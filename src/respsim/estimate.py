@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -250,8 +249,8 @@ class SearchTrace:
     def found(self) -> bool:
         return len(self.peaks) > 0
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "config": self.config,
             "seed": self.seed,
             "dims": self.dims,
@@ -263,7 +262,6 @@ class SearchTrace:
             "truncated": self.truncated,
             "found": self.found,
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

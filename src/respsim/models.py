@@ -33,6 +33,8 @@ from .errors import InputError, ResourceError
 from .operators import TWO_BODY_IMAGES, validate_two_body_symmetry
 
 RANDOM_MODEL_CAP = 7  # spatial orbitals
+# the Cartesian dipole axes 0, 1, 2 by letter
+AXIS_LETTERS = "xyz"
 
 
 @dataclass
@@ -238,7 +240,8 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
             f"no dipole file for {path.name}; dipole set to zero", stacklevel=2
         )
     else:
-        axis_map = {"x": 0, "y": 1, "z": 2, "1": 0, "2": 1, "3": 2}
+        axis_map = {tag: i for i, c in enumerate(AXIS_LETTERS)
+                    for tag in (c, str(i + 1))}
         for lineno, text in _stripped_lines(dipole_path):
             parts = text.split()
             if len(parts) != 4:

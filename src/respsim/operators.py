@@ -50,8 +50,6 @@ import numpy as np
 from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
-# largest max |m_ij - conj(m_ji)| of a DenseOperator read as hermitian
-HERMITIAN_TOL = 1e-12
 # largest mode count jordan_wigner maps (so diagonalize takes); it must stay
 # <= 31, since its string keys x << n | z are int64
 DEFAULT_MODE_CAP = 14
@@ -75,49 +73,6 @@ TWO_BODY_IMAGES = (
     (2, 0, 3, 1),
     (2, 3, 0, 1),
 )
-
-
-# ---------------------------------------------------------------------------
-# dense operators
-# ---------------------------------------------------------------------------
-
-def _hermitian_defect(m: np.ndarray) -> float:
-    """max |m_ij - conj(m_ji)|, one 64-row strip of the upper triangle at a
-    time.
-
-    Each strip m[i:i+64, i:] meets its mirror m[i:, i:i+64], so every pair
-    (and the diagonal) is compared once and no full-size temporary is built.
-    """
-    worst = 0.0
-    for i in range(0, m.shape[0], 64):
-        strip = m[i:i + 64, i:]
-        mirror = m[i:, i:i + 64].T
-        worst = max(worst, float(np.max(np.abs(strip - mirror.conj()))))
-    return worst
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A square matrix: the full 2^n space or a block on chosen basis
-    states."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError("DenseOperator needs a square matrix")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def hermitian(self) -> bool:
-        """Whether the matrix is hermitian to HERMITIAN_TOL, checked on
-        every read."""
-        return _hermitian_defect(self.matrix) <= HERMITIAN_TOL
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +107,8 @@ class FermionOperator:
     def __len__(self):
         return len(self.terms)
 
-    def dense(self) -> DenseOperator:
-        """Occupation-basis matrix built directly from ladder-operator action
+    def dense(self) -> np.ndarray:
+        """Complex occupation-basis matrix built directly from ladder-operator action
         (no qubit mapping involved); refused above FULL_SPACE_MODE_CAP
         modes."""
         n = self.n_modes
@@ -185,7 +140,7 @@ class FermionOperator:
                 cur = cur ^ bit
             rows, cols = cur[alive], states[alive]
             mat[rows, cols] += coeff * sign[alive]
-        return DenseOperator(mat)
+        return mat
 
 
 def _ladder_sum(tensor: np.ndarray, daggers: tuple) -> FermionOperator:
@@ -277,14 +232,12 @@ class PauliOperator:
                 clean[s] = complex(c)
         self.terms = clean
 
-    def one_norm(self) -> float:
-        return float(sum(abs(c) for c in self.terms.values()))
-
     def __len__(self):
         return len(self.terms)
 
-    def dense(self, states=None) -> DenseOperator:
-        """Matrix of the operator, or its block on the given basis states.
+    def dense(self, states=None) -> np.ndarray:
+        """Complex matrix of the operator, or its block on the given basis
+        states.
 
         Term (x, z) with coefficient c sends basis state b to b ^ x with
         amplitude c * i**|x & z| * (-1)**|z & b|.  ``states`` lists distinct
@@ -328,7 +281,7 @@ class PauliOperator:
             odd = (np.bitwise_count(cols & z[lo:hi, None]) & 1).astype(bool)
             np.add.at(flat, (rows * m + np.arange(m))[hit],
                       np.where(odd, -v[lo:hi], v[lo:hi])[hit])
-        return DenseOperator(mat)
+        return mat
 
 
 def _ladder_products(n: int, modes: np.ndarray, daggers: np.ndarray,
@@ -497,7 +450,7 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
 
 def lcu_one_norm(op: PauliOperator) -> float:
     """Sum of |coefficients| -- the LCU subnormalization of the operator."""
-    return op.one_norm()
+    return float(sum(abs(c) for c in op.terms.values()))
 
 
 def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:

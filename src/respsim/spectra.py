@@ -103,7 +103,7 @@ def _qubit_image(op, states: np.ndarray):
     image; the block is a copy, so its complex original is freed before the
     eigensolver runs."""
     pauli = jordan_wigner(op)
-    return pauli.dense(states=states).matrix.real.copy(), lcu_one_norm(pauli)
+    return pauli.dense(states=states).real.copy(), lcu_one_norm(pauli)
 
 
 def diagonalize(model: ModelSpec) -> SpectralData:

@@ -50,8 +50,8 @@ def test_criterion_01_jordan_wigner_roundtrip():
                 for _ in range(length))
             terms[actions] = complex(rng.normal(), rng.normal())
         op = FermionOperator(n, terms)
-        diff = np.max(np.abs(jordan_wigner(op).dense().matrix
-                             - op.dense().matrix))
+        diff = np.max(np.abs(jordan_wigner(op).dense()
+                             - op.dense()))
         assert diff <= 1e-12
     assert time.monotonic() - t0 < 10.0
 

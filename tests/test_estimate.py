@@ -256,7 +256,7 @@ def test_search_1d_trace_is_deterministic(dimer_sd):
     cfg = BinSearchConfig(gamma=0.4, tau=0.05, span=(0.0, 6.4))
     a = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
     b = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
-    assert a.to_json() == b.to_json()
+    assert a.as_dict() == b.as_dict()
 
 
 def test_search_1d_dark_axis_finds_nothing(dimer_sd):
@@ -422,7 +422,7 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
     cfg = BinSearchConfig(gamma=sd.alpha_shift / 16.0, tau=0.05)
     lo = 0.5 * float(sd.eigenvalues[1])
     wins = [(lo, lo + 0.5)] * 2
-    ref_trace = binary_search_1d(sd, (0, 0), cfg, seed=4).to_json()
+    ref_trace = binary_search_1d(sd, (0, 0), cfg, seed=4).as_dict()
     ref_box = estimate_box(sd, (0, 0, 0), wins, 2e-2, seed=2).as_dict()
     for shift in (0.0, 1.2345678901, -7.5):
         shifted = diagonalize(dataclasses.replace(model, nuclear_shift=shift))
@@ -430,7 +430,7 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
             sd.ground_energy + shift, abs=1e-12)
         assert shifted.alpha_shift == sd.alpha_shift
         assert binary_search_1d(shifted, (0, 0), cfg,
-                                seed=4).to_json() == ref_trace
+                                seed=4).as_dict() == ref_trace
         assert estimate_box(shifted, (0, 0, 0), wins, 2e-2,
                             seed=2).as_dict() == ref_box
 

@@ -1,5 +1,6 @@
 """Import layering and public exports of the package (imports read from
-the source with ``ast``), and the import graph of a cold CLI start."""
+the source with ``ast``), unused imports in the package and the tests, and
+the import graph of a cold CLI start."""
 
 import ast
 import json
@@ -16,6 +17,9 @@ PACKAGE = pathlib.Path(respsim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ARBITERS = [pathlib.Path(__file__).parent / name
             for name in ("pauli_reference.py", "dense_reference.py")]
+# __init__.py imports to re-export
+IMPORTERS = [p for p in MODULES if p.name != "__init__.py"] + sorted(
+    pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _package_imports(path):
@@ -72,6 +76,26 @@ def test_package_never_imports_the_test_references(path):
     roots = {m.split(".")[0] for m in modules}
     assert not roots & {"tests", "conftest", "dense_reference",
                         "pauli_reference"}
+
+
+def _unused_imports(path):
+    """Names a module imports (other than from __future__) but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", IMPORTERS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
 
 
 def test_public_names_resolve_once():
