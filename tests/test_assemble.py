@@ -83,7 +83,7 @@ def test_table_serialization():
     assert e["window"] == [[0.0, 1.0], [2.0, 3.0]]
     assert e["re"] == 0.25 and e["im"] == -0.5
     assert e["meta"]["note"] == "probe"
-    assert json.loads(json.dumps(d, sort_keys=True)) == d
+    assert json.loads(json.dumps(d)) == d
 
 
 # ---------------------------------------------------------------------------

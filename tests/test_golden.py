@@ -2,13 +2,14 @@
 byte for byte.
 
 Each case's files under tests/golden/<name>/ were written by
-``respsim <argv> --out tests/golden/<name>``.  The spectra come from LAPACK
+``respsim <argv> --out tests/golden/<name>``, and the first line the run
+prints is held in SUMMARY.  The spectra come from LAPACK
 eigensolvers, so the bytes also depend on the LAPACK build (these come from
 numpy 2.4 with OpenBLAS 0.3.31 on x86-64), as the frozen spectrum hashes in
 test_spectra.py do.  A change that moves output bits on purpose regenerates
 the affected directories (``python tests/test_golden.py NAME ...``, or every
-case without names) and lists each changed number; the comparison itself
-stays exact.
+case without names), updates their SUMMARY lines by hand and lists each
+changed number; the comparison itself stays exact.
 """
 
 import os

@@ -17,7 +17,8 @@ PACKAGE = pathlib.Path(respsim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ARBITERS = [pathlib.Path(__file__).parent / name
             for name in ("pauli_reference.py", "dense_reference.py")]
-# __init__.py imports to re-export
+# every package module but __init__.py, whose imports are re-exports, and
+# every test module
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"] + sorted(
     pathlib.Path(__file__).parent.glob("*.py"))
 
