@@ -14,17 +14,13 @@ from .operators import (FermionOperator, PauliOperator, build_dipole,
                         build_hamiltonian, eta_dipole_norm, jordan_wigner,
                         lcu_one_norm, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
-                     make_random_model, spatial_to_spin, spin_to_spatial,
-                     write_fcidump_like)
-from .spectra import (SpectralData, SusceptibilityResult, alpha1, alpha3,
-                      alpha3_terms, chi1_time, diagonalize,
-                      nested_window_amplitude, r_pathway_fd, r_pathways,
-                      window_amplitude)
+                     make_random_model, spatial_to_spin)
+from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
+                      nested_window_amplitude, r_pathway_fd)
 from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
-                         choose_k, jump_error_integral)
+                         choose_k)
 from .estimate import (BinSearchConfig, SearchTrace, WindowEstimate,
-                       binary_search_1d, binary_search_nd, estimate_box,
-                       estimate_window, inequality_test)
+                       binary_search_nd, estimate_box)
 from .assemble import (CostInputs, ResponseTable, assemble_alpha1,
                        assemble_alpha3, cost_report, qpe_baseline_report,
                        run_pipeline)
@@ -37,16 +33,12 @@ __all__ = [
     "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
     "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
-    "make_random_model", "spatial_to_spin", "spin_to_spatial",
-    "write_fcidump_like",
-    "SpectralData", "SusceptibilityResult", "alpha1", "alpha3",
-    "alpha3_terms", "chi1_time", "diagonalize", "nested_window_amplitude",
-    "r_pathway_fd", "r_pathways", "window_amplitude",
+    "make_random_model", "spatial_to_spin",
+    "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",
+    "nested_window_amplitude", "r_pathway_fd",
     "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",
-    "jump_error_integral",
     "BinSearchConfig", "SearchTrace", "WindowEstimate",
-    "binary_search_1d", "binary_search_nd", "estimate_box", "estimate_window",
-    "inequality_test",
+    "binary_search_nd", "estimate_box",
     "CostInputs", "ResponseTable", "assemble_alpha1", "assemble_alpha3",
     "cost_report", "qpe_baseline_report", "run_pipeline",
 ]

@@ -2,12 +2,14 @@
 
 The measurement layer produces window amplitudes d_[a,b]; here they are
 combined into response functions by replacing each resolvent denominator
-with its value at the window centre.  A first-order table needs one window
-per entry; third-order tables hold nested boxes.  For the third-order
-pathway the ground state can appear as an intermediate index, so the full
-binned expression mixes depth-3 boxes with ground-pinned terms built from
-depth-2 and depth-1 amplitudes and the (classically known) ground-state
-dipole moments; assembly rejects table sets missing a needed depth.
+with its value at the window centre.  Every table entry carries its dipole
+chain, outermost axis first: a first-order entry is the depth-1 chain
+(axis_out, axis_in) over one window; third-order tables hold nested boxes.
+For the third-order pathway the ground state can appear as an intermediate
+index, so the full binned expression mixes depth-3 boxes with ground-pinned
+terms built from depth-2 and depth-1 amplitudes and the (classically known)
+ground-state dipole moments; assembly rejects table sets missing a needed
+depth.
 
 cost_report / qpe_baseline_report emit the scaling formulas with unit
 prefactors: they are order-of-growth statements for comparing regimes,
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .estimate import (METHODS, BinSearchConfig, binary_search_1d,
-                       binary_search_nd, estimate_box, estimate_window)
+from .estimate import (METHODS, BinSearchConfig, binary_search_nd,
+                       estimate_box)
 from .models import AXIS_LETTERS, ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
@@ -147,10 +149,11 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
                     ) -> SusceptibilityResult:
     """Binned first-order response on a frequency grid.
 
-    Each entry contributes value/(w~ - w - i gamma) with w~ the window
-    midpoint, plus the mirrored term using the swapped-axes entry on the
-    same window (for hermitian dipoles the swap equals the conjugate,
-    which is used as fallback when the swapped entry is absent).
+    Entries carry the chain (axis_out, axis_in).  Each contributes
+    value/(w~ - w - i gamma) with w~ the window midpoint, plus the mirrored
+    term using the swapped chain (axis_in, axis_out) on the same window (for
+    hermitian dipoles the swap equals the conjugate, which is used as
+    fallback when the swapped entry is absent).
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -158,15 +161,15 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
         raise InputError("first-order assembly needs a depth-1 table")
     if not table.entries:
         raise InputError("empty response table")
-    ax_in, ax_out = table.entries[0]["axes"]
-    direct = table.select((ax_in, ax_out))
+    ax_out, ax_in = table.entries[0]["axes"]
+    direct = table.select((ax_out, ax_in))
     om = np.asarray(omega_grid, dtype=float)
     vals = np.zeros(om.shape, dtype=complex)
     for e in direct:
         a, b = e["window"]
         wt = 0.5 * (a + b)
         vals += e["value"] / (wt - om - 1j * gamma)
-        swapped = table.lookup((ax_out, ax_in), e["window"])
+        swapped = table.lookup((ax_in, ax_out), e["window"])
         if swapped is None:
             swapped = np.conj(e["value"])
         vals += swapped / (wt + om + 1j * gamma)
@@ -330,8 +333,8 @@ def cost_report(c: CostInputs) -> dict:
 def qpe_baseline_report(c: CostInputs) -> dict:
     """Phase-estimation baseline for the same line-resolution task.
 
-    The register needs k bits with 2^k > alpha/gamma (reported as both
-    k_star and k_bits); total cost to the same accuracy scales as
+    The register needs k_star bits, the least k with 2^k > alpha/gamma;
+    total cost to the same accuracy scales as
     alpha^2/(gamma^2 eps), a factor 1/gamma above the filtered approach.
     """
     a, g, e = c.alpha, c.gamma, c.eps
@@ -341,7 +344,6 @@ def qpe_baseline_report(c: CostInputs) -> dict:
     filtered = a ** 2 / (g * e)
     return {
         "k_star": k,
-        "k_bits": k,
         "per_energy_queries": per_energy,
         "total_queries": total,
         "filtered_total_queries": filtered,
@@ -390,7 +392,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
                  out_dir: str = None, window_width: float = None) -> dict:
     """Search, estimate and assemble a response function on a grid.
 
-    order 1: axes = (axis_out, axis_in); order 3: axes = (i, i3, i2, i1)
+    order 1: axes = (axis_out, axis_in), the depth-1 dipole chain that is
+    searched, estimated and tabled as is; order 3: axes = (i, i3, i2, i1)
     and the grid is used diagonally, (w, w, w).  mode "oracle" skips the
     measurement simulation and reports the exact sum over states only.
     Found windows are estimated one after another with seeds derived from
@@ -491,11 +494,10 @@ def _search_name(chain) -> str:
 
 
 def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
-    ax_out, ax_in = axes
     width = gamma / 8.0
     cfg = BinSearchConfig(gamma=width, tau=0.02, overlap=0.3, max_depth=60,
                           span=_aligned_span(sd.alpha_shift, width))
-    trace = binary_search_1d(sd, (ax_in, ax_out), cfg, seed=seed)
+    trace = binary_search_nd(sd, axes, cfg, seed=seed)
     peaks = _dedupe_windows(trace.peaks, gamma / 2.0)
     est_width = window_width if window_width is not None else width
     windows = []
@@ -505,8 +507,8 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
             windows.append(win)
     table = ResponseTable(order=1, margin=cfg.overlap * est_width)
     for idx, win in enumerate(windows):
-        table.add(estimate_window(
-            sd, (ax_in, ax_out), win, eps, method=method,
+        table.add(estimate_box(
+            sd, axes, [win], eps, method=method,
             delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx)))
     return {"traces": {_search_name(axes): trace}, "tables": {1: table},
             "result": (assemble_alpha1(table, grid, gamma)

@@ -243,33 +243,3 @@ def build_indicator(a: float, b: float, delta: float, eps: float
         # to the smallest certifying degree
         degree = int(1.2 * degree) + 2
 
-
-def jump_error_integral(delta: float, eps_cut: float = 0.0) -> float:
-    """Accumulated indicator error across the smoothing ramp.
-
-    Integrates |erf(x/delta) - 1| = erfc(x/delta) for x in [eps_cut, delta]
-    in closed form:
-        delta [F(1) - F(eps_cut/delta)],  F(u) = u erfc(u) - exp(-u^2)/sqrt(pi),
-    F being an antiderivative of erfc.  With eps_cut = 0 this is delta times
-    the unit constant integral_0^1 erfc(y) dy = 0.51394, so the result grows
-    linearly in the ramp width.  When the cut lies within 1e-3 delta of the
-    ramp's end, F(1) - F(u) loses digits to cancellation, so there the Taylor
-    series in h = 1 - u of the same integral is summed instead:
-        erfc(1) h + 2/(e sqrt(pi)) sum_n H_n(1) h^(n+2)/(n+2)!,
-    H_n the Hermite polynomials; four terms keep it to roundoff.
-    """
-    if not (math.isfinite(delta) and delta > 0):
-        raise InputError("delta must be positive and finite")
-    if not 0 <= eps_cut < delta:
-        raise InputError("eps_cut must lie in [0, delta)")
-    h = (delta - eps_cut) / delta
-    if h < 1e-3:
-        series = h * h * (1 / 2 + h * (1 / 3 + h * (1 / 12 - h / 30)))
-        ramp = math.erfc(1.0) * h + 2.0 / (math.e * math.sqrt(math.pi)) * series
-    else:
-        ramp = _erfc_antiderivative(1.0) - _erfc_antiderivative(eps_cut / delta)
-    return delta * ramp
-
-
-def _erfc_antiderivative(u: float) -> float:
-    return u * math.erfc(u) - math.exp(-u * u) / math.sqrt(math.pi)

@@ -20,10 +20,12 @@ cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
 with the remainder discarded (`_lcu_probabilities`, the one place that
 checks for a wrong zeta), and draws the level's counts in one multinomial
 (`_sample_counts`).  A direct estimate is the one-bin case, read once per
-quadrature.  One search engine (`_search`, whose 1-D and n-D forms differ
-only in the quadratures sampled and the score) and one estimator
-(`estimate_box`) serve every depth; `binary_search_1d` and
-`estimate_window` are the depth-1 forms with first-order axis order.
+quadrature.  One search engine (`binary_search_nd`, whose depth-1 and
+deeper forms differ only in the quadratures sampled and the score) and one
+estimator (`estimate_box`) serve every depth, and both take the dipole
+chain outermost axis first: a first-order window is the depth-1 chain
+(axis_out, axis_in).  A search level ranks its bins by `_relation_matrix`:
+bin i outranks bin j when its score exceeds j's by more than tau.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
@@ -38,7 +40,6 @@ spectrum rebuild and re-evaluate nothing.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from collections import deque
@@ -150,19 +151,6 @@ def _sample_counts(rng, x, n: int) -> np.ndarray:
     return rng.multinomial(n, _lcu_probabilities(x))[:-1]
 
 
-def inequality_test(counts_i: int, counts_j: int, N_s: int, tau: float) -> str:
-    """'greater' / 'less' when the empirical gap clears tau, else
-    'indistinguishable'."""
-    if N_s < 1:
-        raise InputError("N_s must be positive")
-    diff = (counts_i - counts_j) / N_s
-    if diff > tau:
-        return "greater"
-    if diff < -tau:
-        return "less"
-    return "indistinguishable"
-
-
 def _relation_matrix(gap, tau: float) -> np.ndarray:
     """R[i, j] = +1 (-1) when gap[i, j] = s_i - s_j exceeds tau (is below
     -tau), else 0; antisymmetric with a zero diagonal."""
@@ -193,8 +181,8 @@ class BinSearchConfig:
     max_boxes: int = 2000
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InputError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise InputError("gamma must be positive and finite")
         if self.branching < 2:
             raise InputError("branching factor must be at least 2")
         if not 0 < self.overlap < 0.5:
@@ -265,7 +253,7 @@ class SearchTrace:
 
 
 # ---------------------------------------------------------------------------
-# the search itself (shared 1-D / n-D engine)
+# the search itself (one engine for every depth)
 # ---------------------------------------------------------------------------
 
 def _split_box(box, nbins):
@@ -287,8 +275,19 @@ def _adjacent_pair(i, j, nbins):
     return int(np.argmax(diff)) if diff.sum() == 1 else None
 
 
-def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
-            seed: int = 0) -> SearchTrace:
+def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
+                     seed: int = 0) -> SearchTrace:
+    """Search over boxes of depth len(chain_axes) - 1 with nested window
+    filters; peaks come back as boxes of width <= gamma per axis, a depth-1
+    peak as its (lo, hi) window.
+
+    chain_axes is the dipole chain, ordered as in nested window amplitudes:
+    outermost first, so a first-order search runs on (axis_out, axis_in).
+    At least two axes (a depth-1 search) are needed.
+    """
+    chain_axes = tuple(chain_axes)
+    if len(chain_axes) < 2:
+        raise InputError("need at least two chain axes")
     ndim = len(chain_axes) - 1
     if config.span is None:
         span = (0.0, sd.alpha_shift)
@@ -409,31 +408,6 @@ def _search(sd: SpectralData, chain_axes, config: BinSearchConfig,
     return trace
 
 
-def binary_search_1d(sd: SpectralData, axes, config: BinSearchConfig,
-                     seed: int = 0) -> SearchTrace:
-    """Hierarchical peak search on the excitation axis.
-
-    axes = (axis_in, axis_out) of the dipole sandwich; peaks come back as
-    (lo, hi) windows of width <= gamma.
-    """
-    ax_in, ax_out = axes
-    return _search(sd, (ax_out, ax_in), config, seed=seed)
-
-
-def binary_search_nd(sd: SpectralData, axes, config: BinSearchConfig,
-                     seed: int = 0) -> SearchTrace:
-    """Search over boxes of depth len(axes) - 1 with nested window filters.
-
-    axes is the dipole chain, ordered as in nested window amplitudes:
-    axes[0] couples the ground state to the first (innermost) windowed
-    index.  At least two axes (a depth-1 search) are needed.
-    """
-    axes = tuple(axes)
-    if len(axes) < 2:
-        raise InputError("need at least two chain axes")
-    return _search(sd, axes, config, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # window estimation
 # ---------------------------------------------------------------------------
@@ -462,21 +436,6 @@ class WindowEstimate:
             "eps_stat": self.eps_stat, "degree": self.degree,
             "rounds": self.rounds, "delta": self.delta, "zeta": self.zeta,
         }
-
-
-def estimate_window(sd: SpectralData, axes, window, eps: float,
-                    method: str = "direct", delta: float = None,
-                    seed: int = 0) -> WindowEstimate:
-    """Depth-1 form of estimate_box for the sandwich D_out p D_in.
-
-    axes = (axis_in, axis_out).  The result carries the window as (a, b)
-    and the axes in this order.
-    """
-    ax_in, ax_out = axes
-    est = estimate_box(sd, (ax_out, ax_in), [window], eps, method=method,
-                       delta=delta, seed=seed)
-    return dataclasses.replace(est, window=est.window[0],
-                               axes=(int(ax_in), int(ax_out)))
 
 
 def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,

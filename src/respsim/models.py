@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .operators import TWO_BODY_IMAGES, validate_two_body_symmetry
+from .operators import (DEFAULT_MODE_CAP, TWO_BODY_IMAGES,
+                        validate_two_body_symmetry)
 
-RANDOM_MODEL_CAP = 7  # spatial orbitals
+RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
 # the Cartesian dipole axes 0, 1, 2 by letter
 AXIS_LETTERS = "xyz"
 
@@ -95,22 +96,6 @@ def spatial_to_spin(T_spat, V_spat, dipole_spat):
         for tau in (0, 1):
             V[sigma::2, tau::2, tau::2, sigma::2] = V_spat
     return T, V, d
-
-
-def spin_to_spatial(model: ModelSpec):
-    """Inverse of spatial_to_spin for spin-lifted models (used by the writer)."""
-    n = model.n_orbitals
-    if n % 2:
-        raise InputError("model has an odd spin-orbital count; not spin-lifted")
-    T_spat = model.T[0::2, 0::2]
-    V_spat = model.V[0::2, 0::2, 0::2, 0::2]
-    d_spat = model.dipole[:, 0::2, 0::2]
-    T_check, V_check, d_check = spatial_to_spin(T_spat, V_spat, d_spat)
-    if (np.max(np.abs(T_check - model.T), initial=0) > 1e-12
-            or np.max(np.abs(V_check - model.V), initial=0) > 1e-12
-            or np.max(np.abs(d_check - model.dipole), initial=0) > 1e-12):
-        raise InputError("model is not a spin lift of spatial integrals")
-    return T_spat, V_spat, d_spat
 
 
 def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
@@ -191,7 +176,9 @@ def _stripped_lines(path):
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     """Read spatial integrals plus an optional dipole file; return the
     spin-lifted ModelSpec.  Without a dipole file the dipoles are zero and
-    the model is flagged dipole_missing; a named file must exist."""
+    the model is flagged dipole_missing; a named file must exist.  A header
+    declaring more than DEFAULT_MODE_CAP spin orbitals raises ResourceError
+    before any integral array is allocated."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"integral file not found: {path}")
@@ -203,6 +190,10 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     norb, nelec, start = _parse_header(lines)
     if norb <= 0:
         raise InputError("NORB must be positive")
+    if 2 * norb > DEFAULT_MODE_CAP:
+        raise ResourceError(
+            f"NORB={norb} gives {2 * norb} spin orbitals, beyond the cap of "
+            f"{DEFAULT_MODE_CAP} modes")
     if nelec < 0 or nelec > 2 * norb:
         raise InputError(f"NELEC={nelec} exceeds 2*NORB={2 * norb}")
     T = np.zeros((norb, norb))
@@ -263,32 +254,3 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     return ModelSpec(2 * norb, nelec, T_s, V_s, d_s, shift,
                      label=path.stem, dipole_missing=missing)
 
-
-def write_fcidump_like(model: ModelSpec, path, dipole_path=None):
-    """Write a spin-lifted model back to the spatial-orbital file format."""
-    T, V, dip = spin_to_spatial(model)
-    norb = T.shape[0]
-    lines = [f"&FCI NORB={norb} NELEC={model.n_electrons}", "&END"]
-    for i in range(norb):
-        for j in range(i, norb):
-            if abs(T[i, j]) > 0:
-                lines.append(f"{T[i, j]:.17g}   {i + 1} {j + 1} 0 0")
-    seen = set()
-    for idx in zip(*np.nonzero(np.abs(V) > 0)):
-        idx = tuple(int(x) for x in idx)
-        if idx in seen:
-            continue
-        seen.update(tuple(idx[a] for a in perm) for perm in TWO_BODY_IMAGES)
-        i, j, k, l = idx
-        lines.append(f"{V[idx]:.17g}   {i + 1} {j + 1} {k + 1} {l + 1}")
-    if model.nuclear_shift != 0.0:
-        lines.append(f"{model.nuclear_shift:.17g}   0 0 0 0")
-    Path(path).write_text("\n".join(lines) + "\n")
-    if dipole_path is not None:
-        dlines = []
-        for ax, tag in enumerate("xyz"):
-            for i in range(norb):
-                for j in range(i, norb):
-                    if abs(dip[ax, i, j]) > 0:
-                        dlines.append(f"{tag} {dip[ax, i, j]:.17g} {i + 1} {j + 1}")
-        Path(dipole_path).write_text("\n".join(dlines) + "\n")

@@ -5,14 +5,17 @@ are stored shifted so the ground level sits at 0 (i.e. eigenvalues[j] is the
 excitation energy of state j), and transition dipoles are matrices in that
 basis.  These routines are the ground truth the sampled estimates are
 compared against, so they favour directness over speed: dense eigh, explicit
-multi-index sums via einsum, no truncation.
+sums over states, no truncation.
 
 Response conventions:
 
   alpha1(omega)  = sum_{n!=0} d_i[0,n] d_j[n,0] / (w_n - omega - i*gamma)
                    + (omega -> -omega)*
-  chi1_time(s)   = theta(s) [ sum_{n!=0} i d_i[0,n] d_j[n,0]
-                              e^{(-i w_n - gamma) s} + c.c. ]
+
+A windowed amplitude is a dipole chain, outermost axis first, with each
+intermediate state sum restricted to an excitation window
+(`nested_window_amplitude`); a first-order window sum over d_i[0,n] d_j[n,0]
+is the depth-1 chain (i, j).
 
 Third order is organized in four double-sided pathways.  In time order
 (first, second, third interaction), each pathway is a fixed pattern of
@@ -27,7 +30,7 @@ time integral contributes a plain resonance factor 1/(w - Omega - i*gamma).
 
 from __future__ import annotations
 
-import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -160,27 +163,13 @@ def _window_mask(sd: SpectralData, a: float, b: float) -> np.ndarray:
     return mask
 
 
-def window_amplitude(sd: SpectralData, axis_in: int, axis_out: int,
-                     a: float, b: float) -> complex:
-    """Sum of d_out[0,j] d_in[j,0] over excited states with energy in [a, b).
-
-    Windows are half-open so a tiling of the spectrum counts every state
-    exactly once; the ground state never contributes.
-    """
-    if not a < b:
-        raise InputError(f"window [{a}, {b}) is empty or reversed")
-    mask = _window_mask(sd, a, b)
-    d_out = sd.transition_dipoles[axis_out]
-    d_in = sd.transition_dipoles[axis_in]
-    return complex(np.sum(d_out[0, mask] * d_in[mask, 0]))
-
-
 def nested_window_amplitude(sd: SpectralData, axes, windows) -> complex:
     """Chain amplitude <0| d^{ax0} P_{W1} d^{ax1} P_{W2} ... d^{axK} |0>.
 
     axes has one more entry than windows; windows[k] = (lo, hi) restricts the
     k-th intermediate state sum to excitation energies in [lo, hi), ground
-    state always excluded.  Depth 1 reduces to window_amplitude.
+    state always excluded.  Depth 1 is a first-order window sum over
+    d^{ax0}[0,j] d^{ax1}[j,0].
     """
     axes = tuple(axes)
     windows = [tuple(w) for w in windows]
@@ -199,8 +188,9 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> complex:
 def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
            ) -> SusceptibilityResult:
     """Linear susceptibility on a frequency grid."""
-    if gamma <= 0:
-        raise InputError("gamma must be positive (poles would sit on the axis)")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InputError("gamma must be positive and finite (poles would "
+                         "sit on the axis)")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
@@ -210,26 +200,14 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     return SusceptibilityResult(1, omega_grid, direct + mirrored, gamma, (i, j))
 
 
-def chi1_time(sd: SpectralData, i: int, j: int, s_grid, gamma: float
-              ) -> np.ndarray:
-    """Time-domain linear response kernel; zero for s < 0."""
-    if gamma < 0:
-        raise InputError("gamma must be non-negative")
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    w = sd.eigenvalues[1:]
-    dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
-    s = s_grid[:, None]
-    term = 1j * np.sum(dd * np.exp((-1j * w - gamma) * s), axis=1)
-    out = term + np.conj(term)
-    out[s_grid < 0] = 0.0
-    return out
-
-
-def _pathway_factors(sd: SpectralData, nu: int, axes):
-    """Shared bookkeeping for both r_pathways routes.
-
-    Returns (F, ops) with F the trace-closing dipole and ops the
-    (matrix, side) list in time order."""
+def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
+                 Omega2: float, Omega1: float, gamma: float) -> complex:
+    """Frequency-domain pathway value (i^3 folded in) at cumulative
+    frequencies Omega1, Omega2, Omega3, for axes = (i, i3, i2, i1): the
+    dipoles i1, i2, i3 act in time order on the sides pathway nu sets, and
+    Tr[d_i rho] closes the trace."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InputError("gamma must be positive and finite")
     if nu not in _PATHWAY_SIDES:
         raise InputError(f"pathway index {nu} not in 1..4")
     axes = tuple(axes)
@@ -237,116 +215,12 @@ def _pathway_factors(sd: SpectralData, nu: int, axes):
         raise InputError("axes must be (i, i3, i2, i1)")
     i, i3, i2, i1 = axes
     d = sd.transition_dipoles
-    sides = _PATHWAY_SIDES[nu]
-    ops = [(d[i1], sides[0]), (d[i2], sides[1]), (d[i3], sides[2])]
-    return d[i], ops
-
-
-def r_pathways(sd: SpectralData, nu: int, axes, s3: float, s2: float,
-               s1: float, gamma: float, method: str = "superop") -> complex:
-    """Time-domain third-order pathway nu at delays (s3, s2, s1).
-
-    method="superop" walks the density matrix through the left/right dipole
-    pattern with elementwise coherence evolution; method="sos" evaluates the
-    equivalent explicit sum over states.  Both vanish if any delay is
-    negative.
-    """
-    if min(s1, s2, s3) < 0:
-        return 0j
-    F, ops = _pathway_factors(sd, nu, axes)
-    w = sd.eigenvalues
-    if method == "superop":
-        rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
-        rho[0, 0] = 1.0
-        for (mat, side), s in zip(ops, (s1, s2, s3)):
-            rho = mat @ rho if side == "l" else rho @ mat
-            rho = rho * np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s)
-        return complex(np.trace(F @ rho))
-    if method == "sos":
-        # explicit forms, one per pathway pattern
-        A, B, C = ops[0][0], ops[1][0], ops[2][0]
-        e1 = np.exp((-1j * w - gamma) * s1)        # e^{(-i w_x - g) s1}
-        e1c = np.exp((+1j * w - gamma) * s1)       # coherence on the bra side
-        if nu == 1:
-            ph2 = np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s2)
-            ph3 = np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s3)
-            return complex(np.einsum(
-                "mn,n,l,lm,n,nl,nm->", F, A[:, 0], B[0, :], C,
-                e1, ph2, ph3, optimize=True))
-        if nu == 2:
-            ph2 = np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s2)
-            ph3 = np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s3)
-            return complex(np.einsum(
-                "mn,n,l,lm,l,nl,nm->", F, B[:, 0], A[0, :], C,
-                e1c, ph2, ph3, optimize=True))
-        if nu == 3:
-            e2 = np.exp((+1j * w - gamma) * s2)
-            ph3 = np.exp((-1j * (w[:, None] - w[None, :]) - gamma) * s3)
-            return complex(np.einsum(
-                "mn,n,l,lm,l,m,nm->", F, C[:, 0], A[0, :], B,
-                e1c, e2, ph3, optimize=True))
-        # nu == 4
-        e2 = np.exp((-1j * w - gamma) * s2)
-        e3 = np.exp((-1j * w - gamma) * s3)
-        return complex(np.einsum(
-            "l,lm,mn,n,n,m,l->", F[0, :], C, B, A[:, 0],
-            e1, e2, e3, optimize=True))
-    raise InputError(f"unknown method {method!r}")
-
-
-def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
-                 Omega2: float, Omega1: float, gamma: float) -> complex:
-    """Frequency-domain pathway value (i^3 folded in) at cumulative
-    frequencies Omega1, Omega2, Omega3."""
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    F, ops = _pathway_factors(sd, nu, axes)
     w = sd.eigenvalues
     wdiff = w[:, None] - w[None, :]
     rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
     rho[0, 0] = 1.0
-    for (mat, side), Om in zip(ops, (Omega1, Omega2, Omega3)):
-        rho = mat @ rho if side == "l" else rho @ mat
+    for ax, side, Om in zip((i1, i2, i3), _PATHWAY_SIDES[nu],
+                            (Omega1, Omega2, Omega3)):
+        rho = d[ax] @ rho if side == "l" else rho @ d[ax]
         rho = rho / (wdiff - Om - 1j * gamma)
-    return complex(np.trace(F @ rho))
-
-
-def alpha3_terms(axes, omegas):
-    """Enumerate the 48 frequency-domain terms of the third-order response.
-
-    axes = (i, i3, i2, i1), omegas = (w3, w2, w1).  Yields records
-    (nu, time_axes, cumulative, conjugate) where time_axes is the
-    (first, second, third) interaction axis tuple, cumulative the matching
-    (Omega1, Omega2, Omega3), and conjugate marks the mirrored block whose
-    value enters complex-conjugated.
-    """
-    i, i3, i2, i1 = axes
-    w3, w2, w1 = omegas
-    pairs = ((i1, w1), (i2, w2), (i3, w3))
-    for conjugate in (False, True):
-        sign = -1.0 if conjugate else 1.0
-        for perm in itertools.permutations(pairs):
-            ax_time = (perm[0][0], perm[1][0], perm[2][0])
-            O1 = sign * perm[0][1]
-            O2 = O1 + sign * perm[1][1]
-            O3 = O2 + sign * perm[2][1]
-            for nu in (1, 2, 3, 4):
-                yield nu, ax_time, (O1, O2, O3), conjugate
-
-
-def alpha3(sd: SpectralData, axes, omegas, gamma: float) -> complex:
-    """Third-order susceptibility at one frequency triple.
-
-    Averages the 3! orderings of the (axis, frequency) pairs over all four
-    pathways and adds the conjugated mirror block: 48 terms, weight 1/6.
-    """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    i = axes[0]
-    total = 0j
-    for nu, ax_time, (O1, O2, O3), conjugate in alpha3_terms(axes, omegas):
-        # time order (first, second, third) -> pathway axes (i, i3, i2, i1)
-        val = r_pathway_fd(sd, nu, (i, ax_time[2], ax_time[1], ax_time[0]),
-                           O3, O2, O1, gamma)
-        total += np.conj(val) if conjugate else val
-    return complex(total / 6.0)
+    return complex(np.trace(d[i] @ rho))

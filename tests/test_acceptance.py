@@ -15,22 +15,22 @@ import pytest
 
 from respsim import (
     BinSearchConfig,
-    binary_search_1d,
+    binary_search_nd,
     build_indicator,
-    estimate_window,
+    estimate_box,
     jordan_wigner,
+    nested_window_amplitude,
     run_pipeline,
-    window_amplitude,
 )
 from respsim.assemble import CostInputs, assemble_alpha3, cost_report, \
     qpe_baseline_report
-from respsim.chebfilter import jump_error_integral
 from respsim.cli import main
-from respsim.estimate import _sample_counts, inequality_test
+from respsim.estimate import _relation_matrix, _sample_counts
 from respsim.operators import FermionOperator
-from respsim.spectra import alpha3_terms, r_pathway_fd
+from respsim.spectra import r_pathway_fd
 
 from conftest import oracle_tables
+from oracle_reference import alpha3_terms, jump_error_integral
 
 BRIGHT = 2.0 * math.sqrt(5.0)
 
@@ -88,7 +88,7 @@ def test_criterion_03_jump_error_constant_and_linearity():
 
 def test_criterion_04_windowed_amplitude_oracle_equivalence(dimer,
                                                              dimer_sd):
-    """Exact-backend window estimates agree with the sum-over-states
+    """Exact-backend depth-1 box estimates agree with the sum-over-states
     window amplitude within eps_filter plus the spectral mass in the
     delta-margins, for 10 windows, in under 30 s."""
     windows = [(4.4, 4.55), (4.3, 4.46), (4.46, 4.6), (1.0, 1.4),
@@ -96,8 +96,8 @@ def test_criterion_04_windowed_amplitude_oracle_equivalence(dimer,
                (4.0, 4.9), (1.15, 1.3)]
     t0 = time.monotonic()
     for k, (a, b) in enumerate(windows):
-        est = estimate_window(dimer_sd, (0, 0), (a, b), 2e-3, method="exact",
-                              seed=k)
+        est = estimate_box(dimer_sd, (0, 0), [(a, b)], 2e-3, method="exact",
+                           seed=k)
         d = est.delta
         margin_mass = 0.0
         for j in range(1, dimer_sd.n_states):
@@ -105,7 +105,7 @@ def test_criterion_04_windowed_amplitude_oracle_equivalence(dimer,
             if (a - d <= lam <= a + d) or (b - d <= lam <= b + d):
                 margin_mass += abs(dimer_sd.transition_dipoles[0][0, j]
                                    * dimer_sd.transition_dipoles[0][j, 0])
-        ref = window_amplitude(dimer_sd, 0, 0, a, b)
+        ref = nested_window_amplitude(dimer_sd, (0, 0), [(a, b)])
         assert abs(est.value - ref) <= est.eps_filter + margin_mass + 1e-12
     assert time.monotonic() - t0 < 30.0
 
@@ -123,7 +123,7 @@ def test_criterion_05_search_soundness_and_heisenberg_scaling(dimer,
         for seed in range(50):
             cfg = BinSearchConfig(gamma=g, branching=2, tau=0.02,
                                   N_s=6213, span=(0.0, 6.4))
-            tr = binary_search_1d(dimer_sd, (0, 0), cfg, seed=seed)
+            tr = binary_search_nd(dimer_sd, (0, 0), cfg, seed=seed)
             if any(lo <= BRIGHT < hi and hi - lo <= g * (1 + 1e-9)
                    for lo, hi in tr.peaks):
                 hits += 1
@@ -136,9 +136,10 @@ def test_criterion_05_search_soundness_and_heisenberg_scaling(dimer,
 
 
 def test_criterion_06_inequality_test_calibration():
-    """At the sample-size bound N_s = ceil(log(4/eps_conf)/tau^2), two
-    bins whose expected count gap is 3*tau are ordered correctly in at
-    least a 1 - eps_conf fraction of 300 seeded trials."""
+    """At the sample-size bound N_s = ceil(log(4/eps_conf)/tau^2), the
+    search's relation matrix orders two bins whose expected count gap is
+    3*tau correctly in at least a 1 - eps_conf fraction of 300 seeded
+    trials."""
     tau, eps_conf = 0.1, 1.0 / 3.0
     N_s = math.ceil(math.log(4.0 / eps_conf) / tau ** 2)
     assert N_s == 249
@@ -148,9 +149,11 @@ def test_criterion_06_inequality_test_calibration():
     correct = 0
     for trial in range(300):
         rng = np.random.default_rng(trial)
-        counts = _sample_counts(rng, x, N_s)
-        if inequality_test(int(counts[0]), int(counts[1]),
-                           N_s, tau) == "greater":
+        # scored as a search level scores its bins: elevation over the flat
+        # background 1/(2B), compared pairwise
+        scores = _sample_counts(rng, x, N_s) / N_s - 1.0 / (2 * len(x))
+        R = _relation_matrix(np.subtract.outer(scores, scores), tau)
+        if R[0, 1] == 1:
             correct += 1
     assert correct >= math.ceil((1.0 - eps_conf) * 300)
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from respsim import InputError, make_hubbard_dimer, write_fcidump_like
+from oracle_reference import write_fcidump_like
+from respsim import InputError, make_hubbard_dimer
 from respsim import assemble
 from respsim.cli import _parse_axes, _parse_grid, _parse_toy, main
 
@@ -144,6 +145,18 @@ def test_main_resource_cap(tmp_path, capsys):
     assert main(["--model", str(ints), "--dipole", str(dip),
                  "--oracle-only"]) == 3
     assert "resource cap" in capsys.readouterr().err
+    # even the header's integral arrays: NORB=10000 would need 80 PB for
+    # the spatial two-body tensor alone
+    ints.write_text("&FCI NORB=10000 NELEC=2 / &END\n")
+    tracemalloc.start()
+    try:
+        rc = main(["--model", str(ints), "--oracle-only"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "resource cap" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("mode", ["--simulate", "--oracle-only"])
@@ -154,7 +167,7 @@ def test_main_rejects_zero_hamiltonian_and_bad_eps(mode, monkeypatch,
     def no_search(*args, **kwargs):
         raise AssertionError("search started on invalid input")
 
-    monkeypatch.setattr(assemble, "binary_search_1d", no_search)
+    monkeypatch.setattr(assemble, "binary_search_nd", no_search)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["--toy", "hubbard:t=0,U=0", mode]) == 2

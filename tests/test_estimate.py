@@ -14,19 +14,15 @@ from dense_reference import dense_box_value
 from respsim import (
     BinSearchConfig,
     InputError,
-    binary_search_1d,
     binary_search_nd,
     build_dipole,
     build_hamiltonian,
     diagonalize,
     estimate_box,
-    estimate_window,
-    inequality_test,
     jordan_wigner,
     lcu_one_norm,
     nested_window_amplitude,
     run_pipeline,
-    window_amplitude,
 )
 from respsim import estimate as estimate_mod
 from respsim.estimate import P0_SLACK, _lcu_probabilities, _sample_counts
@@ -69,12 +65,12 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
     assert abs(value - want) <= 1e-9 * abs(want)
     assert value.real == pytest.approx(
-        window_amplitude(dimer_sd, 0, 0, *window).real, abs=2e-3)
+        nested_window_amplitude(dimer_sd, (0, 0), [window]).real, abs=2e-3)
     # the uncorrected image keeps the ground state's share
     assert abs(complex(u_raw[0]) - value) > 0
     # an estimate to eps builds its filter to eps / (2 zeta)
-    assert degree == estimate_window(dimer_sd, (0, 0), window, 2e-3,
-                                     method="exact", delta=delta).degree
+    assert degree == estimate_box(dimer_sd, (0, 0), [window], 2e-3,
+                                  method="exact", delta=delta).degree
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +158,6 @@ def test_sample_counts_memory_does_not_grow_with_shots():
     assert counts[0] / 1e12 == pytest.approx(1.5 / 6, abs=1e-5)
 
 
-def test_inequality_test():
-    assert inequality_test(300, 100, 1000, 0.1) == "greater"
-    assert inequality_test(100, 300, 1000, 0.1) == "less"
-    assert inequality_test(150, 100, 1000, 0.1) == "indistinguishable"
-    with pytest.raises(InputError):
-        inequality_test(1, 0, 0, 0.1)
-
-
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), tau=st.floats(0.05, 0.5), extra=st.integers(0, 300))
 def test_relation_matrix_is_the_pairwise_inequality_test(data, tau, extra):
@@ -186,13 +174,16 @@ def test_relation_matrix_is_the_pairwise_inequality_test(data, tau, extra):
     assert R[2, 1] == 0                               # gap 0.15
     assert np.array_equal(R, -R.T)
     assert np.all(np.diag(R) == 0)
-    # on any counts the matrix is the pairwise inequality test
+    # on any counts the matrix is the pairwise inequality test: +1 (-1)
+    # when the empirical gap (a - b)/N_s is above tau (below -tau), else 0
+    def inequality(a, b, N_s, tau):
+        gap = (a - b) / N_s
+        return 1 if gap > tau else -1 if gap < -tau else 0
+
     N_s = BinSearchConfig(gamma=0.5, tau=tau).N_s + extra
     counts = data.draw(st.lists(st.integers(0, N_s), min_size=1,
                                 max_size=9))
-    sign = {"greater": 1, "less": -1, "indistinguishable": 0}
-    expect = [[sign[inequality_test(a, b, N_s, tau)] for b in counts]
-              for a in counts]
+    expect = [[inequality(a, b, N_s, tau) for b in counts] for a in counts]
     assert relation(counts, N_s, tau).tolist() == expect
 
 
@@ -217,8 +208,9 @@ def test_config_sample_bound():
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.0)
+    for gamma in (0.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            BinSearchConfig(gamma=gamma)
     with pytest.raises(InputError):
         BinSearchConfig(gamma=0.1, branching=1)
     with pytest.raises(InputError):
@@ -239,7 +231,7 @@ def test_config_validation():
 
 def test_search_1d_finds_bright_line(dimer_sd):
     cfg = BinSearchConfig(gamma=0.2, tau=0.02, span=(0.0, 6.4))
-    trace = binary_search_1d(dimer_sd, (0, 0), cfg, seed=3)
+    trace = binary_search_nd(dimer_sd, (0, 0), cfg, seed=3)
     assert trace.found
     assert any(lo <= BRIGHT < hi for lo, hi in trace.peaks)
     for lo, hi in trace.peaks:
@@ -254,14 +246,14 @@ def test_search_1d_finds_bright_line(dimer_sd):
 
 def test_search_1d_trace_is_deterministic(dimer_sd):
     cfg = BinSearchConfig(gamma=0.4, tau=0.05, span=(0.0, 6.4))
-    a = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
-    b = binary_search_1d(dimer_sd, (0, 0), cfg, seed=11)
+    a = binary_search_nd(dimer_sd, (0, 0), cfg, seed=11)
+    b = binary_search_nd(dimer_sd, (0, 0), cfg, seed=11)
     assert a.as_dict() == b.as_dict()
 
 
 def test_search_1d_dark_axis_finds_nothing(dimer_sd):
     cfg = BinSearchConfig(gamma=0.4, span=(0.0, 6.4))
-    trace = binary_search_1d(dimer_sd, (1, 1), cfg, seed=0)
+    trace = binary_search_nd(dimer_sd, (1, 1), cfg, seed=0)
     assert not trace.found
     assert trace.peaks == []
     assert trace.levels[0]["decision"] == "empty"
@@ -292,9 +284,12 @@ def test_search_nd_validation(dimer_sd):
 # window estimation
 # ---------------------------------------------------------------------------
 
+WINDOW = [(4.35, 4.55)]       # the dimer's bright line, margins line-free
+
+
 def test_estimate_window_exact(dimer_sd):
-    est = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 1e-3, method="exact")
-    oracle = window_amplitude(dimer_sd, 0, 0, 4.35, 4.55)
+    est = estimate_box(dimer_sd, (0, 0), WINDOW, 1e-3, method="exact")
+    oracle = nested_window_amplitude(dimer_sd, (0, 0), WINDOW)
     # margins are line-free, so only the filter ripple remains
     assert abs(est.value - oracle) <= est.eps_filter * abs(oracle) + 1e-12
     assert est.rounds >= 1
@@ -303,41 +298,54 @@ def test_estimate_window_exact(dimer_sd):
 
 
 def test_estimate_window_ae_within_budget(dimer_sd):
-    exact = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 2e-3,
-                            method="exact")
-    ae = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 2e-3,
-                         method="ae", seed=9)
+    exact = estimate_box(dimer_sd, (0, 0), WINDOW, 2e-3, method="exact")
+    ae = estimate_box(dimer_sd, (0, 0), WINDOW, 2e-3, method="ae", seed=9)
     assert abs(ae.value - exact.value) <= 1e-3 + 1e-12   # eps_stat = eps/2
     assert ae.shots < exact.shots * 2 + 4
 
 
 def test_estimate_window_direct(dimer_sd):
     eps = 2e-3
-    exact = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), eps,
-                            method="exact")
-    direct = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), eps,
-                             method="direct", seed=0)
+    exact = estimate_box(dimer_sd, (0, 0), WINDOW, eps, method="exact")
+    direct = estimate_box(dimer_sd, (0, 0), WINDOW, eps, method="direct",
+                          seed=0)
     assert abs(direct.value - exact.value) <= eps
     assert direct.shots > exact.shots            # 1/eps^2 vs 1/eps scaling
 
 
 def test_estimate_window_validation(dimer_sd):
     with pytest.raises(InputError):
-        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 1e-3, method="qpe")
+        estimate_box(dimer_sd, (0, 0), [(4.4, 4.5)], 1e-3, method="qpe")
     with pytest.raises(InputError):
-        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 0.0)
+        estimate_box(dimer_sd, (0, 0), [(4.4, 4.5)], 0.0)
     with pytest.raises(InputError):
-        estimate_window(dimer_sd, (0, 0), (4.5, 4.4), 1e-3)
+        estimate_box(dimer_sd, (0, 0), [(4.5, 4.4)], 1e-3)
     with pytest.raises(InputError):
-        estimate_window(dimer_sd, (0, 0), (4.4, 4.5), 1e-3, delta=0.2)
+        estimate_box(dimer_sd, (0, 0), [(4.4, 4.5)], 1e-3, delta=0.2)
 
 
-def test_estimate_box_depth_one_matches_window(dimer_sd):
-    w = (4.35, 4.55)
-    a = estimate_window(dimer_sd, (0, 0), w, 1e-3, method="exact")
-    b = estimate_box(dimer_sd, (0, 0), [w], 1e-3, method="exact")
-    assert b.value == pytest.approx(a.value, abs=1e-12)
-    assert (b.rounds, b.queries, b.degree) == (a.rounds, a.queries, a.degree)
+@settings(max_examples=20, deadline=None)
+@given(which=st.sampled_from(["dimer", "random"]), frac=st.floats(0.0, 1.0),
+       width=st.floats(0.1, 0.8), ax_out=st.integers(0, 2),
+       ax_in=st.integers(0, 2))
+def test_estimate_box_depth_one_matches_window(which, frac, width, ax_out,
+                                               ax_in, dimer_sd, random_sd):
+    # a depth-1 box on the chain (ax_out, ax_in) estimates the window sum
+    # of d_out[0,j] d_in[j,0] within criterion 04's bound: filter error
+    # plus the mass in the delta-margins
+    sd = dimer_sd if which == "dimer" else random_sd
+    lo = frac * float(sd.eigenvalues[-1])
+    hi = lo + width
+    est = estimate_box(sd, (ax_out, ax_in), [(lo, hi)], 2e-2, method="exact")
+    d = est.delta
+    lam = sd.eigenvalues[1:]
+    weights = np.abs(sd.transition_dipoles[ax_out][0, 1:]
+                     * sd.transition_dipoles[ax_in][1:, 0])
+    in_margin = ((lo - d <= lam) & (lam <= lo + d)) | \
+        ((hi - d <= lam) & (lam <= hi + d))
+    ref = nested_window_amplitude(sd, (ax_out, ax_in), [(lo, hi)])
+    assert abs(est.value - ref) <= (est.eps_filter + weights[in_margin].sum()
+                                    + 1e-12)
 
 
 def test_estimate_box_depth_three(dimer_sd):
@@ -358,41 +366,15 @@ def test_estimate_box_validation(dimer_sd):
                      delta=0.06)
 
 
-@pytest.mark.parametrize("which", ["dimer", "random"])
-@settings(max_examples=10, deadline=None)
-@given(frac=st.floats(0.0, 1.0), width=st.floats(0.1, 0.8),
-       ax_in=st.integers(0, 2), ax_out=st.integers(0, 2))
-def test_estimate_window_is_the_depth_one_box(which, frac, width, ax_in,
-                                              ax_out, dimer_sd, random_sd):
-    sd = dimer_sd if which == "dimer" else random_sd
-    lo = frac * float(sd.eigenvalues[-1])
-    hi = lo + width
-    a = estimate_window(sd, (ax_in, ax_out), (lo, hi), 2e-2, method="exact")
-    b = estimate_box(sd, (ax_out, ax_in), [(lo, hi)], 2e-2, method="exact")
-    assert (a.value, a.degree, a.rounds, a.queries) == \
-        (b.value, b.degree, b.rounds, b.queries)
-    # criterion 04's bound: filter error plus the mass in the delta-margins
-    d = a.delta
-    lam = sd.eigenvalues[1:]
-    weights = np.abs(sd.transition_dipoles[ax_out][0, 1:]
-                     * sd.transition_dipoles[ax_in][1:, 0])
-    in_margin = ((lo - d <= lam) & (lam <= lo + d)) | \
-        ((hi - d <= lam) & (lam <= hi + d))
-    ref = window_amplitude(sd, ax_in, ax_out, lo, hi)
-    assert abs(a.value - ref) <= (a.eps_filter + weights[in_margin].sum()
-                                  + 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # what the spectrum owns, and what a run leaves behind
 # ---------------------------------------------------------------------------
 
 def test_fresh_spectrum_gives_identical_estimate(dimer, dimer_sd):
-    before = estimate_window(dimer_sd, (0, 0), (4.35, 4.55), 1e-3,
-                             method="exact")
+    before = estimate_box(dimer_sd, (0, 0), WINDOW, 1e-3, method="exact")
     fresh = diagonalize(dimer)
     assert not fresh.filter_values
-    after = estimate_window(fresh, (0, 0), (4.35, 4.55), 1e-3, method="exact")
+    after = estimate_box(fresh, (0, 0), WINDOW, 1e-3, method="exact")
     assert after.as_dict() == before.as_dict()
     assert fresh.filter_values
 
@@ -422,14 +404,14 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
     cfg = BinSearchConfig(gamma=sd.alpha_shift / 16.0, tau=0.05)
     lo = 0.5 * float(sd.eigenvalues[1])
     wins = [(lo, lo + 0.5)] * 2
-    ref_trace = binary_search_1d(sd, (0, 0), cfg, seed=4).as_dict()
+    ref_trace = binary_search_nd(sd, (0, 0), cfg, seed=4).as_dict()
     ref_box = estimate_box(sd, (0, 0, 0), wins, 2e-2, seed=2).as_dict()
     for shift in (0.0, 1.2345678901, -7.5):
         shifted = diagonalize(dataclasses.replace(model, nuclear_shift=shift))
         assert shifted.ground_energy == pytest.approx(
             sd.ground_energy + shift, abs=1e-12)
         assert shifted.alpha_shift == sd.alpha_shift
-        assert binary_search_1d(shifted, (0, 0), cfg,
+        assert binary_search_nd(shifted, (0, 0), cfg,
                                 seed=4).as_dict() == ref_trace
         assert estimate_box(shifted, (0, 0, 0), wins, 2e-2,
                             seed=2).as_dict() == ref_box

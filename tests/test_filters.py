@@ -11,13 +11,13 @@ from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.special import erf, erfc
 
+from oracle_reference import jump_error_integral
 from respsim import (
     ChebyshevFilter,
     InputError,
     ResourceError,
     build_indicator,
     choose_k,
-    jump_error_integral,
     make_hubbard_dimer,
     run_pipeline,
 )

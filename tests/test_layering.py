@@ -16,7 +16,8 @@ import respsim
 PACKAGE = pathlib.Path(respsim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ARBITERS = [pathlib.Path(__file__).parent / name
-            for name in ("pauli_reference.py", "dense_reference.py")]
+            for name in ("pauli_reference.py", "dense_reference.py",
+                         "oracle_reference.py")]
 # every package module but __init__.py, whose imports are re-exports, and
 # every test module
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"] + sorted(
@@ -76,7 +77,7 @@ def test_package_never_imports_the_test_references(path):
             modules.append(node.module)
     roots = {m.split(".")[0] for m in modules}
     assert not roots & {"tests", "conftest", "dense_reference",
-                        "pauli_reference"}
+                        "pauli_reference", "oracle_reference"}
 
 
 def _unused_imports(path):

