@@ -14,9 +14,10 @@ are classically known and are subtracted from estimates and from the
 bin-search test statistics (the physical protocol would apply the same
 correction to its empirical frequencies).
 
-Hadamard tests run on plain arrays.  `_box_channel` returns the chain's
-images of the ground state; a search level reads one quadrature of its
-cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
+Hadamard tests run on plain arrays.  `_chain_images` returns the chain's
+images of the ground state for every cell of a split box at once, as one
+array (an estimate's box is the one-cell split); a search level reads one
+quadrature of its cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
 with the remainder discarded (`_lcu_probabilities`, the one place that
 checks for a wrong zeta), and draws the level's counts in one multinomial
 (`_sample_counts`).  A direct estimate is the one-bin case, read once per
@@ -94,30 +95,49 @@ def _zeta(sd: SpectralData, chain_axes) -> float:
 # chain images and the LCU-of-Hadamard-tests measurement
 # ---------------------------------------------------------------------------
 
-def _box_channel(sd: SpectralData, chain_axes, windows, deltas, eps: float):
-    """Images of the ground state under the chain of a depth-n box (a 1-D
-    window is the depth-1 box): nested filters, ground zeroed at every depth
-    (the classical subtraction applied once per nesting level).
+def _filter_columns(sd: SpectralData, bins, delta: float, eps: float):
+    """(degrees, values) of the indicator filters of the excitation windows
+    `bins`, all with margin delta: a degree per window, and their values at
+    sd.eigenvalues as the columns of an (M, len(bins)) array."""
+    degrees, columns = [], []
+    for lo, hi in bins:
+        deg, vals = _filter_values(sd, lo, hi, delta, eps)
+        degrees.append(deg)
+        columns.append(vals)
+    return degrees, np.stack(columns, axis=1)
 
-    Returns (u, u_raw, degree): the ground-corrected image u, whose entry 0
-    over the chain's zeta is the box amplitude; the uncorrected image u_raw,
-    whose norm sets the amplification rounds; and the summed filter degree
-    charged per query.
+
+def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
+                  eps: float, ground: bool = False):
+    """Images of the ground state under the chain of every cell of a split
+    box (a 1-D window is the depth-1 box, an unsplit box one bin per axis).
+
+    axis_bins[k] lists the windows of box axis k, outermost first, and
+    deltas[k] is their margin; the cells are the Cartesian product of the
+    bins in `_split_box` order.  Each filter slot multiplies every image so
+    far by each of its bins' filter values and applies the slot's dipole to
+    them all in one product, so the images come back as the columns of an
+    (M, cells) array.  With ground=False the ground state is zeroed at every
+    depth (the classical subtraction applied once per nesting level), so
+    entry 0 of a column over the chain's zeta is that cell's amplitude;
+    with ground=True the images are uncorrected, and their norm sets the
+    amplification rounds.  Also returns the summed filter degree charged
+    per query of every cell, sum_k (cells / B_k) * sum_b deg(k, b).
     """
-    if len(chain_axes) != len(windows) + 1:
+    if len(chain_axes) != len(axis_bins) + 1:
         raise InputError("chain axes must be one longer than the box depth")
+    ncells = math.prod(len(bins) for bins in axis_bins)
+    u = sd.transition_dipoles[chain_axes[-1]][:, :1].astype(complex)
     degree = 0
-    u = sd.transition_dipoles[chain_axes[-1]][:, 0].astype(complex)
-    u_raw = u.copy()
-    for ax, (lo, hi), delta in zip(chain_axes[-2::-1], list(windows)[::-1],
-                                   list(deltas)[::-1]):
-        deg, pvals = _filter_values(sd, lo, hi, delta, eps)
-        degree += deg
-        u_raw = sd.transition_dipoles[ax] @ (u_raw * pvals)
-        masked = pvals.copy()
-        masked[0] = 0.0
-        u = sd.transition_dipoles[ax] @ (u * masked)
-    return u, u_raw, degree
+    for ax, bins, delta in zip(chain_axes[-2::-1], list(axis_bins)[::-1],
+                               list(deltas)[::-1]):
+        degs, p = _filter_columns(sd, bins, delta, eps)
+        degree += ncells // len(bins) * sum(degs)
+        if not ground:
+            p[0] = 0.0
+        u = sd.transition_dipoles[ax] @ (
+            p[:, :, None] * u[:, None, :]).reshape(len(p), -1)
+    return u, degree
 
 
 def _lcu_probabilities(x) -> np.ndarray:
@@ -257,15 +277,16 @@ class SearchTrace:
 # ---------------------------------------------------------------------------
 
 def _split_box(box, nbins):
-    """Cartesian bins of a box; returns (cells, per-axis widths).
+    """Bins of a box; returns (per-axis bins, cells, per-axis widths).
 
     box: tuple of (lo, hi) per axis; nbins: per-axis subdivision counts.
-    Cells are ordered lexicographically by axis indices.
+    Cells are the Cartesian product of the bins, ordered lexicographically
+    by axis indices.
     """
     widths = [(hi - lo) / nb for (lo, hi), nb in zip(box, nbins)]
-    axes_bins = [[(lo + i * w, lo + (i + 1) * w) for i in range(nb)]
+    axis_bins = [[(lo + i * w, lo + (i + 1) * w) for i in range(nb)]
                  for (lo, _), nb, w in zip(box, nbins, widths)]
-    return list(itertools.product(*axes_bins)), widths
+    return axis_bins, list(itertools.product(*axis_bins)), widths
 
 
 def _adjacent_pair(i, j, nbins):
@@ -316,16 +337,12 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
         if depth > config.max_depth:
             trace.truncated = True
             continue
-        cells, widths = _split_box(box, nbins)
+        axis_bins, cells, widths = _split_box(box, nbins)
         ncells = len(cells)
         deltas = [config.overlap * w for w in widths]
-        amps, degree = [], 0
-        for c in cells:
-            u, _, deg = _box_channel(sd, chain_axes, c, deltas,
-                                     config.filter_eps)
-            amps.append(u[0])
-            degree += deg
-        amps = np.array(amps)
+        u, degree = _chain_images(sd, chain_axes, axis_bins, deltas,
+                                  config.filter_eps)
+        amps = u[0]
         base = 1.0 / (2.0 * ncells)
         level_counts = {}
         devs = []
@@ -472,8 +489,11 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     chain_axes = tuple(int(a) for a in chain_axes)
     zeta = _zeta(sd, chain_axes)
     eps_f = min(eps / (2.0 * zeta), 0.4)
-    u, u_raw, degree = _box_channel(sd, chain_axes, windows, deltas, eps_f)
-    value = complex(u[0]) / zeta
+    axis_bins = [[w] for w in windows]
+    u, degree = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f)
+    u_raw = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f,
+                          ground=True)[0][:, 0]
+    value = complex(u[0, 0]) / zeta
     rng = np.random.default_rng(seed)
     if method == "direct":
         # the device reads the raw chain, ground included, and the known

@@ -5,7 +5,7 @@ in conftest, and every filter is applied to the Hamiltonian matrix by the
 three-term Chebyshev recurrence.  Nothing is taken from the package's Pauli
 layer or eigenvectors: only the filter polynomial (`build_indicator`) and the
 spectral bounds on SpectralData (alpha_shift, betas) are shared, so this can
-arbitrate when the eigenbasis channel `estimate._box_channel` and a test
+arbitrate when the eigenbasis images `estimate._chain_images` and a test
 disagree.
 """
 

@@ -57,17 +57,19 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
     # the channel's amplitude is the ground-masked filtered dipole sandwich
     # over zeta, and the filter passes the bright line at weight ~1
     window, delta = (4.35, 4.55), 0.05
-    u, u_raw, degree = estimate_mod._box_channel(dimer_sd, (0, 0), [window],
-                                                 [delta], 1e-3)
+    u, degree = estimate_mod._chain_images(dimer_sd, (0, 0), [[window]],
+                                           [delta], 1e-3)
+    u_raw = estimate_mod._chain_images(dimer_sd, (0, 0), [[window]],
+                                       [delta], 1e-3, ground=True)[0]
     zeta = estimate_mod._zeta(dimer_sd, (0, 0))
     assert zeta == 1.0
-    value = complex(u[0]) / zeta
+    value = complex(u[0, 0]) / zeta
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
     assert abs(value - want) <= 1e-9 * abs(want)
     assert value.real == pytest.approx(
         nested_window_amplitude(dimer_sd, (0, 0), [window]).real, abs=2e-3)
     # the uncorrected image keeps the ground state's share
-    assert abs(complex(u_raw[0]) - value) > 0
+    assert abs(complex(u_raw[0, 0]) - value) > 0
     # an estimate to eps builds its filter to eps / (2 zeta)
     assert degree == estimate_box(dimer_sd, (0, 0), [window], 2e-3,
                                   method="exact", delta=delta).degree
