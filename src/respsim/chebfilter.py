@@ -99,19 +99,24 @@ class ChebyshevFilter:
         return len(self.coefficients) - 1
 
     def eval(self, x):
-        """Values at the points x, in O(sqrt d) numpy steps.
+        """Values at the points x, in a fixed number of numpy steps per
+        block of points.
 
         With t = 2y^2 - 1 = cos(theta), p(y) = sum_m c_2m cos(m theta).
         Splitting m = jB + b with B = ceil(sqrt(d/2 + 1)) gives
             p = Re sum_j e^{ijB theta} (C @ e^{ib theta})_j,
-        C the half-series as a (giant j) x (baby b) matrix: one real GEMM on
-        the baby table (its cos and sin rows side by side), then one
-        weighted sum over the giant rows.  Both tables are powers of a unit
-        complex number, e^{i theta} = t + i 2y sqrt((1-y)(1+y)) and
-        e^{iB theta}, built by repeated multiplication: no transcendental
-        call, and no 1/sin(theta) error growth near t = +-1, where
-        Clenshaw in t loses digits to the rounding of t.  Points go through
-        in blocks whose temporaries fit EVAL_BLOCK_DOUBLES.
+        C the half-series as a (giant j) x (baby b) matrix: a real GEMM of
+        C with each point's baby table (its cos and sin as two columns),
+        then one weighted sum over the giant rows.  One GEMM per point keeps
+        every value a function of its own point: the other points, their
+        order and their number do not move its bits, so values evaluated
+        together can be cached and reused one by one.  Both tables are
+        powers of a unit complex number, e^{i theta} = t + i 2y
+        sqrt((1-y)(1+y)) and e^{iB theta}, built by repeated multiplication:
+        no transcendental call, and no 1/sin(theta) error growth near
+        t = +-1, where Clenshaw in t loses digits to the rounding of t.
+        Points go through in blocks whose temporaries fit
+        EVAL_BLOCK_DOUBLES.
         """
         y = (np.asarray(x, dtype=float) - self.center) / self.scale
         if not np.all(np.abs(y) <= 1.0 + DOMAIN_TOL):
@@ -124,9 +129,9 @@ class ChebyshevFilter:
         table = np.zeros(giant * baby)
         table[:len(half)] = half
         table = table.reshape(giant, baby)
-        # complex baby and giant tables, the GEMM product, z and a few
-        # point-sized real temporaries, in doubles per point
-        block = max(1, EVAL_BLOCK_DOUBLES // (2 * (baby + 1) + 4 * giant + 8))
+        # complex baby and giant tables, the GEMM products, z and a few
+        # point-sized temporaries, in doubles per point
+        block = max(1, EVAL_BLOCK_DOUBLES // (2 * baby + 4 * giant + 12))
         out = np.empty(len(y))
         for lo in range(0, len(y), block):
             yb = y[lo:lo + block]
@@ -134,19 +139,21 @@ class ChebyshevFilter:
             z.real = 2.0 * yb * yb - 1.0
             z.imag = 2.0 * yb * np.sqrt((1.0 - yb) * (1.0 + yb))
             babies = _powers(z, baby + 1)
-            prod = (table @ babies[:baby].view(float)).view(complex)
-            prod *= _powers(babies[baby], giant)
-            out[lo:lo + block] = prod.real.sum(axis=0)
+            stack = babies[:, :baby].view(float).reshape(-1, baby, 2)
+            prod = (table @ stack).view(complex)[..., 0]
+            prod *= _powers(babies[:, baby], giant)
+            out[lo:lo + block] = prod.real.sum(axis=1)
         return out.reshape(np.shape(x))
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """Rows z**k for k < n, shape (n, len(z)), by repeated multiplication."""
-    rows = np.empty((n, len(z)), dtype=complex)
-    rows[0] = 1.0
-    for k in range(1, n):
-        np.multiply(rows[k - 1], z, out=rows[k])
-    return rows
+    """Columns z**k for k < n, shape (len(z), n), by repeated
+    multiplication (one cumulative product per row)."""
+    cols = np.empty((len(z), n), dtype=complex)
+    cols[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(z[:, None], (len(z), n - 1)), axis=1,
+               out=cols[:, 1:])
+    return cols
 
 
 def _half_series_values(coeffs: np.ndarray):

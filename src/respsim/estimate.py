@@ -30,13 +30,17 @@ bin i outranks bin j when its score exceeds j's by more than tau.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
-bound alpha_shift that sets each filter's rescale, and the filter values at
-the eigenvalues all belong to it, so they live and die with one spectrum.
-A filter is needed only as its degree and its values at the eigenvalues:
-each one is built once per spectrum, evaluated, and only (degree, values)
-is kept in SpectralData.filter_values; the polynomial is dropped.  No
-filter state is held at module level, and repeated searches over the same
-spectrum rebuild and re-evaluate nothing.
+bound alpha_shift that sets each filter's rescale, and the filters all
+belong to it, so they live and die with one spectrum.  The filter of a
+window [wc - h, wc + h) with margin delta is a polynomial of the shape
+(h/s, delta/s, eps) evaluated at (eigenvalues - wc)/s, with the rescale s
+rounded up to a power of 2^(1/RESCALE_STEPS) (`_rescale`).  Cells of one
+width whose rescales round alike share one polynomial, within a level and
+across levels and searches: each shape is built once per spectrum and kept
+in SpectralData.filters, and each window's values are evaluated once, in
+one eval call per shape per level, and kept in SpectralData.filter_values.
+No filter state is held at module level, and repeated searches over the
+same spectrum rebuild and re-evaluate nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .errors import InputError
 from .spectra import SpectralData
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
+RESCALE_STEPS = 8        # filter rescales per octave (see _rescale)
 METHODS = ("direct", "ae", "exact")    # estimate_box backends
 
 
@@ -60,29 +65,67 @@ METHODS = ("direct", "ae", "exact")    # estimate_box backends
 # per-spectrum filter values and chain subnormalization
 # ---------------------------------------------------------------------------
 
-def _filter_values(sd: SpectralData, lo: float, hi: float, delta: float,
-                   eps: float):
-    """(degree, values at sd.eigenvalues) of the indicator filter for the
-    excitation window [lo, hi) with margin delta, kept in sd.filter_values.
+def _rescale(wc: float, alpha_shift: float) -> float:
+    """Rescale s of the filter centred at excitation energy wc.
 
     The filter acts on the shifted operator H - E0 - wc, rescaled by s.
     Excitation energies are certified to lie in [0, alpha_shift], so the
-    shifted spectrum fits in [-s, s] with s = max(wc, alpha_shift - wc).
-    Windows start at wc >= half-width > 0, hence s >= half-width always.
-    The tight bound matters: the filter degree scales with s, and the
-    generic alpha + |wc| would roughly double it.
+    shifted spectrum fits in [-s, s] for any s >= max(wc, alpha_shift - wc).
+    That tight bound is rounded up to the next 2^(k/RESCALE_STEPS), so
+    tight <= s < 2^(1/RESCALE_STEPS) tight: windows of one width whose
+    tight bounds fall in one step share a filter shape, at a degree at most
+    2^(1/RESCALE_STEPS) times their own.  Windows start at wc >= half-width
+    > 0, hence s >= half-width always.  The tight bound matters: the degree
+    scales with s, and the generic alpha + |wc| would roughly double it.
     """
-    wc = (lo + hi) / 2.0
-    h = (hi - lo) / 2.0
-    s = max(wc, sd.alpha_shift - wc)
-    key = (round(h / s, 12), round(delta / s, 12), float(eps),
-           round(wc, 12), round(s, 12))
-    hit = sd.filter_values.get(key)
-    if hit is None:
-        filt = build_indicator(-h / s, h / s, delta / s, eps)
-        vals = np.asarray(filt.eval((sd.eigenvalues - wc) / s), dtype=float)
-        hit = sd.filter_values[key] = (filt.degree, vals)
-    return hit
+    tight = max(wc, alpha_shift - wc)
+    k = math.ceil(RESCALE_STEPS * math.log2(tight))
+    # log2 rounds; settle k so that 2^((k-1)/n) < tight <= 2^(k/n)
+    while 2.0 ** (k / RESCALE_STEPS) < tight:
+        k += 1
+    while 2.0 ** ((k - 1) / RESCALE_STEPS) >= tight:
+        k -= 1
+    return 2.0 ** (k / RESCALE_STEPS)
+
+
+def _filter_columns(sd: SpectralData, axis_bins, deltas, eps: float):
+    """Per box axis, (degrees, values) of the indicator filters of its bins
+    with that axis's margin: a degree per bin, and the values at
+    sd.eigenvalues as the columns of a fresh (M, bins) array.
+
+    The bin [wc - h, wc + h) gets the filter of shape (h/s, delta/s, eps)
+    at the points (eigenvalues - wc)/s, s = `_rescale(wc)`.  Its
+    three-region certificate, stated in units of s, is the bin's own.  Each
+    shape's polynomial is built once per spectrum (sd.filters); the values
+    of bins not yet in sd.filter_values come from one eval call per shape
+    over all of them.
+    """
+    keys = []
+    todo = {}
+    for bins, delta in zip(axis_bins, deltas):
+        row = []
+        for lo, hi in bins:
+            wc, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+            s = _rescale(wc, sd.alpha_shift)
+            shape = (round(h / s, 12), round(delta / s, 12), float(eps))
+            key = (shape, round(wc, 12), s)
+            row.append(key)
+            if key not in sd.filter_values:
+                todo.setdefault(shape, {}).setdefault(key, (wc, h / s,
+                                                            delta / s))
+        keys.append(row)
+    for shape, cells in todo.items():
+        filt = sd.filters.get(shape)
+        if filt is None:
+            _, h, delta = next(iter(cells.values()))
+            filt = sd.filters[shape] = build_indicator(-h, h, delta, eps)
+        x = np.concatenate([(sd.eigenvalues - wc) / s
+                            for (_, _, s), (wc, _, _) in cells.items()])
+        vals = filt.eval(x).reshape(len(cells), -1)
+        sd.filter_values.update(zip(cells, vals))
+    return [([sd.filters[key[0]].degree for key in row],
+             np.array([sd.filter_values[key] for key in row]).T)
+            for row in keys]
 
 
 def _zeta(sd: SpectralData, chain_axes) -> float:
@@ -94,18 +137,6 @@ def _zeta(sd: SpectralData, chain_axes) -> float:
 # ---------------------------------------------------------------------------
 # chain images and the LCU-of-Hadamard-tests measurement
 # ---------------------------------------------------------------------------
-
-def _filter_columns(sd: SpectralData, bins, delta: float, eps: float):
-    """(degrees, values) of the indicator filters of the excitation windows
-    `bins`, all with margin delta: a degree per window, and their values at
-    sd.eigenvalues as the columns of an (M, len(bins)) array."""
-    degrees, columns = [], []
-    for lo, hi in bins:
-        deg, vals = _filter_values(sd, lo, hi, delta, eps)
-        degrees.append(deg)
-        columns.append(vals)
-    return degrees, np.stack(columns, axis=1)
-
 
 def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
                   eps: float, ground: bool = False):
@@ -129,10 +160,9 @@ def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
     ncells = math.prod(len(bins) for bins in axis_bins)
     u = sd.transition_dipoles[chain_axes[-1]][:, :1].astype(complex)
     degree = 0
-    for ax, bins, delta in zip(chain_axes[-2::-1], list(axis_bins)[::-1],
-                               list(deltas)[::-1]):
-        degs, p = _filter_columns(sd, bins, delta, eps)
-        degree += ncells // len(bins) * sum(degs)
+    columns = _filter_columns(sd, axis_bins, deltas, eps)
+    for ax, (degs, p) in zip(chain_axes[-2::-1], columns[::-1]):
+        degree += ncells // len(degs) * sum(degs)
         if not ground:
             p[0] = 0.0
         u = sd.transition_dipoles[ax] @ (

@@ -68,10 +68,11 @@ class SpectralData:
     alpha + |lowest electronic eigenvalue| bounds every excitation energy,
     since the electronic spectrum lies in [-alpha, alpha]; the measurement
     layer sizes its filter rescales and search span with it.  The nuclear
-    shift moves no excitation energy and does not enter it.  filter_values
-    maps each filter the measurement layer used (window and shape) to its
-    (degree, values at the eigenvalues); it is filled by that layer and
-    freed with the spectrum.
+    shift moves no excitation energy and does not enter it.  The
+    measurement layer fills two caches, freed with the spectrum: filters
+    maps a filter shape (half-width and margin over the rescale, and eps)
+    to its certified polynomial, and filter_values maps a shape placed at
+    a window (its centre and rescale) to the values at the eigenvalues.
     """
 
     eigenvalues: np.ndarray          # (M,)
@@ -84,6 +85,7 @@ class SpectralData:
     betas: tuple                     # (beta_x, beta_y, beta_z)
     degenerate_ground: bool = False
     label: str = ""
+    filters: dict = field(default_factory=dict, repr=False, compare=False)
     filter_values: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 

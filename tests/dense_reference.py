@@ -30,13 +30,22 @@ def dense_filter(filt, H):
     return out
 
 
+def rescale(tight):
+    """The smallest 2^(j/8) at or above tight, searched from below."""
+    j = math.floor(8.0 * math.log2(tight)) - 2
+    while 2.0 ** (j / 8.0) < tight:
+        j += 1
+    return 2.0 ** (j / 8.0)
+
+
 def dense_box_value(model, sd, chain_axes, windows, deltas, eps):
     """<g| D_0 p_1(Y_1) Q D_1 ... p_n(Y_n) Q D_n |g> / zeta.
 
     chain_axes and windows are ordered as in nested window amplitudes;
-    Y_k = (H - E0 - w_c)/s with s = max(w_c, alpha_shift - w_c), p_k the
-    certified indicator of [-h/s, h/s] with ramp delta/s, Q = I - |g><g|,
-    and zeta the product of the chain's dipole one-norms (0 counts as 1).
+    Y_k = (H - E0 - w_c)/s with s the smallest 2^(j/8), j an integer, at or
+    above max(w_c, alpha_shift - w_c), p_k the certified indicator of
+    [-h/s, h/s] with ramp delta/s, Q = I - |g><g|, and zeta the product of
+    the chain's dipole one-norms (0 counts as 1).
     """
     H, D = naive_model_matrices(model)
     sector = [b for b in range(2 ** model.n_orbitals)
@@ -50,7 +59,7 @@ def dense_box_value(model, sd, chain_axes, windows, deltas, eps):
     for ax, (lo, hi), delta in zip(chain_axes[-2::-1], windows[::-1],
                                    deltas[::-1]):
         wc, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-        s = max(wc, sd.alpha_shift - wc)
+        s = rescale(max(wc, sd.alpha_shift - wc))
         p = build_indicator(-h / s, h / s, delta / s, eps)
         Y = (H - (evals[0] + wc) * np.eye(len(H))) / s
         v = D[ax][block] @ (Q @ (dense_filter(p, Y) @ v))

@@ -205,6 +205,18 @@ def test_eval_keeps_the_shape_and_takes_no_points():
     assert f.eval(np.empty(0)).shape == (0,)
 
 
+def test_eval_values_do_not_depend_on_the_other_points():
+    # a point's value is bit-identical alone, among other points and at
+    # any position, so values evaluated together can be cached one by one
+    rng = np.random.default_rng(5)
+    for a, b, delta in ((-0.3, 0.3, 0.08), (-0.01, 0.01, 0.003)):
+        f = build_indicator(a, b, delta, 1e-2)
+        x = rng.uniform(-1.0, 1.0, 37)
+        together = f.eval(x).tolist()
+        assert [f.eval(x[i:i + 1])[0] for i in range(len(x))] == together
+        assert f.eval(np.concatenate([x[::-1], x]))[37:].tolist() == together
+
+
 def test_eval_memory_stays_in_its_block_budget():
     """200 001 points at a degree near DEGREE_CAP: unblocked, the baby and
     giant tables would take about 2 GB.  The peak is the block budget plus

@@ -8,10 +8,13 @@ eigensolvers, so the bytes also depend on the LAPACK build (these come from
 numpy 2.4 with OpenBLAS 0.3.31 on x86-64), as the frozen spectrum hashes in
 test_spectra.py do.  A change that moves output bits on purpose regenerates
 the affected directories (``python tests/test_golden.py NAME ...``, or every
-case without names), updates their SUMMARY lines by hand and lists each
-changed number; the comparison itself stays exact.
+case without names; each case's SUMMARY entry is printed above the line the
+run printed), copies the new lines into SUMMARY and lists each changed
+number; the comparison itself stays exact.
 """
 
+import contextlib
+import io
 import os
 import pathlib
 import shutil
@@ -54,13 +57,13 @@ CASES = {
 # the first line each case prints on stdout
 SUMMARY = {
     "readme-oracle": "oracle sum over states evaluated on 109 points",
-    "readme-simulate": "simulated 1 window estimate(s); queries 859183344",
-    "readme-order3": "simulated 3 window estimate(s); queries 37197890184",
+    "readme-simulate": "simulated 1 window estimate(s); queries 912503310",
+    "readme-order3": "simulated 3 window estimate(s); queries 38523590736",
     "random-n3-exact": "search found no spectral weight in the scanned span",
     "random-n4-oracle": "oracle sum over states evaluated on 121 points",
-    "hubbard-gamma005": "simulated 1 window estimate(s); queries 1431226680",
+    "hubbard-gamma005": "simulated 1 window estimate(s); queries 1521427014",
     "random-n3-order3-oracle": "oracle sum over states evaluated on 7 points",
-    "random-n2-yx": "simulated 1 window estimate(s); queries 234292230",
+    "random-n2-yx": "simulated 1 window estimate(s); queries 245512908",
     "random-n2-order3-yxxy": "search found no spectral weight in the scanned"
                              " span",
 }
@@ -99,7 +102,17 @@ def test_golden_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
     _assert_golden_bytes("readme-order3", tmp_path)
 
 
-if __name__ == "__main__":
-    for name in sys.argv[1:] or CASES:
+def _regenerate(names):
+    """Rewrite each case's files; print its new first stdout line under the
+    SUMMARY entry it replaces, so the entry can be copied over."""
+    for name in names:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        _run(name, GOLDEN / name)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _run(name, GOLDEN / name)
+        print(f"{name}:\n  SUMMARY  {SUMMARY[name]}\n"
+              f"  printed  {buf.getvalue().splitlines()[0]}")
+
+
+if __name__ == "__main__":
+    _regenerate(sys.argv[1:] or CASES)
