@@ -17,10 +17,10 @@ correction to its empirical frequencies).
 Hadamard tests run on plain arrays.  `_chain_images` returns the chain's
 images of the ground state for every cell of a split box at once, as one
 array (an estimate's box is the one-cell split); a search level reads one
-quadrature of its cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
-with the remainder discarded (`_lcu_probabilities`, the one place that
-checks for a wrong zeta), and draws the level's counts in one multinomial
-(`_sample_counts`).  A direct estimate is the one-bin case, read once per
+quadrature of its cells' amplitudes as the LCU of B Hadamard tests,
+P(i) = (1 + x_i)/(2B) with the remainder discarded (`_lcu_probabilities`,
+the one place that checks for a wrong zeta), and draws the level's counts
+in one multinomial (`_sample_counts`).  A direct estimate is the one-bin case, read once per
 quadrature.  One search engine (`binary_search_nd`, whose depth-1 and
 deeper forms differ only in the quadratures sampled and the score) and one
 estimator (`estimate_box`) serve every depth, and both take the dipole
@@ -243,11 +243,13 @@ class BinSearchConfig:
             raise InputError("filter_eps must lie in (0, 0.5)")
         if self.tau is None:
             self.tau = 1.0 / (2.0 * self.branching)
-        if self.tau <= 0:
-            raise InputError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise InputError("tau must be positive and finite")
         n_min = math.ceil(math.log(4.0 / self.eps_conf) / self.tau ** 2)
         if self.N_s is None:
             self.N_s = n_min
+        elif not math.isfinite(self.N_s):
+            raise InputError("N_s must be finite")
         elif self.N_s < n_min:
             raise InputError(
                 f"N_s={self.N_s} below the sample-size bound {n_min}")
@@ -502,8 +504,8 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError("eps must be positive and finite")
     windows = [tuple(map(float, w)) for w in windows]
     for lo, hi in windows:
         if not 0 <= lo < hi:

@@ -7,13 +7,31 @@ i.e. mode 0 is the most significant bit.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import respsim
 from respsim import diagonalize, make_hubbard_dimer
 from respsim.assemble import ResponseTable
 from respsim.spectra import nested_window_amplitude
+
+PACKAGE_ROOT = pathlib.Path(respsim.__file__).parent.parent
+
+
+def run_with_blas_threads(threads, *args):
+    """``python args`` in a fresh process whose BLAS runs `threads` threads
+    (OpenBLAS reads the count when numpy loads, and caps it at the core
+    count); returns the completed process, stdout as text."""
+    path = filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "OPENBLAS_NUM_THREADS": str(threads)}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from dense_reference import dense_box_value
 from respsim import (
     BinSearchConfig,
+    ChebyshevFilter,
     InputError,
+    SpectralData,
     binary_search_nd,
     build_dipole,
     build_hamiltonian,
@@ -25,7 +28,8 @@ from respsim import (
     run_pipeline,
 )
 from respsim import estimate as estimate_mod
-from respsim.estimate import P0_SLACK, _lcu_probabilities, _sample_counts
+from respsim.estimate import (P0_SLACK, RESCALE_STEPS, _filter_columns,
+                              _lcu_probabilities, _rescale, _sample_counts)
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
@@ -209,6 +213,18 @@ def test_config_sample_bound():
         BinSearchConfig(gamma=0.1, tau=0.02, N_s=bound - 1)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_config_rejects_a_non_finite_or_non_positive_tau(tau):
+    with pytest.raises(InputError, match="tau"):
+        BinSearchConfig(gamma=0.1, tau=tau)
+
+
+@pytest.mark.parametrize("N_s", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_sample_count(N_s):
+    with pytest.raises(InputError, match="N_s"):
+        BinSearchConfig(gamma=0.1, tau=0.02, N_s=N_s)
+
+
 def test_config_validation():
     for gamma in (0.0, np.nan, np.inf):
         with pytest.raises(InputError):
@@ -376,6 +392,99 @@ def test_estimate_box_validation(dimer_sd):
     with pytest.raises(InputError):
         estimate_box(dimer_sd, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
                      delta=0.06)
+
+
+@pytest.mark.parametrize("method", ["direct", "ae", "exact"])
+@pytest.mark.parametrize("eps", [np.inf, np.nan, -np.inf, 0.0])
+def test_estimate_box_rejects_a_non_finite_eps(dimer_sd, method, eps):
+    # an infinite eps once gave nan (ae), ZeroDivisionError (direct) or a
+    # zero-query estimate (exact)
+    with pytest.raises(InputError, match="eps"):
+        estimate_box(dimer_sd, (0, 0), WINDOW, eps, method=method)
+
+
+# ---------------------------------------------------------------------------
+# filters shared across cells
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_shift=st.floats(1e-3, 1e3), frac=st.floats(0.0, 1.0))
+def test_rescale_rounds_up_by_less_than_one_step(alpha_shift, frac):
+    wc = frac * alpha_shift
+    tight = max(wc, alpha_shift - wc)
+    s = _rescale(wc, alpha_shift)
+    assert tight <= s < 2.0 ** (1.0 / RESCALE_STEPS) * tight
+    k = RESCALE_STEPS * math.log2(s)
+    assert abs(k - round(k)) < 1e-9
+
+
+def _grid_spectrum(alpha_shift, points):
+    """SpectralData whose 'eigenvalues' are the given excitation energies:
+    the filter layer reads nothing else."""
+    return SpectralData(
+        eigenvalues=np.asarray(points), eigenvectors=None, basis_states=None,
+        transition_dipoles=None, ground_energy=0.0, alpha=alpha_shift,
+        alpha_shift=alpha_shift, betas=(1.0, 1.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha_shift=st.floats(0.5, 20.0), level=st.integers(1, 6),
+       bins=st.lists(st.integers(0, 63), min_size=1, max_size=6),
+       ramp=st.floats(0.1, 0.45), log_eps=st.floats(-3.0, -1.0))
+def test_shared_filter_meets_each_cells_own_regions(alpha_shift, level, bins,
+                                                    ramp, log_eps):
+    """Cells of one width across [0, alpha_shift], as a search level splits
+    it, share a polynomial whenever their rescales round alike; on a dense
+    grid of excitation energies each cell's values meet the three-region
+    bounds of its own window and margin."""
+    width = alpha_shift / 2 ** level
+    cells = [(i * width, (i + 1) * width)
+             for i in dict.fromkeys(b % 2 ** level for b in bins)]
+    delta, eps = ramp * width, 10.0 ** log_eps
+    x = np.linspace(0.0, alpha_shift, 20001)
+    sd = _grid_spectrum(alpha_shift, x)
+    [(degrees, vals)] = _filter_columns(sd, [cells], [delta], eps)
+    rescales = {_rescale((lo + hi) / 2.0, alpha_shift) for lo, hi in cells}
+    assert len(sd.filters) == len(rescales) <= len(cells)
+    assert set(degrees) == {f.degree for f in sd.filters.values()}
+    for (lo, hi), v in zip(cells, vals.T):
+        dist = np.abs(x - (lo + hi) / 2.0)
+        inner = dist <= (hi - lo) / 2.0 - delta
+        outer = dist >= (hi - lo) / 2.0 + delta
+        assert np.min(v[inner]) >= 1.0 - eps
+        if outer.any():
+            assert np.max(v[outer]) <= eps
+        assert np.min(v) >= 0.0 and np.max(v) <= 1.0 + eps
+
+
+def test_readme_order3_builds_14_filters(dimer):
+    # README scenario 3 built 17 filters (degree sum 11 770) with one
+    # rescale per cell; shared by shape, 14 (degree sum 9 222)
+    res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+                       grid=np.linspace(1.0, 3.9, 3), method="exact")
+    filters = res["sd"].filters.values()
+    assert len(filters) == 14
+    assert sum(f.degree for f in filters) == 9222
+
+
+def test_a_level_evaluates_each_shape_once(dimer, monkeypatch):
+    # one eval call per filter shape over every window it serves, and none
+    # for windows already evaluated on this spectrum
+    calls = []
+    real_eval = ChebyshevFilter.eval
+
+    def counting_eval(self, x):
+        calls.append(len(x))
+        return real_eval(self, x)
+
+    monkeypatch.setattr(ChebyshevFilter, "eval", counting_eval)
+    sd = diagonalize(dimer)
+    cells = [(i * 0.5, (i + 1) * 0.5) for i in range(8)]
+    _filter_columns(sd, [cells], [0.1], 1e-2)
+    assert len(calls) == len(sd.filters) < len(cells)
+    assert sum(calls) == len(cells) * sd.n_states
+    _filter_columns(sd, [cells[:3], cells[2:]], [0.1, 0.1], 1e-2)
+    assert len(calls) == len(sd.filters)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Each case's files under tests/golden/<name>/ were written by
 prints is held in SUMMARY.  The spectra come from LAPACK
 eigensolvers, so the bytes also depend on the LAPACK build (these come from
 numpy 2.4 with OpenBLAS 0.3.31 on x86-64), as the frozen spectrum hashes in
-test_spectra.py do.  A change that moves output bits on purpose regenerates
+test_spectra.py do; for spectra large enough for threaded BLAS, on its
+thread count too.  A change that moves output bits on purpose regenerates
 the affected directories (``python tests/test_golden.py NAME ...``, or every
 case without names; each case's SUMMARY entry is printed above the line the
 run printed), copies the new lines into SUMMARY and lists each changed
@@ -15,19 +16,16 @@ number; the comparison itself stays exact.
 
 import contextlib
 import io
-import os
 import pathlib
 import shutil
-import subprocess
 import sys
 
 import pytest
 
-import respsim
+from conftest import run_with_blas_threads
 from respsim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-PACKAGE_ROOT = pathlib.Path(respsim.__file__).parent.parent
 
 CASES = {
     # README scenarios 1-3
@@ -90,15 +88,12 @@ def test_cli_outputs_match_golden_bytes(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
-    """Filter evaluation runs a GEMM; a fresh process with one or two BLAS
-    threads (the thread count is read when numpy loads) writes the same
-    bytes."""
-    path = filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-           "OPENBLAS_NUM_THREADS": threads}
+    """Filter evaluation runs one GEMM per point, and the dimer's
+    six-state eigensystem is too small for threaded BLAS, so a fresh
+    process with one or two BLAS threads writes the same bytes.  Larger
+    spectra move with the thread count (test_spectra.py)."""
     argv = CASES["readme-order3"].split() + ["--out", str(tmp_path)]
-    subprocess.run([sys.executable, "-m", "respsim.cli", *argv], env=env,
-                   check=True, capture_output=True, timeout=300)
+    run_with_blas_threads(threads, "-m", "respsim.cli", *argv)
     _assert_golden_bytes("readme-order3", tmp_path)
 
 

@@ -1,6 +1,7 @@
 """Exact diagonalization layer and sum-over-states references."""
 
-import hashlib
+import csv
+import json
 import math
 import time
 import tracemalloc
@@ -8,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import naive_model_matrices, naive_sector_spectrum
+from conftest import (naive_model_matrices, naive_sector_spectrum,
+                      run_with_blas_threads)
 from oracle_reference import alpha3, alpha3_terms, chi1_time, r_pathways
 from respsim import (
     InputError,
@@ -82,7 +84,10 @@ def test_eigenvectors_live_on_the_sector_basis(random_model, random_sd):
 # alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes,
 # recorded before the sector-block rewrite of diagonalize.  The one-norms
 # are plain float sums; the hashes also depend on the LAPACK build (these
-# come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+# come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64) and on the BLAS thread
+# count: np.linalg.eigh and evecs.T @ D @ evecs change bits with it, and at
+# one thread (5, 4, 0) and (7, 4, 7) hash differently.  They were recorded
+# with two threads, so a child process pinned to two recomputes them.
 FROZEN_SPECTRA = {
     (3, 2, 4): ("0x1.cf2f188c30f98p+3",
                 ("0x1.b8aa1b4740af1p+2", "0x1.1b90c6d530605p+2",
@@ -107,15 +112,53 @@ FROZEN_SPECTRA = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(FROZEN_SPECTRA))
-def test_diagonalize_frozen_bits(args):
-    alpha, betas, ev_sha, td_sha = FROZEN_SPECTRA[args]
+FROZEN_CHILD = """
+import hashlib, json, sys
+from respsim import diagonalize, make_random_model
+out = []
+for args in json.loads(sys.argv[1]):
     sd = diagonalize(make_random_model(*args))
-    assert sd.alpha.hex() == alpha
-    assert tuple(b.hex() for b in sd.betas) == betas
-    assert hashlib.sha256(sd.eigenvalues.tobytes()).hexdigest() == ev_sha
-    assert hashlib.sha256(
-        sd.transition_dipoles.tobytes()).hexdigest() == td_sha
+    out.append([args, sd.alpha.hex(), [b.hex() for b in sd.betas],
+                hashlib.sha256(sd.eigenvalues.tobytes()).hexdigest(),
+                hashlib.sha256(sd.transition_dipoles.tobytes()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def two_thread_spectra():
+    """FROZEN_SPECTRA's fields as a two-thread child computes them."""
+    proc = run_with_blas_threads(2, "-c", FROZEN_CHILD,
+                                 json.dumps(sorted(FROZEN_SPECTRA)))
+    return {tuple(args): (alpha, tuple(betas), ev, td)
+            for args, alpha, betas, ev, td in json.loads(proc.stdout)}
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_SPECTRA))
+def test_diagonalize_frozen_bits(args, two_thread_spectra):
+    alpha, betas, ev_sha, td_sha = two_thread_spectra[args]
+    assert alpha == FROZEN_SPECTRA[args][0]
+    assert betas == FROZEN_SPECTRA[args][1]
+    assert ev_sha == FROZEN_SPECTRA[args][2]
+    assert td_sha == FROZEN_SPECTRA[args][3]
+
+
+def test_oracle_response_drift_across_blas_threads(tmp_path):
+    """Byte-reproducibility holds at a fixed BLAS thread count only: an n=5
+    oracle response from one and from two threads differs, but by at most
+    1e-12 relative at any point (1.5e-13 seen)."""
+    argv = "--toy random:n=5,ne=4,seed=0 --oracle-only".split()
+    resp = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_with_blas_threads(threads, "-m", "respsim.cli", *argv,
+                              "--out", str(out))
+        with open(out / "response.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        resp[threads] = np.array([complex(float(r["re"]), float(r["im"]))
+                                  for r in rows])
+    assert len(resp[1]) == len(resp[2]) == 121
+    assert np.max(np.abs(resp[1] - resp[2]) / np.abs(resp[2])) <= 1e-12
 
 
 def test_diagonalize_enforces_mode_cap():
