@@ -151,8 +151,8 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     multiplication (one cumulative product per row)."""
     cols = np.empty((len(z), n), dtype=complex)
     cols[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(z[:, None], (len(z), n - 1)), axis=1,
-               out=cols[:, 1:])
+    cols[:, 1:] = z[:, None]
+    np.cumprod(cols[:, 1:], axis=1, out=cols[:, 1:])
     return cols
 
 

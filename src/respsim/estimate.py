@@ -181,12 +181,16 @@ def _lcu_probabilities(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise InputError("need at least one bin")
-    if np.any(np.abs(x) > 1.0 + P0_SLACK):
+    if (np.abs(x) > 1.0 + P0_SLACK).any():
         raise InputError("bin amplitude outside [-1, 1]: wrong zeta?")
-    probs = (1.0 + np.clip(x, -1.0, 1.0)) / (2.0 * x.size)
+    full = np.empty(x.size + 1)
+    probs = full[:-1]
+    np.minimum(np.maximum(x, -1.0), 1.0, out=probs)
+    probs += 1.0
+    probs /= 2.0 * x.size
     # each clipped bin holds at most 1/B, so only roundoff can push the
     # discard below 0
-    full = np.append(probs, max(1.0 - probs.sum(), 0.0))
+    full[-1] = max(1.0 - probs.sum(), 0.0)
     return full / full.sum()
 
 
