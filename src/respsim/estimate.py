@@ -20,13 +20,14 @@ array (an estimate's box is the one-cell split); a search level reads one
 quadrature of its cells' amplitudes as the LCU of B Hadamard tests,
 P(i) = (1 + x_i)/(2B) with the remainder discarded (`_lcu_probabilities`,
 the one place that checks for a wrong zeta), and draws the level's counts
-in one multinomial (`_sample_counts`).  A direct estimate is the one-bin case, read once per
-quadrature.  One search engine (`binary_search_nd`, whose depth-1 and
-deeper forms differ only in the quadratures sampled and the score) and one
-estimator (`estimate_box`) serve every depth, and both take the dipole
-chain outermost axis first: a first-order window is the depth-1 chain
-(axis_out, axis_in).  A search level ranks its bins by `_relation_matrix`:
-bin i outranks bin j when its score exceeds j's by more than tau.
+in one multinomial (`_sample_counts`).  A direct estimate is the one-bin case,
+read once per quadrature.  One search engine (`binary_search_nd`, whose
+depth-1 and deeper forms differ only in the quadratures sampled and the
+score) and one estimator (`estimate_box`) serve every depth, and both take
+the dipole chain outermost axis first: a first-order window is the depth-1
+chain (axis_out, axis_in).  A search level ranks its bins by
+`_relation_matrix`: bin i outranks bin j when its score exceeds j's by more
+than tau.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
@@ -73,10 +74,11 @@ def _rescale(wc: float, alpha_shift: float) -> float:
     shifted spectrum fits in [-s, s] for any s >= max(wc, alpha_shift - wc).
     That tight bound is rounded up to the next 2^(k/RESCALE_STEPS), so
     tight <= s < 2^(1/RESCALE_STEPS) tight: windows of one width whose
-    tight bounds fall in one step share a filter shape, at a degree at most
-    2^(1/RESCALE_STEPS) times their own.  Windows start at wc >= half-width
-    > 0, hence s >= half-width always.  The tight bound matters: the degree
-    scales with s, and the generic alpha + |wc| would roughly double it.
+    tight bounds fall in one step share a filter shape, at a degree of
+    about 2^(1/RESCALE_STEPS) times their own at most.  Windows start at
+    wc >= half-width > 0, hence s >= half-width always.  The tight bound
+    matters: the degree scales with s, and the generic alpha + |wc| would
+    roughly double it.
     """
     tight = max(wc, alpha_shift - wc)
     k = math.ceil(RESCALE_STEPS * math.log2(tight))
