@@ -397,8 +397,8 @@ def test_estimate_box_validation(dimer_sd):
 @pytest.mark.parametrize("method", ["direct", "ae", "exact"])
 @pytest.mark.parametrize("eps", [np.inf, np.nan, -np.inf, 0.0])
 def test_estimate_box_rejects_a_non_finite_eps(dimer_sd, method, eps):
-    # an infinite eps once gave nan (ae), ZeroDivisionError (direct) or a
-    # zero-query estimate (exact)
+    # unchecked, an infinite eps gives nan (ae), ZeroDivisionError
+    # (direct) or a zero-query estimate (exact)
     with pytest.raises(InputError, match="eps"):
         estimate_box(dimer_sd, (0, 0), WINDOW, eps, method=method)
 
@@ -458,8 +458,8 @@ def test_shared_filter_meets_each_cells_own_regions(alpha_shift, level, bins,
 
 
 def test_readme_order3_builds_14_filters(dimer):
-    # README scenario 3 built 17 filters (degree sum 11 770) with one
-    # rescale per cell; shared by shape, 14 (degree sum 9 222)
+    # filters built on README scenario 3 when cells share polynomials by
+    # shape; a change to the rescale rounding or the shape key moves them
     res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
                        grid=np.linspace(1.0, 3.9, 3), method="exact")
     filters = res["sd"].filters.values()
