@@ -74,8 +74,8 @@ class ResponseTable:
     def __post_init__(self):
         if self.order < 1:
             raise InputError("order must be at least 1")
-        if self.margin < 0:
-            raise InputError("margin must be non-negative")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise InputError("margin must be non-negative and finite")
 
     def add(self, estimate) -> None:
         rec = self._normalize(estimate)
@@ -92,12 +92,12 @@ class ResponseTable:
         if hasattr(est, "as_dict"):
             axes = tuple(int(a) for a in est.axes)
             window = _window_key(est.window)
-            value = complex(est.value)
+            value = float(est.value)
             meta = est.as_dict()
         else:
             axes = tuple(int(a) for a in est["axes"])
             window = _window_key(est["window"])
-            value = complex(est["value"])
+            value = float(est["value"])
             meta = {k: v for k, v in est.items()
                     if k not in ("axes", "window", "value")}
         depth = len(window) if isinstance(window[0], tuple) else 1
@@ -119,13 +119,6 @@ class ResponseTable:
         axes = tuple(int(a) for a in axes)
         return [e for e in self.entries if e["axes"] == axes]
 
-    def lookup(self, axes, window):
-        key = _window_key(window)
-        for e in self.select(axes):
-            if e["window"] == key:
-                return e["value"]
-        return None
-
     def as_dict(self) -> dict:
         return {
             "order": self.order,
@@ -134,9 +127,9 @@ class ResponseTable:
                 {"axes": list(e["axes"]),
                  "window": [list(w) for w in e["window"]]
                  if self.order > 1 else list(e["window"]),
-                 "re": e["value"].real, "im": e["value"].imag,
+                 "value": e["value"],
                  "meta": {k: v for k, v in e["meta"].items()
-                          if k not in ("re", "im")}}
+                          if k != "value"}}
                 for e in self.entries],
         }
 
@@ -151,9 +144,9 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
 
     Entries carry the chain (axis_out, axis_in).  Each contributes
     value/(w~ - w - i gamma) with w~ the window midpoint, plus the mirrored
-    term using the swapped chain (axis_in, axis_out) on the same window (for
-    hermitian dipoles the swap equals the conjugate, which is used as
-    fallback when the swapped entry is absent).
+    term value/(w~ + w + i gamma): the swapped chain (axis_in, axis_out) on
+    the same window sums d_in[0,j] d_out[j,0], the same real number for
+    real symmetric dipoles.  A table mixing chains is rejected.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -162,17 +155,15 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     if not table.entries:
         raise InputError("empty response table")
     ax_out, ax_in = table.entries[0]["axes"]
-    direct = table.select((ax_out, ax_in))
+    if len(table.select((ax_out, ax_in))) != len(table.entries):
+        raise InputError("first-order assembly needs one dipole chain")
     om = np.asarray(omega_grid, dtype=float)
     vals = np.zeros(om.shape, dtype=complex)
-    for e in direct:
+    for e in table.entries:
         a, b = e["window"]
         wt = 0.5 * (a + b)
         vals += e["value"] / (wt - om - 1j * gamma)
-        swapped = table.lookup((ax_in, ax_out), e["window"])
-        if swapped is None:
-            swapped = np.conj(e["value"])
-        vals += swapped / (wt + om + 1j * gamma)
+        vals += e["value"] / (wt + om + 1j * gamma)
     return SusceptibilityResult(order=1, frequencies=om, values=vals,
                                 gamma=gamma, axes=(ax_out, ax_in))
 
@@ -297,9 +288,12 @@ class CostInputs:
     gap: float = None            # spectral gap (optional)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "eps"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        for name in ("alpha", "beta", "gamma", "eps", "N", "eta"):
+            x = getattr(self, name)
+            if x is None and name in ("N", "eta"):
+                continue
+            if not (math.isfinite(x) and x > 0):
+                raise InputError(f"{name} must be positive and finite")
         if self.eps >= 1:
             raise InputError("eps must be below 1")
         if self.n_order < 1:

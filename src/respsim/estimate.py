@@ -6,28 +6,30 @@ consecutive dipoles; a first-order window sum
     d_[a,b] = sum_{excitation in [a,b)} d_out[0,j] d_in[j,0]
 is the depth-1 case.  A hypothetical device starts in the ground state,
 applies the encoded chain with each filter p((H - E0 - w_c I)/s) and reads
-the ancilla of a Hadamard test: P(0) = (1 + x)/2, x the real or imaginary
-part of v = <0|chain|0>/zeta.  Classically we have the eigensystem, so v is
-computed through it and only the *statistics* are simulated.  The ground
-state contributes to the raw chain through every filter slot; those terms
-are classically known and are subtracted from estimates and from the
+the ancilla of a Hadamard test: P(0) = (1 + x)/2, x = <0|chain|0>/zeta.
+The models are real (real orbitals, symmetric dipoles, real filters), so
+every chain amplitude is a real number of either sign, and one Hadamard
+test per amplitude reads all of it.  Classically we have the eigensystem,
+so x is computed through it and only the *statistics* are simulated.  The
+ground state contributes to the raw chain through every filter slot; those
+terms are classically known and are subtracted from estimates and from the
 bin-search test statistics (the physical protocol would apply the same
 correction to its empirical frequencies).
 
 Hadamard tests run on plain arrays.  `_chain_images` returns the chain's
 images of the ground state for every cell of a split box at once, as one
-array (an estimate's box is the one-cell split); a search level reads one
-quadrature of its cells' amplitudes as the LCU of B Hadamard tests,
-P(i) = (1 + x_i)/(2B) with the remainder discarded (`_lcu_probabilities`,
-the one place that checks for a wrong zeta), and draws the level's counts
-in one multinomial (`_sample_counts`).  A direct estimate is the one-bin case,
-read once per quadrature.  One search engine (`binary_search_nd`, whose
-depth-1 and deeper forms differ only in the quadratures sampled and the
-score) and one estimator (`estimate_box`) serve every depth, and both take
-the dipole chain outermost axis first: a first-order window is the depth-1
-chain (axis_out, axis_in).  A search level ranks its bins by
-`_relation_matrix`: bin i outranks bin j when its score exceeds j's by more
-than tau.
+real array (an estimate's box is the one-cell split); a search level reads
+its cells' amplitudes as the LCU of B Hadamard tests, P(i) = (1 + x_i)/(2B)
+with the remainder discarded (`_lcu_probabilities`, the one place that
+checks for a wrong zeta), and draws the level's counts in one multinomial
+(`_sample_counts`).  A direct estimate is the one-bin case.  One search
+engine (`binary_search_nd`) and one estimator (`estimate_box`) serve every
+depth, and both take the dipole chain outermost axis first: a first-order
+window is the depth-1 chain (axis_out, axis_in).  A bin scores the
+absolute deviation of its frequency from the flat background 1/(2B) at
+every depth, since a bright cell may raise or lower its probability, and a
+search level ranks its bins by `_relation_matrix`: bin i outranks bin j
+when its score exceeds j's by more than tau.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -160,7 +163,7 @@ def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
     if len(chain_axes) != len(axis_bins) + 1:
         raise InputError("chain axes must be one longer than the box depth")
     ncells = math.prod(len(bins) for bins in axis_bins)
-    u = sd.transition_dipoles[chain_axes[-1]][:, :1].astype(complex)
+    u = sd.transition_dipoles[chain_axes[-1]][:, :1]
     degree = 0
     columns = _filter_columns(sd, axis_bins, deltas, eps)
     for ax, (degs, p) in zip(chain_axes[-2::-1], columns[::-1]):
@@ -175,10 +178,10 @@ def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
 def _lcu_probabilities(x) -> np.ndarray:
     """P(i) = (1 + x_i)/(2B) over B bins, the remainder last (discarded).
 
-    x holds one quadrature (Re or Im) of each bin's amplitude over zeta;
-    one Hadamard test is the B = 1 case, P(0) = (1 + x)/2.  A mild filter
-    overshoot beyond [-1, 1] is clipped; a larger one means the caller
-    divided by the wrong zeta and is rejected.
+    x holds each bin's real amplitude over zeta; one Hadamard test is the
+    B = 1 case, P(0) = (1 + x)/2.  A mild filter overshoot beyond [-1, 1]
+    is clipped; a larger one means the caller divided by the wrong zeta
+    and is rejected.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
@@ -197,7 +200,7 @@ def _lcu_probabilities(x) -> np.ndarray:
 
 
 def _sample_counts(rng, x, n: int) -> np.ndarray:
-    """Counts per bin of n LCU shots over quadratures x, discards dropped.
+    """Counts per bin of n LCU shots over amplitudes x, discards dropped.
 
     The n shots are independent categorical draws, so their counts are one
     Multinomial(n, p) draw: O(B) time and memory whatever n is.  Seeded
@@ -239,8 +242,11 @@ class BinSearchConfig:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise InputError("gamma must be positive and finite")
-        if self.branching < 2:
-            raise InputError("branching factor must be at least 2")
+        if not (isinstance(self.branching, numbers.Integral)
+                and self.branching >= 2):
+            raise InputError("branching factor must be an integer of at "
+                             "least 2")
+        self.branching = int(self.branching)
         if not 0 < self.overlap < 0.5:
             raise InputError("overlap fraction must lie in (0, 0.5)")
         if not 0 < self.eps_conf < 1:
@@ -261,10 +267,10 @@ class BinSearchConfig:
                 f"N_s={self.N_s} below the sample-size bound {n_min}")
         if self.span is not None:
             lo, hi = self.span
-            if not 0 <= lo < hi:
+            if not (0 <= lo < hi and math.isfinite(hi)):
                 raise InputError(
-                    "span must be an increasing pair of non-negative "
-                    "excitation energies")
+                    "span must be an increasing pair of finite, "
+                    "non-negative excitation energies")
             self.span = (float(lo), float(hi))
 
     def as_dict(self) -> dict:
@@ -359,13 +365,6 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
     queue = deque([(root, 0, split)])
     seen_peaks = set()
     zeta = _zeta(sd, chain_axes)
-    # 1-D amplitudes are sums of |d|^2 weights, hence real and nonnegative:
-    # one quadrature and the signed elevation over the flat background
-    # suffice.  Nested box amplitudes are products of signed dipole matrix
-    # elements and may sit anywhere in the complex plane, so a bright box
-    # can just as well depress its bin probability: both quadratures are
-    # sampled and a bin scores its largest absolute deviation.
-    quadratures = ("re",) if ndim == 1 else ("re", "im")
 
     while queue:
         if len(trace.levels) >= config.max_boxes:
@@ -380,18 +379,9 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
         deltas = [config.overlap * w for w in widths]
         u, degree = _chain_images(sd, chain_axes, axis_bins, deltas,
                                   config.filter_eps)
-        amps = u[0]
-        base = 1.0 / (2.0 * ncells)
-        level_counts = {}
-        devs = []
-        for q in quadratures:
-            x = (amps.real if q == "re" else amps.imag) / zeta
-            counts = _sample_counts(rng, x, config.N_s)
-            level_counts["counts" if q == "re" else "counts_im"] = \
-                [int(c) for c in counts]
-            devs.append(counts / config.N_s - base)
-        charge = len(quadratures) * config.N_s * degree
-        scores = devs[0] if ndim == 1 else np.max(np.abs(devs), axis=0)
+        counts = _sample_counts(rng, u[0] / zeta, config.N_s)
+        charge = config.N_s * degree
+        scores = np.abs(counts / config.N_s - 1.0 / (2.0 * ncells))
         R = _relation_matrix(np.subtract.outer(scores, scores), config.tau)
         trace.queries_total += charge
         lvl_key = str(depth)
@@ -405,7 +395,7 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
                 "box": [list(iv) for iv in box],
                 "depth": depth,
                 "nbins": list(nbins),
-                **level_counts,
+                "counts": [int(c) for c in counts],
                 "R": R.tolist(),
                 "prominent": prominent,
                 "decision": decision,
@@ -471,7 +461,7 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
 class WindowEstimate:
     window: tuple
     axes: tuple
-    value: complex
+    value: float
     method: str
     shots: int
     queries: int
@@ -485,7 +475,7 @@ class WindowEstimate:
     def as_dict(self) -> dict:
         return {
             "window": list(self.window), "axes": list(self.axes),
-            "re": self.value.real, "im": self.value.imag,
+            "value": self.value,
             "method": self.method, "shots": self.shots,
             "queries": self.queries, "eps_filter": self.eps_filter,
             "eps_stat": self.eps_stat, "degree": self.degree,
@@ -531,34 +521,24 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     u, degree = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f)
     u_raw = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f,
                           ground=True)[0][:, 0]
-    value = complex(u[0, 0]) / zeta
+    value = float(u[0, 0]) / zeta
+    eps_v = eps / (2.0 * zeta)
     rng = np.random.default_rng(seed)
     if method == "direct":
         # the device reads the raw chain, ground included, and the known
         # ground term is subtracted from what it reads
-        ground = complex(u_raw[0]) / zeta - value
-        v = value + ground
-        eps_v = eps / (2.0 * math.sqrt(2.0) * zeta)
-        shots_per = math.ceil(2.0 * math.log(12.0) / eps_v ** 2)
-        f_re, f_im = (
-            float(rng.binomial(shots_per, _lcu_probabilities([x])[0]))
-            / shots_per for x in (v.real, v.imag))
-        v_hat = complex(2.0 * f_re - 1.0, 2.0 * f_im - 1.0) - ground
+        ground = float(u_raw[0]) / zeta - value
+        shots = math.ceil(2.0 * math.log(12.0) / eps_v ** 2)
+        p0 = _lcu_probabilities([value + ground])[0]
+        v_hat = 2.0 * rng.binomial(shots, p0) / shots - 1.0 - ground
     else:
-        eps_v = eps / (2.0 * zeta)
-        shots_per = math.ceil(2.0 / eps_v)
+        shots = math.ceil(2.0 / eps_v)
+        v_hat = value
         if method == "ae":
-            mag = eps_v * rng.uniform(0.0, 1.0)
-            phase = 2.0 * math.pi * rng.uniform(0.0, 1.0)
-            v_hat = value + mag * complex(math.cos(phase), math.sin(phase))
-        else:
-            v_hat = value
-    d_hat = zeta * v_hat
-    if abs(d_hat) > zeta:
-        d_hat *= zeta / abs(d_hat)
+            v_hat += eps_v * rng.uniform(-1.0, 1.0)
+    d_hat = min(max(zeta * v_hat, -zeta), zeta)
     xi = float(np.linalg.norm(u_raw))
     rounds = max(1, math.ceil(zeta / max(xi, eps_v * zeta)))
-    shots = 2 * shots_per
     queries = degree * shots * rounds
     return WindowEstimate(
         window=tuple(windows), axes=chain_axes,

@@ -165,7 +165,7 @@ def _window_mask(sd: SpectralData, a: float, b: float) -> np.ndarray:
     return mask
 
 
-def nested_window_amplitude(sd: SpectralData, axes, windows) -> complex:
+def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
     """Chain amplitude <0| d^{ax0} P_{W1} d^{ax1} P_{W2} ... d^{axK} |0>.
 
     axes has one more entry than windows; windows[k] = (lo, hi) restricts the
@@ -180,11 +180,11 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> complex:
     for lo, hi in windows:
         if not lo < hi:
             raise InputError(f"window [{lo}, {hi}) is empty or reversed")
-    u = sd.transition_dipoles[axes[-1]][:, 0].astype(complex)
+    u = sd.transition_dipoles[axes[-1]][:, 0]
     for ax, (lo, hi) in zip(axes[-2::-1], windows[::-1]):
         u = u * _window_mask(sd, lo, hi)
         u = sd.transition_dipoles[ax] @ u
-    return complex(u[0])
+    return float(u[0])
 
 
 def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float

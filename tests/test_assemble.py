@@ -20,6 +20,7 @@ from respsim import (
     run_pipeline,
 )
 from respsim import assemble
+from respsim.spectra import nested_window_amplitude
 from respsim.assemble import _aligned_span, _ancestor_bin, _dedupe_windows
 from respsim.estimate import SearchTrace
 
@@ -28,16 +29,19 @@ from respsim.estimate import SearchTrace
 # response tables
 # ---------------------------------------------------------------------------
 
-def test_table_add_select_lookup():
+def test_table_add_select():
     t = ResponseTable(order=1, margin=0.05)
     t.add({"axes": (0, 0), "window": (1.0, 2.0), "value": 0.3})
-    t.add({"axes": (0, 0), "window": (2.0, 3.0), "value": 0.1 + 0.2j})
+    t.add({"axes": (0, 0), "window": ((2.0, 3.0),), "value": np.float64(-0.1)})
     t.add({"axes": (0, 1), "window": (1.5, 2.5), "value": 0.7})
-    assert len(t.select((0, 0))) == 2
-    assert t.lookup((0, 0), (2.0, 3.0)) == 0.1 + 0.2j
-    assert t.lookup((0, 0), (5.0, 6.0)) is None
-    # a single-window nest is the same entry as the flat window
-    assert t.lookup((0, 0), ((1.0, 2.0),)) == 0.3
+    got = t.select((0, 0))
+    # a single-window nest is stored as the flat window; values are floats
+    assert [(e["window"], e["value"]) for e in got] == [((1.0, 2.0), 0.3),
+                                                       ((2.0, 3.0), -0.1)]
+    assert all(type(e["value"]) is float for e in t.entries)
+    assert [e["value"] for e in t.select((0, 1))] == [0.7]
+    assert t.select((1, 0)) == []
+    assert not hasattr(t, "lookup")
 
 
 def test_table_rejects_overlap_beyond_margin():
@@ -68,21 +72,23 @@ def test_table_depth_and_axes_validation():
         t.add({"axes": (0, 0, 0), "window": (1.0, 2.0), "value": 0.1})
     with pytest.raises(InputError):
         ResponseTable(order=0)
-    with pytest.raises(InputError):
-        ResponseTable(order=1, margin=-0.1)
+    for margin in (-0.1, math.nan, math.inf):
+        with pytest.raises(InputError, match="margin"):
+            ResponseTable(order=1, margin=margin)
 
 
 def test_table_serialization():
     t = ResponseTable(order=2)
     t.add({"axes": (0, 1, 0), "window": ((0.0, 1.0), (2.0, 3.0)),
-           "value": 0.25 - 0.5j, "note": "probe"})
+           "value": -0.25, "note": "probe"})
     d = t.as_dict()
     assert d["order"] == 2
     e = d["entries"][0]
     assert e["axes"] == [0, 1, 0]
     assert e["window"] == [[0.0, 1.0], [2.0, 3.0]]
-    assert e["re"] == 0.25 and e["im"] == -0.5
-    assert e["meta"]["note"] == "probe"
+    assert e["value"] == -0.25
+    assert "re" not in e and "im" not in e
+    assert e["meta"] == {"note": "probe"}
     assert json.loads(json.dumps(d)) == d
 
 
@@ -101,16 +107,26 @@ def test_assemble_alpha1_single_entry():
     assert res.order == 1
 
 
-def test_assemble_alpha1_uses_swapped_axes_entry():
+def test_assemble_alpha1_mirrors_each_entry(random_sd):
+    # a cross-axis entry serves its direct and its mirrored term, bit for
+    # bit as the two divisions; the swapped chain is the same real number
     t = ResponseTable(order=1)
-    t.add({"axes": (0, 1), "window": (2.0, 2.5), "value": 0.1 + 0.3j})
-    t.add({"axes": (1, 0), "window": (2.0, 2.5), "value": 0.1 - 0.3j})
-    om = np.array([1.0])
+    t.add({"axes": (0, 1), "window": (2.0, 2.5), "value": -0.3})
+    om = np.array([0.0, 1.0, 3.0])
     res = assemble_alpha1(t, om, 0.05)
     wt = 2.25
-    expect = (0.1 + 0.3j) / (wt - 1.0 - 0.05j) \
-        + (0.1 - 0.3j) / (wt + 1.0 + 0.05j)
-    assert np.allclose(res.values, expect, atol=1e-14)
+    expect = -0.3 / (wt - om - 0.05j) + -0.3 / (wt + om + 0.05j)
+    assert np.array_equal(res.values, expect)
+    assert res.axes == (0, 1)
+    # at omega = 0 a real entry's two terms are conjugates
+    assert res.values[0].imag == 0.0
+    lines = random_sd.eigenvalues[1:]
+    for lo in np.linspace(0.0, float(lines[-1]), 7):
+        for ax_out, ax_in in ((0, 1), (1, 2), (0, 2)):
+            win = [(lo, lo + 0.7)]
+            assert nested_window_amplitude(random_sd, (ax_out, ax_in), win) \
+                == pytest.approx(nested_window_amplitude(
+                    random_sd, (ax_in, ax_out), win), abs=1e-12)
 
 
 def test_assemble_alpha1_validation():
@@ -121,6 +137,10 @@ def test_assemble_alpha1_validation():
             assemble_alpha1(t, [1.0], gamma)
     with pytest.raises(InputError):
         assemble_alpha1(ResponseTable(order=1), [1.0], 0.1)
+    # each entry is its own mirror, so a second chain would be dropped
+    t.add({"axes": (1, 0), "window": (1.0, 2.0), "value": 0.1})
+    with pytest.raises(InputError, match="one dipole chain"):
+        assemble_alpha1(t, [1.0], 0.1)
     t2 = ResponseTable(order=2)
     t2.add({"axes": (0, 0, 0), "window": ((1.0, 2.0), (1.0, 2.0)),
             "value": 0.1})
@@ -221,6 +241,12 @@ def test_cost_monotonicity():
 
 
 def test_cost_inputs_validation():
+    base = dict(alpha=1.0, beta=1.0, gamma=0.1, eps=0.1)
+    for name in ("alpha", "beta", "gamma", "eps", "N", "eta"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match=name):
+                CostInputs(**{**base, name: bad})
+    assert CostInputs(**base, N=4.0, eta=2.0).N == 4.0
     with pytest.raises(InputError):
         CostInputs(alpha=0.0, beta=1.0, gamma=0.1, eps=0.1)
     with pytest.raises(InputError):

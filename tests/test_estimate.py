@@ -24,6 +24,7 @@ from respsim import (
     estimate_box,
     jordan_wigner,
     lcu_one_norm,
+    make_random_model,
     nested_window_amplitude,
     run_pipeline,
 )
@@ -39,11 +40,9 @@ BRIGHT = 2.0 * np.sqrt(5.0)
 # ---------------------------------------------------------------------------
 
 def test_channel_p0():
-    # one Hadamard test is the one-bin LCU: each quadrature x of the
-    # amplitude reads 0 with P(0) = (1 + x)/2, bit for bit, and the discard
-    # entry is P(1)
-    v = 0.3 + 0.7j + 0.1
-    for x in (v.real, v.imag):
+    # one Hadamard test is the one-bin LCU: an amplitude x reads 0 with
+    # P(0) = (1 + x)/2, bit for bit, and the discard entry is P(1)
+    for x in (0.4, -0.7):
         p = _lcu_probabilities([x])
         assert p[0] == 0.5 * (1.0 + x)
         assert p[0] + p[1] == 1.0
@@ -67,13 +66,13 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
                                        [delta], 1e-3, ground=True)[0]
     zeta = estimate_mod._zeta(dimer_sd, (0, 0))
     assert zeta == 1.0
-    value = complex(u[0, 0]) / zeta
+    value = float(u[0, 0]) / zeta
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
     assert abs(value - want) <= 1e-9 * abs(want)
-    assert value.real == pytest.approx(
-        nested_window_amplitude(dimer_sd, (0, 0), [window]).real, abs=2e-3)
+    assert value == pytest.approx(
+        nested_window_amplitude(dimer_sd, (0, 0), [window]), abs=2e-3)
     # the uncorrected image keeps the ground state's share
-    assert abs(complex(u_raw[0, 0]) - value) > 0
+    assert abs(float(u_raw[0, 0]) - value) > 0
     # an estimate to eps builds its filter to eps / (2 zeta)
     assert degree == estimate_box(dimer_sd, (0, 0), [window], 2e-3,
                                   method="exact", delta=delta).degree
@@ -229,8 +228,10 @@ def test_config_validation():
     for gamma in (0.0, np.nan, np.inf):
         with pytest.raises(InputError):
             BinSearchConfig(gamma=gamma)
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, branching=1)
+    for branching in (1, 2.5, 2.0):
+        with pytest.raises(InputError, match="branching"):
+            BinSearchConfig(gamma=0.1, branching=branching)
+    assert BinSearchConfig(gamma=0.1, branching=np.int64(3)).branching == 3
     with pytest.raises(InputError):
         BinSearchConfig(gamma=0.1, overlap=0.6)
     with pytest.raises(InputError):
@@ -239,8 +240,9 @@ def test_config_validation():
         BinSearchConfig(gamma=0.1, filter_eps=0.5)
     with pytest.raises(InputError):
         BinSearchConfig(gamma=0.1, span=(3.0, 1.0))
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, span=(-1.0, 1.0))
+    for span in ((-1.0, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(InputError, match="span"):
+            BinSearchConfig(gamma=0.1, span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +258,8 @@ def test_search_1d_finds_bright_line(dimer_sd):
         assert hi - lo <= cfg.gamma * (1 + 1e-9)
     assert trace.queries_total == sum(trace.per_level_queries.values())
     assert trace.queries_total > 0
-    lvl = trace.levels[0]
-    assert set(lvl) >= {"box", "depth", "nbins", "counts", "R",
-                        "prominent", "decision", "charge"}
+    assert set(trace.levels[0]) == {"box", "depth", "nbins", "counts", "R",
+                                    "prominent", "decision", "charge"}
     assert not trace.truncated
 
 
@@ -277,9 +278,42 @@ def test_search_1d_dark_axis_finds_nothing(dimer_sd):
     assert trace.levels[0]["decision"] == "empty"
 
 
+def test_search_1d_finds_negative_cross_axis_line():
+    # on the chain (y, x) of this model the line at 1.970 carries the
+    # weight d_y[0,j] d_x[j,0] = -1.67: it lowers its bin's frequency, and
+    # the absolute deviation score must flag it as it flags a raised bin
+    sd = diagonalize(make_random_model(2, 2, 15))
+    j = int(np.argmin(np.abs(sd.eigenvalues - 1.970)))
+    weight = sd.transition_dipoles[1][0, j] * sd.transition_dipoles[0][j, 0]
+    assert weight == pytest.approx(-1.67, abs=5e-3)
+    cfg = BinSearchConfig(gamma=0.4, tau=0.005, overlap=0.3)
+    for seed in range(5):
+        trace = binary_search_nd(sd, (1, 0), cfg, seed=seed)
+        assert any(lo <= sd.eigenvalues[j] < hi for lo, hi in trace.peaks), \
+            f"seed {seed} missed the line: {trace.peaks}"
+
+
+@pytest.mark.parametrize("chain", [(0, 0), (1, 0, 2), (0, 2, 1, 0)])
+def test_chain_images_are_real_and_levels_hold_one_count_array(random_sd,
+                                                               chain):
+    # real dipoles and real filters give real images: a level draws one
+    # count array and charges N_s per query of its cells
+    bins = [[(0.5, 1.0), (1.0, 1.5)]] * (len(chain) - 1)
+    u, degree = estimate_mod._chain_images(random_sd, chain, bins,
+                                           [0.1] * len(bins), 1e-2)
+    assert u.dtype == np.float64
+    assert u.shape == (random_sd.n_states, 2 ** len(bins))
+    cfg = BinSearchConfig(gamma=1.0, tau=0.05, overlap=0.3)
+    trace = binary_search_nd(random_sd, chain, cfg, seed=1)
+    for lvl in trace.levels:
+        assert "counts_im" not in lvl
+        assert len(lvl["counts"]) == math.prod(lvl["nbins"])
+        assert lvl["charge"] % cfg.N_s == 0
+
+
 def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
     # the only bright depth-2 box on the dimer has amplitude -0.179: the
-    # two-quadrature deviation score must still flag it
+    # absolute deviation score must still flag it
     cfg = BinSearchConfig(gamma=0.2, tau=0.004, span=(0.0, 6.4))
     trace = binary_search_nd(dimer_sd, (0, 0, 0), cfg, seed=5)
     assert trace.dims == 2
@@ -288,7 +322,7 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
            if all(lo <= BRIGHT < hi for lo, hi in box)]
     assert hit, f"no peak box contains the bright line twice: {trace.peaks}"
     amp = nested_window_amplitude(dimer_sd, (0, 0, 0), hit[0])
-    assert amp.real < -0.1
+    assert amp < -0.1
 
 
 def test_search_nd_validation(dimer_sd):

@@ -10,15 +10,20 @@ test_spectra.py do; for spectra large enough for threaded BLAS, on its
 thread count too.  A change that moves output bits on purpose regenerates
 the affected directories (``python tests/test_golden.py NAME ...``, or every
 case without names; each case's SUMMARY entry is printed above the line the
-run printed), copies the new lines into SUMMARY and lists each changed
-number; the comparison itself stays exact.
+run printed, and every number that moved is printed as old -> new before
+the files are overwritten), copies the new lines into SUMMARY and lists
+each changed number; the comparison itself stays exact.
 """
 
 import contextlib
+import csv
 import io
+import itertools
+import json
 import pathlib
 import shutil
 import sys
+import tempfile
 
 import pytest
 
@@ -56,7 +61,7 @@ CASES = {
 SUMMARY = {
     "readme-oracle": "oracle sum over states evaluated on 109 points",
     "readme-simulate": "simulated 1 window estimate(s); queries 912503310",
-    "readme-order3": "simulated 3 window estimate(s); queries 38523590736",
+    "readme-order3": "simulated 3 window estimate(s); queries 20018451072",
     "random-n3-exact": "search found no spectral weight in the scanned span",
     "random-n4-oracle": "oracle sum over states evaluated on 121 points",
     "hubbard-gamma005": "simulated 1 window estimate(s); queries 1521427014",
@@ -97,16 +102,90 @@ def test_golden_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
     _assert_golden_bytes("readme-order3", tmp_path)
 
 
+ABSENT = "(absent)"
+
+
+def _json_moves(old, new, path=""):
+    """(path, old, new) for every JSON leaf that differs, a missing key or
+    list item reading ABSENT; leaves compare by their JSON text."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in sorted(old.keys() | new.keys()):
+            yield from _json_moves(old.get(k, ABSENT), new.get(k, ABSENT),
+                                   f"{path}/{k}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(itertools.zip_longest(
+                old, new, fillvalue=ABSENT)):
+            yield from _json_moves(a, b, f"{path}[{i}]")
+    else:
+        a, b = (x if x is ABSENT else json.dumps(x) for x in (old, new))
+        if a != b:
+            yield path, a, b
+
+
+def _csv_moves(old, new):
+    """(row and column, old, new) for every CSV cell that differs; rows
+    count from 1 below the header, columns are named by the new header."""
+    old, new = (list(csv.reader(io.StringIO(t))) for t in (old, new))
+    header = new[0] if new else old[0]
+    for r, (a, b) in enumerate(itertools.zip_longest(old, new,
+                                                     fillvalue=[])):
+        for c, (x, y) in enumerate(itertools.zip_longest(
+                a, b, fillvalue=ABSENT)):
+            if x != y:
+                col = header[c] if c < len(header) else str(c)
+                yield (f"row {r} {col}" if r else f"header {c}"), x, y
+
+
+def _file_moves(old: pathlib.Path, new: pathlib.Path):
+    """Every number that moved between two versions of a golden file (each
+    is JSON or CSV)."""
+    if not old.exists() or not new.exists():
+        return [("file", "present" if old.exists() else ABSENT,
+                 "present" if new.exists() else ABSENT)]
+    a, b = old.read_text(), new.read_text()
+    if old.suffix == ".json":
+        return list(_json_moves(json.loads(a), json.loads(b)))
+    return list(_csv_moves(a, b))
+
+
+def test_moves_list_every_changed_json_leaf_and_csv_cell():
+    old = {"a": [1, 2.5], "b": {"c": 0.1}, "gone": 1, "int": 2}
+    new = {"a": [1, 2.0, 3], "b": {"c": 0.1}, "added": "x", "int": 2.0}
+    assert list(_json_moves(old, new)) == [
+        ("/a[1]", "2.5", "2.0"), ("/a[2]", ABSENT, "3"),
+        ("/added", ABSENT, '"x"'), ("/gone", "1", ABSENT),
+        ("/int", "2", "2.0")]
+    old = "omega,re,im\n0,1.5,0\n1,2,-1\n"
+    new = "omega,re,im\n0,1.5,0\n1,2.25,-1\n2,3,0\n"
+    assert list(_csv_moves(old, new)) == [
+        ("row 2 re", "2", "2.25"), ("row 3 omega", ABSENT, "2"),
+        ("row 3 re", ABSENT, "3"), ("row 3 im", ABSENT, "0")]
+
+
 def _regenerate(names):
     """Rewrite each case's files; print its new first stdout line under the
-    SUMMARY entry it replaces, so the entry can be copied over."""
+    SUMMARY entry it replaces, so the entry can be copied over, and every
+    number that moved in each file, before the old files are replaced."""
     for name in names:
-        shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            _run(name, GOLDEN / name)
-        print(f"{name}:\n  SUMMARY  {SUMMARY[name]}\n"
-              f"  printed  {buf.getvalue().splitlines()[0]}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / name
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                _run(name, out)
+            print(f"{name}:\n  SUMMARY  {SUMMARY[name]}\n"
+                  f"  printed  {buf.getvalue().splitlines()[0]}")
+            old = GOLDEN / name
+            files = sorted({p.name for p in out.iterdir()}
+                           | ({p.name for p in old.iterdir()}
+                              if old.exists() else set()))
+            for fname in files:
+                moves = _file_moves(old / fname, out / fname)
+                if moves:
+                    print(f"  {fname}: {len(moves)} moved")
+                for where, a, b in moves:
+                    print(f"    {where}: {a} -> {b}")
+            shutil.rmtree(old, ignore_errors=True)
+            shutil.copytree(out, old)
 
 
 if __name__ == "__main__":
