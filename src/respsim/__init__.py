@@ -19,8 +19,8 @@ from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
                       nested_window_amplitude, r_pathway_fd)
 from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
                          choose_k)
-from .estimate import (BinSearchConfig, SearchTrace, WindowEstimate,
-                       binary_search_nd, estimate_box)
+from .estimate import (SearchTrace, WindowEstimate, binary_search_nd,
+                       estimate_box)
 from .assemble import (CostInputs, ResponseTable, assemble_alpha1,
                        assemble_alpha3, cost_report, qpe_baseline_report,
                        run_pipeline)
@@ -37,7 +37,7 @@ __all__ = [
     "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",
     "nested_window_amplitude", "r_pathway_fd",
     "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",
-    "BinSearchConfig", "SearchTrace", "WindowEstimate",
+    "SearchTrace", "WindowEstimate",
     "binary_search_nd", "estimate_box",
     "CostInputs", "ResponseTable", "assemble_alpha1", "assemble_alpha3",
     "cost_report", "qpe_baseline_report", "run_pipeline",

@@ -22,14 +22,14 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .estimate import (METHODS, BinSearchConfig, binary_search_nd,
-                       estimate_box)
+from .estimate import METHODS, OVERLAP, binary_search_nd, estimate_box
 from .models import AXIS_LETTERS, ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
@@ -43,8 +43,8 @@ GRID_POINT_CAP = 4096
 def _window_key(window):
     """Canonical hashable form of a window or nested window tuple.
 
-    A single-window nest ((a, b),) flattens to (a, b) so depth-1 entries
-    have one canonical shape regardless of which estimator produced them.
+    A single-window nest ((a, b),) flattens to (a, b), so a depth-1 entry
+    has one canonical shape whether it was given flat or nested.
     """
     w = np.asarray(window, dtype=float)
     if w.ndim == 2 and w.shape[0] == 1:
@@ -288,16 +288,21 @@ class CostInputs:
     gap: float = None            # spectral gap (optional)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "eps", "N", "eta"):
+        for name in ("alpha", "beta", "gamma", "eps", "N", "eta", "gap"):
             x = getattr(self, name)
-            if x is None and name in ("N", "eta"):
+            if x is None and name in ("N", "eta", "gap"):
                 continue
             if not (math.isfinite(x) and x > 0):
                 raise InputError(f"{name} must be positive and finite")
         if self.eps >= 1:
             raise InputError("eps must be below 1")
-        if self.n_order < 1:
-            raise InputError("n_order must be at least 1")
+        if not (isinstance(self.n_order, numbers.Integral)
+                and self.n_order >= 1):
+            raise InputError("n_order must be an integer of at least 1")
+        if (self.p0 is None) != (self.gap is None):
+            raise InputError("p0 and gap must be given together")
+        if self.p0 is not None and not 0 < self.p0 <= 1:
+            raise InputError("p0 must lie in (0, 1]")
 
 
 def cost_report(c: CostInputs) -> dict:
@@ -316,9 +321,7 @@ def cost_report(c: CostInputs) -> dict:
     if c.N is not None and c.eta is not None:
         report["system_size_order_n"] = (
             c.N ** (5 * n + 1) * c.eta ** (n + 1) / (g ** n * e))
-    if c.p0 is not None and c.gap is not None:
-        if not 0 < c.p0 <= 1 or c.gap <= 0:
-            raise InputError("need 0 < p0 <= 1 and gap > 0")
+    if c.p0 is not None:
         report["ground_state_prep"] = (
             a * math.log(1.0 / e) / (math.sqrt(c.p0) * c.gap))
     return report
@@ -362,12 +365,6 @@ def _dedupe_windows(peaks, min_sep):
         else:
             out.append((lo, hi))
     return out
-
-
-def _aligned_span(alpha_shift: float, width: float) -> tuple:
-    """Dyadic span (0, width * 2^L) covering [0, alpha_shift]."""
-    levels = max(1, math.ceil(math.log2(alpha_shift / width)))
-    return (0.0, width * 2 ** levels)
 
 
 def _ancestor_bin(center: float, width: float) -> tuple:
@@ -415,7 +412,7 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if window_width is not None and not (math.isfinite(window_width)
                                          and window_width > 0):
         raise InputError("window_width must be positive and finite")
-    if order not in (1, 3):
+    if not (isinstance(order, numbers.Integral) and order in (1, 3)):
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
         raise InputError("mode must be 'simulate' or 'oracle'")
@@ -489,9 +486,7 @@ def _search_name(chain) -> str:
 
 def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
     width = gamma / 8.0
-    cfg = BinSearchConfig(gamma=width, tau=0.02, overlap=0.3, max_depth=60,
-                          span=_aligned_span(sd.alpha_shift, width))
-    trace = binary_search_nd(sd, axes, cfg, seed=seed)
+    trace = binary_search_nd(sd, axes, width, 0.02, seed=seed)
     peaks = _dedupe_windows(trace.peaks, gamma / 2.0)
     est_width = window_width if window_width is not None else width
     windows = []
@@ -499,7 +494,7 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
         win = _ancestor_bin((lo + hi) / 2.0, est_width)
         if win not in windows:
             windows.append(win)
-    table = ResponseTable(order=1, margin=cfg.overlap * est_width)
+    table = ResponseTable(order=1, margin=OVERLAP * est_width)
     for idx, win in enumerate(windows):
         table.add(estimate_box(
             sd, axes, [win], eps, method=method,
@@ -512,12 +507,11 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
 def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     i_tr, i3, i2, i1 = axes
     width = gamma
-    # Nested amplitudes spread over branching**3 cells per box, so the
+    # Nested amplitudes spread over BRANCHING**3 cells per box, so the
     # per-bin elevation is far smaller than in the 1-D search; a tighter
     # threshold (with its matching sample-size bound) keeps genuine boxes
     # above the noise floor.
-    cfg = BinSearchConfig(gamma=width, tau=0.004, overlap=0.3, max_depth=40,
-                          span=_aligned_span(sd.alpha_shift, width))
+    tau = 0.004
     # (trace name, chain, search seed): the box chain, then the distinct
     # chains of the ground-pinned terms at depths 2 and 1
     jobs = [("depth3", (i1, i_tr, i3, i2), seed)]
@@ -525,9 +519,9 @@ def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
                           (((i_tr, i1), (i2, i3), (i3, i_tr)), seed + 11)):
         jobs += [(_search_name(ch), ch, first + k)
                  for k, ch in enumerate(dict.fromkeys(chains))]
-    traces = {name: binary_search_nd(sd, ch, cfg, seed=s)
+    traces = {name: binary_search_nd(sd, ch, width, tau, seed=s)
               for name, ch, s in jobs}
-    tables = {d: ResponseTable(order=d, margin=cfg.overlap * width)
+    tables = {d: ResponseTable(order=d, margin=OVERLAP * width)
               for d in (3, 2, 1)}
     boxes = [(ch, box) for name, ch, _ in jobs for box in traces[name].peaks]
     for idx, (ch, box) in enumerate(boxes):

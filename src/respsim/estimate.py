@@ -29,7 +29,10 @@ window is the depth-1 chain (axis_out, axis_in).  A bin scores the
 absolute deviation of its frequency from the flat background 1/(2B) at
 every depth, since a bright cell may raise or lower its probability, and a
 search level ranks its bins by `_relation_matrix`: bin i outranks bin j
-when its score exceeds j's by more than tau.
+when its score exceeds j's by more than tau.  A search is set by its
+resolution gamma and its threshold tau alone: the sample count, the dyadic
+span and the depth follow from them, and the rest (BRANCHING, EPS_CONF,
+OVERLAP, FILTER_EPS, MAX_BOXES) are module constants.
 
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
@@ -63,6 +66,14 @@ from .spectra import SpectralData
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
 RESCALE_STEPS = 8        # filter rescales per octave (see _rescale)
 METHODS = ("direct", "ae", "exact")    # estimate_box backends
+# the search's fixed settings: bins per axis, the per-level failure
+# probability of the sample-size bound, the filter margin as a fraction of
+# a bin's width, the filter error, and the most levels one search visits
+BRANCHING = 2
+EPS_CONF = 1.0 / 3.0
+OVERLAP = 0.3
+FILTER_EPS = 1e-2
+MAX_BOXES = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -216,72 +227,16 @@ def _relation_matrix(gap, tau: float) -> np.ndarray:
     return (gap > tau).astype(int) - (gap < -tau).astype(int)
 
 
+def _rng(seed):
+    """The generator of a search or an estimate; seeds are integers >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError("seed must be a non-negative integer")
+    return np.random.default_rng(seed)
+
+
 # ---------------------------------------------------------------------------
-# bin-search configuration and trace
+# search trace
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BinSearchConfig:
-    """Knobs of the hierarchical bin search.
-
-    N_s defaults to the sample-size bound ceil(log(4/eps_conf)/tau^2);
-    passing a smaller value is rejected.  tau defaults to 1/(2*branching).
-    """
-
-    gamma: float
-    branching: int = 2
-    tau: float = None
-    eps_conf: float = 1.0 / 3.0
-    N_s: int = None
-    max_depth: int = 40
-    overlap: float = 0.1
-    span: tuple = None
-    filter_eps: float = 1e-2
-    max_boxes: int = 2000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InputError("gamma must be positive and finite")
-        if not (isinstance(self.branching, numbers.Integral)
-                and self.branching >= 2):
-            raise InputError("branching factor must be an integer of at "
-                             "least 2")
-        self.branching = int(self.branching)
-        if not 0 < self.overlap < 0.5:
-            raise InputError("overlap fraction must lie in (0, 0.5)")
-        if not 0 < self.eps_conf < 1:
-            raise InputError("eps_conf must lie in (0, 1)")
-        if not 0 < self.filter_eps < 0.5:
-            raise InputError("filter_eps must lie in (0, 0.5)")
-        if self.tau is None:
-            self.tau = 1.0 / (2.0 * self.branching)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise InputError("tau must be positive and finite")
-        n_min = math.ceil(math.log(4.0 / self.eps_conf) / self.tau ** 2)
-        if self.N_s is None:
-            self.N_s = n_min
-        elif not math.isfinite(self.N_s):
-            raise InputError("N_s must be finite")
-        elif self.N_s < n_min:
-            raise InputError(
-                f"N_s={self.N_s} below the sample-size bound {n_min}")
-        if self.span is not None:
-            lo, hi = self.span
-            if not (0 <= lo < hi and math.isfinite(hi)):
-                raise InputError(
-                    "span must be an increasing pair of finite, "
-                    "non-negative excitation energies")
-            self.span = (float(lo), float(hi))
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "branching": self.branching,
-            "tau": self.tau, "eps_conf": self.eps_conf, "N_s": self.N_s,
-            "max_depth": self.max_depth, "overlap": self.overlap,
-            "span": list(self.span) if self.span else None,
-            "filter_eps": self.filter_eps, "max_boxes": self.max_boxes,
-        }
-
 
 @dataclass
 class SearchTrace:
@@ -340,55 +295,70 @@ def _adjacent_pair(i, j, nbins):
     return int(np.argmax(diff)) if diff.sum() == 1 else None
 
 
-def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
+def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
                      seed: int = 0) -> SearchTrace:
     """Search over boxes of depth len(chain_axes) - 1 with nested window
-    filters; peaks come back as boxes of width <= gamma per axis, a depth-1
-    peak as its (lo, hi) window.
+    filters; peaks come back as boxes exactly gamma wide per axis, a
+    depth-1 peak as its (lo, hi) window.
 
     chain_axes is the dipole chain, ordered as in nested window amplitudes:
     outermost first, so a first-order search runs on (axis_out, axis_in).
-    At least two axes (a depth-1 search) are needed.
+    At least two axes (a depth-1 search) are needed.  Bin i outranks bin j
+    when its score exceeds j's by more than tau, and each level draws the
+    sample-size bound N_s = ceil(log(4/EPS_CONF)/tau^2) shots.  Every axis
+    spans the dyadic (0, gamma 2^L) covering [0, alpha_shift], with
+    L = max(1, ceil(log2(alpha_shift/gamma))): descending and merging both
+    halve the cell width on every axis, so the cells of level d are
+    span/2^(d+1) wide, a search ends at depth L - 1 at the latest, and
+    MAX_BOXES levels bound its work (`truncated` reports a cut).
     """
     chain_axes = tuple(chain_axes)
     if len(chain_axes) < 2:
         raise InputError("need at least two chain axes")
+    if not (math.isfinite(gamma) and gamma > 0
+            and math.isfinite(sd.alpha_shift / gamma)):
+        raise InputError("gamma must be positive and finite, and "
+                         "alpha_shift/gamma finite")
+    # the multinomial draw takes N_s as a 64-bit integer
+    if not (math.isfinite(tau) and tau > 0
+            and tau ** 2 * 2.0 ** 63 > math.log(4.0 / EPS_CONF)):
+        raise InputError("tau must be positive and finite, and N_s below "
+                         "2^63")
+    rng = _rng(seed)
     ndim = len(chain_axes) - 1
-    if config.span is None:
-        span = (0.0, sd.alpha_shift)
-    else:
-        span = config.span
-    rng = np.random.default_rng(seed)
-    trace = SearchTrace(config=config.as_dict(), seed=seed, dims=ndim)
-    split = (config.branching,) * ndim
-    root = tuple((span[0], span[1]) for _ in range(ndim))
-    queue = deque([(root, 0, split)])
+    levels = max(1, math.ceil(math.log2(sd.alpha_shift / gamma)))
+    span = (0.0, gamma * 2 ** levels)
+    n_s = math.ceil(math.log(4.0 / EPS_CONF) / tau ** 2)
+    config = {"gamma": float(gamma), "branching": BRANCHING,
+              "tau": float(tau), "eps_conf": EPS_CONF, "N_s": n_s,
+              "overlap": OVERLAP, "span": list(span),
+              "filter_eps": FILTER_EPS, "max_boxes": MAX_BOXES}
+    trace = SearchTrace(config=config, seed=seed, dims=ndim)
+    split = (BRANCHING,) * ndim
+    queue = deque([((span,) * ndim, 0, split)])
     seen_peaks = set()
     zeta = _zeta(sd, chain_axes)
 
     while queue:
-        if len(trace.levels) >= config.max_boxes:
+        if len(trace.levels) >= MAX_BOXES:
             trace.truncated = True
             break
         box, depth, nbins = queue.popleft()
-        if depth > config.max_depth:
-            trace.truncated = True
-            continue
         axis_bins, cells, widths = _split_box(box, nbins)
         ncells = len(cells)
-        deltas = [config.overlap * w for w in widths]
+        deltas = [OVERLAP * w for w in widths]
         u, degree = _chain_images(sd, chain_axes, axis_bins, deltas,
-                                  config.filter_eps)
-        counts = _sample_counts(rng, u[0] / zeta, config.N_s)
-        charge = config.N_s * degree
-        scores = np.abs(counts / config.N_s - 1.0 / (2.0 * ncells))
-        R = _relation_matrix(np.subtract.outer(scores, scores), config.tau)
+                                  FILTER_EPS)
+        counts = _sample_counts(rng, u[0] / zeta, n_s)
+        charge = n_s * degree
+        scores = np.abs(counts / n_s - 1.0 / (2.0 * ncells))
+        R = _relation_matrix(np.subtract.outer(scores, scores), tau)
         trace.queries_total += charge
         lvl_key = str(depth)
         trace.per_level_queries[lvl_key] = \
             trace.per_level_queries.get(lvl_key, 0) + charge
-        prominent = [i for i in range(ncells) if scores[i] > config.tau]
-        terminal = max(widths) <= config.gamma * (1.0 + 1e-9)
+        prominent = [i for i in range(ncells) if scores[i] > tau]
+        terminal = max(widths) <= gamma * (1.0 + 1e-9)
 
         def record(decision):
             trace.levels.append({
@@ -437,8 +407,8 @@ def binary_search_nd(sd: SpectralData, chain_axes, config: BinSearchConfig,
             decision, used = "merge", (i, j)
             first = tuple((lo, hi) if d == axis else cells[i][d]
                           for d in range(ndim))
-            first_nbins = tuple(2 * config.branching if d == axis
-                                else config.branching for d in range(ndim))
+            first_nbins = tuple(2 * BRANCHING if d == axis else BRANCHING
+                                for d in range(ndim))
         else:
             pick = int(rng.choice(np.array(prominent)))
             decision, used = "random-pick", (pick,)
@@ -490,8 +460,9 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     the unavoidable delta-margin mass).
 
     chain_axes is the dipole chain, one entry longer than `windows`, ordered
-    as in nested window amplitudes.  delta (default a quarter of each
-    window's width) must lie inside every window's half-width.
+    as in nested window amplitudes; `windows` is a non-empty list of
+    (lo, hi) pairs.  delta (default a quarter of each window's width) must
+    lie inside every window's half-width.
     methods: "direct" Bernoulli Hadamard sampling (shots ~ 1/eps^2);
     "ae" idealized amplitude estimation (exact value + seeded perturbation
     bounded by the statistical budget, shots ~ 1/eps); "exact" the ae
@@ -502,7 +473,13 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
         raise InputError(f"unknown method {method!r}")
     if not (math.isfinite(eps) and eps > 0):
         raise InputError("eps must be positive and finite")
-    windows = [tuple(map(float, w)) for w in windows]
+    rng = _rng(seed)
+    try:
+        windows = [(float(lo), float(hi)) for lo, hi in windows]
+    except (TypeError, ValueError):
+        raise InputError("each window must be a (lo, hi) pair") from None
+    if not windows:
+        raise InputError("need at least one window")
     for lo, hi in windows:
         if not 0 <= lo < hi:
             raise InputError(
@@ -523,7 +500,6 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
                           ground=True)[0][:, 0]
     value = float(u[0, 0]) / zeta
     eps_v = eps / (2.0 * zeta)
-    rng = np.random.default_rng(seed)
     if method == "direct":
         # the device reads the raw chain, ground included, and the known
         # ground term is subtracted from what it reads

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from respsim import (
-    BinSearchConfig,
     binary_search_nd,
     build_indicator,
     estimate_box,
@@ -121,14 +120,13 @@ def test_criterion_05_search_soundness_and_heisenberg_scaling(dimer,
         hits = 0
         queries = []
         for seed in range(50):
-            cfg = BinSearchConfig(gamma=g, branching=2, tau=0.02,
-                                  N_s=6213, span=(0.0, 6.4))
-            tr = binary_search_nd(dimer_sd, (0, 0), cfg, seed=seed)
+            tr = binary_search_nd(dimer_sd, (0, 0), g, 0.02, seed=seed)
             if any(lo <= BRIGHT < hi and hi - lo <= g * (1 + 1e-9)
                    for lo, hi in tr.peaks):
                 hits += 1
             queries.append(tr.queries_total)
-        assert hits >= math.ceil((1.0 - cfg.eps_conf) * 50)
+        assert tr.config["N_s"] == 6213
+        assert hits >= math.ceil((1.0 - tr.config["eps_conf"]) * 50)
         mean_queries.append(np.mean(queries))
     slope = np.polyfit(np.log(1.0 / np.asarray(gammas)),
                        np.log(mean_queries), 1)[0]

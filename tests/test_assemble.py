@@ -21,7 +21,7 @@ from respsim import (
 )
 from respsim import assemble
 from respsim.spectra import nested_window_amplitude
-from respsim.assemble import _aligned_span, _ancestor_bin, _dedupe_windows
+from respsim.assemble import _ancestor_bin, _dedupe_windows
 from respsim.estimate import SearchTrace
 
 
@@ -251,8 +251,18 @@ def test_cost_inputs_validation():
         CostInputs(alpha=0.0, beta=1.0, gamma=0.1, eps=0.1)
     with pytest.raises(InputError):
         CostInputs(alpha=1.0, beta=1.0, gamma=0.1, eps=1.0)
-    with pytest.raises(InputError):
-        CostInputs(alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, n_order=0)
+    for n_order in (0, 2.5, 1.0):
+        with pytest.raises(InputError, match="n_order"):
+            CostInputs(**base, n_order=n_order)
+    assert CostInputs(**base, n_order=np.int64(3)).n_order == 3
+    # p0 and gap come together: 0 < p0 <= 1, gap positive and finite
+    # (unchecked, gap=nan reported a NaN ground_state_prep, gap=inf 0.0,
+    # and p0 alone was ignored)
+    for p0, gap in ((0.5, None), (None, 1.0), (0.0, 1.0), (1.5, 1.0),
+                    (math.nan, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.nan),
+                    (0.5, math.inf)):
+        with pytest.raises(InputError, match="p0|gap"):
+            CostInputs(**base, p0=p0, gap=gap)
 
 
 def test_qpe_baseline():
@@ -274,13 +284,6 @@ def test_dedupe_windows():
     merged = _dedupe_windows([(1.0, 1.2), (1.1, 1.3), (3.0, 3.2)], 0.5)
     assert merged == [(1.0, 1.3), (3.0, 3.2)]
     assert _dedupe_windows([], 0.5) == []
-
-
-def test_aligned_span_is_dyadic():
-    lo, hi = _aligned_span(7.236, 0.0125)
-    assert lo == 0.0
-    assert hi >= 7.236
-    assert hi / 0.0125 == 2 ** round(np.log2(hi / 0.0125))
 
 
 def test_ancestor_bin():
@@ -377,13 +380,13 @@ def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
     # two distinct depth-2 boxes on one chain that overlap beyond the
     # filter margin on both axes: the table must refuse the second one
     # rather than drop its weight
-    def fake_search(sd, axes, config, seed=0):
+    def fake_search(sd, axes, gamma, tau, seed=0):
         depth_n = len(axes) - 1
         if depth_n == 2:
             peaks = [[[4.4, 4.6], [4.4, 4.6]], [[4.45, 4.65], [4.45, 4.65]]]
         else:
             peaks = [[[4.4, 4.6]] * depth_n]
-        return SearchTrace(config=config.as_dict(), seed=seed, dims=depth_n,
+        return SearchTrace(config={}, seed=seed, dims=depth_n,
                            peaks=peaks)
 
     monkeypatch.setattr(assemble, "binary_search_nd", fake_search)
@@ -397,6 +400,8 @@ def test_pipeline_validation(dimer):
         run_pipeline(dimer, gamma=0.0)
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.1, order=2)
+    with pytest.raises(InputError, match="order"):     # before any search
+        run_pipeline(dimer, gamma=0.1, order=1.0)
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.1, mode="dream")
     with pytest.raises(InputError):

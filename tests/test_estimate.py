@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from dense_reference import dense_box_value
 from respsim import (
-    BinSearchConfig,
     ChebyshevFilter,
     InputError,
     SpectralData,
@@ -29,8 +28,9 @@ from respsim import (
     run_pipeline,
 )
 from respsim import estimate as estimate_mod
-from respsim.estimate import (P0_SLACK, RESCALE_STEPS, _filter_columns,
-                              _lcu_probabilities, _rescale, _sample_counts)
+from respsim.estimate import (EPS_CONF, MAX_BOXES, P0_SLACK, RESCALE_STEPS,
+                              _filter_columns, _lcu_probabilities, _rescale,
+                              _sample_counts)
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 
@@ -185,7 +185,7 @@ def test_relation_matrix_is_the_pairwise_inequality_test(data, tau, extra):
         gap = (a - b) / N_s
         return 1 if gap > tau else -1 if gap < -tau else 0
 
-    N_s = BinSearchConfig(gamma=0.5, tau=tau).N_s + extra
+    N_s = math.ceil(math.log(4.0 / EPS_CONF) / tau ** 2) + extra
     counts = data.draw(st.lists(st.integers(0, N_s), min_size=1,
                                 max_size=9))
     expect = [[inequality(a, b, N_s, tau) for b in counts] for a in counts]
@@ -196,53 +196,95 @@ def test_relation_matrix_is_the_pairwise_inequality_test(data, tau, extra):
 # search configuration
 # ---------------------------------------------------------------------------
 
-def test_config_defaults():
-    cfg = BinSearchConfig(gamma=0.1)
-    assert cfg.tau == pytest.approx(0.25)             # 1/(2*branching)
-    assert cfg.N_s == int(np.ceil(np.log(12.0) / 0.25 ** 2))
-    d = cfg.as_dict()
-    assert d["gamma"] == 0.1 and d["N_s"] == cfg.N_s
+def test_config_defaults(dimer_sd):
+    # a search is set by gamma and tau alone; its trace records the sample
+    # count, the dyadic span and the fixed settings that follow
+    trace = binary_search_nd(dimer_sd, (1, 1), 0.4, 0.25)
+    assert trace.config == {
+        "gamma": 0.4, "tau": 0.25, "branching": 2, "eps_conf": 1.0 / 3.0,
+        "N_s": int(np.ceil(np.log(12.0) / 0.25 ** 2)),
+        "span": [0.0, 0.4 * 2 ** 5],      # alpha_shift 7.236 < 0.4 * 2^5
+        "overlap": 0.3, "filter_eps": 1e-2, "max_boxes": MAX_BOXES}
 
 
-def test_config_sample_bound():
+def test_config_sample_bound(dimer_sd):
     bound = int(np.ceil(np.log(12.0) / 0.02 ** 2))
-    assert BinSearchConfig(gamma=0.1, tau=0.02).N_s == bound == 6213
-    BinSearchConfig(gamma=0.1, tau=0.02, N_s=bound + 5)
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, tau=0.02, N_s=bound - 1)
+    trace = binary_search_nd(dimer_sd, (1, 1), 0.4, 0.02)
+    assert trace.config["N_s"] == bound == 6213
+    assert trace.levels[0]["charge"] % bound == 0
 
 
-@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1])
-def test_config_rejects_a_non_finite_or_non_positive_tau(tau):
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1, 1e-10,
+                                 1e-200])
+def test_config_rejects_a_non_finite_or_non_positive_tau(dimer_sd, tau):
+    # a tau whose sample count overflows a 64-bit integer (1e-10) or
+    # tau^2 (1e-200) is refused with the non-positive ones
     with pytest.raises(InputError, match="tau"):
-        BinSearchConfig(gamma=0.1, tau=tau)
+        binary_search_nd(dimer_sd, (0, 0), 0.1, tau)
 
 
-@pytest.mark.parametrize("N_s", [np.nan, np.inf, -np.inf])
-def test_config_rejects_a_non_finite_sample_count(N_s):
-    with pytest.raises(InputError, match="N_s"):
-        BinSearchConfig(gamma=0.1, tau=0.02, N_s=N_s)
+def test_config_validation(dimer_sd):
+    # 1e-320 passes as positive and finite, but alpha_shift/gamma
+    # overflowed to an OverflowError in the span's level count
+    for gamma in (0.0, -0.1, np.nan, np.inf, 1e-320):
+        with pytest.raises(InputError, match="gamma"):
+            binary_search_nd(dimer_sd, (0, 0), gamma, 0.02)
 
 
-def test_config_validation():
-    for gamma in (0.0, np.nan, np.inf):
-        with pytest.raises(InputError):
-            BinSearchConfig(gamma=gamma)
-    for branching in (1, 2.5, 2.0):
-        with pytest.raises(InputError, match="branching"):
-            BinSearchConfig(gamma=0.1, branching=branching)
-    assert BinSearchConfig(gamma=0.1, branching=np.int64(3)).branching == 3
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, overlap=0.6)
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, eps_conf=1.0)
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, filter_eps=0.5)
-    with pytest.raises(InputError):
-        BinSearchConfig(gamma=0.1, span=(3.0, 1.0))
-    for span in ((-1.0, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
-        with pytest.raises(InputError, match="span"):
-            BinSearchConfig(gamma=0.1, span=span)
+def test_search_span_is_dyadic(dimer_sd):
+    # the span is the dyadic (0, gamma 2^L) covering [0, alpha_shift]
+    gamma = 0.0125
+    levels = math.ceil(math.log2(dimer_sd.alpha_shift / gamma))
+    lo, hi = binary_search_nd(dimer_sd, (1, 1), gamma, 0.02).config["span"]
+    assert (lo, hi, levels) == (0.0, gamma * 2 ** 10, 10)
+    assert hi / 2 < dimer_sd.alpha_shift <= hi
+
+
+@pytest.mark.parametrize("which", ["dimer", "random"])
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(0.1, 1.0), tau=st.sampled_from([0.02, 0.005, 0.002]),
+       chain=st.lists(st.integers(0, 2), min_size=2, max_size=3),
+       seed=st.integers(0, 2))
+def test_search_depth_is_bounded_by_the_span(which, gamma, tau, chain, seed,
+                                             dimer_sd, random_sd):
+    # descend and merge both halve every axis's cell width, so the cells
+    # of level d are span/2^(d+1) wide, no level lies below L - 1, and
+    # peaks (found at level L - 1 only) are exactly gamma wide
+    sd = dimer_sd if which == "dimer" else random_sd
+    trace = binary_search_nd(sd, chain, gamma, tau, seed=seed)
+    levels = max(1, math.ceil(math.log2(sd.alpha_shift / gamma)))
+    hi = trace.config["span"][1]
+    assert hi == gamma * 2 ** levels
+    for lvl in trace.levels:
+        for (a, b), nb in zip(lvl["box"], lvl["nbins"]):
+            assert (b - a) / nb == pytest.approx(hi / 2 ** (lvl["depth"] + 1),
+                                                 rel=1e-12)
+    deepest = max(lvl["depth"] for lvl in trace.levels)
+    assert deepest <= levels - 1
+    assert deepest == levels - 1 or not trace.found
+    for peak in trace.peaks:
+        for a, b in (peak if len(chain) > 2 else [peak]):
+            assert b - a == pytest.approx(gamma, rel=1e-12)
+    assert not trace.truncated
+
+
+def test_hubbard_gamma005_search_reaches_depth_10(dimer_sd):
+    # the search of `respsim --toy hubbard --simulate --gamma 0.05`: width
+    # gamma/8 over alpha_shift 7.236 gives L = 11 and a deepest level of 10
+    width = 0.05 / 8.0
+    trace = binary_search_nd(dimer_sd, (0, 0), width, 0.02)
+    assert math.ceil(math.log2(dimer_sd.alpha_shift / width)) == 11
+    assert trace.config["span"] == [0.0, width * 2 ** 11]
+    assert max(lvl["depth"] for lvl in trace.levels) == 10
+    assert trace.found
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 40), 1.5, "0"])
+def test_search_and_estimate_reject_a_bad_seed(dimer_sd, seed):
+    with pytest.raises(InputError, match="seed"):
+        binary_search_nd(dimer_sd, (0, 0), 0.4, 0.02, seed=seed)
+    with pytest.raises(InputError, match="seed"):
+        estimate_box(dimer_sd, (0, 0), WINDOW, 1e-3, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +292,11 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_search_1d_finds_bright_line(dimer_sd):
-    cfg = BinSearchConfig(gamma=0.2, tau=0.02, span=(0.0, 6.4))
-    trace = binary_search_nd(dimer_sd, (0, 0), cfg, seed=3)
+    trace = binary_search_nd(dimer_sd, (0, 0), 0.2, 0.02, seed=3)
     assert trace.found
     assert any(lo <= BRIGHT < hi for lo, hi in trace.peaks)
     for lo, hi in trace.peaks:
-        assert hi - lo <= cfg.gamma * (1 + 1e-9)
+        assert hi - lo == pytest.approx(0.2, rel=1e-12)
     assert trace.queries_total == sum(trace.per_level_queries.values())
     assert trace.queries_total > 0
     assert set(trace.levels[0]) == {"box", "depth", "nbins", "counts", "R",
@@ -264,15 +305,13 @@ def test_search_1d_finds_bright_line(dimer_sd):
 
 
 def test_search_1d_trace_is_deterministic(dimer_sd):
-    cfg = BinSearchConfig(gamma=0.4, tau=0.05, span=(0.0, 6.4))
-    a = binary_search_nd(dimer_sd, (0, 0), cfg, seed=11)
-    b = binary_search_nd(dimer_sd, (0, 0), cfg, seed=11)
+    a = binary_search_nd(dimer_sd, (0, 0), 0.4, 0.05, seed=11)
+    b = binary_search_nd(dimer_sd, (0, 0), 0.4, 0.05, seed=11)
     assert a.as_dict() == b.as_dict()
 
 
 def test_search_1d_dark_axis_finds_nothing(dimer_sd):
-    cfg = BinSearchConfig(gamma=0.4, span=(0.0, 6.4))
-    trace = binary_search_nd(dimer_sd, (1, 1), cfg, seed=0)
+    trace = binary_search_nd(dimer_sd, (1, 1), 0.4, 0.25, seed=0)
     assert not trace.found
     assert trace.peaks == []
     assert trace.levels[0]["decision"] == "empty"
@@ -286,9 +325,8 @@ def test_search_1d_finds_negative_cross_axis_line():
     j = int(np.argmin(np.abs(sd.eigenvalues - 1.970)))
     weight = sd.transition_dipoles[1][0, j] * sd.transition_dipoles[0][j, 0]
     assert weight == pytest.approx(-1.67, abs=5e-3)
-    cfg = BinSearchConfig(gamma=0.4, tau=0.005, overlap=0.3)
     for seed in range(5):
-        trace = binary_search_nd(sd, (1, 0), cfg, seed=seed)
+        trace = binary_search_nd(sd, (1, 0), 0.4, 0.005, seed=seed)
         assert any(lo <= sd.eigenvalues[j] < hi for lo, hi in trace.peaks), \
             f"seed {seed} missed the line: {trace.peaks}"
 
@@ -303,19 +341,17 @@ def test_chain_images_are_real_and_levels_hold_one_count_array(random_sd,
                                            [0.1] * len(bins), 1e-2)
     assert u.dtype == np.float64
     assert u.shape == (random_sd.n_states, 2 ** len(bins))
-    cfg = BinSearchConfig(gamma=1.0, tau=0.05, overlap=0.3)
-    trace = binary_search_nd(random_sd, chain, cfg, seed=1)
+    trace = binary_search_nd(random_sd, chain, 1.0, 0.05, seed=1)
     for lvl in trace.levels:
         assert "counts_im" not in lvl
         assert len(lvl["counts"]) == math.prod(lvl["nbins"])
-        assert lvl["charge"] % cfg.N_s == 0
+        assert lvl["charge"] % trace.config["N_s"] == 0
 
 
 def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
     # the only bright depth-2 box on the dimer has amplitude -0.179: the
     # absolute deviation score must still flag it
-    cfg = BinSearchConfig(gamma=0.2, tau=0.004, span=(0.0, 6.4))
-    trace = binary_search_nd(dimer_sd, (0, 0, 0), cfg, seed=5)
+    trace = binary_search_nd(dimer_sd, (0, 0, 0), 0.2, 0.004, seed=5)
     assert trace.dims == 2
     assert trace.found
     hit = [box for box in trace.peaks
@@ -326,10 +362,9 @@ def test_search_2d_finds_negative_amplitude_box(dimer, dimer_sd):
 
 
 def test_search_nd_validation(dimer_sd):
-    cfg = BinSearchConfig(gamma=0.2)
     for axes in ((), (0,)):
         with pytest.raises(InputError):
-            binary_search_nd(dimer_sd, axes, cfg)
+            binary_search_nd(dimer_sd, axes, 0.2, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +461,14 @@ def test_estimate_box_validation(dimer_sd):
     with pytest.raises(InputError):
         estimate_box(dimer_sd, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
                      delta=0.06)
+
+
+@pytest.mark.parametrize("windows", [[], [(4.4, 4.5, 4.6)], [4.4],
+                                     [(4.4, 4.5), 4.6], None], ids=repr)
+def test_estimate_box_rejects_windows_that_are_not_pairs(dimer_sd, windows):
+    # unchecked, these escaped as IndexError, ValueError or TypeError
+    with pytest.raises(InputError, match="window"):
+        estimate_box(dimer_sd, (0, 0), windows, 1e-3)
 
 
 @pytest.mark.parametrize("method", ["direct", "ae", "exact"])
@@ -556,17 +599,17 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
     # the nuclear shift moves every total energy and no excitation energy,
     # so searches and estimates on a shifted model are bit-identical
     model, sd = (request.getfixturevalue(n) for n in names)
-    cfg = BinSearchConfig(gamma=sd.alpha_shift / 16.0, tau=0.05)
+    gamma = sd.alpha_shift / 16.0
     lo = 0.5 * float(sd.eigenvalues[1])
     wins = [(lo, lo + 0.5)] * 2
-    ref_trace = binary_search_nd(sd, (0, 0), cfg, seed=4).as_dict()
+    ref_trace = binary_search_nd(sd, (0, 0), gamma, 0.05, seed=4).as_dict()
     ref_box = estimate_box(sd, (0, 0, 0), wins, 2e-2, seed=2).as_dict()
     for shift in (0.0, 1.2345678901, -7.5):
         shifted = diagonalize(dataclasses.replace(model, nuclear_shift=shift))
         assert shifted.ground_energy == pytest.approx(
             sd.ground_energy + shift, abs=1e-12)
         assert shifted.alpha_shift == sd.alpha_shift
-        assert binary_search_nd(shifted, (0, 0), cfg,
+        assert binary_search_nd(shifted, (0, 0), gamma, 0.05,
                                 seed=4).as_dict() == ref_trace
         assert estimate_box(shifted, (0, 0, 0), wins, 2e-2,
                             seed=2).as_dict() == ref_box

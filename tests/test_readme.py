@@ -1,6 +1,7 @@
 """The README's API session runs as written, so a renamed or removed
 public name cannot leave it stale."""
 
+import importlib
 import pathlib
 import re
 
@@ -16,3 +17,21 @@ def test_readme_api_session_runs(tmp_path, monkeypatch, capsys):
     assert len(lines) == 2
     # the last line is the simulated response's relative deviation
     assert 0.0 <= float(lines[-1]) <= 0.1
+
+
+def test_module_table_names_exist():
+    # every backticked name in a row of the library tour resolves in that
+    # row's module (an expression such as `CAP // 2` by its leading name)
+    rows = re.findall(r"^\| `(respsim\.\w+)` \|(.*)\|$", README.read_text(),
+                      re.M)
+    assert len(rows) == 6
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for text in re.findall(r"`([^`]+)`", contents):
+            obj = module
+            for part in re.match(r"[A-Za-z_][\w.]*", text).group().split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module_name}: {text}")
+    assert missing == []
