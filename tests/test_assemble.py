@@ -1,5 +1,6 @@
 """Response assembly from binned estimates, cost reports, pipeline."""
 
+import hashlib
 import json
 import math
 
@@ -15,6 +16,8 @@ from respsim import (
     assemble_alpha1,
     assemble_alpha3,
     cost_report,
+    diagonalize,
+    make_random_model,
     qpe_baseline_report,
     r_pathway_fd,
     run_pipeline,
@@ -173,6 +176,35 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
     assert np.ndim(res.values) == 0
     ref = r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 1.5, 1.2, 1.0, 0.1)
     assert res.values == pytest.approx(ref, rel=2e-2)
+
+
+# sha256 of assemble_alpha3's value bytes on exact tables of
+# make_random_model(2, 2, 0), whose ground dipoles are all nonzero, so every
+# ground-pinned term runs; recorded before the denominators went through one
+# den(cn, cm, cl).  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
+# 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
+FROZEN_ALPHA3 = {
+    ("yxxy", 0.1): "e71a8fc331cc227bebc9d49544bf025e"
+                   "f1ce4f427cbba66facf22f057b97060d",
+    ("yxxy", 0.4): "1da6a2d7bbddea59668f8e0bb2a569ed"
+                   "84edec091a1a0e9c798a42421ab66205",
+    ("xyzx", 0.1): "3992f7b0df6156392ae9bd0e8672eea6"
+                   "efe48cca05cb5b4eea73b2c1bc9c1127",
+    ("xyzx", 0.4): "4f155aa93003c0c59f4ef28c8bae7340"
+                   "8d6a4aa2d45f0482eebf7e4af4d37045",
+}
+
+
+@pytest.mark.parametrize("axes, width", sorted(FROZEN_ALPHA3))
+def test_assemble_alpha3_frozen_bits(axes, width):
+    sd = diagonalize(make_random_model(2, 2, 0))
+    tabs, gd = oracle_tables(sd, tuple("xyz".index(a) for a in axes), width)
+    assert all(gd.values())
+    triples = [(0.9, 0.2, 0.3), (1.4, 0.5, 0.1), (0.4, 0.4, 0.4),
+               (2.0, -0.3, 0.2)]
+    vals = assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd).values
+    assert hashlib.sha256(vals.tobytes()).hexdigest() \
+        == FROZEN_ALPHA3[axes, width]
 
 
 def test_assemble_alpha3_validation(dimer_sd):
