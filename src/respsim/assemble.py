@@ -2,9 +2,10 @@
 
 The measurement layer produces window amplitudes d_[a,b]; here they are
 combined into response functions by replacing each resolvent denominator
-with its value at the window centre.  Every table entry carries its dipole
-chain, outermost axis first: a first-order entry is the depth-1 chain
-(axis_out, axis_in) over one window; third-order tables hold nested boxes.
+with its value at the line positions of one rule, `_centres` (the window
+midpoints).  Every table entry carries its dipole chain, outermost axis
+first, and a window of one (lo, hi) pair per nesting level at every depth:
+a first-order entry is the depth-1 chain (axis_out, axis_in) over one pair.
 For the third-order pathway the ground state can appear as an intermediate
 index, so the full binned expression mixes depth-3 boxes with ground-pinned
 terms built from depth-2 and depth-1 amplitudes and the (classically known)
@@ -41,17 +42,9 @@ GRID_POINT_CAP = 4096
 
 
 def _window_key(window):
-    """Canonical hashable form of a window or nested window tuple.
-
-    A single-window nest ((a, b),) flattens to (a, b), so a depth-1 entry
-    has one canonical shape whether it was given flat or nested.
-    """
-    w = np.asarray(window, dtype=float)
-    if w.ndim == 2 and w.shape[0] == 1:
-        w = w[0]
-    if w.ndim == 1:
-        return (round(float(w[0]), 12), round(float(w[1]), 12))
-    return tuple((round(float(a), 12), round(float(b), 12)) for a, b in w)
+    """Canonical hashable form of a window: a tuple of rounded (lo, hi)
+    pairs, one per nesting level."""
+    return tuple((round(float(a), 12), round(float(b), 12)) for a, b in window)
 
 
 def _overlap_length(w1, w2):
@@ -62,8 +55,10 @@ def _overlap_length(w1, w2):
 class ResponseTable:
     """Windowed amplitude estimates for one response order.
 
-    Entries with identical axes must cover disjoint windows (boxes may
-    overlap in some axes but not all), up to `margin`, mirroring the
+    An entry (a WindowEstimate or a dict) has "axes", a "window" of `order`
+    finite (lo, hi) pairs with lo < hi and a finite "value"; the rest is its
+    "meta".  Entries with identical axes must cover disjoint windows (boxes
+    may overlap in some axes but not all), up to `margin`, mirroring the
     smoothing margins of the filters that produced them.
     """
 
@@ -72,8 +67,10 @@ class ResponseTable:
     entries: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InputError("order must be at least 1")
+        if isinstance(self.order, bool) or not (
+                isinstance(self.order, numbers.Integral) and self.order >= 1):
+            raise InputError("order must be an integer of at least 1")
+        self.order = int(self.order)
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise InputError("margin must be non-negative and finite")
 
@@ -89,18 +86,19 @@ class ResponseTable:
         self.entries.append(rec)
 
     def _normalize(self, est) -> dict:
-        if hasattr(est, "as_dict"):
-            axes = tuple(int(a) for a in est.axes)
-            window = _window_key(est.window)
-            value = float(est.value)
-            meta = est.as_dict()
-        else:
-            axes = tuple(int(a) for a in est["axes"])
-            window = _window_key(est["window"])
-            value = float(est["value"])
-            meta = {k: v for k, v in est.items()
-                    if k not in ("axes", "window", "value")}
-        depth = len(window) if isinstance(window[0], tuple) else 1
+        meta = est.as_dict() if hasattr(est, "as_dict") else dict(est)
+        axes = tuple(int(a) for a in meta.pop("axes"))
+        try:
+            window = _window_key(meta.pop("window"))
+        except (TypeError, ValueError):
+            raise InputError("window must be a sequence of (lo, hi) "
+                             "pairs") from None
+        value = float(meta.pop("value"))
+        if not all(-math.inf < a < b < math.inf for a, b in window):
+            raise InputError(f"window {window} needs finite pairs, lo < hi")
+        if not math.isfinite(value):
+            raise InputError("value must be finite")
+        depth = len(window)
         if depth != self.order:
             raise InputError(
                 f"entry has nesting depth {depth}, table holds {self.order}")
@@ -110,8 +108,6 @@ class ResponseTable:
         return {"axes": axes, "window": window, "value": value, "meta": meta}
 
     def _clashes(self, w1, w2) -> bool:
-        if self.order == 1:
-            return _overlap_length(w1, w2) > self.margin + 1e-12
         return all(_overlap_length(a, b) > self.margin + 1e-12
                    for a, b in zip(w1, w2))
 
@@ -125,13 +121,16 @@ class ResponseTable:
             "margin": self.margin,
             "entries": [
                 {"axes": list(e["axes"]),
-                 "window": [list(w) for w in e["window"]]
-                 if self.order > 1 else list(e["window"]),
+                 "window": [list(w) for w in e["window"]],
                  "value": e["value"],
-                 "meta": {k: v for k, v in e["meta"].items()
-                          if k != "value"}}
+                 "meta": dict(e["meta"])}
                 for e in self.entries],
         }
+
+
+def _centres(entry) -> tuple:
+    """Line position of each window axis of a table entry: its midpoint."""
+    return tuple(0.5 * (lo + hi) for lo, hi in entry["window"])
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +142,10 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     """Binned first-order response on a frequency grid.
 
     Entries carry the chain (axis_out, axis_in).  Each contributes
-    value/(w~ - w - i gamma) with w~ the window midpoint, plus the mirrored
-    term value/(w~ + w + i gamma): the swapped chain (axis_in, axis_out) on
-    the same window sums d_in[0,j] d_out[j,0], the same real number for
-    real symmetric dipoles.  A table mixing chains is rejected.
+    value/(w~ - w - i gamma) with w~ the window midpoint (`_centres`), plus
+    the mirrored term value/(w~ + w + i gamma): the swapped chain (axis_in,
+    axis_out) on the same window sums d_in[0,j] d_out[j,0], the same real
+    number for real symmetric dipoles.  A table mixing chains is rejected.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -160,8 +159,7 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     om = np.asarray(omega_grid, dtype=float)
     vals = np.zeros(om.shape, dtype=complex)
     for e in table.entries:
-        a, b = e["window"]
-        wt = 0.5 * (a + b)
+        (wt,) = _centres(e)
         vals += e["value"] / (wt - om - 1j * gamma)
         vals += e["value"] / (wt + om + 1j * gamma)
     return SusceptibilityResult(order=1, frequencies=om, values=vals,
@@ -179,13 +177,14 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     tables: {3: boxes, 2: depth-2 amplitudes, 1: depth-1 amplitudes}.
     The depth-3 entries carry the dipole chain (a0, a1, a2, a3); windows
     run over the bra-side coherence index n (outermost), then m, then l.
-    Box denominators use centre frequencies at the cumulative driving
-    frequencies W1, W2, W3 = w1, w1+w2, w1+w2+w3:
+    Box denominators use the line positions c of `_centres` (the window
+    midpoints) at the cumulative driving frequencies W1, W2, W3 = w1,
+    w1+w2, w1+w2+w3:
 
         (c_n - W1 - ig)((c_n - c_l) - W2 - ig)((c_n - c_m) - W3 - ig)
 
     Terms where an intermediate index is the ground state are added from
-    lower-depth amplitudes with the pinned centre frequency set to zero,
+    lower-depth amplitudes with the pinned line position set to zero,
     multiplied by the ground-state dipole moments `ground_dipoles`
     ({axis: moment}, 0 for an axis it lacks).
     """
@@ -223,45 +222,37 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     W2 = triples[:, 0] + triples[:, 1]
     W3 = W1 + triples[:, 1] + triples[:, 2]
 
-    def D1(c):
-        return c - W1 - 1j * gamma
-
-    def D2(c):
-        return c - W2 - 1j * gamma
-
-    def D3(c):
-        return c - W3 - 1j * gamma
-
-    def mid(w):
-        return 0.5 * (w[0] + w[1])
+    def den(cn, cm, cl):
+        # a pinned index passes 0.0: x - 0.0 and 0.0 - x are exact
+        return ((cn - W1 - 1j * gamma) * ((cn - cl) - W2 - 1j * gamma)
+                * ((cn - cm) - W3 - 1j * gamma))
 
     vals = np.zeros(len(triples), dtype=complex)
     for e in boxes:
-        cn, cm, cl = (mid(w) for w in e["window"])
-        vals += e["value"] / (D1(cn) * D2(cn - cl) * D3(cn - cm))
+        cn, cm, cl = _centres(e)
+        vals += e["value"] / den(cn, cm, cl)
     for e in t2_lm:                                    # n pinned
-        cl, cm = (mid(w) for w in e["window"])
-        vals += gd[i1] * e["value"] / (D1(0.0) * D2(-cl) * D3(-cm))
+        cl, cm = _centres(e)
+        vals += gd[i1] * e["value"] / den(0.0, cm, cl)
     for e in t2_nm:                                    # l pinned
-        cn, cm = (mid(w) for w in e["window"])
-        vals += gd[i2] * e["value"] / (D1(cn) * D2(cn) * D3(cn - cm))
+        cn, cm = _centres(e)
+        vals += gd[i2] * e["value"] / den(cn, cm, 0.0)
     for en in t1_n:                                    # m pinned (no moment)
-        cn = mid(en["window"])
+        (cn,) = _centres(en)
         for el in t1_l:
-            cl = mid(el["window"])
-            vals += en["value"] * el["value"] / (
-                D1(cn) * D2(cn - cl) * D3(cn))
+            (cl,) = _centres(el)
+            vals += en["value"] * el["value"] / den(cn, 0.0, cl)
     for e in t1_l:                                     # n and m pinned
-        cl = mid(e["window"])
-        vals += gd[i1] * gd[i_tr] * e["value"] / (D1(0.0) * D2(-cl) * D3(0.0))
+        (cl,) = _centres(e)
+        vals += gd[i1] * gd[i_tr] * e["value"] / den(0.0, 0.0, cl)
     for e in t1_m:                                     # n and l pinned
-        cm = mid(e["window"])
-        vals += gd[i1] * gd[i2] * e["value"] / (D1(0.0) * D2(0.0) * D3(-cm))
+        (cm,) = _centres(e)
+        vals += gd[i1] * gd[i2] * e["value"] / den(0.0, cm, 0.0)
     for e in t1_n:                                     # m and l pinned
-        cn = mid(e["window"])
-        vals += gd[i2] * gd[i3] * e["value"] / (D1(cn) * D2(cn) * D3(cn))
+        (cn,) = _centres(e)
+        vals += gd[i2] * gd[i3] * e["value"] / den(cn, 0.0, 0.0)
     vals += (gd[i1] * gd[i2] * gd[i3] * gd[i_tr]
-             / (D1(0.0) * D2(0.0) * D3(0.0)))          # fully pinned
+             / den(0.0, 0.0, 0.0))                     # fully pinned
 
     if squeeze:
         return SusceptibilityResult(order=3, frequencies=triples[0],
@@ -353,10 +344,11 @@ def qpe_baseline_report(c: CostInputs) -> dict:
 # ---------------------------------------------------------------------------
 
 def _dedupe_windows(peaks, min_sep):
-    """Merge found windows whose centres sit closer than min_sep."""
+    """Merge the windows of found depth-1 peaks (one-pair boxes) whose
+    centres sit closer than min_sep; returns (lo, hi) windows."""
     if not peaks:
         return []
-    spans = sorted((float(p[0]), float(p[1])) for p in peaks)
+    spans = sorted((float(lo), float(hi)) for ((lo, hi),) in peaks)
     out = [spans[0]]
     for lo, hi in spans[1:]:
         plo, phi = out[-1]
@@ -392,10 +384,10 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     filter margin raise InputError.  window_width (order 1) sets the
     estimation window, default gamma/8.  A method outside METHODS (in
     either mode), a model with a zero Hamiltonian (alpha = 0), eps outside
-    (0, 1), a negative seed, or a gamma, window_width or grid point that is
-    not finite (gamma and window_width must also be positive) raises
-    InputError, and a grid of more than GRID_POINT_CAP points raises
-    ResourceError, before any search.
+    (0, 1), a seed that is not an integer >= 0, or a gamma, window_width or
+    grid point that is not finite (gamma and window_width must also be
+    positive) raises InputError, and a grid of more than GRID_POINT_CAP
+    points raises ResourceError, before any search.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
     "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
     "manifest" (manifest.json's content) and "csv" (response.csv's body).
@@ -418,8 +410,9 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
         raise InputError("mode must be 'simulate' or 'oracle'")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    if seed < 0:
-        raise InputError("seed must be non-negative")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError("seed must be non-negative and an integer")
+    seed = int(seed)
     axes = tuple(int(a) for a in axes)
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
@@ -440,7 +433,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     else:
         oracle_vals = np.array([
             r_pathway_fd(sd, 1, axes, 3 * w, 2 * w, w, gamma) for w in grid])
-        oracle = SusceptibilityResult(order=3, frequencies=grid,
+        oracle = SusceptibilityResult(order=3,
+                                      frequencies=np.stack([grid] * 3, -1),
                                       values=oracle_vals, gamma=gamma,
                                       axes=axes)
 
@@ -460,7 +454,7 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
                 sd, gamma, eps, axes, grid, seed, method, window_width))
         else:
             result.update(_simulate_alpha3(
-                sd, gamma, eps, axes, grid, seed, method))
+                sd, gamma, eps, axes, oracle.frequencies, seed, method))
         manifest["queries_total"] = sum(
             t.queries_total for t in result["traces"].values())
 
@@ -504,7 +498,7 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
                        if table.entries else None)}
 
 
-def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
+def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
     i_tr, i3, i2, i1 = axes
     width = gamma
     # Nested amplitudes spread over BRANCHING**3 cells per box, so the
@@ -526,14 +520,12 @@ def _simulate_alpha3(sd, gamma, eps, axes, grid, seed, method):
     boxes = [(ch, box) for name, ch, _ in jobs for box in traces[name].peaks]
     for idx, (ch, box) in enumerate(boxes):
         tables[len(ch) - 1].add(estimate_box(
-            sd, ch, box if len(ch) > 2 else (box,), eps, method=method,
-            seed=_child_seed(seed, idx)))
+            sd, ch, box, eps, method=method, seed=_child_seed(seed, idx)))
     result = None
     if all(t.entries for t in tables.values()):
         gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
                 for ax in set(axes)}
-        result = assemble_alpha3(tables, np.stack([grid, grid, grid], axis=-1),
-                                 gamma, ground_dipoles=gdip)
+        result = assemble_alpha3(tables, triples, gamma, ground_dipoles=gdip)
     return {"traces": traces, "tables": tables, "result": result}
 
 
@@ -556,7 +548,7 @@ def _render_csv(result: dict, axes, order: int) -> str:
         a_out = AXIS_LETTERS[axes[0]]
         a_in = "".join(AXIS_LETTERS[a] for a in axes[1:])
         pathway = "R1"
-        omegas = freqs if freqs.ndim == 1 else freqs[:, 0]
+        omegas = freqs[:, 0]
     for w, v in zip(omegas, vals):
         writer.writerow([f"{float(w):.17g}", f"{v.real:.17g}",
                          f"{v.imag:.17g}", a_in, a_out, str(order), pathway])

@@ -298,8 +298,9 @@ def _adjacent_pair(i, j, nbins):
 def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
                      seed: int = 0) -> SearchTrace:
     """Search over boxes of depth len(chain_axes) - 1 with nested window
-    filters; peaks come back as boxes exactly gamma wide per axis, a
-    depth-1 peak as its (lo, hi) window.
+    filters; peaks and marked cells come back as boxes, one [lo, hi] per
+    axis at every depth (a depth-1 peak is a one-pair box, exactly what
+    `estimate_box` takes as its windows), and peaks are exactly gamma wide.
 
     chain_axes is the dipole chain, ordered as in nested window amplitudes:
     outermost first, so a first-order search runs on (axis_out, axis_in).
@@ -381,8 +382,7 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
                 key = tuple((round(a, 12), round(b, 12)) for a, b in cells[i])
                 if key not in seen_peaks:
                     seen_peaks.add(key)
-                    peak = [list(iv) for iv in cells[i]]
-                    trace.peaks.append(peak if ndim > 1 else peak[0])
+                    trace.peaks.append([list(iv) for iv in cells[i]])
             continue
         # each decision picks the box searched next and the cells it uses;
         # the other prominent cells are marked and queued behind

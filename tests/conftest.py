@@ -153,7 +153,7 @@ def oracle_tables(sd, axes, width, cut=1e-12):
         for b in bins:
             val = nested_window_amplitude(sd, chain, (b,))
             if abs(val) > cut:
-                t1.add({"axes": chain, "window": b, "value": val})
+                t1.add({"axes": chain, "window": (b,), "value": val})
     t2 = ResponseTable(order=2)
     for chain in dict.fromkeys([(i2, i3, i_tr), (i1, i_tr, i3)]):
         for b1 in bins:

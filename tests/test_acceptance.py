@@ -122,7 +122,7 @@ def test_criterion_05_search_soundness_and_heisenberg_scaling(dimer,
         for seed in range(50):
             tr = binary_search_nd(dimer_sd, (0, 0), g, 0.02, seed=seed)
             if any(lo <= BRIGHT < hi and hi - lo <= g * (1 + 1e-9)
-                   for lo, hi in tr.peaks):
+                   for ((lo, hi),) in tr.peaks):
                 hits += 1
             queries.append(tr.queries_total)
         assert tr.config["N_s"] == 6213

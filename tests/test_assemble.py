@@ -25,7 +25,7 @@ from respsim import (
 from respsim import assemble
 from respsim.spectra import nested_window_amplitude
 from respsim.assemble import _ancestor_bin, _dedupe_windows
-from respsim.estimate import SearchTrace
+from respsim.estimate import SearchTrace, WindowEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +34,17 @@ from respsim.estimate import SearchTrace
 
 def test_table_add_select():
     t = ResponseTable(order=1, margin=0.05)
-    t.add({"axes": (0, 0), "window": (1.0, 2.0), "value": 0.3})
-    t.add({"axes": (0, 0), "window": ((2.0, 3.0),), "value": np.float64(-0.1)})
-    t.add({"axes": (0, 1), "window": (1.5, 2.5), "value": 0.7})
+    t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": 0.3})
+    t.add({"axes": (0, 0), "window": [[2.0, 3.0]], "value": np.float64(-0.1)})
+    t.add({"axes": (0, 1), "window": ((1.5, 2.5),), "value": 0.7})
+    # a depth-1 window is one pair, as at every depth: the flat pair is
+    # refused
+    with pytest.raises(InputError, match="pairs"):
+        t.add({"axes": (0, 0), "window": (4.0, 5.0), "value": 0.3})
     got = t.select((0, 0))
-    # a single-window nest is stored as the flat window; values are floats
-    assert [(e["window"], e["value"]) for e in got] == [((1.0, 2.0), 0.3),
-                                                       ((2.0, 3.0), -0.1)]
+    # windows are stored as tuples of pairs; values are floats
+    assert [(e["window"], e["value"]) for e in got] == [(((1.0, 2.0),), 0.3),
+                                                       (((2.0, 3.0),), -0.1)]
     assert all(type(e["value"]) is float for e in t.entries)
     assert [e["value"] for e in t.select((0, 1))] == [0.7]
     assert t.select((1, 0)) == []
@@ -49,10 +53,10 @@ def test_table_add_select():
 
 def test_table_rejects_overlap_beyond_margin():
     t = ResponseTable(order=1, margin=0.05)
-    t.add({"axes": (0, 0), "window": (1.0, 2.0), "value": 0.3})
-    t.add({"axes": (0, 0), "window": (1.95, 3.0), "value": 0.1})  # == margin
+    t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": 0.3})
+    t.add({"axes": (0, 0), "window": ((1.95, 3.0),), "value": 0.1})  # margin
     with pytest.raises(InputError):
-        t.add({"axes": (0, 0), "window": (1.90, 2.9), "value": 0.1})
+        t.add({"axes": (0, 0), "window": ((1.90, 2.9),), "value": 0.1})
 
 
 def test_table_boxes_clash_only_when_all_axes_overlap():
@@ -72,9 +76,22 @@ def test_table_depth_and_axes_validation():
         t.add({"axes": (0, 0, 0), "window": ((1.0, 2.0), (1.0, 2.0)),
                "value": 0.1})
     with pytest.raises(InputError):
-        t.add({"axes": (0, 0, 0), "window": (1.0, 2.0), "value": 0.1})
-    with pytest.raises(InputError):
-        ResponseTable(order=0)
+        t.add({"axes": (0, 0, 0), "window": ((1.0, 2.0),), "value": 0.1})
+    # a window is a sequence of finite (lo, hi) pairs with lo < hi: a flat
+    # pair, a bare float and a 3-element pair are not, nor are a reversed,
+    # an empty or a non-finite pair
+    for window in ((1.0, 2.0), 1.5, ((1.0, 2.0, 3.0),), ((2.0, 1.0),),
+                   ((1.0, 1.0),), ((1.0, math.inf),), ((math.nan, 2.0),)):
+        with pytest.raises(InputError, match="window"):
+            t.add({"axes": (0, 0), "window": window, "value": 0.1})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="value"):
+            t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": value})
+    assert t.entries == []
+    for order in (0, -1, 1.5, 1.0, True, "1"):
+        with pytest.raises(InputError, match="order"):
+            ResponseTable(order=order)
+    assert ResponseTable(order=np.int64(3)).as_dict()["order"] == 3
     for margin in (-0.1, math.nan, math.inf):
         with pytest.raises(InputError, match="margin"):
             ResponseTable(order=1, margin=margin)
@@ -93,6 +110,18 @@ def test_table_serialization():
     assert "re" not in e and "im" not in e
     assert e["meta"] == {"note": "probe"}
     assert json.loads(json.dumps(d)) == d
+    # a depth-1 window is written as one pair too, and an estimate's meta
+    # holds its bookkeeping without repeating axes, window or value
+    t1 = ResponseTable(order=1)
+    t1.add(WindowEstimate(window=((1.0, 2.0),), axes=(0, 0), value=0.5,
+                          method="exact", shots=1, queries=2, eps_filter=0.1,
+                          eps_stat=0.1, degree=3, rounds=1, delta=0.25,
+                          zeta=1.0))
+    e = t1.as_dict()["entries"][0]
+    assert e["window"] == [[1.0, 2.0]]
+    assert e["value"] == 0.5
+    assert set(e["meta"]) == {"method", "shots", "queries", "eps_filter",
+                              "eps_stat", "degree", "rounds", "delta", "zeta"}
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +130,7 @@ def test_table_serialization():
 
 def test_assemble_alpha1_single_entry():
     t = ResponseTable(order=1)
-    t.add({"axes": (0, 0), "window": (4.4, 4.5), "value": 0.2})
+    t.add({"axes": (0, 0), "window": ((4.4, 4.5),), "value": 0.2})
     om = np.array([0.0, 1.0, 3.0])
     res = assemble_alpha1(t, om, 0.1)
     wt = 4.45
@@ -114,7 +143,7 @@ def test_assemble_alpha1_mirrors_each_entry(random_sd):
     # a cross-axis entry serves its direct and its mirrored term, bit for
     # bit as the two divisions; the swapped chain is the same real number
     t = ResponseTable(order=1)
-    t.add({"axes": (0, 1), "window": (2.0, 2.5), "value": -0.3})
+    t.add({"axes": (0, 1), "window": ((2.0, 2.5),), "value": -0.3})
     om = np.array([0.0, 1.0, 3.0])
     res = assemble_alpha1(t, om, 0.05)
     wt = 2.25
@@ -134,14 +163,14 @@ def test_assemble_alpha1_mirrors_each_entry(random_sd):
 
 def test_assemble_alpha1_validation():
     t = ResponseTable(order=1)
-    t.add({"axes": (0, 0), "window": (1.0, 2.0), "value": 0.1})
+    t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": 0.1})
     for gamma in (0.0, math.nan, math.inf):
         with pytest.raises(InputError):
             assemble_alpha1(t, [1.0], gamma)
     with pytest.raises(InputError):
         assemble_alpha1(ResponseTable(order=1), [1.0], 0.1)
     # each entry is its own mirror, so a second chain would be dropped
-    t.add({"axes": (1, 0), "window": (1.0, 2.0), "value": 0.1})
+    t.add({"axes": (1, 0), "window": ((1.0, 2.0),), "value": 0.1})
     with pytest.raises(InputError, match="one dipole chain"):
         assemble_alpha1(t, [1.0], 0.1)
     t2 = ResponseTable(order=2)
@@ -180,8 +209,8 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 
 # sha256 of assemble_alpha3's value bytes on exact tables of
 # make_random_model(2, 2, 0), whose ground dipoles are all nonzero, so every
-# ground-pinned term runs; recorded before the denominators went through one
-# den(cn, cm, cl).  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
+# ground-pinned term runs: they pin the denominators' order of operations
+# bit for bit.  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
 FROZEN_ALPHA3 = {
     ("yxxy", 0.1): "e71a8fc331cc227bebc9d49544bf025e"
@@ -205,6 +234,42 @@ def test_assemble_alpha3_frozen_bits(axes, width):
     vals = assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd).values
     assert hashlib.sha256(vals.tobytes()).hexdigest() \
         == FROZEN_ALPHA3[axes, width]
+
+
+def _shifted(table, s):
+    """A copy of `table` with every window pair moved up by s."""
+    out = ResponseTable(order=table.order)
+    for e in table.entries:
+        out.add({"axes": e["axes"], "value": e["value"],
+                 "window": [(lo + s, hi + s) for lo, hi in e["window"]]})
+    return out
+
+
+def test_every_line_position_comes_from_centres(monkeypatch):
+    # moving _centres' positions up by s must equal moving every window up
+    # by s, at both orders; a position that bypasses _centres stays put on
+    # one side and moves on the other
+    sd = diagonalize(make_random_model(2, 2, 0))
+    tabs, gd = oracle_tables(sd, (1, 0, 0, 1), 0.1)
+    t1 = ResponseTable(order=1)
+    for e in tabs[1].select(tabs[1].entries[0]["axes"]):
+        t1.add(e)
+    grid = np.linspace(0.0, 4.0, 9)
+    triples = [(0.9, 0.2, 0.3), (1.4, 0.5, 0.1), (2.0, -0.3, 0.2)]
+    s = 0.375
+    base3 = assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd).values
+    ref1 = assemble_alpha1(_shifted(t1, s), grid, 0.1).values
+    ref3 = assemble_alpha3({d: _shifted(t, s) for d, t in tabs.items()},
+                           triples, 0.1, ground_dipoles=gd).values
+    centres = assemble._centres
+    monkeypatch.setattr(assemble, "_centres",
+                        lambda e: tuple(c + s for c in centres(e)))
+    got1 = assemble_alpha1(t1, grid, 0.1).values
+    got3 = assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd).values
+    assert np.allclose(got1, ref1, rtol=1e-12, atol=0.0)
+    assert np.allclose(got3, ref3, rtol=1e-12, atol=0.0)
+    # the shift is large enough to show
+    assert not np.allclose(got3, base3, rtol=1e-3)
 
 
 def test_assemble_alpha3_validation(dimer_sd):
@@ -313,7 +378,8 @@ def test_qpe_baseline():
 # ---------------------------------------------------------------------------
 
 def test_dedupe_windows():
-    merged = _dedupe_windows([(1.0, 1.2), (1.1, 1.3), (3.0, 3.2)], 0.5)
+    # peaks come as one-pair boxes; the merged windows are (lo, hi) pairs
+    merged = _dedupe_windows([[[1.0, 1.2]], [[1.1, 1.3]], [[3.0, 3.2]]], 0.5)
     assert merged == [(1.0, 1.3), (3.0, 3.2)]
     assert _dedupe_windows([], 0.5) == []
 
@@ -353,7 +419,7 @@ def test_pipeline_simulate_order1(dimer):
     assert res["result"] is not None
     windows = [e["window"] for e in res["tables"][1].entries]
     assert len(windows) >= 1
-    assert any(lo <= 2 * np.sqrt(5.0) < hi for lo, hi in windows)
+    assert any(lo <= 2 * np.sqrt(5.0) < hi for ((lo, hi),) in windows)
     dev = np.max(np.abs(res["result"].values - res["oracle"].values))
     assert dev <= 0.25 * np.max(np.abs(res["oracle"].values))
     assert res["manifest"]["queries_total"] > 0
@@ -427,7 +493,7 @@ def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
                      grid=np.linspace(1.0, 3.9, 3), method="exact")
 
 
-def test_pipeline_validation(dimer):
+def test_pipeline_validation(dimer, monkeypatch):
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.0)
     with pytest.raises(InputError):
@@ -438,6 +504,33 @@ def test_pipeline_validation(dimer):
         run_pipeline(dimer, gamma=0.1, mode="dream")
     with pytest.raises(InputError):
         run_pipeline(dimer, gamma=0.1, order=3, axes=(0, 0))
+
+    # the seed is an integer >= 0, checked before any work
+    def no_work(model):
+        raise AssertionError("diagonalize ran before the seed was checked")
+
+    monkeypatch.setattr(assemble, "diagonalize", no_work)
+    for seed in (-1, 1.5, 3.0, "7", None):
+        for mode in ("oracle", "simulate"):
+            with pytest.raises(InputError, match="seed"):
+                run_pipeline(dimer, gamma=0.1, seed=seed, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["oracle", "simulate"])
+def test_pipeline_numpy_seed_writes_the_plain_seeds_bytes(dimer, tmp_path,
+                                                          mode):
+    # a numpy integer seed is carried on as a plain int, which json writes
+    kw = dict(gamma=0.2, grid=np.linspace(0.0, 5.4, 12), method="exact",
+              mode=mode)
+    run_pipeline(dimer, seed=3, out_dir=str(tmp_path / "int"), **kw)
+    res = run_pipeline(dimer, seed=np.int64(3), out_dir=str(tmp_path / "np"),
+                       **kw)
+    assert type(res["manifest"]["seed"]) is int
+    names = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "np").iterdir())
+    for name in names:
+        assert (tmp_path / "np" / name).read_bytes() \
+            == (tmp_path / "int" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("mode", ["oracle", "simulate"])

@@ -262,9 +262,17 @@ def test_search_depth_is_bounded_by_the_span(which, gamma, tau, chain, seed,
     deepest = max(lvl["depth"] for lvl in trace.levels)
     assert deepest <= levels - 1
     assert deepest == levels - 1 or not trace.found
+    # every peak and marked cell is a box of one pair per axis at every
+    # depth, and a peak is exactly what estimate_box takes as its windows
+    dims = len(chain) - 1
+    assert trace.dims == dims
+    for box in trace.peaks + trace.marked:
+        assert len(box) == dims and all(len(pair) == 2 for pair in box)
     for peak in trace.peaks:
-        for a, b in (peak if len(chain) > 2 else [peak]):
+        for a, b in peak:
             assert b - a == pytest.approx(gamma, rel=1e-12)
+        est = estimate_box(sd, chain, peak, 1e-2, method="exact")
+        assert est.window == tuple(map(tuple, peak))
     assert not trace.truncated
 
 
@@ -294,8 +302,8 @@ def test_search_and_estimate_reject_a_bad_seed(dimer_sd, seed):
 def test_search_1d_finds_bright_line(dimer_sd):
     trace = binary_search_nd(dimer_sd, (0, 0), 0.2, 0.02, seed=3)
     assert trace.found
-    assert any(lo <= BRIGHT < hi for lo, hi in trace.peaks)
-    for lo, hi in trace.peaks:
+    assert any(lo <= BRIGHT < hi for ((lo, hi),) in trace.peaks)
+    for ((lo, hi),) in trace.peaks:
         assert hi - lo == pytest.approx(0.2, rel=1e-12)
     assert trace.queries_total == sum(trace.per_level_queries.values())
     assert trace.queries_total > 0
@@ -327,7 +335,8 @@ def test_search_1d_finds_negative_cross_axis_line():
     assert weight == pytest.approx(-1.67, abs=5e-3)
     for seed in range(5):
         trace = binary_search_nd(sd, (1, 0), 0.4, 0.005, seed=seed)
-        assert any(lo <= sd.eigenvalues[j] < hi for lo, hi in trace.peaks), \
+        assert any(lo <= sd.eigenvalues[j] < hi
+                   for ((lo, hi),) in trace.peaks), \
             f"seed {seed} missed the line: {trace.peaks}"
 
 
