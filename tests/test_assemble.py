@@ -251,9 +251,7 @@ def test_every_line_position_comes_from_centres(monkeypatch):
     # one side and moves on the other
     sd = diagonalize(make_random_model(2, 2, 0))
     tabs, gd = oracle_tables(sd, (1, 0, 0, 1), 0.1)
-    t1 = ResponseTable(order=1)
-    for e in tabs[1].select(tabs[1].entries[0]["axes"]):
-        t1.add(e)
+    t1 = ResponseTable(entries=tabs[1].select(tabs[1].entries[0]["axes"]))
     grid = np.linspace(0.0, 4.0, 9)
     triples = [(0.9, 0.2, 0.3), (1.4, 0.5, 0.1), (2.0, -0.3, 0.2)]
     s = 0.375
