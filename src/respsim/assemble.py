@@ -41,6 +41,11 @@ from .spectra import (SusceptibilityResult, alpha1, diagonalize,
 GRID_POINT_CAP = 4096
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (bool subclasses int)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _window_key(window):
     """Canonical hashable form of a window: a tuple of rounded (lo, hi)
     pairs, one per nesting level."""
@@ -67,8 +72,7 @@ class ResponseTable:
     entries: list = field(default_factory=list)
 
     def __post_init__(self):
-        if isinstance(self.order, bool) or not (
-                isinstance(self.order, numbers.Integral) and self.order >= 1):
+        if not (_is_int(self.order) and self.order >= 1):
             raise InputError("order must be an integer of at least 1")
         self.order = int(self.order)
         if not (math.isfinite(self.margin) and self.margin >= 0):
@@ -287,8 +291,7 @@ class CostInputs:
                 raise InputError(f"{name} must be positive and finite")
         if self.eps >= 1:
             raise InputError("eps must be below 1")
-        if not (isinstance(self.n_order, numbers.Integral)
-                and self.n_order >= 1):
+        if not (_is_int(self.n_order) and self.n_order >= 1):
             raise InputError("n_order must be an integer of at least 1")
         if (self.p0 is None) != (self.gap is None):
             raise InputError("p0 and gap must be given together")
@@ -384,10 +387,11 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     filter margin raise InputError.  window_width (order 1) sets the
     estimation window, default gamma/8.  A method outside METHODS (in
     either mode), a model with a zero Hamiltonian (alpha = 0), eps outside
-    (0, 1), a seed that is not an integer >= 0, or a gamma, window_width or
-    grid point that is not finite (gamma and window_width must also be
-    positive) raises InputError, and a grid of more than GRID_POINT_CAP
-    points raises ResourceError, before any search.
+    (0, 1), an order, seed or axis that is not an integer (a bool is not
+    one), a seed below 0, an axis outside {0, 1, 2}, or a gamma,
+    window_width or grid point that is not finite (gamma and window_width
+    must also be positive) raises InputError, and a grid of more than
+    GRID_POINT_CAP points raises ResourceError, before any search.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
     "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
     "manifest" (manifest.json's content) and "csv" (response.csv's body).
@@ -404,18 +408,21 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if window_width is not None and not (math.isfinite(window_width)
                                          and window_width > 0):
         raise InputError("window_width must be positive and finite")
-    if not (isinstance(order, numbers.Integral) and order in (1, 3)):
+    if not (_is_int(order) and order in (1, 3)):
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
         raise InputError("mode must be 'simulate' or 'oracle'")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise InputError("seed must be non-negative and an integer")
     seed = int(seed)
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(axes)
     if len(axes) != (2 if order == 1 else 4):
         raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
+    if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
+        raise InputError("axes must be integers in {0, 1, 2}")
+    axes = tuple(int(a) for a in axes)
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         if grid.size > GRID_POINT_CAP:

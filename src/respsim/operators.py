@@ -20,21 +20,16 @@ Conventions used throughout the package:
   P_a P_b = i^k P_(xa^xb, za^zb) with
   k = |xa&za| + |xb&zb| + 2|za&xb| - |x&z| (mod 4), and a string maps
   basis state b to b^x with amplitude i^{|x&z|} (-1)^{|z&b|}.
-* The Jordan-Wigner map runs on integer bit-mask arrays, with no Python
-  loop over terms, and gives the same bits as multiplying each term's
-  ladder images as dicts and adding them into one dict (that reference
-  lives in tests/pauli_reference.py).  Terms go in fixed-size blocks, one
-  ladder count at a time, on (terms x 2^j) arrays: each ladder factor
-  splits every string into its image's two strings, equal strings of a
-  term merge into the first of them, and strings at or below PRUNE_TOL
-  drop, after every factor.  The products then enter one running sum in
-  term order.  Order rule: a string whose sum falls to |s| <= PRUNE_TOL
-  leaves the sum and re-enters at the position of its next contribution,
-  so strings come out in the order they last entered the sum.  Only the
-  order of additions can move a bit: every product is exact (factors
-  +-1/2, +-i/2 and powers of i), and every sum starts from 0j, so a zero
-  component always comes out as +0.0.  One-norms sum |c| in that order,
-  one term after the other.
+* The Jordan-Wigner map goes through Majorana products: with
+  a_p = (g_2p + i g_2p+1)/2, a_p^dag = (g_2p - i g_2p+1)/2, g_2p = Z..Z X_p
+  and g_2p+1 = Z..Z Y_p (Z on the qubits before p), a term of length j is
+  2^j products, and each sorted product of distinct Majoranas is one Pauli
+  string (Bravyi & Kitaev, Ann. Phys. 298, 210 (2002)).  Each contribution,
+  c / 2^j times a power of i (exact), is added into its string's sum from 0j
+  in term order and, within a term, with the first factor's choice as the
+  most significant slot bit, as the dict loop in tests/pauli_reference.py
+  does.  Sums at or below PRUNE_TOL drop once, at the end; strings come out
+  in the order of their first contribution.  One-norms sum |c| in that order.
 * Size caps are constants: jordan_wigner maps at most DEFAULT_MODE_CAP
   modes, and full 2^n x 2^n matrices are built up to FULL_SPACE_MODE_CAP
   modes; both refuse before allocating.
@@ -43,7 +38,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -51,12 +46,12 @@ from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
 # largest mode count jordan_wigner maps (so diagonalize takes); it must stay
-# <= 31, since its string keys x << n | z are int64
+# <= 31, since its 2n-bit Majorana masks and keys x << n | z are int64
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
 FULL_SPACE_MODE_CAP = 12
-# terms multiplied at once by jordan_wigner, and matrix entries filled at
+# terms expanded at once by jordan_wigner, and matrix entries filled at
 # once by PauliOperator.dense; both bound temporaries, not results
 _JW_BLOCK = 256
 _DENSE_BLOCK = 1 << 14
@@ -208,11 +203,6 @@ _X_OF = np.zeros(128, dtype=np.int64)
 _X_OF[[ord("X"), ord("Y")]] = 1
 _Z_OF = np.zeros(128, dtype=np.int64)
 _Z_OF[[ord("Y"), ord("Z")]] = 1
-# the two strings of a ladder image: child t, and its coefficients for an
-# annihilator and a creator
-_CHILD = np.array([0, 1])
-_LADDER = np.array([0.5 + 0j, 0.5j])
-_LADDER_DAG = np.array([0.5 + 0j, -0.5j])
 
 
 @dataclass
@@ -284,139 +274,63 @@ class PauliOperator:
         return mat
 
 
-def _ladder_products(n: int, modes: np.ndarray, daggers: np.ndarray,
-                     coeffs: np.ndarray) -> tuple:
-    """JW images of B terms of equal length j, on (B, 2**j) arrays.
+def _monomials(acts: np.ndarray) -> tuple:
+    """Majorana products of B terms of equal length j, on (B, 2**j) arrays.
 
-    modes and daggers are (B, j), coeffs (B,).  Column by column, each slot
-    (z, c) of a row splits into the ladder image's two strings, (bit, zs)
-    with 1/2 and (bit, zs | bit) with -/+ i/2: z ^ zs or z ^ zs ^ bit, and
-    c * cb * i**k.  The x mask is one per row.  Slot 2s + t is the t-th
-    child of slot s, so slot order is the dict's visiting order.  Equal
-    strings of a row then merge into their first slot, summed in slot order
-    (np.add.at), and every slot at or below PRUNE_TOL leaves ``live``.  Two
-    strings of a row can only meet at a mode the term already had, so at a
-    mode new to every row there is nothing to merge.  Returns
-    (keys x << n | z, coefficients, live), each (B, 2**j).
+    ``acts`` is (B, j, 2), one (mode, dagger) pair per factor.  In slot s,
+    factor f picks Majorana 2p + t, t the bit of s at j-1-f, so the first
+    factor's choice is the most significant bit.  Returns each product's
+    mask (the XOR of 1 << index, so equal pairs cancel) and its i-exponent:
+    1 for an annihilator's Y choice, 3 for a creator's, and 2 per index
+    inversion, whose parity is that of the earlier indices above each one.
     """
-    b = len(coeffs)
-    x = np.zeros((b, 1, 1), dtype=np.int64)
-    z = np.zeros((b, 1), dtype=np.int64)
-    xz = np.zeros((b, 1), dtype=np.int64)  # |x & z| of each slot
-    c = coeffs[:, None]
-    live = np.hypot(c.real, c.imag) > PRUNE_TOL
-    row = (np.arange(b, dtype=np.int64) << n)[:, None, None]
-    for col in range(modes.shape[1]):
-        shift = (n - 1 - modes[:, col])[:, None]
-        bit = (1 << shift)[..., None]
-        zs = ((1 << n) - 1) ^ ((bit << 1) - 1)  # Z on the qubits before
-        # k = |x & z| + |xb & zb| + 2|z & xb| - |x' & z'| (mod 4), with
-        # |xb & zb| = t for child t
-        k = (xz + 2 * ((z >> shift) & 1))[..., None] + _CHILD
-        x = x ^ bit
-        zt = z[..., None] ^ zs ^ bit * _CHILD  # (B, W, 2): child t of slot
-        xz = np.bitwise_count(x & zt)
-        k = (k - xz) & 3
-        phase = c[..., None] * np.where(daggers[:, col, None, None],
-                                        _LADDER_DAG, _LADDER)
-        phase = (phase * _I_POW_ARRAY[k]).ravel()
-        w = 2 * z.shape[1]
-        z, xz = zt.reshape(b, w), xz.reshape(b, w)
-        live = np.repeat(live, 2, axis=1).ravel()
-        if (modes[:, :col] == modes[:, col, None]).any():
-            at = np.flatnonzero(live)
-            _, first, inv = np.unique((zt + row).ravel()[at],
-                                      return_index=True, return_inverse=True)
-            sums = np.zeros(first.size, dtype=complex)
-            np.add.at(sums, inv, phase[at])
-            c = np.zeros(b * w, dtype=complex)
-            c[at[first]] = sums
-            live[:] = False
-            live[at[first]] = True
-        else:
-            c = phase
-        live &= np.hypot(c.real, c.imag) > PRUNE_TOL
-        c, live = c.reshape(b, w), live.reshape(b, w)
-    return x[:, :, 0] << n | z, c, live
+    j = acts.shape[1]
+    t = (np.arange(1 << j)[:, None] >> np.arange(j - 1, -1, -1)) & 1
+    mask = np.zeros((len(acts), 1 << j), dtype=np.int64)
+    exp, inversions = np.zeros_like(mask), np.zeros_like(mask)
+    for f in range(j):
+        index = 2 * acts[:, f, 0, None] + t[:, f]
+        exp += t[:, f] * (1 + 2 * acts[:, f, 1, None])
+        inversions += np.bitwise_count(mask >> (index + 1))
+        mask ^= 1 << index
+    return mask, exp + 2 * inversions
 
 
-def _term_images(op: FermionOperator) -> tuple:
-    """Every term's JW image as one contribution list (keys, coefficients),
-    in term order and, within a term, in the dict's insertion order.
+def _strings(masks: np.ndarray, n: int) -> tuple:
+    """Pauli string keys x << n | z of sorted Majorana products, and the
+    i-exponent each product carries on top of its string.
 
-    Terms go _JW_BLOCK at a time and, within a block, one length at a
-    time; a block's contributions are put back in (term, slot) order.
+    Qubit p gets X from one of Majoranas 2p, 2p+1, and Z from 2p+1 and from
+    every index above 2p+1.  Multiplied out in ascending order, no Z lands on
+    a later X, so the exponent is the number of Y factors minus |x & z|.
     """
-    n = op.n_modes
-    actions = list(op.terms)
-    lengths = np.fromiter(map(len, actions), dtype=np.intp,
-                          count=len(actions))
-    ladders = np.fromiter(chain.from_iterable(chain.from_iterable(actions)),
-                          dtype=np.int64, count=2 * int(lengths.sum()))
-    ladders = ladders.reshape(-1, 2)
-    start = np.cumsum(lengths) - lengths
-    coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(actions))
-    keys, values = [], []
-    for lo in range(0, len(actions), _JW_BLOCK):
-        block = lengths[lo:lo + _JW_BLOCK]
-        width = 1 << int(block.max())
-        parts = []
-        for j in sorted(set(block.tolist())):
-            rows = lo + np.flatnonzero(block == j)
-            acts = ladders[start[rows, None] + np.arange(j)]
-            key, c, live = _ladder_products(n, acts[..., 0], acts[..., 1],
-                                            coeffs[rows])
-            r, s = np.nonzero(live)
-            parts.append((rows[r] * width + s, key[r, s], c[r, s]))
-        pos, key, c = (np.concatenate(p) for p in zip(*parts))
-        order = np.argsort(pos, kind="stable")
-        keys.append(key[order])
-        values.append(c[order])
-    if not keys:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-    return np.concatenate(keys), np.concatenate(values)
+    x = z = y = np.zeros_like(masks)
+    for p in range(n):
+        even, odd = (masks >> 2 * p) & 1, (masks >> 2 * p + 1) & 1
+        x = x << 1 | (even ^ odd)
+        z = z << 1 | (odd ^ (np.bitwise_count(masks >> 2 * p + 2) & 1))
+        y = y + odd
+    return x << n | z, y - np.bitwise_count(x & z)
 
 
-def _running_total(keys: np.ndarray, values: np.ndarray) -> tuple:
-    """Sum contributions into the dict's running total, key by key.
-
-    Contribution i adds values[i] to its key's sum s (0j when the key is
-    out of the sum); |s| <= PRUNE_TOL takes the key out, and a key that
-    (re-)enters the sum takes position i.  A key occurs at most once per
-    occurrence rank, so one fancy-indexed update per rank applies every
-    key's additions in contribution order.  Temporaries go as soon as they
-    are spent, which bounds the peak.  Returns (keys, sums) in the order of
-    the keys' positions.
-    """
-    out = keys.size  # the position of a key out of the sum
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    new = np.ones(out, dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    unique = ranked[new]
-    del ranked
-    kid = np.cumsum(new) - 1
-    rank = np.arange(out) - np.flatnonzero(new)[kid]
-    del new
-    by_rank = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank))
-    del rank
-    kid, src = kid[by_rank], order[by_rank]
-    del order, by_rank
-    values = values[src]
-    sums = np.zeros(unique.size, dtype=complex)
-    entry = np.full(unique.size, out)
-    lo = 0
-    for hi in ends:
-        ids = kid[lo:hi]
-        s = sums[ids] + values[lo:hi]
-        keep = np.hypot(s.real, s.imag) > PRUNE_TOL
-        sums[ids] = np.where(keep, s, 0)
-        entry[ids] = np.where(keep, np.minimum(entry[ids], src[lo:hi]), out)
-        lo = hi
-    inside = np.flatnonzero(entry < out)
-    inside = inside[np.argsort(entry[inside], kind="stable")]
-    return unique[inside], sums[inside]
+def _slots(known: np.ndarray, slot_of: np.ndarray,
+           masks: np.ndarray) -> tuple:
+    """Slots of ``masks``, which number distinct masks in order of first
+    contribution.  ``known`` holds the masks seen so far, sorted, and
+    ``slot_of`` their slots, so the stable sort merges one sorted run with
+    the block.  Returns (slots, known, slot_of, new masks in slot order)."""
+    both = np.concatenate((known, masks))
+    order = np.argsort(both, kind="stable")
+    ranked = both[order]
+    head = np.ones(both.size, dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    first = order[head]  # the earliest position of each distinct mask
+    fresh = np.zeros(masks.size, dtype=bool)
+    fresh[first[first >= known.size] - known.size] = True
+    at = np.concatenate((slot_of, known.size + np.cumsum(fresh) - 1))
+    slot = np.empty(both.size, dtype=np.int64)
+    slot[order] = at[first][np.cumsum(head) - 1]
+    return slot[known.size:], ranked[head], at[first], masks[fresh]
 
 
 def _words(keys: np.ndarray, n: int) -> list:
@@ -428,24 +342,43 @@ def _words(keys: np.ndarray, n: int) -> list:
 
 
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
-    """Map a FermionOperator to its Pauli-sum image, on bit-mask arrays.
+    """Pauli-sum image of a FermionOperator, through its Majorana products.
 
-    Bit for bit, this is the term-by-term dict computation: each term's
-    ladder images are multiplied left to right, merging equal strings in
-    first-insertion order and pruning after every factor
-    (_ladder_products, _JW_BLOCK terms at a time); each product is added
-    into one running sum in term order, pruned string by string, where a
-    string that cancels to |s| <= PRUNE_TOL leaves the sum and re-enters at
-    the position of its next contribution (_running_total).  The words come
-    out in the order they last entered the sum.  Operators on more than
-    DEFAULT_MODE_CAP modes are refused.
+    Runs of equal-length terms go _JW_BLOCK terms at a time: each term of
+    length j gives 2^j products (_monomials), each product's mask takes the
+    slot of its first contribution (_slots), and a new mask's string and
+    phase are worked out once (_strings).  Every contribution, c / 2^j times
+    a power of i, is added into its slot's sum from 0j in term order and,
+    within a term, in slot order.  Sums at or below PRUNE_TOL drop once, at
+    the end.  Operators on more than DEFAULT_MODE_CAP modes are refused.
     """
     n = op.n_modes
     if n > DEFAULT_MODE_CAP:
         raise ResourceError(
             f"{n} modes exceeds the qubit cap of {DEFAULT_MODE_CAP}")
-    keys, sums = _running_total(*_term_images(op))
-    return PauliOperator(n, dict(zip(_words(keys, n), sums.tolist())))
+    actions = list(op.terms)
+    coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(actions))
+    ladders = np.fromiter(chain.from_iterable(chain.from_iterable(actions)),
+                          dtype=np.int64).reshape(-1, 2)
+    known = slot_of = strings = phases = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=complex)
+    for j, run in groupby(map(len, actions)):
+        count = len(list(run))
+        acts = ladders[:count * j].reshape(count, j, 2)
+        scaled = coeffs[:count, None] * 0.5 ** j
+        ladders, coeffs = ladders[count * j:], coeffs[count:]
+        for b in range(0, count, _JW_BLOCK):
+            mask, exp = _monomials(acts[b:b + _JW_BLOCK])
+            slot, known, slot_of, fresh = _slots(known, slot_of, mask.ravel())
+            new, k = _strings(fresh, n)
+            strings = np.concatenate((strings, new))
+            phases = np.concatenate((phases, k))
+            sums = np.concatenate((sums, np.zeros(new.size, dtype=complex)))
+            np.add.at(sums, slot, (scaled[b:b + _JW_BLOCK] * _I_POW_ARRAY[
+                (exp + phases[slot].reshape(exp.shape)) & 3]).ravel())
+    keep = np.hypot(sums.real, sums.imag) > PRUNE_TOL
+    return PauliOperator(n, dict(zip(_words(strings[keep], n),
+                                     sums[keep].tolist())))
 
 
 def lcu_one_norm(op: PauliOperator) -> float:

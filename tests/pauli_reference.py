@@ -1,11 +1,19 @@
 """Term-by-term reference for the Jordan-Wigner map and the Pauli sector
 block.
 
-These are the dict and per-string loops the package's array versions
-replaced.  They do the same floating-point operations in the same order, so
-the package must match them bit for bit: the same Pauli words in the same
-order, the same coefficient bits, and the same matrix bytes.
+The Jordan-Wigner reference expands every term into its Majorana products
+in a dict loop and multiplies each product out string by string with the
+Pauli product rule, so it shares none of the package's closed-form strings
+and phases.  It adds the same exact contributions (c / 2^j times a power
+of i) in the same order, term after term and, within a term, with the
+first factor's choice as the most significant slot bit, into sums that
+start from 0j and are pruned once, at the end.  The sector-block
+reference fills one string at a time in term order.  So the package must
+match both bit for bit: the same Pauli words in the same order, the same
+coefficient bits, and the same matrix bytes.
 """
+
+import itertools
 
 import numpy as np
 
@@ -31,6 +39,15 @@ def pauli_word(x, z, n):
     return "".join(_WORD_CHAR[a + b] for a, b in zip(xs, zs))
 
 
+def string_product(a, b):
+    """((x, z), k) with P_a P_b = i**k P_(x, z) for two mask pairs."""
+    (xa, za), (xb, zb) = a, b
+    x, z = xa ^ xb, za ^ zb
+    k = ((xa & za).bit_count() + (xb & zb).bit_count()
+         + 2 * (za & xb).bit_count() - (x & z).bit_count()) & 3
+    return (x, z), k
+
+
 def pauli_product(a, b):
     """Product of two mask-keyed Pauli sums, P_a P_b = i**k P_(xa^xb, za^zb).
 
@@ -39,44 +56,42 @@ def pauli_product(a, b):
     result is pruned once, after all terms are summed.
     """
     out = {}
-    for (xa, za), ca in a.items():
-        ka = (xa & za).bit_count()
-        for (xb, zb), cb in b.items():
-            x, z = xa ^ xb, za ^ zb
-            k = (ka + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
-                 - (x & z).bit_count()) & 3
+    for key_a, ca in a.items():
+        for key_b, cb in b.items():
+            key, k = string_product(key_a, key_b)
             phase = ca * cb
             if k:
                 phase *= _I_POW[k]
-            out[x, z] = out.get((x, z), 0j) + phase
+            out[key] = out.get(key, 0j) + phase
     return {key: c for key, c in out.items() if abs(c) > PRUNE_TOL}
 
 
-def dict_ladder(p, dagger, n):
-    """Mask-keyed JW image of one ladder operator: (Z...Z)(X -/+ iY)/2 at
-    mode p."""
+def majorana_string(m, n):
+    """Mask pair of Majorana m under Jordan-Wigner: Z on the qubits before
+    p = m // 2, then X at p for even m and Y for odd m."""
+    p, odd = divmod(m, 2)
     bit = 1 << (n - 1 - p)
     zs = ((1 << n) - 1) ^ ((bit << 1) - 1)  # Z on qubits 0..p-1
-    return {(bit, zs): 0.5 + 0j, (bit, zs | bit): -0.5j if dagger else 0.5j}
+    return bit, zs | bit * odd
 
 
 def dict_jordan_wigner(op):
-    """Each term's ladder images multiplied left to right by
-    `pauli_product`, then added into one running sum, pruned key by key; a
-    key that cancels leaves the sum and re-enters at its end."""
+    """a_p = (g_2p + i g_2p+1)/2 and a_p^dag = (g_2p - i g_2p+1)/2, so a
+    term of length j is the 2^j choices of one Majorana per factor (the
+    first factor's choice most significant).  Each choice is multiplied
+    out left to right by `string_product` and added into one running sum
+    from 0j, with c / 2^j times i for an annihilator's odd choice, -i for a
+    creator's, and the product's phase; PauliOperator prunes the sums."""
     n = op.n_modes
-    ladders = {(p, d): dict_ladder(p, d, n) for p in range(n) for d in (0, 1)}
     total = {}
     for actions, coeff in op.terms.items():
-        cur = {(0, 0): coeff} if abs(coeff) > PRUNE_TOL else {}
-        for action in actions:
-            cur = pauli_product(cur, ladders[action])
-        for key, c in cur.items():
-            s = total.get(key, 0j) + c
-            if abs(s) > PRUNE_TOL:
-                total[key] = s
-            else:
-                total.pop(key, None)
+        for choice in itertools.product((0, 1), repeat=len(actions)):
+            key, k = (0, 0), 0
+            for (p, dagger), t in zip(actions, choice):
+                key, dk = string_product(key, majorana_string(2 * p + t, n))
+                k += dk + t * (3 if dagger else 1)
+            c = coeff * 0.5 ** len(actions) * _I_POW[k & 3]
+            total[key] = total.get(key, 0j) + c
     return PauliOperator(n, {pauli_word(x, z, n): c
                              for (x, z), c in total.items()})
 

@@ -213,14 +213,14 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 # bit for bit.  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
 FROZEN_ALPHA3 = {
-    ("yxxy", 0.1): "e71a8fc331cc227bebc9d49544bf025e"
-                   "f1ce4f427cbba66facf22f057b97060d",
-    ("yxxy", 0.4): "1da6a2d7bbddea59668f8e0bb2a569ed"
-                   "84edec091a1a0e9c798a42421ab66205",
-    ("xyzx", 0.1): "3992f7b0df6156392ae9bd0e8672eea6"
-                   "efe48cca05cb5b4eea73b2c1bc9c1127",
-    ("xyzx", 0.4): "4f155aa93003c0c59f4ef28c8bae7340"
-                   "8d6a4aa2d45f0482eebf7e4af4d37045",
+    ("yxxy", 0.1): "2237392e67ce75af4ed1152ed93cd55a"
+                   "692776de87bf46edef1f89633d3bef79",
+    ("yxxy", 0.4): "b1f51116eeb6317204ca934a48bfef88"
+                   "ff1251ad6b976649a540de3f73b36579",
+    ("xyzx", 0.1): "253f2d73eec2b7d6b128467461abfed1"
+                   "04465663d3c6020a8ce4d7022fc9e043",
+    ("xyzx", 0.4): "71808a0c1e0e6ebf17bda51617335552"
+                   "c19e3b787d4d6add6f84b5ae05268305",
 }
 
 
@@ -346,7 +346,7 @@ def test_cost_inputs_validation():
         CostInputs(alpha=0.0, beta=1.0, gamma=0.1, eps=0.1)
     with pytest.raises(InputError):
         CostInputs(alpha=1.0, beta=1.0, gamma=0.1, eps=1.0)
-    for n_order in (0, 2.5, 1.0):
+    for n_order in (0, 2.5, 1.0, True):
         with pytest.raises(InputError, match="n_order"):
             CostInputs(**base, n_order=n_order)
     assert CostInputs(**base, n_order=np.int64(3)).n_order == 3
@@ -512,6 +512,28 @@ def test_pipeline_validation(dimer, monkeypatch):
         for mode in ("oracle", "simulate"):
             with pytest.raises(InputError, match="seed"):
                 run_pipeline(dimer, gamma=0.1, seed=seed, mode=mode)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"order": True}, "order"),
+    ({"seed": True}, "seed"),
+    ({"axes": (True, 0)}, "axes"),
+    ({"axes": (0.7, 0)}, "axes"),
+    ({"axes": (0, 5)}, "axes"),
+    ({"axes": (-1, 0)}, "axes"),
+    ({"order": 3, "axes": (0, 0, 3, 0)}, "axes"),
+], ids=repr)
+@pytest.mark.parametrize("mode", ["oracle", "simulate"])
+def test_pipeline_refuses_bad_order_seed_and_axes_before_any_work(
+        dimer, monkeypatch, kwargs, field, mode):
+    # each used to run: True as 1, 0.7 truncated to 0, -1 read as the z
+    # axis, and 5 escaping as an IndexError after diagonalize
+    def no_work(model):
+        raise AssertionError(f"diagonalize ran before {field} was checked")
+
+    monkeypatch.setattr(assemble, "diagonalize", no_work)
+    with pytest.raises(InputError, match=field):
+        run_pipeline(dimer, gamma=0.1, mode=mode, **kwargs)
 
 
 @pytest.mark.parametrize("mode", ["oracle", "simulate"])

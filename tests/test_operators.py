@@ -301,31 +301,40 @@ def test_jordan_wigner_of_model_operators_matches_the_dict_reference(args):
 
 
 @pytest.mark.parametrize("cancel", [1.0, 1 - 1e-14], ids=["exact", "near"])
-def test_jordan_wigner_cancelled_string_reenters_last(cancel):
+def test_jordan_wigner_cancelled_string_keeps_its_first_place(cancel):
     # a0^dag a0 = (I - Z0)/2 and a0 a0^dag = (I + Z0)/2: together Z0 sums
-    # to 0, or to about -5e-15, at or below PRUNE_TOL; either way it leaves
+    # to 0, or to about -5e-15, at or below PRUNE_TOL, so it drops at the end
     terms = {((0, 1), (0, 0)): 1.0, ((0, 0), (0, 1)): cancel}
     assert list(jordan_wigner(FermionOperator(2, terms)).terms) == ["II"]
-    # a1^dag a1 then enters Z1; a0^dag a0 a0^dag a0 = a0^dag a0 brings Z0
-    # back from 0j, behind Z1 rather than at its first place
+    # a1^dag a1 then enters Z1; a0^dag a0 a0^dag a0 = a0^dag a0 adds to Z0's
+    # sum where it stands: Z0 keeps its first place, ahead of Z1, and the
+    # remainder of the cancellation
     terms[((1, 1), (1, 0))] = 1.0
     terms[((0, 1), (0, 0), (0, 1), (0, 0))] = 2.0
     op = FermionOperator(2, terms)
     pauli = jordan_wigner(op)
-    assert list(pauli.terms) == ["II", "IZ", "ZI"]
-    assert pauli.terms["IZ"] == -0.5 and pauli.terms["ZI"] == -1.0
+    assert list(pauli.terms) == ["II", "ZI", "IZ"]
+    assert pauli.terms["IZ"] == -0.5
+    remainder = (cancel - 1) / 2
+    assert pauli.terms["ZI"] == pytest.approx(-1 + remainder, rel=0, abs=1e-15)
+    assert (pauli.terms["ZI"] == -1.0) == (remainder == 0)
     assert_same_bits(pauli, dict_jordan_wigner(op))
 
 
-def test_jordan_wigner_prunes_within_a_product():
-    # 3e-14 a0^dag a1 halves to 1.5e-14 and then to 7.5e-15 per string, at
-    # or below PRUNE_TOL, so it never reaches the strings a1^dag a0 entered
-    op = FermionOperator(2, {((1, 1), (0, 0)): 1.0, ((0, 1), (1, 0)): 3e-14})
-    pauli = jordan_wigner(op)
-    assert pauli.terms == jordan_wigner(FermionOperator(
-        2, {((1, 1), (0, 0)): 1.0})).terms
-    assert sorted(abs(c) for c in pauli.terms.values()) == [0.25] * 4
+def test_jordan_wigner_prunes_only_the_final_sums():
+    # 3e-14 a0^dag a1 gives 7.5e-15 per Majorana product, at or below
+    # PRUNE_TOL, yet each still reaches the strings a1^dag a0 entered
+    hop = {((1, 1), (0, 0)): 1.0}
+    op = FermionOperator(2, {**hop, ((0, 1), (1, 0)): 3e-14})
+    pauli, alone = jordan_wigner(op), jordan_wigner(FermionOperator(2, hop))
+    assert list(pauli.terms) == list(alone.terms)
+    assert sorted(abs(c) for c in alone.terms.values()) == [0.25] * 4
+    for word, c in pauli.terms.items():
+        assert abs(c - alone.terms[word]) == pytest.approx(7.5e-15)
     assert_same_bits(pauli, dict_jordan_wigner(op))
+    # alone, the small term's sums stay at 7.5e-15 and drop at the end
+    tiny = FermionOperator(2, {((0, 1), (1, 0)): 3e-14})
+    assert jordan_wigner(tiny).terms == {} == dict_jordan_wigner(tiny).terms
 
 
 def test_jordan_wigner_total_cancellation_is_empty():
@@ -347,7 +356,7 @@ def test_jordan_wigner_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 << 20
+    assert peak <= 1.6 * 2 ** 20
 
 
 def test_full_space_matrices_are_capped_before_allocation():

@@ -82,33 +82,35 @@ def test_eigenvectors_live_on_the_sector_basis(random_model, random_sd):
 
 
 # alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes,
-# recorded before the sector-block rewrite of diagonalize.  The one-norms
-# are plain float sums; the hashes also depend on the LAPACK build (these
-# come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64) and on the BLAS thread
-# count: np.linalg.eigh and evecs.T @ D @ evecs change bits with it, and at
-# one thread (5, 4, 0) and (7, 4, 7) hash differently.  They were recorded
-# with two threads, so a child process pinned to two recomputes them.
+# recorded with the Jordan-Wigner map that sums each operator's Majorana
+# products mask by mask: its order of additions fixes the Pauli coefficient
+# bits.  The one-norms are plain float sums; the hashes also depend on the
+# LAPACK build (these come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
+# and on the BLAS thread count: np.linalg.eigh and evecs.T @ D @ evecs
+# change bits with it, and at one thread (5, 4, 0) and (7, 4, 7) hash
+# differently.  They were recorded with two threads, so a child process
+# pinned to two recomputes them.
 FROZEN_SPECTRA = {
-    (3, 2, 4): ("0x1.cf2f188c30f98p+3",
+    (3, 2, 4): ("0x1.cf2f188c30f9cp+3",
                 ("0x1.b8aa1b4740af1p+2", "0x1.1b90c6d530605p+2",
                  "0x1.6cc40b2a6c752p+2"),
-                "bf31bc7b6d1e5f592c261f2617102033b8f06d5271cb6f771efe360b39b368fd",
-                "a25a5dca4550470fb9b237e90e81e94e627ab7120ff63568a9ce5854a1554b51"),
+                "4f873f5e7b3ea492eb58d49302332ddc24cd6592a64bdb8129e6dffcf69bb7e6",
+                "f45968c74116d109e7ddbb192db1914c2ee4e08cfe002c9ad792f1e5637f58e4"),
     (4, 4, 1): ("0x1.15ec581af04e2p+4",
-                ("0x1.0a4f3a9366b41p+4", "0x1.1f6314199bf49p+3",
+                ("0x1.0a4f3a9366b40p+4", "0x1.1f6314199bf49p+3",
                  "0x1.6fef05a77b499p+3"),
-                "a0f3663dcb10eb42c4ba1e3d8e472fd7bc4604d16a411845f1b68d7b45d47f42",
-                "e6dec51a1a8e1c0fd6e303178afa8decfcc8736d43ac05dcc8a55bef5f92a53a"),
-    (5, 4, 0): ("0x1.f99a75bf834ebp+4",
+                "6a5e4d3872793dcc01dbc46ab91d704716761b0a1271ab6996d65f933bd13e34",
+                "b3a18bc100528c116d91706ab5fa5ed8784ff38d1c3b067d8be8abab16f1b475"),
+    (5, 4, 0): ("0x1.f99a75bf834edp+4",
                 ("0x1.bd1068674945fp+3", "0x1.137e2ec1d1994p+4",
                  "0x1.272ba083d1589p+4"),
-                "835cc5607f08603e48f674eb39fd88d985117168e40cdca28ae2a2a5932d42e5",
-                "e7f68d80b303d06da5f017a58d6897e0e54125210d7511ce8bcd068721b7d428"),
-    (7, 4, 7): ("0x1.1b5beaca06d56p+6",
-                ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218fap+5",
+                "c6242335e58b0aaa8e15e550f211c93030b93fc043fad9743c01ae230737960a",
+                "30c2264cc5593784962af1ef92756a1f6f69028a3271c3eb362554f6cb48e085"),
+    (7, 4, 7): ("0x1.1b5beaca06d50p+6",
+                ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218f9p+5",
                  "0x1.055acaa546a99p+5"),
-                "3564b0e167ae5e041864e95998d5e626879419bc42c1fa017eb27fe78c3bd3be",
-                "ae0c00a815333d264cbcb788cb9ef54331b3f6112591ae461c312866be13d0b6"),
+                "221e85ffa4cf380af1630f89c44ae90dd9b033008cc45551a948dac2a3a2a8ca",
+                "66d55902156fcfc3b0950d22d43fb7844c149f1d54b8774537e4e3012c7f4259"),
 }
 
 
