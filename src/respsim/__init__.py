@@ -1,7 +1,8 @@
 """Desk-scale simulator for filter-based estimation of molecular response.
 
-Builds second-quantized model Hamiltonians and dipoles, maps them to qubit
-operators, constructs smoothed spectral-window polynomials, and simulates
+Builds the particle-number-sector blocks of model Hamiltonians and dipoles
+from their integrals, with the LCU one-norms of their Jordan-Wigner qubit
+images, constructs smoothed spectral-window polynomials, and simulates
 the measurement protocol that localizes spectral lines and estimates
 windowed transition amplitudes, from which first- and third-order
 susceptibilities are assembled.  An exact sum-over-states oracle computed
@@ -12,7 +13,9 @@ from .errors import (InputError, ResourceError, RespsimError,
                      StatisticalFailure)
 from .operators import (FermionOperator, PauliOperator, build_dipole,
                         build_hamiltonian, eta_dipole_norm, jordan_wigner,
-                        lcu_one_norm, validate_two_body_symmetry)
+                        lcu_one_norm, majorana_one_norm, sector_block,
+                        validate_dipole, validate_hamiltonian,
+                        validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
                      make_random_model, spatial_to_spin)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
@@ -30,7 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
     "FermionOperator", "PauliOperator", "build_dipole", "build_hamiltonian",
-    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
+    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm", "majorana_one_norm",
+    "sector_block", "validate_dipole", "validate_hamiltonian",
     "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
     "make_random_model", "spatial_to_spin",

@@ -1,5 +1,7 @@
-"""Second-quantized fermionic operators, the Jordan-Wigner map, and dense
-matrix realizations (full or restricted to a set of basis states).
+"""Second-quantized fermionic operators, the Jordan-Wigner map, dense
+matrix realizations (full or restricted to a set of basis states), and the
+sector blocks and one-norms that diagonalize takes straight from the
+integral tensors.
 
 Conventions used throughout the package:
 
@@ -30,23 +32,30 @@ Conventions used throughout the package:
   most significant slot bit, as the dict loop in tests/pauli_reference.py
   does.  Sums at or below PRUNE_TOL drop once, at the end; strings come out
   in the order of their first contribution.  One-norms sum |c| in that order.
-* Size caps are constants: jordan_wigner maps at most DEFAULT_MODE_CAP
-  modes, and full 2^n x 2^n matrices are built up to FULL_SPACE_MODE_CAP
-  modes; both refuse before allocating.
+* The one-norm of an image needs no string: majorana_one_norm sums the same
+  Majorana products as jordan_wigner and adds the magnitudes in the same
+  order.  Sector blocks need neither: sector_block builds them from the
+  tensors by ladder action (see its docstring).  The Pauli path stays as
+  the reference both are tested against.
+* Size caps are constants: jordan_wigner, sector_block and
+  majorana_one_norm take at most DEFAULT_MODE_CAP modes, and full 2^n x 2^n
+  matrices are built up to FULL_SPACE_MODE_CAP modes; both refuse before
+  allocating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
+from itertools import chain, combinations, groupby
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 
 PRUNE_TOL = 1e-14
-# largest mode count jordan_wigner maps (so diagonalize takes); it must stay
-# <= 31, since its 2n-bit Majorana masks and keys x << n | z are int64
+# largest mode count that jordan_wigner maps and that sector_block and
+# majorana_one_norm take (so diagonalize takes); it must stay <= 31, since
+# the 2n-bit Majorana masks and string keys x << n | z are int64
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
@@ -55,6 +64,8 @@ FULL_SPACE_MODE_CAP = 12
 # once by PauliOperator.dense; both bound temporaries, not results
 _JW_BLOCK = 256
 _DENSE_BLOCK = 1 << 14
+# (lower state, preimage, preimage) triples formed at once by sector_block
+_SECTOR_BLOCK = 1 << 16
 
 # the eight index permutations of the real-orbital two-body symmetry group,
 # identity first
@@ -138,23 +149,32 @@ class FermionOperator:
         return mat
 
 
-def _ladder_sum(tensor: np.ndarray, daggers: tuple) -> FermionOperator:
-    """sum tensor[p, q, ...] a_p^d0 a_q^d1 ... over the entries above
-    PRUNE_TOL, filled in one pass in np.nonzero (row-major) order, on
-    shape[0] modes."""
-    n = tensor.shape[0]
+def _ladder_terms(tensor: np.ndarray) -> tuple:
+    """Terms of the ladder sum of a rank-2k tensor, sum t[p1..p2k]
+    a_p1^dag..a_pk^dag a_pk+1..a_p2k, over the entries above PRUNE_TOL in
+    np.nonzero (row-major) order: their (count, 2k, 2) (mode, dagger)
+    factors and complex coefficients."""
     index = np.nonzero(np.abs(tensor) > PRUNE_TOL)
-    if index[0].size and max(int(i.max()) for i in index) >= n:
-        raise InputError(f"mode index out of range [0, {n})")
-    actions = zip(*(zip(i.tolist(), repeat(d))
-                    for i, d in zip(index, daggers)))
-    op = FermionOperator(n)
-    op.terms = dict(zip(actions, map(complex, tensor[index].tolist())))
+    acts = np.empty((index[0].size, tensor.ndim, 2), dtype=np.int64)
+    acts[:, :, 0] = np.stack(index, axis=1)
+    acts[:, :, 1] = np.repeat([1, 0], tensor.ndim // 2)
+    return acts, tensor[index].astype(complex)
+
+
+def _ladder_sum(tensor: np.ndarray) -> FermionOperator:
+    """The ladder sum of _ladder_terms as a FermionOperator on shape[0]
+    modes, its terms in the same order."""
+    acts, coeffs = _ladder_terms(tensor)
+    op = FermionOperator(tensor.shape[0])
+    op.terms = {tuple(map(tuple, a)): c
+                for a, c in zip(acts.tolist(), coeffs.tolist())}
     return op
 
 
-def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
-    """H = sum T[p,q] a_p^dag a_q + sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s."""
+def validate_hamiltonian(T: np.ndarray, V: np.ndarray) -> tuple:
+    """T and V as float arrays, once T is a square matrix symmetric to
+    1e-10 and V an (n, n, n, n) tensor with the eight-fold index symmetry
+    to 1e-10."""
     T = np.asarray(T, dtype=float)
     V = np.asarray(V, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -165,8 +185,14 @@ def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
     if np.max(np.abs(T - T.T), initial=0.0) > 1e-10:
         raise InputError("one-body matrix T is not symmetric to 1e-10")
     validate_two_body_symmetry(V)
-    op = _ladder_sum(T, (1, 0))
-    op.terms.update(_ladder_sum(V, (1, 1, 0, 0)).terms)
+    return T, V
+
+
+def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
+    """H = sum T[p,q] a_p^dag a_q + sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s."""
+    T, V = validate_hamiltonian(T, V)
+    op = _ladder_sum(T)
+    op.terms.update(_ladder_sum(V).terms)
     return op
 
 
@@ -181,14 +207,92 @@ def validate_two_body_symmetry(V: np.ndarray):
             )
 
 
-def build_dipole(d_axis: np.ndarray) -> FermionOperator:
-    """One-body operator sum d[p,q] a_p^dag a_q for one Cartesian axis."""
+def validate_dipole(d_axis: np.ndarray) -> np.ndarray:
+    """One dipole axis as a float array, once it is a square matrix
+    symmetric to 1e-10."""
     d = np.asarray(d_axis, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError("dipole matrix must be square")
     if np.max(np.abs(d - d.T), initial=0.0) > 1e-10:
         raise InputError("dipole matrix is not symmetric to 1e-10")
-    return _ladder_sum(d, (1, 0))
+    return d
+
+
+def build_dipole(d_axis: np.ndarray) -> FermionOperator:
+    """One-body operator sum d[p,q] a_p^dag a_q for one Cartesian axis."""
+    return _ladder_sum(validate_dipole(d_axis))
+
+
+def _check_mode_cap(n: int):
+    if n > DEFAULT_MODE_CAP:
+        raise ResourceError(
+            f"{n} modes exceeds the qubit cap of {DEFAULT_MODE_CAP}")
+
+
+def _ladder_tensor(tensor) -> np.ndarray:
+    """A rank-2 or rank-4 tensor with equal axes as a float array, on at
+    most DEFAULT_MODE_CAP modes."""
+    t = np.asarray(tensor, dtype=float)
+    if t.ndim not in (2, 4) or len(set(t.shape)) != 1:
+        raise InputError(
+            f"tensor shape {t.shape} is not (n, n) or (n, n, n, n)")
+    _check_mode_cap(t.shape[0])
+    return t
+
+
+def sector_block(tensor, n_electrons: int) -> np.ndarray:
+    """Real block of a tensor's ladder sum (T or a dipole axis: sum
+    t[q,r] a_q^dag a_r; V: sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s) on the
+    n_electrons sector, rows and columns in ascending basis-state order.
+
+    With k = 1 for a matrix and 2 for V, the sum is
+    sum W[(q..), (r..)] (a_q1..a_qk)^dag (a_r1..a_rk) over ascending mode
+    tuples, W being the matrix itself, or the pair block of V
+    antisymmetrized over both pairs.  Each state s of the
+    (n_electrons - k)-electron sector has as preimages the states j = s
+    plus k empty modes r1 < .. < rk, and a_r1..a_rk |j> = sign |s>; so
+    entry (i, j) sums sign_i sign_j W[(q..), (r..)] over the s that i and
+    j share.  One np.bincount adds the (s, i, j) triples in that order; the
+    triples are formed _SECTOR_BLOCK at a time.  Entries at or below
+    PRUNE_TOL drop first, so the block is that of build_hamiltonian's or
+    build_dipole's operator.
+    """
+    t = _ladder_tensor(tensor)
+    n, k = t.shape[0], t.ndim // 2
+    if not 0 <= n_electrons <= n:
+        raise InputError(f"electron count {n_electrons} outside [0, {n}]")
+    t = np.where(np.abs(t) > PRUNE_TOL, t, 0.0)  # as the ladder sums drop
+    if k == 2:
+        t = (t.transpose(1, 0, 2, 3) - t - t.transpose(1, 0, 3, 2)
+             + t.transpose(0, 1, 3, 2))
+    W = t.reshape(n ** k, n ** k)
+    states = np.arange(1 << n, dtype=np.int64)
+    count = np.bitwise_count(states)
+    in_sector = count == n_electrons
+    m = int(np.count_nonzero(in_sector))
+    row = np.cumsum(in_sector) - 1
+    lower = states[count == n_electrons - k]
+    # occupations by mode, occupied modes before each, empty modes ascending
+    occ = (lower[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    before = np.cumsum(occ, axis=1) - occ
+    empty = np.nonzero(occ == 0)[1].reshape(lower.size, n - n_electrons + k)
+    picks = np.array(list(combinations(range(empty.shape[1]), k)))
+    modes = empty[:, picks]  # (lower, preimage, k)
+    parity = before[np.arange(lower.size)[:, None, None], modes].sum(axis=2)
+    sign = 1.0 - 2.0 * ((parity + k * (k - 1) // 2) & 1)
+    pre = row[lower[:, None] | np.sum(1 << (n - 1 - modes), axis=2)]
+    tup = modes @ n ** np.arange(k - 1, -1, -1)
+    size = picks.shape[0]
+    flat = np.empty((lower.size, size, size), dtype=np.int64)
+    weight = np.empty(flat.shape)
+    step = max(1, _SECTOR_BLOCK // size ** 2)
+    for a in range(0, lower.size, step):
+        b = a + step
+        np.add(pre[a:b, :, None] * m, pre[a:b, None, :], out=flat[a:b])
+        np.multiply(W[tup[a:b, :, None], tup[a:b, None, :]],
+                    sign[a:b, :, None] * sign[a:b, None, :], out=weight[a:b])
+    return np.bincount(flat.ravel(), weight.ravel(),
+                       minlength=m * m).reshape(m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +390,13 @@ def _monomials(acts: np.ndarray) -> tuple:
     """
     j = acts.shape[1]
     t = (np.arange(1 << j)[:, None] >> np.arange(j - 1, -1, -1)) & 1
-    mask = np.zeros((len(acts), 1 << j), dtype=np.int64)
-    exp, inversions = np.zeros_like(mask), np.zeros_like(mask)
+    index = 2 * acts[:, None, :, 0] + t
+    mask = np.zeros(index.shape[:2], dtype=np.int64)
+    inversions = np.zeros_like(mask)
     for f in range(j):
-        index = 2 * acts[:, f, 0, None] + t[:, f]
-        exp += t[:, f] * (1 + 2 * acts[:, f, 1, None])
-        inversions += np.bitwise_count(mask >> (index + 1))
-        mask ^= 1 << index
-    return mask, exp + 2 * inversions
+        inversions += np.bitwise_count(mask >> (index[..., f] + 1))
+        mask ^= 1 << index[..., f]
+    return mask, (1 + 2 * acts[:, :, 1]) @ t.T + 2 * inversions
 
 
 def _strings(masks: np.ndarray, n: int) -> tuple:
@@ -341,41 +444,58 @@ def _words(keys: np.ndarray, n: int) -> list:
     return [text[i * n:(i + 1) * n] for i in range(len(keys))]
 
 
+def _majorana_sums(runs) -> tuple:
+    """Distinct Majorana masks, in order of first contribution, and each
+    mask's sum before its string's own phase.
+
+    ``runs`` yields (acts, coeffs): B terms of one length j as (B, j, 2)
+    (mode, dagger) factors, and their complex coefficients.  Blocks of
+    _JW_BLOCK terms expand into 2^j products each (_monomials), each mask
+    takes the slot of its first contribution (_slots), and every
+    contribution, c / 2^j times a power of i, is added into its slot's sum
+    from 0j in term order and, within a term, in slot order.  The string's
+    phase i^k is one quarter turn of the whole sum, so it is exact to apply
+    it afterwards, and a one-norm never needs it.
+    """
+    known = slot_of = masks = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=complex)
+    for acts, coeffs in runs:
+        scaled = coeffs[:, None] * 0.5 ** acts.shape[1]
+        for b in range(0, len(acts), _JW_BLOCK):
+            mask, exp = _monomials(acts[b:b + _JW_BLOCK])
+            slot, known, slot_of, fresh = _slots(known, slot_of, mask.ravel())
+            masks = np.concatenate((masks, fresh))
+            sums = np.concatenate((sums, np.zeros(fresh.size, dtype=complex)))
+            np.add.at(sums, slot, (scaled[b:b + _JW_BLOCK]
+                                   * _I_POW_ARRAY[exp & 3]).ravel())
+    return masks, sums
+
+
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
     """Pauli-sum image of a FermionOperator, through its Majorana products.
 
-    Runs of equal-length terms go _JW_BLOCK terms at a time: each term of
-    length j gives 2^j products (_monomials), each product's mask takes the
-    slot of its first contribution (_slots), and a new mask's string and
-    phase are worked out once (_strings).  Every contribution, c / 2^j times
-    a power of i, is added into its slot's sum from 0j in term order and,
-    within a term, in slot order.  Sums at or below PRUNE_TOL drop once, at
-    the end.  Operators on more than DEFAULT_MODE_CAP modes are refused.
+    Runs of equal-length terms are summed mask by mask (_majorana_sums);
+    each mask's string and phase are worked out once (_strings), the phase
+    turns the mask's sum, and sums at or below PRUNE_TOL drop once, at the
+    end.  Operators on more than DEFAULT_MODE_CAP modes are refused.
     """
     n = op.n_modes
-    if n > DEFAULT_MODE_CAP:
-        raise ResourceError(
-            f"{n} modes exceeds the qubit cap of {DEFAULT_MODE_CAP}")
+    _check_mode_cap(n)
     actions = list(op.terms)
     coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(actions))
     ladders = np.fromiter(chain.from_iterable(chain.from_iterable(actions)),
                           dtype=np.int64).reshape(-1, 2)
-    known = slot_of = strings = phases = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0, dtype=complex)
+    runs = []
     for j, run in groupby(map(len, actions)):
         count = len(list(run))
-        acts = ladders[:count * j].reshape(count, j, 2)
-        scaled = coeffs[:count, None] * 0.5 ** j
+        runs.append((ladders[:count * j].reshape(count, j, 2),
+                     coeffs[:count]))
         ladders, coeffs = ladders[count * j:], coeffs[count:]
-        for b in range(0, count, _JW_BLOCK):
-            mask, exp = _monomials(acts[b:b + _JW_BLOCK])
-            slot, known, slot_of, fresh = _slots(known, slot_of, mask.ravel())
-            new, k = _strings(fresh, n)
-            strings = np.concatenate((strings, new))
-            phases = np.concatenate((phases, k))
-            sums = np.concatenate((sums, np.zeros(new.size, dtype=complex)))
-            np.add.at(sums, slot, (scaled[b:b + _JW_BLOCK] * _I_POW_ARRAY[
-                (exp + phases[slot].reshape(exp.shape)) & 3]).ravel())
+    masks, sums = _majorana_sums(runs)
+    strings, phases = _strings(masks, n)
+    # a quarter turn is exact but can leave -0.0 where the sum of turned
+    # contributions from 0j has +0.0; adding 0 clears it
+    sums = sums * _I_POW_ARRAY[phases & 3] + 0
     keep = np.hypot(sums.real, sums.imag) > PRUNE_TOL
     return PauliOperator(n, dict(zip(_words(strings[keep], n),
                                      sums[keep].tolist())))
@@ -384,6 +504,23 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
 def lcu_one_norm(op: PauliOperator) -> float:
     """Sum of |coefficients| -- the LCU subnormalization of the operator."""
     return float(sum(abs(c) for c in op.terms.values()))
+
+
+def majorana_one_norm(*tensors) -> float:
+    """LCU one-norm of the Jordan-Wigner image of the tensors' ladder sums
+    taken in turn (T then V for the Hamiltonian), from the Majorana masks
+    alone: lcu_one_norm(jordan_wigner(op)) bit for bit, with op the sum as
+    build_hamiltonian or build_dipole builds it.  The sums are the ones
+    jordan_wigner turns by each string's phase, which leaves every
+    magnitude as it is; the same PRUNE_TOL prune drops the small ones, and
+    a builtin sum adds the magnitudes in slot order, the order of the
+    image's terms."""
+    ts = [_ladder_tensor(t) for t in tensors]
+    if len({t.shape[0] for t in ts}) > 1:
+        raise InputError("tensors act on different mode counts")
+    _, sums = _majorana_sums(map(_ladder_terms, ts))
+    mags = np.hypot(sums.real, sums.imag)
+    return float(sum(mags[mags > PRUNE_TOL].tolist()))
 
 
 def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:

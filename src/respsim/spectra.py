@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .models import ModelSpec
-from .operators import (DEFAULT_MODE_CAP, build_dipole, build_hamiltonian,
-                        jordan_wigner, lcu_one_norm)
+from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
+                        validate_dipole, validate_hamiltonian)
 
 DEGENERACY_TOL = 1e-10
 
@@ -64,7 +64,9 @@ class SpectralData:
     sector, not by 2^N.  transition_dipoles[i] is the axis-i dipole in the
     eigenbasis.  alpha and betas[i] are the LCU one-norms of the
     Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
-    dipole): the block-encoding subnormalizations.  alpha_shift =
+    dipole): the block-encoding subnormalizations, summed from Majorana
+    products without forming a Pauli string.  The blocks behind the
+    eigensystem and the dipoles come straight from the integral tensors.  alpha_shift =
     alpha + |lowest electronic eigenvalue| bounds every excitation energy,
     since the electronic spectrum lies in [-alpha, alpha]; the measurement
     layer sizes its filter rescales and search span with it.  The nuclear
@@ -103,34 +105,31 @@ class SusceptibilityResult:
     axes: tuple
 
 
-def _qubit_image(op, states: np.ndarray):
-    """Real block on ``states`` and LCU one-norm of the Jordan-Wigner
-    image; the block is a copy, so its complex original is freed before the
-    eigensolver runs."""
-    pauli = jordan_wigner(op)
-    return pauli.dense(states=states).real.copy(), lcu_one_norm(pauli)
-
-
 def diagonalize(model: ModelSpec) -> SpectralData:
     """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles
-    and the one-norms of their qubit images.
+    and the LCU one-norms of their Jordan-Wigner images.
 
-    Only the particle-number sector's block of each qubit image is built.
-    Models above DEFAULT_MODE_CAP modes raise ResourceError before anything
-    is built; a zero Hamiltonian (alpha = 0) raises InputError before the
-    spectrum is examined.
+    Only the particle-number sector's block of each operator is built,
+    straight from the integral tensors (sector_block), and the one-norms are
+    summed from Majorana products (majorana_one_norm); no Pauli string is
+    formed.  Models above DEFAULT_MODE_CAP modes raise ResourceError before
+    anything is built; a zero Hamiltonian (alpha = 0) raises InputError
+    before the spectrum is examined.
     """
-    n = model.n_orbitals
+    n, eta = model.n_orbitals, model.n_electrons
     if n > DEFAULT_MODE_CAP:
         raise ResourceError(
             f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
     states = np.arange(1 << n, dtype=np.int64)
-    keep = np.flatnonzero(np.bitwise_count(states) == model.n_electrons)
+    keep = np.flatnonzero(np.bitwise_count(states) == eta)
     if keep.size == 0:
-        raise InputError(f"no Fock states with {model.n_electrons} electrons")
-    H, alpha = _qubit_image(build_hamiltonian(model.T, model.V), keep)
+        raise InputError(f"no Fock states with {eta} electrons")
+    T, V = validate_hamiltonian(model.T, model.V)
+    alpha = majorana_one_norm(T, V)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
+    H = sector_block(T, eta)
+    H += sector_block(V, eta)
     evals, evecs = np.linalg.eigh(H)
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL
@@ -141,9 +140,9 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     dips = np.empty((3, len(keep), len(keep)))
     betas = []
     for ax in range(3):
-        D, beta = _qubit_image(build_dipole(model.dipole[ax]), keep)
-        betas.append(beta)
-        dips[ax] = evecs.T @ D @ evecs
+        d = validate_dipole(model.dipole[ax])
+        betas.append(majorana_one_norm(d))
+        dips[ax] = evecs.T @ sector_block(d, eta) @ evecs
     return SpectralData(
         eigenvalues=evals - evals[0],
         eigenvectors=evecs,

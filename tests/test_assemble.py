@@ -213,14 +213,14 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 # bit for bit.  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
 FROZEN_ALPHA3 = {
-    ("yxxy", 0.1): "2237392e67ce75af4ed1152ed93cd55a"
-                   "692776de87bf46edef1f89633d3bef79",
-    ("yxxy", 0.4): "b1f51116eeb6317204ca934a48bfef88"
-                   "ff1251ad6b976649a540de3f73b36579",
-    ("xyzx", 0.1): "253f2d73eec2b7d6b128467461abfed1"
-                   "04465663d3c6020a8ce4d7022fc9e043",
-    ("xyzx", 0.4): "71808a0c1e0e6ebf17bda51617335552"
-                   "c19e3b787d4d6add6f84b5ae05268305",
+    ("yxxy", 0.1): "409d7a9eb0f69d472ff80768ccf6b2cf"
+                   "e7110c5048738871e58814f4ea9e22d2",
+    ("yxxy", 0.4): "49acfcef61a67737fdf668e630e98ebf"
+                   "ec724cf5878ce6d8dec348996854d679",
+    ("xyzx", 0.1): "a883df4f3cc1d5c99b91256ba13506fd"
+                   "ef1cfbb5a23abc533425e5d412a1e07a",
+    ("xyzx", 0.4): "08f2ef98408f7c097969b6202d68a49c"
+                   "371fd2daeeb1ef1df3e95d2b3bf051e3",
 }
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_box_value
+from test_spectra import FROZEN_SPECTRA
 from respsim import (
     ChebyshevFilter,
     InputError,
@@ -586,10 +588,35 @@ def test_fresh_spectrum_gives_identical_estimate(dimer, dimer_sd):
     assert fresh.filter_values
 
 
+def _zero_y_dipole():
+    model = make_random_model(3, 2, 4)
+    dipole = model.dipole.copy()
+    dipole[1] = 0.0
+    return dataclasses.replace(model, dipole=dipole)
+
+
+# beside the two fixtures: the frozen-spectrum models, the fillings 0, 1
+# and N, and a model whose y dipole is all zero
+ONE_NORM_MODELS = {
+    **{"random-n{}-ne{}-s{}".format(*args): functools.partial(
+        make_random_model, *args) for args in sorted(FROZEN_SPECTRA)},
+    "filling-0": functools.partial(make_random_model, 3, 0, 2),
+    "filling-1": functools.partial(make_random_model, 3, 1, 2),
+    "filling-N": functools.partial(make_random_model, 3, 6, 2),
+    "zero-y-dipole": _zero_y_dipole,
+}
+
+
 @pytest.mark.parametrize("names", [("dimer", "dimer_sd"),
-                                   ("random_model", "random_sd")])
+                                   ("random_model", "random_sd")]
+                         + [(name, None) for name in ONE_NORM_MODELS])
+@pytest.mark.filterwarnings("ignore:ground state degenerate")  # filling 1
 def test_spectrum_carries_lcu_one_norms(request, names):
-    model, sd = (request.getfixturevalue(n) for n in names)
+    if names[1] is None:
+        model = ONE_NORM_MODELS[names[0]]()
+        sd = diagonalize(model)
+    else:
+        model, sd = (request.getfixturevalue(n) for n in names)
     assert sd.alpha == lcu_one_norm(
         jordan_wigner(build_hamiltonian(model.T, model.V)))
     assert sd.betas == tuple(
@@ -600,6 +627,8 @@ def test_spectrum_carries_lcu_one_norms(request, names):
         # only the x dipole is set: y and z encode with unit subnorm
         assert sd.betas[1:] == (0.0, 0.0)
         assert estimate_mod._zeta(sd, (1, 0, 2)) == sd.betas[0]
+    if names[0] == "zero-y-dipole":
+        assert sd.betas[1] == 0.0 and sd.betas[2] > 0
 
 
 @pytest.mark.parametrize("names", [("dimer", "dimer_sd"),

@@ -20,11 +20,14 @@ from respsim import (
     eta_dipole_norm,
     jordan_wigner,
     lcu_one_norm,
+    majorana_one_norm,
     make_hubbard_dimer,
     make_random_model,
+    sector_block,
     validate_two_body_symmetry,
 )
-from respsim.operators import DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP
+from respsim.operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP,
+                               TWO_BODY_IMAGES)
 
 
 def random_fermion_op(rng, n_modes, n_terms=5, max_len=4):
@@ -120,6 +123,85 @@ def test_build_dipole_is_hermitian_one_body(dimer):
     op = build_dipole(dimer.dipole[0])
     D = op.dense()
     assert np.allclose(D, D.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# sector blocks and one-norms straight from the tensors
+# ---------------------------------------------------------------------------
+
+VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def integrals(draw):
+    """(T, V, d) on 0..8 modes, a few entries each: T and d symmetric, V
+    with the eight-fold index symmetry (each entry set on all its
+    images)."""
+    n = draw(st.integers(0, 8))
+    index = st.integers(0, max(n - 1, 0))
+    entries = st.lists(st.tuples(*[index] * 4, VALUES),
+                       max_size=6 if n else 0)
+    T, d, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n,) * 4)
+    for one in (T, d):
+        for p, q, _, _, v in draw(entries):
+            one[p, q] = one[q, p] = v
+    for *idx, v in draw(entries):
+        for perm in TWO_BODY_IMAGES:
+            V[tuple(idx[a] for a in perm)] = v
+    return T, V, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=integrals())
+def test_sector_block_is_the_fermion_matrix_restricted(case):
+    T, V, d = case
+    n = T.shape[0]
+    H, D = build_hamiltonian(T, V).dense(), build_dipole(d).dense()
+    count = np.array([bin(b).count("1") for b in range(2 ** n)])
+    for eta in range(n + 1):
+        keep = np.flatnonzero(count == eta)
+        block = sector_block(T, eta) + sector_block(V, eta)
+        assert np.max(np.abs(block - H[np.ix_(keep, keep)]), initial=0.0) \
+            <= 1e-13 * np.max(np.abs(H), initial=0.0)
+        assert np.max(np.abs(sector_block(d, eta) - D[np.ix_(keep, keep)]),
+                      initial=0.0) <= 1e-13 * np.max(np.abs(D), initial=0.0)
+        if eta < 2:  # no pair to remove
+            assert not sector_block(V, eta).any()
+    # the one-norms are the Pauli ones, bit for bit
+    assert majorana_one_norm(T, V) == lcu_one_norm(
+        jordan_wigner(build_hamiltonian(T, V)))
+    assert majorana_one_norm(d) == lcu_one_norm(jordan_wigner(build_dipole(d)))
+
+
+def test_sector_block_above_the_full_space_cap_is_the_pauli_block():
+    # 14 modes: the full matrix is refused, the Pauli sector block is not
+    model = make_random_model(7, 4, 7)
+    assert model.n_orbitals > FULL_SPACE_MODE_CAP
+    keep = [b for b in range(2 ** model.n_orbitals)
+            if bin(b).count("1") == model.n_electrons]
+    ops = [((model.T, model.V), build_hamiltonian(model.T, model.V))]
+    ops += [((d,), build_dipole(d)) for d in model.dipole]
+    for tensors, op in ops:
+        want = jordan_wigner(op).dense(states=keep)
+        got = sum(sector_block(t, model.n_electrons) for t in tensors)
+        assert got.shape == (len(keep), len(keep))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sector_block_and_one_norm_validation():
+    with pytest.raises(InputError):
+        sector_block(np.zeros((2, 3)), 1)
+    with pytest.raises(InputError):
+        sector_block(np.zeros((2, 2, 2)), 1)
+    for eta in (-1, 3):
+        with pytest.raises(InputError):
+            sector_block(np.zeros((2, 2)), eta)
+    with pytest.raises(InputError):
+        majorana_one_norm(np.zeros((2, 2)), np.zeros((3, 3, 3, 3)))
+    n = DEFAULT_MODE_CAP + 1
+    for fn in (lambda t: sector_block(t, 1), majorana_one_norm):
+        with pytest.raises(ResourceError, match="cap"):
+            fn(np.zeros((n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from respsim import (
     nested_window_amplitude,
     r_pathway_fd,
 )
+from respsim import operators, spectra
 from respsim.operators import DEFAULT_MODE_CAP
 
 SQRT5 = np.sqrt(5.0)
@@ -81,36 +82,68 @@ def test_eigenvectors_live_on_the_sector_basis(random_model, random_sd):
                        atol=1e-10)
 
 
-# alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes,
-# recorded with the Jordan-Wigner map that sums each operator's Majorana
-# products mask by mask: its order of additions fixes the Pauli coefficient
-# bits.  The one-norms are plain float sums; the hashes also depend on the
-# LAPACK build (these come from numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
-# and on the BLAS thread count: np.linalg.eigh and evecs.T @ D @ evecs
-# change bits with it, and at one thread (5, 4, 0) and (7, 4, 7) hash
-# differently.  They were recorded with two threads, so a child process
-# pinned to two recomputes them.
+def test_diagonalize_builds_no_ladder_or_pauli_operator(monkeypatch, dimer,
+                                                       random_model):
+    # the sector blocks and one-norms come from the tensors; the
+    # Jordan-Wigner map and both operator classes stay off the path
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagonalize left the tensor path")
+
+    want = [diagonalize(m) for m in (dimer, random_model)]
+    monkeypatch.setattr(operators, "jordan_wigner", refuse)
+    monkeypatch.setattr(spectra, "jordan_wigner", refuse, raising=False)
+    monkeypatch.setattr(operators.PauliOperator, "dense", refuse)
+    monkeypatch.setattr(operators.FermionOperator, "__init__", refuse)
+    for m, sd in zip((dimer, random_model), want):
+        got = diagonalize(m)
+        assert got.alpha == sd.alpha and got.betas == sd.betas
+        assert np.array_equal(got.eigenvalues, sd.eigenvalues)
+
+
+def test_diagonalize_heap_peak():
+    # 2.38 MiB at two BLAS threads; the Jordan-Wigner path peaked at 3.52
+    model = make_random_model(5, 4, 0)
+    tracemalloc.start()
+    try:
+        diagonalize(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
+
+
+# alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes.
+# The one-norms are plain float sums of the Majorana-product sums, whose
+# order of additions is the Jordan-Wigner map's, so they carry the Pauli
+# one-norms' bits.  The spectra come from the sector blocks that
+# sector_block builds from the tensors: one np.bincount adds each entry's
+# (lower state, preimage, preimage) triples in order.  The hashes also
+# depend on the LAPACK build (these come from numpy 2.4 with OpenBLAS
+# 0.3.31 on x86-64) and on the BLAS thread count: np.linalg.eigh and
+# evecs.T @ D @ evecs change bits with it, and at one thread (5, 4, 0) and
+# (7, 4, 7) hash differently.  They were recorded with two threads, so a
+# child process pinned to two recomputes them.
 FROZEN_SPECTRA = {
     (3, 2, 4): ("0x1.cf2f188c30f9cp+3",
                 ("0x1.b8aa1b4740af1p+2", "0x1.1b90c6d530605p+2",
                  "0x1.6cc40b2a6c752p+2"),
-                "4f873f5e7b3ea492eb58d49302332ddc24cd6592a64bdb8129e6dffcf69bb7e6",
-                "f45968c74116d109e7ddbb192db1914c2ee4e08cfe002c9ad792f1e5637f58e4"),
+                "812119702507e1ef542ceab0fb555893de34c3fb6a2367b7297c133094d46a25",
+                "7735bb8edb3d819557852f8d6cd6682eb7d3c4b6a848c235cc7af260409b9923"),
     (4, 4, 1): ("0x1.15ec581af04e2p+4",
                 ("0x1.0a4f3a9366b40p+4", "0x1.1f6314199bf49p+3",
                  "0x1.6fef05a77b499p+3"),
-                "6a5e4d3872793dcc01dbc46ab91d704716761b0a1271ab6996d65f933bd13e34",
-                "b3a18bc100528c116d91706ab5fa5ed8784ff38d1c3b067d8be8abab16f1b475"),
+                "b1856898c509c8fb690d9feb361f61ab3c5e0fcf159d654b4626c7e086bbcf12",
+                "be94cde8cfbaeeeb97f8eff6b07b399be0b7c4f45e0d1b7a7b232c1b6ad2ca43"),
     (5, 4, 0): ("0x1.f99a75bf834edp+4",
                 ("0x1.bd1068674945fp+3", "0x1.137e2ec1d1994p+4",
                  "0x1.272ba083d1589p+4"),
-                "c6242335e58b0aaa8e15e550f211c93030b93fc043fad9743c01ae230737960a",
-                "30c2264cc5593784962af1ef92756a1f6f69028a3271c3eb362554f6cb48e085"),
+                "a1040c1d01e1dfad6a2d2c829a9c1a59526472d9764399dbe42e60b26261a43e",
+                "ff2308571f498d1f1f29c850562272e78700fb66502823417e44422d7a973db2"),
     (7, 4, 7): ("0x1.1b5beaca06d50p+6",
                 ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218f9p+5",
                  "0x1.055acaa546a99p+5"),
-                "221e85ffa4cf380af1630f89c44ae90dd9b033008cc45551a948dac2a3a2a8ca",
-                "66d55902156fcfc3b0950d22d43fb7844c149f1d54b8774537e4e3012c7f4259"),
+                "3a085c4e7e65d2dcb59bbbbf015510a67c5699f1a46fb74c404e4fb4dd9051ac",
+                "3af34e645f543a2ef2e47884c9fe0e579e66f848baefa4bd169b8ec0660493d2"),
 }
 
 
