@@ -66,10 +66,11 @@ class SpectralData:
     Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
     dipole): the block-encoding subnormalizations, summed from Majorana
     products without forming a Pauli string.  The blocks behind the
-    eigensystem and the dipoles come straight from the integral tensors.  alpha_shift =
-    alpha + |lowest electronic eigenvalue| bounds every excitation energy,
-    since the electronic spectrum lies in [-alpha, alpha]; the measurement
-    layer sizes its filter rescales and search span with it.  The nuclear
+    eigensystem and the dipoles come straight from the integral tensors.
+    alpha_shift = alpha + |lowest electronic eigenvalue| bounds every
+    excitation energy, since the electronic spectrum lies in
+    [-alpha, alpha]; the measurement layer sizes its filter rescales and
+    search span with it.  The nuclear
     shift moves no excitation energy and does not enter it.  The
     measurement layer fills two caches, freed with the spectrum: filters
     maps a filter shape (half-width and margin over the rescale, and eps)

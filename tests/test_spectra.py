@@ -21,9 +21,10 @@ from respsim import (
     make_hubbard_dimer,
     make_random_model,
     nested_window_amplitude,
+    operators,
     r_pathway_fd,
+    spectra,
 )
-from respsim import operators, spectra
 from respsim.operators import DEFAULT_MODE_CAP
 
 SQRT5 = np.sqrt(5.0)
