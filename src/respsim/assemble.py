@@ -9,8 +9,8 @@ a first-order entry is the depth-1 chain (axis_out, axis_in) over one pair.
 For the third-order pathway the ground state can appear as an intermediate
 index, so the full binned expression mixes depth-3 boxes with ground-pinned
 terms built from depth-2 and depth-1 amplitudes and the (classically known)
-ground-state dipole moments; assembly rejects table sets missing a needed
-depth.
+ground-state dipole moments, listed once in `_ALPHA3_TERMS`; assembly
+rejects table sets missing a term's entries if its moments are nonzero.
 
 cost_report / qpe_baseline_report emit the scaling formulas with unit
 prefactors: they are order-of-growth statements for comparing regimes,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -60,10 +61,11 @@ def _overlap_length(w1, w2):
 class ResponseTable:
     """Windowed amplitude estimates for one response order.
 
-    An entry (a WindowEstimate or a dict) has "axes", a "window" of `order`
-    finite (lo, hi) pairs with lo < hi and a finite "value"; the rest is its
-    "meta".  Entries with identical axes must cover disjoint windows (boxes
-    may overlap in some axes but not all), up to `margin`, mirroring the
+    An entry (a WindowEstimate or a dict) has `order` + 1 "axes", integers
+    in {0, 1, 2} that are not bools, a "window" of `order` finite (lo, hi)
+    pairs with lo < hi and a finite real "value"; the rest is its "meta".
+    Entries with identical axes must cover disjoint windows (boxes may
+    overlap in some axes but not all), up to `margin`, mirroring the
     smoothing margins of the filters that produced them.
     """
 
@@ -91,17 +93,26 @@ class ResponseTable:
 
     def _normalize(self, est) -> dict:
         meta = est.as_dict() if hasattr(est, "as_dict") else dict(est)
-        axes = tuple(int(a) for a in meta.pop("axes"))
+        missing = [k for k in ("axes", "window", "value") if k not in meta]
+        if missing:
+            raise InputError(f"entry needs {', '.join(missing)}")
+        axes = meta.pop("axes")
+        axes = tuple(axes) if np.iterable(axes) else (axes,)
+        if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
+            raise InputError("axes must be integers in {0, 1, 2}")
+        axes = tuple(int(a) for a in axes)
         try:
             window = _window_key(meta.pop("window"))
         except (TypeError, ValueError):
             raise InputError("window must be a sequence of (lo, hi) "
                              "pairs") from None
-        value = float(meta.pop("value"))
+        value = meta.pop("value")
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise InputError("value must be a finite real number")
+        value = float(value)
         if not all(-math.inf < a < b < math.inf for a, b in window):
             raise InputError(f"window {window} needs finite pairs, lo < hi")
-        if not math.isfinite(value):
-            raise InputError("value must be finite")
         depth = len(window)
         if depth != self.order:
             raise InputError(
@@ -174,48 +185,51 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
 # third order (one double-sided pathway, binned)
 # ---------------------------------------------------------------------------
 
+# The terms of d_c0[0,n] d_c1[n,m] d_c2[m,l] d_c3[l,0], chain (c0, c1, c2,
+# c3) = (i1, i_tr, i3, i2), one per subset of (n, m, l) pinned to the ground
+# state, in summation order: the ground moments in the order they multiply,
+# then the segments as stored (a reversed chain is the same number, not the
+# same bits), both as chain positions.
+_ALPHA3_TERMS = (
+    ((), ((0, 1, 2, 3),)),           # none pinned: the depth-3 boxes
+    ((0,), ((3, 2, 1),)),            # n
+    ((3,), ((0, 1, 2),)),            # l
+    ((), ((1, 0), (3, 2))),          # m
+    ((0, 1), ((3, 2),)),             # n, m
+    ((0, 3), ((2, 1),)),             # n, l
+    ((3, 2), ((1, 0),)),             # m, l
+    ((0, 3, 2, 1), ()),              # n, m, l
+)
+
+
 def assemble_alpha3(tables, omega_triples, gamma: float,
                     ground_dipoles: dict) -> SusceptibilityResult:
     """Binned third-order pathway response at frequency triples.
 
     tables: {3: boxes, 2: depth-2 amplitudes, 1: depth-1 amplitudes}.
-    The depth-3 entries carry the dipole chain (a0, a1, a2, a3); windows
-    run over the bra-side coherence index n (outermost), then m, then l.
-    Box denominators use the line positions c of `_centres` (the window
-    midpoints) at the cumulative driving frequencies W1, W2, W3 = w1,
-    w1+w2, w1+w2+w3:
+    The depth-3 entries carry one dipole chain (a0, a1, a2, a3) (a table
+    mixing chains is rejected); windows run over the bra-side coherence
+    index n (outermost), then m, then l.  Denominators use the line
+    positions c of `_centres` (the window midpoints) at the cumulative
+    driving frequencies W1, W2, W3 = w1, w1+w2, w1+w2+w3:
 
         (c_n - W1 - ig)((c_n - c_l) - W2 - ig)((c_n - c_m) - W3 - ig)
 
-    Terms where an intermediate index is the ground state are added from
-    lower-depth amplitudes with the pinned line position set to zero,
-    multiplied by the ground-state dipole moments `ground_dipoles`
-    ({axis: moment}, 0 for an axis it lacks).
+    Each term of `_ALPHA3_TERMS` adds its ground moments (`ground_dipoles`,
+    {axis: moment}, 0 for an axis it lacks) times each product of its
+    segments' entries, over the denominator with pinned positions at zero;
+    if its moment product is nonzero, every segment needs entries.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
     for depth in (1, 2, 3):
         if depth not in tables or not tables[depth].entries:
             raise InputError(f"missing nesting depth {depth} in tables")
-    boxes = tables[3].entries
-    a0, a1, a2, a3 = boxes[0]["axes"]
-    i1, i_tr, i3, i2 = a0, a1, a2, a3
-    gd = {ax: float(ground_dipoles.get(ax, 0.0)) for ax in (i_tr, i1, i2, i3)}
-
-    t2_lm = tables[2].select((i2, i3, i_tr))     # windows (W_l, W_m)
-    t2_nm = tables[2].select((i1, i_tr, i3))     # windows (W_n, W_m)
-    t1_n = tables[1].select((i_tr, i1))          # window (W_n,)
-    t1_l = tables[1].select((i2, i3))            # window (W_l,)
-    t1_m = tables[1].select((i3, i_tr))          # window (W_m,)
-    if not t1_n or not t1_l:
-        raise InputError("missing depth-1 entries for the ground-connected "
-                         "term (axes through the ground state)")
-    if gd[i1] != 0.0 and not t2_lm:
-        raise InputError("missing depth-2 entries for the pinned bra index")
-    if gd[i2] != 0.0 and not t2_nm:
-        raise InputError("missing depth-2 entries for the pinned ket index")
-    if gd[i1] != 0.0 and gd[i2] != 0.0 and not t1_m:
-        raise InputError("missing depth-1 entries for the doubly pinned term")
+    chain = tables[3].entries[0]["axes"]
+    if len(tables[3].select(chain)) != len(tables[3].entries):
+        raise InputError("third-order assembly needs one dipole chain")
+    i1, i_tr, i3, i2 = chain
+    gd = [float(ground_dipoles.get(ax, 0.0)) for ax in chain]
 
     triples = np.asarray(omega_triples, dtype=float)
     squeeze = triples.ndim == 1
@@ -232,36 +246,24 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
                 * ((cn - cm) - W3 - 1j * gamma))
 
     vals = np.zeros(len(triples), dtype=complex)
-    for e in boxes:
-        cn, cm, cl = _centres(e)
-        vals += e["value"] / den(cn, cm, cl)
-    for e in t2_lm:                                    # n pinned
-        cl, cm = _centres(e)
-        vals += gd[i1] * e["value"] / den(0.0, cm, cl)
-    for e in t2_nm:                                    # l pinned
-        cn, cm = _centres(e)
-        vals += gd[i2] * e["value"] / den(cn, cm, 0.0)
-    for en in t1_n:                                    # m pinned (no moment)
-        (cn,) = _centres(en)
-        for el in t1_l:
-            (cl,) = _centres(el)
-            vals += en["value"] * el["value"] / den(cn, 0.0, cl)
-    for e in t1_l:                                     # n and m pinned
-        (cl,) = _centres(e)
-        vals += gd[i1] * gd[i_tr] * e["value"] / den(0.0, 0.0, cl)
-    for e in t1_m:                                     # n and l pinned
-        (cm,) = _centres(e)
-        vals += gd[i1] * gd[i2] * e["value"] / den(0.0, cm, 0.0)
-    for e in t1_n:                                     # m and l pinned
-        (cn,) = _centres(e)
-        vals += gd[i2] * gd[i3] * e["value"] / den(cn, 0.0, 0.0)
-    vals += (gd[i1] * gd[i2] * gd[i3] * gd[i_tr]
-             / den(0.0, 0.0, 0.0))                     # fully pinned
+    for moments, segments in _ALPHA3_TERMS:
+        coef = math.prod(gd[p] for p in moments)
+        picks = []
+        for seg in (tuple(chain[p] for p in s) for s in segments):
+            picks.append(tables[len(seg) - 1].select(seg))
+            if coef != 0.0 and not picks[-1]:
+                raise InputError(f"missing {_search_name(seg)} entries for "
+                                 "a term with nonzero ground moments")
+        for entries in itertools.product(*picks):
+            centres = [0.0, 0.0, 0.0]        # n, m, l; pinned ones stay 0.0
+            for s, e in zip(segments, entries):
+                for a, b, c in zip(s, s[1:], _centres(e)):
+                    centres[min(a, b)] = c      # the index between a and b
+            vals += (math.prod((e["value"] for e in entries), start=coef)
+                     / den(*centres))
 
     if squeeze:
-        return SusceptibilityResult(order=3, frequencies=triples[0],
-                                    values=vals[0], gamma=gamma,
-                                    axes=(i_tr, i3, i2, i1))
+        triples, vals = triples[0], vals[0]
     return SusceptibilityResult(order=3, frequencies=triples, values=vals,
                                 gamma=gamma, axes=(i_tr, i3, i2, i1))
 
@@ -506,7 +508,7 @@ def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
 
 
 def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
-    i_tr, i3, i2, i1 = axes
+    chain = (axes[3],) + axes[:3]                      # (i1, i_tr, i3, i2)
     width = gamma
     # Nested amplitudes spread over BRANCHING**3 cells per box, so the
     # per-bin elevation is far smaller than in the 1-D search; a tighter
@@ -514,12 +516,13 @@ def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
     # above the noise floor.
     tau = 0.004
     # (trace name, chain, search seed): the box chain, then the distinct
-    # chains of the ground-pinned terms at depths 2 and 1
-    jobs = [("depth3", (i1, i_tr, i3, i2), seed)]
-    for chains, first in ((((i2, i3, i_tr), (i1, i_tr, i3)), seed + 1),
-                          (((i_tr, i1), (i2, i3), (i3, i_tr)), seed + 11)):
-        jobs += [(_search_name(ch), ch, first + k)
-                 for k, ch in enumerate(dict.fromkeys(chains))]
+    # segment chains of _ALPHA3_TERMS at depths 2 and 1, in its order
+    chains = dict.fromkeys(tuple(chain[p] for p in s)
+                           for _, segments in _ALPHA3_TERMS for s in segments)
+    jobs = [("depth3", chain, seed)]
+    for depth, first in ((2, seed + 1), (1, seed + 11)):
+        jobs += [(_search_name(ch), ch, first + k) for k, ch in
+                 enumerate(ch for ch in chains if len(ch) == depth + 1)]
     traces = {name: binary_search_nd(sd, ch, width, tau, seed=s)
               for name, ch, s in jobs}
     tables = {d: ResponseTable(order=d, margin=OVERLAP * width)

@@ -1,6 +1,7 @@
 """Response assembly from binned estimates, cost reports, pipeline."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -84,10 +85,26 @@ def test_table_depth_and_axes_validation():
                    ((1.0, 1.0),), ((1.0, math.inf),), ((math.nan, 2.0),)):
         with pytest.raises(InputError, match="window"):
             t.add({"axes": (0, 0), "window": window, "value": 0.1})
-    for value in (math.nan, math.inf, -math.inf):
+    for value in (math.nan, math.inf, -math.inf, "abc", "0.5", 0.5j, True,
+                  None):
         with pytest.raises(InputError, match="value"):
             t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": value})
+    # axes are integers in {0, 1, 2} that are not bools: a fractional axis
+    # is not truncated, and an out-of-range one is not stored
+    for axes in ((0.7, 1.2), (0.0, 1.0), (True, 0), (0, 7), (-1, 0), 1,
+                 None, ("0", "1")):
+        with pytest.raises(InputError, match="axes"):
+            t.add({"axes": axes, "window": ((1.0, 2.0),), "value": 0.1})
+    for key in ("axes", "window", "value"):
+        entry = {"axes": (0, 0), "window": ((1.0, 2.0),), "value": 0.1}
+        del entry[key]
+        with pytest.raises(InputError, match=key):
+            t.add(entry)
     assert t.entries == []
+    t.add({"axes": [np.int64(2), 1], "window": ((1.0, 2.0),),
+           "value": np.float32(0.25)})
+    assert t.entries[0]["axes"] == (2, 1)
+    assert type(t.entries[0]["value"]) is float
     for order in (0, -1, 1.5, 1.0, True, "1"):
         with pytest.raises(InputError, match="order"):
             ResponseTable(order=order)
@@ -185,18 +202,22 @@ def test_assemble_alpha1_validation():
 # ---------------------------------------------------------------------------
 
 def test_assemble_alpha3_general_axes(random_sd):
-    # exact amplitudes on a fine tiling must reproduce the pathway value;
-    # mixed axes (0,1,2,0) exercise every chain-ordering convention at once
-    axes = (0, 1, 2, 0)
-    tabs, gd = oracle_tables(random_sd, axes, width=0.004)
+    # exact amplitudes on a fine tiling must reproduce the pathway value at
+    # every one of the 81 axis patterns, so each segment orientation of
+    # _ALPHA3_TERMS is checked against its own chain
     triples = [(0.9, 0.2, 0.3), (1.4, 0.5, 0.1), (0.4, 0.4, 0.4),
                (2.0, 0.3, 0.2)]
     gamma = 0.2
-    got = assemble_alpha3(tabs, triples, gamma, ground_dipoles=gd).values
-    ref = np.array([
-        r_pathway_fd(random_sd, 1, axes, w1 + w2 + w3, w1 + w2, w1, gamma)
-        for (w1, w2, w3) in triples])
-    assert np.max(np.abs(got - ref)) <= 0.01 * np.max(np.abs(ref))
+    worst = {}
+    for axes in itertools.product(range(3), repeat=4):
+        tabs, gd = oracle_tables(random_sd, axes, width=0.004)
+        got = assemble_alpha3(tabs, triples, gamma, ground_dipoles=gd).values
+        ref = np.array([
+            r_pathway_fd(random_sd, 1, axes, w1 + w2 + w3, w1 + w2, w1, gamma)
+            for (w1, w2, w3) in triples])
+        worst[axes] = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    assert len(worst) == 81
+    assert {a: e for a, e in worst.items() if not e <= 0.01} == {}
 
 
 def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
@@ -268,6 +289,53 @@ def test_every_line_position_comes_from_centres(monkeypatch):
     assert np.allclose(got3, ref3, rtol=1e-12, atol=0.0)
     # the shift is large enough to show
     assert not np.allclose(got3, base3, rtol=1e-3)
+
+
+def _without(table, chain):
+    """A copy of `table` without the entries of `chain`."""
+    return ResponseTable(order=table.order, entries=[
+        e for e in table.entries if e["axes"] != chain])
+
+
+def test_assemble_alpha3_refuses_a_depth3_table_of_two_chains():
+    # the ground-pinned terms follow the first box's chain, so a box of
+    # another chain would be summed against the wrong terms
+    sd = diagonalize(make_random_model(2, 2, 0))
+    tabs, gd = oracle_tables(sd, (1, 0, 0, 1), 0.1)
+    triples = [(0.9, 0.2, 0.3)]
+    assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd)
+    tabs[3].add({"axes": (2, 2, 2, 2), "window": ((0.0, 0.1),) * 3,
+                 "value": 0.5})
+    with pytest.raises(InputError, match="one dipole chain"):
+        assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd)
+
+
+def test_assemble_alpha3_needs_the_chains_of_nonzero_moment_terms():
+    # on make_random_model(2, 2, 0) every ground dipole is nonzero, so
+    # every ground-pinned term needs its segments; xyzx makes the five
+    # lower-depth chains distinct
+    sd = diagonalize(make_random_model(2, 2, 0))
+    i_tr, i3, i2, i1 = axes = (0, 1, 2, 0)
+    tabs, gd = oracle_tables(sd, axes, 0.1)
+    assert all(gd.values())
+    triples = [(0.9, 0.2, 0.3), (1.4, 0.5, 0.1)]
+    chains = {2: [(i2, i3, i_tr), (i1, i_tr, i3)],
+              1: [(i_tr, i1), (i2, i3), (i3, i_tr)]}
+    for depth, needed in chains.items():
+        assert {e["axes"] for e in tabs[depth].entries} == set(needed)
+        for chain in needed:
+            cut = dict(tabs)
+            cut[depth] = _without(tabs[depth], chain)
+            name = "".join("xyz"[a] for a in chain)
+            with pytest.raises(InputError, match=f"missing d{depth}_{name}"):
+                assemble_alpha3(cut, triples, 0.1, ground_dipoles=gd)
+    # with no ground moments the n-pinned chain is not needed, and its
+    # entries add nothing
+    full = assemble_alpha3(tabs, triples, 0.1, ground_dipoles={}).values
+    cut = dict(tabs)
+    cut[2] = _without(tabs[2], (i2, i3, i_tr))
+    got = assemble_alpha3(cut, triples, 0.1, ground_dipoles={}).values
+    assert np.array_equal(got, full)
 
 
 def test_assemble_alpha3_validation(dimer_sd):
