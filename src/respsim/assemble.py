@@ -10,7 +10,8 @@ For the third-order pathway the ground state can appear as an intermediate
 index, so the full binned expression mixes depth-3 boxes with ground-pinned
 terms built from depth-2 and depth-1 amplitudes and the (classically known)
 ground-state dipole moments, listed once in `_ALPHA3_TERMS`; assembly
-rejects table sets missing a term's entries if its moments are nonzero.
+rejects table sets missing a term's entries if its moments are nonzero, and
+entries that no term reads.
 
 cost_report / qpe_baseline_report emit the scaling formulas with unit
 prefactors: they are order-of-growth statements for comparing regimes,
@@ -36,15 +37,30 @@ from .models import AXIS_LETTERS, ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
                       r_pathway_fd)
 
-# most frequency points a run evaluates: alpha1 holds two complex
-# (points x excited states) temporaries, 32 B per pair, so about 450 MB at
-# the cap on the largest accepted sector (3 432 states)
+# most frequency points a run evaluates: alpha1 holds one complex
+# (points x excited states) buffer, 16 B per pair, so about 225 MB at the
+# cap on the largest accepted sector (3 432 states)
 GRID_POINT_CAP = 4096
 
 
 def _is_int(x) -> bool:
     """An integer that is not a bool (bool subclasses int)."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _chain_axes(axes) -> tuple:
+    """A dipole chain's axes as a tuple of integers in {0, 1, 2} that are
+    not bools; anything else raises InputError."""
+    axes = tuple(axes) if np.iterable(axes) else (axes,)
+    if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
+        raise InputError("axes must be integers in {0, 1, 2}")
+    return tuple(int(a) for a in axes)
 
 
 def _window_key(window):
@@ -96,19 +112,14 @@ class ResponseTable:
         missing = [k for k in ("axes", "window", "value") if k not in meta]
         if missing:
             raise InputError(f"entry needs {', '.join(missing)}")
-        axes = meta.pop("axes")
-        axes = tuple(axes) if np.iterable(axes) else (axes,)
-        if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
-            raise InputError("axes must be integers in {0, 1, 2}")
-        axes = tuple(int(a) for a in axes)
+        axes = _chain_axes(meta.pop("axes"))
         try:
             window = _window_key(meta.pop("window"))
         except (TypeError, ValueError):
             raise InputError("window must be a sequence of (lo, hi) "
                              "pairs") from None
         value = meta.pop("value")
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value)):
+        if not _is_finite_real(value):
             raise InputError("value must be a finite real number")
         value = float(value)
         if not all(-math.inf < a < b < math.inf for a, b in window):
@@ -127,7 +138,10 @@ class ResponseTable:
                    for a, b in zip(w1, w2))
 
     def select(self, axes) -> list:
-        axes = tuple(int(a) for a in axes)
+        axes = _chain_axes(axes)
+        if len(axes) != self.order + 1:
+            raise InputError(
+                f"{len(axes)} axes for a table of depth {self.order}")
         return [e for e in self.entries if e["axes"] == axes]
 
     def as_dict(self) -> dict:
@@ -202,6 +216,13 @@ _ALPHA3_TERMS = (
 )
 
 
+def _alpha3_chains(chain) -> dict:
+    """The distinct segment chains of _ALPHA3_TERMS for the box chain, in
+    its order, as dict keys."""
+    return dict.fromkeys(tuple(chain[p] for p in s)
+                         for _, segments in _ALPHA3_TERMS for s in segments)
+
+
 def assemble_alpha3(tables, omega_triples, gamma: float,
                     ground_dipoles: dict) -> SusceptibilityResult:
     """Binned third-order pathway response at frequency triples.
@@ -216,9 +237,11 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         (c_n - W1 - ig)((c_n - c_l) - W2 - ig)((c_n - c_m) - W3 - ig)
 
     Each term of `_ALPHA3_TERMS` adds its ground moments (`ground_dipoles`,
-    {axis: moment}, 0 for an axis it lacks) times each product of its
-    segments' entries, over the denominator with pinned positions at zero;
-    if its moment product is nonzero, every segment needs entries.
+    {axis: moment}, 0 for an axis it lacks; each moment read must be a
+    finite real number) times each product of its segments' entries, over
+    the denominator with pinned positions at zero; if its moment product is
+    nonzero, every segment needs entries.  A depth-1 or depth-2 entry whose
+    chain no term reads is rejected.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError("gamma must be positive and finite")
@@ -228,8 +251,15 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     chain = tables[3].entries[0]["axes"]
     if len(tables[3].select(chain)) != len(tables[3].entries):
         raise InputError("third-order assembly needs one dipole chain")
+    read = _alpha3_chains(chain)
+    for e in tables[1].entries + tables[2].entries:
+        if e["axes"] not in read:
+            raise InputError(f"no term reads {_search_name(e['axes'])} entries")
     i1, i_tr, i3, i2 = chain
-    gd = [float(ground_dipoles.get(ax, 0.0)) for ax in chain]
+    gd = [ground_dipoles.get(ax, 0.0) for ax in chain]
+    if not all(_is_finite_real(m) for m in gd):
+        raise InputError("ground moments must be finite real numbers")
+    gd = [float(m) for m in gd]
 
     triples = np.asarray(omega_triples, dtype=float)
     squeeze = triples.ndim == 1
@@ -517,8 +547,7 @@ def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
     tau = 0.004
     # (trace name, chain, search seed): the box chain, then the distinct
     # segment chains of _ALPHA3_TERMS at depths 2 and 1, in its order
-    chains = dict.fromkeys(tuple(chain[p] for p in s)
-                           for _, segments in _ALPHA3_TERMS for s in segments)
+    chains = _alpha3_chains(chain)
     jobs = [("depth3", chain, seed)]
     for depth, first in ((2, seed + 1), (1, seed + 11)):
         jobs += [(_search_name(ch), ch, first + k) for k, ch in

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .operators import (DEFAULT_MODE_CAP, TWO_BODY_IMAGES,
-                        validate_two_body_symmetry)
+from .operators import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
 
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
 # the Cartesian dipole axes 0, 1, 2 by letter
@@ -127,7 +126,6 @@ def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec
     d = rng.normal(size=(3, n, n))
     d = (d + d.transpose(0, 2, 1)) / 2
     Ts, Vs, ds = spatial_to_spin(T, V, d)
-    validate_two_body_symmetry(Vs)
     return ModelSpec(2 * n, n_electrons, Ts, Vs, ds, 0.0,
                      label=f"random(n={n},seed={seed})")
 
@@ -250,7 +248,6 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
             dip[ax, i - 1, j - 1] = val
             dip[ax, j - 1, i - 1] = val
     T_s, V_s, d_s = spatial_to_spin(T, V, dip)
-    validate_two_body_symmetry(V_s)
     return ModelSpec(2 * norb, nelec, T_s, V_s, d_s, shift,
                      label=path.stem, dipole_missing=missing)
 

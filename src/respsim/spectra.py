@@ -54,15 +54,14 @@ _PATHWAY_SIDES = {
 
 @dataclass
 class SpectralData:
-    """Eigensystem of one model on its particle-number sector, and
-    everything derived from it.
+    """Spectrum of one model on its particle-number sector.
 
+    A spectrum holds what the sum-over-states formulas and the measurement
+    layer read: excitation energies, eigenbasis dipoles, one-norms and the
+    filter caches, sized by the sector (M states), not by 2^N.
     eigenvalues are ascending and shifted so eigenvalues[0] == 0.
-    basis_states lists the Fock states the eigensystem lives on, as
-    ascending basis-state integers (mode p is bit N-1-p); eigenvectors[:, j]
-    holds eigenstate j's amplitudes on them, so both are sized by the
-    sector, not by 2^N.  transition_dipoles[i] is the axis-i dipole in the
-    eigenbasis.  alpha and betas[i] are the LCU one-norms of the
+    transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
+    and betas[i] are the LCU one-norms of the
     Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
     dipole): the block-encoding subnormalizations, summed from Majorana
     products without forming a Pauli string.  The blocks behind the
@@ -79,8 +78,6 @@ class SpectralData:
     """
 
     eigenvalues: np.ndarray          # (M,)
-    eigenvectors: np.ndarray         # (M, M), columns orthonormal
-    basis_states: np.ndarray         # (M,) Fock-state integers
     transition_dipoles: np.ndarray   # (3, M, M)
     ground_energy: float             # lowest eigenvalue + nuclear shift
     alpha: float
@@ -107,7 +104,7 @@ class SusceptibilityResult:
 
 
 def diagonalize(model: ModelSpec) -> SpectralData:
-    """Dense eigensystem of the model Hamiltonian plus eigenbasis dipoles
+    """Dense eigenvalues of the model Hamiltonian plus eigenbasis dipoles
     and the LCU one-norms of their Jordan-Wigner images.
 
     Only the particle-number sector's block of each operator is built,
@@ -121,10 +118,6 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     if n > DEFAULT_MODE_CAP:
         raise ResourceError(
             f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
-    states = np.arange(1 << n, dtype=np.int64)
-    keep = np.flatnonzero(np.bitwise_count(states) == eta)
-    if keep.size == 0:
-        raise InputError(f"no Fock states with {eta} electrons")
     T, V = validate_hamiltonian(model.T, model.V)
     alpha = majorana_one_norm(T, V)
     if alpha == 0:
@@ -132,22 +125,21 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     H = sector_block(T, eta)
     H += sector_block(V, eta)
     evals, evecs = np.linalg.eigh(H)
+    del H
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL
     if degenerate:
         warnings.warn(
             f"ground state degenerate within {DEGENERACY_TOL:g}; "
             "keeping the lowest-index eigenvector", stacklevel=2)
-    dips = np.empty((3, len(keep), len(keep)))
+    dips = np.empty((3,) + evecs.shape)
     betas = []
     for ax in range(3):
         d = validate_dipole(model.dipole[ax])
         betas.append(majorana_one_norm(d))
-        dips[ax] = evecs.T @ sector_block(d, eta) @ evecs
+        np.matmul(evecs.T @ sector_block(d, eta), evecs, out=dips[ax])
     return SpectralData(
         eigenvalues=evals - evals[0],
-        eigenvectors=evecs,
-        basis_states=keep,
         transition_dipoles=dips,
         ground_energy=ground,
         alpha=alpha,
@@ -197,8 +189,15 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
     om = omega_grid[:, None]
-    direct = np.sum(dd / (w - om - 1j * gamma), axis=1)
-    mirrored = np.conj(np.sum(dd / (w + om - 1j * gamma), axis=1))
+    # one (points x states) buffer takes each denominator, then its terms
+    den = np.empty((om.size, w.size), dtype=complex)
+    sums = []
+    for op in (np.subtract, np.add):
+        op(w, om, out=den)
+        den -= 1j * gamma
+        np.divide(dd, den, out=den)
+        sums.append(den.sum(axis=1))
+    direct, mirrored = sums[0], np.conj(sums[1])
     return SusceptibilityResult(1, omega_grid, direct + mirrored, gamma, (i, j))
 
 

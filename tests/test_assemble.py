@@ -90,11 +90,16 @@ def test_table_depth_and_axes_validation():
         with pytest.raises(InputError, match="value"):
             t.add({"axes": (0, 0), "window": ((1.0, 2.0),), "value": value})
     # axes are integers in {0, 1, 2} that are not bools: a fractional axis
-    # is not truncated, and an out-of-range one is not stored
+    # is not truncated, and an out-of-range one is not stored; select reads
+    # its query axes the same way, and a query needs order + 1 of them
     for axes in ((0.7, 1.2), (0.0, 1.0), (True, 0), (0, 7), (-1, 0), 1,
                  None, ("0", "1")):
         with pytest.raises(InputError, match="axes"):
             t.add({"axes": axes, "window": ((1.0, 2.0),), "value": 0.1})
+        with pytest.raises(InputError, match="axes"):
+            t.select(axes)
+    with pytest.raises(InputError, match="axes"):
+        t.select((0, 0, 0))
     for key in ("axes", "window", "value"):
         entry = {"axes": (0, 0), "window": ((1.0, 2.0),), "value": 0.1}
         del entry[key]
@@ -104,6 +109,7 @@ def test_table_depth_and_axes_validation():
     t.add({"axes": [np.int64(2), 1], "window": ((1.0, 2.0),),
            "value": np.float32(0.25)})
     assert t.entries[0]["axes"] == (2, 1)
+    assert t.select([np.int64(2), 1]) == t.entries
     assert type(t.entries[0]["value"]) is float
     for order in (0, -1, 1.5, 1.0, True, "1"):
         with pytest.raises(InputError, match="order"):
@@ -336,6 +342,40 @@ def test_assemble_alpha3_needs_the_chains_of_nonzero_moment_terms():
     cut[2] = _without(tabs[2], (i2, i3, i_tr))
     got = assemble_alpha3(cut, triples, 0.1, ground_dipoles={}).values
     assert np.array_equal(got, full)
+
+
+def test_assemble_alpha3_checks_the_ground_moments_it_reads():
+    sd = diagonalize(make_random_model(2, 2, 0))
+    tabs, gd = oracle_tables(sd, (1, 0, 0, 1), 0.1)
+    triples = [(0.9, 0.2, 0.3)]
+    for bad in (math.nan, math.inf, "abc", "0.5", True, None, 0.5j):
+        with pytest.raises(InputError, match="ground moments"):
+            assemble_alpha3(tabs, triples, 0.1,
+                            ground_dipoles={**gd, 0: bad})
+    # the chain has no z axis, so its moment is never read
+    want = assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd).values
+    got = assemble_alpha3(tabs, triples, 0.1,
+                          ground_dipoles={**gd, 2: "abc"}).values
+    assert np.array_equal(got, want)
+
+
+def test_assemble_alpha3_refuses_lower_depth_entries_no_term_reads():
+    # axes (1, 0, 0, 1) read the depth-1 chains yy, xx, xy and the depth-2
+    # chains xxy, yyx; an entry of any other chain would be dropped unread
+    sd = diagonalize(make_random_model(2, 2, 0))
+    tabs, gd = oracle_tables(sd, (1, 0, 0, 1), 0.1)
+    triples = [(0.9, 0.2, 0.3)]
+    assemble_alpha3(tabs, triples, 0.1, ground_dipoles=gd)
+    for depth, chain in ((2, (2, 2, 2)), (2, (1, 0, 0)), (1, (2, 2)),
+                         (1, (1, 0))):
+        extra = dict(tabs)
+        extra[depth] = ResponseTable(order=depth,
+                                     entries=list(tabs[depth].entries))
+        extra[depth].add({"axes": chain, "window": ((8.0, 8.1),) * depth,
+                          "value": 5.0})
+        name = "".join("xyz"[a] for a in chain)
+        with pytest.raises(InputError, match=f"no term reads d{depth}_{name}"):
+            assemble_alpha3(extra, triples, 0.1, ground_dipoles=gd)
 
 
 def test_assemble_alpha3_validation(dimer_sd):

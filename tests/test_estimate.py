@@ -510,8 +510,8 @@ def _grid_spectrum(alpha_shift, points):
     """SpectralData whose 'eigenvalues' are the given excitation energies:
     the filter layer reads nothing else."""
     return SpectralData(
-        eigenvalues=np.asarray(points), eigenvectors=None, basis_states=None,
-        transition_dipoles=None, ground_energy=0.0, alpha=alpha_shift,
+        eigenvalues=np.asarray(points), transition_dipoles=None,
+        ground_energy=0.0, alpha=alpha_shift,
         alpha_shift=alpha_shift, betas=(1.0, 1.0, 1.0))
 
 

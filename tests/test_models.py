@@ -14,6 +14,7 @@ from respsim import (
     spatial_to_spin,
     validate_two_body_symmetry,
 )
+from respsim.operators import TWO_BODY_IMAGES
 
 
 def test_dimer_shapes_and_label():
@@ -150,6 +151,27 @@ def test_load_errors(tmp_path):
     bad.write_text("&FCI NORB=2 NELEC=2\n&END\n1.0 1 0 1 0\n")
     with pytest.raises(InputError):       # mixed zero/nonzero indices
         load_fcidump_like(bad)
+
+
+def test_repeated_orbit_records_load_the_later_value(tmp_path):
+    # (2, 1, 4, 3) is the pair-swap image of (1, 2, 3, 4): the later record
+    # rewrites the whole eight-image orbit, so V keeps the eight-fold
+    # symmetry exactly and the loader need not check it
+    src = tmp_path / "ints.txt"
+    src.write_text("&FCI NORB=4 NELEC=2\n&END\n"
+                   "-1.0 1 2 0 0\n"
+                   "0.25 1 1 2 2\n"
+                   "0.3 1 2 3 4\n"
+                   "0.7 2 1 4 3\n")
+    with pytest.warns(UserWarning):
+        m = load_fcidump_like(src)
+    _, V, _ = spin_to_spatial(m)
+    entry = (0, 1, 2, 3)
+    images = {tuple(entry[a] for a in perm) for perm in TWO_BODY_IMAGES}
+    assert len(images) == 8
+    assert all(V[idx] == 0.7 for idx in images)
+    for perm in TWO_BODY_IMAGES:
+        assert np.array_equal(m.V, m.V.transpose(perm))
 
 
 def test_nuclear_shift_round_trip(tmp_path):
