@@ -25,13 +25,13 @@ import io
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import (InputError, ResourceError, check_axes, check_positive,
+                     check_seed, is_finite_real, is_int)
 from .estimate import METHODS, OVERLAP, binary_search_nd, estimate_box
 from .models import AXIS_LETTERS, ModelSpec
 from .spectra import (SusceptibilityResult, alpha1, diagonalize,
@@ -41,26 +41,6 @@ from .spectra import (SusceptibilityResult, alpha1, diagonalize,
 # (points x excited states) buffer, 16 B per pair, so about 225 MB at the
 # cap on the largest accepted sector (3 432 states)
 GRID_POINT_CAP = 4096
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool (bool subclasses int)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite_real(x) -> bool:
-    """A finite real number that is not a bool."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
-def _chain_axes(axes) -> tuple:
-    """A dipole chain's axes as a tuple of integers in {0, 1, 2} that are
-    not bools; anything else raises InputError."""
-    axes = tuple(axes) if np.iterable(axes) else (axes,)
-    if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
-        raise InputError("axes must be integers in {0, 1, 2}")
-    return tuple(int(a) for a in axes)
 
 
 def _window_key(window):
@@ -77,12 +57,13 @@ def _overlap_length(w1, w2):
 class ResponseTable:
     """Windowed amplitude estimates for one response order.
 
-    An entry (a WindowEstimate or a dict) has `order` + 1 "axes", integers
-    in {0, 1, 2} that are not bools, a "window" of `order` finite (lo, hi)
-    pairs with lo < hi and a finite real "value"; the rest is its "meta".
-    Entries with identical axes must cover disjoint windows (boxes may
-    overlap in some axes but not all), up to `margin`, mirroring the
-    smoothing margins of the filters that produced them.
+    An entry (a WindowEstimate or a dict) has `order` + 1 "axes" (see
+    `check_axes`), a "window" of `order` finite (lo, hi) pairs with lo < hi
+    and a finite real "value"; the rest is its "meta", with the keys of a
+    stored entry's "meta" merged in.  Entries with identical axes must
+    cover disjoint windows (boxes may overlap in some axes but not all), up
+    to `margin`, mirroring the smoothing margins of the filters that
+    produced them.  Entries given to the constructor are added one by one.
     """
 
     order: int = 1
@@ -90,11 +71,14 @@ class ResponseTable:
     entries: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not (_is_int(self.order) and self.order >= 1):
+        if not (is_int(self.order) and self.order >= 1):
             raise InputError("order must be an integer of at least 1")
         self.order = int(self.order)
-        if not (math.isfinite(self.margin) and self.margin >= 0):
+        if not (is_finite_real(self.margin) and self.margin >= 0):
             raise InputError("margin must be non-negative and finite")
+        entries, self.entries = self.entries, []
+        for e in entries:
+            self.add(e)
 
     def add(self, estimate) -> None:
         rec = self._normalize(estimate)
@@ -112,25 +96,22 @@ class ResponseTable:
         missing = [k for k in ("axes", "window", "value") if k not in meta]
         if missing:
             raise InputError(f"entry needs {', '.join(missing)}")
-        axes = _chain_axes(meta.pop("axes"))
+        axes = check_axes(meta.pop("axes"), self.order + 1)
+        meta.update(meta.pop("meta", {}))
         try:
             window = _window_key(meta.pop("window"))
         except (TypeError, ValueError):
             raise InputError("window must be a sequence of (lo, hi) "
                              "pairs") from None
         value = meta.pop("value")
-        if not _is_finite_real(value):
+        if not is_finite_real(value):
             raise InputError("value must be a finite real number")
         value = float(value)
         if not all(-math.inf < a < b < math.inf for a, b in window):
             raise InputError(f"window {window} needs finite pairs, lo < hi")
-        depth = len(window)
-        if depth != self.order:
-            raise InputError(
-                f"entry has nesting depth {depth}, table holds {self.order}")
-        if len(axes) != depth + 1:
-            raise InputError(
-                f"entry has {len(axes)} axes for depth {depth}")
+        if len(window) != self.order:
+            raise InputError(f"entry has nesting depth {len(window)}, table "
+                             f"holds {self.order}")
         return {"axes": axes, "window": window, "value": value, "meta": meta}
 
     def _clashes(self, w1, w2) -> bool:
@@ -138,10 +119,7 @@ class ResponseTable:
                    for a, b in zip(w1, w2))
 
     def select(self, axes) -> list:
-        axes = _chain_axes(axes)
-        if len(axes) != self.order + 1:
-            raise InputError(
-                f"{len(axes)} axes for a table of depth {self.order}")
+        axes = check_axes(axes, self.order + 1)
         return [e for e in self.entries if e["axes"] == axes]
 
     def as_dict(self) -> dict:
@@ -176,8 +154,7 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     axis_out) on the same window sums d_in[0,j] d_out[j,0], the same real
     number for real symmetric dipoles.  A table mixing chains is rejected.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError("gamma must be positive and finite")
+    check_positive("gamma", gamma)
     if table.order != 1:
         raise InputError("first-order assembly needs a depth-1 table")
     if not table.entries:
@@ -243,8 +220,7 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     nonzero, every segment needs entries.  A depth-1 or depth-2 entry whose
     chain no term reads is rejected.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError("gamma must be positive and finite")
+    check_positive("gamma", gamma)
     for depth in (1, 2, 3):
         if depth not in tables or not tables[depth].entries:
             raise InputError(f"missing nesting depth {depth} in tables")
@@ -257,7 +233,7 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
             raise InputError(f"no term reads {_search_name(e['axes'])} entries")
     i1, i_tr, i3, i2 = chain
     gd = [ground_dipoles.get(ax, 0.0) for ax in chain]
-    if not all(_is_finite_real(m) for m in gd):
+    if not all(is_finite_real(m) for m in gd):
         raise InputError("ground moments must be finite real numbers")
     gd = [float(m) for m in gd]
 
@@ -317,13 +293,11 @@ class CostInputs:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "eps", "N", "eta", "gap"):
             x = getattr(self, name)
-            if x is None and name in ("N", "eta", "gap"):
-                continue
-            if not (math.isfinite(x) and x > 0):
-                raise InputError(f"{name} must be positive and finite")
+            if x is not None or name not in ("N", "eta", "gap"):
+                check_positive(name, x)
         if self.eps >= 1:
             raise InputError("eps must be below 1")
-        if not (_is_int(self.n_order) and self.n_order >= 1):
+        if not (is_int(self.n_order) and self.n_order >= 1):
             raise InputError("n_order must be an integer of at least 1")
         if (self.p0 is None) != (self.gap is None):
             raise InputError("p0 and gap must be given together")
@@ -417,13 +391,12 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     Found windows are estimated one after another with seeds derived from
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
-    estimation window, default gamma/8.  A method outside METHODS (in
-    either mode), a model with a zero Hamiltonian (alpha = 0), eps outside
-    (0, 1), an order, seed or axis that is not an integer (a bool is not
-    one), a seed below 0, an axis outside {0, 1, 2}, or a gamma,
-    window_width or grid point that is not finite (gamma and window_width
-    must also be positive) raises InputError, and a grid of more than
-    GRID_POINT_CAP points raises ResourceError, before any search.
+    estimation window, default gamma/8.  Before any search, the seed, axes,
+    gamma and window_width go through the checks of `respsim.errors`, and
+    a method outside METHODS (in either mode), a zero Hamiltonian, eps
+    outside (0, 1), an order other than 1 or 3 or a grid point that is not
+    finite raise InputError; a grid of more than GRID_POINT_CAP points
+    raises ResourceError.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
     "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
     "manifest" (manifest.json's content) and "csv" (response.csv's body).
@@ -433,28 +406,19 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     assembled SusceptibilityResult, or None unless every table has
     entries).  Writes those as CSV/JSON files when out_dir is set.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError("gamma must be positive and finite")
+    check_positive("gamma", gamma)
     if not 0 < eps < 1:
         raise InputError("eps must lie in (0, 1)")
-    if window_width is not None and not (math.isfinite(window_width)
-                                         and window_width > 0):
-        raise InputError("window_width must be positive and finite")
-    if not (_is_int(order) and order in (1, 3)):
+    if window_width is not None:
+        check_positive("window_width", window_width)
+    if not (is_int(order) and order in (1, 3)):
         raise InputError("order must be 1 or 3")
     if mode not in ("simulate", "oracle"):
         raise InputError("mode must be 'simulate' or 'oracle'")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise InputError("seed must be non-negative and an integer")
-    seed = int(seed)
-    axes = tuple(axes)
-    if len(axes) != (2 if order == 1 else 4):
-        raise InputError(f"order {order} needs {2 if order == 1 else 4} axes")
-    if not all(_is_int(a) and 0 <= a <= 2 for a in axes):
-        raise InputError("axes must be integers in {0, 1, 2}")
-    axes = tuple(int(a) for a in axes)
+    seed = check_seed(seed)
+    axes = check_axes(axes, 2 if order == 1 else 4)
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         if grid.size > GRID_POINT_CAP:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.fft import dct, idct, next_fast_len
 from scipy.special import erf
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, check_positive
 
 DEGREE_CAP = 10 ** 5
 CERT_GRID_PER_DEGREE = 16      # t-grid points per degree of the half-series
@@ -68,8 +68,7 @@ def _interpolate(fn, n_nodes: int) -> np.ndarray:
 
 def choose_k(delta: float, eps: float) -> float:
     """Steepness k with |erf(k x) - sgn(x)| <= eps whenever |x| >= delta/2."""
-    if not (math.isfinite(delta) and delta > 0):
-        raise InputError("delta must be positive and finite")
+    check_positive("delta", delta)
     if not 0 < eps < EPS_VALIDITY:
         raise InputError(
             f"eps must lie in (0, {EPS_VALIDITY:.4f}) for the tail bound")

@@ -53,14 +53,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .chebfilter import build_indicator
-from .errors import InputError
+from .errors import InputError, check_axes, check_positive, check_seed
 from .spectra import SpectralData
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
@@ -171,8 +170,6 @@ def _chain_images(sd: SpectralData, chain_axes, axis_bins, deltas,
     amplification rounds.  Also returns the summed filter degree charged
     per query of every cell, sum_k (cells / B_k) * sum_b deg(k, b).
     """
-    if len(chain_axes) != len(axis_bins) + 1:
-        raise InputError("chain axes must be one longer than the box depth")
     ncells = math.prod(len(bins) for bins in axis_bins)
     u = sd.transition_dipoles[chain_axes[-1]][:, :1]
     degree = 0
@@ -227,13 +224,6 @@ def _relation_matrix(gap, tau: float) -> np.ndarray:
     return (gap > tau).astype(int) - (gap < -tau).astype(int)
 
 
-def _rng(seed):
-    """The generator of a search or an estimate; seeds are integers >= 0."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InputError("seed must be a non-negative integer")
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # search trace
 # ---------------------------------------------------------------------------
@@ -257,18 +247,8 @@ class SearchTrace:
         return len(self.peaks) > 0
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "dims": self.dims,
-            "levels": self.levels,
-            "peaks": self.peaks,
-            "marked": self.marked,
-            "queries_total": self.queries_total,
-            "per_level_queries": self.per_level_queries,
-            "truncated": self.truncated,
-            "found": self.found,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "found": self.found}
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +293,18 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
     span/2^(d+1) wide, a search ends at depth L - 1 at the latest, and
     MAX_BOXES levels bound its work (`truncated` reports a cut).
     """
-    chain_axes = tuple(chain_axes)
+    chain_axes = check_axes(chain_axes)
     if len(chain_axes) < 2:
         raise InputError("need at least two chain axes")
-    if not (math.isfinite(gamma) and gamma > 0
-            and math.isfinite(sd.alpha_shift / gamma)):
-        raise InputError("gamma must be positive and finite, and "
-                         "alpha_shift/gamma finite")
+    check_positive("gamma", gamma)
+    if not math.isfinite(sd.alpha_shift / gamma):
+        raise InputError("alpha_shift/gamma must be finite")
+    check_positive("tau", tau)
     # the multinomial draw takes N_s as a 64-bit integer
-    if not (math.isfinite(tau) and tau > 0
-            and tau ** 2 * 2.0 ** 63 > math.log(4.0 / EPS_CONF)):
-        raise InputError("tau must be positive and finite, and N_s below "
-                         "2^63")
-    rng = _rng(seed)
+    if not tau ** 2 * 2.0 ** 63 > math.log(4.0 / EPS_CONF):
+        raise InputError("tau must keep N_s below 2^63")
+    seed = check_seed(seed)
+    rng = np.random.default_rng(seed)
     ndim = len(chain_axes) - 1
     levels = max(1, math.ceil(math.log2(sd.alpha_shift / gamma)))
     span = (0.0, gamma * 2 ** levels)
@@ -443,14 +422,7 @@ class WindowEstimate:
     zeta: float
 
     def as_dict(self) -> dict:
-        return {
-            "window": list(self.window), "axes": list(self.axes),
-            "value": self.value,
-            "method": self.method, "shots": self.shots,
-            "queries": self.queries, "eps_filter": self.eps_filter,
-            "eps_stat": self.eps_stat, "degree": self.degree,
-            "rounds": self.rounds, "delta": self.delta, "zeta": self.zeta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
@@ -471,9 +443,8 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise InputError("eps must be positive and finite")
-    rng = _rng(seed)
+    check_positive("eps", eps)
+    rng = np.random.default_rng(check_seed(seed))
     try:
         windows = [(float(lo), float(hi)) for lo, hi in windows]
     except (TypeError, ValueError):
@@ -491,7 +462,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     for (lo, hi), d in zip(windows, deltas):
         if not 0 < d < (hi - lo) / 2.0:
             raise InputError("delta must lie in (0, half-width)")
-    chain_axes = tuple(int(a) for a in chain_axes)
+    chain_axes = check_axes(chain_axes, len(windows) + 1)
     zeta = _zeta(sd, chain_axes)
     eps_f = min(eps / (2.0 * zeta), 0.4)
     axis_bins = [[w] for w in windows]

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, check_seed
 from .operators import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
 
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
@@ -117,6 +117,7 @@ def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec
         )
     if not 0 <= n_electrons <= 2 * n_orbitals:
         raise InputError("electron count outside [0, 2*NORB]")
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     n = n_orbitals
     T = rng.normal(size=(n, n))

@@ -30,13 +30,13 @@ time integral contributes a plain resonance factor 1/(w - Omega - i*gamma).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import (InputError, ResourceError, check_axes, check_positive,
+                     is_int)
 from .models import ModelSpec
 from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
                         validate_dipole, validate_hamiltonian)
@@ -84,7 +84,6 @@ class SpectralData:
     alpha_shift: float               # alpha + |evals[0]|, electronic
     betas: tuple                     # (beta_x, beta_y, beta_z)
     degenerate_ground: bool = False
-    label: str = ""
     filters: dict = field(default_factory=dict, repr=False, compare=False)
     filter_values: dict = field(default_factory=dict, repr=False,
                                 compare=False)
@@ -146,7 +145,6 @@ def diagonalize(model: ModelSpec) -> SpectralData:
         alpha_shift=alpha + abs(float(evals[0])),
         betas=tuple(betas),
         degenerate_ground=degenerate,
-        label=model.label,
     )
 
 
@@ -165,10 +163,8 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
     state always excluded.  Depth 1 is a first-order window sum over
     d^{ax0}[0,j] d^{ax1}[j,0].
     """
-    axes = tuple(axes)
     windows = [tuple(w) for w in windows]
-    if len(axes) != len(windows) + 1:
-        raise InputError("need len(axes) == len(windows) + 1")
+    axes = check_axes(axes, len(windows) + 1)
     for lo, hi in windows:
         if not lo < hi:
             raise InputError(f"window [{lo}, {hi}) is empty or reversed")
@@ -182,9 +178,8 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
 def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
            ) -> SusceptibilityResult:
     """Linear susceptibility on a frequency grid."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError("gamma must be positive and finite (poles would "
-                         "sit on the axis)")
+    i, j = check_axes((i, j), 2)
+    check_positive("gamma", gamma)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
@@ -207,14 +202,10 @@ def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
     frequencies Omega1, Omega2, Omega3, for axes = (i, i3, i2, i1): the
     dipoles i1, i2, i3 act in time order on the sides pathway nu sets, and
     Tr[d_i rho] closes the trace."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError("gamma must be positive and finite")
-    if nu not in _PATHWAY_SIDES:
-        raise InputError(f"pathway index {nu} not in 1..4")
-    axes = tuple(axes)
-    if len(axes) != 4:
-        raise InputError("axes must be (i, i3, i2, i1)")
-    i, i3, i2, i1 = axes
+    check_positive("gamma", gamma)
+    if not (is_int(nu) and nu in _PATHWAY_SIDES):
+        raise InputError(f"pathway index {nu!r} is not an integer in 1..4")
+    i, i3, i2, i1 = check_axes(axes, 4)
     d = sd.transition_dipoles
     w = sd.eigenvalues
     wdiff = w[:, None] - w[None, :]

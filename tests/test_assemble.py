@@ -14,10 +14,14 @@ from respsim import (
     InputError,
     ResourceError,
     ResponseTable,
+    alpha1,
     assemble_alpha1,
     assemble_alpha3,
+    binary_search_nd,
+    choose_k,
     cost_report,
     diagonalize,
+    estimate_box,
     make_random_model,
     qpe_baseline_report,
     r_pathway_fd,
@@ -115,7 +119,7 @@ def test_table_depth_and_axes_validation():
         with pytest.raises(InputError, match="order"):
             ResponseTable(order=order)
     assert ResponseTable(order=np.int64(3)).as_dict()["order"] == 3
-    for margin in (-0.1, math.nan, math.inf):
+    for margin in (-0.1, math.nan, math.inf, True):
         with pytest.raises(InputError, match="margin"):
             ResponseTable(order=1, margin=margin)
 
@@ -133,6 +137,8 @@ def test_table_serialization():
     assert "re" not in e and "im" not in e
     assert e["meta"] == {"note": "probe"}
     assert json.loads(json.dumps(d)) == d
+    # stored entries fed to the constructor come back as they were
+    assert ResponseTable(order=2, entries=t.entries).as_dict() == d
     # a depth-1 window is written as one pair too, and an estimate's meta
     # holds its bookkeeping without repeating axes, window or value
     t1 = ResponseTable(order=1)
@@ -446,7 +452,7 @@ def test_cost_monotonicity():
 def test_cost_inputs_validation():
     base = dict(alpha=1.0, beta=1.0, gamma=0.1, eps=0.1)
     for name in ("alpha", "beta", "gamma", "eps", "N", "eta"):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, True):
             with pytest.raises(InputError, match=name):
                 CostInputs(**{**base, name: bad})
     assert CostInputs(**base, N=4.0, eta=2.0).N == 4.0
@@ -687,8 +693,86 @@ def test_pipeline_refuses_an_oversized_grid_before_any_work(dimer,
     {"gamma": math.nan}, {"gamma": math.inf},
     {"grid": [0.0, 1.0, math.inf]}, {"grid": [math.nan, 1.0]},
     {"window_width": math.nan}, {"window_width": math.inf},
-    {"window_width": 0.0}, {"window_width": -0.01},
+    {"window_width": 0.0}, {"window_width": -0.01}, {"window_width": True},
 ], ids=repr)
 def test_pipeline_rejects_non_finite_inputs(dimer, kwargs):
     with pytest.raises(InputError):
         run_pipeline(dimer, **{"gamma": 0.2, "method": "exact", **kwargs})
+
+
+# ---------------------------------------------------------------------------
+# one admission check per input kind
+# ---------------------------------------------------------------------------
+
+def _table(depth, *entries):
+    """A depth-`depth` table built from the constructor, one entry per
+    dict: a chain of x axes on windows (1, 2) of value 0.1, updated by it."""
+    return ResponseTable(order=depth, entries=[
+        {"axes": (0,) * (depth + 1), "window": ((1.0, 2.0),) * depth,
+         "value": 0.1, **e} for e in entries])
+
+
+_WIN = [(4.35, 4.55)]
+
+# every entry point admits chain axes, seeds, indices and positive scalars
+# through the checks of respsim.errors; each probe used to pass (a
+# fractional axis truncated, -1 read as the z axis, a bool as 1, a
+# constructor's entries stored unchecked) or escape as another error
+ADMISSION_PROBES = {
+    "estimate_box axes (0.7, 0)":
+        lambda sd: estimate_box(sd, (0.7, 0), _WIN, 1e-3),
+    "estimate_box axes (-1, 0)":
+        lambda sd: estimate_box(sd, (-1, 0), _WIN, 1e-3),
+    "estimate_box axes (3, 0)":
+        lambda sd: estimate_box(sd, (3, 0), _WIN, 1e-3),
+    "estimate_box seed True":
+        lambda sd: estimate_box(sd, (0, 0), _WIN, 1e-3, seed=True),
+    "estimate_box eps True": lambda sd: estimate_box(sd, (0, 0), _WIN, True),
+    "binary_search_nd axes (-1, 0)":
+        lambda sd: binary_search_nd(sd, (-1, 0), 0.4, 0.02),
+    "binary_search_nd axes (0.7, 0)":
+        lambda sd: binary_search_nd(sd, (0.7, 0), 0.4, 0.02),
+    "binary_search_nd axes (5, 0)":
+        lambda sd: binary_search_nd(sd, (5, 0), 0.4, 0.02),
+    "binary_search_nd seed True":
+        lambda sd: binary_search_nd(sd, (0, 0), 0.4, 0.02, seed=True),
+    "binary_search_nd gamma True":
+        lambda sd: binary_search_nd(sd, (0, 0), True, 0.02),
+    "binary_search_nd tau True":
+        lambda sd: binary_search_nd(sd, (0, 0), 0.4, True),
+    "nested_window_amplitude axes (5, 0)":
+        lambda sd: nested_window_amplitude(sd, (5, 0), _WIN),
+    "nested_window_amplitude axes (-1, 0)":
+        lambda sd: nested_window_amplitude(sd, (-1, 0), _WIN),
+    "alpha1 i -1": lambda sd: alpha1(sd, -1, 0, [1.0], 0.1),
+    "alpha1 i 0.5": lambda sd: alpha1(sd, 0.5, 0, [1.0], 0.1),
+    "alpha1 gamma True": lambda sd: alpha1(sd, 0, 0, [1.0], True),
+    "r_pathway_fd nu 1.0":
+        lambda sd: r_pathway_fd(sd, 1.0, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1),
+    "r_pathway_fd nu True":
+        lambda sd: r_pathway_fd(sd, True, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1),
+    "r_pathway_fd axes (0, 0, 0, -1)":
+        lambda sd: r_pathway_fd(sd, 1, (0, 0, 0, -1), 3.0, 2.0, 1.0, 0.1),
+    "assemble_alpha1 gamma True":
+        lambda sd: assemble_alpha1(_table(1, {}), [1.0], True),
+    "assemble_alpha3 gamma True":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(1.0, 1.0, 1.0)], True, {}),
+    "ResponseTable entry with a nan value":
+        lambda sd: _table(1, {"value": math.nan}),
+    "ResponseTable entries on one window": lambda sd: _table(1, {}, {}),
+    "ResponseTable entry without value":
+        lambda sd: ResponseTable(entries=[{"axes": (0, 0),
+                                           "window": ((1.0, 2.0),)}]),
+    "choose_k delta True": lambda sd: choose_k(True, 1e-3),
+    "make_random_model seed True": lambda sd: make_random_model(2, 2, True),
+    "make_random_model seed -1": lambda sd: make_random_model(2, 2, -1),
+}
+
+
+@pytest.mark.parametrize("probe", ADMISSION_PROBES.values(),
+                         ids=ADMISSION_PROBES)
+def test_entry_points_refuse_bad_axes_seeds_indices_and_scalars(dimer_sd,
+                                                                probe):
+    with pytest.raises(InputError):
+        probe(dimer_sd)
