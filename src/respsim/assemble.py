@@ -291,9 +291,9 @@ class CostInputs:
     gap: float = None            # spectral gap (optional)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "eps", "N", "eta", "gap"):
+        for name in ("alpha", "beta", "gamma", "eps", "N", "eta", "p0", "gap"):
             x = getattr(self, name)
-            if x is not None or name not in ("N", "eta", "gap"):
+            if x is not None or name not in ("N", "eta", "p0", "gap"):
                 check_positive(name, x)
         if self.eps >= 1:
             raise InputError("eps must be below 1")
@@ -301,7 +301,7 @@ class CostInputs:
             raise InputError("n_order must be an integer of at least 1")
         if (self.p0 is None) != (self.gap is None):
             raise InputError("p0 and gap must be given together")
-        if self.p0 is not None and not 0 < self.p0 <= 1:
+        if self.p0 is not None and self.p0 > 1:
             raise InputError("p0 must lie in (0, 1]")
 
 
@@ -392,9 +392,9 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     `seed`; two estimates on one chain whose windows overlap beyond the
     filter margin raise InputError.  window_width (order 1) sets the
     estimation window, default gamma/8.  Before any search, the seed, axes,
-    gamma and window_width go through the checks of `respsim.errors`, and
-    a method outside METHODS (in either mode), a zero Hamiltonian, eps
-    outside (0, 1), an order other than 1 or 3 or a grid point that is not
+    gamma, eps and window_width go through the checks of `respsim.errors`,
+    and a method outside METHODS (in either mode), a zero Hamiltonian, eps
+    of 1 or more, an order other than 1 or 3 or a grid point that is not
     finite raise InputError; a grid of more than GRID_POINT_CAP points
     raises ResourceError.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
@@ -407,7 +407,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     entries).  Writes those as CSV/JSON files when out_dir is set.
     """
     check_positive("gamma", gamma)
-    if not 0 < eps < 1:
+    check_positive("eps", eps)
+    if eps >= 1:
         raise InputError("eps must lie in (0, 1)")
     if window_width is not None:
         check_positive("window_width", window_width)

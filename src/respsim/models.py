@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ResourceError, check_seed
+from .errors import InputError, ResourceError, check_seed, is_int
 from .operators import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
 
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
@@ -52,6 +52,8 @@ class ModelSpec:
 
     def __post_init__(self):
         n = self.n_orbitals
+        if not (is_int(n) and is_int(self.n_electrons)):
+            raise InputError("orbital and electron counts must be integers")
         self.T = np.asarray(self.T, dtype=float)
         self.V = np.asarray(self.V, dtype=float)
         self.dipole = np.asarray(self.dipole, dtype=float)
@@ -111,6 +113,8 @@ def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
 
 def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec:
     """Deterministic random model with all required index symmetries."""
+    if not (is_int(n_orbitals) and n_orbitals >= 1 and is_int(n_electrons)):
+        raise InputError("counts must be integers, with at least one orbital")
     if n_orbitals > RANDOM_MODEL_CAP:
         raise ResourceError(
             f"{n_orbitals} spatial orbitals exceeds the cap of {RANDOM_MODEL_CAP}"

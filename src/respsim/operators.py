@@ -26,17 +26,16 @@ Conventions used throughout the package:
   a_p = (g_2p + i g_2p+1)/2, a_p^dag = (g_2p - i g_2p+1)/2, g_2p = Z..Z X_p
   and g_2p+1 = Z..Z Y_p (Z on the qubits before p), a term of length j is
   2^j products, and each sorted product of distinct Majoranas is one Pauli
-  string (Bravyi & Kitaev, Ann. Phys. 298, 210 (2002)).  Each contribution,
-  c / 2^j times a power of i (exact), is added into its string's sum from 0j
-  in term order and, within a term, with the first factor's choice as the
-  most significant slot bit, as the dict loop in tests/pauli_reference.py
-  does.  Sums at or below PRUNE_TOL drop once, at the end; strings come out
-  in the order of their first contribution.  One-norms sum |c| in that order.
-* The one-norm of an image needs no string: majorana_one_norm sums the same
-  Majorana products as jordan_wigner and adds the magnitudes in the same
-  order.  Sector blocks need neither: sector_block builds them from the
-  tensors by ladder action (see its docstring).  The Pauli path stays as
-  the reference both are tested against.
+  string (Bravyi & Kitaev, Ann. Phys. 298, 210 (2002)).  jordan_wigner
+  adds each contribution, c / 2^j times a power of i (exact), into its
+  string's sum from 0j in term order and, within a term, with the first
+  factor's choice as the most significant, as the dict loop in
+  tests/pauli_reference.py does.  Sums at or below PRUNE_TOL drop once, at
+  the end; strings come out in the order of their first contribution.
+* majorana_one_norm sums the same products on int64 Majorana masks, array
+  by array, and adds the magnitudes in the same order; sector_block builds
+  blocks from the tensors by ladder action (see its docstring).  The plain
+  Pauli loops share no code with either and stay as their reference.
 * Size caps are constants: jordan_wigner, sector_block and
   majorana_one_norm take at most DEFAULT_MODE_CAP modes, and full 2^n x 2^n
   matrices are built up to FULL_SPACE_MODE_CAP modes; both refuse before
@@ -46,7 +45,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -55,15 +54,13 @@ from .errors import InputError, ResourceError
 PRUNE_TOL = 1e-14
 # largest mode count that jordan_wigner maps and that sector_block and
 # majorana_one_norm take (so diagonalize takes); it must stay <= 31, since
-# the 2n-bit Majorana masks and string keys x << n | z are int64
+# majorana_one_norm's 2n-bit Majorana masks are int64
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
 FULL_SPACE_MODE_CAP = 12
-# terms expanded at once by jordan_wigner, and matrix entries filled at
-# once by PauliOperator.dense; both bound temporaries, not results
+# terms expanded at once by majorana_one_norm (bounds temporaries)
 _JW_BLOCK = 256
-_DENSE_BLOCK = 1 << 14
 # (lower state, preimage, preimage) triples formed at once by sector_block
 _SECTOR_BLOCK = 1 << 16
 
@@ -299,14 +296,12 @@ def sector_block(tensor, n_electrons: int) -> np.ndarray:
 # Pauli operators
 # ---------------------------------------------------------------------------
 
-# i**k for the phase exponent k of a Pauli product, the word byte of
-# 2x + z, and the x and z bit of a word byte
-_I_POW_ARRAY = np.array([1 + 0j, 1j, -1 + 0j, -1j])
-_WORD_BYTES = np.frombuffer(b"IZXY", dtype=np.uint8)
-_X_OF = np.zeros(128, dtype=np.int64)
-_X_OF[[ord("X"), ord("Y")]] = 1
-_Z_OF = np.zeros(128, dtype=np.int64)
-_Z_OF[[ord("Y"), ord("Z")]] = 1
+# i**k for the phase exponent k of a Pauli product, and the x and z bit of
+# each IXYZ letter
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POW_ARRAY = np.array(_I_POW)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 @dataclass
@@ -337,9 +332,9 @@ class PauliOperator:
         amplitude c * i**|x & z| * (-1)**|z & b|.  ``states`` lists distinct
         basis-state integers; only rows and columns among them are filled,
         in that order, so a particle-number sector never needs the full
-        2^n x 2^n matrix.  Terms go a (terms x states) batch at a time, and
-        np.add.at accumulates each entry in term order.  The full matrix
-        (no ``states``) is refused above FULL_SPACE_MODE_CAP qubits.
+        2^n x 2^n matrix.  Strings are added one at a time, in term order.
+        The full matrix (no ``states``) is refused above
+        FULL_SPACE_MODE_CAP qubits.
         """
         n = self.n_qubits
         dim = 1 << n
@@ -358,23 +353,16 @@ class PauliOperator:
         m = cols.size
         pos = np.full(dim, -1, dtype=np.int64)
         pos[cols] = np.arange(m)
-        words = list(self.terms)
-        codes = np.frombuffer("".join(words).encode("ascii"),
-                              dtype=np.uint8).reshape(len(words), n)
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        x, z = _X_OF[codes] @ weights, _Z_OF[codes] @ weights
-        c = np.fromiter(self.terms.values(), dtype=complex, count=len(words))
-        v = (c * _I_POW_ARRAY[np.bitwise_count(x & z) & 3])[:, None]
+        index = np.arange(m)
         mat = np.zeros((m, m), dtype=complex)
-        flat = mat.reshape(-1)
-        step = max(1, _DENSE_BLOCK // max(m, 1))
-        for lo in range(0, len(words), step):
-            hi = lo + step
-            rows = pos[cols ^ x[lo:hi, None]]
+        for word, c in self.terms.items():
+            x = int("0" + word.translate(_X_BITS), 2)
+            z = int("0" + word.translate(_Z_BITS), 2)
+            rows = pos[cols ^ x]
             hit = rows >= 0
-            odd = (np.bitwise_count(cols & z[lo:hi, None]) & 1).astype(bool)
-            np.add.at(flat, (rows * m + np.arange(m))[hit],
-                      np.where(odd, -v[lo:hi], v[lo:hi])[hit])
+            v = c * _I_POW[(x & z).bit_count() & 3]
+            odd = (np.bitwise_count(cols[hit] & z) & 1).astype(bool)
+            mat[rows[hit], index[hit]] += np.where(odd, -v, v)
         return mat
 
 
@@ -399,23 +387,6 @@ def _monomials(acts: np.ndarray) -> tuple:
     return mask, (1 + 2 * acts[:, :, 1]) @ t.T + 2 * inversions
 
 
-def _strings(masks: np.ndarray, n: int) -> tuple:
-    """Pauli string keys x << n | z of sorted Majorana products, and the
-    i-exponent each product carries on top of its string.
-
-    Qubit p gets X from one of Majoranas 2p, 2p+1, and Z from 2p+1 and from
-    every index above 2p+1.  Multiplied out in ascending order, no Z lands on
-    a later X, so the exponent is the number of Y factors minus |x & z|.
-    """
-    x = z = y = np.zeros_like(masks)
-    for p in range(n):
-        even, odd = (masks >> 2 * p) & 1, (masks >> 2 * p + 1) & 1
-        x = x << 1 | (even ^ odd)
-        z = z << 1 | (odd ^ (np.bitwise_count(masks >> 2 * p + 2) & 1))
-        y = y + odd
-    return x << n | z, y - np.bitwise_count(x & z)
-
-
 def _slots(known: np.ndarray, slot_of: np.ndarray,
            masks: np.ndarray) -> tuple:
     """Slots of ``masks``, which number distinct masks in order of first
@@ -434,14 +405,6 @@ def _slots(known: np.ndarray, slot_of: np.ndarray,
     slot = np.empty(both.size, dtype=np.int64)
     slot[order] = at[first][np.cumsum(head) - 1]
     return slot[known.size:], ranked[head], at[first], masks[fresh]
-
-
-def _words(keys: np.ndarray, n: int) -> list:
-    """IXYZ words of string keys x << n | z."""
-    bits = keys[:, None] >> np.arange(n - 1, -1, -1)
-    xz = 2 * ((bits >> n) & 1) + (bits & 1)
-    text = _WORD_BYTES[xz].tobytes().decode("ascii")
-    return [text[i * n:(i + 1) * n] for i in range(len(keys))]
 
 
 def _majorana_sums(runs) -> tuple:
@@ -471,34 +434,43 @@ def _majorana_sums(runs) -> tuple:
     return masks, sums
 
 
+def _word(x: int, z: int, n: int) -> str:
+    """IXYZ word of the masks (x, z) on n qubits."""
+    return "".join("IZXY"[2 * (x >> q & 1) + (z >> q & 1)]
+                   for q in range(n - 1, -1, -1))
+
+
 def jordan_wigner(op: FermionOperator) -> PauliOperator:
     """Pauli-sum image of a FermionOperator, through its Majorana products.
 
-    Runs of equal-length terms are summed mask by mask (_majorana_sums);
-    each mask's string and phase are worked out once (_strings), the phase
-    turns the mask's sum, and sums at or below PRUNE_TOL drop once, at the
-    end.  Operators on more than DEFAULT_MODE_CAP modes are refused.
+    Each term's 2^j products are multiplied out factor by factor, as
+    i^k X^x Z^z, from the two Majoranas of each mode; each contribution is
+    added into its string's sum from 0j, and PauliOperator drops the sums
+    at or below PRUNE_TOL.  Operators on more than DEFAULT_MODE_CAP modes
+    are refused.
     """
     n = op.n_modes
     _check_mode_cap(n)
-    actions = list(op.terms)
-    coeffs = np.fromiter(op.terms.values(), dtype=complex, count=len(actions))
-    ladders = np.fromiter(chain.from_iterable(chain.from_iterable(actions)),
-                          dtype=np.int64).reshape(-1, 2)
-    runs = []
-    for j, run in groupby(map(len, actions)):
-        count = len(list(run))
-        runs.append((ladders[:count * j].reshape(count, j, 2),
-                     coeffs[:count]))
-        ladders, coeffs = ladders[count * j:], coeffs[count:]
-    masks, sums = _majorana_sums(runs)
-    strings, phases = _strings(masks, n)
-    # a quarter turn is exact but can leave -0.0 where the sum of turned
-    # contributions from 0j has +0.0; adding 0 clears it
-    sums = sums * _I_POW_ARRAY[phases & 3] + 0
-    keep = np.hypot(sums.real, sums.imag) > PRUNE_TOL
-    return PauliOperator(n, dict(zip(_words(strings[keep], n),
-                                     sums[keep].tolist())))
+    # per mode, its two choices as (x, z, k) of i^k X^x Z^z: g_2p = X_p Z_<p
+    # and g_2p+1 = i X_p Z_p Z_<p (Z_<p on the qubits before p), the odd one
+    # times i for an annihilator (k = 2) or -i for a creator (k = 0)
+    halves = [((b, (1 << n) - 2 * b, 0), (b, (1 << n) - b, 2))
+              for b in (1 << q for q in range(n - 1, -1, -1))]
+    sums = {}
+    for actions, coeff in op.terms.items():
+        scaled = coeff * 0.5 ** len(actions)
+        products = [(0, 0, 0)]
+        for p, dagger in actions:
+            # Z^z X^xb = (-1)^|z & xb| X^xb Z^z; xb is the single bit of p
+            products = [(x ^ xb, z ^ zb, k + kb * (1 - dagger)
+                         + 2 * bool(z & xb))
+                        for x, z, k in products
+                        for xb, zb, kb in halves[p]]
+        for x, z, k in products:
+            # i^k X^x Z^z is i^(k - |x & z|) times the word of (x, z)
+            c = scaled * _I_POW[(k - (x & z).bit_count()) & 3]
+            sums[x, z] = sums.get((x, z), 0j) + c
+    return PauliOperator(n, {_word(x, z, n): c for (x, z), c in sums.items()})
 
 
 def lcu_one_norm(op: PauliOperator) -> float:

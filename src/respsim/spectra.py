@@ -177,10 +177,12 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
 
 def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
            ) -> SusceptibilityResult:
-    """Linear susceptibility on a frequency grid."""
+    """Linear susceptibility on a grid of finite frequencies."""
     i, j = check_axes((i, j), 2)
     check_positive("gamma", gamma)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    if not np.all(np.isfinite(omega_grid)):
+        raise InputError("frequency grid points must be finite")
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
     om = omega_grid[:, None]

@@ -1,21 +1,17 @@
-"""Term-by-term reference for the Jordan-Wigner map and the Pauli sector
-block.
+"""Term-by-term reference for the Jordan-Wigner map.
 
-The Jordan-Wigner reference expands every term into its Majorana products
-in a dict loop and multiplies each product out string by string with the
-Pauli product rule, so it shares none of the package's closed-form strings
-and phases.  It adds the same exact contributions (c / 2^j times a power
-of i) in the same order, term after term and, within a term, with the
-first factor's choice as the most significant slot bit, into sums that
-start from 0j and are pruned once, at the end.  The sector-block
-reference fills one string at a time in term order.  So the package must
-match both bit for bit: the same Pauli words in the same order, the same
-coefficient bits, and the same matrix bytes.
+The reference expands every term into its Majorana products in a dict
+loop and folds each product from the identity, string by string, with the
+Pauli product rule on IXYZ-word masks, so it shares neither the package's
+Majorana table nor its X^x Z^z phase bookkeeping.  It adds the same exact
+contributions (c / 2^j times a power of i) in the same order, term after
+term and, within a term, with the first factor's choice as the most
+significant, into sums that start from 0j and are pruned once, at the
+end.  So the package must match it bit for bit: the same Pauli words in
+the same order and the same coefficient bits.
 """
 
 import itertools
-
-import numpy as np
 
 from respsim import PauliOperator
 from respsim.operators import PRUNE_TOL
@@ -95,23 +91,3 @@ def dict_jordan_wigner(op):
     return PauliOperator(n, {pauli_word(x, z, n): c
                              for (x, z), c in total.items()})
 
-
-def loop_dense(op, states=None):
-    """Matrix (or block on ``states``) of a PauliOperator, one numpy round
-    per string, entries accumulated in term order."""
-    dim = 1 << op.n_qubits
-    cols = (np.arange(dim, dtype=np.int64) if states is None
-            else np.asarray(states, dtype=np.int64))
-    m = cols.size
-    pos = np.full(dim, -1, dtype=np.int64)
-    pos[cols] = np.arange(m)
-    idx = np.arange(m)
-    mat = np.zeros((m, m), dtype=complex)
-    for s, c in op.terms.items():
-        x, z = pauli_masks(s)
-        rows = pos[cols ^ x]
-        hit = rows >= 0
-        v = c * _I_POW[(x & z).bit_count() & 3]
-        odd = (np.bitwise_count(cols[hit] & z) & 1).astype(bool)
-        mat[rows[hit], idx[hit]] += np.where(odd, -v, v)
-    return mat

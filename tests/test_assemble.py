@@ -12,6 +12,7 @@ from conftest import oracle_tables
 from respsim import (
     CostInputs,
     InputError,
+    ModelSpec,
     ResourceError,
     ResponseTable,
     alpha1,
@@ -22,6 +23,7 @@ from respsim import (
     cost_report,
     diagonalize,
     estimate_box,
+    make_hubbard_dimer,
     make_random_model,
     qpe_baseline_report,
     r_pathway_fd,
@@ -712,12 +714,19 @@ def _table(depth, *entries):
          "value": 0.1, **e} for e in entries])
 
 
+def _spec(n_orbitals, n_electrons):
+    """A ModelSpec of zero integrals on four spin-orbitals."""
+    return ModelSpec(n_orbitals, n_electrons, np.zeros((4, 4)),
+                     np.zeros((4,) * 4), np.zeros((3, 4, 4)))
+
+
 _WIN = [(4.35, 4.55)]
 
-# every entry point admits chain axes, seeds, indices and positive scalars
-# through the checks of respsim.errors; each probe used to pass (a
-# fractional axis truncated, -1 read as the z axis, a bool as 1, a
-# constructor's entries stored unchecked) or escape as another error
+# every entry point admits chain axes, seeds, indices, counts, frequency
+# points and positive scalars through the checks of respsim.errors; each
+# probe used to pass (a fractional axis truncated, -1 read as the z axis, a
+# bool as 1, a fractional count or a nan frequency kept, a constructor's
+# entries stored unchecked) or escape as another error
 ADMISSION_PROBES = {
     "estimate_box axes (0.7, 0)":
         lambda sd: estimate_box(sd, (0.7, 0), _WIN, 1e-3),
@@ -767,6 +776,23 @@ ADMISSION_PROBES = {
     "choose_k delta True": lambda sd: choose_k(True, 1e-3),
     "make_random_model seed True": lambda sd: make_random_model(2, 2, True),
     "make_random_model seed -1": lambda sd: make_random_model(2, 2, -1),
+    "make_random_model electrons 1.5":
+        lambda sd: make_random_model(2, 1.5, 0),
+    "make_random_model electrons True":
+        lambda sd: make_random_model(2, True, 0),
+    "make_random_model orbitals 2.5":
+        lambda sd: make_random_model(2.5, 2, 0),
+    "make_random_model orbitals 0": lambda sd: make_random_model(0, 0, 0),
+    "ModelSpec electrons 1.5": lambda sd: _spec(4, 1.5),
+    "ModelSpec orbitals 4.0": lambda sd: _spec(4.0, 2),
+    "alpha1 grid nan": lambda sd: alpha1(sd, 0, 0, [math.nan, 1.0], 0.1),
+    "alpha1 grid inf": lambda sd: alpha1(sd, 0, 0, [math.inf, 1.0], 0.1),
+    "run_pipeline eps '0.1'": lambda sd: run_pipeline(
+        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, eps="0.1", mode="oracle"),
+    "CostInputs p0 '0.5'": lambda sd: CostInputs(
+        alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0="0.5", gap=1.0),
+    "CostInputs p0 True": lambda sd: CostInputs(
+        alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0=True, gap=1.0),
 }
 
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_dense, naive_term_matrix
-from pauli_reference import (dict_jordan_wigner, loop_dense, pauli_masks,
-                             pauli_product, pauli_word)
+from pauli_reference import (dict_jordan_wigner, pauli_masks, pauli_product,
+                             pauli_word)
 from respsim import (
     FermionOperator,
     InputError,
@@ -26,6 +26,7 @@ from respsim import (
     sector_block,
     validate_two_body_symmetry,
 )
+from respsim import operators
 from respsim.operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP,
                                TWO_BODY_IMAGES)
 
@@ -204,6 +205,27 @@ def test_sector_block_and_one_norm_validation():
             fn(np.zeros((n, n)))
 
 
+@pytest.mark.parametrize("args", [None, (3, 2, 4)],
+                         ids=lambda a: "dimer" if a is None else "random")
+def test_pauli_one_norms_are_checked_by_an_independent_map(args, monkeypatch):
+    # the Pauli path checks majorana_one_norm, so it must not reach the
+    # mask code that majorana_one_norm sums with
+    model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
+             else make_random_model(*args))
+    tensors = [(model.T, model.V)] + [(d,) for d in model.dipole]
+    want = [majorana_one_norm(*t) for t in tensors]
+
+    def refuse(*_):
+        raise AssertionError("the Pauli path reached the Majorana masks")
+
+    for name in ("_majorana_sums", "_monomials", "_slots"):
+        monkeypatch.setattr(operators, name, refuse)
+    got = [lcu_one_norm(jordan_wigner(build_hamiltonian(model.T, model.V)))]
+    got += [lcu_one_norm(jordan_wigner(build_dipole(d)))
+            for d in model.dipole]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
 # ---------------------------------------------------------------------------
 # Pauli layer
 # ---------------------------------------------------------------------------
@@ -342,27 +364,12 @@ def fermion_ops(n, max_terms=12):
         lambda terms: FermionOperator(n, terms))
 
 
-@st.composite
-def ops_with_states(draw):
-    n = draw(st.integers(0, 6))
-    op = draw(fermion_ops(n))
-    states = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
-                           max_size=2 ** n, unique=True))
-    return op, states
-
-
-# a0 a0^dag maps to I: 5e-13j, Z: 5e-13j; each term is below 1e-12 but
-# their sum on |0> is 2e-12 away from hermitian
-@example(case=(FermionOperator(1, {((0, 0), (0, 1)): 1e-12j}), [0, 1]))
+# a0 a0^dag maps to I: 5e-13j and Z: 5e-13j, two small sums that stay
+@example(op=FermionOperator(1, {((0, 0), (0, 1)): 1e-12j}))
 @settings(max_examples=150, deadline=None)
-@given(case=ops_with_states())
-def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(case):
-    op, states = case
-    pauli = jordan_wigner(op)
-    assert_same_bits(pauli, dict_jordan_wigner(op))
-    block = pauli.dense(states=states)
-    assert block.tobytes() == loop_dense(pauli, states).tobytes()
-    assert pauli.dense().tobytes() == loop_dense(pauli).tobytes()
+@given(op=st.integers(0, 6).flatmap(fermion_ops))
+def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(op):
+    assert_same_bits(jordan_wigner(op), dict_jordan_wigner(op))
 
 
 @pytest.mark.parametrize("args", [
@@ -371,15 +378,10 @@ def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(case):
 def test_jordan_wigner_of_model_operators_matches_the_dict_reference(args):
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    states = [b for b in range(2 ** model.n_orbitals)
-              if bin(b).count("1") == model.n_electrons]
     ops = [build_hamiltonian(model.T, model.V)]
     ops += [build_dipole(model.dipole[ax]) for ax in range(3)]
     for op in ops:
-        pauli = jordan_wigner(op)
-        assert_same_bits(pauli, dict_jordan_wigner(op))
-        assert pauli.dense(states=states).tobytes() == \
-            loop_dense(pauli, states).tobytes()
+        assert_same_bits(jordan_wigner(op), dict_jordan_wigner(op))
 
 
 @pytest.mark.parametrize("cancel", [1.0, 1 - 1e-14], ids=["exact", "near"])
@@ -462,7 +464,7 @@ def test_full_space_matrices_are_capped_before_allocation():
 
 
 def test_jordan_wigner_qubit_cap():
-    # string keys x << n | z must fit an int64
+    # majorana_one_norm's 2n-bit Majorana masks must fit an int64
     assert DEFAULT_MODE_CAP <= 31
     n = DEFAULT_MODE_CAP
     hop = {((0, 1), (n - 1, 0)): 1.0, ((n - 1, 1), (0, 0)): 1.0}
