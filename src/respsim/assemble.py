@@ -285,8 +285,8 @@ class CostInputs:
     gamma: float                 # target line width
     eps: float                   # target accuracy
     n_order: int = 1
-    N: float = None              # orbital count (optional)
-    eta: float = None            # dipole norm scale (optional)
+    N: float = None              # spin-orbital count (optional)
+    eta: float = None            # electron count (optional)
     p0: float = None             # ground-state overlap (optional)
     gap: float = None            # spectral gap (optional)
 
@@ -464,7 +464,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
 
     beta = max(sd.betas[axes[-1]], 1e-12)
     ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
-                    n_order=order)
+                    n_order=order, N=model.n_orbitals,
+                    eta=model.n_electrons or None)
     result["cost"] = cost_report(ci)
     result["qpe"] = qpe_baseline_report(ci)
     manifest["alpha"] = sd.alpha

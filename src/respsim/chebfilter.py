@@ -4,18 +4,20 @@ ChebyshevFilter is a smoothed window indicator.  A window [a, b] inside
 [-1, 1] is recentred through y = (x - w)/R with w the window centre and
 R = 1 + |w|; in the y variable the target
     F(y) = (erf(k (y + kappa)) + erf(k (kappa - y))) / 2,
-kappa = half-width + delta/2, is even, so the filter polynomial is a pure
-even Chebyshev series.  Coefficients come from interpolation at first-kind
-Chebyshev nodes (a DCT), which stays cheap at degrees ~1e5 where naive
-O(n^2) constructions are hopeless.
+kappa = half-width + delta/2, is even, so the filter polynomial is an
+even Chebyshev series p(y) = sum c_2m T_2m(y).  It equals the half-series
+q(t) = sum c_2m T_m(t) at t = 2 y^2 - 1, and a filter stores q only: its
+degree in y is twice that of q.  The coefficients come from interpolation
+at first-kind Chebyshev nodes in y (a DCT), which stays cheap at degrees
+~1e5 where naive O(n^2) constructions are hopeless; their even entries
+are q.
 
-Every constructed object is grid-certified before it is returned.  An even
-series p(y) = sum c_2m T_2m(y) equals q(t) = sum c_2m T_m(t) at
-t = 2 y^2 - 1, so q is synthesized once, with an inverse DCT, on a
-first-kind Chebyshev grid in t of at least 16 points per degree of q (an
-FFT-friendly length).  Those values serve twice: their minimum sets the
-constant added to c0 when roundoff drags the floor below zero, and the
-lifted values must satisfy the three-region contract
+Every constructed object is grid-certified before it is returned.  q is
+synthesized once, with an inverse DCT, on a first-kind Chebyshev grid in t
+of at least 16 points per degree of q (an FFT-friendly length).  Those
+values serve twice: their minimum sets the constant added to c0 when
+roundoff drags the floor below zero, and the lifted values must satisfy
+the three-region contract
     >= 1 - eps  inside [a + delta, b - delta]   (t <= 2 l_in^2 - 1),
     <= eps      outside [a - delta, b + delta]  (t >= 2 l_out^2 - 1),
     in [0, 1 + eps] everywhere on the domain,
@@ -26,7 +28,7 @@ eps/4, interpolation eps/4) leaves room for the lift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct, next_fast_len
@@ -44,17 +46,6 @@ DOMAIN_TOL = 1e-12             # |y| beyond 1 that eval clamps as roundoff
 def chebyshev_grid(n: int) -> np.ndarray:
     """First-kind Chebyshev nodes cos(pi (m + 1/2) / n), descending in x."""
     return np.cos((np.arange(n) + 0.5) * np.pi / n)
-
-
-def _values_on_grid(coeffs: np.ndarray, n_grid: int) -> np.ndarray:
-    """Evaluate a Chebyshev series on chebyshev_grid(n_grid) via inverse DCT."""
-    m = len(coeffs)
-    if m > n_grid:
-        raise InputError("grid smaller than coefficient count")
-    spec = np.zeros(n_grid)
-    spec[0] = 2.0 * n_grid * coeffs[0]
-    spec[1:m] = n_grid * coeffs[1:]
-    return idct(spec, type=2)
 
 
 def _interpolate(fn, n_nodes: int) -> np.ndarray:
@@ -79,23 +70,22 @@ def choose_k(delta: float, eps: float) -> float:
 class ChebyshevFilter:
     """Even-parity smoothed indicator for a window [a, b] in [-1, 1].
 
-    The series acts on y = (x - center)/scale; coefficients with odd index
-    are identically zero.
+    The filter is p(y) = q(2y^2 - 1) with y = (x - center)/scale; it
+    stores the Chebyshev coefficients of the half-series q, whose entry m
+    is the coefficient of T_2m(y) in p.
     """
 
     center: float
     half_width: float
-    delta: float
     eps: float
-    k: float
-    kappa: float                 # erf shift, in y units
     scale: float                 # R = 1 + |center|
-    coefficients: np.ndarray
-    certificate: dict = field(default_factory=dict)
+    coefficients: np.ndarray     # half-series q in t = 2y^2 - 1
+    certificate: dict
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        """Degree of p in y."""
+        return 2 * (len(self.coefficients) - 1)
 
     def eval(self, x):
         """Values at the points x, in a fixed number of numpy steps per
@@ -122,11 +112,11 @@ class ChebyshevFilter:
             raise InputError(
                 f"filter evaluated outside its domain: |y| > 1 + {DOMAIN_TOL}")
         y = np.clip(y, -1.0, 1.0).ravel()
-        half = self.coefficients[::2]
-        baby = math.isqrt(len(half) - 1) + 1
-        giant = -(-len(half) // baby)
+        q = self.coefficients
+        baby = math.isqrt(len(q) - 1) + 1
+        giant = -(-len(q) // baby)
         table = np.zeros(giant * baby)
-        table[:len(half)] = half
+        table[:len(q)] = q
         table = table.reshape(giant, baby)
         # complex baby and giant tables, the GEMM products, z and a few
         # point-sized temporaries, in doubles per point
@@ -155,20 +145,23 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _half_series_values(coeffs: np.ndarray):
-    """Values of the even series at the t-grid nodes, as (t, q(t)).
+def _half_series_values(q: np.ndarray):
+    """Values of the half-series at the t-grid nodes, as (t, q(t)), by an
+    inverse DCT.
 
-    The grid has CERT_GRID_PER_DEGREE points per degree of the
-    half-series, rounded up to a length that pocketfft transforms without a
-    Bluestein plan (its plans for large prime factors cost memory).
+    The grid has CERT_GRID_PER_DEGREE points per degree of q, rounded up
+    to a length that pocketfft transforms without a Bluestein plan (its
+    plans for large prime factors cost memory).
     """
-    half = coeffs[::2]
-    n_grid = next_fast_len(CERT_GRID_PER_DEGREE * (len(half) - 1), real=True)
-    return chebyshev_grid(n_grid), _values_on_grid(half, n_grid)
+    n_grid = next_fast_len(CERT_GRID_PER_DEGREE * (len(q) - 1), real=True)
+    spec = np.zeros(n_grid)
+    spec[0] = 2.0 * n_grid * q[0]
+    spec[1:len(q)] = n_grid * q[1:]
+    return chebyshev_grid(n_grid), idct(spec, type=2)
 
 
 def _certify_indicator(t, vals, scale, half_width, delta, eps):
-    """Three-region check of the values q(t) of the even series, t = 2y^2-1.
+    """Three-region check of the values q(t) of the half-series, t = 2y^2-1.
 
     Returns (ok, cert_record) with the region extrema recorded.
     """
@@ -222,10 +215,9 @@ def build_indicator(a: float, b: float, delta: float, eps: float
             raise ResourceError(
                 f"indicator degree {degree} exceeds cap {DEGREE_CAP} "
                 f"(window [{a}, {b}], delta={delta}, eps={eps})")
-        coeffs = _interpolate(target, degree + 1)
-        coeffs[1::2] = 0.0
-        last = np.max(np.nonzero(np.abs(coeffs) > 0.0)[0], initial=0)
-        coeffs = coeffs[:last + 1].copy()
+        q = _interpolate(target, degree + 1)[::2]
+        last = np.max(np.nonzero(np.abs(q) > 0.0)[0], initial=0)
+        q = q[:last + 1].copy()
         # lift a residual-negative floor back above zero with headroom: the
         # erf-pair target is strictly positive, but the interpolant
         # undershoots it by its residual, and the dips can land between the
@@ -233,18 +225,17 @@ def build_indicator(a: float, b: float, delta: float, eps: float
         # the half-series many times, so its minimum is close to the true
         # one; lift by 3x the undershoot.  The shift is residual-sized, far
         # below the eps head-room of the other region bounds.
-        t, vals = _half_series_values(coeffs)
+        t, vals = _half_series_values(q)
         vmin = float(np.min(vals))
         if vmin < 1e-13:
             lift = 3.0 * (1e-13 - vmin)
-            coeffs[0] += lift
+            q[0] += lift
             vals += lift
         ok, cert = _certify_indicator(t, vals, scale, half, delta, eps)
         if ok:
             return ChebyshevFilter(
-                center=center, half_width=half, delta=delta, eps=eps,
-                k=k, kappa=kappa, scale=scale, coefficients=coeffs,
-                certificate=cert)
+                center=center, half_width=half, eps=eps, scale=scale,
+                coefficients=q, certificate=cert)
         # interpolation is cheap (one DCT), so grow gently and land close
         # to the smallest certifying degree
         degree = int(1.2 * degree) + 2

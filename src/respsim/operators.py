@@ -49,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, is_int
 
 PRUNE_TOL = 1e-14
 # largest mode count that jordan_wigner maps and that sector_block and
@@ -90,8 +90,8 @@ class FermionOperator:
     """
 
     def __init__(self, n_modes: int, terms: dict | None = None):
-        if n_modes < 0:
-            raise InputError("n_modes must be non-negative")
+        if not (is_int(n_modes) and n_modes >= 0):
+            raise InputError("n_modes must be a non-negative integer")
         self.n_modes = int(n_modes)
         self.terms: dict[tuple, complex] = {}
         for actions, coeff in (terms or {}).items():
@@ -100,8 +100,9 @@ class FermionOperator:
 
     def _add(self, actions: tuple, coeff: complex):
         for p, d in actions:
-            if not 0 <= p < self.n_modes:
-                raise InputError(f"mode index {p} out of range [0, {self.n_modes})")
+            if not (is_int(p) and 0 <= p < self.n_modes):
+                raise InputError(
+                    f"mode index {p} must be an integer in [0, {self.n_modes})")
             if d not in (0, 1, True, False):
                 raise InputError("dagger flag must be boolean")
         key = tuple((int(p), int(bool(d))) for p, d in actions)

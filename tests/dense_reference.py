@@ -18,10 +18,13 @@ from respsim import build_indicator
 
 
 def dense_filter(filt, H):
-    """p(H) by T_{j+1}(Y) = 2 Y T_j(Y) - T_{j-1}(Y), Y = (H - center)/scale."""
+    """p(H) by T_{j+1}(Y) = 2 Y T_j(Y) - T_{j-1}(Y), Y = (H - center)/scale,
+    on the y-series of p: the stored half-series at even indices, zeros at
+    odd ones."""
     eye = np.eye(len(H))
     Y = (np.asarray(H) - filt.center * eye) / filt.scale
-    c = filt.coefficients
+    c = np.zeros(filt.degree + 1)
+    c[::2] = filt.coefficients
     out = c[0] * eye
     t_prev, t_cur = eye, Y
     for cj in c[1:]:

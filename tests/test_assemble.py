@@ -11,6 +11,7 @@ import pytest
 from conftest import oracle_tables
 from respsim import (
     CostInputs,
+    FermionOperator,
     InputError,
     ModelSpec,
     ResourceError,
@@ -702,6 +703,52 @@ def test_pipeline_rejects_non_finite_inputs(dimer, kwargs):
         run_pipeline(dimer, **{"gamma": 0.2, "method": "exact", **kwargs})
 
 
+def _run_texts(res):
+    """A run's csv, manifest, tables and traces as the text they are
+    written as."""
+    texts = [res["csv"], assemble._json_text(res["manifest"])]
+    for part in ("tables", "traces"):
+        texts.append(assemble._json_text(
+            {str(k): v.as_dict() for k, v in res[part].items()}))
+    return texts
+
+
+# (model, run_pipeline keywords, seeds)
+SHARED_SPECTRUM_CASES = {
+    "dimer order 1 ae": (
+        lambda: make_hubbard_dimer(1.0, 2.0, 0.5),
+        dict(gamma=0.1, grid=np.linspace(0.0, 5.4, 41), method="ae"),
+        range(10)),
+    "random n3 order 1 exact": (
+        lambda: make_random_model(3, 2, 4), dict(gamma=0.1, method="exact"),
+        range(4)),
+    "random n2 order 3 yxxy": (
+        lambda: make_random_model(2, 2, 0),
+        dict(gamma=0.4, order=3, axes=(1, 0, 0, 1), method="exact"),
+        range(4)),
+    "dimer order 3 xxxx": (
+        lambda: make_hubbard_dimer(1.0, 2.0, 0.5),
+        dict(gamma=0.2, order=3, axes=(0, 0, 0, 0), method="exact"),
+        range(4)),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_SPECTRUM_CASES)
+def test_runs_sharing_one_spectrum_write_what_fresh_runs_write(case,
+                                                               monkeypatch):
+    # runs that share one SpectralData, and so its filter caches, in either
+    # seed order, give the bytes of runs that each diagonalize afresh
+    make_model, kw, seeds = SHARED_SPECTRUM_CASES[case]
+    model = make_model()
+    fresh = {s: _run_texts(run_pipeline(model, seed=s, **kw)) for s in seeds}
+    for order in (list(seeds), list(seeds)[::-1]):
+        sd = diagonalize(model)
+        monkeypatch.setattr(assemble, "diagonalize", lambda m: sd)
+        for s in order:
+            assert _run_texts(run_pipeline(model, seed=s, **kw)) == fresh[s]
+        assert sd.filters and sd.filter_values
+
+
 # ---------------------------------------------------------------------------
 # one admission check per input kind
 # ---------------------------------------------------------------------------
@@ -791,6 +838,12 @@ ADMISSION_PROBES = {
         make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, eps="0.1", mode="oracle"),
     "CostInputs p0 '0.5'": lambda sd: CostInputs(
         alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0="0.5", gap=1.0),
+    "FermionOperator n_modes 2.5": lambda sd: FermionOperator(2.5),
+    "FermionOperator n_modes True": lambda sd: FermionOperator(True),
+    "FermionOperator mode 0.5":
+        lambda sd: FermionOperator(2, {((0.5, 1), (1.9, 0)): 1.0}),
+    "FermionOperator mode True":
+        lambda sd: FermionOperator(2, {((True, 1), (0, 0)): 1.0}),
     "CostInputs p0 True": lambda sd: CostInputs(
         alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0=True, gap=1.0),
 }

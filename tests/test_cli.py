@@ -1,5 +1,6 @@
 """Command-line interface parsing and exit codes."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -84,6 +85,22 @@ def test_main_oracle_only(tmp_path, capsys):
     assert "12 points" in captured.out
     assert (out / "response.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_main_cost_report_states_the_system_size_bound(tmp_path, capsys):
+    """cost_report.json carries N^(5n+1) eta^(n+1) / (gamma^n eps) with N
+    the spin-orbital count and eta the electron count: N = 4 and eta = 2 on
+    the dimer; a model with no electrons has no such bound."""
+    def cost(toy):
+        out = tmp_path / toy
+        assert main(["--toy", toy, "--oracle-only", "--gamma", "0.1",
+                     "--eps", "0.01", "--grid", "0:5.4:12",
+                     "--out", str(out)]) == 0
+        return json.loads((out / "cost_report.json").read_text())["cost"]
+
+    assert cost("hubbard")["system_size_order_n"] == pytest.approx(
+        4 ** 6 * 2 ** 2 / (0.1 * 0.01))
+    assert cost("random:n=2,ne=0,seed=0")["system_size_order_n"] is None
 
 
 def test_main_simulate(capsys):

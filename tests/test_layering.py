@@ -91,6 +91,13 @@ def test_only_errors_admits_numbers(path):
     assert path.name == "errors.py" or "numbers" not in _import_roots(path)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_chebfilter_imports_scipy(path):
+    # the DCTs and erf of the filter build are the package's only scipy
+    # use, so a numpy-only runtime stays a change to one module
+    assert path.name == "chebfilter.py" or "scipy" not in _import_roots(path)
+
+
 def _unused_imports(path):
     """Names a module imports (other than from __future__) but never reads."""
     tree = ast.parse(path.read_text())
