@@ -43,12 +43,6 @@ from .spectra import (SusceptibilityResult, alpha1, diagonalize,
 GRID_POINT_CAP = 4096
 
 
-def _window_key(window):
-    """Canonical hashable form of a window: a tuple of rounded (lo, hi)
-    pairs, one per nesting level."""
-    return tuple((round(float(a), 12), round(float(b), 12)) for a, b in window)
-
-
 def _overlap_length(w1, w2):
     return min(w1[1], w2[1]) - max(w1[0], w2[0])
 
@@ -99,16 +93,20 @@ class ResponseTable:
         axes = check_axes(meta.pop("axes"), self.order + 1)
         meta.update(meta.pop("meta", {}))
         try:
-            window = _window_key(meta.pop("window"))
+            window = tuple((lo, hi) for lo, hi in meta.pop("window"))
         except (TypeError, ValueError):
             raise InputError("window must be a sequence of (lo, hi) "
                              "pairs") from None
+        if not all(map(is_finite_real, itertools.chain(*window))):
+            raise InputError(f"window {window} needs finite real edges")
+        window = tuple((round(float(a), 12), round(float(b), 12))
+                       for a, b in window)
         value = meta.pop("value")
         if not is_finite_real(value):
             raise InputError("value must be a finite real number")
         value = float(value)
-        if not all(-math.inf < a < b < math.inf for a, b in window):
-            raise InputError(f"window {window} needs finite pairs, lo < hi")
+        if not all(a < b for a, b in window):
+            raise InputError(f"window {window} needs lo < hi")
         if len(window) != self.order:
             raise InputError(f"entry has nesting depth {len(window)}, table "
                              f"holds {self.order}")
@@ -162,6 +160,8 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     ax_out, ax_in = table.entries[0]["axes"]
     if len(table.select((ax_out, ax_in))) != len(table.entries):
         raise InputError("first-order assembly needs one dipole chain")
+    if not all(map(is_finite_real, np.ravel(omega_grid))):
+        raise InputError("frequency grid points must be finite real numbers")
     om = np.asarray(omega_grid, dtype=float)
     vals = np.zeros(om.shape, dtype=complex)
     for e in table.entries:
@@ -237,6 +237,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         raise InputError("ground moments must be finite real numbers")
     gd = [float(m) for m in gd]
 
+    if not all(map(is_finite_real, np.ravel(omega_triples))):
+        raise InputError("omega triples must be finite real numbers")
     triples = np.asarray(omega_triples, dtype=float)
     squeeze = triples.ndim == 1
     triples = np.atleast_2d(triples)
@@ -379,27 +381,30 @@ def _child_seed(seed: int, idx: int) -> int:
 
 
 def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
-                 order: int = 1, axes=(0, 0), grid=None, seed: int = 0,
+                 order: int = 1, axes=None, grid=None, seed: int = 0,
                  method: str = "ae", mode: str = "simulate",
                  out_dir: str = None, window_width: float = None) -> dict:
     """Search, estimate and assemble a response function on a grid.
 
-    order 1: axes = (axis_out, axis_in), the depth-1 dipole chain that is
-    searched, estimated and tabled as is; order 3: axes = (i, i3, i2, i1)
-    and the grid is used diagonally, (w, w, w).  mode "oracle" skips the
-    measurement simulation and reports the exact sum over states only.
-    Found windows are estimated one after another with seeds derived from
-    `seed`; two estimates on one chain whose windows overlap beyond the
-    filter margin raise InputError.  window_width (order 1) sets the
-    estimation window, default gamma/8.  Before any search, the seed, axes,
-    gamma, eps and window_width go through the checks of `respsim.errors`,
-    and a method outside METHODS (in either mode), a zero Hamiltonian, eps
-    of 1 or more, an order other than 1 or 3 or a grid point that is not
-    finite raise InputError; a grid of more than GRID_POINT_CAP points
+    axes is the run's dipole chain, order + 1 axes (all x when None):
+    (axis_out, axis_in) at order 1, searched, estimated and tabled as is;
+    (i, i3, i2, i1) at order 3, where the grid is used diagonally,
+    (w, w, w).  mode "oracle" skips the measurement simulation and reports
+    the exact sum over states only.  Found windows are estimated one after
+    another with seeds derived from `seed`; two estimates on one chain
+    whose windows overlap beyond the filter margin raise InputError.
+    window_width (order 1) sets the estimation window, default gamma/8.
+    Before any search, the seed, axes, gamma, eps and window_width go
+    through the checks of `respsim.errors`, and a method outside METHODS
+    (in either mode), a zero Hamiltonian, eps of 1 or more, an order other
+    than 1 or 3 or a grid that is not a non-empty 1-D sequence of finite
+    reals raise InputError; a grid of more than GRID_POINT_CAP points
     raises ResourceError.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
     "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
-    "manifest" (manifest.json's content) and "csv" (response.csv's body).
+    "manifest" (manifest.json's content, whose "queries_total" counts a
+    simulation's search and estimate queries) and "csv" (response.csv's
+    body: the oracle in mode "oracle", else the assembled response).
     A simulation adds "traces" ({search name: SearchTrace}; a search over
     a chain is named d<depth>_<axis letters>, the order-3 box search
     depth3), "tables" ({depth: ResponseTable}) and "result" (the
@@ -419,28 +424,27 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
     seed = check_seed(seed)
-    axes = check_axes(axes, 2 if order == 1 else 4)
+    axes = (0,) * (order + 1) if axes is None else check_axes(axes, order + 1)
     if grid is not None:
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(grid, dtype=object)
         if grid.size > GRID_POINT_CAP:
             raise ResourceError(f"{grid.size} grid points exceeds the cap "
                                 f"of {GRID_POINT_CAP}")
-        if not np.all(np.isfinite(grid)):
-            raise InputError("grid frequencies must be finite")
+        if not (grid.ndim == 1 and grid.size
+                and all(map(is_finite_real, grid))):
+            raise InputError("grid must be a non-empty list of finite reals")
+        grid = grid.astype(float)
     sd = diagonalize(model)
     if grid is None:
         grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
 
     if order == 1:
-        ax_out, ax_in = axes
-        oracle = alpha1(sd, ax_out, ax_in, grid, gamma)
+        oracle = alpha1(sd, *axes, grid, gamma)
     else:
-        oracle_vals = np.array([
-            r_pathway_fd(sd, 1, axes, 3 * w, 2 * w, w, gamma) for w in grid])
-        oracle = SusceptibilityResult(order=3,
-                                      frequencies=np.stack([grid] * 3, -1),
-                                      values=oracle_vals, gamma=gamma,
-                                      axes=axes)
+        vals = [r_pathway_fd(sd, 1, axes, 3 * w, 2 * w, w, gamma)
+                for w in grid]
+        oracle = SusceptibilityResult(3, np.stack([grid] * 3, -1),
+                                      np.array(vals), gamma, axes)
 
     result = {"oracle": oracle, "mode": mode, "sd": sd}
     manifest = {
@@ -460,21 +464,21 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
             result.update(_simulate_alpha3(
                 sd, gamma, eps, axes, oracle.frequencies, seed, method))
         manifest["queries_total"] = sum(
-            t.queries_total for t in result["traces"].values())
+            t.queries_total for t in result["traces"].values()) + sum(
+            e["meta"]["queries"] for t in result["tables"].values()
+            for e in t.entries)
 
     beta = max(sd.betas[axes[-1]], 1e-12)
     ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
                     n_order=order, N=model.n_orbitals,
                     eta=model.n_electrons or None)
-    result["cost"] = cost_report(ci)
-    result["qpe"] = qpe_baseline_report(ci)
-    manifest["alpha"] = sd.alpha
-    manifest["beta"] = beta
-    result["manifest"] = manifest
-    result["csv"] = _render_csv(result, axes, order)
+    result.update(cost=cost_report(ci), qpe=qpe_baseline_report(ci),
+                  manifest=dict(manifest, alpha=sd.alpha, beta=beta))
+    result["csv"] = _render_csv(
+        oracle if mode == "oracle" else result["result"], axes)
 
     if out_dir is not None:
-        _write_outputs(result, out_dir, order)
+        _write_outputs(result, out_dir)
     return result
 
 
@@ -534,29 +538,25 @@ def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
     return {"traces": traces, "tables": tables, "result": result}
 
 
-def _render_csv(result: dict, axes, order: int) -> str:
-    """response.csv body: one row per grid frequency, 17 significant
-    digits, simulated values when present and the oracle otherwise."""
+def _render_csv(response, axes) -> str:
+    """response.csv body: a header, then one row per frequency row of
+    `response` (none when it is None): omega is the row's first entry, 17
+    significant digits.  The dipole chain `axes` fills the rest: axis_out
+    its first letter, axis_in the others, order its length less one, and
+    pathway R1 for a third-order chain."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["omega", "re", "im", "axis_in", "axis_out", "order",
                      "pathway"])
-    res = result.get("result") or result["oracle"]
-    freqs = np.atleast_1d(res.frequencies)
-    vals = np.atleast_1d(res.values)
-    if order == 1:
-        ax_out, ax_in = axes
-        a_in, a_out = AXIS_LETTERS[ax_in], AXIS_LETTERS[ax_out]
-        pathway = ""
-        omegas = freqs
-    else:
-        a_out = AXIS_LETTERS[axes[0]]
-        a_in = "".join(AXIS_LETTERS[a] for a in axes[1:])
-        pathway = "R1"
-        omegas = freqs[:, 0]
-    for w, v in zip(omegas, vals):
-        writer.writerow([f"{float(w):.17g}", f"{v.real:.17g}",
-                         f"{v.imag:.17g}", a_in, a_out, str(order), pathway])
+    a_out, *a_in = (AXIS_LETTERS[a] for a in axes)
+    tail = ["".join(a_in), a_out, str(len(axes) - 1),
+            "R1" if len(axes) == 4 else ""]
+    if response is not None:
+        vals = np.atleast_1d(response.values)
+        omegas = np.reshape(response.frequencies, (len(vals), -1))[:, 0]
+        for w, v in zip(omegas, vals):
+            writer.writerow([f"{float(w):.17g}", f"{v.real:.17g}",
+                             f"{v.imag:.17g}", *tail])
     return buf.getvalue()
 
 
@@ -564,7 +564,7 @@ def _json_text(obj, indent=None) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
 
 
-def _write_outputs(result: dict, out_dir: str, order: int) -> None:
+def _write_outputs(result: dict, out_dir: str) -> None:
     texts = {
         "response.csv": result["csv"],
         "manifest.json": _json_text(result["manifest"], indent=2),
@@ -572,12 +572,10 @@ def _write_outputs(result: dict, out_dir: str, order: int) -> None:
                                         "qpe": result["qpe"]}, indent=2),
     }
     if "tables" in result:
-        tables = {str(d): t.as_dict() for d, t in result["tables"].items()}
-        traces = {name: t.as_dict() for name, t in result["traces"].items()}
-        if order == 1:      # its one table and one search, written bare
-            (tables,), (traces,) = tables.values(), traces.values()
-        texts["response_table.json"] = _json_text(tables)
-        texts["search_trace.json"] = _json_text(traces)
+        texts["response_table.json"] = _json_text(
+            {str(d): t.as_dict() for d, t in result["tables"].items()})
+        texts["search_trace.json"] = _json_text(
+            {name: t.as_dict() for name, t in result["traces"].items()})
     os.makedirs(out_dir, exist_ok=True)
     for name, text in texts.items():
         with open(os.path.join(out_dir, name), "w") as fh:

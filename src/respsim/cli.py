@@ -5,6 +5,9 @@ Examples:
             --grid 0:5.4:109 --seed 7 --out run1
     respsim --model fci.txt --dipole dip.txt --oracle-only --gamma 0.1
 
+--axes names the dipole chain, one letter per axis; `run_pipeline` checks
+its length (order + 1) and sets its default (all x).
+
 Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
 4 statistical failure.
 """
@@ -60,13 +63,10 @@ def _parse_toy(text: str):
         raise InputError(f"bad random-model parameter: {exc}") from exc
 
 
-def _parse_axes(text: str, order: int):
-    need = 2 if order == 1 else 4
+def _parse_axes(text: str):
     text = text.strip().lower()
-    if len(text) != need or any(c not in AXIS_LETTERS for c in text):
-        raise InputError(
-            f"--axes needs {need} letters from xyz for order {order}, "
-            f"got {text!r}")
+    if any(c not in AXIS_LETTERS for c in text):
+        raise InputError(f"--axes takes letters from xyz, got {text!r}")
     return tuple(AXIS_LETTERS.index(c) for c in text)
 
 
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-window estimation accuracy (default 2e-3)")
     p.add_argument("--order", type=int, choices=(1, 3), default=1)
     p.add_argument("--axes", default=None,
-                   help="axis letters, e.g. xx (order 1) or xxxx (order 3)")
+                   help="dipole chain, order + 1 letters (default all x)")
     p.add_argument("--grid", default=None, help="frequency grid lo:hi:n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=METHODS,
@@ -130,8 +130,7 @@ def main(argv=None) -> int:
             if not os.path.exists(args.model):
                 raise InputError(f"model file not found: {args.model}")
             model = load_fcidump_like(args.model, dipole_path=args.dipole)
-        axes_text = args.axes or ("xx" if args.order == 1 else "xxxx")
-        axes = _parse_axes(axes_text, args.order)
+        axes = None if args.axes is None else _parse_axes(args.axes)
         grid = _parse_grid(args.grid) if args.grid else None
         result = run_pipeline(
             model, gamma=args.gamma, eps=args.eps, order=args.order,
@@ -151,16 +150,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    res = result.get("result")
     if args.oracle_only:
         print("oracle sum over states evaluated on "
               f"{len(np.atleast_1d(result['oracle'].frequencies))} points")
-    elif res is None:
-        print("search found no spectral weight in the scanned span")
     else:
         n_win = sum(len(t.entries) for t in result["tables"].values())
+        empty = ("; nothing assembled: a search found no spectral weight"
+                 if result["result"] is None else "")
         print(f"simulated {n_win} window estimate(s); "
-              f"queries {result['manifest']['queries_total']}")
+              f"queries {result['manifest']['queries_total']}{empty}")
     if args.out:
         print(f"wrote outputs under {args.out}")
     return 0

@@ -59,7 +59,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chebfilter import build_indicator
-from .errors import InputError, check_axes, check_positive, check_seed
+from .errors import (InputError, check_axes, check_positive, check_seed,
+                     is_finite_real)
 from .spectra import SpectralData
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
@@ -446,15 +447,16 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     check_positive("eps", eps)
     rng = np.random.default_rng(check_seed(seed))
     try:
-        windows = [(float(lo), float(hi)) for lo, hi in windows]
+        windows = [(lo, hi) for lo, hi in windows]
     except (TypeError, ValueError):
         raise InputError("each window must be a (lo, hi) pair") from None
     if not windows:
         raise InputError("need at least one window")
     for lo, hi in windows:
-        if not 0 <= lo < hi:
-            raise InputError(
-                f"window [{lo}, {hi}) is empty, reversed or negative")
+        if not (is_finite_real(lo) and is_finite_real(hi) and 0 <= lo < hi):
+            raise InputError(f"window [{lo}, {hi}) needs finite real edges, "
+                             "0 <= lo < hi")
+    windows = [(float(lo), float(hi)) for lo, hi in windows]
     if delta is None:
         deltas = [(hi - lo) / 4.0 for lo, hi in windows]
     else:

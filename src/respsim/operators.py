@@ -103,8 +103,8 @@ class FermionOperator:
             if not (is_int(p) and 0 <= p < self.n_modes):
                 raise InputError(
                     f"mode index {p} must be an integer in [0, {self.n_modes})")
-            if d not in (0, 1, True, False):
-                raise InputError("dagger flag must be boolean")
+            if not (isinstance(d, bool) or is_int(d) and d in (0, 1)):
+                raise InputError("dagger flag must be a bool, 0 or 1")
         key = tuple((int(p), int(bool(d))) for p, d in actions)
         self.terms[key] = self.terms.get(key, 0j) + coeff
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InputError, ResourceError, check_axes, check_positive,
-                     is_int)
+                     is_finite_real, is_int)
 from .models import ModelSpec
 from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
                         validate_dipole, validate_hamiltonian)
@@ -205,6 +205,8 @@ def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
     dipoles i1, i2, i3 act in time order on the sides pathway nu sets, and
     Tr[d_i rho] closes the trace."""
     check_positive("gamma", gamma)
+    if not all(map(is_finite_real, (Omega1, Omega2, Omega3))):
+        raise InputError("pathway frequencies must be finite real numbers")
     if not (is_int(nu) and nu in _PATHWAY_SIDES):
         raise InputError(f"pathway index {nu!r} is not an integer in 1..4")
     i, i3, i2, i1 = check_axes(axes, 4)

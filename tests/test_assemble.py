@@ -585,8 +585,18 @@ def test_pipeline_writes_outputs(dimer, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["order"] == 1
     assert manifest["gamma"] == 0.2
-    trace = json.loads((out / "search_trace.json").read_text())
-    assert trace["found"] is True
+    traces = json.loads((out / "search_trace.json").read_text())
+    assert traces["d1_xx"]["found"] is True
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_pipeline_default_chain_is_all_x_at_either_order(dimer, order):
+    # the default chain used to be (0, 0) at every order, so order 3
+    # failed with "need 4 axes, got 2"
+    res = run_pipeline(dimer, 0.2, order=order, grid=[1.0, 2.4],
+                       method="exact")
+    assert res["manifest"]["axes"] == [0] * (order + 1)
+    assert res["result"].axes == (0,) * (order + 1)
 
 
 def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
@@ -770,10 +780,11 @@ def _spec(n_orbitals, n_electrons):
 _WIN = [(4.35, 4.55)]
 
 # every entry point admits chain axes, seeds, indices, counts, frequency
-# points and positive scalars through the checks of respsim.errors; each
-# probe used to pass (a fractional axis truncated, -1 read as the z axis, a
-# bool as 1, a fractional count or a nan frequency kept, a constructor's
-# entries stored unchecked) or escape as another error
+# points, window edges and positive scalars through the checks of
+# respsim.errors; each probe used to pass (a fractional axis truncated, -1
+# read as the z axis, a bool as 1, a fractional count or a nan frequency
+# kept, a string edge parsed, a constructor's entries stored unchecked) or
+# escape as another error
 ADMISSION_PROBES = {
     "estimate_box axes (0.7, 0)":
         lambda sd: estimate_box(sd, (0.7, 0), _WIN, 1e-3),
@@ -846,6 +857,33 @@ ADMISSION_PROBES = {
         lambda sd: FermionOperator(2, {((True, 1), (0, 0)): 1.0}),
     "CostInputs p0 True": lambda sd: CostInputs(
         alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0=True, gap=1.0),
+    "FermionOperator dagger 1.0":
+        lambda sd: FermionOperator(2, {((0, 1.0), (1, 0.0)): 1.0}),
+    "run_pipeline grid []": lambda sd: run_pipeline(
+        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=[], mode="oracle"),
+    "run_pipeline grid ['a', 'b']": lambda sd: run_pipeline(
+        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=["a", "b"],
+        mode="oracle"),
+    "run_pipeline 2-D grid": lambda sd: run_pipeline(
+        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=[[1.0, 2.0], [3.0, 4.0]],
+        mode="oracle"),
+    "assemble_alpha1 grid nan":
+        lambda sd: assemble_alpha1(_table(1, {}), [math.nan, 1.0], 0.1),
+    "assemble_alpha1 grid inf":
+        lambda sd: assemble_alpha1(_table(1, {}), [math.inf, 1.0], 0.1),
+    "assemble_alpha3 triple nan":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(math.nan, 1.0, 1.0)], 0.1, {}),
+    "r_pathway_fd Omega1 nan":
+        lambda sd: r_pathway_fd(sd, 1, (0, 0, 0, 0), 3.0, 2.0, math.nan, 0.1),
+    "estimate_box window ('4.35', '4.55')":
+        lambda sd: estimate_box(sd, (0, 0), [("4.35", "4.55")], 1e-3),
+    "estimate_box window edge True":
+        lambda sd: estimate_box(sd, (0, 0), [(True, 4.55)], 1e-3),
+    "ResponseTable window ('4.35', '4.55')":
+        lambda sd: _table(1, {"window": (("4.35", "4.55"),)}),
+    "ResponseTable window edge True":
+        lambda sd: _table(1, {"window": ((True, 2.0),)}),
 }
 
 

@@ -46,14 +46,19 @@ def test_parse_toy_errors():
 
 
 def test_parse_axes():
-    assert _parse_axes("xy", 1) == (0, 1)
-    assert _parse_axes("XZzy", 3) == (0, 2, 2, 1)
+    # letters map to axes; the chain's length is the run's to check
+    assert _parse_axes("xy") == (0, 1)
+    assert _parse_axes("XZzy") == (0, 2, 2, 1)
+    assert _parse_axes("x") == (0,)
     with pytest.raises(InputError):
-        _parse_axes("x", 1)
-    with pytest.raises(InputError):
-        _parse_axes("xq", 1)
-    with pytest.raises(InputError):
-        _parse_axes("xx", 3)
+        _parse_axes("xq")
+
+
+@pytest.mark.parametrize("argv", [["--axes", "x"],
+                                  ["--order", "3", "--axes", "xx"]], ids=repr)
+def test_main_refuses_a_chain_of_the_wrong_length(argv, capsys):
+    assert main(["--toy", "hubbard", "--oracle-only", *argv]) == 2
+    assert "need" in capsys.readouterr().err
 
 
 def test_parse_grid():

@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import pathlib
+import re
 import shutil
 import sys
 import tempfile
@@ -60,15 +61,18 @@ CASES = {
 # the first line each case prints on stdout
 SUMMARY = {
     "readme-oracle": "oracle sum over states evaluated on 109 points",
-    "readme-simulate": "simulated 1 window estimate(s); queries 912503310",
-    "readme-order3": "simulated 3 window estimate(s); queries 20018451072",
-    "random-n3-exact": "search found no spectral weight in the scanned span",
+    "readme-simulate": "simulated 1 window estimate(s); queries 1093991310",
+    "readme-order3": "simulated 3 window estimate(s); queries 20109243072",
+    "random-n3-exact": "simulated 0 window estimate(s); queries 2758572;"
+                       " nothing assembled: a search found no spectral"
+                       " weight",
     "random-n4-oracle": "oracle sum over states evaluated on 121 points",
-    "hubbard-gamma005": "simulated 1 window estimate(s); queries 1521427014",
+    "hubbard-gamma005": "simulated 1 window estimate(s); queries 1884391014",
     "random-n3-order3-oracle": "oracle sum over states evaluated on 7 points",
-    "random-n2-yx": "simulated 1 window estimate(s); queries 245512908",
-    "random-n2-order3-yxxy": "search found no spectral weight in the scanned"
-                             " span",
+    "random-n2-yx": "simulated 1 window estimate(s); queries 1676437468",
+    "random-n2-order3-yxxy": "simulated 10 window estimate(s); queries"
+                             " 2248767810; nothing assembled: a search"
+                             " found no spectral weight",
 }
 
 
@@ -100,6 +104,39 @@ def test_golden_bytes_do_not_depend_on_blas_threads(threads, tmp_path):
     argv = CASES["readme-order3"].split() + ["--out", str(tmp_path)]
     run_with_blas_threads(threads, "-m", "respsim.cli", *argv)
     _assert_golden_bytes("readme-order3", tmp_path)
+
+
+def test_a_runs_files_agree_with_each_other(tmp_path, capsys):
+    """For every golden argv: queries_total is the searches' queries plus
+    the estimates'; response.csv has one row per grid point when the run
+    is oracle-only or assembled a response, and none otherwise; a
+    simulation keys its tables by depth and its traces by search name at
+    either order."""
+    for name, argv in CASES.items():
+        out = tmp_path / name
+        _run(name, out)
+        summary = capsys.readouterr().out.splitlines()[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = (out / "response.csv").read_text().splitlines()[1:]
+        if "--oracle-only" in argv:
+            assert len(rows) == manifest["grid"]["n"], name
+            continue
+        tables = json.loads((out / "response_table.json").read_text())
+        traces = json.loads((out / "search_trace.json").read_text())
+        assert sorted(tables) == [str(d) for d in
+                                  range(1, manifest["order"] + 1)], name
+        assert all(t["order"] == int(d) for d, t in tables.items()), name
+        for trace_name, trace in traces.items():
+            depth = trace["dims"]
+            assert (trace_name == "depth3" and depth == 3 or re.fullmatch(
+                rf"d{depth}_[xyz]{{{depth + 1}}}", trace_name)), name
+        assert manifest["queries_total"] == sum(
+            t["queries_total"] for t in traces.values()) + sum(
+            e["meta"]["queries"] for t in tables.values()
+            for e in t["entries"]), name
+        assembled = all(t["entries"] for t in tables.values())
+        assert len(rows) == (manifest["grid"]["n"] if assembled else 0), name
+        assert ("nothing assembled" in summary) != assembled, name
 
 
 ABSENT = "(absent)"
