@@ -32,11 +32,12 @@ Conventions used throughout the package:
   factor's choice as the most significant, as the dict loop in
   tests/pauli_reference.py does.  Sums at or below PRUNE_TOL drop once, at
   the end; strings come out in the order of their first contribution.
-* majorana_one_norm sums the same products on int64 Majorana masks, array
-  by array, and adds the magnitudes in the same order; sector_block builds
-  blocks from the tensors by ladder action (see its docstring).  The plain
-  Pauli loops share no code with either and stay as their reference.
-* Size caps are constants: jordan_wigner, sector_block and
+* majorana_one_norm takes the one-norm of the image in closed form from
+  the tensors (see its docstring), and sector_block and sector_blocks
+  build blocks from the tensors by ladder action (see sector_blocks).  The
+  plain Pauli loops share no code with either and stay as their
+  reference.
+* Size caps are constants: jordan_wigner, the sector blocks and
   majorana_one_norm take at most DEFAULT_MODE_CAP modes, and full 2^n x 2^n
   matrices are built up to FULL_SPACE_MODE_CAP modes; both refuse before
   allocating.
@@ -53,15 +54,13 @@ from .errors import InputError, ResourceError, is_int
 
 PRUNE_TOL = 1e-14
 # largest mode count that jordan_wigner maps and that sector_block and
-# majorana_one_norm take (so diagonalize takes); it must stay <= 31, since
-# majorana_one_norm's 2n-bit Majorana masks are int64
+# majorana_one_norm take (so diagonalize takes); sector_blocks lists all 2^n
+# basis states as int64, 16 GiB at 31 modes, so it must stay well below that
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
 FULL_SPACE_MODE_CAP = 12
-# terms expanded at once by majorana_one_norm (bounds temporaries)
-_JW_BLOCK = 256
-# (lower state, preimage, preimage) triples formed at once by sector_block
+# (lower state, preimage, preimage) weights formed at once for a sector block
 _SECTOR_BLOCK = 1 << 16
 
 # the eight index permutations of the real-orbital two-body symmetry group,
@@ -147,25 +146,17 @@ class FermionOperator:
         return mat
 
 
-def _ladder_terms(tensor: np.ndarray) -> tuple:
-    """Terms of the ladder sum of a rank-2k tensor, sum t[p1..p2k]
-    a_p1^dag..a_pk^dag a_pk+1..a_p2k, over the entries above PRUNE_TOL in
-    np.nonzero (row-major) order: their (count, 2k, 2) (mode, dagger)
-    factors and complex coefficients."""
-    index = np.nonzero(np.abs(tensor) > PRUNE_TOL)
-    acts = np.empty((index[0].size, tensor.ndim, 2), dtype=np.int64)
-    acts[:, :, 0] = np.stack(index, axis=1)
-    acts[:, :, 1] = np.repeat([1, 0], tensor.ndim // 2)
-    return acts, tensor[index].astype(complex)
-
-
 def _ladder_sum(tensor: np.ndarray) -> FermionOperator:
-    """The ladder sum of _ladder_terms as a FermionOperator on shape[0]
-    modes, its terms in the same order."""
-    acts, coeffs = _ladder_terms(tensor)
+    """The ladder sum of a rank-2k tensor, sum t[p1..p2k]
+    a_p1^dag..a_pk^dag a_pk+1..a_p2k, as a FermionOperator on shape[0]
+    modes: one term per entry above PRUNE_TOL, in np.nonzero (row-major)
+    order."""
+    index = np.nonzero(np.abs(tensor) > PRUNE_TOL)
+    daggers = [1] * (tensor.ndim // 2) + [0] * (tensor.ndim // 2)
     op = FermionOperator(tensor.shape[0])
-    op.terms = {tuple(map(tuple, a)): c
-                for a, c in zip(acts.tolist(), coeffs.tolist())}
+    op.terms = {tuple(zip(modes, daggers)): complex(c)
+                for modes, c in zip(np.transpose(index).tolist(),
+                                    tensor[index].tolist())}
     return op
 
 
@@ -238,10 +229,13 @@ def _ladder_tensor(tensor) -> np.ndarray:
     return t
 
 
-def sector_block(tensor, n_electrons: int) -> np.ndarray:
-    """Real block of a tensor's ladder sum (T or a dipole axis: sum
-    t[q,r] a_q^dag a_r; V: sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s) on the
-    n_electrons sector, rows and columns in ascending basis-state order.
+def sector_blocks(tensors, n_electrons: int):
+    """Real blocks of the ladder sums of tensors of one shape (T or a
+    dipole axis: sum t[q,r] a_q^dag a_r; V: sum V[p,q,r,s]
+    a_p^dag a_q^dag a_r a_s) on the n_electrons sector, one block per
+    tensor as the iterator is advanced, rows and columns in ascending
+    basis-state order.  The sector structure is built once, on the first
+    block, and shared by the rest.
 
     With k = 1 for a matrix and 2 for V, the sum is
     sum W[(q..), (r..)] (a_q1..a_qk)^dag (a_r1..a_rk) over ascending mode
@@ -251,19 +245,26 @@ def sector_block(tensor, n_electrons: int) -> np.ndarray:
     plus k empty modes r1 < .. < rk, and a_r1..a_rk |j> = sign |s>; so
     entry (i, j) sums sign_i sign_j W[(q..), (r..)] over the s that i and
     j share.  One np.bincount adds the (s, i, j) triples in that order; the
-    triples are formed _SECTOR_BLOCK at a time.  Entries at or below
+    weights are formed _SECTOR_BLOCK at a time.  Entries at or below
     PRUNE_TOL drop first, so the block is that of build_hamiltonian's or
     build_dipole's operator.
     """
-    t = _ladder_tensor(tensor)
-    n, k = t.shape[0], t.ndim // 2
+    ts = [_ladder_tensor(t) for t in tensors]
+    if len({t.shape for t in ts}) != 1:
+        raise InputError("need one or more tensors of one shape")
+    n, k = ts[0].shape[0], ts[0].ndim // 2
     if not 0 <= n_electrons <= n:
         raise InputError(f"electron count {n_electrons} outside [0, {n}]")
-    t = np.where(np.abs(t) > PRUNE_TOL, t, 0.0)  # as the ladder sums drop
-    if k == 2:
-        t = (t.transpose(1, 0, 2, 3) - t - t.transpose(1, 0, 3, 2)
-             + t.transpose(0, 1, 3, 2))
-    W = t.reshape(n ** k, n ** k)
+    m, flat, tup, sign = _sector_structure(n, n_electrons, k)
+    for t in ts:
+        yield np.bincount(flat, _sector_weights(t, tup, sign),
+                          minlength=m * m).reshape(m, m)
+
+
+def _sector_structure(n: int, n_electrons: int, k: int) -> tuple:
+    """The sector's size m, the flat index i * m + j of each (s, i, j)
+    triple, and each (s, preimage) pair's mode-tuple index and sign, as
+    sector_blocks reads them."""
     states = np.arange(1 << n, dtype=np.int64)
     count = np.bitwise_count(states)
     in_sector = count == n_electrons
@@ -280,17 +281,32 @@ def sector_block(tensor, n_electrons: int) -> np.ndarray:
     sign = 1.0 - 2.0 * ((parity + k * (k - 1) // 2) & 1)
     pre = row[lower[:, None] | np.sum(1 << (n - 1 - modes), axis=2)]
     tup = modes @ n ** np.arange(k - 1, -1, -1)
-    size = picks.shape[0]
-    flat = np.empty((lower.size, size, size), dtype=np.int64)
-    weight = np.empty(flat.shape)
+    return m, (pre[:, :, None] * m + pre[:, None, :]).ravel(), tup, sign
+
+
+def _sector_weights(t: np.ndarray, tup: np.ndarray,
+                    sign: np.ndarray) -> np.ndarray:
+    """The weight sign_i sign_j W[(q..), (r..)] of each (s, i, j) triple of
+    _sector_structure, flat, formed _SECTOR_BLOCK at a time."""
+    n, k = t.shape[0], t.ndim // 2
+    t = np.where(np.abs(t) > PRUNE_TOL, t, 0.0)  # as the ladder sums drop
+    if k == 2:
+        t = (t.transpose(1, 0, 2, 3) - t - t.transpose(1, 0, 3, 2)
+             + t.transpose(0, 1, 3, 2))
+    W = t.reshape(n ** k, n ** k)
+    lower, size = tup.shape
+    weight = np.empty((lower, size, size))
     step = max(1, _SECTOR_BLOCK // size ** 2)
-    for a in range(0, lower.size, step):
+    for a in range(0, lower, step):
         b = a + step
-        np.add(pre[a:b, :, None] * m, pre[a:b, None, :], out=flat[a:b])
         np.multiply(W[tup[a:b, :, None], tup[a:b, None, :]],
                     sign[a:b, :, None] * sign[a:b, None, :], out=weight[a:b])
-    return np.bincount(flat.ravel(), weight.ravel(),
-                       minlength=m * m).reshape(m, m)
+    return weight.ravel()
+
+
+def sector_block(tensor, n_electrons: int) -> np.ndarray:
+    """The one block of sector_blocks([tensor], n_electrons)."""
+    return next(sector_blocks([tensor], n_electrons))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +316,6 @@ def sector_block(tensor, n_electrons: int) -> np.ndarray:
 # i**k for the phase exponent k of a Pauli product, and the x and z bit of
 # each IXYZ letter
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-_I_POW_ARRAY = np.array(_I_POW)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 
@@ -367,74 +382,6 @@ class PauliOperator:
         return mat
 
 
-def _monomials(acts: np.ndarray) -> tuple:
-    """Majorana products of B terms of equal length j, on (B, 2**j) arrays.
-
-    ``acts`` is (B, j, 2), one (mode, dagger) pair per factor.  In slot s,
-    factor f picks Majorana 2p + t, t the bit of s at j-1-f, so the first
-    factor's choice is the most significant bit.  Returns each product's
-    mask (the XOR of 1 << index, so equal pairs cancel) and its i-exponent:
-    1 for an annihilator's Y choice, 3 for a creator's, and 2 per index
-    inversion, whose parity is that of the earlier indices above each one.
-    """
-    j = acts.shape[1]
-    t = (np.arange(1 << j)[:, None] >> np.arange(j - 1, -1, -1)) & 1
-    index = 2 * acts[:, None, :, 0] + t
-    mask = np.zeros(index.shape[:2], dtype=np.int64)
-    inversions = np.zeros_like(mask)
-    for f in range(j):
-        inversions += np.bitwise_count(mask >> (index[..., f] + 1))
-        mask ^= 1 << index[..., f]
-    return mask, (1 + 2 * acts[:, :, 1]) @ t.T + 2 * inversions
-
-
-def _slots(known: np.ndarray, slot_of: np.ndarray,
-           masks: np.ndarray) -> tuple:
-    """Slots of ``masks``, which number distinct masks in order of first
-    contribution.  ``known`` holds the masks seen so far, sorted, and
-    ``slot_of`` their slots, so the stable sort merges one sorted run with
-    the block.  Returns (slots, known, slot_of, new masks in slot order)."""
-    both = np.concatenate((known, masks))
-    order = np.argsort(both, kind="stable")
-    ranked = both[order]
-    head = np.ones(both.size, dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    first = order[head]  # the earliest position of each distinct mask
-    fresh = np.zeros(masks.size, dtype=bool)
-    fresh[first[first >= known.size] - known.size] = True
-    at = np.concatenate((slot_of, known.size + np.cumsum(fresh) - 1))
-    slot = np.empty(both.size, dtype=np.int64)
-    slot[order] = at[first][np.cumsum(head) - 1]
-    return slot[known.size:], ranked[head], at[first], masks[fresh]
-
-
-def _majorana_sums(runs) -> tuple:
-    """Distinct Majorana masks, in order of first contribution, and each
-    mask's sum before its string's own phase.
-
-    ``runs`` yields (acts, coeffs): B terms of one length j as (B, j, 2)
-    (mode, dagger) factors, and their complex coefficients.  Blocks of
-    _JW_BLOCK terms expand into 2^j products each (_monomials), each mask
-    takes the slot of its first contribution (_slots), and every
-    contribution, c / 2^j times a power of i, is added into its slot's sum
-    from 0j in term order and, within a term, in slot order.  The string's
-    phase i^k is one quarter turn of the whole sum, so it is exact to apply
-    it afterwards, and a one-norm never needs it.
-    """
-    known = slot_of = masks = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0, dtype=complex)
-    for acts, coeffs in runs:
-        scaled = coeffs[:, None] * 0.5 ** acts.shape[1]
-        for b in range(0, len(acts), _JW_BLOCK):
-            mask, exp = _monomials(acts[b:b + _JW_BLOCK])
-            slot, known, slot_of, fresh = _slots(known, slot_of, mask.ravel())
-            masks = np.concatenate((masks, fresh))
-            sums = np.concatenate((sums, np.zeros(fresh.size, dtype=complex)))
-            np.add.at(sums, slot, (scaled[b:b + _JW_BLOCK]
-                                   * _I_POW_ARRAY[exp & 3]).ravel())
-    return masks, sums
-
-
 def _word(x: int, z: int, n: int) -> str:
     """IXYZ word of the masks (x, z) on n qubits."""
     return "".join("IZXY"[2 * (x >> q & 1) + (z >> q & 1)]
@@ -481,19 +428,46 @@ def lcu_one_norm(op: PauliOperator) -> float:
 
 def majorana_one_norm(*tensors) -> float:
     """LCU one-norm of the Jordan-Wigner image of the tensors' ladder sums
-    taken in turn (T then V for the Hamiltonian), from the Majorana masks
-    alone: lcu_one_norm(jordan_wigner(op)) bit for bit, with op the sum as
-    build_hamiltonian or build_dipole builds it.  The sums are the ones
-    jordan_wigner turns by each string's phase, which leaves every
-    magnitude as it is; the same PRUNE_TOL prune drops the small ones, and
-    a builtin sum adds the magnitudes in slot order, the order of the
-    image's terms."""
+    taken together (T and V for the Hamiltonian, or one dipole axis), in
+    closed form (Koridon et al., PRR 3, 033127 (2021)).
+
+    T is the sum of the matrices and V that of the two-body tensors, after
+    the entries at or below PRUNE_TOL drop as the ladder sums drop them.
+    The image's strings are the identity, with coefficient
+      E = tr T / 2 + sum V[pqqp] / 4 - sum V[pqpq] / 2 + sum V[ppss] / 4,
+    the Majorana bilinears of h = T + (J + J') / 2 - K, with
+    J[q,r] = sum_p V[pqrp], J'[p,s] = sum_q V[pqqs], K[p,r] = sum_q V[pqrq],
+    and the quartic strings of the pair differences, so the norm is
+      |E| + sum |h[p,q]| / 2 + sum_{p<q, s<r} |V[pqrs] - V[pqsr]| / 2
+    (a dipole's is |tr d| / 2 + sum |d[p,q]| / 2).  Each term is one
+    string's magnitude, so terms at or below PRUNE_TOL drop as the image's
+    strings do.  It is lcu_one_norm(jordan_wigner(op)) up to roundoff, and
+    bit for bit where every sum is exact (dyadic entries); a V within the
+    admitted 1e-10 asymmetry may move it at that order.  The closed form
+    holds for symmetric matrices and eight-fold symmetric V, so tensors
+    that break either by more than 1e-10 are refused.
+    """
     ts = [_ladder_tensor(t) for t in tensors]
     if len({t.shape[0] for t in ts}) > 1:
         raise InputError("tensors act on different mode counts")
-    _, sums = _majorana_sums(map(_ladder_terms, ts))
-    mags = np.hypot(sums.real, sums.imag)
-    return float(sum(mags[mags > PRUNE_TOL].tolist()))
+    n = ts[0].shape[0] if ts else 0
+    for t in ts:
+        if t.ndim == 4:
+            validate_two_body_symmetry(t)
+        elif np.max(np.abs(t - t.T), initial=0.0) > 1e-10:
+            raise InputError("one-body matrix is not symmetric to 1e-10")
+    ts = [np.where(np.abs(t) > PRUNE_TOL, t, 0.0) for t in ts]
+    T = sum((t for t in ts if t.ndim == 2), np.zeros((n, n)))
+    V = sum((t for t in ts if t.ndim == 4), np.zeros((n,) * 4))
+    h = (T + (np.einsum("pqrp->qr", V) + np.einsum("pqqs->ps", V)) / 2
+         - np.einsum("pqrq->pr", V))
+    identity = (np.trace(T) / 2 + np.einsum("pqqp", V) / 4
+                - np.einsum("pqpq", V) / 2 + np.einsum("ppss", V) / 4)
+    pq, sr = np.triu_indices(n, 1), np.tril_indices(n, -1)
+    pairs = (V - V.transpose(0, 1, 3, 2))[pq][:, sr[0], sr[1]]
+    mags = np.abs(np.concatenate(([identity], h.ravel() / 2,
+                                  pairs.ravel() / 2)))
+    return float(mags[mags > PRUNE_TOL].sum())
 
 
 def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:

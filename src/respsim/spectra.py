@@ -39,7 +39,7 @@ from .errors import (InputError, ResourceError, check_axes, check_positive,
                      is_finite_real, is_int)
 from .models import ModelSpec
 from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
-                        validate_dipole, validate_hamiltonian)
+                        sector_blocks, validate_dipole, validate_hamiltonian)
 
 DEGENERACY_TOL = 1e-10
 
@@ -63,9 +63,12 @@ class SpectralData:
     transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
     and betas[i] are the LCU one-norms of the
     Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
-    dipole): the block-encoding subnormalizations, summed from Majorana
-    products without forming a Pauli string.  The blocks behind the
-    eigensystem and the dipoles come straight from the integral tensors.
+    dipole): the block-encoding subnormalizations, taken in closed form
+    from the integral tensors without forming a Pauli string.  They agree
+    with the images' one-norms to roundoff; for a V within the admitted
+    1e-10 asymmetry alpha may differ from the literal image's one-norm at
+    that order.  The blocks behind the eigensystem and the dipoles come
+    straight from the integral tensors.
     alpha_shift = alpha + |lowest electronic eigenvalue| bounds every
     excitation energy, since the electronic spectrum lies in
     [-alpha, alpha]; the measurement layer sizes its filter rescales and
@@ -107,11 +110,13 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     and the LCU one-norms of their Jordan-Wigner images.
 
     Only the particle-number sector's block of each operator is built,
-    straight from the integral tensors (sector_block), and the one-norms are
-    summed from Majorana products (majorana_one_norm); no Pauli string is
-    formed.  Models above DEFAULT_MODE_CAP modes raise ResourceError before
-    anything is built; a zero Hamiltonian (alpha = 0) raises InputError
-    before the spectrum is examined.
+    straight from the integral tensors; T and the three dipole axes share
+    one sector structure (sector_blocks).  The one-norms come in closed form
+    from the tensors (majorana_one_norm), so for a V within the admitted
+    1e-10 asymmetry alpha may differ from the literal image's one-norm at
+    that order; no Pauli string is formed.  Models above DEFAULT_MODE_CAP
+    modes raise ResourceError before anything is built; a zero Hamiltonian
+    (alpha = 0) raises InputError before the spectrum is examined.
     """
     n, eta = model.n_orbitals, model.n_electrons
     if n > DEFAULT_MODE_CAP:
@@ -121,7 +126,9 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     alpha = majorana_one_norm(T, V)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
-    H = sector_block(T, eta)
+    dipoles = [validate_dipole(d) for d in model.dipole]
+    one_body = sector_blocks([T, *dipoles], eta)
+    H = next(one_body)
     H += sector_block(V, eta)
     evals, evecs = np.linalg.eigh(H)
     del H
@@ -132,18 +139,15 @@ def diagonalize(model: ModelSpec) -> SpectralData:
             f"ground state degenerate within {DEGENERACY_TOL:g}; "
             "keeping the lowest-index eigenvector", stacklevel=2)
     dips = np.empty((3,) + evecs.shape)
-    betas = []
-    for ax in range(3):
-        d = validate_dipole(model.dipole[ax])
-        betas.append(majorana_one_norm(d))
-        np.matmul(evecs.T @ sector_block(d, eta), evecs, out=dips[ax])
+    for out in dips:
+        np.matmul(evecs.T @ next(one_body), evecs, out=out)
     return SpectralData(
         eigenvalues=evals - evals[0],
         transition_dipoles=dips,
         ground_energy=ground,
         alpha=alpha,
         alpha_shift=alpha + abs(float(evals[0])),
-        betas=tuple(betas),
+        betas=tuple(map(majorana_one_norm, dipoles)),
         degenerate_ground=degenerate,
     )
 
@@ -166,8 +170,9 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
     windows = [tuple(w) for w in windows]
     axes = check_axes(axes, len(windows) + 1)
     for lo, hi in windows:
-        if not lo < hi:
-            raise InputError(f"window [{lo}, {hi}) is empty or reversed")
+        if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
+            raise InputError(f"window [{lo}, {hi}) needs finite real edges, "
+                             "lo < hi")
     u = sd.transition_dipoles[axes[-1]][:, 0]
     for ax, (lo, hi) in zip(axes[-2::-1], windows[::-1]):
         u = u * _window_mask(sd, lo, hi)
@@ -180,9 +185,10 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     """Linear susceptibility on a grid of finite frequencies."""
     i, j = check_axes((i, j), 2)
     check_positive("gamma", gamma)
-    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if not np.all(np.isfinite(omega_grid)):
-        raise InputError("frequency grid points must be finite")
+    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=object))
+    if not all(map(is_finite_real, omega_grid.ravel())):
+        raise InputError("frequency grid points must be finite real numbers")
+    omega_grid = omega_grid.astype(float)
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
     om = omega_grid[:, None]

@@ -884,6 +884,12 @@ ADMISSION_PROBES = {
         lambda sd: _table(1, {"window": (("4.35", "4.55"),)}),
     "ResponseTable window edge True":
         lambda sd: _table(1, {"window": ((True, 2.0),)}),
+    "nested_window_amplitude window ('4.35', '4.55')":
+        lambda sd: nested_window_amplitude(sd, (0, 0), [("4.35", "4.55")]),
+    "nested_window_amplitude window edge True":
+        lambda sd: nested_window_amplitude(sd, (0, 0), [(True, 4.55)]),
+    "alpha1 grid ['1.0']": lambda sd: alpha1(sd, 0, 0, ["1.0"], 0.1),
+    "alpha1 grid [True]": lambda sd: alpha1(sd, 0, 0, [True], 0.1),
 }
 
 

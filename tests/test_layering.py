@@ -62,6 +62,15 @@ def test_measurement_layer_runs_on_the_spectrum_alone():
     assert "diagonalize" not in {name for _, name in imports}
 
 
+def test_spectrum_path_stays_off_the_reference_layer():
+    # diagonalize takes its blocks and one-norms from the tensors; the
+    # ladder operators, the Jordan-Wigner map and the Pauli one-norm are
+    # the reference it is checked against, so it must not fall back on them
+    imports = {name for _, name in _package_imports(PACKAGE / "spectra.py")}
+    assert not imports & {"jordan_wigner", "build_hamiltonian", "build_dipole",
+                          "lcu_one_norm", "PauliOperator"}
+
+
 def test_filters_stand_apart_from_the_operator_layer():
     imports = _package_imports(PACKAGE / "chebfilter.py")
     assert not [i for i in imports if i[0] == "respsim.operators"]

@@ -24,6 +24,8 @@ from respsim import (
     make_hubbard_dimer,
     make_random_model,
     sector_block,
+    sector_blocks,
+    spatial_to_spin,
     validate_two_body_symmetry,
 )
 from respsim import operators
@@ -134,13 +136,13 @@ VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def integrals(draw):
-    """(T, V, d) on 0..8 modes, a few entries each: T and d symmetric, V
-    with the eight-fold index symmetry (each entry set on all its
-    images)."""
-    n = draw(st.integers(0, 8))
+def integrals(draw, values=VALUES, max_modes=8):
+    """(T, V, d) on 0..max_modes modes, a few entries each: T and d
+    symmetric, V with the eight-fold index symmetry (each entry set on all
+    its images)."""
+    n = draw(st.integers(0, max_modes))
     index = st.integers(0, max(n - 1, 0))
-    entries = st.lists(st.tuples(*[index] * 4, VALUES),
+    entries = st.lists(st.tuples(*[index] * 4, values),
                        max_size=6 if n else 0)
     T, d, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n,) * 4)
     for one in (T, d):
@@ -168,10 +170,48 @@ def test_sector_block_is_the_fermion_matrix_restricted(case):
                       initial=0.0) <= 1e-13 * np.max(np.abs(D), initial=0.0)
         if eta < 2:  # no pair to remove
             assert not sector_block(V, eta).any()
-    # the one-norms are the Pauli ones, bit for bit
+    # the closed-form one-norms are the Pauli ones up to roundoff
+    want = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
+    assert abs(majorana_one_norm(T, V) - want) <= 1e-12 * want
+    want = lcu_one_norm(jordan_wigner(build_dipole(d)))
+    assert abs(majorana_one_norm(d) - want) <= 1e-12 * want
+
+
+DYADIC = st.integers(-32, 32).map(lambda k: k / 16)
+
+
+@st.composite
+def dyadic_integrals(draw):
+    """integrals() with entries in multiples of 1/16: a generic
+    spin-orbital set on up to 5 modes, or one lifted from up to 2 spatial
+    orbitals, the form the models take."""
+    if not draw(st.booleans()):
+        return draw(integrals(DYADIC, 5))
+    T, V, d = draw(integrals(DYADIC, 2))
+    T, V, (d, _, _) = spatial_to_spin(T, V, [d] * 3)
+    return T, V, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dyadic_integrals())
+def test_closed_form_one_norms_are_exact_on_dyadic_integrals(case):
+    # every sum of multiples of 1/16 this small is exact, so the closed
+    # form and the Pauli image's one-norm agree bit for bit
+    T, V, d = case
     assert majorana_one_norm(T, V) == lcu_one_norm(
         jordan_wigner(build_hamiltonian(T, V)))
     assert majorana_one_norm(d) == lcu_one_norm(jordan_wigner(build_dipole(d)))
+
+
+def test_sector_blocks_share_one_structure_and_match_each_block():
+    # T and the dipole axes from one sector structure, as diagonalize
+    # builds them, are each tensor's own block bit for bit
+    model = make_random_model(4, 4, 1)
+    tensors = [model.T, *model.dipole]
+    shared = list(sector_blocks(tensors, model.n_electrons))
+    assert len(shared) == 4
+    for t, block in zip(tensors, shared):
+        assert np.array_equal(block, sector_block(t, model.n_electrons))
 
 
 def test_sector_block_above_the_full_space_cap_is_the_pauli_block():
@@ -203,27 +243,46 @@ def test_sector_block_and_one_norm_validation():
     for fn in (lambda t: sector_block(t, 1), majorana_one_norm):
         with pytest.raises(ResourceError, match="cap"):
             fn(np.zeros((n, n)))
+    # the closed form holds for symmetric tensors only
+    with pytest.raises(InputError, match="symmetric"):
+        majorana_one_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    V = np.zeros((2, 2, 2, 2))
+    V[0, 1, 0, 1] = 1.0
+    with pytest.raises(InputError, match="symmetry"):
+        majorana_one_norm(np.zeros((2, 2)), V)
+    with pytest.raises(InputError, match="one shape"):
+        next(sector_blocks([np.eye(2), np.eye(3)], 1))
+
+
+def test_closed_form_drops_the_strings_the_image_prunes():
+    # a 1.5e-14 entry passes the entry prune, but both of its strings,
+    # 7.5e-15 each, fall below PRUNE_TOL in the image
+    T, V = np.diag([1.5e-14, 0.0]), np.zeros((2,) * 4)
+    assert lcu_one_norm(jordan_wigner(build_hamiltonian(T, V))) == 0.0
+    assert majorana_one_norm(T, V) == 0.0
 
 
 @pytest.mark.parametrize("args", [None, (3, 2, 4)],
                          ids=lambda a: "dimer" if a is None else "random")
 def test_pauli_one_norms_are_checked_by_an_independent_map(args, monkeypatch):
     # the Pauli path checks majorana_one_norm, so it must not reach the
-    # mask code that majorana_one_norm sums with
+    # closed form; the two agree up to roundoff
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
     tensors = [(model.T, model.V)] + [(d,) for d in model.dipole]
     want = [majorana_one_norm(*t) for t in tensors]
 
     def refuse(*_):
-        raise AssertionError("the Pauli path reached the Majorana masks")
+        raise AssertionError("the Pauli path reached the closed form")
 
-    for name in ("_majorana_sums", "_monomials", "_slots"):
-        monkeypatch.setattr(operators, name, refuse)
+    monkeypatch.setattr(operators, "majorana_one_norm", refuse)
     got = [lcu_one_norm(jordan_wigner(build_hamiltonian(model.T, model.V)))]
     got += [lcu_one_norm(jordan_wigner(build_dipole(d)))
             for d in model.dipole]
-    assert [g.hex() for g in got] == [w.hex() for w in want]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+    if args is None:  # the dimer's sums are exact: alpha 6, beta_x 1
+        assert got == want == [6.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +523,8 @@ def test_full_space_matrices_are_capped_before_allocation():
 
 
 def test_jordan_wigner_qubit_cap():
-    # majorana_one_norm's 2n-bit Majorana masks must fit an int64
+    # the sector blocks list all 2^n basis states as int64, 16 GiB at 31
+    # modes, so the cap stays well below that
     assert DEFAULT_MODE_CAP <= 31
     n = DEFAULT_MODE_CAP
     hop = {((0, 1), (n - 1, 0)): 1.0, ((n - 1, 1), (0, 0)): 1.0}

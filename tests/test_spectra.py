@@ -87,9 +87,10 @@ def test_diagonalize_builds_no_ladder_or_pauli_operator(monkeypatch, dimer,
 
 
 def test_diagonalize_heap_peak():
-    # 2.03 MiB, with H freed after eigh and each rotated dipole written in
-    # place; the bound leaves about 10% over that.  Keeping H and a
-    # temporary per dipole peaked at 2.37, the Jordan-Wigner path at 3.52
+    # 2.08 MiB, with H freed after eigh, each rotated dipole written in
+    # place and one one-body sector structure kept for T and the dipoles;
+    # the bound leaves about 8% over that.  Keeping H and a temporary per
+    # dipole peaked at 2.37, the Jordan-Wigner path at 3.52
     model = make_random_model(5, 4, 0)
     tracemalloc.start()
     try:
@@ -101,10 +102,10 @@ def test_diagonalize_heap_peak():
 
 
 # alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes.
-# The one-norms are plain float sums of the Majorana-product sums, whose
-# order of additions is the Jordan-Wigner map's, so they carry the Pauli
-# one-norms' bits.  The spectra come from the sector blocks that
-# sector_block builds from the tensors: one np.bincount adds each entry's
+# The one-norms are majorana_one_norm's closed form, numpy sums over the
+# tensors' contractions, so they carry its bits, not the Pauli one-norms'
+# (they differ at roundoff).  The spectra come from the sector blocks that
+# sector_blocks builds from the tensors: one np.bincount adds each entry's
 # (lower state, preimage, preimage) triples in order.  The hashes also
 # depend on the LAPACK build (these come from numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64) and on the BLAS thread count: np.linalg.eigh and
@@ -113,21 +114,21 @@ def test_diagonalize_heap_peak():
 # child process pinned to two recomputes them.
 FROZEN_SPECTRA = {
     (3, 2, 4): ("0x1.cf2f188c30f9cp+3",
-                ("0x1.b8aa1b4740af1p+2", "0x1.1b90c6d530605p+2",
-                 "0x1.6cc40b2a6c752p+2"),
+                ("0x1.b8aa1b4740af2p+2", "0x1.1b90c6d530606p+2",
+                 "0x1.6cc40b2a6c74fp+2"),
                 "812119702507e1ef542ceab0fb555893de34c3fb6a2367b7297c133094d46a25",
                 "7735bb8edb3d819557852f8d6cd6682eb7d3c4b6a848c235cc7af260409b9923"),
-    (4, 4, 1): ("0x1.15ec581af04e2p+4",
+    (4, 4, 1): ("0x1.15ec581af04e8p+4",
                 ("0x1.0a4f3a9366b40p+4", "0x1.1f6314199bf49p+3",
-                 "0x1.6fef05a77b499p+3"),
+                 "0x1.6fef05a77b498p+3"),
                 "b1856898c509c8fb690d9feb361f61ab3c5e0fcf159d654b4626c7e086bbcf12",
                 "be94cde8cfbaeeeb97f8eff6b07b399be0b7c4f45e0d1b7a7b232c1b6ad2ca43"),
-    (5, 4, 0): ("0x1.f99a75bf834edp+4",
-                ("0x1.bd1068674945fp+3", "0x1.137e2ec1d1994p+4",
-                 "0x1.272ba083d1589p+4"),
+    (5, 4, 0): ("0x1.f99a75bf83501p+4",
+                ("0x1.bd1068674945cp+3", "0x1.137e2ec1d1995p+4",
+                 "0x1.272ba083d158bp+4"),
                 "a1040c1d01e1dfad6a2d2c829a9c1a59526472d9764399dbe42e60b26261a43e",
                 "ff2308571f498d1f1f29c850562272e78700fb66502823417e44422d7a973db2"),
-    (7, 4, 7): ("0x1.1b5beaca06d50p+6",
+    (7, 4, 7): ("0x1.1b5beaca06d7cp+6",
                 ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218f9p+5",
                  "0x1.055acaa546a99p+5"),
                 "3a085c4e7e65d2dcb59bbbbf015510a67c5699f1a46fb74c404e4fb4dd9051ac",
