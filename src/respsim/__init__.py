@@ -14,8 +14,7 @@ from .errors import (InputError, ResourceError, RespsimError,
 from .operators import (FermionOperator, PauliOperator, build_dipole,
                         build_hamiltonian, eta_dipole_norm, jordan_wigner,
                         lcu_one_norm, majorana_one_norm, sector_block,
-                        sector_blocks, validate_dipole, validate_hamiltonian,
-                        validate_two_body_symmetry)
+                        sector_blocks, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
                      make_random_model, spatial_to_spin)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
@@ -34,8 +33,7 @@ __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
     "FermionOperator", "PauliOperator", "build_dipole", "build_hamiltonian",
     "eta_dipole_norm", "jordan_wigner", "lcu_one_norm", "majorana_one_norm",
-    "sector_block", "sector_blocks", "validate_dipole", "validate_hamiltonian",
-    "validate_two_body_symmetry",
+    "sector_block", "sector_blocks", "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
     "make_random_model", "spatial_to_spin",
     "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",

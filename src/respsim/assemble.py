@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, ResourceError, check_axes, check_positive,
-                     check_seed, is_finite_real, is_int)
+from .errors import (AXIS_LETTERS, InputError, ResourceError, check_axes,
+                     check_positive, check_seed, is_finite_real, is_int)
 from .estimate import METHODS, OVERLAP, binary_search_nd, estimate_box
-from .models import AXIS_LETTERS, ModelSpec
-from .spectra import (SusceptibilityResult, alpha1, diagonalize,
+from .spectra import (SpectralData, SusceptibilityResult, alpha1,
                       r_pathway_fd)
 
 # most frequency points a run evaluates: alpha1 holds one complex
@@ -160,9 +159,10 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     ax_out, ax_in = table.entries[0]["axes"]
     if len(table.select((ax_out, ax_in))) != len(table.entries):
         raise InputError("first-order assembly needs one dipole chain")
-    if not all(map(is_finite_real, np.ravel(omega_grid))):
+    om = np.asarray(omega_grid, dtype=object)
+    if not all(map(is_finite_real, om.ravel())):
         raise InputError("frequency grid points must be finite real numbers")
-    om = np.asarray(omega_grid, dtype=float)
+    om = om.astype(float)
     vals = np.zeros(om.shape, dtype=complex)
     for e in table.entries:
         (wt,) = _centres(e)
@@ -237,9 +237,10 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         raise InputError("ground moments must be finite real numbers")
     gd = [float(m) for m in gd]
 
-    if not all(map(is_finite_real, np.ravel(omega_triples))):
+    triples = np.asarray(omega_triples, dtype=object)
+    if not all(map(is_finite_real, triples.ravel())):
         raise InputError("omega triples must be finite real numbers")
-    triples = np.asarray(omega_triples, dtype=float)
+    triples = triples.astype(float)
     squeeze = triples.ndim == 1
     triples = np.atleast_2d(triples)
     if triples.shape[-1] != 3:
@@ -380,11 +381,12 @@ def _child_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence((seed, 7919 + idx)).generate_state(1)[0])
 
 
-def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
+def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
                  order: int = 1, axes=None, grid=None, seed: int = 0,
                  method: str = "ae", mode: str = "simulate",
                  out_dir: str = None, window_width: float = None) -> dict:
-    """Search, estimate and assemble a response function on a grid.
+    """Search, estimate and assemble a response function on a grid of the
+    spectrum `sd`, whose filter caches every run on it shares.
 
     axes is the run's dipole chain, order + 1 axes (all x when None):
     (axis_out, axis_in) at order 1, searched, estimated and tabled as is;
@@ -396,15 +398,15 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
     window_width (order 1) sets the estimation window, default gamma/8.
     Before any search, the seed, axes, gamma, eps and window_width go
     through the checks of `respsim.errors`, and a method outside METHODS
-    (in either mode), a zero Hamiltonian, eps of 1 or more, an order other
-    than 1 or 3 or a grid that is not a non-empty 1-D sequence of finite
-    reals raise InputError; a grid of more than GRID_POINT_CAP points
-    raises ResourceError.
+    (in either mode), eps of 1 or more, an order other than 1 or 3 or a
+    grid that is not a non-empty 1-D sequence of finite reals raise
+    InputError; a grid of more than GRID_POINT_CAP points raises
+    ResourceError (`diagonalize` refuses a zero Hamiltonian).
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
-    "sd" (the SpectralData), "cost" and "qpe" (the cost reports),
-    "manifest" (manifest.json's content, whose "queries_total" counts a
-    simulation's search and estimate queries) and "csv" (response.csv's
-    body: the oracle in mode "oracle", else the assembled response).
+    "cost" and "qpe" (the cost reports), "manifest" (manifest.json's
+    content, whose "queries_total" counts a simulation's search and
+    estimate queries) and "csv" (response.csv's body: the oracle in mode
+    "oracle", else the assembled response).
     A simulation adds "traces" ({search name: SearchTrace}; a search over
     a chain is named d<depth>_<axis letters>, the order-3 box search
     depth3), "tables" ({depth: ResponseTable}) and "result" (the
@@ -434,7 +436,6 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
                 and all(map(is_finite_real, grid))):
             raise InputError("grid must be a non-empty list of finite reals")
         grid = grid.astype(float)
-    sd = diagonalize(model)
     if grid is None:
         grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
 
@@ -446,13 +447,13 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
         oracle = SusceptibilityResult(3, np.stack([grid] * 3, -1),
                                       np.array(vals), gamma, axes)
 
-    result = {"oracle": oracle, "mode": mode, "sd": sd}
+    result = {"oracle": oracle, "mode": mode}
     manifest = {
         "mode": mode, "order": order, "axes": list(axes),
         "gamma": gamma, "eps": eps, "seed": seed, "method": method,
         "grid": {"lo": float(grid[0]), "hi": float(grid[-1]),
                  "n": int(len(grid))},
-        "model": model.label or "unnamed",
+        "model": sd.label,
         "convention": "window denominators use the window midpoint",
     }
 
@@ -470,8 +471,8 @@ def run_pipeline(model: ModelSpec, gamma: float, eps: float = 2e-3,
 
     beta = max(sd.betas[axes[-1]], 1e-12)
     ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
-                    n_order=order, N=model.n_orbitals,
-                    eta=model.n_electrons or None)
+                    n_order=order, N=sd.n_modes,
+                    eta=sd.n_electrons or None)
     result.update(cost=cost_report(ci), qpe=qpe_baseline_report(ci),
                   manifest=dict(manifest, alpha=sd.alpha, beta=beta))
     result["csv"] = _render_csv(

@@ -24,9 +24,10 @@ import numpy as np
 
 from .assemble import GRID_POINT_CAP, run_pipeline
 from .estimate import METHODS
-from .errors import InputError, ResourceError, RespsimError, StatisticalFailure
-from .models import (AXIS_LETTERS, load_fcidump_like, make_hubbard_dimer,
-                     make_random_model)
+from .errors import (AXIS_LETTERS, InputError, ResourceError, RespsimError,
+                     StatisticalFailure)
+from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
+from .spectra import diagonalize
 
 _TOY_KEYS = {"hubbard": ("t", "U", "d"), "random": ("n", "ne", "seed")}
 
@@ -133,10 +134,10 @@ def main(argv=None) -> int:
         axes = None if args.axes is None else _parse_axes(args.axes)
         grid = _parse_grid(args.grid) if args.grid else None
         result = run_pipeline(
-            model, gamma=args.gamma, eps=args.eps, order=args.order,
-            axes=axes, grid=grid, seed=args.seed, method=args.method,
-            mode="oracle" if args.oracle_only else "simulate",
-            out_dir=args.out)
+            diagonalize(model), gamma=args.gamma, eps=args.eps,
+            order=args.order, axes=axes, grid=grid, seed=args.seed,
+            method=args.method, out_dir=args.out,
+            mode="oracle" if args.oracle_only else "simulate")
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

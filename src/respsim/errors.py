@@ -8,6 +8,9 @@ StatisticalFailure -> 4.
 import math
 import numbers
 
+# the Cartesian dipole axes 0, 1, 2 by letter
+AXIS_LETTERS = "xyz"
+
 
 class RespsimError(Exception):
     """Base class for package errors."""

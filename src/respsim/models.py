@@ -29,12 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ResourceError, check_seed, is_int
+from .errors import (AXIS_LETTERS, InputError, ResourceError, check_seed,
+                     is_int)
 from .operators import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
 
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
-# the Cartesian dipole axes 0, 1, 2 by letter
-AXIS_LETTERS = "xyz"
 
 
 @dataclass

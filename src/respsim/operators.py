@@ -160,26 +160,12 @@ def _ladder_sum(tensor: np.ndarray) -> FermionOperator:
     return op
 
 
-def validate_hamiltonian(T: np.ndarray, V: np.ndarray) -> tuple:
-    """T and V as float arrays, once T is a square matrix symmetric to
-    1e-10 and V an (n, n, n, n) tensor with the eight-fold index symmetry
-    to 1e-10."""
-    T = np.asarray(T, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise InputError("T must be a square matrix")
-    n = T.shape[0]
-    if V.shape != (n, n, n, n):
-        raise InputError(f"V shape {V.shape} does not match T ({n} modes)")
-    if np.max(np.abs(T - T.T), initial=0.0) > 1e-10:
-        raise InputError("one-body matrix T is not symmetric to 1e-10")
-    validate_two_body_symmetry(V)
-    return T, V
-
-
 def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
-    """H = sum T[p,q] a_p^dag a_q + sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s."""
-    T, V = validate_hamiltonian(T, V)
+    """H = sum T[p,q] a_p^dag a_q + sum V[p,q,r,s] a_p^dag a_q^dag a_r a_s,
+    for T and V that `_symmetric_tensors` admits."""
+    T, V = _symmetric_tensors([T, V])
+    if (T.ndim, V.ndim) != (2, 4):
+        raise InputError("need a matrix T and a rank-4 tensor V")
     op = _ladder_sum(T)
     op.terms.update(_ladder_sum(V).terms)
     return op
@@ -196,20 +182,13 @@ def validate_two_body_symmetry(V: np.ndarray):
             )
 
 
-def validate_dipole(d_axis: np.ndarray) -> np.ndarray:
-    """One dipole axis as a float array, once it is a square matrix
-    symmetric to 1e-10."""
-    d = np.asarray(d_axis, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InputError("dipole matrix must be square")
-    if np.max(np.abs(d - d.T), initial=0.0) > 1e-10:
-        raise InputError("dipole matrix is not symmetric to 1e-10")
-    return d
-
-
 def build_dipole(d_axis: np.ndarray) -> FermionOperator:
-    """One-body operator sum d[p,q] a_p^dag a_q for one Cartesian axis."""
-    return _ladder_sum(validate_dipole(d_axis))
+    """One-body operator sum d[p,q] a_p^dag a_q for one Cartesian axis, a
+    matrix that `_symmetric_tensors` admits."""
+    (d,) = _symmetric_tensors([d_axis])
+    if d.ndim != 2:
+        raise InputError("dipole matrix must be square")
+    return _ladder_sum(d)
 
 
 def _check_mode_cap(n: int):
@@ -227,6 +206,21 @@ def _ladder_tensor(tensor) -> np.ndarray:
             f"tensor shape {t.shape} is not (n, n) or (n, n, n, n)")
     _check_mode_cap(t.shape[0])
     return t
+
+
+def _symmetric_tensors(tensors) -> list:
+    """The tensors as `_ladder_tensor` admits them, on one mode count, once
+    every matrix is symmetric and every V eight-fold symmetric to 1e-10:
+    the one symmetry check of the operator builders and the one-norm."""
+    ts = [_ladder_tensor(t) for t in tensors]
+    if len({t.shape[0] for t in ts}) > 1:
+        raise InputError("tensors act on different mode counts")
+    for t in ts:
+        if t.ndim == 4:
+            validate_two_body_symmetry(t)
+        elif np.max(np.abs(t - t.T), initial=0.0) > 1e-10:
+            raise InputError("one-body matrix is not symmetric to 1e-10")
+    return ts
 
 
 def sector_blocks(tensors, n_electrons: int):
@@ -447,15 +441,8 @@ def majorana_one_norm(*tensors) -> float:
     holds for symmetric matrices and eight-fold symmetric V, so tensors
     that break either by more than 1e-10 are refused.
     """
-    ts = [_ladder_tensor(t) for t in tensors]
-    if len({t.shape[0] for t in ts}) > 1:
-        raise InputError("tensors act on different mode counts")
+    ts = _symmetric_tensors(tensors)
     n = ts[0].shape[0] if ts else 0
-    for t in ts:
-        if t.ndim == 4:
-            validate_two_body_symmetry(t)
-        elif np.max(np.abs(t - t.T), initial=0.0) > 1e-10:
-            raise InputError("one-body matrix is not symmetric to 1e-10")
     ts = [np.where(np.abs(t) > PRUNE_TOL, t, 0.0) for t in ts]
     T = sum((t for t in ts if t.ndim == 2), np.zeros((n, n)))
     V = sum((t for t in ts if t.ndim == 4), np.zeros((n,) * 4))

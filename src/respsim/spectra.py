@@ -39,7 +39,7 @@ from .errors import (InputError, ResourceError, check_axes, check_positive,
                      is_finite_real, is_int)
 from .models import ModelSpec
 from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
-                        sector_blocks, validate_dipole, validate_hamiltonian)
+                        sector_blocks)
 
 DEGENERACY_TOL = 1e-10
 
@@ -56,9 +56,10 @@ _PATHWAY_SIDES = {
 class SpectralData:
     """Spectrum of one model on its particle-number sector.
 
-    A spectrum holds what the sum-over-states formulas and the measurement
-    layer read: excitation energies, eigenbasis dipoles, one-norms and the
-    filter caches, sized by the sector (M states), not by 2^N.
+    A spectrum holds what the sum-over-states formulas, the measurement
+    layer and a run's outputs read: excitation energies, eigenbasis
+    dipoles, one-norms, the filter caches and three facts of its model,
+    sized by the sector (M states), not by 2^N.
     eigenvalues are ascending and shifted so eigenvalues[0] == 0.
     transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
     and betas[i] are the LCU one-norms of the
@@ -86,6 +87,9 @@ class SpectralData:
     alpha: float
     alpha_shift: float               # alpha + |evals[0]|, electronic
     betas: tuple                     # (beta_x, beta_y, beta_z)
+    label: str                       # a manifest's "model"
+    n_modes: int                     # spin-orbital count N
+    n_electrons: int                 # eta
     degenerate_ground: bool = False
     filters: dict = field(default_factory=dict, repr=False, compare=False)
     filter_values: dict = field(default_factory=dict, repr=False,
@@ -115,21 +119,21 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     from the tensors (majorana_one_norm), so for a V within the admitted
     1e-10 asymmetry alpha may differ from the literal image's one-norm at
     that order; no Pauli string is formed.  Models above DEFAULT_MODE_CAP
-    modes raise ResourceError before anything is built; a zero Hamiltonian
-    (alpha = 0) raises InputError before the spectrum is examined.
+    modes raise ResourceError before anything is built; an asymmetric T, V
+    or dipole (refused by the one-norms) or a zero Hamiltonian (alpha = 0)
+    raises InputError before any block is built.
     """
     n, eta = model.n_orbitals, model.n_electrons
     if n > DEFAULT_MODE_CAP:
         raise ResourceError(
             f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
-    T, V = validate_hamiltonian(model.T, model.V)
-    alpha = majorana_one_norm(T, V)
+    alpha = majorana_one_norm(model.T, model.V)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
-    dipoles = [validate_dipole(d) for d in model.dipole]
-    one_body = sector_blocks([T, *dipoles], eta)
+    betas = tuple(map(majorana_one_norm, model.dipole))
+    one_body = sector_blocks([model.T, *model.dipole], eta)
     H = next(one_body)
-    H += sector_block(V, eta)
+    H += sector_block(model.V, eta)
     evals, evecs = np.linalg.eigh(H)
     del H
     ground = float(evals[0]) + model.nuclear_shift
@@ -147,7 +151,10 @@ def diagonalize(model: ModelSpec) -> SpectralData:
         ground_energy=ground,
         alpha=alpha,
         alpha_shift=alpha + abs(float(evals[0])),
-        betas=tuple(map(majorana_one_norm, dipoles)),
+        betas=betas,
+        label=model.label or "unnamed",
+        n_modes=n,
+        n_electrons=eta,
         degenerate_ground=degenerate,
     )
 

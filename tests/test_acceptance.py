@@ -156,7 +156,7 @@ def test_criterion_06_inequality_test_calibration():
     assert correct >= math.ceil((1.0 - eps_conf) * 300)
 
 
-def test_criterion_07_end_to_end_alpha1(dimer):
+def test_criterion_07_end_to_end_alpha1(dimer_sd):
     """Simulated first-order pipeline vs the exact response at
     gamma = 0.05: pointwise relative deviation <= 10% on the default
     grid, deviation non-increasing under two successive window
@@ -165,7 +165,7 @@ def test_criterion_07_end_to_end_alpha1(dimer):
     devs = []
     for halving in range(3):
         width = 0.025 / (2 ** halving)        # gamma/2 -> gamma/4 -> gamma/8
-        res = run_pipeline(dimer, gamma=0.05, seed=0, method="ae",
+        res = run_pipeline(dimer_sd, gamma=0.05, seed=0, method="ae",
                            window_width=width)
         sim = res["result"].values
         orc = res["oracle"].values

@@ -510,8 +510,19 @@ def test_ancestor_bin():
 # end-to-end pipeline
 # ---------------------------------------------------------------------------
 
-def test_pipeline_oracle_mode(dimer):
-    res = run_pipeline(dimer, gamma=0.1, mode="oracle",
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fails a run that gets past its checks: the oracle is its first
+    work."""
+    def oracle(*args, **kwargs):
+        raise AssertionError("the run reached its oracle")
+
+    for name in ("alpha1", "r_pathway_fd"):
+        monkeypatch.setattr(assemble, name, oracle)
+
+
+def test_pipeline_oracle_mode(dimer_sd):
+    res = run_pipeline(dimer_sd, gamma=0.1, mode="oracle",
                        grid=np.linspace(0.0, 5.4, 28))
     assert res["mode"] == "oracle"
     assert "traces" not in res and "tables" not in res
@@ -527,9 +538,9 @@ def test_pipeline_oracle_mode(dimer):
     assert res["cost"]["bin_sorting"] == pytest.approx(6.0 ** 2 / 0.1)
 
 
-def test_pipeline_simulate_order1(dimer):
+def test_pipeline_simulate_order1(dimer_sd):
     grid = np.linspace(0.0, 5.4, 31)
-    res = run_pipeline(dimer, gamma=0.1, order=1, grid=grid, seed=0,
+    res = run_pipeline(dimer_sd, gamma=0.1, order=1, grid=grid, seed=0,
                        method="exact")
     assert res["result"] is not None
     windows = [e["window"] for e in res["tables"][1].entries]
@@ -541,9 +552,9 @@ def test_pipeline_simulate_order1(dimer):
     assert res["traces"]["d1_xx"].found
 
 
-def test_pipeline_simulate_order3(dimer):
+def test_pipeline_simulate_order3(dimer_sd):
     grid = np.array([1.0, 2.4, 3.9])
-    res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+    res = run_pipeline(dimer_sd, gamma=0.2, order=3, axes=(0, 0, 0, 0),
                        grid=grid, seed=0, method="exact")
     assert res["result"] is not None
     assert set(res["tables"]) == {1, 2, 3}
@@ -556,13 +567,13 @@ def test_pipeline_simulate_order3(dimer):
     assert cells[5] == "3" and cells[6] == "R1"
 
 
-def test_pipeline_order3_finds_weight_on_seeds_0_to_49(dimer):
+def test_pipeline_order3_finds_weight_on_seeds_0_to_49(dimer_sd):
     """README scenario 3 over the contiguous seeds 0..49: every seed finds
     weight and stays within criterion 08 (max|err| <= 15% of max|ref|) of
     the oracle computed in the same run."""
     misses = {}
     for seed in range(50):
-        res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+        res = run_pipeline(dimer_sd, gamma=0.2, order=3, axes=(0, 0, 0, 0),
                            grid=np.linspace(1.0, 3.9, 3), seed=seed,
                            method="exact")
         if res["result"] is None:
@@ -575,9 +586,9 @@ def test_pipeline_order3_finds_weight_on_seeds_0_to_49(dimer):
     assert misses == {}
 
 
-def test_pipeline_writes_outputs(dimer, tmp_path):
+def test_pipeline_writes_outputs(dimer_sd, tmp_path):
     out = tmp_path / "run"
-    run_pipeline(dimer, gamma=0.2, order=1, grid=np.linspace(0, 5.4, 12),
+    run_pipeline(dimer_sd, gamma=0.2, order=1, grid=np.linspace(0, 5.4, 12),
                  seed=1, method="exact", out_dir=str(out))
     names = {p.name for p in out.iterdir()}
     assert names == {"response.csv", "manifest.json", "cost_report.json",
@@ -590,16 +601,16 @@ def test_pipeline_writes_outputs(dimer, tmp_path):
 
 
 @pytest.mark.parametrize("order", [1, 3])
-def test_pipeline_default_chain_is_all_x_at_either_order(dimer, order):
+def test_pipeline_default_chain_is_all_x_at_either_order(dimer_sd, order):
     # the default chain used to be (0, 0) at every order, so order 3
     # failed with "need 4 axes, got 2"
-    res = run_pipeline(dimer, 0.2, order=order, grid=[1.0, 2.4],
+    res = run_pipeline(dimer_sd, 0.2, order=order, grid=[1.0, 2.4],
                        method="exact")
     assert res["manifest"]["axes"] == [0] * (order + 1)
     assert res["result"].axes == (0,) * (order + 1)
 
 
-def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
+def test_pipeline_order3_rejects_overlapping_boxes(dimer_sd, monkeypatch):
     # two distinct depth-2 boxes on one chain that overlap beyond the
     # filter margin on both axes: the table must refuse the second one
     # rather than drop its weight
@@ -614,31 +625,27 @@ def test_pipeline_order3_rejects_overlapping_boxes(dimer, monkeypatch):
 
     monkeypatch.setattr(assemble, "binary_search_nd", fake_search)
     with pytest.raises(InputError, match="overlaps"):
-        run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+        run_pipeline(dimer_sd, gamma=0.2, order=3, axes=(0, 0, 0, 0),
                      grid=np.linspace(1.0, 3.9, 3), method="exact")
 
 
-def test_pipeline_validation(dimer, monkeypatch):
+def test_pipeline_validation(dimer_sd, no_work):
     with pytest.raises(InputError):
-        run_pipeline(dimer, gamma=0.0)
+        run_pipeline(dimer_sd, gamma=0.0)
     with pytest.raises(InputError):
-        run_pipeline(dimer, gamma=0.1, order=2)
+        run_pipeline(dimer_sd, gamma=0.1, order=2)
     with pytest.raises(InputError, match="order"):     # before any search
-        run_pipeline(dimer, gamma=0.1, order=1.0)
+        run_pipeline(dimer_sd, gamma=0.1, order=1.0)
     with pytest.raises(InputError):
-        run_pipeline(dimer, gamma=0.1, mode="dream")
+        run_pipeline(dimer_sd, gamma=0.1, mode="dream")
     with pytest.raises(InputError):
-        run_pipeline(dimer, gamma=0.1, order=3, axes=(0, 0))
+        run_pipeline(dimer_sd, gamma=0.1, order=3, axes=(0, 0))
 
     # the seed is an integer >= 0, checked before any work
-    def no_work(model):
-        raise AssertionError("diagonalize ran before the seed was checked")
-
-    monkeypatch.setattr(assemble, "diagonalize", no_work)
     for seed in (-1, 1.5, 3.0, "7", None):
         for mode in ("oracle", "simulate"):
             with pytest.raises(InputError, match="seed"):
-                run_pipeline(dimer, gamma=0.1, seed=seed, mode=mode)
+                run_pipeline(dimer_sd, gamma=0.1, seed=seed, mode=mode)
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -652,26 +659,22 @@ def test_pipeline_validation(dimer, monkeypatch):
 ], ids=repr)
 @pytest.mark.parametrize("mode", ["oracle", "simulate"])
 def test_pipeline_refuses_bad_order_seed_and_axes_before_any_work(
-        dimer, monkeypatch, kwargs, field, mode):
+        dimer_sd, no_work, kwargs, field, mode):
     # each used to run: True as 1, 0.7 truncated to 0, -1 read as the z
-    # axis, and 5 escaping as an IndexError after diagonalize
-    def no_work(model):
-        raise AssertionError(f"diagonalize ran before {field} was checked")
-
-    monkeypatch.setattr(assemble, "diagonalize", no_work)
+    # axis, and 5 escaping as an IndexError in the oracle
     with pytest.raises(InputError, match=field):
-        run_pipeline(dimer, gamma=0.1, mode=mode, **kwargs)
+        run_pipeline(dimer_sd, gamma=0.1, mode=mode, **kwargs)
 
 
 @pytest.mark.parametrize("mode", ["oracle", "simulate"])
-def test_pipeline_numpy_seed_writes_the_plain_seeds_bytes(dimer, tmp_path,
+def test_pipeline_numpy_seed_writes_the_plain_seeds_bytes(dimer_sd, tmp_path,
                                                           mode):
     # a numpy integer seed is carried on as a plain int, which json writes
     kw = dict(gamma=0.2, grid=np.linspace(0.0, 5.4, 12), method="exact",
               mode=mode)
-    run_pipeline(dimer, seed=3, out_dir=str(tmp_path / "int"), **kw)
-    res = run_pipeline(dimer, seed=np.int64(3), out_dir=str(tmp_path / "np"),
-                       **kw)
+    run_pipeline(dimer_sd, seed=3, out_dir=str(tmp_path / "int"), **kw)
+    res = run_pipeline(dimer_sd, seed=np.int64(3),
+                       out_dir=str(tmp_path / "np"), **kw)
     assert type(res["manifest"]["seed"]) is int
     names = sorted(p.name for p in (tmp_path / "int").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "np").iterdir())
@@ -681,25 +684,17 @@ def test_pipeline_numpy_seed_writes_the_plain_seeds_bytes(dimer, tmp_path,
 
 
 @pytest.mark.parametrize("mode", ["oracle", "simulate"])
-def test_pipeline_rejects_unknown_method_before_any_work(dimer, monkeypatch,
+def test_pipeline_rejects_unknown_method_before_any_work(dimer_sd, no_work,
                                                         mode):
-    def no_work(model):
-        raise AssertionError("diagonalize ran before method was checked")
-
-    monkeypatch.setattr(assemble, "diagonalize", no_work)
     with pytest.raises(InputError, match="unknown method 'qpe'"):
-        run_pipeline(dimer, gamma=0.1, method="qpe", mode=mode)
+        run_pipeline(dimer_sd, gamma=0.1, method="qpe", mode=mode)
 
 
-def test_pipeline_refuses_an_oversized_grid_before_any_work(dimer,
-                                                            monkeypatch):
-    def no_work(model):
-        raise AssertionError("diagonalize ran before the grid was checked")
-
-    monkeypatch.setattr(assemble, "diagonalize", no_work)
+def test_pipeline_refuses_an_oversized_grid_before_any_work(dimer_sd,
+                                                            no_work):
     grid = np.zeros(assemble.GRID_POINT_CAP + 1)
     with pytest.raises(ResourceError, match="grid points"):
-        run_pipeline(dimer, gamma=0.1, grid=grid, mode="oracle")
+        run_pipeline(dimer_sd, gamma=0.1, grid=grid, mode="oracle")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -708,9 +703,9 @@ def test_pipeline_refuses_an_oversized_grid_before_any_work(dimer,
     {"window_width": math.nan}, {"window_width": math.inf},
     {"window_width": 0.0}, {"window_width": -0.01}, {"window_width": True},
 ], ids=repr)
-def test_pipeline_rejects_non_finite_inputs(dimer, kwargs):
+def test_pipeline_rejects_non_finite_inputs(dimer_sd, kwargs):
     with pytest.raises(InputError):
-        run_pipeline(dimer, **{"gamma": 0.2, "method": "exact", **kwargs})
+        run_pipeline(dimer_sd, **{"gamma": 0.2, "method": "exact", **kwargs})
 
 
 def _run_texts(res):
@@ -744,18 +739,17 @@ SHARED_SPECTRUM_CASES = {
 
 
 @pytest.mark.parametrize("case", SHARED_SPECTRUM_CASES)
-def test_runs_sharing_one_spectrum_write_what_fresh_runs_write(case,
-                                                               monkeypatch):
+def test_runs_sharing_one_spectrum_write_what_fresh_runs_write(case):
     # runs that share one SpectralData, and so its filter caches, in either
     # seed order, give the bytes of runs that each diagonalize afresh
     make_model, kw, seeds = SHARED_SPECTRUM_CASES[case]
     model = make_model()
-    fresh = {s: _run_texts(run_pipeline(model, seed=s, **kw)) for s in seeds}
+    fresh = {s: _run_texts(run_pipeline(diagonalize(model), seed=s, **kw))
+             for s in seeds}
     for order in (list(seeds), list(seeds)[::-1]):
         sd = diagonalize(model)
-        monkeypatch.setattr(assemble, "diagonalize", lambda m: sd)
         for s in order:
-            assert _run_texts(run_pipeline(model, seed=s, **kw)) == fresh[s]
+            assert _run_texts(run_pipeline(sd, seed=s, **kw)) == fresh[s]
         assert sd.filters and sd.filter_values
 
 
@@ -846,7 +840,7 @@ ADMISSION_PROBES = {
     "alpha1 grid nan": lambda sd: alpha1(sd, 0, 0, [math.nan, 1.0], 0.1),
     "alpha1 grid inf": lambda sd: alpha1(sd, 0, 0, [math.inf, 1.0], 0.1),
     "run_pipeline eps '0.1'": lambda sd: run_pipeline(
-        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, eps="0.1", mode="oracle"),
+        sd, 0.1, eps="0.1", mode="oracle"),
     "CostInputs p0 '0.5'": lambda sd: CostInputs(
         alpha=1.0, beta=1.0, gamma=0.1, eps=0.1, p0="0.5", gap=1.0),
     "FermionOperator n_modes 2.5": lambda sd: FermionOperator(2.5),
@@ -860,20 +854,23 @@ ADMISSION_PROBES = {
     "FermionOperator dagger 1.0":
         lambda sd: FermionOperator(2, {((0, 1.0), (1, 0.0)): 1.0}),
     "run_pipeline grid []": lambda sd: run_pipeline(
-        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=[], mode="oracle"),
+        sd, 0.1, grid=[], mode="oracle"),
     "run_pipeline grid ['a', 'b']": lambda sd: run_pipeline(
-        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=["a", "b"],
-        mode="oracle"),
+        sd, 0.1, grid=["a", "b"], mode="oracle"),
     "run_pipeline 2-D grid": lambda sd: run_pipeline(
-        make_hubbard_dimer(1.0, 2.0, 0.5), 0.1, grid=[[1.0, 2.0], [3.0, 4.0]],
-        mode="oracle"),
+        sd, 0.1, grid=[[1.0, 2.0], [3.0, 4.0]], mode="oracle"),
     "assemble_alpha1 grid nan":
         lambda sd: assemble_alpha1(_table(1, {}), [math.nan, 1.0], 0.1),
     "assemble_alpha1 grid inf":
         lambda sd: assemble_alpha1(_table(1, {}), [math.inf, 1.0], 0.1),
+    "assemble_alpha1 grid [1.0, True]":
+        lambda sd: assemble_alpha1(_table(1, {}), [1.0, True], 0.1),
     "assemble_alpha3 triple nan":
         lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
                                    [(math.nan, 1.0, 1.0)], 0.1, {}),
+    "assemble_alpha3 triple (1.0, True, 1.0)":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(1.0, True, 1.0)], 0.1, {}),
     "r_pathway_fd Omega1 nan":
         lambda sd: r_pathway_fd(sd, 1, (0, 0, 0, 0), 3.0, 2.0, math.nan, 0.1),
     "estimate_box window ('4.35', '4.55')":

@@ -512,7 +512,8 @@ def _grid_spectrum(alpha_shift, points):
     return SpectralData(
         eigenvalues=np.asarray(points), transition_dipoles=None,
         ground_energy=0.0, alpha=alpha_shift,
-        alpha_shift=alpha_shift, betas=(1.0, 1.0, 1.0))
+        alpha_shift=alpha_shift, betas=(1.0, 1.0, 1.0), label="grid",
+        n_modes=0, n_electrons=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -548,9 +549,10 @@ def test_shared_filter_meets_each_cells_own_regions(alpha_shift, level, bins,
 def test_readme_order3_builds_14_filters(dimer):
     # filters built on README scenario 3 when cells share polynomials by
     # shape; a change to the rescale rounding or the shape key moves them
-    res = run_pipeline(dimer, gamma=0.2, order=3, axes=(0, 0, 0, 0),
-                       grid=np.linspace(1.0, 3.9, 3), method="exact")
-    filters = res["sd"].filters.values()
+    sd = diagonalize(dimer)
+    run_pipeline(sd, gamma=0.2, order=3, axes=(0, 0, 0, 0),
+                 grid=np.linspace(1.0, 3.9, 3), method="exact")
+    filters = sd.filters.values()
     assert len(filters) == 14
     assert sum(f.degree for f in filters) == 9222
 
@@ -655,7 +657,7 @@ def test_measurement_ignores_the_nuclear_shift(request, names):
                             seed=2).as_dict() == ref_box
 
 
-def test_a_run_leaves_no_module_state_behind(dimer):
+def test_a_run_leaves_no_module_state_behind(dimer_sd):
     # filters and their values belong to one spectrum: a pipeline run at a
     # gamma no other test uses must leave every module-level container of
     # the package as it found it
@@ -668,5 +670,5 @@ def test_a_run_leaves_no_module_state_behind(dimer):
                 and isinstance(value, (dict, list, set))}
 
     before = snapshot()
-    run_pipeline(dimer, gamma=0.137, seed=0, method="exact")
+    run_pipeline(dimer_sd, gamma=0.137, seed=0, method="exact")
     assert snapshot() == before

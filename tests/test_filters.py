@@ -18,6 +18,7 @@ from respsim import (
     ResourceError,
     build_indicator,
     choose_k,
+    diagonalize,
     make_hubbard_dimer,
     run_pipeline,
 )
@@ -143,9 +144,9 @@ def test_indicator_certifies_without_pointwise_evaluation(monkeypatch):
         n_grid = f.certificate["grid_size"]
         assert n_grid >= 8 * f.degree
         assert next_fast_len(n_grid, real=True) == n_grid
-    dimer = make_hubbard_dimer(1.0, 2.0, 0.5)
-    assert run_pipeline(dimer, 0.1, seed=7)["result"] is not None
-    assert run_pipeline(dimer, 0.2, order=3, axes=(0, 0, 0, 0),
+    sd = diagonalize(make_hubbard_dimer(1.0, 2.0, 0.5))
+    assert run_pipeline(sd, 0.1, seed=7)["result"] is not None
+    assert run_pipeline(sd, 0.2, order=3, axes=(0, 0, 0, 0),
                         grid=np.linspace(1.0, 3.9, 3),
                         method="exact")["result"] is not None
 

@@ -56,8 +56,11 @@ def test_arbiters_share_no_private_code_with_the_package(path):
     assert not private, f"{path.name} imports private names {private}"
 
 
-def test_measurement_layer_runs_on_the_spectrum_alone():
-    imports = _package_imports(PACKAGE / "estimate.py")
+@pytest.mark.parametrize("module", ["estimate.py", "assemble.py"])
+def test_measurement_and_assembly_run_on_the_spectrum_alone(module):
+    # a run measures one spectrum: neither layer reads a model or builds
+    # a spectrum itself
+    imports = _package_imports(PACKAGE / module)
     assert not [i for i in imports if i[0] == "respsim.models"]
     assert "diagonalize" not in {name for _, name in imports}
 

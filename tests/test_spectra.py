@@ -193,6 +193,24 @@ def test_diagonalize_enforces_mode_cap():
         diagonalize(zero)
 
 
+@pytest.mark.parametrize("part", ["T", "V", "dipole"])
+def test_diagonalize_refuses_an_asymmetric_tensor_before_any_block(
+        dimer, monkeypatch, part):
+    # the one-norms hold the only symmetry check, so they run first
+    def no_block(*args, **kwargs):
+        raise AssertionError("a sector block was built")
+
+    monkeypatch.setattr(spectra, "sector_blocks", no_block)
+    monkeypatch.setattr(spectra, "sector_block", no_block)
+    tensor = getattr(dimer, part).copy()
+    tensor[(0,) * (tensor.ndim - 2) + (0, 1)] += 1e-9
+    model = ModelSpec(dimer.n_orbitals, dimer.n_electrons,
+                      **{"T": dimer.T, "V": dimer.V, "dipole": dimer.dipole,
+                         part: tensor})
+    with pytest.raises(InputError, match="symmetr"):
+        diagonalize(model)
+
+
 def test_diagonalize_full_space_cap_allocates_nothing():
     # 20 modes: enumerating the full Fock space alone would take 8 MiB of
     # int64 states; the cap refuses before any of it is built
