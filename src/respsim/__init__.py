@@ -16,7 +16,7 @@ from .operators import (FermionOperator, PauliOperator, build_dipole,
                         lcu_one_norm, majorana_one_norm, sector_block,
                         sector_blocks, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
-                     make_random_model, spatial_to_spin)
+                     make_random_model)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
                       nested_window_amplitude, r_pathway_fd)
 from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
@@ -35,7 +35,7 @@ __all__ = [
     "eta_dipole_norm", "jordan_wigner", "lcu_one_norm", "majorana_one_norm",
     "sector_block", "sector_blocks", "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
-    "make_random_model", "spatial_to_spin",
+    "make_random_model",
     "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",
     "nested_window_amplitude", "r_pathway_fd",
     "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",

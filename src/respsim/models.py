@@ -1,6 +1,7 @@
 """Model construction and file ingestion.
 
-Spin-orbital ordering is interleaved: (alpha_0, beta_0, alpha_1, beta_1, ...),
+A model holds spatial-orbital integrals; ModelSpec.spin_orbital() lifts
+them to interleaved spin orbitals (alpha_0, beta_0, alpha_1, beta_1, ...),
 so spatial orbital p with spin sigma in {0, 1} is spin-orbital 2p + sigma.
 
 File format (integral file):
@@ -38,13 +39,18 @@ RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
 
 @dataclass
 class ModelSpec:
-    """Spin-orbital integrals plus bookkeeping for one molecular model."""
+    """Spatial-orbital integrals plus bookkeeping for one molecular model.
 
-    n_orbitals: int            # spin-orbital count N
-    n_electrons: int
-    T: np.ndarray              # (N, N)
-    V: np.ndarray              # (N, N, N, N)
-    dipole: np.ndarray         # (3, N, N)
+    V addresses a_p^dag a_q^dag a_r a_s of spatial orbitals, each term
+    summed over the spins of (p, s) and of (q, r); spin_orbital() lifts
+    T, V and the dipoles to the 2n spin orbitals the Hamiltonian acts on.
+    """
+
+    n_orbitals: int            # spatial orbital count n
+    n_electrons: int           # eta, 0..2n
+    T: np.ndarray              # (n, n)
+    V: np.ndarray              # (n, n, n, n)
+    dipole: np.ndarray         # (3, n, n)
     nuclear_shift: float = 0.0
     label: str = ""
     dipole_missing: bool = False
@@ -59,43 +65,31 @@ class ModelSpec:
         if self.T.shape != (n, n):
             raise InputError(f"T shape {self.T.shape} != ({n}, {n})")
         if self.V.shape != (n, n, n, n):
-            raise InputError(f"V shape {self.V.shape} inconsistent with N={n}")
+            raise InputError(f"V shape {self.V.shape} inconsistent with n={n}")
         if self.dipole.shape != (3, n, n):
             raise InputError(f"dipole shape {self.dipole.shape} != (3, {n}, {n})")
-        _require_finite(T=self.T, V=self.V, dipole=self.dipole,
-                        nuclear_shift=self.nuclear_shift)
-        if not 0 <= self.n_electrons <= n:
+        for name in ("T", "V", "dipole", "nuclear_shift"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InputError(f"{name} has non-finite entries")
+        if not 0 <= self.n_electrons <= 2 * n:
             raise InputError(
-                f"electron count {self.n_electrons} outside [0, {n}]"
+                f"electron count {self.n_electrons} outside [0, {2 * n}]"
             )
 
+    def spin_orbital(self):
+        """(T, V, dipole) lifted to the 2n interleaved spin orbitals.
 
-def _require_finite(**values):
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise InputError(f"{name} has non-finite entries")
-
-
-def spatial_to_spin(T_spat, V_spat, dipole_spat):
-    """Lift spatial-orbital integrals to interleaved spin-orbitals.
-
-    T and the dipoles are replicated per spin; V acquires spin-conservation
-    deltas on the (p, s) and (q, r) index pairs.
-    """
-    T_spat = np.asarray(T_spat, dtype=float)
-    V_spat = np.asarray(V_spat, dtype=float)
-    dipole_spat = np.asarray(dipole_spat, dtype=float)
-    # before np.kron turns an inf into a warning about inf * 0
-    _require_finite(T=T_spat, V=V_spat, dipole=dipole_spat)
-    n = T_spat.shape[0]
-    eye2 = np.eye(2)
-    T = np.kron(T_spat, eye2)
-    d = np.stack([np.kron(dipole_spat[i], eye2) for i in range(3)])
-    V = np.zeros((2 * n,) * 4)
-    for sigma in (0, 1):
-        for tau in (0, 1):
-            V[sigma::2, tau::2, tau::2, sigma::2] = V_spat
-    return T, V, d
+        T and the dipoles are replicated per spin; V acquires
+        spin-conservation deltas on the (p, s) and (q, r) index pairs.
+        """
+        eye2 = np.eye(2)
+        T = np.kron(self.T, eye2)
+        d = np.stack([np.kron(axis, eye2) for axis in self.dipole])
+        V = np.zeros((2 * self.n_orbitals,) * 4)
+        for sigma in (0, 1):
+            for tau in (0, 1):
+                V[sigma::2, tau::2, tau::2, sigma::2] = self.V
+        return T, V, d
 
 
 def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
@@ -106,20 +100,18 @@ def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
     V_spat[1, 1, 1, 1] = U / 2
     d_spat = np.zeros((3, 2, 2))
     d_spat[0, 0, 1] = d_spat[0, 1, 0] = d01
-    T, V, d = spatial_to_spin(T_spat, V_spat, d_spat)
-    return ModelSpec(4, 2, T, V, d, 0.0, label=f"hubbard-dimer(t={t},U={U},d={d01})")
+    return ModelSpec(2, 2, T_spat, V_spat, d_spat, 0.0,
+                     label=f"hubbard-dimer(t={t},U={U},d={d01})")
 
 
 def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec:
     """Deterministic random model with all required index symmetries."""
-    if not (is_int(n_orbitals) and n_orbitals >= 1 and is_int(n_electrons)):
-        raise InputError("counts must be integers, with at least one orbital")
+    if not (is_int(n_orbitals) and n_orbitals >= 1):
+        raise InputError("orbital count must be an integer of at least 1")
     if n_orbitals > RANDOM_MODEL_CAP:
         raise ResourceError(
             f"{n_orbitals} spatial orbitals exceeds the cap of {RANDOM_MODEL_CAP}"
         )
-    if not 0 <= n_electrons <= 2 * n_orbitals:
-        raise InputError("electron count outside [0, 2*NORB]")
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     n = n_orbitals
@@ -129,8 +121,7 @@ def make_random_model(n_orbitals: int, n_electrons: int, seed: int) -> ModelSpec
     V = sum(V.transpose(perm) for perm in TWO_BODY_IMAGES) / 8.0
     d = rng.normal(size=(3, n, n))
     d = (d + d.transpose(0, 2, 1)) / 2
-    Ts, Vs, ds = spatial_to_spin(T, V, d)
-    return ModelSpec(2 * n, n_electrons, Ts, Vs, ds, 0.0,
+    return ModelSpec(n, n_electrons, T, V, d, 0.0,
                      label=f"random(n={n},seed={seed})")
 
 
@@ -176,11 +167,11 @@ def _stripped_lines(path):
 
 
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
-    """Read spatial integrals plus an optional dipole file; return the
-    spin-lifted ModelSpec.  Without a dipole file the dipoles are zero and
-    the model is flagged dipole_missing; a named file must exist.  A header
-    declaring more than DEFAULT_MODE_CAP spin orbitals raises ResourceError
-    before any integral array is allocated."""
+    """Read spatial integrals plus an optional dipole file into a
+    ModelSpec.  Without a dipole file the dipoles are zero and the model is
+    flagged dipole_missing; a named file must exist.  A header declaring
+    more than DEFAULT_MODE_CAP spin orbitals raises ResourceError before
+    any integral array is allocated."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"integral file not found: {path}")
@@ -196,8 +187,6 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
         raise ResourceError(
             f"NORB={norb} gives {2 * norb} spin orbitals, beyond the cap of "
             f"{DEFAULT_MODE_CAP} modes")
-    if nelec < 0 or nelec > 2 * norb:
-        raise InputError(f"NELEC={nelec} exceeds 2*NORB={2 * norb}")
     T = np.zeros((norb, norb))
     V = np.zeros((norb, norb, norb, norb))
     shift = 0.0
@@ -251,7 +240,6 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
                 raise InputError(f"{dipole_path}:{lineno}: index out of range")
             dip[ax, i - 1, j - 1] = val
             dip[ax, j - 1, i - 1] = val
-    T_s, V_s, d_s = spatial_to_spin(T, V, dip)
-    return ModelSpec(2 * norb, nelec, T_s, V_s, d_s, shift,
+    return ModelSpec(norb, nelec, T, V, dip, shift,
                      label=path.stem, dipole_missing=missing)
 

@@ -88,7 +88,7 @@ class SpectralData:
     alpha_shift: float               # alpha + |evals[0]|, electronic
     betas: tuple                     # (beta_x, beta_y, beta_z)
     label: str                       # a manifest's "model"
-    n_modes: int                     # spin-orbital count N
+    n_modes: int                     # spin-orbital count N = 2n
     n_electrons: int                 # eta
     degenerate_ground: bool = False
     filters: dict = field(default_factory=dict, repr=False, compare=False)
@@ -113,29 +113,31 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     """Dense eigenvalues of the model Hamiltonian plus eigenbasis dipoles
     and the LCU one-norms of their Jordan-Wigner images.
 
-    Only the particle-number sector's block of each operator is built,
-    straight from the integral tensors; T and the three dipole axes share
-    one sector structure (sector_blocks).  The one-norms come in closed form
-    from the tensors (majorana_one_norm), so for a V within the admitted
-    1e-10 asymmetry alpha may differ from the literal image's one-norm at
-    that order; no Pauli string is formed.  Models above DEFAULT_MODE_CAP
-    modes raise ResourceError before anything is built; an asymmetric T, V
-    or dipole (refused by the one-norms) or a zero Hamiltonian (alpha = 0)
-    raises InputError before any block is built.
+    The model's spatial integrals are lifted to its N = 2n spin orbitals
+    (model.spin_orbital()), and only the particle-number sector's block of
+    each operator is built, straight from those tensors; T and the three
+    dipole axes share one sector structure (sector_blocks).  The one-norms
+    come in closed form from the tensors (majorana_one_norm), so for a V
+    within the admitted 1e-10 asymmetry alpha may differ from the literal
+    image's one-norm at that order; no Pauli string is formed.  Models above
+    DEFAULT_MODE_CAP modes raise ResourceError before the lift; an
+    asymmetric T, V or dipole (refused by the one-norms) or a zero
+    Hamiltonian (alpha = 0) raises InputError before any block is built.
     """
-    n, eta = model.n_orbitals, model.n_electrons
+    n, eta = 2 * model.n_orbitals, model.n_electrons
     if n > DEFAULT_MODE_CAP:
         raise ResourceError(
             f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
-    alpha = majorana_one_norm(model.T, model.V)
+    T, V, D = model.spin_orbital()
+    alpha = majorana_one_norm(T, V)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
-    betas = tuple(map(majorana_one_norm, model.dipole))
-    one_body = sector_blocks([model.T, *model.dipole], eta)
+    betas = tuple(map(majorana_one_norm, D))
+    one_body = sector_blocks([T, *D], eta)
     H = next(one_body)
-    H += sector_block(model.V, eta)
+    H += sector_block(V, eta)
     evals, evecs = np.linalg.eigh(H)
-    del H
+    del H, V
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL
     if degenerate:

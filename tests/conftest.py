@@ -84,24 +84,26 @@ def naive_dense(n, terms):
 
 
 def naive_model_matrices(model):
-    """(H, D) dense Fock matrices built naively from a ModelSpec."""
-    n = model.n_orbitals
+    """(H, D) dense Fock matrices built naively from a ModelSpec's
+    spin-orbital integrals."""
+    T, V, dipole = model.spin_orbital()
+    n = len(T)
     dim = 2 ** n
     H = np.zeros((dim, dim))
     for p in range(n):
         for q in range(n):
-            if model.T[p, q] != 0.0:
-                H += model.T[p, q] * naive_term_matrix(n, [(p, 1), (q, 0)])
-    nz = np.nonzero(np.abs(model.V) > 0)
+            if T[p, q] != 0.0:
+                H += T[p, q] * naive_term_matrix(n, [(p, 1), (q, 0)])
+    nz = np.nonzero(np.abs(V) > 0)
     for p, q, r, s in zip(*nz):
-        H += model.V[p, q, r, s] * naive_term_matrix(
+        H += V[p, q, r, s] * naive_term_matrix(
             n, [(int(p), 1), (int(q), 1), (int(r), 0), (int(s), 0)])
     D = np.zeros((3, dim, dim))
     for ax in range(3):
         for p in range(n):
             for q in range(n):
-                if model.dipole[ax, p, q] != 0.0:
-                    D[ax] += model.dipole[ax, p, q] * naive_term_matrix(
+                if dipole[ax, p, q] != 0.0:
+                    D[ax] += dipole[ax, p, q] * naive_term_matrix(
                         n, [(p, 1), (q, 0)])
     return H, D
 
@@ -109,9 +111,8 @@ def naive_model_matrices(model):
 def naive_sector_spectrum(model):
     """(excitations, transition_dipoles) in the half-filled sector,
     ground level shifted to zero - all via the naive builders."""
-    n = model.n_orbitals
     H, D = naive_model_matrices(model)
-    sector = [b for b in range(2 ** n)
+    sector = [b for b in range(len(H))
               if bin(b).count("1") == model.n_electrons]
     Hs = H[np.ix_(sector, sector)]
     vals, vecs = np.linalg.eigh(Hs)

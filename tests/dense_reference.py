@@ -51,7 +51,7 @@ def dense_box_value(model, sd, chain_axes, windows, deltas, eps):
     the chain's dipole one-norms (0 counts as 1).
     """
     H, D = naive_model_matrices(model)
-    sector = [b for b in range(2 ** model.n_orbitals)
+    sector = [b for b in range(len(H))
               if bin(b).count("1") == model.n_electrons]
     block = np.ix_(sector, sector)
     H = H[block]

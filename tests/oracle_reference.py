@@ -4,10 +4,10 @@ The time-domain linear kernel, the time-domain third-order pathways (a
 density-matrix walk and the explicit sum over states, each the other's
 check), the full 48-term third-order susceptibility, the closed-form error
 integral of the indicator's smoothing ramp, and the writer of the integral
-file format with its spin-to-spatial inverse.  The 48-term sum is built
-from the package's frequency-domain pathway, the writer feeds round trips
-through the package's file reader, and criterion 03 checks the ramp-error
-constant.  Only public package names are imported.
+file format.  The 48-term sum is built from the package's frequency-domain
+pathway, the writer feeds round trips through the package's file reader,
+and criterion 03 checks the ramp-error constant.  Only public package names
+are imported.
 """
 
 import itertools
@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from respsim import (InputError, ModelSpec, SpectralData, r_pathway_fd,
-                     spatial_to_spin)
+from respsim import InputError, ModelSpec, SpectralData, r_pathway_fd
 from respsim.operators import TWO_BODY_IMAGES
 
 # pathway nu -> (first, second, third) multiplication side
@@ -205,26 +204,10 @@ def _erfc_antiderivative(u: float) -> float:
 # integral-file writer
 # ---------------------------------------------------------------------------
 
-def spin_to_spatial(model: ModelSpec):
-    """Inverse of spatial_to_spin for spin-lifted models (used by the writer)."""
-    n = model.n_orbitals
-    if n % 2:
-        raise InputError("model has an odd spin-orbital count; not spin-lifted")
-    T_spat = model.T[0::2, 0::2]
-    V_spat = model.V[0::2, 0::2, 0::2, 0::2]
-    d_spat = model.dipole[:, 0::2, 0::2]
-    T_check, V_check, d_check = spatial_to_spin(T_spat, V_spat, d_spat)
-    if (np.max(np.abs(T_check - model.T), initial=0) > 1e-12
-            or np.max(np.abs(V_check - model.V), initial=0) > 1e-12
-            or np.max(np.abs(d_check - model.dipole), initial=0) > 1e-12):
-        raise InputError("model is not a spin lift of spatial integrals")
-    return T_spat, V_spat, d_spat
-
-
 def write_fcidump_like(model: ModelSpec, path, dipole_path=None):
-    """Write a spin-lifted model back to the spatial-orbital file format."""
-    T, V, dip = spin_to_spatial(model)
-    norb = T.shape[0]
+    """Write a model's spatial integrals in the integral file format."""
+    T, V, dip = model.T, model.V, model.dipole
+    norb = model.n_orbitals
     lines = [f"&FCI NORB={norb} NELEC={model.n_electrons}", "&END"]
     for i in range(norb):
         for j in range(i, norb):

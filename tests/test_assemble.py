@@ -766,7 +766,7 @@ def _table(depth, *entries):
 
 
 def _spec(n_orbitals, n_electrons):
-    """A ModelSpec of zero integrals on four spin-orbitals."""
+    """A ModelSpec of zero integrals on four spatial orbitals."""
     return ModelSpec(n_orbitals, n_electrons, np.zeros((4, 4)),
                      np.zeros((4,) * 4), np.zeros((3, 4, 4)))
 

@@ -19,15 +19,15 @@ from respsim.cli import _parse_axes, _parse_grid, _parse_toy, main
 
 def test_parse_toy_hubbard():
     m = _parse_toy("hubbard:t=2,U=1,d=0.25")
-    assert m.T[0, 2] == pytest.approx(-2.0)
-    assert m.dipole[0][0, 2] == pytest.approx(0.25)
+    assert m.T[0, 1] == pytest.approx(-2.0)
+    assert m.dipole[0][0, 1] == pytest.approx(0.25)
     defaults = _parse_toy("hubbard")
-    assert defaults.T[0, 2] == pytest.approx(-1.0)
+    assert defaults.T[0, 1] == pytest.approx(-1.0)
 
 
 def test_parse_toy_random():
     m = _parse_toy("random:n=2,ne=2,seed=5")
-    assert m.n_orbitals == 4            # spin orbitals
+    assert m.n_orbitals == 2            # spatial orbitals
     assert m.n_electrons == 2
 
 

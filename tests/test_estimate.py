@@ -621,9 +621,9 @@ def test_spectrum_carries_lcu_one_norms(request, names):
         model, sd = (request.getfixturevalue(n) for n in names)
     # the closed-form norms are the Pauli ones up to roundoff (2e-15
     # relative seen), bit for bit only where every sum is exact
-    want = [lcu_one_norm(jordan_wigner(build_hamiltonian(model.T, model.V)))]
-    want += [lcu_one_norm(jordan_wigner(build_dipole(d)))
-             for d in model.dipole]
+    T, V, D = model.spin_orbital()
+    want = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
+    want += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
     for got, ref in zip((sd.alpha, *sd.betas), want):
         assert abs(got - ref) <= 1e-12 * ref
     assert sd.alpha > 0 and sd.betas[0] > 0

@@ -74,6 +74,16 @@ def test_spectrum_path_stays_off_the_reference_layer():
                           "lcu_one_norm", "PauliOperator"}
 
 
+def test_only_the_spectrum_lifts_a_model():
+    # a model holds spatial integrals; diagonalize makes the package's one
+    # spin-orbital lift
+    callers = [path.name for path in MODULES if any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "spin_orbital"
+        for node in ast.walk(ast.parse(path.read_text())))]
+    assert callers == ["spectra.py"]
+
+
 def test_filters_stand_apart_from_the_operator_layer():
     imports = _package_imports(PACKAGE / "chebfilter.py")
     assert not [i for i in imports if i[0] == "respsim.operators"]

@@ -1,17 +1,22 @@
-"""Model construction, spin lifting, and file round-trips."""
+"""Model construction, the spin-orbital lift, and file round-trips."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracle_reference import spin_to_spatial, write_fcidump_like
+from oracle_reference import write_fcidump_like
 from respsim import (
     InputError,
     ModelSpec,
     ResourceError,
+    diagonalize,
     load_fcidump_like,
     make_hubbard_dimer,
     make_random_model,
-    spatial_to_spin,
     validate_two_body_symmetry,
 )
 from respsim.operators import TWO_BODY_IMAGES
@@ -19,44 +24,78 @@ from respsim.operators import TWO_BODY_IMAGES
 
 def test_dimer_shapes_and_label():
     m = make_hubbard_dimer(t=1.0, U=2.0, d01=0.5)
-    assert m.n_orbitals == 4 and m.n_electrons == 2
-    assert m.T.shape == (4, 4)
-    assert m.V.shape == (4, 4, 4, 4)
-    assert m.dipole.shape == (3, 4, 4)
+    assert m.n_orbitals == 2 and m.n_electrons == 2
+    assert m.T.shape == (2, 2)
+    assert m.V.shape == (2, 2, 2, 2)
+    assert m.dipole.shape == (3, 2, 2)
     assert "hubbard" in m.label
     validate_two_body_symmetry(m.V)
 
 
 def test_dimer_integral_values():
-    m = make_hubbard_dimer(t=1.5, U=3.0, d01=0.25)
+    T, V, d = make_hubbard_dimer(t=1.5, U=3.0, d01=0.25).spin_orbital()
     # interleaved spin orbitals: site0 up/dn = modes 0/1, site1 = modes 2/3
-    assert m.T[0, 2] == -1.5 and m.T[1, 3] == -1.5
-    assert m.T[0, 1] == 0.0
-    assert m.V[0, 1, 1, 0] == 1.5          # U/2 on site 0, opposite spins
-    assert m.dipole[0, 0, 2] == 0.25
-    assert np.all(m.dipole[1] == 0.0) and np.all(m.dipole[2] == 0.0)
+    assert T[0, 2] == -1.5 and T[1, 3] == -1.5
+    assert T[0, 1] == 0.0
+    assert V[0, 1, 1, 0] == 1.5          # U/2 on site 0, opposite spins
+    assert d[0, 0, 2] == 0.25
+    assert np.all(d[1] == 0.0) and np.all(d[2] == 0.0)
 
 
-def test_spatial_to_spin_round_trip():
-    rng = np.random.default_rng(2)
-    n = 3
-    T = rng.normal(size=(n, n))
-    T = (T + T.T) / 2
-    V = np.zeros((n, n, n, n))
-    d = rng.normal(size=(3, n, n))
-    d = (d + d.transpose(0, 2, 1)) / 2
-    Ts, Vs, ds = spatial_to_spin(T, V, d)
-    model = ModelSpec(2 * n, 2, Ts, Vs, ds)
-    T2, V2, d2 = spin_to_spatial(model)
-    assert np.allclose(T2, T) and np.allclose(V2, V) and np.allclose(d2, d)
+@st.composite
+def spatial_models(draw):
+    """A ModelSpec on 1..4 spatial orbitals with arbitrary finite entries;
+    the lift is elementwise, so no symmetry is imposed."""
+    n = draw(st.integers(1, 4))
+    values = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    T, V, d = (draw(arrays(float, shape, elements=values))
+               for shape in ((n, n), (n,) * 4, (3, n, n)))
+    return ModelSpec(n, 0, T, V, d)
 
 
-def test_spin_to_spatial_rejects_non_lifted():
-    m = make_hubbard_dimer(1.0, 2.0, 0.5)
-    m.T[0, 1] = 0.3          # spin-flip hopping cannot come from a lift
-    m.T[1, 0] = 0.3
-    with pytest.raises(InputError):
-        spin_to_spatial(m)
+@settings(max_examples=40, deadline=None)
+@given(model=spatial_models())
+def test_spin_orbital_lift_is_the_element_map(model):
+    # mode 2p + sigma is spatial orbital p with spin sigma: one-body terms
+    # keep the spin (T[p, q] times the spin delta, so a negative entry
+    # leaves -0.0 off the spin blocks, as np.kron does), and V[p, q, r, s]
+    # moves spin sigma from s to p and tau from r to q
+    n, N = model.n_orbitals, 2 * model.n_orbitals
+    T = np.zeros((N, N))
+    d = np.zeros((3, N, N))
+    V = np.zeros((N,) * 4)
+    for p, q, sigma, tau in itertools.product(range(n), range(n), (0, 1),
+                                              (0, 1)):
+        delta = float(sigma == tau)
+        T[2 * p + sigma, 2 * q + tau] = model.T[p, q] * delta
+        for ax in range(3):
+            d[ax, 2 * p + sigma, 2 * q + tau] = model.dipole[ax, p, q] * delta
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        for sigma, tau in itertools.product((0, 1), repeat=2):
+            V[2 * p + sigma, 2 * q + tau, 2 * r + tau, 2 * s + sigma] = \
+                model.V[p, q, r, s]
+    for got, want in zip(model.spin_orbital(), (T, V, d)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _loaded_random_model(tmp_path):
+    ints, dip = tmp_path / "ints.txt", tmp_path / "dip.txt"
+    write_fcidump_like(make_random_model(3, 2, seed=1), ints, dipole_path=dip)
+    return load_fcidump_like(ints, dipole_path=dip)
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda _: make_hubbard_dimer(1.0, 2.0, 0.5), 2),
+    (lambda _: make_random_model(4, 2, seed=0), 4),
+    (_loaded_random_model, 3),
+], ids=["dimer", "random", "loaded"])
+def test_builders_hold_spatial_integrals(tmp_path, build, n):
+    m = build(tmp_path)
+    assert m.n_orbitals == n
+    assert m.T.shape == (n, n)
+    assert m.V.shape == (n,) * 4
+    assert m.dipole.shape == (3, n, n)
+    assert diagonalize(m).n_modes == 2 * n
 
 
 def test_random_model_is_deterministic_and_symmetric():
@@ -165,13 +204,13 @@ def test_repeated_orbit_records_load_the_later_value(tmp_path):
                    "0.7 2 1 4 3\n")
     with pytest.warns(UserWarning):
         m = load_fcidump_like(src)
-    _, V, _ = spin_to_spatial(m)
     entry = (0, 1, 2, 3)
     images = {tuple(entry[a] for a in perm) for perm in TWO_BODY_IMAGES}
     assert len(images) == 8
-    assert all(V[idx] == 0.7 for idx in images)
+    assert all(m.V[idx] == 0.7 for idx in images)
+    _, V, _ = m.spin_orbital()
     for perm in TWO_BODY_IMAGES:
-        assert np.array_equal(m.V, m.V.transpose(perm))
+        assert np.array_equal(V, V.transpose(perm))
 
 
 def test_nuclear_shift_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from pauli_reference import (dict_jordan_wigner, pauli_masks, pauli_product,
 from respsim import (
     FermionOperator,
     InputError,
+    ModelSpec,
     PauliOperator,
     ResourceError,
     build_dipole,
@@ -25,7 +26,6 @@ from respsim import (
     make_random_model,
     sector_block,
     sector_blocks,
-    spatial_to_spin,
     validate_two_body_symmetry,
 )
 from respsim import operators
@@ -97,17 +97,18 @@ def test_number_operator_counts_occupation():
 # ---------------------------------------------------------------------------
 
 def test_build_hamiltonian_matches_naive(dimer):
-    H = build_hamiltonian(dimer.T, dimer.V).dense()
-    n = dimer.n_orbitals
+    T, V, _ = dimer.spin_orbital()
+    H = build_hamiltonian(T, V).dense()
+    n = len(T)
     naive = np.zeros_like(H)
     for p in range(n):
         for q in range(n):
-            if dimer.T[p, q]:
-                naive = naive + dimer.T[p, q] * naive_term_matrix(
+            if T[p, q]:
+                naive = naive + T[p, q] * naive_term_matrix(
                     n, [(p, 1), (q, 0)])
-    for idx in zip(*np.nonzero(np.abs(dimer.V) > 0)):
+    for idx in zip(*np.nonzero(np.abs(V) > 0)):
         p, q, r, s = (int(i) for i in idx)
-        naive = naive + dimer.V[idx] * naive_term_matrix(
+        naive = naive + V[idx] * naive_term_matrix(
             n, [(p, 1), (q, 1), (r, 0), (s, 0)])
     assert np.allclose(H, naive, atol=1e-12)
 
@@ -123,7 +124,7 @@ def test_build_hamiltonian_rejects_asymmetric_inputs():
 
 
 def test_build_dipole_is_hermitian_one_body(dimer):
-    op = build_dipole(dimer.dipole[0])
+    op = build_dipole(dimer.spin_orbital()[2][0])
     D = op.dense()
     assert np.allclose(D, D.conj().T)
 
@@ -188,7 +189,7 @@ def dyadic_integrals(draw):
     if not draw(st.booleans()):
         return draw(integrals(DYADIC, 5))
     T, V, d = draw(integrals(DYADIC, 2))
-    T, V, (d, _, _) = spatial_to_spin(T, V, [d] * 3)
+    T, V, (d, _, _) = ModelSpec(len(T), 0, T, V, [d] * 3).spin_orbital()
     return T, V, d
 
 
@@ -207,7 +208,8 @@ def test_sector_blocks_share_one_structure_and_match_each_block():
     # T and the dipole axes from one sector structure, as diagonalize
     # builds them, are each tensor's own block bit for bit
     model = make_random_model(4, 4, 1)
-    tensors = [model.T, *model.dipole]
+    T, _, D = model.spin_orbital()
+    tensors = [T, *D]
     shared = list(sector_blocks(tensors, model.n_electrons))
     assert len(shared) == 4
     for t, block in zip(tensors, shared):
@@ -217,11 +219,12 @@ def test_sector_blocks_share_one_structure_and_match_each_block():
 def test_sector_block_above_the_full_space_cap_is_the_pauli_block():
     # 14 modes: the full matrix is refused, the Pauli sector block is not
     model = make_random_model(7, 4, 7)
-    assert model.n_orbitals > FULL_SPACE_MODE_CAP
-    keep = [b for b in range(2 ** model.n_orbitals)
+    T, V, D = model.spin_orbital()
+    assert len(T) > FULL_SPACE_MODE_CAP
+    keep = [b for b in range(2 ** len(T))
             if bin(b).count("1") == model.n_electrons]
-    ops = [((model.T, model.V), build_hamiltonian(model.T, model.V))]
-    ops += [((d,), build_dipole(d)) for d in model.dipole]
+    ops = [((T, V), build_hamiltonian(T, V))]
+    ops += [((d,), build_dipole(d)) for d in D]
     for tensors, op in ops:
         want = jordan_wigner(op).dense(states=keep)
         got = sum(sector_block(t, model.n_electrons) for t in tensors)
@@ -269,16 +272,16 @@ def test_pauli_one_norms_are_checked_by_an_independent_map(args, monkeypatch):
     # closed form; the two agree up to roundoff
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    tensors = [(model.T, model.V)] + [(d,) for d in model.dipole]
+    T, V, D = model.spin_orbital()
+    tensors = [(T, V)] + [(d,) for d in D]
     want = [majorana_one_norm(*t) for t in tensors]
 
     def refuse(*_):
         raise AssertionError("the Pauli path reached the closed form")
 
     monkeypatch.setattr(operators, "majorana_one_norm", refuse)
-    got = [lcu_one_norm(jordan_wigner(build_hamiltonian(model.T, model.V)))]
-    got += [lcu_one_norm(jordan_wigner(build_dipole(d)))
-            for d in model.dipole]
+    got = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
+    got += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
     if args is None:  # the dimer's sums are exact: alpha 6, beta_x 1
@@ -437,8 +440,8 @@ def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(op):
 def test_jordan_wigner_of_model_operators_matches_the_dict_reference(args):
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    ops = [build_hamiltonian(model.T, model.V)]
-    ops += [build_dipole(model.dipole[ax]) for ax in range(3)]
+    T, V, D = model.spin_orbital()
+    ops = [build_hamiltonian(T, V)] + [build_dipole(d) for d in D]
     for op in ops:
         assert_same_bits(jordan_wigner(op), dict_jordan_wigner(op))
 
@@ -491,8 +494,8 @@ def test_jordan_wigner_total_cancellation_is_empty():
 
 
 def test_jordan_wigner_memory_is_bounded():
-    model = make_random_model(5, 4, 0)
-    H = build_hamiltonian(model.T, model.V)
+    T, V, _ = make_random_model(5, 4, 0).spin_orbital()
+    H = build_hamiltonian(T, V)
     tracemalloc.start()
     try:
         jordan_wigner(H)
@@ -549,8 +552,9 @@ def test_jordan_wigner_qubit_cap():
 # ---------------------------------------------------------------------------
 
 def test_dimer_one_norms(dimer):
-    alpha = lcu_one_norm(jordan_wigner(build_hamiltonian(dimer.T, dimer.V)))
-    beta = lcu_one_norm(jordan_wigner(build_dipole(dimer.dipole[0])))
+    T, V, D = dimer.spin_orbital()
+    alpha = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
+    beta = lcu_one_norm(jordan_wigner(build_dipole(D[0])))
     assert alpha == pytest.approx(6.0, abs=1e-12)
     assert beta == pytest.approx(1.0, abs=1e-12)
 
@@ -565,17 +569,17 @@ def test_dipole_norm_hierarchy(args):
     # exceed the Pauli one-norm)
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    states = [b for b in range(2 ** model.n_orbitals)
+    _, _, D = model.spin_orbital()
+    states = [b for b in range(2 ** len(D[0]))
               if bin(b).count("1") == model.n_electrons]
-    for ax in range(3):
-        pauli = jordan_wigner(build_dipole(model.dipole[ax]))
+    for d in D:
+        pauli = jordan_wigner(build_dipole(d))
         norm = np.linalg.norm(pauli.dense(states=states), 2)
-        eta = eta_dipole_norm(model.dipole[ax], model.n_electrons)
+        eta = eta_dipole_norm(d, model.n_electrons)
         assert norm <= eta + 1e-9
         assert norm <= lcu_one_norm(pauli) + 1e-9
     if args is None:
-        assert eta_dipole_norm(model.dipole[0], model.n_electrons) \
-            == pytest.approx(1.0)
+        assert eta_dipole_norm(D[0], model.n_electrons) == pytest.approx(1.0)
 
 
 def test_eta_dipole_norm_oracle_value():

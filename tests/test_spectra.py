@@ -87,10 +87,12 @@ def test_diagonalize_builds_no_ladder_or_pauli_operator(monkeypatch, dimer,
 
 
 def test_diagonalize_heap_peak():
-    # 2.08 MiB, with H freed after eigh, each rotated dipole written in
-    # place and one one-body sector structure kept for T and the dipoles;
-    # the bound leaves about 8% over that.  Keeping H and a temporary per
-    # dipole peaked at 2.37, the Jordan-Wigner path at 3.52
+    # 2.09 MiB, with the spin-orbital lift made here, H and the lifted V
+    # freed after eigh, each rotated dipole written in place and one
+    # one-body sector structure kept for T and the dipoles; the bound
+    # leaves about 8% over that.  Keeping the lifted V peaked at 2.16,
+    # keeping H and a temporary per dipole at 2.37, the Jordan-Wigner path
+    # at 3.52
     model = make_random_model(5, 4, 0)
     tracemalloc.start()
     try:
@@ -186,7 +188,7 @@ def test_oracle_response_drift_across_blas_threads(tmp_path):
 
 
 def test_diagonalize_enforces_mode_cap():
-    n = DEFAULT_MODE_CAP + 1
+    n = DEFAULT_MODE_CAP // 2 + 1          # spatial orbitals: 2n modes
     zero = ModelSpec(n, n // 2, np.zeros((n, n)), np.zeros((n,) * 4),
                      np.zeros((3, n, n)))
     with pytest.raises(ResourceError, match="cap"):
@@ -213,8 +215,9 @@ def test_diagonalize_refuses_an_asymmetric_tensor_before_any_block(
 
 def test_diagonalize_full_space_cap_allocates_nothing():
     # 20 modes: enumerating the full Fock space alone would take 8 MiB of
-    # int64 states; the cap refuses before any of it is built
-    n = 20
+    # int64 states, and the lifted V 1.22 MiB; the cap refuses before any
+    # of it is built
+    n = 10
     zero = ModelSpec(n, 4, np.zeros((n, n)), np.zeros((n,) * 4),
                      np.zeros((3, n, n)))
     tracemalloc.start()
