@@ -1,12 +1,13 @@
 """Desk-scale simulator for filter-based estimation of molecular response.
 
-Builds the particle-number-sector blocks of model Hamiltonians and dipoles
-from their integrals, with the LCU one-norms of their Jordan-Wigner qubit
-images, constructs smoothed spectral-window polynomials, and simulates
-the measurement protocol that localizes spectral lines and estimates
-windowed transition amplitudes, from which first- and third-order
-susceptibilities are assembled.  An exact sum-over-states oracle computed
-from the same eigensystems backs every simulated quantity.
+Builds the blocks of model Hamiltonians and dipoles on the ground state's
+(N_alpha, N_beta) spin block from their integrals, with the LCU one-norms
+of their Jordan-Wigner qubit images, constructs smoothed spectral-window
+polynomials, and simulates the measurement protocol that localizes
+spectral lines and estimates windowed transition amplitudes, from which
+first- and third-order susceptibilities are assembled.  An exact
+sum-over-states oracle computed from the same eigensystems backs every
+simulated quantity.
 """
 
 from .errors import (InputError, ResourceError, RespsimError,

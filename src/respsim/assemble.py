@@ -37,8 +37,8 @@ from .spectra import (SpectralData, SusceptibilityResult, alpha1,
                       r_pathway_fd)
 
 # most frequency points a run evaluates: alpha1 holds one complex
-# (points x excited states) buffer, 16 B per pair, so about 225 MB at the
-# cap on the largest accepted sector (3 432 states)
+# (points x excited states) buffer, 16 B per pair, so about 80 MB at the
+# cap on the largest accepted block (1 225 states: n = 7, eta = 6 to 8)
 GRID_POINT_CAP = 4096
 
 
@@ -381,38 +381,15 @@ def _child_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence((seed, 7919 + idx)).generate_state(1)[0])
 
 
-def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
-                 order: int = 1, axes=None, grid=None, seed: int = 0,
-                 method: str = "ae", mode: str = "simulate",
-                 out_dir: str = None, window_width: float = None) -> dict:
-    """Search, estimate and assemble a response function on a grid of the
-    spectrum `sd`, whose filter caches every run on it shares.
-
-    axes is the run's dipole chain, order + 1 axes (all x when None):
-    (axis_out, axis_in) at order 1, searched, estimated and tabled as is;
-    (i, i3, i2, i1) at order 3, where the grid is used diagonally,
-    (w, w, w).  mode "oracle" skips the measurement simulation and reports
-    the exact sum over states only.  Found windows are estimated one after
-    another with seeds derived from `seed`; two estimates on one chain
-    whose windows overlap beyond the filter margin raise InputError.
-    window_width (order 1) sets the estimation window, default gamma/8.
-    Before any search, the seed, axes, gamma, eps and window_width go
-    through the checks of `respsim.errors`, and a method outside METHODS
-    (in either mode), eps of 1 or more, an order other than 1 or 3 or a
-    grid that is not a non-empty 1-D sequence of finite reals raise
-    InputError; a grid of more than GRID_POINT_CAP points raises
-    ResourceError (`diagonalize` refuses a zero Hamiltonian).
-    Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
-    "cost" and "qpe" (the cost reports), "manifest" (manifest.json's
-    content, whose "queries_total" counts a simulation's search and
-    estimate queries) and "csv" (response.csv's body: the oracle in mode
-    "oracle", else the assembled response).
-    A simulation adds "traces" ({search name: SearchTrace}; a search over
-    a chain is named d<depth>_<axis letters>, the order-3 box search
-    depth3), "tables" ({depth: ResponseTable}) and "result" (the
-    assembled SusceptibilityResult, or None unless every table has
-    entries).  Writes those as CSV/JSON files when out_dir is set.
-    """
+def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
+                      axes=None, grid=None, seed: int = 0, method: str = "ae",
+                      mode: str = "simulate", window_width: float = None):
+    """run_pipeline's options, checked without a spectrum, as (axes, grid,
+    seed): axes all x when None, grid a float array or None.  The seed,
+    axes, gamma, eps and window_width go through `respsim.errors`; a
+    method outside METHODS, eps of 1 or more, an order other than 1 or 3
+    or a grid not a non-empty 1-D sequence of finite reals raise
+    InputError, and a grid above GRID_POINT_CAP points ResourceError."""
     check_positive("gamma", gamma)
     check_positive("eps", eps)
     if eps >= 1:
@@ -436,6 +413,38 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
                 and all(map(is_finite_real, grid))):
             raise InputError("grid must be a non-empty list of finite reals")
         grid = grid.astype(float)
+    return axes, grid, seed
+
+
+def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
+                 order: int = 1, axes=None, grid=None, seed: int = 0,
+                 method: str = "ae", mode: str = "simulate",
+                 out_dir: str = None, window_width: float = None) -> dict:
+    """Search, estimate and assemble a response function on a grid of the
+    spectrum `sd`, whose filter caches every run on it shares.
+
+    axes is the run's dipole chain, order + 1 axes (all x when None):
+    (axis_out, axis_in) at order 1, searched, estimated and tabled as is;
+    (i, i3, i2, i1) at order 3, where the grid is used diagonally,
+    (w, w, w).  mode "oracle" skips the measurement simulation and reports
+    the exact sum over states only.  Found windows are estimated one after
+    another with seeds derived from `seed`; two estimates on one chain
+    whose windows overlap beyond the filter margin raise InputError.
+    window_width (order 1) sets the estimation window, default gamma/8.
+    The options go through check_run_options before the spectrum is read.
+    Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
+    "cost" and "qpe" (the cost reports), "manifest" (manifest.json's
+    content, whose "queries_total" counts a simulation's search and
+    estimate queries) and "csv" (response.csv's body: the oracle in mode
+    "oracle", else the assembled response).
+    A simulation adds "traces" ({search name: SearchTrace}; a search over
+    a chain is named d<depth>_<axis letters>, the order-3 box search
+    depth3), "tables" ({depth: ResponseTable}) and "result" (the
+    assembled SusceptibilityResult, or None unless every table has
+    entries).  Writes those as CSV/JSON files when out_dir is set.
+    """
+    axes, grid, seed = check_run_options(gamma, eps, order, axes, grid, seed,
+                                         method, mode, window_width)
     if grid is None:
         grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
 

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .assemble import GRID_POINT_CAP, run_pipeline
+from .assemble import GRID_POINT_CAP, check_run_options, run_pipeline
 from .estimate import METHODS
 from .errors import (AXIS_LETTERS, InputError, ResourceError, RespsimError,
                      StatisticalFailure)
@@ -131,13 +131,14 @@ def main(argv=None) -> int:
             if not os.path.exists(args.model):
                 raise InputError(f"model file not found: {args.model}")
             model = load_fcidump_like(args.model, dipole_path=args.dipole)
-        axes = None if args.axes is None else _parse_axes(args.axes)
-        grid = _parse_grid(args.grid) if args.grid else None
-        result = run_pipeline(
-            diagonalize(model), gamma=args.gamma, eps=args.eps,
-            order=args.order, axes=axes, grid=grid, seed=args.seed,
-            method=args.method, out_dir=args.out,
+        options = dict(
+            axes=None if args.axes is None else _parse_axes(args.axes),
+            grid=_parse_grid(args.grid) if args.grid else None,
+            gamma=args.gamma, eps=args.eps, order=args.order, seed=args.seed,
+            method=args.method,
             mode="oracle" if args.oracle_only else "simulate")
+        check_run_options(**options)  # before the spectrum is built
+        result = run_pipeline(diagonalize(model), out_dir=args.out, **options)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -60,8 +60,6 @@ DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
 FULL_SPACE_MODE_CAP = 12
-# (lower state, preimage, preimage) weights formed at once for a sector block
-_SECTOR_BLOCK = 1 << 16
 
 # the eight index permutations of the real-orbital two-body symmetry group,
 # identity first
@@ -223,84 +221,93 @@ def _symmetric_tensors(tensors) -> list:
     return ts
 
 
-def sector_blocks(tensors, n_electrons: int):
+def sector_blocks(tensors, sector):
     """Real blocks of the ladder sums of tensors of one shape (T or a
     dipole axis: sum t[q,r] a_q^dag a_r; V: sum V[p,q,r,s]
-    a_p^dag a_q^dag a_r a_s) on the n_electrons sector, one block per
-    tensor as the iterator is advanced, rows and columns in ascending
-    basis-state order.  The sector structure is built once, on the first
-    block, and shared by the rest.
+    a_p^dag a_q^dag a_r a_s) on the states with sector = (N_alpha, N_beta)
+    electrons in the even (alpha) and odd (beta) modes, as laid out by
+    ModelSpec.spin_orbital(): each operator's matrix restricted to those
+    states, rows and columns ascending, one per tensor as the iterator is
+    advanced.  The block structure is built once and shared.
 
     With k = 1 for a matrix and 2 for V, the sum is
-    sum W[(q..), (r..)] (a_q1..a_qk)^dag (a_r1..a_rk) over ascending mode
-    tuples, W being the matrix itself, or the pair block of V
-    antisymmetrized over both pairs.  Each state s of the
-    (n_electrons - k)-electron sector has as preimages the states j = s
-    plus k empty modes r1 < .. < rk, and a_r1..a_rk |j> = sign |s>; so
-    entry (i, j) sums sign_i sign_j W[(q..), (r..)] over the s that i and
-    j share.  One np.bincount adds the (s, i, j) triples in that order; the
-    weights are formed _SECTOR_BLOCK at a time.  Entries at or below
-    PRUNE_TOL drop first, so the block is that of build_hamiltonian's or
-    build_dipole's operator.
+    sum W[(q..), (r..)] (a_q1..a_qk)^dag (a_r1..a_rk) over sets of k
+    modes, W being the matrix itself, or the pair block of V
+    antisymmetrized over both pairs, so a set's modes may come in any
+    order.  A state s lacking ka alpha and k - ka beta electrons has as
+    preimages the block's states j = s plus ka empty alpha modes, then
+    k - ka empty beta ones, r1..rk, and a_r1..a_rk |j> = sign |s>; entry
+    (i, j) sums sign_i sign_j W[(q..), (r..)] over the s that i and j
+    share.  Grouped by ka, the s have one preimage count per group; one
+    np.bincount adds the (s, i, j) triples group by group.  Entries at or
+    below PRUNE_TOL drop first, so the block is that of
+    build_hamiltonian's or build_dipole's operator.
     """
     ts = [_ladder_tensor(t) for t in tensors]
     if len({t.shape for t in ts}) != 1:
         raise InputError("need one or more tensors of one shape")
     n, k = ts[0].shape[0], ts[0].ndim // 2
-    if not 0 <= n_electrons <= n:
-        raise InputError(f"electron count {n_electrons} outside [0, {n}]")
-    m, flat, tup, sign = _sector_structure(n, n_electrons, k)
+    if not (isinstance(sector, tuple) and len(sector) == 2 and all(
+            is_int(c) and 0 <= c <= (n + 1 - spin) // 2
+            for spin, c in enumerate(sector))):
+        raise InputError(f"sector {sector!r} is not a pair (N_alpha, "
+                         f"N_beta) in [0, {(n + 1) // 2}] x [0, {n // 2}]")
+    m, flat, groups = _sector_structure(n, sector, k)
     for t in ts:
-        yield np.bincount(flat, _sector_weights(t, tup, sign),
+        yield np.bincount(flat, _sector_weights(t, groups),
                           minlength=m * m).reshape(m, m)
 
 
-def _sector_structure(n: int, n_electrons: int, k: int) -> tuple:
-    """The sector's size m, the flat index i * m + j of each (s, i, j)
-    triple, and each (s, preimage) pair's mode-tuple index and sign, as
-    sector_blocks reads them."""
+def _sector_structure(n: int, sector: tuple, k: int) -> tuple:
+    """Block size m, flat index i * m + j per (s, i, j) triple, and per
+    group of lower states s each (s, preimage) pair's tuple index and sign."""
     states = np.arange(1 << n, dtype=np.int64)
-    count = np.bitwise_count(states)
-    in_sector = count == n_electrons
-    m = int(np.count_nonzero(in_sector))
-    row = np.cumsum(in_sector) - 1
-    lower = states[count == n_electrons - k]
-    # occupations by mode, occupied modes before each, empty modes ascending
-    occ = (lower[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    before = np.cumsum(occ, axis=1) - occ
-    empty = np.nonzero(occ == 0)[1].reshape(lower.size, n - n_electrons + k)
-    picks = np.array(list(combinations(range(empty.shape[1]), k)))
-    modes = empty[:, picks]  # (lower, preimage, k)
-    parity = before[np.arange(lower.size)[:, None, None], modes].sum(axis=2)
-    sign = 1.0 - 2.0 * ((parity + k * (k - 1) // 2) & 1)
-    pre = row[lower[:, None] | np.sum(1 << (n - 1 - modes), axis=2)]
-    tup = modes @ n ** np.arange(k - 1, -1, -1)
-    return m, (pre[:, :, None] * m + pre[:, None, :]).ravel(), tup, sign
+    n_alpha, n_beta = (np.bitwise_count(states & sum(
+        1 << (n - 1 - p) for p in range(spin, n, 2))) for spin in (0, 1))
+    in_block = (n_alpha == sector[0]) & (n_beta == sector[1])
+    m = int(np.count_nonzero(in_block))
+    row = np.cumsum(in_block) - 1
+    spin_order = np.r_[0:n:2, 1:n:2]  # alpha modes, then beta modes
+    flat, groups = [], []
+    for ka in range(k + 1):
+        a, b = sector[0] - ka, sector[1] - (k - ka)
+        lower = states[(n_alpha == a) & (n_beta == b)]
+        ea, eb = (n + 1) // 2 - a, n // 2 - b
+        # occupations, occupied modes before each, empty modes (alpha, then
+        # beta), the modes each preimage fills; r1 < r2 flips a_r1 a_r2
+        occ = (lower[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        before = np.cumsum(occ, axis=1) - occ
+        empty = spin_order[np.nonzero(occ[:, spin_order] == 0)[1]].reshape(
+            lower.size, ea + eb)
+        picks = np.array([p + q for p in combinations(range(ea), ka)
+                          for q in combinations(range(ea, ea + eb), k - ka)])
+        modes = empty[:, picks]  # (lower, preimage, k)
+        parity = (before[np.arange(lower.size)[:, None, None], modes].sum(2)
+                  + (modes[..., 0] < modes[..., -1]))
+        sign = 1.0 - 2.0 * (parity & 1)
+        pre = row[lower[:, None] | np.sum(1 << (n - 1 - modes), axis=2)]
+        flat.append((pre[:, :, None] * m + pre[:, None, :]).ravel())
+        groups.append((modes @ n ** np.arange(k - 1, -1, -1), sign))
+    return m, np.concatenate(flat), groups
 
 
-def _sector_weights(t: np.ndarray, tup: np.ndarray,
-                    sign: np.ndarray) -> np.ndarray:
-    """The weight sign_i sign_j W[(q..), (r..)] of each (s, i, j) triple of
-    _sector_structure, flat, formed _SECTOR_BLOCK at a time."""
+def _sector_weights(t: np.ndarray, groups: list) -> np.ndarray:
+    """Each (s, i, j) triple's weight sign_i sign_j W[(q..), (r..)], flat."""
     n, k = t.shape[0], t.ndim // 2
     t = np.where(np.abs(t) > PRUNE_TOL, t, 0.0)  # as the ladder sums drop
     if k == 2:
         t = (t.transpose(1, 0, 2, 3) - t - t.transpose(1, 0, 3, 2)
              + t.transpose(0, 1, 3, 2))
     W = t.reshape(n ** k, n ** k)
-    lower, size = tup.shape
-    weight = np.empty((lower, size, size))
-    step = max(1, _SECTOR_BLOCK // size ** 2)
-    for a in range(0, lower, step):
-        b = a + step
-        np.multiply(W[tup[a:b, :, None], tup[a:b, None, :]],
-                    sign[a:b, :, None] * sign[a:b, None, :], out=weight[a:b])
-    return weight.ravel()
+    return np.concatenate([
+        (W[tup[:, :, None], tup[:, None, :]]
+         * (sign[:, :, None] * sign[:, None, :])).ravel()
+        for tup, sign in groups])
 
 
-def sector_block(tensor, n_electrons: int) -> np.ndarray:
-    """The one block of sector_blocks([tensor], n_electrons)."""
-    return next(sector_blocks([tensor], n_electrons))
+def sector_block(tensor, sector) -> np.ndarray:
+    """The one block of sector_blocks([tensor], sector)."""
+    return next(sector_blocks([tensor], sector))
 
 
 # ---------------------------------------------------------------------------

@@ -54,31 +54,33 @@ _PATHWAY_SIDES = {
 
 @dataclass
 class SpectralData:
-    """Spectrum of one model on its particle-number sector.
+    """Spectrum of one model on its ground state's spin block.
 
     A spectrum holds what the sum-over-states formulas, the measurement
     layer and a run's outputs read: excitation energies, eigenbasis
     dipoles, one-norms, the filter caches and three facts of its model,
-    sized by the sector (M states), not by 2^N.
+    sized by the ground state's (N_alpha, N_beta) = (ceil(eta/2),
+    floor(eta/2)) block of M = C(n, N_alpha) C(n, N_beta) states, not by
+    2^N: it holds one member of every spin multiplet, so every level of
+    the eta-electron sector, and no dipole leaves it.
     eigenvalues are ascending and shifted so eigenvalues[0] == 0.
     transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
-    and betas[i] are the LCU one-norms of the
-    Jordan-Wigner images of H and of the axis-i dipole (0 for an all-zero
-    dipole): the block-encoding subnormalizations, taken in closed form
-    from the integral tensors without forming a Pauli string.  They agree
-    with the images' one-norms to roundoff; for a V within the admitted
-    1e-10 asymmetry alpha may differ from the literal image's one-norm at
-    that order.  The blocks behind the eigensystem and the dipoles come
-    straight from the integral tensors.
+    and betas[i] are the LCU one-norms of the Jordan-Wigner images of H
+    and of the axis-i dipole (0 for an all-zero dipole): the
+    block-encoding subnormalizations, taken in closed form from the
+    integral tensors, as the blocks are, without forming a Pauli string.
+    They agree with the images' one-norms to roundoff; for a V within the
+    admitted 1e-10 asymmetry alpha may differ from the literal image's
+    one-norm at that order.
     alpha_shift = alpha + |lowest electronic eigenvalue| bounds every
     excitation energy, since the electronic spectrum lies in
     [-alpha, alpha]; the measurement layer sizes its filter rescales and
-    search span with it.  The nuclear
-    shift moves no excitation energy and does not enter it.  The
-    measurement layer fills two caches, freed with the spectrum: filters
-    maps a filter shape (half-width and margin over the rescale, and eps)
-    to its certified polynomial, and filter_values maps a shape placed at
-    a window (its centre and rescale) to the values at the eigenvalues.
+    search span with it.  The nuclear shift moves no excitation energy
+    and does not enter it.  The measurement layer fills two caches, freed
+    with the spectrum: filters maps a filter shape (half-width and margin
+    over the rescale, and eps) to its certified polynomial, and
+    filter_values maps a shape placed at a window (its centre and
+    rescale) to the values at the eigenvalues.
     """
 
     eigenvalues: np.ndarray          # (M,)
@@ -114,14 +116,17 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     and the LCU one-norms of their Jordan-Wigner images.
 
     The model's spatial integrals are lifted to its N = 2n spin orbitals
-    (model.spin_orbital()), and only the particle-number sector's block of
-    each operator is built, straight from those tensors; T and the three
-    dipole axes share one sector structure (sector_blocks).  The one-norms
-    come in closed form from the tensors (majorana_one_norm), so for a V
-    within the admitted 1e-10 asymmetry alpha may differ from the literal
-    image's one-norm at that order; no Pauli string is formed.  Models above
-    DEFAULT_MODE_CAP modes raise ResourceError before the lift; an
-    asymmetric T, V or dipole (refused by the one-norms) or a zero
+    (model.spin_orbital()), and only the (N_alpha, N_beta) =
+    (ceil(eta/2), floor(eta/2)) block of each operator is built, straight
+    from those tensors: a model is spin-free, so H and the dipoles conserve
+    both counts.  T and the three dipole axes share one block structure
+    (sector_blocks).  A ground still degenerate in the block (a spatial
+    degeneracy) warns and keeps the lowest-index eigenvector.  The
+    one-norms come in closed form from the tensors (majorana_one_norm), so
+    for a V within the admitted 1e-10 asymmetry alpha may differ from the
+    literal image's one-norm at that order; no Pauli string is formed.
+    Models above DEFAULT_MODE_CAP modes raise ResourceError before the
+    lift; an asymmetric T, V or dipole (refused by the one-norms) or a zero
     Hamiltonian (alpha = 0) raises InputError before any block is built.
     """
     n, eta = 2 * model.n_orbitals, model.n_electrons
@@ -133,9 +138,10 @@ def diagonalize(model: ModelSpec) -> SpectralData:
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
     betas = tuple(map(majorana_one_norm, D))
-    one_body = sector_blocks([T, *D], eta)
+    block = ((eta + 1) // 2, eta // 2)
+    one_body = sector_blocks([T, *D], block)
     H = next(one_body)
-    H += sector_block(V, eta)
+    H += sector_block(V, block)
     evals, evecs = np.linalg.eigh(H)
     del H, V
     ground = float(evals[0]) + model.nuclear_shift

@@ -126,12 +126,17 @@ def naive_sector_spectrum(model):
 # oracle-filled response tables (exact nested amplitudes on a tiling)
 # ---------------------------------------------------------------------------
 
-def distinct_lines(sd, tol=1e-9):
+def distinct_levels(values, tol=1e-9):
+    """The values, each kept unless within tol of one kept before it."""
     out = []
-    for w in sd.eigenvalues[1:]:
+    for w in values:
         if not any(abs(w - d) < tol for d in out):
             out.append(float(w))
     return out
+
+
+def distinct_lines(sd, tol=1e-9):
+    return distinct_levels(sd.eigenvalues[1:], tol)
 
 
 def _tile(x, width):

@@ -249,14 +249,14 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 # bit for bit.  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
 FROZEN_ALPHA3 = {
-    ("yxxy", 0.1): "409d7a9eb0f69d472ff80768ccf6b2cf"
-                   "e7110c5048738871e58814f4ea9e22d2",
-    ("yxxy", 0.4): "49acfcef61a67737fdf668e630e98ebf"
-                   "ec724cf5878ce6d8dec348996854d679",
-    ("xyzx", 0.1): "a883df4f3cc1d5c99b91256ba13506fd"
-                   "ef1cfbb5a23abc533425e5d412a1e07a",
-    ("xyzx", 0.4): "08f2ef98408f7c097969b6202d68a49c"
-                   "371fd2daeeb1ef1df3e95d2b3bf051e3",
+    ("yxxy", 0.1): "a5a96a7c205abea64a85d821c526efcd"
+                   "3a0caffc88c0846a3267e6829e91cbc5",
+    ("yxxy", 0.4): "5db7c22b03ee3de946777dffc788559d"
+                   "8a2575f172e489cb2d274dd9e6e585fb",
+    ("xyzx", 0.1): "202e464ea881a8bf0fcf57cdea363529"
+                   "7a41ddad71cd21fdad52935073db9103",
+    ("xyzx", 0.4): "8c6d7b024e898c8bd6eeb03cc15e6257"
+                   "f64e354ce09ca14b1c9ecf0a5edffd17",
 }
 
 

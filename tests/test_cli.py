@@ -9,7 +9,7 @@ import pytest
 
 from oracle_reference import write_fcidump_like
 from respsim import InputError, make_hubbard_dimer
-from respsim import assemble
+from respsim import assemble, cli
 from respsim.cli import _parse_axes, _parse_grid, _parse_toy, main
 
 
@@ -198,6 +198,21 @@ def test_main_rejects_zero_hamiltonian_and_bad_eps(mode, monkeypatch,
     for eps in ("0", "1", "-0.1"):
         assert main(["--toy", "hubbard", "--eps", eps, mode]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "--toy random:n=7,ne=6,seed=0 --oracle-only --gamma 0",
+    "--toy hubbard:t=0,U=0 --simulate --gamma 0"])
+def test_main_refuses_run_options_before_the_spectrum(argv, monkeypatch,
+                                                      capsys):
+    # the options need no spectrum, so a bad one is refused before
+    # diagonalize runs, even on a model it would refuse (t = U = 0)
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("diagonalize ran on refused options")
+
+    monkeypatch.setattr(cli, "diagonalize", no_spectrum)
+    assert main(argv.split()) == 2
+    assert "gamma must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -612,7 +612,6 @@ ONE_NORM_MODELS = {
 @pytest.mark.parametrize("names", [("dimer", "dimer_sd"),
                                    ("random_model", "random_sd")]
                          + [(name, None) for name in ONE_NORM_MODELS])
-@pytest.mark.filterwarnings("ignore:ground state degenerate")  # filling 1
 def test_spectrum_carries_lcu_one_norms(request, names):
     if names[1] is None:
         model = ONE_NORM_MODELS[names[0]]()

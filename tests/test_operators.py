@@ -155,22 +155,40 @@ def integrals(draw, values=VALUES, max_modes=8):
     return T, V, d
 
 
+def block_states(n, sector):
+    """The basis states of n modes with sector = (N_alpha, N_beta)
+    electrons in the even and the odd modes, ascending (mode p is bit
+    n - 1 - p)."""
+    def spin_count(b, first):
+        return sum(b >> (n - 1 - p) & 1 for p in range(first, n, 2))
+    return [b for b in range(2 ** n)
+            if (spin_count(b, 0), spin_count(b, 1)) == sector]
+
+
+def all_sectors(n):
+    return [(a, b) for a in range((n + 1) // 2 + 1) for b in range(n // 2 + 1)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=integrals())
 def test_sector_block_is_the_fermion_matrix_restricted(case):
+    # the tensors need not be spin-free: each (N_alpha, N_beta) block is
+    # the dense matrix restricted to its states, couplings to other blocks
+    # dropped
     T, V, d = case
     n = T.shape[0]
     H, D = build_hamiltonian(T, V).dense(), build_dipole(d).dense()
-    count = np.array([bin(b).count("1") for b in range(2 ** n)])
-    for eta in range(n + 1):
-        keep = np.flatnonzero(count == eta)
-        block = sector_block(T, eta) + sector_block(V, eta)
+    for sector in all_sectors(n):
+        keep = block_states(n, sector)
+        block = sector_block(T, sector) + sector_block(V, sector)
+        assert block.shape == (len(keep), len(keep))
         assert np.max(np.abs(block - H[np.ix_(keep, keep)]), initial=0.0) \
             <= 1e-13 * np.max(np.abs(H), initial=0.0)
-        assert np.max(np.abs(sector_block(d, eta) - D[np.ix_(keep, keep)]),
+        assert np.max(np.abs(sector_block(d, sector)
+                             - D[np.ix_(keep, keep)]),
                       initial=0.0) <= 1e-13 * np.max(np.abs(D), initial=0.0)
-        if eta < 2:  # no pair to remove
-            assert not sector_block(V, eta).any()
+        if sum(sector) < 2:  # no pair to remove
+            assert not sector_block(V, sector).any()
     # the closed-form one-norms are the Pauli ones up to roundoff
     want = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
     assert abs(majorana_one_norm(T, V) - want) <= 1e-12 * want
@@ -210,40 +228,40 @@ def test_sector_blocks_share_one_structure_and_match_each_block():
     model = make_random_model(4, 4, 1)
     T, _, D = model.spin_orbital()
     tensors = [T, *D]
-    shared = list(sector_blocks(tensors, model.n_electrons))
+    shared = list(sector_blocks(tensors, (2, 2)))
     assert len(shared) == 4
     for t, block in zip(tensors, shared):
-        assert np.array_equal(block, sector_block(t, model.n_electrons))
+        assert np.array_equal(block, sector_block(t, (2, 2)))
 
 
 def test_sector_block_above_the_full_space_cap_is_the_pauli_block():
-    # 14 modes: the full matrix is refused, the Pauli sector block is not
+    # 14 modes: the full matrix is refused, the Pauli block is not
     model = make_random_model(7, 4, 7)
     T, V, D = model.spin_orbital()
     assert len(T) > FULL_SPACE_MODE_CAP
-    keep = [b for b in range(2 ** len(T))
-            if bin(b).count("1") == model.n_electrons]
+    keep = block_states(len(T), (2, 2))
     ops = [((T, V), build_hamiltonian(T, V))]
     ops += [((d,), build_dipole(d)) for d in D]
     for tensors, op in ops:
         want = jordan_wigner(op).dense(states=keep)
-        got = sum(sector_block(t, model.n_electrons) for t in tensors)
+        got = sum(sector_block(t, (2, 2)) for t in tensors)
         assert got.shape == (len(keep), len(keep))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sector_block_and_one_norm_validation():
     with pytest.raises(InputError):
-        sector_block(np.zeros((2, 3)), 1)
+        sector_block(np.zeros((2, 3)), (1, 0))
     with pytest.raises(InputError):
-        sector_block(np.zeros((2, 2, 2)), 1)
-    for eta in (-1, 3):
-        with pytest.raises(InputError):
-            sector_block(np.zeros((2, 2)), eta)
+        sector_block(np.zeros((2, 2, 2)), (1, 0))
+    # a sector is a pair (N_alpha, N_beta) within the spins' mode counts
+    for sector in (2, (1,), (-1, 0), (3, 0), (0, 2), (1.0, 0), [1, 0]):
+        with pytest.raises(InputError, match="sector"):
+            sector_block(np.zeros((3, 3)), sector)
     with pytest.raises(InputError):
         majorana_one_norm(np.zeros((2, 2)), np.zeros((3, 3, 3, 3)))
     n = DEFAULT_MODE_CAP + 1
-    for fn in (lambda t: sector_block(t, 1), majorana_one_norm):
+    for fn in (lambda t: sector_block(t, (1, 0)), majorana_one_norm):
         with pytest.raises(ResourceError, match="cap"):
             fn(np.zeros((n, n)))
     # the closed form holds for symmetric tensors only
@@ -254,7 +272,7 @@ def test_sector_block_and_one_norm_validation():
     with pytest.raises(InputError, match="symmetry"):
         majorana_one_norm(np.zeros((2, 2)), V)
     with pytest.raises(InputError, match="one shape"):
-        next(sector_blocks([np.eye(2), np.eye(3)], 1))
+        next(sector_blocks([np.eye(2), np.eye(3)], (1, 0)))
 
 
 def test_closed_form_drops_the_strings_the_image_prunes():

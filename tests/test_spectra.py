@@ -1,6 +1,7 @@
 """Exact diagonalization layer and sum-over-states references."""
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -8,15 +9,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_sector_spectrum, run_with_blas_threads
+from conftest import (distinct_levels, naive_sector_spectrum,
+                      run_with_blas_threads)
 from oracle_reference import alpha3, alpha3_terms, chi1_time, r_pathways
 from respsim import (
     InputError,
     ModelSpec,
     ResourceError,
     alpha1,
+    build_dipole,
+    build_hamiltonian,
     diagonalize,
+    jordan_wigner,
     make_hubbard_dimer,
     make_random_model,
     nested_window_amplitude,
@@ -34,26 +41,33 @@ SQRT5 = np.sqrt(5.0)
 # ---------------------------------------------------------------------------
 
 def test_dimer_spectrum(dimer_sd):
+    # the (N_alpha, N_beta) = (1, 1) block: the triplet keeps only its
+    # M_S = 0 member
     w = dimer_sd.eigenvalues
     assert w[0] == 0.0
-    assert np.allclose(w[1:4], SQRT5 - 1.0, atol=1e-10)
-    assert w[4] == pytest.approx(SQRT5 + 1.0, abs=1e-10)
-    assert w[5] == pytest.approx(2.0 * SQRT5, abs=1e-10)
+    assert w[1] == pytest.approx(SQRT5 - 1.0, abs=1e-10)
+    assert w[2] == pytest.approx(SQRT5 + 1.0, abs=1e-10)
+    assert w[3] == pytest.approx(2.0 * SQRT5, abs=1e-10)
     assert dimer_sd.ground_energy == pytest.approx(1.0 - SQRT5, abs=1e-12)
     assert not dimer_sd.degenerate_ground
-    assert dimer_sd.n_states == 6
+    assert dimer_sd.n_states == 4
 
 
 def test_dimer_matches_naive_diagonalization(dimer, dimer_sd):
+    # the full sector holds the same distinct levels, the triplet three
+    # times over; basis-independent quantities agree: the ground moment and
+    # each level's line strength
     w_naive, td_naive = naive_sector_spectrum(dimer)
-    assert np.allclose(dimer_sd.eigenvalues, w_naive, atol=1e-10)
-    # basis-independent quantities: ground moment and line strengths
+    levels = distinct_levels(dimer_sd.eigenvalues)
+    assert np.allclose(levels, distinct_levels(w_naive), atol=1e-10)
     assert dimer_sd.transition_dipoles[0][0, 0] == pytest.approx(
         td_naive[0][0, 0], abs=1e-10)
-    amps = dimer_sd.transition_dipoles[0][0, :] \
-        * dimer_sd.transition_dipoles[0][:, 0]
-    amps_naive = td_naive[0][0, :] * td_naive[0][:, 0]
-    assert np.allclose(np.sort(amps), np.sort(amps_naive), atol=1e-10)
+    for w in levels:
+        strength = [np.sum(td[0][0, near] * td[0][near, 0]) for td, near in
+                    ((dimer_sd.transition_dipoles,
+                      np.abs(dimer_sd.eigenvalues - w) < 1e-9),
+                     (td_naive, np.abs(w_naive - w) < 1e-9))]
+        assert strength[0] == pytest.approx(strength[1], abs=1e-10)
 
 
 def test_dimer_ground_dipole(dimer_sd):
@@ -87,12 +101,12 @@ def test_diagonalize_builds_no_ladder_or_pauli_operator(monkeypatch, dimer,
 
 
 def test_diagonalize_heap_peak():
-    # 2.09 MiB, with the spin-orbital lift made here, H and the lifted V
-    # freed after eigh, each rotated dipole written in place and one
-    # one-body sector structure kept for T and the dipoles; the bound
-    # leaves about 8% over that.  Keeping the lifted V peaked at 2.16,
-    # keeping H and a temporary per dipole at 2.37, the Jordan-Wigner path
-    # at 3.52
+    # 0.55 MiB, with the spin-orbital lift made here, only the 100-state
+    # (N_alpha, N_beta) = (2, 2) block built, H and the lifted V freed after
+    # eigh, each rotated dipole written in place and one one-body block
+    # structure kept for T and the dipoles; the bound leaves about 8% over
+    # that.  Building the 210-state sector's blocks and slicing them to
+    # the block peaked at 1.77 MiB, the whole sector at 2.09
     model = make_random_model(5, 4, 0)
     tracemalloc.start()
     try:
@@ -100,7 +114,7 @@ def test_diagonalize_heap_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 2 ** 20
+    assert peak <= 0.59 * 2 ** 20
 
 
 # alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes.
@@ -108,33 +122,34 @@ def test_diagonalize_heap_peak():
 # tensors' contractions, so they carry its bits, not the Pauli one-norms'
 # (they differ at roundoff).  The spectra come from the sector blocks that
 # sector_blocks builds from the tensors: one np.bincount adds each entry's
-# (lower state, preimage, preimage) triples in order.  The hashes also
-# depend on the LAPACK build (these come from numpy 2.4 with OpenBLAS
-# 0.3.31 on x86-64) and on the BLAS thread count: np.linalg.eigh and
-# evecs.T @ D @ evecs change bits with it, and at one thread (5, 4, 0) and
-# (7, 4, 7) hash differently.  They were recorded with two threads, so a
-# child process pinned to two recomputes them.
+# (lower state, preimage, preimage) triples group by group, on the
+# (N_alpha, N_beta) block of the ground state.  The hashes also depend on
+# the LAPACK build (these come from numpy 2.4 with OpenBLAS 0.3.31 on
+# x86-64) and on the BLAS thread count: np.linalg.eigh and
+# evecs.T @ D @ evecs change bits with it, and at one thread (7, 4, 7)
+# hashes differently.  They were recorded with two threads, so a child
+# process pinned to two recomputes them.
 FROZEN_SPECTRA = {
     (3, 2, 4): ("0x1.cf2f188c30f9cp+3",
                 ("0x1.b8aa1b4740af2p+2", "0x1.1b90c6d530606p+2",
                  "0x1.6cc40b2a6c74fp+2"),
-                "812119702507e1ef542ceab0fb555893de34c3fb6a2367b7297c133094d46a25",
-                "7735bb8edb3d819557852f8d6cd6682eb7d3c4b6a848c235cc7af260409b9923"),
+                "83df8abd0569be1482793e46562a48a6985e5eacfa10a182beb4e60c09d9367d",
+                "d8cdcdd5af3dbb3f200f79c037082e6845b6cffd00c3fa088adbcb53050b7584"),
     (4, 4, 1): ("0x1.15ec581af04e8p+4",
                 ("0x1.0a4f3a9366b40p+4", "0x1.1f6314199bf49p+3",
                  "0x1.6fef05a77b498p+3"),
-                "b1856898c509c8fb690d9feb361f61ab3c5e0fcf159d654b4626c7e086bbcf12",
-                "be94cde8cfbaeeeb97f8eff6b07b399be0b7c4f45e0d1b7a7b232c1b6ad2ca43"),
+                "a92d75bbf7bf33e8f89ab815a6bc1d3812585767b920c32db6487ea4acafa33a",
+                "520a1c5ed3dde1220ddbe0f02d1ac9dec342052c6ccf422bd2690c768b5a8144"),
     (5, 4, 0): ("0x1.f99a75bf83501p+4",
                 ("0x1.bd1068674945cp+3", "0x1.137e2ec1d1995p+4",
                  "0x1.272ba083d158bp+4"),
-                "a1040c1d01e1dfad6a2d2c829a9c1a59526472d9764399dbe42e60b26261a43e",
-                "ff2308571f498d1f1f29c850562272e78700fb66502823417e44422d7a973db2"),
+                "ccb256d6b2f218e5047f3c77e44e6b7eab613625a1e21fb5c9c8a45d4fc0235a",
+                "be3dba33fd4955ff94655b9cdd410647fd5bdd637138b70ac0b3f559a7ba5e25"),
     (7, 4, 7): ("0x1.1b5beaca06d7cp+6",
                 ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218f9p+5",
                  "0x1.055acaa546a99p+5"),
-                "3a085c4e7e65d2dcb59bbbbf015510a67c5699f1a46fb74c404e4fb4dd9051ac",
-                "3af34e645f543a2ef2e47884c9fe0e579e66f848baefa4bd169b8ec0660493d2"),
+                "a3ff4b9e1dee41df2512ae2f8fa85999da165a8e1b6b0df5b6f867023ee00bc1",
+                "12229caea3655f6d5ff4fdaf915d0f077650abef525d18148b601236acf105e4"),
 }
 
 
@@ -170,10 +185,11 @@ def test_diagonalize_frozen_bits(args, two_thread_spectra):
 
 
 def test_oracle_response_drift_across_blas_threads(tmp_path):
-    """Byte-reproducibility holds at a fixed BLAS thread count only: an n=5
-    oracle response from one and from two threads differs, but by at most
-    1e-12 relative at any point (1.5e-13 seen)."""
-    argv = "--toy random:n=5,ne=4,seed=0 --oracle-only".split()
+    """Byte-reproducibility holds at a fixed BLAS thread count only: an n=6
+    oracle response (a 225-state block) from one and from two threads
+    differs, but by at most 1e-12 relative at any point (4.8e-14 seen).
+    At n=5 the 100-state block gives the same bytes at both counts."""
+    argv = "--toy random:n=6,ne=4,seed=0 --oracle-only".split()
     resp = {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
@@ -237,10 +253,58 @@ def test_random_models_up_to_the_cap_diagonalize_quickly():
     t0 = time.process_time()
     for n in (5, 6, 7):
         sd = diagonalize(make_random_model(n, 4, seed=n))
-        assert sd.n_states == math.comb(2 * n, 4)
+        assert sd.n_states == math.comb(n, 2) ** 2
         assert sd.transition_dipoles.shape == (3, sd.n_states, sd.n_states)
         assert np.isfinite(sd.alpha) and np.all(np.isfinite(sd.betas))
     assert time.process_time() - t0 < 20.0
+
+
+def pauli_sector_spectrum(model):
+    """(excitations, transition_dipoles) on the model's whole eta-electron
+    sector, ground level shifted to zero, from the sector blocks of the
+    Jordan-Wigner images: the full-sector reference."""
+    T, V, D = model.spin_orbital()
+    keep = [b for b in range(2 ** len(T))
+            if bin(b).count("1") == model.n_electrons]
+    H = jordan_wigner(build_hamiltonian(T, V)).dense(states=keep).real
+    vals, vecs = np.linalg.eigh(H)
+    td = np.stack([vecs.T @ jordan_wigner(build_dipole(d)).dense(
+        states=keep).real @ vecs for d in D])
+    return vals - vals[0], td
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_block_spectrum_is_the_sector_spectrum(data, n, seed):
+    # the (N_alpha, N_beta) block holds one member of every spin multiplet
+    # of the eta-electron sector, and the dipoles never leave it
+    eta = data.draw(st.integers(0, 2 * n), label="eta")
+    model = make_random_model(n, eta, seed)
+    sd = diagonalize(model)
+    w, td = pauli_sector_spectrum(model)
+    assert sd.n_states == math.comb(n, (eta + 1) // 2) * math.comb(n, eta // 2)
+    gap = np.abs(np.subtract.outer(distinct_levels(w), sd.eigenvalues))
+    assert np.all(gap.min(axis=1) < 1e-9)  # every sector level is there
+    assert np.all(gap.min(axis=0) < 1e-9)  # and no other
+    if sd.n_states > 1 and sd.eigenvalues[1] < 1e-9:
+        # two multiplets share the ground level, so each side's ground
+        # vector is its own mix of them
+        event("ground level of two multiplets: responses not compared")
+        return
+    sector = dataclasses.replace(sd, eigenvalues=w, transition_dipoles=td)
+    axes = data.draw(st.tuples(*[st.integers(0, 2)] * 4), label="axes")
+    grid = np.linspace(0.0, 1.2 * w[-1] + 1.0, 25)
+    want = alpha1(sector, *axes[:2], grid, 0.1).values
+    got = alpha1(sd, *axes[:2], grid, 0.1).values
+    # (1e-15 absolute where alpha1 vanishes: a triplet ground of two
+    # electrons in two orbitals reaches no other triplet)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)) + 1e-15
+    omega = data.draw(st.floats(0.0, 1.2 * w[-1] + 1.0), label="omega")
+    want = r_pathway_fd(sector, 1, axes, 3 * omega, 2 * omega, omega, 0.1)
+    got = r_pathway_fd(sd, 1, axes, 3 * omega, 2 * omega, omega, 0.1)
+    # absolute up to |R| = 1; pathway values reach 4e4 near omega = 0,
+    # where roundoff alone moves them by 1e-10
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------
