@@ -1,11 +1,12 @@
 """Desk-scale simulator for filter-based estimation of molecular response.
 
 Builds the blocks of model Hamiltonians and dipoles on the ground state's
-(N_alpha, N_beta) spin block from their integrals, with the LCU one-norms
-of their Jordan-Wigner qubit images, constructs smoothed spectral-window
-polynomials, and simulates the measurement protocol that localizes
-spectral lines and estimates windowed transition amplitudes, from which
-first- and third-order susceptibilities are assembled.  An exact
+(N_alpha, N_beta) spin block from their spatial integrals, on alpha and
+beta strings, with the LCU one-norms of their Jordan-Wigner qubit images
+in closed form, constructs smoothed spectral-window polynomials, and
+simulates the measurement protocol that localizes spectral lines and
+estimates windowed transition amplitudes, from which first- and
+third-order susceptibilities are assembled.  An exact
 sum-over-states oracle computed from the same eigensystems backs every
 simulated quantity.
 """
@@ -14,8 +15,7 @@ from .errors import (InputError, ResourceError, RespsimError,
                      StatisticalFailure)
 from .operators import (FermionOperator, PauliOperator, build_dipole,
                         build_hamiltonian, eta_dipole_norm, jordan_wigner,
-                        lcu_one_norm, majorana_one_norm, sector_block,
-                        sector_blocks, validate_two_body_symmetry)
+                        lcu_one_norm, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
                      make_random_model)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
     "FermionOperator", "PauliOperator", "build_dipole", "build_hamiltonian",
-    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm", "majorana_one_norm",
-    "sector_block", "sector_blocks", "validate_two_body_symmetry",
+    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
+    "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
     "make_random_model",
     "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",

@@ -20,8 +20,6 @@ not literal gate counts.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -553,21 +551,18 @@ def _render_csv(response, axes) -> str:
     `response` (none when it is None): omega is the row's first entry, 17
     significant digits.  The dipole chain `axes` fills the rest: axis_out
     its first letter, axis_in the others, order its length less one, and
-    pathway R1 for a third-order chain."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["omega", "re", "im", "axis_in", "axis_out", "order",
-                     "pathway"])
+    pathway R1 for a third-order chain.  No field holds a comma, quote or
+    newline, so rows are joined as a CSV writer would write them."""
     a_out, *a_in = (AXIS_LETTERS[a] for a in axes)
-    tail = ["".join(a_in), a_out, str(len(axes) - 1),
-            "R1" if len(axes) == 4 else ""]
+    tail = ",".join(["".join(a_in), a_out, str(len(axes) - 1),
+                     "R1" if len(axes) == 4 else ""])
+    rows = ["omega,re,im,axis_in,axis_out,order,pathway"]
     if response is not None:
         vals = np.atleast_1d(response.values)
         omegas = np.reshape(response.frequencies, (len(vals), -1))[:, 0]
-        for w, v in zip(omegas, vals):
-            writer.writerow([f"{float(w):.17g}", f"{v.real:.17g}",
-                             f"{v.imag:.17g}", *tail])
-    return buf.getvalue()
+        rows += [f"{w:.17g},{v.real:.17g},{v.imag:.17g},{tail}"
+                 for w, v in zip(omegas.tolist(), vals.tolist())]
+    return "\n".join(rows) + "\n"
 
 
 def _json_text(obj, indent=None) -> str:

@@ -35,6 +35,8 @@ def is_int(x) -> bool:
 
 def is_finite_real(x) -> bool:
     """A finite real number that is not a bool."""
+    if type(x) is float:  # the common case, ahead of the ABC checks
+        return math.isfinite(x)
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and math.isfinite(x))
 

@@ -1,8 +1,8 @@
 """Model construction and file ingestion.
 
-A model holds spatial-orbital integrals; ModelSpec.spin_orbital() lifts
-them to interleaved spin orbitals (alpha_0, beta_0, alpha_1, beta_1, ...),
-so spatial orbital p with spin sigma in {0, 1} is spin-orbital 2p + sigma.
+A model holds spatial-orbital integrals; the spectrum layer builds its
+blocks from them on alpha and beta strings, and no spin-orbital tensor is
+formed.
 
 File format (integral file):
 
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import (AXIS_LETTERS, InputError, ResourceError, check_seed,
                      is_int)
-from .operators import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
+from .operators import (DEFAULT_MODE_CAP, TWO_BODY_IMAGES,
+                        validate_two_body_symmetry)
 
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
 
@@ -42,8 +43,10 @@ class ModelSpec:
     """Spatial-orbital integrals plus bookkeeping for one molecular model.
 
     V addresses a_p^dag a_q^dag a_r a_s of spatial orbitals, each term
-    summed over the spins of (p, s) and of (q, r); spin_orbital() lifts
-    T, V and the dipoles to the 2n spin orbitals the Hamiltonian acts on.
+    summed over the spins of (p, s) and of (q, r); T and the dipoles act
+    on each spin alike.  The model is admitted once, here: counts,
+    shapes, finite entries, T and each dipole symmetric and V eight-fold
+    symmetric to 1e-10.
     """
 
     n_orbitals: int            # spatial orbital count n
@@ -75,21 +78,10 @@ class ModelSpec:
             raise InputError(
                 f"electron count {self.n_electrons} outside [0, {2 * n}]"
             )
-
-    def spin_orbital(self):
-        """(T, V, dipole) lifted to the 2n interleaved spin orbitals.
-
-        T and the dipoles are replicated per spin; V acquires
-        spin-conservation deltas on the (p, s) and (q, r) index pairs.
-        """
-        eye2 = np.eye(2)
-        T = np.kron(self.T, eye2)
-        d = np.stack([np.kron(axis, eye2) for axis in self.dipole])
-        V = np.zeros((2 * self.n_orbitals,) * 4)
-        for sigma in (0, 1):
-            for tau in (0, 1):
-                V[sigma::2, tau::2, tau::2, sigma::2] = self.V
-        return T, V, d
+        for m in (self.T, *self.dipole):
+            if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
+                raise InputError("one-body matrix is not symmetric to 1e-10")
+        validate_two_body_symmetry(self.V)
 
 
 def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
@@ -166,6 +158,61 @@ def _stripped_lines(path):
     return out
 
 
+def _fields(records, kinds, usage):
+    """The fields of (lineno, text) records as one array per column, of
+    that column's kind (a numpy dtype), and the first two checks that
+    _refuse_first takes: records with another field count than len(kinds)
+    (message `usage`), and records with a field that does not parse (the
+    first such field's message).  A refused record reads 0."""
+    rows = [text.split() for _, text in records]
+    width = len(kinds)
+    bad_width = np.array([len(r) != width for r in rows], dtype=bool)
+    columns = list(zip(*[r if len(r) == width else ("0",) * width
+                         for r in rows])) or [()] * width
+    messages = [None] * len(rows)
+    out = []
+    for column, kind in zip(columns, kinds):
+        try:
+            out.append(np.array(column, dtype=kind))
+        except (ValueError, OverflowError):
+            column = list(column)
+            for k, field in enumerate(column):
+                try:
+                    np.array(field, dtype=kind)
+                except (ValueError, OverflowError) as exc:
+                    messages[k] = messages[k] or str(exc)
+                    column[k] = "0"
+            out.append(np.array(column, dtype=kind))
+    unparsed = np.array([m is not None for m in messages], dtype=bool)
+    return out, [(bad_width, usage), (unparsed, messages)]
+
+
+def _refuse_first(path, records, checks):
+    """Raise InputError at the first record, in file order, that a check
+    flags, naming its line; at one record the first check's message wins.
+    A check is a mask over the records and one message, or one per
+    record."""
+    flagged = [(int(np.argmax(mask)), c)
+               for c, (mask, _) in enumerate(checks) if mask.any()]
+    if flagged:
+        k, c = min(flagged)
+        msg = checks[c][1]
+        raise InputError(f"{path}:{records[k][0]}: "
+                         f"{msg if isinstance(msg, str) else msg[k]}")
+
+
+def _fill(array, index, images, values):
+    """array[image] = value for every image (an index permutation) of each
+    row of index, array being C-contiguous.  Numpy leaves open which of
+    several writes to one element lands, so only the last row of each
+    orbit (its set of images) is written."""
+    flat = np.ravel_multi_index(tuple(index[:, np.array(images)].T),
+                                array.shape)
+    last = list(dict(zip(flat.min(axis=0).tolist(), range(len(values))))
+                .values())
+    array.reshape(-1)[flat[:, last]] = values[last]
+
+
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     """Read spatial integrals plus an optional dipole file into a
     ModelSpec.  Without a dipole file the dipoles are zero and the model is
@@ -187,34 +234,27 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
         raise ResourceError(
             f"NORB={norb} gives {2 * norb} spin orbitals, beyond the cap of "
             f"{DEFAULT_MODE_CAP} modes")
+    records = lines[start:]
+    (val, *cols), checks = _fields(records, (float, int, int, int, int),
+                                   "expected 'value i j k l'")
+    idx = np.array(cols).T
+    zero = idx == 0
+    pair = zero[:, 2] & zero[:, 3]  # one-body shaped, or the shift
+    _refuse_first(path, records, checks + [
+        (np.any((idx < 0) | (idx > norb), axis=1),
+         f"index out of range 1..{norb}"),
+        (pair & ~zero.all(axis=1) & zero[:, :2].any(axis=1),
+         "bad one-body indices"),
+        (~pair & zero.any(axis=1), "mixed zero/nonzero indices"),
+    ])
+    shifts = val[zero.all(axis=1)]
+    shift = float(shifts[-1]) if shifts.size else 0.0
     T = np.zeros((norb, norb))
     V = np.zeros((norb, norb, norb, norb))
-    shift = 0.0
-    for lineno, text in lines[start:]:
-        parts = text.split()
-        if len(parts) != 5:
-            raise InputError(f"{path}:{lineno}: expected 'value i j k l'")
-        try:
-            val = float(parts[0])
-            i, j, k, l = (int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        idx = (i, j, k, l)
-        if any(x < 0 or x > norb for x in idx):
-            raise InputError(f"{path}:{lineno}: index out of range 1..{norb}")
-        if idx == (0, 0, 0, 0):
-            shift = val
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise InputError(f"{path}:{lineno}: bad one-body indices")
-            T[i - 1, j - 1] = val
-            T[j - 1, i - 1] = val
-        elif 0 in idx:
-            raise InputError(f"{path}:{lineno}: mixed zero/nonzero indices")
-        else:
-            entry = (i - 1, j - 1, k - 1, l - 1)
-            for perm in TWO_BODY_IMAGES:
-                V[tuple(entry[a] for a in perm)] = val
+    one = pair & ~zero[:, 0]
+    _fill(T, idx[one, :2] - 1, [(0, 1), (1, 0)], val[one])
+    two = ~zero[:, 0] & ~pair
+    _fill(V, idx[two] - 1, TWO_BODY_IMAGES, val[two])
     dip = np.zeros((3, norb, norb))
     missing = dipole_path is None
     if missing:
@@ -222,24 +262,18 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
             f"no dipole file for {path.name}; dipole set to zero", stacklevel=2
         )
     else:
-        axis_map = {tag: i for i, c in enumerate(AXIS_LETTERS)
-                    for tag in (c, str(i + 1))}
-        for lineno, text in _stripped_lines(dipole_path):
-            parts = text.split()
-            if len(parts) != 4:
-                raise InputError(f"{dipole_path}:{lineno}: expected 'axis value i j'")
-            ax = axis_map.get(parts[0].lower())
-            if ax is None:
-                raise InputError(f"{dipole_path}:{lineno}: unknown axis {parts[0]!r}")
-            try:
-                val = float(parts[1])
-                i, j = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise InputError(f"{dipole_path}:{lineno}: {exc}") from exc
-            if not (1 <= i <= norb and 1 <= j <= norb):
-                raise InputError(f"{dipole_path}:{lineno}: index out of range")
-            dip[ax, i - 1, j - 1] = val
-            dip[ax, j - 1, i - 1] = val
+        records = _stripped_lines(dipole_path)
+        (tags, val, i, j), checks = _fields(records, (object, float, int, int),
+                                            "expected 'axis value i j'")
+        axis_map = {tag: a for a, c in enumerate(AXIS_LETTERS)
+                    for tag in (c, str(a + 1))}
+        axes = np.array([axis_map.get(t.lower(), -1) for t in tags], dtype=int)
+        checks.insert(1, (axes < 0, [f"unknown axis {t!r}" for t in tags]))
+        _refuse_first(dipole_path, records, checks + [
+            (~((1 <= i) & (i <= norb) & (1 <= j) & (j <= norb)),
+             "index out of range")])
+        _fill(dip, np.array([axes, i - 1, j - 1]).T, [(0, 1, 2), (0, 2, 1)],
+              val)
     return ModelSpec(norb, nelec, T, V, dip, shift,
                      label=path.stem, dipole_missing=missing)
 

@@ -1,7 +1,7 @@
-"""Second-quantized fermionic operators, the Jordan-Wigner map, dense
-matrix realizations (full or restricted to a set of basis states), and the
-sector blocks and one-norms that diagonalize takes straight from the
-integral tensors.
+"""Second-quantized fermionic operators on spin orbitals, the
+Jordan-Wigner map, dense matrix realizations (full or restricted to a set
+of basis states) and LCU one-norms: the reference that diagonalize's
+string blocks and closed-form one-norms are tested against.
 
 Conventions used throughout the package:
 
@@ -32,30 +32,24 @@ Conventions used throughout the package:
   factor's choice as the most significant, as the dict loop in
   tests/pauli_reference.py does.  Sums at or below PRUNE_TOL drop once, at
   the end; strings come out in the order of their first contribution.
-* majorana_one_norm takes the one-norm of the image in closed form from
-  the tensors (see its docstring), and sector_block and sector_blocks
-  build blocks from the tensors by ladder action (see sector_blocks).  The
-  plain Pauli loops share no code with either and stay as their
-  reference.
-* Size caps are constants: jordan_wigner, the sector blocks and
-  majorana_one_norm take at most DEFAULT_MODE_CAP modes, and full 2^n x 2^n
-  matrices are built up to FULL_SPACE_MODE_CAP modes; both refuse before
-  allocating.
+* Size caps are constants: jordan_wigner and the builders take at most
+  DEFAULT_MODE_CAP modes (diagonalize refuses models above it too), and
+  full 2^n x 2^n matrices are built up to FULL_SPACE_MODE_CAP modes; both
+  refuse before allocating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError, ResourceError, is_int
 
 PRUNE_TOL = 1e-14
-# largest mode count that jordan_wigner maps and that sector_block and
-# majorana_one_norm take (so diagonalize takes); sector_blocks lists all 2^n
-# basis states as int64, 16 GiB at 31 modes, so it must stay well below that
+# largest mode count that jordan_wigner maps and that diagonalize takes
+# (N = 2n); PauliOperator.dense indexes all 2^n basis states, 16 GiB of
+# int64 at 31 modes, so it must stay well below that
 DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
@@ -195,119 +189,24 @@ def _check_mode_cap(n: int):
             f"{n} modes exceeds the qubit cap of {DEFAULT_MODE_CAP}")
 
 
-def _ladder_tensor(tensor) -> np.ndarray:
-    """A rank-2 or rank-4 tensor with equal axes as a float array, on at
-    most DEFAULT_MODE_CAP modes."""
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim not in (2, 4) or len(set(t.shape)) != 1:
-        raise InputError(
-            f"tensor shape {t.shape} is not (n, n) or (n, n, n, n)")
-    _check_mode_cap(t.shape[0])
-    return t
-
-
 def _symmetric_tensors(tensors) -> list:
-    """The tensors as `_ladder_tensor` admits them, on one mode count, once
-    every matrix is symmetric and every V eight-fold symmetric to 1e-10:
-    the one symmetry check of the operator builders and the one-norm."""
-    ts = [_ladder_tensor(t) for t in tensors]
-    if len({t.shape[0] for t in ts}) > 1:
-        raise InputError("tensors act on different mode counts")
+    """The tensors as float arrays of shape (n, n) or (n, n, n, n), on one
+    mode count n of at most DEFAULT_MODE_CAP, once every matrix is
+    symmetric and every V eight-fold symmetric to 1e-10: the one check of
+    the operator builders' tensors."""
+    ts = [np.asarray(t, dtype=float) for t in tensors]
     for t in ts:
+        if t.ndim not in (2, 4) or len(set(t.shape)) != 1:
+            raise InputError(
+                f"tensor shape {t.shape} is not (n, n) or (n, n, n, n)")
+        _check_mode_cap(t.shape[0])
         if t.ndim == 4:
             validate_two_body_symmetry(t)
         elif np.max(np.abs(t - t.T), initial=0.0) > 1e-10:
             raise InputError("one-body matrix is not symmetric to 1e-10")
+    if len({t.shape[0] for t in ts}) > 1:
+        raise InputError("tensors act on different mode counts")
     return ts
-
-
-def sector_blocks(tensors, sector):
-    """Real blocks of the ladder sums of tensors of one shape (T or a
-    dipole axis: sum t[q,r] a_q^dag a_r; V: sum V[p,q,r,s]
-    a_p^dag a_q^dag a_r a_s) on the states with sector = (N_alpha, N_beta)
-    electrons in the even (alpha) and odd (beta) modes, as laid out by
-    ModelSpec.spin_orbital(): each operator's matrix restricted to those
-    states, rows and columns ascending, one per tensor as the iterator is
-    advanced.  The block structure is built once and shared.
-
-    With k = 1 for a matrix and 2 for V, the sum is
-    sum W[(q..), (r..)] (a_q1..a_qk)^dag (a_r1..a_rk) over sets of k
-    modes, W being the matrix itself, or the pair block of V
-    antisymmetrized over both pairs, so a set's modes may come in any
-    order.  A state s lacking ka alpha and k - ka beta electrons has as
-    preimages the block's states j = s plus ka empty alpha modes, then
-    k - ka empty beta ones, r1..rk, and a_r1..a_rk |j> = sign |s>; entry
-    (i, j) sums sign_i sign_j W[(q..), (r..)] over the s that i and j
-    share.  Grouped by ka, the s have one preimage count per group; one
-    np.bincount adds the (s, i, j) triples group by group.  Entries at or
-    below PRUNE_TOL drop first, so the block is that of
-    build_hamiltonian's or build_dipole's operator.
-    """
-    ts = [_ladder_tensor(t) for t in tensors]
-    if len({t.shape for t in ts}) != 1:
-        raise InputError("need one or more tensors of one shape")
-    n, k = ts[0].shape[0], ts[0].ndim // 2
-    if not (isinstance(sector, tuple) and len(sector) == 2 and all(
-            is_int(c) and 0 <= c <= (n + 1 - spin) // 2
-            for spin, c in enumerate(sector))):
-        raise InputError(f"sector {sector!r} is not a pair (N_alpha, "
-                         f"N_beta) in [0, {(n + 1) // 2}] x [0, {n // 2}]")
-    m, flat, groups = _sector_structure(n, sector, k)
-    for t in ts:
-        yield np.bincount(flat, _sector_weights(t, groups),
-                          minlength=m * m).reshape(m, m)
-
-
-def _sector_structure(n: int, sector: tuple, k: int) -> tuple:
-    """Block size m, flat index i * m + j per (s, i, j) triple, and per
-    group of lower states s each (s, preimage) pair's tuple index and sign."""
-    states = np.arange(1 << n, dtype=np.int64)
-    n_alpha, n_beta = (np.bitwise_count(states & sum(
-        1 << (n - 1 - p) for p in range(spin, n, 2))) for spin in (0, 1))
-    in_block = (n_alpha == sector[0]) & (n_beta == sector[1])
-    m = int(np.count_nonzero(in_block))
-    row = np.cumsum(in_block) - 1
-    spin_order = np.r_[0:n:2, 1:n:2]  # alpha modes, then beta modes
-    flat, groups = [], []
-    for ka in range(k + 1):
-        a, b = sector[0] - ka, sector[1] - (k - ka)
-        lower = states[(n_alpha == a) & (n_beta == b)]
-        ea, eb = (n + 1) // 2 - a, n // 2 - b
-        # occupations, occupied modes before each, empty modes (alpha, then
-        # beta), the modes each preimage fills; r1 < r2 flips a_r1 a_r2
-        occ = (lower[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        before = np.cumsum(occ, axis=1) - occ
-        empty = spin_order[np.nonzero(occ[:, spin_order] == 0)[1]].reshape(
-            lower.size, ea + eb)
-        picks = np.array([p + q for p in combinations(range(ea), ka)
-                          for q in combinations(range(ea, ea + eb), k - ka)])
-        modes = empty[:, picks]  # (lower, preimage, k)
-        parity = (before[np.arange(lower.size)[:, None, None], modes].sum(2)
-                  + (modes[..., 0] < modes[..., -1]))
-        sign = 1.0 - 2.0 * (parity & 1)
-        pre = row[lower[:, None] | np.sum(1 << (n - 1 - modes), axis=2)]
-        flat.append((pre[:, :, None] * m + pre[:, None, :]).ravel())
-        groups.append((modes @ n ** np.arange(k - 1, -1, -1), sign))
-    return m, np.concatenate(flat), groups
-
-
-def _sector_weights(t: np.ndarray, groups: list) -> np.ndarray:
-    """Each (s, i, j) triple's weight sign_i sign_j W[(q..), (r..)], flat."""
-    n, k = t.shape[0], t.ndim // 2
-    t = np.where(np.abs(t) > PRUNE_TOL, t, 0.0)  # as the ladder sums drop
-    if k == 2:
-        t = (t.transpose(1, 0, 2, 3) - t - t.transpose(1, 0, 3, 2)
-             + t.transpose(0, 1, 3, 2))
-    W = t.reshape(n ** k, n ** k)
-    return np.concatenate([
-        (W[tup[:, :, None], tup[:, None, :]]
-         * (sign[:, :, None] * sign[:, None, :])).ravel()
-        for tup, sign in groups])
-
-
-def sector_block(tensor, sector) -> np.ndarray:
-    """The one block of sector_blocks([tensor], sector)."""
-    return next(sector_blocks([tensor], sector))
 
 
 # ---------------------------------------------------------------------------
@@ -425,43 +324,6 @@ def jordan_wigner(op: FermionOperator) -> PauliOperator:
 def lcu_one_norm(op: PauliOperator) -> float:
     """Sum of |coefficients| -- the LCU subnormalization of the operator."""
     return float(sum(abs(c) for c in op.terms.values()))
-
-
-def majorana_one_norm(*tensors) -> float:
-    """LCU one-norm of the Jordan-Wigner image of the tensors' ladder sums
-    taken together (T and V for the Hamiltonian, or one dipole axis), in
-    closed form (Koridon et al., PRR 3, 033127 (2021)).
-
-    T is the sum of the matrices and V that of the two-body tensors, after
-    the entries at or below PRUNE_TOL drop as the ladder sums drop them.
-    The image's strings are the identity, with coefficient
-      E = tr T / 2 + sum V[pqqp] / 4 - sum V[pqpq] / 2 + sum V[ppss] / 4,
-    the Majorana bilinears of h = T + (J + J') / 2 - K, with
-    J[q,r] = sum_p V[pqrp], J'[p,s] = sum_q V[pqqs], K[p,r] = sum_q V[pqrq],
-    and the quartic strings of the pair differences, so the norm is
-      |E| + sum |h[p,q]| / 2 + sum_{p<q, s<r} |V[pqrs] - V[pqsr]| / 2
-    (a dipole's is |tr d| / 2 + sum |d[p,q]| / 2).  Each term is one
-    string's magnitude, so terms at or below PRUNE_TOL drop as the image's
-    strings do.  It is lcu_one_norm(jordan_wigner(op)) up to roundoff, and
-    bit for bit where every sum is exact (dyadic entries); a V within the
-    admitted 1e-10 asymmetry may move it at that order.  The closed form
-    holds for symmetric matrices and eight-fold symmetric V, so tensors
-    that break either by more than 1e-10 are refused.
-    """
-    ts = _symmetric_tensors(tensors)
-    n = ts[0].shape[0] if ts else 0
-    ts = [np.where(np.abs(t) > PRUNE_TOL, t, 0.0) for t in ts]
-    T = sum((t for t in ts if t.ndim == 2), np.zeros((n, n)))
-    V = sum((t for t in ts if t.ndim == 4), np.zeros((n,) * 4))
-    h = (T + (np.einsum("pqrp->qr", V) + np.einsum("pqqs->ps", V)) / 2
-         - np.einsum("pqrq->pr", V))
-    identity = (np.trace(T) / 2 + np.einsum("pqqp", V) / 4
-                - np.einsum("pqpq", V) / 2 + np.einsum("ppss", V) / 4)
-    pq, sr = np.triu_indices(n, 1), np.tril_indices(n, -1)
-    pairs = (V - V.transpose(0, 1, 3, 2))[pq][:, sr[0], sr[1]]
-    mags = np.abs(np.concatenate(([identity], h.ravel() / 2,
-                                  pairs.ravel() / 2)))
-    return float(mags[mags > PRUNE_TOL].sum())
 
 
 def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (InputError, ResourceError, check_axes, check_positive,
                      is_finite_real, is_int)
 from .models import ModelSpec
-from .operators import (DEFAULT_MODE_CAP, majorana_one_norm, sector_block,
-                        sector_blocks)
+from .operators import DEFAULT_MODE_CAP, PRUNE_TOL
 
 DEGENERACY_TOL = 1e-10
 
@@ -66,12 +66,16 @@ class SpectralData:
     eigenvalues are ascending and shifted so eigenvalues[0] == 0.
     transition_dipoles[i] is the axis-i dipole in the eigenbasis.  alpha
     and betas[i] are the LCU one-norms of the Jordan-Wigner images of H
-    and of the axis-i dipole (0 for an all-zero dipole): the
-    block-encoding subnormalizations, taken in closed form from the
-    integral tensors, as the blocks are, without forming a Pauli string.
-    They agree with the images' one-norms to roundoff; for a V within the
-    admitted 1e-10 asymmetry alpha may differ from the literal image's
-    one-norm at that order.
+    and of the axis-i dipole on the 2n spin orbitals (0 for an all-zero
+    dipole): the block-encoding subnormalizations, taken without forming
+    a Pauli string in the spin-summed closed form of Koridon et al.
+    (PRR 3, 033127 (2021)) from the spatial integrals,
+      alpha = |E| + sum |h| + sum_{p<q, s<r} |V[pqrs] - V[pqsr]|
+              + sum |V| / 2,    beta = |tr d| + sum |d|,
+    E = tr T + sum V[pqqp] - sum V[pqpq] + sum V[ppss] / 2,
+    h = T + J + J' - K, J[q, r] = sum_p V[pqrp], J'[p, s] = sum_q V[pqqs]
+    and K[p, r] = sum_q V[pqrq].  They agree with the images' one-norms
+    to roundoff.
     alpha_shift = alpha + |lowest electronic eigenvalue| bounds every
     excitation energy, since the electronic spectrum lies in
     [-alpha, alpha]; the measurement layer sizes its filter rescales and
@@ -112,47 +116,64 @@ class SusceptibilityResult:
 
 
 def diagonalize(model: ModelSpec) -> SpectralData:
-    """Dense eigenvalues of the model Hamiltonian plus eigenbasis dipoles
-    and the LCU one-norms of their Jordan-Wigner images.
+    """Dense eigenvalues of the model Hamiltonian on the ground state's
+    spin block, eigenbasis dipoles, and the LCU one-norms of the
+    Jordan-Wigner images, all from the spatial integrals.
 
-    The model's spatial integrals are lifted to its N = 2n spin orbitals
-    (model.spin_orbital()), and only the (N_alpha, N_beta) =
-    (ceil(eta/2), floor(eta/2)) block of each operator is built, straight
-    from those tensors: a model is spin-free, so H and the dipoles conserve
-    both counts.  T and the three dipole axes share one block structure
-    (sector_blocks).  A ground still degenerate in the block (a spatial
-    degeneracy) warns and keeps the lowest-index eigenvector.  The
-    one-norms come in closed form from the tensors (majorana_one_norm), so
-    for a V within the admitted 1e-10 asymmetry alpha may differ from the
-    literal image's one-norm at that order; no Pauli string is formed.
-    Models above DEFAULT_MODE_CAP modes raise ResourceError before the
-    lift; an asymmetric T, V or dipole (refused by the one-norms) or a zero
-    Hamiltonian (alpha = 0) raises InputError before any block is built.
+    A model is spin-free, so H and the dipoles conserve N_alpha and
+    N_beta; the block is the (ceil(eta/2), floor(eta/2)) one, in the
+    product basis |I, J> of alpha strings I and beta strings J, every
+    alpha creator ordered before every beta one (the determinant-FCI
+    split of Knowles and Handy, CPL 111, 315 (1984)).  With
+    E_k = a_p^dag a_q, k = (p, q), on one spin's strings and
+    G[(p, s), (q, r)] = V[p, q, r, s], since
+    a_p^dag a_q^dag a_r a_s = E_ps E_qr - delta_qs E_pr,
+      H = h_a x 1 + 1 x h_b + sum_kl (G + G^T)[k, l] E^a_k x E^b_l,
+      h_s = sum_k (T - K)[k] E^s_k + sum_kl G[k, l] E^s_k E^s_l,
+    with K[p, r] = sum_q V[p, q, r, q], and a dipole axis is
+    D_a x 1 + 1 x D_b, rotated into the eigenbasis through those factors.
+    No spin-orbital tensor and no list of the 2^N Fock states is formed.
+    A ground still degenerate in the block (a spatial degeneracy) warns
+    and keeps the lowest-index eigenvector.  The one-norms are closed
+    forms in the spatial integrals (SpectralData gives E and h):
+      alpha = |E| + sum |h| + sum_{p<q, s<r} |V[pqrs] - V[pqsr]|
+              + sum |V| / 2,    beta = |tr d| + sum |d|.
+    Models above DEFAULT_MODE_CAP modes (N = 2n) raise ResourceError, and
+    a zero Hamiltonian (alpha = 0) InputError, before any block is built.
     """
-    n, eta = 2 * model.n_orbitals, model.n_electrons
-    if n > DEFAULT_MODE_CAP:
-        raise ResourceError(
-            f"{n} modes exceeds the diagonalization cap of {DEFAULT_MODE_CAP}")
-    T, V, D = model.spin_orbital()
-    alpha = majorana_one_norm(T, V)
+    n, eta = model.n_orbitals, model.n_electrons
+    if 2 * n > DEFAULT_MODE_CAP:
+        raise ResourceError(f"{2 * n} modes exceeds the diagonalization "
+                            f"cap of {DEFAULT_MODE_CAP}")
+    alpha, betas = _one_norms(model)
     if alpha == 0:
         raise InputError("the Hamiltonian is zero (alpha = 0)")
-    betas = tuple(map(majorana_one_norm, D))
-    block = ((eta + 1) // 2, eta // 2)
-    one_body = sector_blocks([T, *D], block)
-    H = next(one_body)
-    H += sector_block(V, block)
+    ea = _excitations(n, (eta + 1) // 2)
+    eb = ea if eta % 2 == 0 else _excitations(n, eta // 2)
+    ma, mb = ea.shape[1], eb.shape[1]
+    m = ma * mb
+    H = _hamiltonian_block(model, ea, eb)
     evals, evecs = np.linalg.eigh(H)
-    del H, V
+    del H
     ground = float(evals[0]) + model.nuclear_shift
     degenerate = len(evals) > 1 and evals[1] - evals[0] < DEGENERACY_TOL
     if degenerate:
         warnings.warn(
             f"ground state degenerate within {DEGENERACY_TOL:g}; "
             "keeping the lowest-index eigenvector", stacklevel=2)
-    dips = np.empty((3,) + evecs.shape)
-    for out in dips:
-        np.matmul(evecs.T @ next(one_body), evecs, out=out)
+    d = model.dipole.reshape(3, n * n)
+    da, db = ((d @ e.reshape(n * n, -1)).reshape(3, k, k)
+              for e, k in ((ea, ma), (eb, mb)))
+    dips = np.empty((3, m, m))
+    du = np.empty((ma, mb, m))
+    u = evecs.reshape(ma, mb, m)
+    # (D_a x 1) U in one product, then (1 x D_b) U added alpha string by
+    # alpha string, so no second m x m temporary is made
+    for a, b, out in zip(da, db, dips):
+        np.matmul(a, evecs.reshape(ma, -1), out=du.reshape(ma, -1))
+        for row, ui in zip(du, u):
+            row += b @ ui
+        np.matmul(evecs.T, du.reshape(m, m), out=out)
     return SpectralData(
         eigenvalues=evals - evals[0],
         transition_dipoles=dips,
@@ -161,10 +182,85 @@ def diagonalize(model: ModelSpec) -> SpectralData:
         alpha_shift=alpha + abs(float(evals[0])),
         betas=betas,
         label=model.label or "unnamed",
-        n_modes=n,
+        n_modes=2 * n,
         n_electrons=eta,
         degenerate_ground=degenerate,
     )
+
+
+def _hamiltonian_block(model: ModelSpec, ea: np.ndarray,
+                       eb: np.ndarray) -> np.ndarray:
+    """H on the product of the alpha and beta strings that ea and eb (from
+    _excitations) act on, |I, J> at row I * len(J strings) + J."""
+    n = model.n_orbitals
+    ma, mb = ea.shape[1], eb.shape[1]
+    G = model.V.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    H = (ea.reshape(n * n, -1).T @ ((G + G.T) @ eb.reshape(n * n, -1))
+         ).reshape(ma, ma, mb, mb).transpose(0, 2, 1, 3).reshape(ma * mb, -1)
+    one = (model.T - model.V.trace(axis1=1, axis2=3)).reshape(1, n * n)
+    H4 = H.reshape(ma, mb, ma, mb)
+    # h_a x 1 on the (b, b) diagonal of H4[a, b, c, d], 1 x h_b on (a, a)
+    for e, diag in ((ea, H4.transpose(1, 3, 0, 2)),
+                    (eb, H4.transpose(0, 2, 1, 3))):
+        k = e.shape[1]
+        h = (one @ e.reshape(n * n, -1)).reshape(k, k)
+        h += e.transpose(1, 0, 2).reshape(k, -1) @ (
+            G @ e.reshape(n * n, -1)).reshape(-1, k)
+        same = np.arange(len(diag))
+        diag[same, same] += h
+    return H
+
+
+def _excitations(n: int, k: int) -> np.ndarray:
+    """E[p * n + q] = a_p^dag a_q on the C(n, k) strings of k electrons in
+    n orbitals of one spin, as an (n * n, m, m) array; a string is
+    a_i1^dag .. a_ik^dag |0> with i1 < .. < ik, strings in the order of
+    itertools.combinations."""
+    strings = np.array(list(combinations(range(n), k)), dtype=int)
+    m = len(strings)
+    occ = np.zeros((m, n), dtype=int)
+    occ[np.arange(m)[:, None], strings] = 1
+    below = np.cumsum(occ, axis=1) - occ
+    masks = occ @ (1 << np.arange(n))
+    index = np.zeros(1 << n, dtype=int)
+    index[masks] = np.arange(m)
+    p, q = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    # a_q needs q filled and a_p^dag then p empty, or p == q; the sign
+    # counts the filled orbitals below q, then those below p without q
+    live = (occ.T[None] == 1) & ((p == q) | (occ.T[:, None] == 0))
+    target = index[masks ^ (1 << q) | (1 << p)]
+    parity = below.T[None] + below.T[:, None] - (q < p)
+    pi, qi, j = np.nonzero(live)
+    E = np.zeros((n, n, m, m))
+    E[pi, qi, target[pi, qi, j], j] = 1 - 2 * (parity[pi, qi, j] & 1)
+    return E.reshape(n * n, m, m)
+
+
+def _one_norms(model: ModelSpec) -> tuple:
+    """alpha and (beta_x, beta_y, beta_z) in the closed forms that
+    SpectralData states.  Entries at or below PRUNE_TOL drop first, as the
+    ladder sums drop them; then each Jordan-Wigner string whose magnitude
+    is at or below PRUNE_TOL drops, as the image drops it: the identity
+    (|E|, |tr d|), and per spin |h| / 2, |d| / 2 and each same-spin pair
+    difference over 2, and |V| / 2 for each opposite-spin term."""
+    T, V, D = (np.where(np.abs(t) > PRUNE_TOL, t, 0.0)
+               for t in (model.T, model.V, model.dipole))
+    n = len(T)
+    J, J1, K = (V.trace(axis1=a, axis2=b) for a, b in ((0, 3), (1, 2), (1, 3)))
+    E = (np.trace(T) + np.trace(J) - np.trace(K)
+         + np.trace(V.trace(axis1=0, axis2=1)) / 2)
+    below = np.arange(n)[:, None] < np.arange(n)  # [p, q]: p < q
+    pairs = (V - V.transpose(0, 1, 3, 2))[below[:, :, None, None]
+                                          & below.T[None, None]]
+    same_spin = np.concatenate(((T + J + J1 - K).ravel(), pairs)) / 2
+    alpha = _string_norm(E, same_spin, same_spin, V / 2)
+    return alpha, tuple(_string_norm(np.trace(d), d / 2, d / 2) for d in D)
+
+
+def _string_norm(*magnitudes) -> float:
+    """The sum of the string magnitudes above PRUNE_TOL."""
+    mags = np.abs(np.concatenate([np.ravel(m) for m in magnitudes]))
+    return float(mags[mags > PRUNE_TOL].sum())
 
 
 def _window_mask(sd: SpectralData, a: float, b: float) -> np.ndarray:

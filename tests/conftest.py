@@ -56,12 +56,15 @@ def naive_apply(state, p, dagger, n):
     return sign, state ^ (1 << (n - 1 - p))
 
 
-def naive_term_matrix(n, actions):
-    """Dense matrix of one ladder-operator product (leftmost applied last)."""
-    dim = 2 ** n
-    M = np.zeros((dim, dim))
-    for col in range(dim):
-        st, sgn, dead = col, 1, False
+def naive_term_matrix(n, actions, states=None):
+    """Dense matrix of one ladder-operator product (leftmost applied last)
+    on the given basis states (all 2^n by default), which it must map
+    into themselves or annihilate."""
+    states = list(range(2 ** n)) if states is None else states
+    row = {b: i for i, b in enumerate(states)}
+    M = np.zeros((len(states),) * 2)
+    for col, st in enumerate(states):
+        sgn, dead = 1, False
         for p, d in reversed(actions):
             r = naive_apply(st, p, d, n)
             if r is None:
@@ -70,7 +73,7 @@ def naive_term_matrix(n, actions):
             s, st = r
             sgn *= s
         if not dead:
-            M[st, col] += sgn
+            M[row[st], col] += sgn
     return M
 
 
@@ -83,42 +86,64 @@ def naive_dense(n, terms):
     return M
 
 
+def spin_orbital(model):
+    """(T, V, dipole) of a ModelSpec lifted to its 2n interleaved spin
+    orbitals (alpha_0, beta_0, alpha_1, ...: spatial orbital p with spin
+    sigma is mode 2p + sigma): T and the dipoles are replicated per spin,
+    and V[p, q, r, s] moves spin sigma from s to p and tau from r to q.
+    The package never forms these tensors; the references below and the
+    Jordan-Wigner checks build on them."""
+    eye2 = np.eye(2)
+    T = np.kron(model.T, eye2)
+    d = np.stack([np.kron(axis, eye2) for axis in model.dipole])
+    V = np.zeros((2 * model.n_orbitals,) * 4)
+    for sigma in (0, 1):
+        for tau in (0, 1):
+            V[sigma::2, tau::2, tau::2, sigma::2] = model.V
+    return T, V, d
+
+
+def naive_sector_states(model):
+    """The Fock states of the model's eta-electron sector, ascending."""
+    n = 2 * model.n_orbitals
+    return [b for b in range(2 ** n)
+            if bin(b).count("1") == model.n_electrons]
+
+
 def naive_model_matrices(model):
-    """(H, D) dense Fock matrices built naively from a ModelSpec's
-    spin-orbital integrals."""
-    T, V, dipole = model.spin_orbital()
+    """(H, D) dense matrices on the eta-electron sector
+    (naive_sector_states), built naively from the model's spin-orbital
+    integrals."""
+    T, V, dipole = spin_orbital(model)
     n = len(T)
-    dim = 2 ** n
+    sector = naive_sector_states(model)
+    dim = len(sector)
     H = np.zeros((dim, dim))
     for p in range(n):
         for q in range(n):
             if T[p, q] != 0.0:
-                H += T[p, q] * naive_term_matrix(n, [(p, 1), (q, 0)])
+                H += T[p, q] * naive_term_matrix(n, [(p, 1), (q, 0)], sector)
     nz = np.nonzero(np.abs(V) > 0)
     for p, q, r, s in zip(*nz):
         H += V[p, q, r, s] * naive_term_matrix(
-            n, [(int(p), 1), (int(q), 1), (int(r), 0), (int(s), 0)])
+            n, [(int(p), 1), (int(q), 1), (int(r), 0), (int(s), 0)], sector)
     D = np.zeros((3, dim, dim))
     for ax in range(3):
         for p in range(n):
             for q in range(n):
                 if dipole[ax, p, q] != 0.0:
                     D[ax] += dipole[ax, p, q] * naive_term_matrix(
-                        n, [(p, 1), (q, 0)])
+                        n, [(p, 1), (q, 0)], sector)
     return H, D
 
 
 def naive_sector_spectrum(model):
-    """(excitations, transition_dipoles) in the half-filled sector,
+    """(excitations, transition_dipoles) in the eta-electron sector,
     ground level shifted to zero - all via the naive builders."""
     H, D = naive_model_matrices(model)
-    sector = [b for b in range(len(H))
-              if bin(b).count("1") == model.n_electrons]
-    Hs = H[np.ix_(sector, sector)]
-    vals, vecs = np.linalg.eigh(Hs)
+    vals, vecs = np.linalg.eigh(H)
     w = vals - vals[0]
-    td = np.stack([vecs.T @ D[ax][np.ix_(sector, sector)] @ vecs
-                   for ax in range(3)])
+    td = np.stack([vecs.T @ D[ax] @ vecs for ax in range(3)])
     return w, td
 
 

@@ -51,20 +51,16 @@ def dense_box_value(model, sd, chain_axes, windows, deltas, eps):
     the chain's dipole one-norms (0 counts as 1).
     """
     H, D = naive_model_matrices(model)
-    sector = [b for b in range(len(H))
-              if bin(b).count("1") == model.n_electrons]
-    block = np.ix_(sector, sector)
-    H = H[block]
     evals, evecs = np.linalg.eigh(H)
     g = evecs[:, 0]
     Q = np.eye(len(H)) - np.outer(g, g)
-    v = D[chain_axes[-1]][block] @ g
+    v = D[chain_axes[-1]] @ g
     for ax, (lo, hi), delta in zip(chain_axes[-2::-1], windows[::-1],
                                    deltas[::-1]):
         wc, h = (lo + hi) / 2.0, (hi - lo) / 2.0
         s = rescale(max(wc, sd.alpha_shift - wc))
         p = build_indicator(-h / s, h / s, delta / s, eps)
         Y = (H - (evals[0] + wc) * np.eye(len(H))) / s
-        v = D[ax][block] @ (Q @ (dense_filter(p, Y) @ v))
+        v = D[ax] @ (Q @ (dense_filter(p, Y) @ v))
     zeta = math.prod(sd.betas[ax] or 1.0 for ax in chain_axes)
     return complex(g @ v) / zeta

@@ -247,16 +247,18 @@ def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
 # make_random_model(2, 2, 0), whose ground dipoles are all nonzero, so every
 # ground-pinned term runs: they pin the denominators' order of operations
 # bit for bit.  The spectrum comes from LAPACK (numpy 2.4 with OpenBLAS
-# 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.
+# 0.3.31 on x86-64), as in test_spectra.py's frozen hashes.  Re-recorded
+# when the spectrum moved to alpha and beta strings: the values moved by
+# at most 5.7e-15 relative.
 FROZEN_ALPHA3 = {
-    ("yxxy", 0.1): "a5a96a7c205abea64a85d821c526efcd"
-                   "3a0caffc88c0846a3267e6829e91cbc5",
-    ("yxxy", 0.4): "5db7c22b03ee3de946777dffc788559d"
-                   "8a2575f172e489cb2d274dd9e6e585fb",
-    ("xyzx", 0.1): "202e464ea881a8bf0fcf57cdea363529"
-                   "7a41ddad71cd21fdad52935073db9103",
-    ("xyzx", 0.4): "8c6d7b024e898c8bd6eeb03cc15e6257"
-                   "f64e354ce09ca14b1c9ecf0a5edffd17",
+    ("yxxy", 0.1): "df820d0e62bad40378a07a9dcfd15026"
+                   "b6b7930e73b5d0feb16ac02a353f13bf",
+    ("yxxy", 0.4): "2b7ed001bfc2b290f113fd4729b308e7"
+                   "a36174135fa7787100765e21092e035b",
+    ("xyzx", 0.1): "a9d1130e7ed9da492052ae29ed1d2fa8"
+                   "3201bc3d29b797d5be233dca0bc8fa75",
+    ("xyzx", 0.4): "7843f4701db376f6b6e08626658d8816"
+                   "cb07fa60bdfdafc85ad1601d589d04cd",
 }
 
 

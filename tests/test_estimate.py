@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spin_orbital
 from dense_reference import dense_box_value
 from test_spectra import FROZEN_SPECTRA
 from respsim import (
@@ -620,7 +621,7 @@ def test_spectrum_carries_lcu_one_norms(request, names):
         model, sd = (request.getfixturevalue(n) for n in names)
     # the closed-form norms are the Pauli ones up to roundoff (2e-15
     # relative seen), bit for bit only where every sum is exact
-    T, V, D = model.spin_orbital()
+    T, V, D = spin_orbital(model)
     want = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
     want += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
     for got, ref in zip((sd.alpha, *sd.betas), want):

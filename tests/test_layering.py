@@ -74,14 +74,18 @@ def test_spectrum_path_stays_off_the_reference_layer():
                           "lcu_one_norm", "PauliOperator"}
 
 
-def test_only_the_spectrum_lifts_a_model():
-    # a model holds spatial integrals; diagonalize makes the package's one
-    # spin-orbital lift
-    callers = [path.name for path in MODULES if any(
-        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "spin_orbital"
-        for node in ast.walk(ast.parse(path.read_text())))]
-    assert callers == ["spectra.py"]
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_forms_a_spin_orbital_tensor(path):
+    # a model holds spatial integrals and the spectrum is built on alpha
+    # and beta strings: no module lifts a model (spin_orbital) or makes
+    # the per-spin copies of a spatial tensor (np.kron); the lift is a
+    # test-side reference (conftest.spin_orbital), and
+    # test_spectra.test_diagonalize_forms_no_spin_orbital_tensor bounds
+    # diagonalize's heap below the lifted V
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"spin_orbital", "kron"}
 
 
 def test_filters_stand_apart_from_the_operator_layer():

@@ -1,4 +1,5 @@
-"""Model construction, the spin-orbital lift, and file round-trips."""
+"""Model construction and admission, the test-side spin-orbital lift, and
+file round-trips."""
 
 import itertools
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import spin_orbital
 from oracle_reference import write_fcidump_like
 from respsim import (
     InputError,
@@ -33,7 +35,7 @@ def test_dimer_shapes_and_label():
 
 
 def test_dimer_integral_values():
-    T, V, d = make_hubbard_dimer(t=1.5, U=3.0, d01=0.25).spin_orbital()
+    T, V, d = spin_orbital(make_hubbard_dimer(t=1.5, U=3.0, d01=0.25))
     # interleaved spin orbitals: site0 up/dn = modes 0/1, site1 = modes 2/3
     assert T[0, 2] == -1.5 and T[1, 3] == -1.5
     assert T[0, 1] == 0.0
@@ -44,22 +46,25 @@ def test_dimer_integral_values():
 
 @st.composite
 def spatial_models(draw):
-    """A ModelSpec on 1..4 spatial orbitals with arbitrary finite entries;
-    the lift is elementwise, so no symmetry is imposed."""
+    """A ModelSpec on 1..4 spatial orbitals with arbitrary finite entries,
+    symmetrized as ModelSpec admits them (T and d over their transposes,
+    V over its eight images)."""
     n = draw(st.integers(1, 4))
     values = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     T, V, d = (draw(arrays(float, shape, elements=values))
                for shape in ((n, n), (n,) * 4, (3, n, n)))
-    return ModelSpec(n, 0, T, V, d)
+    V = sum(V.transpose(perm) for perm in TWO_BODY_IMAGES) / 8.0
+    return ModelSpec(n, 0, T + T.T, V, d + d.transpose(0, 2, 1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(model=spatial_models())
 def test_spin_orbital_lift_is_the_element_map(model):
-    # mode 2p + sigma is spatial orbital p with spin sigma: one-body terms
-    # keep the spin (T[p, q] times the spin delta, so a negative entry
-    # leaves -0.0 off the spin blocks, as np.kron does), and V[p, q, r, s]
-    # moves spin sigma from s to p and tau from r to q
+    # the test-side lift that the references build on: mode 2p + sigma is
+    # spatial orbital p with spin sigma: one-body terms keep the spin
+    # (T[p, q] times the spin delta, so a negative entry leaves -0.0 off
+    # the spin blocks, as np.kron does), and V[p, q, r, s] moves spin
+    # sigma from s to p and tau from r to q
     n, N = model.n_orbitals, 2 * model.n_orbitals
     T = np.zeros((N, N))
     d = np.zeros((3, N, N))
@@ -74,7 +79,7 @@ def test_spin_orbital_lift_is_the_element_map(model):
         for sigma, tau in itertools.product((0, 1), repeat=2):
             V[2 * p + sigma, 2 * q + tau, 2 * r + tau, 2 * s + sigma] = \
                 model.V[p, q, r, s]
-    for got, want in zip(model.spin_orbital(), (T, V, d)):
+    for got, want in zip(spin_orbital(model), (T, V, d)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -130,6 +135,22 @@ def test_modelspec_validation():
         ModelSpec(**{**good, "dipole": np.zeros((2, n, n))})
     with pytest.raises(InputError):
         ModelSpec(**{**good, "n_electrons": 5})
+
+
+@pytest.mark.parametrize("part", ["T", "V", "dipole"])
+def test_modelspec_refuses_an_asymmetric_tensor(dimer, part):
+    # the one symmetry admission, on the spatial tensors, to 1e-10
+    entry = (0,) * (getattr(dimer, part).ndim - 2) + (0, 1)
+    for dev, admitted in ((1e-9, False), (5e-11, True)):
+        tensor = getattr(dimer, part).copy()
+        tensor[entry] += dev
+        parts = {"T": dimer.T, "V": dimer.V, "dipole": dimer.dipole,
+                 part: tensor}
+        if admitted:
+            ModelSpec(dimer.n_orbitals, dimer.n_electrons, **parts)
+            continue
+        with pytest.raises(InputError, match="symmetr"):
+            ModelSpec(dimer.n_orbitals, dimer.n_electrons, **parts)
 
 
 @pytest.mark.parametrize("field", ["T", "V", "dipole", "nuclear_shift"])
@@ -192,6 +213,104 @@ def test_load_errors(tmp_path):
         load_fcidump_like(bad)
 
 
+@pytest.mark.parametrize("records, line, message", [
+    ("1.0 1 1 0\n", 3, "expected 'value i j k l'"),
+    ("1.0 1 1 x 0\n", 3, "invalid literal for int() with base 10: 'x'"),
+    ("one 1 1 0 0\n", 3, "could not convert string to float: 'one'"),
+    ("1.0 3 1 0 0\n", 3, "index out of range 1..2"),
+    ("1.0 0 1 0 0\n", 3, "bad one-body indices"),
+    ("1.0 1 0 1 0\n", 3, "mixed zero/nonzero indices"),
+    # the first bad record in file order, whatever its kind
+    ("# note\n0.5 1 1 0 0\n1.0 3 1 0 0\n1.0 1 1\n", 5,
+     "index out of range 1..2"),
+    ("1.0 1 x 0 0\n1.0 3 1 0 0\n", 3,
+     "invalid literal for int() with base 10: 'x'"),
+    ("1.0 1 1 0 0\n1.0 1 2 0\n2.0 1 2 1 0\n", 4,
+     "expected 'value i j k l'"),
+    # at one record, the first failing check's message
+    ("bad 5 1 0\n", 3, "expected 'value i j k l'"),
+    ("bad 5 1 0 0\n", 3, "could not convert string to float: 'bad'"),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
+def test_integral_refusals_name_the_first_bad_line(tmp_path, records, line,
+                                                   message):
+    src = tmp_path / "ints.txt"
+    src.write_text("&FCI NORB=2 NELEC=2\n&END\n" + records)
+    with pytest.raises(InputError) as err:
+        load_fcidump_like(src)
+    assert str(err.value) == f"{src}:{line}: {message}"
+
+
+@pytest.mark.parametrize("records, line, message", [
+    ("x 0.5 1\n", 1, "expected 'axis value i j'"),
+    ("w 0.5 1 2\n", 1, "unknown axis 'w'"),
+    ("x half 1 2\n", 1, "could not convert string to float: 'half'"),
+    ("y 0.5 1 3\n", 1, "index out of range"),
+    ("z 0.5 1 2\n4 0.5 1 2\nx 0.5 0 1\n", 2, "unknown axis '4'"),
+    ("w half 1 2\n", 1, "unknown axis 'w'"),
+    ("x 0.5 1 9\nx bad 1 1\n", 1, "index out of range"),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
+def test_dipole_refusals_name_the_first_bad_line(tmp_path, records, line,
+                                                 message):
+    src, dip = tmp_path / "ints.txt", tmp_path / "dip.txt"
+    src.write_text("&FCI NORB=2 NELEC=2\n&END\n1.0 1 1 0 0\n")
+    dip.write_text(records)
+    with pytest.raises(InputError) as err:
+        load_fcidump_like(src, dipole_path=dip)
+    assert str(err.value) == f"{dip}:{line}: {message}"
+
+
+def _record_by_record(text, dipole_text, norb):
+    """(T, V, dipole, shift) of valid files, one record at a time in file
+    order, each record writing all its images: the loader's reference."""
+    T, V = np.zeros((norb, norb)), np.zeros((norb,) * 4)
+    dip, shift = np.zeros((3, norb, norb)), 0.0
+    for line in text.splitlines()[2:]:
+        val, *idx = line.split()
+        i, j, k, l = (int(x) - 1 for x in idx)
+        if (i, j, k, l) == (-1,) * 4:
+            shift = float(val)
+        elif (k, l) == (-1, -1):
+            T[i, j] = T[j, i] = float(val)
+        else:
+            for perm in TWO_BODY_IMAGES:
+                V[tuple((i, j, k, l)[a] for a in perm)] = float(val)
+    for line in dipole_text.splitlines():
+        tag, val, i, j = line.split()
+        ax = "xyz123".index(tag) % 3
+        dip[ax, int(i) - 1, int(j) - 1] = dip[ax, int(j) - 1, int(i) - 1] = \
+            float(val)
+    return T, V, dip, shift
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), norb=st.integers(1, 3))
+def test_loaded_arrays_are_the_record_by_record_arrays(tmp_path_factory, data,
+                                                       norb):
+    # repeated orbits and repeated shifts included: the later record wins,
+    # bit for bit as a record-by-record fill gives it
+    index = st.integers(1, norb)
+    value = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: f"{v:.17g}")
+    record = st.one_of(
+        st.tuples(value, index, index, index, index),
+        st.tuples(value, index, index, st.just(0), st.just(0)),
+        st.tuples(value, *[st.just(0)] * 4))
+    records = data.draw(st.lists(record, max_size=30), label="records")
+    dipoles = data.draw(st.lists(st.tuples(st.sampled_from("xyz123"), value,
+                                           index, index), max_size=12),
+                        label="dipoles")
+    text = f"&FCI NORB={norb} NELEC=1\n&END\n" + "".join(
+        " ".join(map(str, r)) + "\n" for r in records)
+    dipole_text = "".join(" ".join(map(str, r)) + "\n" for r in dipoles)
+    path = tmp_path_factory.mktemp("load")
+    (path / "ints.txt").write_text(text)
+    (path / "dip.txt").write_text(dipole_text)
+    m = load_fcidump_like(path / "ints.txt", dipole_path=path / "dip.txt")
+    T, V, dip, shift = _record_by_record(text, dipole_text, norb)
+    for got, want in ((m.T, T), (m.V, V), (m.dipole, dip)):
+        assert got.tobytes() == want.tobytes()
+    assert m.nuclear_shift == shift
+
+
 def test_repeated_orbit_records_load_the_later_value(tmp_path):
     # (2, 1, 4, 3) is the pair-swap image of (1, 2, 3, 4): the later record
     # rewrites the whole eight-image orbit, so V keeps the eight-fold
@@ -208,7 +327,7 @@ def test_repeated_orbit_records_load_the_later_value(tmp_path):
     images = {tuple(entry[a] for a in perm) for perm in TWO_BODY_IMAGES}
     assert len(images) == 8
     assert all(m.V[idx] == 0.7 for idx in images)
-    _, V, _ = m.spin_orbital()
+    _, V, _ = spin_orbital(m)
     for perm in TWO_BODY_IMAGES:
         assert np.array_equal(V, V.transpose(perm))
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_dense, naive_term_matrix
+from conftest import naive_dense, naive_term_matrix, spin_orbital
 from pauli_reference import (dict_jordan_wigner, pauli_masks, pauli_product,
                              pauli_word)
 from respsim import (
     FermionOperator,
     InputError,
-    ModelSpec,
     PauliOperator,
     ResourceError,
     build_dipole,
@@ -21,16 +20,11 @@ from respsim import (
     eta_dipole_norm,
     jordan_wigner,
     lcu_one_norm,
-    majorana_one_norm,
     make_hubbard_dimer,
     make_random_model,
-    sector_block,
-    sector_blocks,
     validate_two_body_symmetry,
 )
-from respsim import operators
-from respsim.operators import (DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP,
-                               TWO_BODY_IMAGES)
+from respsim.operators import DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP
 
 
 def random_fermion_op(rng, n_modes, n_terms=5, max_len=4):
@@ -97,7 +91,7 @@ def test_number_operator_counts_occupation():
 # ---------------------------------------------------------------------------
 
 def test_build_hamiltonian_matches_naive(dimer):
-    T, V, _ = dimer.spin_orbital()
+    T, V, _ = spin_orbital(dimer)
     H = build_hamiltonian(T, V).dense()
     n = len(T)
     naive = np.zeros_like(H)
@@ -124,186 +118,9 @@ def test_build_hamiltonian_rejects_asymmetric_inputs():
 
 
 def test_build_dipole_is_hermitian_one_body(dimer):
-    op = build_dipole(dimer.spin_orbital()[2][0])
+    op = build_dipole(spin_orbital(dimer)[2][0])
     D = op.dense()
     assert np.allclose(D, D.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# sector blocks and one-norms straight from the tensors
-# ---------------------------------------------------------------------------
-
-VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def integrals(draw, values=VALUES, max_modes=8):
-    """(T, V, d) on 0..max_modes modes, a few entries each: T and d
-    symmetric, V with the eight-fold index symmetry (each entry set on all
-    its images)."""
-    n = draw(st.integers(0, max_modes))
-    index = st.integers(0, max(n - 1, 0))
-    entries = st.lists(st.tuples(*[index] * 4, values),
-                       max_size=6 if n else 0)
-    T, d, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n,) * 4)
-    for one in (T, d):
-        for p, q, _, _, v in draw(entries):
-            one[p, q] = one[q, p] = v
-    for *idx, v in draw(entries):
-        for perm in TWO_BODY_IMAGES:
-            V[tuple(idx[a] for a in perm)] = v
-    return T, V, d
-
-
-def block_states(n, sector):
-    """The basis states of n modes with sector = (N_alpha, N_beta)
-    electrons in the even and the odd modes, ascending (mode p is bit
-    n - 1 - p)."""
-    def spin_count(b, first):
-        return sum(b >> (n - 1 - p) & 1 for p in range(first, n, 2))
-    return [b for b in range(2 ** n)
-            if (spin_count(b, 0), spin_count(b, 1)) == sector]
-
-
-def all_sectors(n):
-    return [(a, b) for a in range((n + 1) // 2 + 1) for b in range(n // 2 + 1)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=integrals())
-def test_sector_block_is_the_fermion_matrix_restricted(case):
-    # the tensors need not be spin-free: each (N_alpha, N_beta) block is
-    # the dense matrix restricted to its states, couplings to other blocks
-    # dropped
-    T, V, d = case
-    n = T.shape[0]
-    H, D = build_hamiltonian(T, V).dense(), build_dipole(d).dense()
-    for sector in all_sectors(n):
-        keep = block_states(n, sector)
-        block = sector_block(T, sector) + sector_block(V, sector)
-        assert block.shape == (len(keep), len(keep))
-        assert np.max(np.abs(block - H[np.ix_(keep, keep)]), initial=0.0) \
-            <= 1e-13 * np.max(np.abs(H), initial=0.0)
-        assert np.max(np.abs(sector_block(d, sector)
-                             - D[np.ix_(keep, keep)]),
-                      initial=0.0) <= 1e-13 * np.max(np.abs(D), initial=0.0)
-        if sum(sector) < 2:  # no pair to remove
-            assert not sector_block(V, sector).any()
-    # the closed-form one-norms are the Pauli ones up to roundoff
-    want = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
-    assert abs(majorana_one_norm(T, V) - want) <= 1e-12 * want
-    want = lcu_one_norm(jordan_wigner(build_dipole(d)))
-    assert abs(majorana_one_norm(d) - want) <= 1e-12 * want
-
-
-DYADIC = st.integers(-32, 32).map(lambda k: k / 16)
-
-
-@st.composite
-def dyadic_integrals(draw):
-    """integrals() with entries in multiples of 1/16: a generic
-    spin-orbital set on up to 5 modes, or one lifted from up to 2 spatial
-    orbitals, the form the models take."""
-    if not draw(st.booleans()):
-        return draw(integrals(DYADIC, 5))
-    T, V, d = draw(integrals(DYADIC, 2))
-    T, V, (d, _, _) = ModelSpec(len(T), 0, T, V, [d] * 3).spin_orbital()
-    return T, V, d
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=dyadic_integrals())
-def test_closed_form_one_norms_are_exact_on_dyadic_integrals(case):
-    # every sum of multiples of 1/16 this small is exact, so the closed
-    # form and the Pauli image's one-norm agree bit for bit
-    T, V, d = case
-    assert majorana_one_norm(T, V) == lcu_one_norm(
-        jordan_wigner(build_hamiltonian(T, V)))
-    assert majorana_one_norm(d) == lcu_one_norm(jordan_wigner(build_dipole(d)))
-
-
-def test_sector_blocks_share_one_structure_and_match_each_block():
-    # T and the dipole axes from one sector structure, as diagonalize
-    # builds them, are each tensor's own block bit for bit
-    model = make_random_model(4, 4, 1)
-    T, _, D = model.spin_orbital()
-    tensors = [T, *D]
-    shared = list(sector_blocks(tensors, (2, 2)))
-    assert len(shared) == 4
-    for t, block in zip(tensors, shared):
-        assert np.array_equal(block, sector_block(t, (2, 2)))
-
-
-def test_sector_block_above_the_full_space_cap_is_the_pauli_block():
-    # 14 modes: the full matrix is refused, the Pauli block is not
-    model = make_random_model(7, 4, 7)
-    T, V, D = model.spin_orbital()
-    assert len(T) > FULL_SPACE_MODE_CAP
-    keep = block_states(len(T), (2, 2))
-    ops = [((T, V), build_hamiltonian(T, V))]
-    ops += [((d,), build_dipole(d)) for d in D]
-    for tensors, op in ops:
-        want = jordan_wigner(op).dense(states=keep)
-        got = sum(sector_block(t, (2, 2)) for t in tensors)
-        assert got.shape == (len(keep), len(keep))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_sector_block_and_one_norm_validation():
-    with pytest.raises(InputError):
-        sector_block(np.zeros((2, 3)), (1, 0))
-    with pytest.raises(InputError):
-        sector_block(np.zeros((2, 2, 2)), (1, 0))
-    # a sector is a pair (N_alpha, N_beta) within the spins' mode counts
-    for sector in (2, (1,), (-1, 0), (3, 0), (0, 2), (1.0, 0), [1, 0]):
-        with pytest.raises(InputError, match="sector"):
-            sector_block(np.zeros((3, 3)), sector)
-    with pytest.raises(InputError):
-        majorana_one_norm(np.zeros((2, 2)), np.zeros((3, 3, 3, 3)))
-    n = DEFAULT_MODE_CAP + 1
-    for fn in (lambda t: sector_block(t, (1, 0)), majorana_one_norm):
-        with pytest.raises(ResourceError, match="cap"):
-            fn(np.zeros((n, n)))
-    # the closed form holds for symmetric tensors only
-    with pytest.raises(InputError, match="symmetric"):
-        majorana_one_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    V = np.zeros((2, 2, 2, 2))
-    V[0, 1, 0, 1] = 1.0
-    with pytest.raises(InputError, match="symmetry"):
-        majorana_one_norm(np.zeros((2, 2)), V)
-    with pytest.raises(InputError, match="one shape"):
-        next(sector_blocks([np.eye(2), np.eye(3)], (1, 0)))
-
-
-def test_closed_form_drops_the_strings_the_image_prunes():
-    # a 1.5e-14 entry passes the entry prune, but both of its strings,
-    # 7.5e-15 each, fall below PRUNE_TOL in the image
-    T, V = np.diag([1.5e-14, 0.0]), np.zeros((2,) * 4)
-    assert lcu_one_norm(jordan_wigner(build_hamiltonian(T, V))) == 0.0
-    assert majorana_one_norm(T, V) == 0.0
-
-
-@pytest.mark.parametrize("args", [None, (3, 2, 4)],
-                         ids=lambda a: "dimer" if a is None else "random")
-def test_pauli_one_norms_are_checked_by_an_independent_map(args, monkeypatch):
-    # the Pauli path checks majorana_one_norm, so it must not reach the
-    # closed form; the two agree up to roundoff
-    model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
-             else make_random_model(*args))
-    T, V, D = model.spin_orbital()
-    tensors = [(T, V)] + [(d,) for d in D]
-    want = [majorana_one_norm(*t) for t in tensors]
-
-    def refuse(*_):
-        raise AssertionError("the Pauli path reached the closed form")
-
-    monkeypatch.setattr(operators, "majorana_one_norm", refuse)
-    got = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
-    got += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-12 * w
-    if args is None:  # the dimer's sums are exact: alpha 6, beta_x 1
-        assert got == want == [6.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +275,7 @@ def test_jordan_wigner_matches_the_dict_reference_bit_for_bit(op):
 def test_jordan_wigner_of_model_operators_matches_the_dict_reference(args):
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    T, V, D = model.spin_orbital()
+    T, V, D = spin_orbital(model)
     ops = [build_hamiltonian(T, V)] + [build_dipole(d) for d in D]
     for op in ops:
         assert_same_bits(jordan_wigner(op), dict_jordan_wigner(op))
@@ -512,7 +329,7 @@ def test_jordan_wigner_total_cancellation_is_empty():
 
 
 def test_jordan_wigner_memory_is_bounded():
-    T, V, _ = make_random_model(5, 4, 0).spin_orbital()
+    T, V, _ = spin_orbital(make_random_model(5, 4, 0))
     H = build_hamiltonian(T, V)
     tracemalloc.start()
     try:
@@ -544,7 +361,7 @@ def test_full_space_matrices_are_capped_before_allocation():
 
 
 def test_jordan_wigner_qubit_cap():
-    # the sector blocks list all 2^n basis states as int64, 16 GiB at 31
+    # a Pauli block indexes all 2^n basis states as int64, 16 GiB at 31
     # modes, so the cap stays well below that
     assert DEFAULT_MODE_CAP <= 31
     n = DEFAULT_MODE_CAP
@@ -570,7 +387,7 @@ def test_jordan_wigner_qubit_cap():
 # ---------------------------------------------------------------------------
 
 def test_dimer_one_norms(dimer):
-    T, V, D = dimer.spin_orbital()
+    T, V, D = spin_orbital(dimer)
     alpha = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
     beta = lcu_one_norm(jordan_wigner(build_dipole(D[0])))
     assert alpha == pytest.approx(6.0, abs=1e-12)
@@ -587,7 +404,7 @@ def test_dipole_norm_hierarchy(args):
     # exceed the Pauli one-norm)
     model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
              else make_random_model(*args))
-    _, _, D = model.spin_orbital()
+    _, _, D = spin_orbital(model)
     states = [b for b in range(2 ** len(D[0]))
               if bin(b).count("1") == model.n_electrons]
     for d in D:

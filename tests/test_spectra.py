@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (distinct_levels, naive_sector_spectrum,
-                      run_with_blas_threads)
+                      run_with_blas_threads, spin_orbital)
 from oracle_reference import alpha3, alpha3_terms, chi1_time, r_pathways
 from respsim import (
     InputError,
@@ -24,6 +25,7 @@ from respsim import (
     build_hamiltonian,
     diagonalize,
     jordan_wigner,
+    lcu_one_norm,
     make_hubbard_dimer,
     make_random_model,
     nested_window_amplitude,
@@ -100,56 +102,78 @@ def test_diagonalize_builds_no_ladder_or_pauli_operator(monkeypatch, dimer,
         assert np.array_equal(got.eigenvalues, sd.eigenvalues)
 
 
-def test_diagonalize_heap_peak():
-    # 0.55 MiB, with the spin-orbital lift made here, only the 100-state
-    # (N_alpha, N_beta) = (2, 2) block built, H and the lifted V freed after
-    # eigh, each rotated dipole written in place and one one-body block
-    # structure kept for T and the dipoles; the bound leaves about 8% over
-    # that.  Building the 210-state sector's blocks and slicing them to
-    # the block peaked at 1.77 MiB, the whole sector at 2.09
-    model = make_random_model(5, 4, 0)
+def _diagonalize_peak(model):
+    """diagonalize's tracemalloc heap peak, in bytes."""
     tracemalloc.start()
     try:
         diagonalize(model)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.59 * 2 ** 20
+
+
+def test_diagonalize_heap_peak():
+    # 0.42 MiB: the 100-state (N_alpha, N_beta) = (2, 2) block built on
+    # 10 alpha and 10 beta strings, H freed after eigh, each rotated
+    # dipole written in place; the bound leaves about 40% over that.  The
+    # spin-orbital path (the lift, then one block structure for T and the
+    # dipoles) peaked at 0.54 MiB, the whole 210-state sector at 2.09
+    assert _diagonalize_peak(make_random_model(5, 4, 0)) <= 0.59 * 2 ** 20
+
+
+def test_diagonalize_heap_peak_at_the_cap():
+    # n = 7, eta = 7: the largest block, 35 x 35 strings, 1 225 states.
+    # 58.6 MiB: the three rotated dipoles (34.3 MiB), the eigenvectors and
+    # one (D_a x 1) U buffer (11.4 MiB each).  The spin-orbital path
+    # peaked at 69.1 MiB here; a string build that kept a transposed copy
+    # and made dense dipole temporaries, at 92.6
+    assert _diagonalize_peak(make_random_model(7, 7, 0)) <= 62 * 2 ** 20
+
+
+def test_diagonalize_forms_no_spin_orbital_tensor():
+    # n = 7, eta = 1: a 7-state block on 7 alpha strings.  The lifted V
+    # alone would be 14^4 doubles (300 KiB), and a list of the 2^14 Fock
+    # states 128 KiB; the string build peaks at about 105 KiB (the
+    # spin-orbital path at 1.33 MiB)
+    assert _diagonalize_peak(make_random_model(7, 1, 0)) <= 14 ** 4 * 8 / 2
 
 
 # alpha.hex(), betas, and sha256 of eigenvalues / transition_dipoles bytes.
-# The one-norms are majorana_one_norm's closed form, numpy sums over the
-# tensors' contractions, so they carry its bits, not the Pauli one-norms'
-# (they differ at roundoff).  The spectra come from the sector blocks that
-# sector_blocks builds from the tensors: one np.bincount adds each entry's
-# (lower state, preimage, preimage) triples group by group, on the
-# (N_alpha, N_beta) block of the ground state.  The hashes also depend on
+# The one-norms are the spin-summed closed forms of spectra._one_norms,
+# numpy sums over the spatial integrals' contractions, so they carry their
+# bits, not the Pauli one-norms' (they differ at roundoff).  The spectra
+# come from the string blocks: H from matrix products over the alpha and
+# beta strings' excitation matrices, each dipole rotated through its
+# D_a x 1 and 1 x D_b factors.  Re-recorded when the string blocks
+# replaced the spin-orbital sector blocks, whose bits they move at
+# roundoff: alpha by 1 ulp at (3, 2, 4) and (4, 4, 1) and by 3 at
+# (5, 4, 0), two of the twelve betas by 1 ulp, and every hash.  The hashes also depend on
 # the LAPACK build (these come from numpy 2.4 with OpenBLAS 0.3.31 on
 # x86-64) and on the BLAS thread count: np.linalg.eigh and
-# evecs.T @ D @ evecs change bits with it, and at one thread (7, 4, 7)
+# the rotations change bits with it, and at one thread (7, 4, 7)
 # hashes differently.  They were recorded with two threads, so a child
 # process pinned to two recomputes them.
 FROZEN_SPECTRA = {
-    (3, 2, 4): ("0x1.cf2f188c30f9cp+3",
+    (3, 2, 4): ("0x1.cf2f188c30f9bp+3",
                 ("0x1.b8aa1b4740af2p+2", "0x1.1b90c6d530606p+2",
                  "0x1.6cc40b2a6c74fp+2"),
-                "83df8abd0569be1482793e46562a48a6985e5eacfa10a182beb4e60c09d9367d",
-                "d8cdcdd5af3dbb3f200f79c037082e6845b6cffd00c3fa088adbcb53050b7584"),
-    (4, 4, 1): ("0x1.15ec581af04e8p+4",
-                ("0x1.0a4f3a9366b40p+4", "0x1.1f6314199bf49p+3",
+                "d98af40c067172ca08e2c33554a9d606323bf7336ca49219ecc327ab6ef5c0a3",
+                "b75c86b92d63ce63ce69cf2a61aa746a2e923492d38edf0f23fe7743b75c9837"),
+    (4, 4, 1): ("0x1.15ec581af04e7p+4",
+                ("0x1.0a4f3a9366b41p+4", "0x1.1f6314199bf49p+3",
                  "0x1.6fef05a77b498p+3"),
-                "a92d75bbf7bf33e8f89ab815a6bc1d3812585767b920c32db6487ea4acafa33a",
-                "520a1c5ed3dde1220ddbe0f02d1ac9dec342052c6ccf422bd2690c768b5a8144"),
-    (5, 4, 0): ("0x1.f99a75bf83501p+4",
+                "ae4aec387616f776da91c32e42316646a3777fca136e5113521b900260b9ecd2",
+                "29566a7da1d30bac4854257b1c758e2e721e7e5d896321ba8949f03b0dc19c49"),
+    (5, 4, 0): ("0x1.f99a75bf83504p+4",
                 ("0x1.bd1068674945cp+3", "0x1.137e2ec1d1995p+4",
                  "0x1.272ba083d158bp+4"),
-                "ccb256d6b2f218e5047f3c77e44e6b7eab613625a1e21fb5c9c8a45d4fc0235a",
-                "be3dba33fd4955ff94655b9cdd410647fd5bdd637138b70ac0b3f559a7ba5e25"),
+                "6cb3d66443bc21395300e66396a83b826bc49c91458740a6b75712e5cf79da80",
+                "7a30ee288706bfdc2a40c49090c59b30a5c736ebc31ad6be3426042cca3d41a0"),
     (7, 4, 7): ("0x1.1b5beaca06d7cp+6",
-                ("0x1.d68ab08980c27p+4", "0x1.26a5aeb6218f9p+5",
+                ("0x1.d68ab08980c28p+4", "0x1.26a5aeb6218f9p+5",
                  "0x1.055acaa546a99p+5"),
-                "a3ff4b9e1dee41df2512ae2f8fa85999da165a8e1b6b0df5b6f867023ee00bc1",
-                "12229caea3655f6d5ff4fdaf915d0f077650abef525d18148b601236acf105e4"),
+                "98702f2938cc54d933211e2c17a06a495ac9d0a46cd792892fd762919fdd5a4b",
+                "0b439474f88712143a1dab981acd81477938b0f3c26299bb815e2998c72b5317"),
 }
 
 
@@ -211,28 +235,9 @@ def test_diagonalize_enforces_mode_cap():
         diagonalize(zero)
 
 
-@pytest.mark.parametrize("part", ["T", "V", "dipole"])
-def test_diagonalize_refuses_an_asymmetric_tensor_before_any_block(
-        dimer, monkeypatch, part):
-    # the one-norms hold the only symmetry check, so they run first
-    def no_block(*args, **kwargs):
-        raise AssertionError("a sector block was built")
-
-    monkeypatch.setattr(spectra, "sector_blocks", no_block)
-    monkeypatch.setattr(spectra, "sector_block", no_block)
-    tensor = getattr(dimer, part).copy()
-    tensor[(0,) * (tensor.ndim - 2) + (0, 1)] += 1e-9
-    model = ModelSpec(dimer.n_orbitals, dimer.n_electrons,
-                      **{"T": dimer.T, "V": dimer.V, "dipole": dimer.dipole,
-                         part: tensor})
-    with pytest.raises(InputError, match="symmetr"):
-        diagonalize(model)
-
-
 def test_diagonalize_full_space_cap_allocates_nothing():
-    # 20 modes: enumerating the full Fock space alone would take 8 MiB of
-    # int64 states, and the lifted V 1.22 MiB; the cap refuses before any
-    # of it is built
+    # 20 modes: the (2, 2) block would hold 2 025 states, a 31 MiB H; the
+    # cap refuses before any of it is built
     n = 10
     zero = ModelSpec(n, 4, np.zeros((n, n)), np.zeros((n,) * 4),
                      np.zeros((3, n, n)))
@@ -263,7 +268,7 @@ def pauli_sector_spectrum(model):
     """(excitations, transition_dipoles) on the model's whole eta-electron
     sector, ground level shifted to zero, from the sector blocks of the
     Jordan-Wigner images: the full-sector reference."""
-    T, V, D = model.spin_orbital()
+    T, V, D = spin_orbital(model)
     keep = [b for b in range(2 ** len(T))
             if bin(b).count("1") == model.n_electrons]
     H = jordan_wigner(build_hamiltonian(T, V)).dense(states=keep).real
@@ -305,6 +310,191 @@ def test_block_spectrum_is_the_sector_spectrum(data, n, seed):
     # absolute up to |R| = 1; pathway values reach 4e4 near omega = 0,
     # where roundoff alone moves them by 1e-10
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _level_weights(w, td, ax, level):
+    """sum over the states at `level` of td[ax][0, k] td[ax][k, 0]."""
+    near = np.abs(w - level) < 1e-9
+    return float(np.sum(td[ax][0, near] * td[ax][near, 0]))
+
+
+def _chain(w, td, axes, levels):
+    """<0| d_a0 P_1 d_a1 P_2 d_a2 P_3 d_a3 |0>, P_k onto the states within
+    1e-9 of levels[k - 1] (never the ground state), as dense products."""
+    v = td[axes[-1]][:, 0]
+    for ax, level in zip(axes[-2::-1], levels[::-1]):
+        v = td[ax] @ np.where(np.abs(w - level) < 1e-9, v, 0.0)
+    return float(v[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_string_spectrum_matches_the_naive_sector(data, n, seed):
+    # the string block against the naive Fock matrices of the whole
+    # eta-electron sector: the same levels, the same bright-line strength
+    # at each, one order-3 chain amplitude, and one-norms equal to those
+    # of the Jordan-Wigner images of the lifted operators
+    eta = data.draw(st.integers(0, 2 * n), label="eta")
+    model = make_random_model(n, eta, seed)
+    sd = diagonalize(model)
+    T, V, D = spin_orbital(model)
+    want = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
+    want += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
+    for got, ref in zip((sd.alpha, *sd.betas), want):
+        assert abs(got - ref) <= 1e-12 * ref
+    w, td = naive_sector_spectrum(model)
+    levels = distinct_levels(w)
+    gap = np.abs(np.subtract.outer(levels, sd.eigenvalues))
+    assert np.all(gap.min(axis=1) < 1e-9) and np.all(gap.min(axis=0) < 1e-9)
+    if sd.n_states > 1 and sd.eigenvalues[1] < 1e-9:
+        event("ground level of two multiplets: amplitudes not compared")
+        return
+    scale = max(1.0, float(np.max(np.abs(td))) ** 4)
+    for ax in range(3):
+        for level in levels[1:]:
+            assert abs(_level_weights(sd.eigenvalues, sd.transition_dipoles,
+                                      ax, level)
+                       - _level_weights(w, td, ax, level)) <= 1e-10 * scale
+    if len(levels) > 1:
+        axes = data.draw(st.tuples(*[st.integers(0, 2)] * 4), label="axes")
+        chain = data.draw(st.lists(st.sampled_from(levels[1:]), min_size=3,
+                                   max_size=3), label="levels")
+        got = nested_window_amplitude(
+            sd, axes, [(lvl - 1e-9, lvl + 1e-9) for lvl in chain])
+        assert abs(got - _chain(w, td, axes, chain)) <= 1e-10 * scale
+
+
+def string_basis(n, n_alpha, n_beta):
+    """(Fock state, sign) of each product state |I, J>, in the order of the
+    string blocks: alpha strings I, then beta strings J, in the order of
+    itertools.combinations, alpha creators first.  The Fock state puts
+    orbital p's alpha spin at mode 2p and its beta spin at 2p + 1, with its
+    creators in ascending mode order (conftest), so the sign is the parity
+    of the pairs of an alpha orbital above a beta one."""
+    out = []
+    for I in combinations(range(n), n_alpha):
+        for J in combinations(range(n), n_beta):
+            modes = [2 * p for p in I] + [2 * q + 1 for q in J]
+            state = sum(1 << (2 * n - 1 - mode) for mode in modes)
+            out.append((state, (-1) ** sum(q < p for p in I for q in J)))
+    return out
+
+
+def string_blocks(model, n_alpha, n_beta):
+    """H and the three dipoles on the (n_alpha, n_beta) strings."""
+    n = model.n_orbitals
+    ea, eb = (spectra._excitations(n, c) for c in (n_alpha, n_beta))
+    H = spectra._hamiltonian_block(model, ea, eb)
+    D = [np.kron(np.tensordot(d, ea, 1), np.eye(eb.shape[1]))
+         + np.kron(np.eye(ea.shape[1]), np.tensordot(d, eb, 1))
+         for d in model.dipole.reshape(3, n * n)]
+    return H, D
+
+
+VALUES = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def spin_free_models(draw, values=VALUES, max_orbitals=4):
+    """ModelSpecs on 1..max_orbitals spatial orbitals with a few entries:
+    T and d symmetric, V set on all eight images of each entry."""
+    n = draw(st.integers(1, max_orbitals))
+    index = st.integers(0, n - 1)
+    entries = st.lists(st.tuples(*[index] * 4, values), max_size=6)
+    T, d, V = np.zeros((n, n)), np.zeros((3, n, n)), np.zeros((n,) * 4)
+    for one in (T, *d):
+        for p, q, _, _, v in draw(entries):
+            one[p, q] = one[q, p] = v
+    for *idx, v in draw(entries):
+        for perm in operators.TWO_BODY_IMAGES:
+            V[tuple(idx[a] for a in perm)] = v
+    return ModelSpec(n, 0, T, V, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=spin_free_models())
+def test_string_block_is_the_fermion_matrix_restricted(model):
+    # every (N_alpha, N_beta) block on strings is the ladder operators'
+    # dense matrix restricted to the block's Fock states, after each
+    # state's sign and the permutation to the string order
+    T, V, D = spin_orbital(model)
+    H = build_hamiltonian(T, V).dense()
+    dense = [build_dipole(d).dense() for d in D]
+    n = model.n_orbitals
+    for n_alpha in range(n + 1):
+        for n_beta in range(n + 1):
+            states, signs = map(np.array, zip(*string_basis(n, n_alpha,
+                                                            n_beta)))
+            flip = np.outer(signs, signs)
+            got_H, got_D = string_blocks(model, n_alpha, n_beta)
+            for got, full in zip([got_H, *got_D], [H, *dense]):
+                want = full[np.ix_(states, states)].real * flip
+                assert np.max(np.abs(got - want)) <= \
+                    1e-13 * max(1.0, np.max(np.abs(full)))
+
+
+def test_string_block_at_the_cap_is_the_pauli_block():
+    # 14 modes: the full matrix is refused, the Pauli block is not
+    model = make_random_model(7, 4, 7)
+    T, V, D = spin_orbital(model)
+    states, signs = map(np.array, zip(*string_basis(7, 2, 2)))
+    flip = np.outer(signs, signs)
+    got = string_blocks(model, 2, 2)
+    ops = [build_hamiltonian(T, V)] + [build_dipole(d) for d in D]
+    for block, op in zip([got[0], *got[1]], ops):
+        want = jordan_wigner(op).dense(states=states).real * flip
+        assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+DYADIC = st.integers(-32, 32).map(lambda k: k / 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=spin_free_models(DYADIC, 3))
+def test_closed_form_one_norms_are_exact_on_dyadic_integrals(model):
+    # every sum of multiples of 1/16 this small is exact, so the closed
+    # forms and the Pauli images' one-norms agree bit for bit
+    T, V, D = spin_orbital(model)
+    alpha, betas = spectra._one_norms(model)
+    assert alpha == lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
+    assert betas == tuple(lcu_one_norm(jordan_wigner(build_dipole(d)))
+                          for d in D)
+
+
+def test_closed_form_drops_the_strings_the_image_prunes():
+    # a 1.5e-14 entry passes the entry prune: lifted, its identity
+    # coefficient (1.5e-14) stays and its two Z strings (7.5e-15 each)
+    # fall to PRUNE_TOL, in the image as in the closed form; a 1e-14 entry
+    # drops at once
+    for t, want in ((1.5e-14, 1.5e-14), (1e-14, 0.0)):
+        model = ModelSpec(2, 0, np.diag([t, 0.0]), np.zeros((2,) * 4),
+                          np.zeros((3, 2, 2)))
+        T, V, _ = spin_orbital(model)
+        image = lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))
+        assert spectra._one_norms(model)[0] == image == want
+
+
+@pytest.mark.parametrize("args", [None, (3, 2, 4)],
+                         ids=lambda a: "dimer" if a is None else "random")
+def test_pauli_one_norms_are_checked_by_an_independent_map(args, monkeypatch):
+    # the Pauli path checks the closed forms, so it must not reach them;
+    # the two agree up to roundoff
+    model = (make_hubbard_dimer(1.0, 2.0, 0.5) if args is None
+             else make_random_model(*args))
+    sd = diagonalize(model)
+
+    def refuse(*_):
+        raise AssertionError("the Pauli path reached the closed form")
+
+    monkeypatch.setattr(spectra, "_one_norms", refuse)
+    T, V, D = spin_orbital(model)
+    got = [lcu_one_norm(jordan_wigner(build_hamiltonian(T, V)))]
+    got += [lcu_one_norm(jordan_wigner(build_dipole(d))) for d in D]
+    want = [sd.alpha, *sd.betas]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+    if args is None:  # the dimer's sums are exact: alpha 6, beta_x 1
+        assert got == want == [6.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
