@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AXIS_LETTERS, InputError, ResourceError, check_axes,
-                     check_positive, check_seed, is_finite_real, is_int)
+                     check_positive, check_reals, check_seed, check_windows,
+                     is_finite_real, is_int)
 from .estimate import METHODS, OVERLAP, binary_search_nd, estimate_box
 from .spectra import (SpectralData, SusceptibilityResult, alpha1,
                       r_pathway_fd)
@@ -89,24 +90,14 @@ class ResponseTable:
             raise InputError(f"entry needs {', '.join(missing)}")
         axes = check_axes(meta.pop("axes"), self.order + 1)
         meta.update(meta.pop("meta", {}))
-        try:
-            window = tuple((lo, hi) for lo, hi in meta.pop("window"))
-        except (TypeError, ValueError):
-            raise InputError("window must be a sequence of (lo, hi) "
-                             "pairs") from None
-        if not all(map(is_finite_real, itertools.chain(*window))):
-            raise InputError(f"window {window} needs finite real edges")
-        window = tuple((round(float(a), 12), round(float(b), 12))
-                       for a, b in window)
+        # checked again after rounding, which can close a narrow window
+        window = check_windows([(round(lo, 12), round(hi, 12)) for lo, hi
+                                in check_windows(meta.pop("window"))],
+                               self.order)
         value = meta.pop("value")
         if not is_finite_real(value):
             raise InputError("value must be a finite real number")
         value = float(value)
-        if not all(a < b for a, b in window):
-            raise InputError(f"window {window} needs lo < hi")
-        if len(window) != self.order:
-            raise InputError(f"entry has nesting depth {len(window)}, table "
-                             f"holds {self.order}")
         return {"axes": axes, "window": window, "value": value, "meta": meta}
 
     def _clashes(self, w1, w2) -> bool:
@@ -157,10 +148,7 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     ax_out, ax_in = table.entries[0]["axes"]
     if len(table.select((ax_out, ax_in))) != len(table.entries):
         raise InputError("first-order assembly needs one dipole chain")
-    om = np.asarray(omega_grid, dtype=object)
-    if not all(map(is_finite_real, om.ravel())):
-        raise InputError("frequency grid points must be finite real numbers")
-    om = om.astype(float)
+    om = check_reals(omega_grid, "frequency grid points")
     vals = np.zeros(om.shape, dtype=complex)
     for e in table.entries:
         (wt,) = _centres(e)
@@ -230,15 +218,13 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         if e["axes"] not in read:
             raise InputError(f"no term reads {_search_name(e['axes'])} entries")
     i1, i_tr, i3, i2 = chain
-    gd = [ground_dipoles.get(ax, 0.0) for ax in chain]
-    if not all(is_finite_real(m) for m in gd):
-        raise InputError("ground moments must be finite real numbers")
-    gd = [float(m) for m in gd]
+    gd = check_reals([ground_dipoles.get(ax, 0.0) for ax in chain],
+                     "ground moments")
+    if gd.shape != (4,):
+        raise InputError("each ground moment must be one number")
+    gd = gd.tolist()
 
-    triples = np.asarray(omega_triples, dtype=object)
-    if not all(map(is_finite_real, triples.ravel())):
-        raise InputError("omega triples must be finite real numbers")
-    triples = triples.astype(float)
+    triples = check_reals(omega_triples, "omega triples")
     squeeze = triples.ndim == 1
     triples = np.atleast_2d(triples)
     if triples.shape[-1] != 3:
@@ -403,14 +389,12 @@ def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
     seed = check_seed(seed)
     axes = (0,) * (order + 1) if axes is None else check_axes(axes, order + 1)
     if grid is not None:
-        grid = np.asarray(grid, dtype=object)
+        grid = check_reals(grid, "grid points")
         if grid.size > GRID_POINT_CAP:
             raise ResourceError(f"{grid.size} grid points exceeds the cap "
                                 f"of {GRID_POINT_CAP}")
-        if not (grid.ndim == 1 and grid.size
-                and all(map(is_finite_real, grid))):
+        if not (grid.ndim == 1 and grid.size):
             raise InputError("grid must be a non-empty list of finite reals")
-        grid = grid.astype(float)
     return axes, grid, seed
 
 

@@ -1,29 +1,36 @@
-"""Command-line entry point.
+"""respsim: windowed-filter simulator for molecular response functions.
 
-Examples:
-    respsim --toy hubbard:t=1,U=2,d=0.5 --gamma 0.05 --order 1 --axes xx \
-            --grid 0:5.4:109 --seed 7 --out run1
-    respsim --model fci.txt --dipole dip.txt --oracle-only --gamma 0.1
+Usage: respsim (--model FILE [--dipole FILE] | --toy SPEC) [options]
 
---axes names the dipole chain, one letter per axis; `run_pipeline` checks
-its length (order + 1) and sets its default (all x).
+  --model FILE     integral file (orbital basis)
+  --dipole FILE    dipole integral file for --model (default: zero dipoles)
+  --toy SPEC       hubbard:t=1,U=2,d=0.5 or random:n=3,ne=2,seed=0 (defaults)
+  --oracle-only    exact sum over states only, no simulation
+  --simulate       run the search/estimate protocol (the default)
+  --gamma G        line width / resolution target (default 0.05)
+  --eps E          per-window estimation accuracy in (0, 1) (default 2e-3)
+  --order K        response order, 1 or 3 (default 1)
+  --axes CHAIN     dipole chain, order + 1 letters from xyz (default all x)
+  --grid LO:HI:N   N >= 2 frequencies (default 121 from 0 to 1.2 x top level)
+  --seed S         integer seed >= 0 (default 0)
+  --method M       estimation backend: direct, ae or exact (default ae)
+  --out DIR        output directory (default: write no files)
+  -h, --help       print this text
 
-Exit codes: 0 success, 2 bad input, 3 resource cap exceeded,
-4 statistical failure.
+Exit codes: 0 success (and --help), 2 bad input (a malformed command
+line too), 3 resource cap exceeded, 4 statistical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+import getopt
 import math
-import os
 import sys
 
 import numpy as np
 
 from .assemble import GRID_POINT_CAP, check_run_options, run_pipeline
-from .estimate import METHODS
 from .errors import (AXIS_LETTERS, InputError, ResourceError, RespsimError,
                      StatisticalFailure)
 from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
@@ -89,56 +96,61 @@ def _parse_grid(text: str):
     return np.linspace(lo, hi, n)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="respsim",
-        description="Windowed-filter simulator for molecular response "
-                    "functions.")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", help="integral file (orbital basis)")
-    src.add_argument("--toy", help="built-in model, e.g. "
-                     "hubbard:t=1,U=2,d=0.5 or random:n=3,ne=2,seed=7")
-    p.add_argument("--dipole", help="dipole integral file for --model")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--oracle-only", action="store_true",
-                      help="exact sum over states only, no simulation")
-    mode.add_argument("--simulate", action="store_true",
-                      help="run the search/estimate protocol (default)")
-    p.add_argument("--gamma", type=float, default=0.05,
-                   help="line width / resolution target (default 0.05)")
-    p.add_argument("--eps", type=float, default=2e-3,
-                   help="per-window estimation accuracy (default 2e-3)")
-    p.add_argument("--order", type=int, choices=(1, 3), default=1)
-    p.add_argument("--axes", default=None,
-                   help="dipole chain, order + 1 letters (default all x)")
-    p.add_argument("--grid", default=None, help="frequency grid lo:hi:n")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=METHODS,
-                   default="ae", help="estimation backend (default ae)")
-    p.add_argument("--out", default=None, help="output directory")
-    return p
+# each long option and the converter of its text (None: a flag); the run
+# options, gamma to method, go to check_run_options as they are given
+_OPTIONS = {"model": str, "dipole": str, "toy": str, "oracle-only": None,
+            "simulate": None, "gamma": float, "eps": float, "order": int,
+            "axes": _parse_axes, "grid": _parse_grid, "seed": int,
+            "method": str, "out": str, "help": None}
+_RUN_OPTIONS = {"gamma", "eps", "order", "axes", "grid", "seed", "method"}
+
+
+def _parse_argv(argv) -> dict:
+    """The options given in argv, by long name, as unconverted text; a
+    malformed command line raises InputError."""
+    try:
+        opts, rest = getopt.getopt(argv, "h", [
+            name if conv is None else name + "="
+            for name, conv in _OPTIONS.items()])
+    except getopt.GetoptError as exc:
+        raise InputError(str(exc)) from None
+    given = {("help" if opt == "-h" else opt[2:]): text for opt, text in opts}
+    if rest:
+        raise InputError(f"unexpected argument {rest[0]!r}")
+    if "help" not in given:
+        if ("model" in given) == ("toy" in given):
+            raise InputError("give exactly one of --model and --toy")
+        if "oracle-only" in given and "simulate" in given:
+            raise InputError("give at most one of --oracle-only and "
+                             "--simulate")
+    return given
 
 
 def main(argv=None) -> int:
     gc.freeze()   # one-shot run: what is imported by now lives until exit
-    args = build_parser().parse_args(argv)
     try:
-        if args.toy:
-            if args.dipole is not None:
+        given = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if "help" in given:
+            print(__doc__, end="")
+            return 0
+        if "toy" in given:
+            if "dipole" in given:
                 raise InputError("--dipole applies to --model, not --toy")
-            model = _parse_toy(args.toy)
+            model = _parse_toy(given["toy"])
         else:
-            if not os.path.exists(args.model):
-                raise InputError(f"model file not found: {args.model}")
-            model = load_fcidump_like(args.model, dipole_path=args.dipole)
-        options = dict(
-            axes=None if args.axes is None else _parse_axes(args.axes),
-            grid=_parse_grid(args.grid) if args.grid else None,
-            gamma=args.gamma, eps=args.eps, order=args.order, seed=args.seed,
-            method=args.method,
-            mode="oracle" if args.oracle_only else "simulate")
+            model = load_fcidump_like(given["model"],
+                                      dipole_path=given.get("dipole"))
+        options = {"gamma": 0.05,
+                   "mode": "oracle" if "oracle-only" in given else "simulate"}
+        for name, text in given.items():
+            if name in _RUN_OPTIONS:
+                try:
+                    options[name] = _OPTIONS[name](text)
+                except ValueError as exc:
+                    raise InputError(f"bad --{name} value: {exc}") from None
         check_run_options(**options)  # before the spectrum is built
-        result = run_pipeline(diagonalize(model), out_dir=args.out, **options)
+        result = run_pipeline(diagonalize(model), out_dir=given.get("out"),
+                              **options)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -152,7 +164,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.oracle_only:
+    if options["mode"] == "oracle":
         print("oracle sum over states evaluated on "
               f"{len(np.atleast_1d(result['oracle'].frequencies))} points")
     else:
@@ -161,8 +173,8 @@ def main(argv=None) -> int:
                  if result["result"] is None else "")
         print(f"simulated {n_win} window estimate(s); "
               f"queries {result['manifest']['queries_total']}{empty}")
-    if args.out:
-        print(f"wrote outputs under {args.out}")
+    if given.get("out"):
+        print(f"wrote outputs under {given['out']}")
     return 0
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .chebfilter import build_indicator
 from .errors import (InputError, check_axes, check_positive, check_seed,
-                     is_finite_real)
+                     check_windows)
 from .spectra import SpectralData
 
 P0_SLACK = 0.05          # tolerated overshoot of |v| beyond 1 (filter bump)
@@ -446,17 +446,13 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
         raise InputError(f"unknown method {method!r}")
     check_positive("eps", eps)
     rng = np.random.default_rng(check_seed(seed))
-    try:
-        windows = [(lo, hi) for lo, hi in windows]
-    except (TypeError, ValueError):
-        raise InputError("each window must be a (lo, hi) pair") from None
+    windows = check_windows(windows)
     if not windows:
         raise InputError("need at least one window")
     for lo, hi in windows:
-        if not (is_finite_real(lo) and is_finite_real(hi) and 0 <= lo < hi):
+        if lo < 0:
             raise InputError(f"window [{lo}, {hi}) needs finite real edges, "
                              "0 <= lo < hi")
-    windows = [(float(lo), float(hi)) for lo, hi in windows]
     if delta is None:
         deltas = [(hi - lo) / 4.0 for lo, hi in windows]
     else:
@@ -490,7 +486,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     rounds = max(1, math.ceil(zeta / max(xi, eps_v * zeta)))
     queries = degree * shots * rounds
     return WindowEstimate(
-        window=tuple(windows), axes=chain_axes,
+        window=windows, axes=chain_axes,
         value=d_hat, method=method, shots=shots, queries=queries,
         eps_filter=eps / 2.0, eps_stat=eps / 2.0, degree=degree,
         rounds=rounds, delta=deltas[0], zeta=zeta)

@@ -220,9 +220,9 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     more than DEFAULT_MODE_CAP spin orbitals raises ResourceError before
     any integral array is allocated."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"integral file not found: {path}")
-    if dipole_path is not None and not Path(dipole_path).exists():
+    if dipole_path is not None and not Path(dipole_path).is_file():
         raise InputError(f"dipole file not found: {dipole_path}")
     lines = _stripped_lines(path)
     if not lines:

@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (InputError, ResourceError, check_axes, check_positive,
-                     is_finite_real, is_int)
+                     check_reals, check_windows, is_int)
 from .models import ModelSpec
 from .operators import DEFAULT_MODE_CAP, PRUNE_TOL
 
@@ -278,12 +278,8 @@ def nested_window_amplitude(sd: SpectralData, axes, windows) -> float:
     state always excluded.  Depth 1 is a first-order window sum over
     d^{ax0}[0,j] d^{ax1}[j,0].
     """
-    windows = [tuple(w) for w in windows]
+    windows = check_windows(windows)
     axes = check_axes(axes, len(windows) + 1)
-    for lo, hi in windows:
-        if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
-            raise InputError(f"window [{lo}, {hi}) needs finite real edges, "
-                             "lo < hi")
     u = sd.transition_dipoles[axes[-1]][:, 0]
     for ax, (lo, hi) in zip(axes[-2::-1], windows[::-1]):
         u = u * _window_mask(sd, lo, hi)
@@ -296,10 +292,8 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     """Linear susceptibility on a grid of finite frequencies."""
     i, j = check_axes((i, j), 2)
     check_positive("gamma", gamma)
-    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=object))
-    if not all(map(is_finite_real, omega_grid.ravel())):
-        raise InputError("frequency grid points must be finite real numbers")
-    omega_grid = omega_grid.astype(float)
+    omega_grid = np.atleast_1d(check_reals(omega_grid,
+                                           "frequency grid points"))
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
     om = omega_grid[:, None]
@@ -322,8 +316,9 @@ def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
     dipoles i1, i2, i3 act in time order on the sides pathway nu sets, and
     Tr[d_i rho] closes the trace."""
     check_positive("gamma", gamma)
-    if not all(map(is_finite_real, (Omega1, Omega2, Omega3))):
-        raise InputError("pathway frequencies must be finite real numbers")
+    if check_reals((Omega1, Omega2, Omega3),
+                   "pathway frequencies").shape != (3,):
+        raise InputError("each pathway frequency must be one number")
     if not (is_int(nu) and nu in _PATHWAY_SIDES):
         raise InputError(f"pathway index {nu!r} is not an integer in 1..4")
     i, i3, i2, i1 = check_axes(axes, 4)

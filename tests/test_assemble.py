@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import oracle_tables
 from respsim import (
@@ -33,6 +36,7 @@ from respsim import (
 from respsim import assemble
 from respsim.spectra import nested_window_amplitude
 from respsim.assemble import _ancestor_bin, _dedupe_windows
+from respsim.errors import check_reals, check_windows
 from respsim.estimate import SearchTrace, WindowEstimate
 
 
@@ -889,6 +893,23 @@ ADMISSION_PROBES = {
         lambda sd: nested_window_amplitude(sd, (0, 0), [(True, 4.55)]),
     "alpha1 grid ['1.0']": lambda sd: alpha1(sd, 0, 0, ["1.0"], 0.1),
     "alpha1 grid [True]": lambda sd: alpha1(sd, 0, 0, [True], 0.1),
+    "estimate_box window (lo, mid, hi)":
+        lambda sd: estimate_box(sd, (0, 0), [(4.35, 4.45, 4.55)], 1e-3),
+    "estimate_box window lo == hi":
+        lambda sd: estimate_box(sd, (0, 0), [(4.35, 4.35)], 1e-3),
+    "ResponseTable window (lo, mid, hi)":
+        lambda sd: _table(1, {"window": ((1.0, 1.5, 2.0),)}),
+    "ResponseTable window lo == hi":
+        lambda sd: _table(1, {"window": ((1.0, 1.0),)}),
+    "nested_window_amplitude window (lo, mid, hi)":
+        lambda sd: nested_window_amplitude(sd, (0, 0), [(4.35, 4.45, 4.55)]),
+    "nested_window_amplitude window lo == hi":
+        lambda sd: nested_window_amplitude(sd, (0, 0), [(4.35, 4.35)]),
+    "r_pathway_fd Omegas as arrays": lambda sd: r_pathway_fd(
+        sd, 1, (0, 0, 0, 0), [3.0, 3.0], [2.0, 2.0], [1.0, 1.0], 0.1),
+    "assemble_alpha3 ground moment [0.1, 0.2]":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(1.0, 1.0, 1.0)], 0.1, {0: [0.1, 0.2]}),
 }
 
 
@@ -898,3 +919,50 @@ def test_entry_points_refuse_bad_axes_seeds_indices_and_scalars(dimer_sd,
                                                                 probe):
     with pytest.raises(InputError):
         probe(dimer_sd)
+
+
+# entries of every kind the two checks see: finite and non-finite floats,
+# ints (some too large for a float), bools, strings and complex numbers
+_ENTRIES = st.one_of(st.floats(), st.integers(), st.integers(10**308, 10**400),
+                     st.booleans(), st.text(max_size=3), st.complex_numbers())
+
+
+def _finite_real(x):
+    """The test's own predicate: a Python or numpy float or int, not a bool,
+    finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
+@given(st.one_of(st.lists(_ENTRIES, max_size=6),
+                 arrays(np.float64, st.integers(0, 6))))
+def test_check_reals_admits_exactly_finite_reals(values):
+    if all(map(_finite_real, values)):
+        got, want = check_reals(values, "points"), np.asarray(values, float)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        with pytest.raises(InputError, match="points must be finite real"):
+            check_reals(values, "points")
+
+
+@given(st.one_of(
+    st.lists(st.one_of(st.tuples(_ENTRIES, _ENTRIES),
+                       st.lists(_ENTRIES, max_size=3)), max_size=3),
+    arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(1, 3)))))
+def test_check_windows_admits_exactly_finite_ascending_pairs(windows):
+    pairs = [tuple(w) for w in windows]
+    if all(len(p) == 2 and all(map(_finite_real, p))
+           and float(p[0]) < float(p[1]) for p in pairs):
+        want = tuple((float(lo), float(hi)) for lo, hi in pairs)
+        assert check_windows(windows) == want
+        assert check_windows(windows, len(pairs)) == want
+        with pytest.raises(InputError, match="nesting depth"):
+            check_windows(windows, len(pairs) + 1)
+    else:
+        with pytest.raises(InputError, match="window"):
+            check_windows(windows)

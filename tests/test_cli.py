@@ -131,6 +131,37 @@ def test_main_input_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err
     assert "dipole file not found" in err
+    # a directory, or an empty path (the current directory), is no file
+    for path in (str(tmp_path), ""):
+        assert main(["--model", path, "--oracle-only"]) == 2
+        assert main(["--model", str(ints), "--dipole", path]) == 2
+    assert capsys.readouterr().err.count("file not found") == 4
+
+
+# every long option, as the --help text must name it
+LONG_OPTIONS = ("--model", "--dipole", "--toy", "--oracle-only", "--simulate",
+                "--gamma", "--eps", "--order", "--axes", "--grid", "--seed",
+                "--method", "--out", "--help")
+
+
+@pytest.mark.parametrize("argv", [
+    "--toy hubbard --bogus", "--oracle-only", "--model m.txt --toy hubbard",
+    "--toy hubbard --oracle-only --simulate", "--toy hubbard --gamma abc",
+    "--toy hubbard --eps abc", "--toy hubbard --order abc",
+    "--toy hubbard --seed abc", "--toy hubbard --order 2",
+    "--toy hubbard --method bogus", "--toy hubbard stray",
+    "--toy hubbard --gamma", "--toy hubbard -x", "--toy hubbard --s 1"])
+def test_malformed_command_lines_are_input_errors(argv, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", ["--help", "-h", "--toy hubbard --help"])
+def test_help_prints_every_option(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert out == cli.__doc__
+    assert [o for o in LONG_OPTIONS if o not in out] == []
 
 
 def test_main_rejects_negative_seed(capsys):
