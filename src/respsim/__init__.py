@@ -13,11 +13,8 @@ simulated quantity.
 
 from .errors import (InputError, ResourceError, RespsimError,
                      StatisticalFailure)
-from .operators import (FermionOperator, PauliOperator, build_dipole,
-                        build_hamiltonian, eta_dipole_norm, jordan_wigner,
-                        lcu_one_norm, validate_two_body_symmetry)
 from .models import (ModelSpec, load_fcidump_like, make_hubbard_dimer,
-                     make_random_model)
+                     make_random_model, validate_two_body_symmetry)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1, diagonalize,
                       nested_window_amplitude, r_pathway_fd)
 from .chebfilter import (ChebyshevFilter, build_indicator, chebyshev_grid,
@@ -32,11 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InputError", "ResourceError", "RespsimError", "StatisticalFailure",
-    "FermionOperator", "PauliOperator", "build_dipole", "build_hamiltonian",
-    "eta_dipole_norm", "jordan_wigner", "lcu_one_norm",
-    "validate_two_body_symmetry",
     "ModelSpec", "load_fcidump_like", "make_hubbard_dimer",
-    "make_random_model",
+    "make_random_model", "validate_two_body_symmetry",
     "SpectralData", "SusceptibilityResult", "alpha1", "diagonalize",
     "nested_window_amplitude", "r_pathway_fd",
     "ChebyshevFilter", "build_indicator", "chebyshev_grid", "choose_k",

@@ -367,13 +367,15 @@ def _child_seed(seed: int, idx: int) -> int:
 
 def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
                       axes=None, grid=None, seed: int = 0, method: str = "ae",
-                      mode: str = "simulate", window_width: float = None):
+                      mode: str = "simulate", window_width: float = None,
+                      out_dir: str = None):
     """run_pipeline's options, checked without a spectrum, as (axes, grid,
     seed): axes all x when None, grid a float array or None.  The seed,
     axes, gamma, eps and window_width go through `respsim.errors`; a
-    method outside METHODS, eps of 1 or more, an order other than 1 or 3
-    or a grid not a non-empty 1-D sequence of finite reals raise
-    InputError, and a grid above GRID_POINT_CAP points ResourceError."""
+    method outside METHODS, eps of 1 or more, an order other than 1 or 3,
+    a grid not a non-empty 1-D sequence of finite reals or an out_dir that
+    is empty, a file or under a file raise InputError, and a grid above
+    GRID_POINT_CAP points ResourceError."""
     check_positive("gamma", gamma)
     check_positive("eps", eps)
     if eps >= 1:
@@ -395,6 +397,13 @@ def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
                                 f"of {GRID_POINT_CAP}")
         if not (grid.ndim == 1 and grid.size):
             raise InputError("grid must be a non-empty list of finite reals")
+    if out_dir is not None:
+        path = out_dir  # its nearest existing ancestor, "" for the cwd
+        while path and not os.path.lexists(path):
+            path = os.path.dirname(path)
+        if not out_dir or path and not os.path.isdir(path):
+            raise InputError(f"output directory {out_dir!r} is empty, a "
+                             "file or a path under a file")
     return axes, grid, seed
 
 
@@ -426,7 +435,7 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
     entries).  Writes those as CSV/JSON files when out_dir is set.
     """
     axes, grid, seed = check_run_options(gamma, eps, order, axes, grid, seed,
-                                         method, mode, window_width)
+                                         method, mode, window_width, out_dir)
     if grid is None:
         grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
 

@@ -141,7 +141,8 @@ def main(argv=None) -> int:
             model = load_fcidump_like(given["model"],
                                       dipole_path=given.get("dipole"))
         options = {"gamma": 0.05,
-                   "mode": "oracle" if "oracle-only" in given else "simulate"}
+                   "mode": "oracle" if "oracle-only" in given else "simulate",
+                   "out_dir": given.get("out")}
         for name, text in given.items():
             if name in _RUN_OPTIONS:
                 try:
@@ -149,8 +150,7 @@ def main(argv=None) -> int:
                 except ValueError as exc:
                     raise InputError(f"bad --{name} value: {exc}") from None
         check_run_options(**options)  # before the spectrum is built
-        result = run_pipeline(diagonalize(model), out_dir=given.get("out"),
-                              **options)
+        result = run_pipeline(diagonalize(model), **options)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -30,12 +30,38 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (AXIS_LETTERS, InputError, ResourceError, check_seed,
-                     is_int)
-from .operators import (DEFAULT_MODE_CAP, TWO_BODY_IMAGES,
-                        validate_two_body_symmetry)
+from .errors import (AXIS_LETTERS, InputError, ResourceError, check_reals,
+                     check_seed, is_int)
 
+PRUNE_TOL = 1e-14  # magnitudes at or below it count as zero
+# largest spin-orbital (mode) count N = 2n that diagonalize and the
+# reference's Jordan-Wigner map take; PauliOperator.dense indexes all 2^N
+# basis states, 16 GiB of int64 at 31 modes, so it must stay well below that
+DEFAULT_MODE_CAP = 14
 RANDOM_MODEL_CAP = DEFAULT_MODE_CAP // 2  # spatial orbitals
+
+# the eight index permutations of the real-orbital two-body symmetry group:
+# the identity, p <-> s, q <-> r and both, then each of them followed by the
+# pair swap (p, q, r, s) -> (q, p, s, r)
+TWO_BODY_IMAGES = ((0, 1, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (3, 2, 1, 0),
+                   (1, 0, 3, 2), (1, 3, 0, 2), (2, 0, 3, 1), (2, 3, 0, 1))
+
+
+def validate_one_body_symmetry(m: np.ndarray):
+    """Check that a one-body matrix is symmetric to 1e-10."""
+    if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
+        raise InputError("one-body matrix is not symmetric to 1e-10")
+
+
+def validate_two_body_symmetry(V: np.ndarray):
+    """Check the eight-fold real-orbital index symmetry of the V tensor to
+    1e-10."""
+    for perm in TWO_BODY_IMAGES[1:]:
+        dev = np.max(np.abs(V - V.transpose(perm)), initial=0.0)
+        if dev > 1e-10:
+            raise InputError(
+                f"two-body tensor violates index symmetry {perm} by {dev:.3e}"
+            )
 
 
 @dataclass
@@ -45,7 +71,8 @@ class ModelSpec:
     V addresses a_p^dag a_q^dag a_r a_s of spatial orbitals, each term
     summed over the spins of (p, s) and of (q, r); T and the dipoles act
     on each spin alike.  The model is admitted once, here: counts,
-    shapes, finite entries, T and each dipole symmetric and V eight-fold
+    shapes (the shift a scalar), finite real entries (through
+    `errors.check_reals`), T and each dipole symmetric and V eight-fold
     symmetric to 1e-10.
     """
 
@@ -62,25 +89,19 @@ class ModelSpec:
         n = self.n_orbitals
         if not (is_int(n) and is_int(self.n_electrons)):
             raise InputError("orbital and electron counts must be integers")
-        self.T = np.asarray(self.T, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        self.dipole = np.asarray(self.dipole, dtype=float)
-        if self.T.shape != (n, n):
-            raise InputError(f"T shape {self.T.shape} != ({n}, {n})")
-        if self.V.shape != (n, n, n, n):
-            raise InputError(f"V shape {self.V.shape} inconsistent with n={n}")
-        if self.dipole.shape != (3, n, n):
-            raise InputError(f"dipole shape {self.dipole.shape} != (3, {n}, {n})")
-        for name in ("T", "V", "dipole", "nuclear_shift"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InputError(f"{name} has non-finite entries")
+        for name, shape in {"T": (n, n), "V": (n,) * 4, "dipole": (3, n, n),
+                            "nuclear_shift": ()}.items():
+            value = check_reals(getattr(self, name), name)
+            if value.shape != shape:
+                raise InputError(f"{name} shape {value.shape} != {shape}")
+            setattr(self, name, value)
+        self.nuclear_shift = float(self.nuclear_shift)
         if not 0 <= self.n_electrons <= 2 * n:
             raise InputError(
                 f"electron count {self.n_electrons} outside [0, {2 * n}]"
             )
         for m in (self.T, *self.dipole):
-            if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
-                raise InputError("one-body matrix is not symmetric to 1e-10")
+            validate_one_body_symmetry(m)
         validate_two_body_symmetry(self.V)
 
 

@@ -33,9 +33,10 @@ Conventions used throughout the package:
   tests/pauli_reference.py does.  Sums at or below PRUNE_TOL drop once, at
   the end; strings come out in the order of their first contribution.
 * Size caps are constants: jordan_wigner and the builders take at most
-  DEFAULT_MODE_CAP modes (diagonalize refuses models above it too), and
-  full 2^n x 2^n matrices are built up to FULL_SPACE_MODE_CAP modes; both
-  refuse before allocating.
+  the model cap DEFAULT_MODE_CAP modes, and full 2^n x 2^n matrices are
+  built up to FULL_SPACE_MODE_CAP modes; both refuse before allocating.
+  The cap, PRUNE_TOL and the symmetry checks come from respsim.models; no
+  other package module imports this one, so a run never loads it.
 """
 
 from __future__ import annotations
@@ -44,29 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError, is_int
+from .errors import InputError, ResourceError, check_reals, is_int
+from .models import (DEFAULT_MODE_CAP, PRUNE_TOL, validate_one_body_symmetry,
+                     validate_two_body_symmetry)
 
-PRUNE_TOL = 1e-14
-# largest mode count that jordan_wigner maps and that diagonalize takes
-# (N = 2n); PauliOperator.dense indexes all 2^n basis states, 16 GiB of
-# int64 at 31 modes, so it must stay well below that
-DEFAULT_MODE_CAP = 14
 # largest mode count whose full 2^n x 2^n matrix is built: 4096^2 complex
 # entries, 256 MiB
 FULL_SPACE_MODE_CAP = 12
-
-# the eight index permutations of the real-orbital two-body symmetry group,
-# identity first
-TWO_BODY_IMAGES = (
-    (0, 1, 2, 3),
-    (3, 1, 2, 0),  # p <-> s
-    (0, 2, 1, 3),  # q <-> r
-    (3, 2, 1, 0),  # both
-    (1, 0, 3, 2),  # pair swap
-    (1, 3, 0, 2),
-    (2, 0, 3, 1),
-    (2, 3, 0, 1),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +148,6 @@ def build_hamiltonian(T: np.ndarray, V: np.ndarray) -> FermionOperator:
     return op
 
 
-def validate_two_body_symmetry(V: np.ndarray):
-    """Check the eight-fold real-orbital index symmetry of the V tensor to
-    1e-10."""
-    for perm in TWO_BODY_IMAGES[1:]:
-        dev = np.max(np.abs(V - V.transpose(perm)), initial=0.0)
-        if dev > 1e-10:
-            raise InputError(
-                f"two-body tensor violates index symmetry {perm} by {dev:.3e}"
-            )
-
-
 def build_dipole(d_axis: np.ndarray) -> FermionOperator:
     """One-body operator sum d[p,q] a_p^dag a_q for one Cartesian axis, a
     matrix that `_symmetric_tensors` admits."""
@@ -194,7 +168,7 @@ def _symmetric_tensors(tensors) -> list:
     mode count n of at most DEFAULT_MODE_CAP, once every matrix is
     symmetric and every V eight-fold symmetric to 1e-10: the one check of
     the operator builders' tensors."""
-    ts = [np.asarray(t, dtype=float) for t in tensors]
+    ts = [check_reals(t, "tensor entries") for t in tensors]
     for t in ts:
         if t.ndim not in (2, 4) or len(set(t.shape)) != 1:
             raise InputError(
@@ -202,8 +176,8 @@ def _symmetric_tensors(tensors) -> list:
         _check_mode_cap(t.shape[0])
         if t.ndim == 4:
             validate_two_body_symmetry(t)
-        elif np.max(np.abs(t - t.T), initial=0.0) > 1e-10:
-            raise InputError("one-body matrix is not symmetric to 1e-10")
+        else:
+            validate_one_body_symmetry(t)
     if len({t.shape[0] for t in ts}) > 1:
         raise InputError("tensors act on different mode counts")
     return ts
@@ -329,7 +303,7 @@ def lcu_one_norm(op: PauliOperator) -> float:
 def eta_dipole_norm(d_axis: np.ndarray, eta: int) -> float:
     """Sum of the eta largest-magnitude eigenvalues of the one-body dipole
     matrix (the single-particle-rotation subnormalization)."""
-    d = np.asarray(d_axis, dtype=float)
+    d = check_reals(d_axis, "dipole matrix entries")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError("dipole matrix must be square")
     if not 0 < eta <= d.shape[0]:

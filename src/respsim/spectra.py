@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import (InputError, ResourceError, check_axes, check_positive,
                      check_reals, check_windows, is_int)
-from .models import ModelSpec
-from .operators import DEFAULT_MODE_CAP, PRUNE_TOL
+from .models import DEFAULT_MODE_CAP, PRUNE_TOL, ModelSpec
 
 DEGENERACY_TOL = 1e-10
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from respsim import InputError, ModelSpec, SpectralData, r_pathway_fd
-from respsim.operators import TWO_BODY_IMAGES
+from respsim.models import TWO_BODY_IMAGES
 
 # pathway nu -> (first, second, third) multiplication side
 PATHWAY_SIDES = {

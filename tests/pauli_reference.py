@@ -13,8 +13,8 @@ the same order and the same coefficient bits.
 
 import itertools
 
-from respsim import PauliOperator
-from respsim.operators import PRUNE_TOL
+from respsim.models import PRUNE_TOL
+from respsim.operators import PauliOperator
 
 # i**k for the phase exponent k of a Pauli product
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)

@@ -17,7 +17,6 @@ from respsim import (
     binary_search_nd,
     build_indicator,
     estimate_box,
-    jordan_wigner,
     nested_window_amplitude,
     run_pipeline,
 )
@@ -25,7 +24,7 @@ from respsim.assemble import CostInputs, assemble_alpha3, cost_report, \
     qpe_baseline_report
 from respsim.cli import main
 from respsim.estimate import _relation_matrix, _sample_counts
-from respsim.operators import FermionOperator
+from respsim.operators import FermionOperator, jordan_wigner
 from respsim.spectra import r_pathway_fd
 
 from conftest import oracle_tables

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from conftest import oracle_tables
 from respsim import (
     CostInputs,
-    FermionOperator,
     InputError,
     ModelSpec,
     ResourceError,
@@ -38,6 +37,7 @@ from respsim.spectra import nested_window_amplitude
 from respsim.assemble import _ancestor_bin, _dedupe_windows
 from respsim.errors import check_reals, check_windows
 from respsim.estimate import SearchTrace, WindowEstimate
+from respsim.operators import FermionOperator
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,23 @@ def test_main_refuses_run_options_before_the_spectrum(argv, monkeypatch,
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["", "file", "file/run"], ids=repr)
+def test_main_refuses_an_unusable_out_before_the_spectrum(out, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    # an empty path, an existing file and a path under a file cannot hold
+    # the outputs, so they are refused before diagonalize runs
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("diagonalize ran on a refused --out")
+
+    monkeypatch.setattr(cli, "diagonalize", no_spectrum)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    assert main(["--toy", "hubbard", "--oracle-only", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--toy", "hubbard", "--gamma", "nan", "--oracle-only"],
     ["--toy", "hubbard", "--gamma", "inf", "--oracle-only"],

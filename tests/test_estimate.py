@@ -20,12 +20,8 @@ from respsim import (
     InputError,
     SpectralData,
     binary_search_nd,
-    build_dipole,
-    build_hamiltonian,
     diagonalize,
     estimate_box,
-    jordan_wigner,
-    lcu_one_norm,
     make_random_model,
     nested_window_amplitude,
     run_pipeline,
@@ -34,6 +30,8 @@ from respsim import estimate as estimate_mod
 from respsim.estimate import (EPS_CONF, MAX_BOXES, P0_SLACK, RESCALE_STEPS,
                               _filter_columns, _lcu_probabilities, _rescale,
                               _sample_counts)
+from respsim.operators import (build_dipole, build_hamiltonian, jordan_wigner,
+                               lcu_one_norm)
 
 BRIGHT = 2.0 * np.sqrt(5.0)
 

@@ -68,10 +68,17 @@ def test_measurement_and_assembly_run_on_the_spectrum_alone(module):
 def test_spectrum_path_stays_off_the_reference_layer():
     # diagonalize takes its blocks and one-norms from the tensors; the
     # ladder operators, the Jordan-Wigner map and the Pauli one-norm are
-    # the reference it is checked against, so it must not fall back on them
-    imports = {name for _, name in _package_imports(PACKAGE / "spectra.py")}
-    assert not imports & {"jordan_wigner", "build_hamiltonian", "build_dipole",
-                          "lcu_one_norm", "PauliOperator"}
+    # the reference it is checked against, so no module falls back on them:
+    # operators.py is a leaf that takes the model's conventions from
+    # models.py, and __init__.py does not re-export it
+    def imports_reference(path):
+        modules = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Import) for alias in node.names}
+        for module, name in _package_imports(path):
+            modules |= {module, f"{module}.{name}"}
+        return "respsim.operators" in modules
+    assert [p.name for p in MODULES
+            if p.name != "operators.py" and imports_reference(p)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -86,11 +93,6 @@ def test_no_module_forms_a_spin_orbital_tensor(path):
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"spin_orbital", "kron"}
-
-
-def test_filters_stand_apart_from_the_operator_layer():
-    imports = _package_imports(PACKAGE / "chebfilter.py")
-    assert not [i for i in imports if i[0] == "respsim.operators"]
 
 
 def _import_roots(path):
@@ -175,12 +177,12 @@ def test_public_names_resolve_once():
     assert [n for n in names if not hasattr(respsim, n)] == []
 
 
-def test_cli_start_leaves_heavy_scipy_unloaded():
+def test_cli_start_leaves_heavy_scipy_and_the_reference_unloaded():
     # every CLI run is a fresh process, so what `import respsim.cli` pulls
     # in is paid on each call; the package needs scipy.fft and
-    # scipy.special only
+    # scipy.special only, and a run never needs the spin-orbital reference
     heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.linalg", "scipy.spatial"]
+             "scipy.linalg", "scipy.spatial", "respsim.operators"]
     probe = ("import json, sys, respsim.cli; "
              f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])

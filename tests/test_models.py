@@ -21,7 +21,7 @@ from respsim import (
     make_random_model,
     validate_two_body_symmetry,
 )
-from respsim.operators import TWO_BODY_IMAGES
+from respsim.models import TWO_BODY_IMAGES
 
 
 def test_dimer_shapes_and_label():
@@ -135,6 +135,8 @@ def test_modelspec_validation():
         ModelSpec(**{**good, "dipole": np.zeros((2, n, n))})
     with pytest.raises(InputError):
         ModelSpec(**{**good, "n_electrons": 5})
+    with pytest.raises(InputError, match="nuclear_shift shape"):
+        ModelSpec(**{**good, "nuclear_shift": [1.0, 2.0]})
 
 
 @pytest.mark.parametrize("part", ["T", "V", "dipole"])
@@ -154,17 +156,30 @@ def test_modelspec_refuses_an_asymmetric_tensor(dimer, part):
 
 
 @pytest.mark.parametrize("field", ["T", "V", "dipole", "nuclear_shift"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", True,
+                                 np.bool_(False), 1j, np.complex128(1.0)],
+                         ids=repr)
 def test_modelspec_rejects_non_finite(field, bad):
-    n = 2
-    spec = dict(n_orbitals=n, n_electrons=1, T=np.zeros((n, n)),
-                V=np.zeros((n, n, n, n)), dipole=np.zeros((3, n, n)))
+    # every number enters through errors.check_reals: a string, a bool or
+    # a complex entry is refused, not converted (the last entry of each
+    # tensor lies on its diagonal, so no symmetry check sees it first)
+    n, kind = 2, float if isinstance(bad, float) else object
+    spec = dict(n_orbitals=n, n_electrons=1, T=np.zeros((n, n), kind),
+                V=np.zeros((n, n, n, n), kind),
+                dipole=np.zeros((3, n, n), kind))
     if field == "nuclear_shift":
         spec[field] = bad
     else:
         spec[field].flat[-1] = bad
-    with pytest.raises(InputError, match=f"{field} has non-finite"):
+    with pytest.raises(InputError,
+                       match=f"^{field} must be finite real numbers$"):
         ModelSpec(**spec)
+
+
+def test_modelspec_holds_float_arrays_and_a_float_shift():
+    m = ModelSpec(1, 1, [[0]], [[[[1]]]], [[[0]]] * 3, nuclear_shift=2)
+    assert [t.dtype for t in (m.T, m.V, m.dipole)] == [np.float64] * 3
+    assert type(m.nuclear_shift) is float and m.nuclear_shift == 2.0
 
 
 def test_file_round_trip(tmp_path):

@@ -11,20 +11,16 @@ from conftest import naive_dense, naive_term_matrix, spin_orbital
 from pauli_reference import (dict_jordan_wigner, pauli_masks, pauli_product,
                              pauli_word)
 from respsim import (
-    FermionOperator,
     InputError,
-    PauliOperator,
     ResourceError,
-    build_dipole,
-    build_hamiltonian,
-    eta_dipole_norm,
-    jordan_wigner,
-    lcu_one_norm,
     make_hubbard_dimer,
     make_random_model,
     validate_two_body_symmetry,
 )
-from respsim.operators import DEFAULT_MODE_CAP, FULL_SPACE_MODE_CAP
+from respsim.models import DEFAULT_MODE_CAP
+from respsim.operators import (FULL_SPACE_MODE_CAP, FermionOperator,
+                               PauliOperator, build_dipole, build_hamiltonian,
+                               eta_dipole_norm, jordan_wigner, lcu_one_norm)
 
 
 def random_fermion_op(rng, n_modes, n_terms=5, max_len=4):
@@ -115,6 +111,21 @@ def test_build_hamiltonian_rejects_asymmetric_inputs():
     V[0, 1, 0, 1] = 1.0   # breaks the index symmetry
     with pytest.raises(InputError):
         validate_two_body_symmetry(V)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "1.0", True, 1j], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda m: build_hamiltonian(m, np.zeros((2,) * 4)),
+    lambda m: build_hamiltonian(np.zeros((2, 2)), np.full((2,) * 4, m[1, 1])),
+    build_dipole, lambda m: eta_dipole_norm(m, 1)],
+    ids=["T", "V", "dipole", "eta_dipole_norm"])
+def test_reference_builders_take_only_finite_real_entries(build, bad):
+    # the reference admits its tensors' numbers as ModelSpec does, through
+    # errors.check_reals: no entry is converted from a string or a bool
+    m = np.zeros((2, 2), dtype=object)
+    m[1, 1] = bad
+    with pytest.raises(InputError, match="must be finite real numbers"):
+        build(m)
 
 
 def test_build_dipole_is_hermitian_one_body(dimer):

@@ -21,11 +21,7 @@ from respsim import (
     ModelSpec,
     ResourceError,
     alpha1,
-    build_dipole,
-    build_hamiltonian,
     diagonalize,
-    jordan_wigner,
-    lcu_one_norm,
     make_hubbard_dimer,
     make_random_model,
     nested_window_amplitude,
@@ -33,7 +29,9 @@ from respsim import (
     r_pathway_fd,
     spectra,
 )
-from respsim.operators import DEFAULT_MODE_CAP
+from respsim.models import DEFAULT_MODE_CAP, TWO_BODY_IMAGES
+from respsim.operators import (build_dipole, build_hamiltonian, jordan_wigner,
+                               lcu_one_norm)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -406,7 +404,7 @@ def spin_free_models(draw, values=VALUES, max_orbitals=4):
         for p, q, _, _, v in draw(entries):
             one[p, q] = one[q, p] = v
     for *idx, v in draw(entries):
-        for perm in operators.TWO_BODY_IMAGES:
+        for perm in TWO_BODY_IMAGES:
             V[tuple(idx[a] for a in perm)] = v
     return ModelSpec(n, 0, T, V, d)
 
