@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AXIS_LETTERS, InputError, ResourceError, check_axes,
-                     check_positive, check_reals, check_seed, check_windows,
-                     is_finite_real, is_int)
-from .estimate import METHODS, OVERLAP, binary_search_nd, estimate_box
+                     check_positive, check_reals, check_seed, check_triples,
+                     check_windows, is_finite_real, is_int)
+from .estimate import (METHODS, OVERLAP, binary_search_nd, chain_zeta,
+                       estimate_box)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1,
                       r_pathway_fd)
 
@@ -188,7 +189,8 @@ def _alpha3_chains(chain) -> dict:
 
 def assemble_alpha3(tables, omega_triples, gamma: float,
                     ground_dipoles: dict) -> SusceptibilityResult:
-    """Binned third-order pathway response at frequency triples.
+    """Binned third-order pathway response at frequency triples (a bare
+    triple is one row, see `check_triples`).
 
     tables: {3: boxes, 2: depth-2 amplitudes, 1: depth-1 amplitudes}.
     The depth-3 entries carry one dipole chain (a0, a1, a2, a3) (a table
@@ -224,14 +226,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         raise InputError("each ground moment must be one number")
     gd = gd.tolist()
 
-    triples = check_reals(omega_triples, "omega triples")
-    squeeze = triples.ndim == 1
-    triples = np.atleast_2d(triples)
-    if triples.shape[-1] != 3:
-        raise InputError("omega triples must have three components")
-    W1 = triples[:, 0]
-    W2 = triples[:, 0] + triples[:, 1]
-    W3 = W1 + triples[:, 1] + triples[:, 2]
+    triples = check_triples(omega_triples)
+    W1, W2, W3 = np.cumsum(triples, axis=1).T
 
     def den(cn, cm, cl):
         # a pinned index passes 0.0: x - 0.0 and 0.0 - x are exact
@@ -255,8 +251,6 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
             vals += (math.prod((e["value"] for e in entries), start=coef)
                      / den(*centres))
 
-    if squeeze:
-        triples, vals = triples[0], vals[0]
     return SusceptibilityResult(order=3, frequencies=triples, values=vals,
                                 gamma=gamma, axes=(i_tr, i3, i2, i1))
 
@@ -292,25 +286,38 @@ class CostInputs:
             raise InputError("p0 must lie in (0, 1]")
 
 
+def _ledger(**formulas) -> dict:
+    """Each named entry's formula evaluated as a float; InputError names an
+    entry that overflows, divides by an underflowed zero or underflows."""
+    out = {}
+    for name, formula in formulas.items():
+        try:
+            out[name] = float(formula())
+        except (OverflowError, ZeroDivisionError):
+            out[name] = math.inf
+        if not 0 < out[name] < math.inf:
+            raise InputError(f"ledger entry {name} leaves the float range")
+    return out
+
+
 def cost_report(c: CostInputs) -> dict:
-    """Query-count scaling formulas with unit prefactors."""
+    """Query-count scaling formulas with unit prefactors; an entry outside
+    the float range raises InputError."""
     a, b, g, e, n = c.alpha, c.beta, c.gamma, c.eps, c.n_order
-    report = {
-        "n_order": n,
-        "bin_sorting": a ** 2 * b ** 2 / g,
-        "peak_height": a ** 2 * b ** 2 / (g * e),
-        "search_order_n": a ** (2 * n) * b ** (n + 1) / g ** n,
-        "estimate_order_n": a ** (2 * n) * b ** (n + 1) / (g ** n * e),
-        "system_size_order_n": None,
-        "ground_state_prep": None,
-        "note": "asymptotic orders with unit prefactors, not gate counts",
-    }
+    report = {"n_order": n, "system_size_order_n": None,
+              "ground_state_prep": None, "note": "asymptotic orders with "
+              "unit prefactors, not gate counts"}
+    report.update(_ledger(
+        bin_sorting=lambda: a ** 2 * b ** 2 / g,
+        peak_height=lambda: a ** 2 * b ** 2 / (g * e),
+        search_order_n=lambda: a ** (2 * n) * b ** (n + 1) / g ** n,
+        estimate_order_n=lambda: a ** (2 * n) * b ** (n + 1) / (g ** n * e)))
     if c.N is not None and c.eta is not None:
-        report["system_size_order_n"] = (
-            c.N ** (5 * n + 1) * c.eta ** (n + 1) / (g ** n * e))
+        report.update(_ledger(system_size_order_n=lambda: (
+            c.N ** (5 * n + 1) * c.eta ** (n + 1) / (g ** n * e))))
     if c.p0 is not None:
-        report["ground_state_prep"] = (
-            a * math.log(1.0 / e) / (math.sqrt(c.p0) * c.gap))
+        report.update(_ledger(ground_state_prep=lambda: (
+            a * math.log(1.0 / e) / (math.sqrt(c.p0) * c.gap))))
     return report
 
 
@@ -320,19 +327,18 @@ def qpe_baseline_report(c: CostInputs) -> dict:
     The register needs k_star bits, the least k with 2^k > alpha/gamma;
     total cost to the same accuracy scales as
     alpha^2/(gamma^2 eps), a factor 1/gamma above the filtered approach.
+    An entry outside the float range raises InputError.
     """
     a, g, e = c.alpha, c.gamma, c.eps
-    k = max(1, math.floor(math.log2(a / g)) + 1)
-    per_energy = 2.0 ** k * a + k * k / max(math.log2(k), 1.0)
-    total = a ** 2 / (g ** 2 * e)
-    filtered = a ** 2 / (g * e)
-    return {
-        "k_star": k,
-        "per_energy_queries": per_energy,
-        "total_queries": total,
-        "filtered_total_queries": filtered,
-        "advantage_of_filtering": total / filtered,
-    }
+    (ratio,) = _ledger(k_star=lambda: a / g).values()
+    k = max(1, math.floor(math.log2(ratio)) + 1)
+    report = {"k_star": k, **_ledger(
+        per_energy_queries=lambda: (2.0 ** k * a
+                                    + k * k / max(math.log2(k), 1.0)),
+        total_queries=lambda: a ** 2 / (g ** 2 * e),
+        filtered_total_queries=lambda: a ** 2 / (g * e))}
+    return dict(report, **_ledger(advantage_of_filtering=lambda: (
+        report["total_queries"] / report["filtered_total_queries"])))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +428,8 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
     another with seeds derived from `seed`; two estimates on one chain
     whose windows overlap beyond the filter margin raise InputError.
     window_width (order 1) sets the estimation window, default gamma/8.
-    The options go through check_run_options before the spectrum is read.
+    The options go through check_run_options before the spectrum is read,
+    the cost reports (whose beta is chain_zeta's) before the oracle.
     Returns a dict: "oracle" (the exact SusceptibilityResult), "mode",
     "cost" and "qpe" (the cost reports), "manifest" (manifest.json's
     content, whose "queries_total" counts a simulation's search and
@@ -438,14 +445,13 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
                                          method, mode, window_width, out_dir)
     if grid is None:
         grid = np.linspace(0.0, 1.2 * float(sd.eigenvalues[-1]), 121)
+    ci = CostInputs(alpha=sd.alpha, beta=chain_zeta(sd, axes[-1:]),
+                    gamma=gamma, eps=eps, n_order=order, N=sd.n_modes,
+                    eta=sd.n_electrons or None)
+    cost, qpe = cost_report(ci), qpe_baseline_report(ci)
 
-    if order == 1:
-        oracle = alpha1(sd, *axes, grid, gamma)
-    else:
-        vals = [r_pathway_fd(sd, 1, axes, 3 * w, 2 * w, w, gamma)
-                for w in grid]
-        oracle = SusceptibilityResult(3, np.stack([grid] * 3, -1),
-                                      np.array(vals), gamma, axes)
+    oracle = (alpha1(sd, *axes, grid, gamma) if order == 1 else
+              r_pathway_fd(sd, axes, np.stack([grid] * 3, -1), gamma))
 
     result = {"oracle": oracle, "mode": mode}
     manifest = {
@@ -469,12 +475,8 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
             e["meta"]["queries"] for t in result["tables"].values()
             for e in t.entries)
 
-    beta = max(sd.betas[axes[-1]], 1e-12)
-    ci = CostInputs(alpha=sd.alpha, beta=beta, gamma=gamma, eps=eps,
-                    n_order=order, N=sd.n_modes,
-                    eta=sd.n_electrons or None)
-    result.update(cost=cost_report(ci), qpe=qpe_baseline_report(ci),
-                  manifest=dict(manifest, alpha=sd.alpha, beta=beta))
+    result.update(cost=cost, qpe=qpe,
+                  manifest=dict(manifest, alpha=sd.alpha, beta=ci.beta))
     result["csv"] = _render_csv(
         oracle if mode == "oracle" else result["result"], axes)
 
@@ -551,7 +553,7 @@ def _render_csv(response, axes) -> str:
                      "R1" if len(axes) == 4 else ""])
     rows = ["omega,re,im,axis_in,axis_out,order,pathway"]
     if response is not None:
-        vals = np.atleast_1d(response.values)
+        vals = response.values
         omegas = np.reshape(response.frequencies, (len(vals), -1))[:, 0]
         rows += [f"{w:.17g},{v.real:.17g},{v.imag:.17g},{tail}"
                  for w, v in zip(omegas.tolist(), vals.tolist())]

@@ -166,7 +166,7 @@ def main(argv=None) -> int:
 
     if options["mode"] == "oracle":
         print("oracle sum over states evaluated on "
-              f"{len(np.atleast_1d(result['oracle'].frequencies))} points")
+              f"{len(result['oracle'].frequencies)} points")
     else:
         n_win = sum(len(t.entries) for t in result["tables"].values())
         empty = ("; nothing assembled: a search found no spectral weight"

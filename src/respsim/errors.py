@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the checks that admit
 the inputs every layer shares: dipole chain axes, seeds, positive scalars,
-arrays of reals (frequency grids) and (lo, hi) windows.
+arrays of reals (frequency grids), frequency triples and (lo, hi) windows.
 
 The CLI maps these onto exit codes: InputError -> 2, ResourceError -> 3,
 StatisticalFailure -> 4.
@@ -81,6 +81,15 @@ def check_reals(values, what: str) -> np.ndarray:
     if not all(map(is_finite_real, values.ravel())):
         raise InputError(f"{what} must be finite real numbers")
     return values.astype(float)
+
+
+def check_triples(triples) -> np.ndarray:
+    """Frequency triples (w1, w2, w3) as a (K, 3) float array, every entry
+    is_finite_real; a bare triple is one row."""
+    triples = np.atleast_2d(check_reals(triples, "frequency triples"))
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise InputError("frequency triples must have three components")
+    return triples
 
 
 def check_windows(windows, count: int = None) -> tuple:

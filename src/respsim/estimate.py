@@ -144,9 +144,10 @@ def _filter_columns(sd: SpectralData, axis_bins, deltas, eps: float):
             for row in keys]
 
 
-def _zeta(sd: SpectralData, chain_axes) -> float:
+def chain_zeta(sd: SpectralData, chain_axes) -> float:
     """Subnormalization of the dipole chain: the product of its per-axis
-    encoding norms, a zero dipole getting the unit encoding."""
+    encoding norms, a zero dipole getting the unit encoding (the cost
+    ledger's beta too)."""
     return math.prod(sd.betas[ax] or 1.0 for ax in chain_axes)
 
 
@@ -318,7 +319,7 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
     split = (BRANCHING,) * ndim
     queue = deque([((span,) * ndim, 0, split)])
     seen_peaks = set()
-    zeta = _zeta(sd, chain_axes)
+    zeta = chain_zeta(sd, chain_axes)
 
     while queue:
         if len(trace.levels) >= MAX_BOXES:
@@ -436,7 +437,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     as in nested window amplitudes; `windows` is a non-empty list of
     (lo, hi) pairs.  delta (default a quarter of each window's width) must
     lie inside every window's half-width.
-    methods: "direct" Bernoulli Hadamard sampling (shots ~ 1/eps^2);
+    methods: "direct" Bernoulli Hadamard sampling (shots ~ 1/eps^2 < 2^63);
     "ae" idealized amplitude estimation (exact value + seeded perturbation
     bounded by the statistical budget, shots ~ 1/eps); "exact" the ae
     query accounting with the perturbation switched off.  Amplification
@@ -461,19 +462,23 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
         if not 0 < d < (hi - lo) / 2.0:
             raise InputError("delta must lie in (0, half-width)")
     chain_axes = check_axes(chain_axes, len(windows) + 1)
-    zeta = _zeta(sd, chain_axes)
-    eps_f = min(eps / (2.0 * zeta), 0.4)
+    zeta = chain_zeta(sd, chain_axes)
+    eps_v = eps / (2.0 * zeta)
+    # the direct method's binomial draw takes a 64-bit shot count
+    direct_shots = 2.0 * math.log(12.0) / max(eps_v ** 2, math.ulp(0.0))
+    if method == "direct" and not direct_shots < 2.0 ** 63:
+        raise InputError("eps must keep the direct shot count below 2^63")
+    eps_f = min(eps_v, 0.4)
     axis_bins = [[w] for w in windows]
     u, degree = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f)
     u_raw = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f,
                           ground=True)[0][:, 0]
     value = float(u[0, 0]) / zeta
-    eps_v = eps / (2.0 * zeta)
     if method == "direct":
         # the device reads the raw chain, ground included, and the known
         # ground term is subtracted from what it reads
         ground = float(u_raw[0]) / zeta - value
-        shots = math.ceil(2.0 * math.log(12.0) / eps_v ** 2)
+        shots = math.ceil(direct_shots)
         p0 = _lcu_probabilities([value + ground])[0]
         v_hat = 2.0 * rng.binomial(shots, p0) / shots - 1.0 - ground
     else:

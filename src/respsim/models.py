@@ -83,7 +83,6 @@ class ModelSpec:
     dipole: np.ndarray         # (3, n, n)
     nuclear_shift: float = 0.0
     label: str = ""
-    dipole_missing: bool = False
 
     def __post_init__(self):
         n = self.n_orbitals
@@ -236,10 +235,10 @@ def _fill(array, index, images, values):
 
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     """Read spatial integrals plus an optional dipole file into a
-    ModelSpec.  Without a dipole file the dipoles are zero and the model is
-    flagged dipole_missing; a named file must exist.  A header declaring
-    more than DEFAULT_MODE_CAP spin orbitals raises ResourceError before
-    any integral array is allocated."""
+    ModelSpec.  Without a dipole file the dipoles are zero and a warning
+    says so; a named file must exist.  A header declaring more than
+    DEFAULT_MODE_CAP spin orbitals raises ResourceError before any
+    integral array is allocated."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"integral file not found: {path}")
@@ -277,8 +276,7 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     two = ~zero[:, 0] & ~pair
     _fill(V, idx[two] - 1, TWO_BODY_IMAGES, val[two])
     dip = np.zeros((3, norb, norb))
-    missing = dipole_path is None
-    if missing:
+    if dipole_path is None:
         warnings.warn(
             f"no dipole file for {path.name}; dipole set to zero", stacklevel=2
         )
@@ -295,6 +293,5 @@ def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
              "index out of range")])
         _fill(dip, np.array([axes, i - 1, j - 1]).T, [(0, 1, 2), (0, 2, 1)],
               val)
-    return ModelSpec(norb, nelec, T, V, dip, shift,
-                     label=path.stem, dipole_missing=missing)
+    return ModelSpec(norb, nelec, T, V, dip, shift, label=path.stem)
 

@@ -17,15 +17,10 @@ intermediate state sum restricted to an excitation window
 (`nested_window_amplitude`); a first-order window sum over d_i[0,n] d_j[n,0]
 is the depth-1 chain (i, j).
 
-Third order is organized in four double-sided pathways.  In time order
-(first, second, third interaction), each pathway is a fixed pattern of
-left/right dipole multiplications on rho0 = |0><0|, closed by Tr[d_i rho]:
-
-  nu=1: (left, right, right)     nu=2: (right, left, right)
-  nu=3: (right, right, left)     nu=4: (left, left, left)
-
-Frequency-domain pathway values carry the i^3 prefactor folded in, so each
-time integral contributes a plain resonance factor 1/(w - Omega - i*gamma).
+Third order is the double-sided pathway R1 (`r_pathway_fd`): in time order
+the dipoles multiply rho0 = |0><0| on the left, the right and the right,
+Tr[d_i rho] closes the trace, and with i^3 folded in each time integral
+gives a resonance factor 1/(w_a - w_b - W - i*gamma), W cumulative.
 """
 
 from __future__ import annotations
@@ -37,18 +32,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (InputError, ResourceError, check_axes, check_positive,
-                     check_reals, check_windows, is_int)
+                     check_reals, check_triples, check_windows)
 from .models import DEFAULT_MODE_CAP, PRUNE_TOL, ModelSpec
 
 DEGENERACY_TOL = 1e-10
-
-# pathway nu -> (first, second, third) multiplication side
-_PATHWAY_SIDES = {
-    1: ("l", "r", "r"),
-    2: ("r", "l", "r"),
-    3: ("r", "r", "l"),
-    4: ("l", "l", "l"),
-}
 
 
 @dataclass
@@ -308,26 +295,24 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     return SusceptibilityResult(1, omega_grid, direct + mirrored, gamma, (i, j))
 
 
-def r_pathway_fd(sd: SpectralData, nu: int, axes, Omega3: float,
-                 Omega2: float, Omega1: float, gamma: float) -> complex:
-    """Frequency-domain pathway value (i^3 folded in) at cumulative
-    frequencies Omega1, Omega2, Omega3, for axes = (i, i3, i2, i1): the
-    dipoles i1, i2, i3 act in time order on the sides pathway nu sets, and
-    Tr[d_i rho] closes the trace."""
-    check_positive("gamma", gamma)
-    if check_reals((Omega1, Omega2, Omega3),
-                   "pathway frequencies").shape != (3,):
-        raise InputError("each pathway frequency must be one number")
-    if not (is_int(nu) and nu in _PATHWAY_SIDES):
-        raise InputError(f"pathway index {nu!r} is not an integer in 1..4")
+def r_pathway_fd(sd: SpectralData, axes, omega_triples, gamma: float
+                 ) -> SusceptibilityResult:
+    """R1 in the frequency domain (i^3 folded in) at each frequency triple
+    (w1, w2, w3), for axes = (i, i3, i2, i1): the dipoles i1, i2, i3 act in
+    time order on the left, right and right of rho0 = |0><0|, each step
+    followed by 1/(w_a - w_b - W_k - i gamma) at the cumulative frequencies
+    W1 = w1, W2 = W1 + w2, W3 = W2 + w3, and Tr[d_i rho] closes the trace."""
     i, i3, i2, i1 = check_axes(axes, 4)
+    check_positive("gamma", gamma)
+    triples = check_triples(omega_triples)
     d = sd.transition_dipoles
-    w = sd.eigenvalues
-    wdiff = w[:, None] - w[None, :]
-    rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
-    rho[0, 0] = 1.0
-    for ax, side, Om in zip((i1, i2, i3), _PATHWAY_SIDES[nu],
-                            (Omega1, Omega2, Omega3)):
-        rho = d[ax] @ rho if side == "l" else rho @ d[ax]
-        rho = rho / (wdiff - Om - 1j * gamma)
-    return complex(np.trace(d[i] @ rho))
+    wdiff = sd.eigenvalues[:, None] - sd.eigenvalues[None, :]
+    rho0 = np.zeros((sd.n_states, sd.n_states), dtype=complex)
+    rho0[0, 0] = 1.0
+    vals = np.empty(len(triples), dtype=complex)
+    for k, (W1, W2, W3) in enumerate(np.cumsum(triples, axis=1).tolist()):
+        rho = d[i1] @ rho0 / (wdiff - W1 - 1j * gamma)
+        rho = rho @ d[i2] / (wdiff - W2 - 1j * gamma)
+        rho = rho @ d[i3] / (wdiff - W3 - 1j * gamma)
+        vals[k] = np.trace(d[i] @ rho)
+    return SusceptibilityResult(3, triples, vals, gamma, (i, i3, i2, i1))

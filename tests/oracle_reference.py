@@ -1,13 +1,16 @@
 """Test-side physics references that no run of the package calls.
 
-The time-domain linear kernel, the time-domain third-order pathways (a
-density-matrix walk and the explicit sum over states, each the other's
-check), the full 48-term third-order susceptibility, the closed-form error
-integral of the indicator's smoothing ramp, and the writer of the integral
-file format.  The 48-term sum is built from the package's frequency-domain
-pathway, the writer feeds round trips through the package's file reader,
-and criterion 03 checks the ramp-error constant.  Only public package names
-are imported.
+The time-domain linear kernel, the four third-order pathways in the time
+domain (a density-matrix walk and the explicit sum over states, each the
+other's check) and in the frequency domain (the same walk with resonance
+factors), the full 48-term third-order susceptibility built from the
+latter, the closed-form error integral of the indicator's smoothing ramp,
+and the writer of the integral file format.  The package computes only
+pathway 1, R1 (`respsim.r_pathway_fd`); the frequency-domain walk here is
+checked against it bit for bit and against explicit sums over states for
+every pathway.  The writer feeds round trips through the package's file
+reader, and criterion 03 checks the ramp-error constant.  Only public
+package names are imported.
 """
 
 import itertools
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from respsim import InputError, ModelSpec, SpectralData, r_pathway_fd
+from respsim import InputError, ModelSpec, SpectralData
 from respsim.models import TWO_BODY_IMAGES
 
 # pathway nu -> (first, second, third) multiplication side
@@ -52,7 +55,7 @@ def chi1_time(sd: SpectralData, i: int, j: int, s_grid, gamma: float
 
 
 def _pathway_factors(sd: SpectralData, nu: int, axes):
-    """Shared bookkeeping for both r_pathways routes.
+    """Shared bookkeeping for the r_pathways routes and pathway_fd.
 
     Returns (F, ops) with F the trace-closing dipole and ops the
     (matrix, side) list in time order."""
@@ -121,8 +124,25 @@ def r_pathways(sd: SpectralData, nu: int, axes, s3: float, s2: float,
 
 
 # ---------------------------------------------------------------------------
-# full third-order susceptibility
+# frequency-domain pathways and the full third-order susceptibility
 # ---------------------------------------------------------------------------
+
+def pathway_fd(sd: SpectralData, nu: int, axes, O3: float, O2: float,
+               O1: float, gamma: float) -> complex:
+    """Frequency-domain pathway nu (i^3 folded in) at cumulative
+    frequencies (O1, O2, O3), for axes = (i, i3, i2, i1): the superop walk
+    of r_pathways with each step's propagator replaced by its time
+    integral, the resonance factor 1/(w_a - w_b - O - i gamma)."""
+    F, ops = _pathway_factors(sd, nu, axes)
+    w = sd.eigenvalues
+    wdiff = w[:, None] - w[None, :]
+    rho = np.zeros((sd.n_states, sd.n_states), dtype=complex)
+    rho[0, 0] = 1.0
+    for (mat, side), O in zip(ops, (O1, O2, O3)):
+        rho = mat @ rho if side == "l" else rho @ mat
+        rho = rho / (wdiff - O - 1j * gamma)
+    return complex(np.trace(F @ rho))
+
 
 def alpha3_terms(axes, omegas):
     """Enumerate the 48 frequency-domain terms of the third-order response.
@@ -159,8 +179,8 @@ def alpha3(sd: SpectralData, axes, omegas, gamma: float) -> complex:
     total = 0j
     for nu, ax_time, (O1, O2, O3), conjugate in alpha3_terms(axes, omegas):
         # time order (first, second, third) -> pathway axes (i, i3, i2, i1)
-        val = r_pathway_fd(sd, nu, (i, ax_time[2], ax_time[1], ax_time[0]),
-                           O3, O2, O1, gamma)
+        val = pathway_fd(sd, nu, (i, ax_time[2], ax_time[1], ax_time[0]),
+                         O3, O2, O1, gamma)
         total += np.conj(val) if conjugate else val
     return complex(total / 6.0)
 

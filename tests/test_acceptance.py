@@ -182,9 +182,7 @@ def test_criterion_08_third_order_pathway(dimer_sd):
     triples = [(1.1, 0.9, 1.0), (2.0, 1.0, 1.4), (4.4, -4.3, 4.35),
                (3.0, 1.4, 0.05), (0.3, 0.3, 0.3)]
     got = assemble_alpha3(tables, triples, 0.05, ground_dipoles=gd).values
-    ref = np.array([
-        r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), w1 + w2 + w3, w1 + w2, w1,
-                     0.05) for (w1, w2, w3) in triples])
+    ref = r_pathway_fd(dimer_sd, (0, 0, 0, 0), triples, 0.05).values
     assert np.max(np.abs(got - ref)) <= 0.15 * np.max(np.abs(ref))
     assert len(list(alpha3_terms((0, 0, 0, 0), (1.1, 0.9, 1.0)))) == 48
 

@@ -35,8 +35,8 @@ from respsim import (
 from respsim import assemble
 from respsim.spectra import nested_window_amplitude
 from respsim.assemble import _ancestor_bin, _dedupe_windows
-from respsim.errors import check_reals, check_windows
-from respsim.estimate import SearchTrace, WindowEstimate
+from respsim.errors import check_reals, check_triples, check_windows
+from respsim.estimate import SearchTrace, WindowEstimate, chain_zeta
 from respsim.operators import FermionOperator
 
 
@@ -231,20 +231,20 @@ def test_assemble_alpha3_general_axes(random_sd):
     for axes in itertools.product(range(3), repeat=4):
         tabs, gd = oracle_tables(random_sd, axes, width=0.004)
         got = assemble_alpha3(tabs, triples, gamma, ground_dipoles=gd).values
-        ref = np.array([
-            r_pathway_fd(random_sd, 1, axes, w1 + w2 + w3, w1 + w2, w1, gamma)
-            for (w1, w2, w3) in triples])
+        ref = r_pathway_fd(random_sd, axes, triples, gamma).values
         worst[axes] = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
     assert len(worst) == 81
     assert {a: e for a, e in worst.items() if not e <= 0.01} == {}
 
 
-def test_assemble_alpha3_single_triple_squeezes(dimer_sd):
+def test_assemble_alpha3_and_r1_take_a_bare_triple_as_one_row(dimer_sd):
     tabs, gd = oracle_tables(dimer_sd, (0, 0, 0, 0), width=0.05)
     res = assemble_alpha3(tabs, (1.0, 0.2, 0.3), 0.1, ground_dipoles=gd)
-    assert np.ndim(res.values) == 0
-    ref = r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 1.5, 1.2, 1.0, 0.1)
-    assert res.values == pytest.approx(ref, rel=2e-2)
+    ref = r_pathway_fd(dimer_sd, (0, 0, 0, 0), (1.0, 0.2, 0.3), 0.1)
+    for r in (res, ref):
+        assert r.frequencies.shape == (1, 3) and r.values.shape == (1,)
+        assert r.frequencies.tolist() == [[1.0, 0.2, 0.3]]
+    assert res.values == pytest.approx(ref.values, rel=2e-2)
 
 
 # sha256 of assemble_alpha3's value bytes on exact tables of
@@ -544,6 +544,16 @@ def test_pipeline_oracle_mode(dimer_sd):
     assert res["cost"]["bin_sorting"] == pytest.approx(6.0 ** 2 / 0.1)
 
 
+def test_the_ledger_charges_a_zero_dipole_as_every_query_does(dimer_sd):
+    # the dimer's y dipole is zero: a chain encodes it with the unit norm
+    # (chain_zeta), and so do the ledger and the manifest (they held 1e-12)
+    res = run_pipeline(dimer_sd, gamma=0.1, mode="oracle", axes=(1, 1),
+                       grid=[1.0, 2.0])
+    assert dimer_sd.betas[1] == 0.0
+    assert res["manifest"]["beta"] == chain_zeta(dimer_sd, (1,)) == 1.0
+    assert res["cost"]["bin_sorting"] == dimer_sd.alpha ** 2 / 0.1
+
+
 def test_pipeline_simulate_order1(dimer_sd):
     grid = np.linspace(0.0, 5.4, 31)
     res = run_pipeline(dimer_sd, gamma=0.1, order=1, grid=grid, seed=0,
@@ -814,12 +824,8 @@ ADMISSION_PROBES = {
     "alpha1 i -1": lambda sd: alpha1(sd, -1, 0, [1.0], 0.1),
     "alpha1 i 0.5": lambda sd: alpha1(sd, 0.5, 0, [1.0], 0.1),
     "alpha1 gamma True": lambda sd: alpha1(sd, 0, 0, [1.0], True),
-    "r_pathway_fd nu 1.0":
-        lambda sd: r_pathway_fd(sd, 1.0, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1),
-    "r_pathway_fd nu True":
-        lambda sd: r_pathway_fd(sd, True, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1),
     "r_pathway_fd axes (0, 0, 0, -1)":
-        lambda sd: r_pathway_fd(sd, 1, (0, 0, 0, -1), 3.0, 2.0, 1.0, 0.1),
+        lambda sd: r_pathway_fd(sd, (0, 0, 0, -1), (1.0, 1.0, 1.0), 0.1),
     "assemble_alpha1 gamma True":
         lambda sd: assemble_alpha1(_table(1, {}), [1.0], True),
     "assemble_alpha3 gamma True":
@@ -878,7 +884,7 @@ ADMISSION_PROBES = {
         lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
                                    [(1.0, True, 1.0)], 0.1, {}),
     "r_pathway_fd Omega1 nan":
-        lambda sd: r_pathway_fd(sd, 1, (0, 0, 0, 0), 3.0, 2.0, math.nan, 0.1),
+        lambda sd: r_pathway_fd(sd, (0, 0, 0, 0), (math.nan, 1.0, 1.0), 0.1),
     "estimate_box window ('4.35', '4.55')":
         lambda sd: estimate_box(sd, (0, 0), [("4.35", "4.55")], 1e-3),
     "estimate_box window edge True":
@@ -906,7 +912,7 @@ ADMISSION_PROBES = {
     "nested_window_amplitude window lo == hi":
         lambda sd: nested_window_amplitude(sd, (0, 0), [(4.35, 4.35)]),
     "r_pathway_fd Omegas as arrays": lambda sd: r_pathway_fd(
-        sd, 1, (0, 0, 0, 0), [3.0, 3.0], [2.0, 2.0], [1.0, 1.0], 0.1),
+        sd, (0, 0, 0, 0), ([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), 0.1),
     "assemble_alpha3 ground moment [0.1, 0.2]":
         lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
                                    [(1.0, 1.0, 1.0)], 0.1, {0: [0.1, 0.2]}),
@@ -966,3 +972,22 @@ def test_check_windows_admits_exactly_finite_ascending_pairs(windows):
     else:
         with pytest.raises(InputError, match="window"):
             check_windows(windows)
+
+
+@given(st.one_of(
+    st.lists(st.one_of(st.tuples(_ENTRIES, _ENTRIES, _ENTRIES),
+                       st.lists(_ENTRIES, max_size=4)), max_size=3),
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES),
+    arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(2, 4)))))
+def test_check_triples_admits_exactly_rows_of_three_finite_reals(triples):
+    rows = [triples] if isinstance(triples, tuple) else list(triples)
+    # an empty list has no rows to count; an empty array has its width
+    wide = (triples.shape[1] == 3 if isinstance(triples, np.ndarray)
+            else bool(rows))
+    if wide and all(len(r) == 3 and all(map(_finite_real, r)) for r in rows):
+        got = check_triples(triples)
+        assert got.dtype == np.float64 and got.shape == (len(rows), 3)
+        assert np.array_equal(got, np.asarray(rows, float).reshape(-1, 3))
+    else:
+        with pytest.raises(InputError, match="frequency triples"):
+            check_triples(triples)

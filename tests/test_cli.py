@@ -284,6 +284,30 @@ def test_main_rejects_non_finite_inputs(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+# command lines that ended in OverflowError or ZeroDivisionError after the
+# whole run, and what their refusal names
+_OUT_OF_RANGE = {
+    "--toy hubbard --simulate --method direct --eps 1e-9 --gamma 0.1 "
+    "--grid 0:5.4:41 --seed 7": "direct shot count below 2^63",
+    "--toy hubbard --oracle-only --gamma 1e308": "entry total_queries",
+    "--toy hubbard:t=1e200 --oracle-only": "entry bin_sorting",
+    "--toy hubbard --oracle-only --gamma 1e-200 --eps 1e-200":
+        "entry peak_height",
+}
+
+
+@pytest.mark.parametrize("argv, says", _OUT_OF_RANGE.items(),
+                         ids=_OUT_OF_RANGE)
+def test_main_refuses_counts_that_leave_the_float_range(argv, says, tmp_path,
+                                                        capsys):
+    out = tmp_path / "run"
+    assert main(argv.split() + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and says in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which, line", [
     ("ints", "nan   1 1 0 0"), ("ints", "-inf   0 0 0 0"),
     ("dip", "x inf 1 2")])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dense_reference import dense_box_value, dense_filter
 from respsim import build_indicator, diagonalize, make_random_model
-from respsim.estimate import _chain_images, _zeta
+from respsim.estimate import _chain_images, chain_zeta
 
 
 def test_dense_filter_matches_eigendecomposition():
@@ -42,6 +42,6 @@ def test_box_channel_matches_dense_chain(data, n, seed, depth):
         deltas.append(width * data.draw(st.floats(0.25, 0.45), label="ramp"))
     eps = 0.2
     u = _chain_images(sd, axes, [[w] for w in windows], deltas, eps)[0]
-    got = complex(u[0, 0]) / _zeta(sd, axes)
+    got = complex(u[0, 0]) / chain_zeta(sd, axes)
     want = dense_box_value(model, sd, axes, windows, deltas, eps)
     assert abs(got - want) <= 1e-9 * abs(want) + 1e-15

@@ -65,7 +65,7 @@ def test_channel_from_filtered_chain(dimer, dimer_sd):
                                            [delta], 1e-3)
     u_raw = estimate_mod._chain_images(dimer_sd, (0, 0), [[window]],
                                        [delta], 1e-3, ground=True)[0]
-    zeta = estimate_mod._zeta(dimer_sd, (0, 0))
+    zeta = estimate_mod.chain_zeta(dimer_sd, (0, 0))
     assert zeta == 1.0
     value = float(u[0, 0]) / zeta
     want = dense_box_value(dimer, dimer_sd, (0, 0), [window], [delta], 1e-3)
@@ -490,6 +490,29 @@ def test_estimate_box_rejects_a_non_finite_eps(dimer_sd, method, eps):
         estimate_box(dimer_sd, (0, 0), WINDOW, eps, method=method)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-200, 5e-324])
+def test_estimate_box_refuses_a_direct_eps_of_2_63_shots(dimer_sd, eps,
+                                                         monkeypatch):
+    # the binomial draw takes a 64-bit count: on the dimer (zeta = 1) 1e-9
+    # asks 2.0e19 shots, 1e-200 underflows eps_v ** 2 and 5e-324 eps_v;
+    # unchecked, they ended in OverflowError or ZeroDivisionError
+    def build(*args, **kwargs):
+        raise AssertionError("a filter was built")
+
+    monkeypatch.setattr(estimate_mod, "_chain_images", build)
+    assert estimate_mod.chain_zeta(dimer_sd, (0, 0)) == 1.0
+    with pytest.raises(InputError, match=r"below 2\^63"):
+        estimate_box(dimer_sd, (0, 0), WINDOW, eps, method="direct")
+
+
+def test_estimate_box_draws_direct_shots_up_to_2_63(dimer_sd):
+    assert 2 ** 62 < estimate_box(dimer_sd, (0, 0), WINDOW, 2e-9,
+                                  method="direct").shots < 2 ** 63
+    # the other methods make no binomial draw, so their counts are not cut
+    assert estimate_box(dimer_sd, (0, 0), WINDOW, 1e-9).shots \
+        == math.ceil(2.0 / (1e-9 / 2.0))
+
+
 # ---------------------------------------------------------------------------
 # filters shared across cells
 # ---------------------------------------------------------------------------
@@ -628,7 +651,7 @@ def test_spectrum_carries_lcu_one_norms(request, names):
     if names[0] == "dimer":
         # only the x dipole is set: y and z encode with unit subnorm
         assert sd.betas[1:] == (0.0, 0.0)
-        assert estimate_mod._zeta(sd, (1, 0, 2)) == sd.betas[0]
+        assert estimate_mod.chain_zeta(sd, (1, 0, 2)) == sd.betas[0]
     if names[0] == "zero-y-dipole":
         assert sd.betas[1] == 0.0 and sd.betas[2] > 0
 

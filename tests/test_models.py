@@ -2,6 +2,7 @@
 file round-trips."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -187,23 +188,26 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "ints.txt"
     dpath = tmp_path / "dip.txt"
     write_fcidump_like(m, path, dipole_path=dpath)
-    back = load_fcidump_like(path, dipole_path=dpath)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # a dipole file: no warning
+        back = load_fcidump_like(path, dipole_path=dpath)
     assert back.n_orbitals == m.n_orbitals
     assert back.n_electrons == m.n_electrons
     assert np.allclose(back.T, m.T, atol=1e-12)
     assert np.allclose(back.V, m.V, atol=1e-12)
     assert np.allclose(back.dipole, m.dipole, atol=1e-12)
-    assert not back.dipole_missing
+    assert np.any(back.dipole != 0.0)
 
 
 def test_load_without_dipole_warns_and_flags(tmp_path):
     m = make_hubbard_dimer(1.0, 2.0, 0.5)
     path = tmp_path / "ints.txt"
     write_fcidump_like(m, path)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="no dipole file for ints.txt; "
+                      "dipole set to zero"):
         back = load_fcidump_like(path)
-    assert back.dipole_missing
     assert np.all(back.dipole == 0.0)
+    assert not hasattr(back, "dipole_missing")
 
 
 def test_load_errors(tmp_path):

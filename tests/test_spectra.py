@@ -6,7 +6,7 @@ import json
 import math
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import (distinct_levels, naive_sector_spectrum,
                       run_with_blas_threads, spin_orbital)
-from oracle_reference import alpha3, alpha3_terms, chi1_time, r_pathways
+from oracle_reference import (alpha3, alpha3_terms, chi1_time, pathway_fd,
+                              r_pathways)
 from respsim import (
     InputError,
     ModelSpec,
@@ -303,8 +304,8 @@ def test_block_spectrum_is_the_sector_spectrum(data, n, seed):
     # electrons in two orbitals reaches no other triplet)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)) + 1e-15
     omega = data.draw(st.floats(0.0, 1.2 * w[-1] + 1.0), label="omega")
-    want = r_pathway_fd(sector, 1, axes, 3 * omega, 2 * omega, omega, 0.1)
-    got = r_pathway_fd(sd, 1, axes, 3 * omega, 2 * omega, omega, 0.1)
+    want = r_pathway_fd(sector, axes, (omega,) * 3, 0.1).values[0]
+    got = r_pathway_fd(sd, axes, (omega,) * 3, 0.1).values[0]
     # absolute up to |R| = 1; pathway values reach 4e4 near omega = 0,
     # where roundoff alone moves them by 1e-10
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
@@ -653,16 +654,14 @@ def test_pathway_validation(dimer_sd):
     with pytest.raises(InputError):
         r_pathways(dimer_sd, 1, (0, 0, 0), 0.1, 0.1, 0.1, 0.1)
     with pytest.raises(InputError):
-        r_pathway_fd(dimer_sd, 5, (0, 0, 0, 0), 3.0, 2.0, 1.0, 0.1)
-    with pytest.raises(InputError):
-        r_pathway_fd(dimer_sd, 1, (0, 0, 0), 3.0, 2.0, 1.0, 0.1)
+        r_pathway_fd(dimer_sd, (0, 0, 0), (1.0, 1.0, 1.0), 0.1)
     for gamma in (0.0, math.nan, math.inf):
         with pytest.raises(InputError):
-            r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 3.0, 2.0, 1.0, gamma)
+            r_pathway_fd(dimer_sd, (0, 0, 0, 0), (1.0, 1.0, 1.0), gamma)
 
 
 def test_r1_frequency_domain_frozen(dimer_sd):
-    val = r_pathway_fd(dimer_sd, 1, (0, 0, 0, 0), 3.3, 3.1, 3.0, 0.1)
+    (val,) = r_pathway_fd(dimer_sd, (0, 0, 0, 0), (3.0, 0.1, 0.2), 0.1).values
     assert val == pytest.approx(0.068090306548 + 0.019057598257j, abs=1e-10)
 
 
@@ -670,7 +669,8 @@ def test_r1_frequency_domain_matches_naive_loop(random_model, random_sd):
     w, td = naive_sector_spectrum(random_model)
     i_tr, i3, i2, i1 = 0, 1, 2, 0
     g = 0.1
-    O1, O2, O3 = 0.9, 1.7, 2.2
+    triple = (0.9, 0.8, 0.5)
+    O1, O2, O3 = np.cumsum(triple)
     K = len(w)
     expect = 0j
     for n in range(K):
@@ -681,8 +681,51 @@ def test_r1_frequency_domain_matches_naive_loop(random_model, random_sd):
                            / ((w[n] - O1 - 1j * g)
                               * (w[n] - w[l] - O2 - 1j * g)
                               * (w[n] - w[m] - O3 - 1j * g)))
-    got = r_pathway_fd(random_sd, 1, (i_tr, i3, i2, i1), O3, O2, O1, g)
+    (got,) = r_pathway_fd(random_sd, (i_tr, i3, i2, i1), triple, g).values
     assert got == pytest.approx(expect, abs=1e-10)
+
+
+# pathway nu -> its summand at intermediate states (n, l, m): the dipole
+# product and the coherence energy after each interaction, for the first,
+# second and third interaction dipoles A, B, C and the closing dipole F
+_PATHWAY_SUMMANDS = {
+    1: lambda F, A, B, C, w, n, l, m: (F[m, n] * A[n, 0] * B[0, l] * C[l, m],
+                                       (w[n], w[n] - w[l], w[n] - w[m])),
+    2: lambda F, A, B, C, w, n, l, m: (F[m, n] * B[n, 0] * A[0, l] * C[l, m],
+                                       (-w[l], w[n] - w[l], w[n] - w[m])),
+    3: lambda F, A, B, C, w, n, l, m: (F[m, n] * C[n, 0] * A[0, l] * B[l, m],
+                                       (-w[l], -w[m], w[n] - w[m])),
+    4: lambda F, A, B, C, w, n, l, m: (F[0, l] * C[l, m] * B[m, n] * A[n, 0],
+                                       (w[n], w[m], w[l])),
+}
+
+
+@pytest.mark.parametrize("nu", sorted(_PATHWAY_SUMMANDS))
+def test_pathway_walk_matches_explicit_sums(random_model, random_sd, nu):
+    # the reference walk of every pathway against its triple sum over the
+    # states of an independent diagonalization of the whole sector
+    w, td = naive_sector_spectrum(random_model)
+    assert w[0] == 0.0
+    i_tr, i3, i2, i1 = 0, 1, 2, 0
+    g = 0.1
+    Os = np.cumsum((0.9, 0.8, -0.5))
+    expect = 0j
+    for n, l, m in product(range(len(w)), repeat=3):
+        num, energies = _PATHWAY_SUMMANDS[nu](
+            td[i_tr], td[i1], td[i2], td[i3], w, n, l, m)
+        expect += num / math.prod(x - O - 1j * g for x, O in zip(energies, Os))
+    got = pathway_fd(random_sd, nu, (i_tr, i3, i2, i1), *Os[::-1], g)
+    assert got == pytest.approx(expect, abs=1e-10)
+
+
+def test_r1_is_the_reference_walk_bit_for_bit(dimer_sd):
+    # README scenario 3: the default dimer, chain xxxx, gamma 0.2 and the
+    # diagonal grid 1.0:3.9:3, where w + w and 2w + w are 2w and 3w
+    grid = np.linspace(1.0, 3.9, 3)
+    got = r_pathway_fd(dimer_sd, (0,) * 4, np.stack([grid] * 3, -1), 0.2)
+    want = [pathway_fd(dimer_sd, 1, (0,) * 4, 3 * w, 2 * w, w, 0.2)
+            for w in grid]
+    assert got.values.tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +761,7 @@ def test_alpha3_is_the_symmetrized_pathway_sum(dimer_sd):
     gamma = 0.1
     total = 0j
     for nu, ax_time, (O1, O2, O3), conj in alpha3_terms(axes, omegas):
-        val = r_pathway_fd(
+        val = pathway_fd(
             dimer_sd, nu, (axes[0], ax_time[2], ax_time[1], ax_time[0]),
             O3, O2, O1, gamma)
         total += np.conj(val) if conj else val
