@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,12 @@ class ResponseTable:
         if missing:
             raise InputError(f"entry needs {', '.join(missing)}")
         axes = check_axes(meta.pop("axes"), self.order + 1)
-        meta.update(meta.pop("meta", {}))
+        extra = meta.pop("meta", {})
+        if not isinstance(extra, Mapping) or not extra.keys().isdisjoint(
+                ("axes", "window", "value")):
+            raise InputError("meta must be a mapping that names none of "
+                             "axes, window and value")
+        meta.update(extra)
         # checked again after rounding, which can close a narrow window
         window = check_windows([(round(lo, 12), round(hi, 12)) for lo, hi
                                 in check_windows(meta.pop("window"))],

@@ -1,16 +1,16 @@
 """Chebyshev spectral-filter machinery.
 
-ChebyshevFilter is a smoothed window indicator.  A window [a, b] inside
-[-1, 1] is recentred through y = (x - w)/R with w the window centre and
-R = 1 + |w|; in the y variable the target
+ChebyshevFilter is the certified smoothed indicator of [-h, h] inside
+[-1, 1], a function of its own variable y.  Its target
     F(y) = (erf(k (y + kappa)) + erf(k (kappa - y))) / 2,
-kappa = half-width + delta/2, is even, so the filter polynomial is an
-even Chebyshev series p(y) = sum c_2m T_2m(y).  It equals the half-series
+kappa = h + delta/2, is even, so the filter polynomial is an even
+Chebyshev series p(y) = sum c_2m T_2m(y).  It equals the half-series
 q(t) = sum c_2m T_m(t) at t = 2 y^2 - 1, and a filter stores q only: its
 degree in y is twice that of q.  The coefficients come from interpolation
 at first-kind Chebyshev nodes in y (a DCT), which stays cheap at degrees
 ~1e5 where naive O(n^2) constructions are hopeless; their even entries
-are q.
+are q.  Placing a window of the spectrum on y, the shift by its centre and
+the rescale, is the caller's: `estimate._filter_columns`.
 
 Every constructed object is grid-certified before it is returned.  q is
 synthesized once, with an inverse DCT, on a first-kind Chebyshev grid in t
@@ -18,11 +18,11 @@ of at least 16 points per degree of q (an FFT-friendly length).  Those
 values serve twice: their minimum sets the constant added to c0 when
 roundoff drags the floor below zero, and the lifted values must satisfy
 the three-region contract
-    >= 1 - eps  inside [a + delta, b - delta]   (t <= 2 l_in^2 - 1),
-    <= eps      outside [a - delta, b + delta]  (t >= 2 l_out^2 - 1),
-    in [0, 1 + eps] everywhere on the domain,
-with l_in, l_out the region edges in y.  The margin budget (erf tail
-eps/4, interpolation eps/4) leaves room for the lift.
+    >= 1 - eps  inside |y| <= h - delta   (t <= 2 (h - delta)^2 - 1),
+    <= eps      outside |y| >= h + delta  (t >= 2 (h + delta)^2 - 1),
+    in [0, 1 + eps] everywhere on the domain.
+The margin budget (erf tail eps/4, interpolation eps/4) leaves room for
+the lift.
 """
 
 from __future__ import annotations
@@ -63,22 +63,27 @@ def choose_k(delta: float, eps: float) -> float:
     if not 0 < eps < EPS_VALIDITY:
         raise InputError(
             f"eps must lie in (0, {EPS_VALIDITY:.4f}) for the tail bound")
-    return math.sqrt(2.0) / delta * math.sqrt(math.log(2.0 / (math.pi * eps * eps)))
+    # pi eps^2 underflows to 0 below eps ~ 1e-162, and 2/(pi eps^2) or
+    # 1/delta overflows a little above that
+    tail = math.pi * eps * eps
+    log_term = math.log(2.0 / tail) if tail else math.inf
+    k = math.sqrt(2.0) / delta * math.sqrt(log_term)
+    if not math.isfinite(k):
+        raise InputError(f"delta={delta}, eps={eps} put the steepness k "
+                         "outside the float range")
+    return k
 
 
 @dataclass
 class ChebyshevFilter:
-    """Even-parity smoothed indicator for a window [a, b] in [-1, 1].
+    """Even smoothed indicator of [-half_width, half_width] in [-1, 1].
 
-    The filter is p(y) = q(2y^2 - 1) with y = (x - center)/scale; it
-    stores the Chebyshev coefficients of the half-series q, whose entry m
-    is the coefficient of T_2m(y) in p.
+    The filter is p(y) = q(2y^2 - 1); it stores the Chebyshev coefficients
+    of the half-series q, whose entry m is the coefficient of T_2m(y) in p.
     """
 
-    center: float
     half_width: float
     eps: float
-    scale: float                 # R = 1 + |center|
     coefficients: np.ndarray     # half-series q in t = 2y^2 - 1
     certificate: dict
 
@@ -87,8 +92,8 @@ class ChebyshevFilter:
         """Degree of p in y."""
         return 2 * (len(self.coefficients) - 1)
 
-    def eval(self, x):
-        """Values at the points x, in a fixed number of numpy steps per
+    def eval(self, y):
+        """Values at the points y, in a fixed number of numpy steps per
         block of points.
 
         With t = 2y^2 - 1 = cos(theta), p(y) = sum_m c_2m cos(m theta).
@@ -107,7 +112,8 @@ class ChebyshevFilter:
         Points go through in blocks whose temporaries fit
         EVAL_BLOCK_DOUBLES.
         """
-        y = (np.asarray(x, dtype=float) - self.center) / self.scale
+        shape = np.shape(y)
+        y = np.asarray(y, dtype=float)
         if not np.all(np.abs(y) <= 1.0 + DOMAIN_TOL):
             raise InputError(
                 f"filter evaluated outside its domain: |y| > 1 + {DOMAIN_TOL}")
@@ -132,7 +138,7 @@ class ChebyshevFilter:
             prod = (table @ stack).view(complex)[..., 0]
             prod *= _powers(babies[:, baby], giant)
             out[lo:lo + block] = prod.real.sum(axis=1)
-        return out.reshape(np.shape(x))
+        return out.reshape(shape)
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -160,13 +166,13 @@ def _half_series_values(q: np.ndarray):
     return chebyshev_grid(n_grid), idct(spec, type=2)
 
 
-def _certify_indicator(t, vals, scale, half_width, delta, eps):
+def _certify_indicator(t, vals, half_width, delta, eps):
     """Three-region check of the values q(t) of the half-series, t = 2y^2-1.
 
     Returns (ok, cert_record) with the region extrema recorded.
     """
-    lo_in = (half_width - delta) / scale
-    lo_out = (half_width + delta) / scale
+    lo_in = half_width - delta
+    lo_out = half_width + delta
     inner = t <= 2.0 * lo_in * lo_in - 1.0
     outer = t >= 2.0 * lo_out * lo_out - 1.0
     inner_min = float(np.min(vals[inner])) if inner.any() else 1.0
@@ -186,24 +192,18 @@ def _certify_indicator(t, vals, scale, half_width, delta, eps):
     return ok, cert
 
 
-def build_indicator(a: float, b: float, delta: float, eps: float
+def build_indicator(half_width: float, delta: float, eps: float
                     ) -> ChebyshevFilter:
-    """Certified smoothed indicator of [a, b] with transition width delta."""
-    if not -1.0 <= a < b <= 1.0:
-        raise InputError(f"window [{a}, {b}] must sit inside [-1, 1]")
-    half = (b - a) / 2.0
-    if not 0 < delta < half:
-        raise InputError(
-            f"delta={delta} must be positive and below the half-width {half}")
-    if not 0 < eps < 1:
-        raise InputError("eps must lie in (0, 1)")
-    center = (a + b) / 2.0
-    scale = 1.0 + abs(center)
-    half_y = half / scale
-    delta_y = delta / scale
-    eps_erf = min(eps / 4.0, 0.4)
-    k = choose_k(delta_y, eps_erf)
-    kappa = half_y + delta_y / 2.0
+    """Certified smoothed indicator of [-half_width, half_width] with
+    transition width delta and error eps."""
+    check_positive("half_width", half_width)
+    check_positive("delta", delta)
+    check_positive("eps", eps)
+    if not (half_width <= 1.0 and delta < half_width and eps < 1.0):
+        raise InputError(f"need half_width={half_width} <= 1, delta={delta} "
+                         f"below it and eps={eps} below 1")
+    k = choose_k(delta, eps / 4.0)
+    kappa = half_width + delta / 2.0
 
     def target(y):
         return 0.5 * (erf(k * (y + kappa)) + erf(k * (kappa - y)))
@@ -214,7 +214,7 @@ def build_indicator(a: float, b: float, delta: float, eps: float
         if degree > DEGREE_CAP:
             raise ResourceError(
                 f"indicator degree {degree} exceeds cap {DEGREE_CAP} "
-                f"(window [{a}, {b}], delta={delta}, eps={eps})")
+                f"(half-width {half_width}, delta={delta}, eps={eps})")
         q = _interpolate(target, degree + 1)[::2]
         last = np.max(np.nonzero(np.abs(q) > 0.0)[0], initial=0)
         q = q[:last + 1].copy()
@@ -231,11 +231,10 @@ def build_indicator(a: float, b: float, delta: float, eps: float
             lift = 3.0 * (1e-13 - vmin)
             q[0] += lift
             vals += lift
-        ok, cert = _certify_indicator(t, vals, scale, half, delta, eps)
+        ok, cert = _certify_indicator(t, vals, half_width, delta, eps)
         if ok:
-            return ChebyshevFilter(
-                center=center, half_width=half, eps=eps, scale=scale,
-                coefficients=q, certificate=cert)
+            return ChebyshevFilter(half_width=half_width, eps=eps,
+                                   coefficients=q, certificate=cert)
         # interpolation is cheap (one DCT), so grow gently and land close
         # to the smallest certifying degree
         degree = int(1.2 * degree) + 2

@@ -36,39 +36,29 @@ from .errors import (AXIS_LETTERS, InputError, ResourceError, RespsimError,
 from .models import load_fcidump_like, make_hubbard_dimer, make_random_model
 from .spectra import diagonalize
 
-_TOY_KEYS = {"hubbard": ("t", "U", "d"), "random": ("n", "ne", "seed")}
+# each toy model's builder and its parameters with their defaults, in the
+# builder's argument order; a given value is converted by its default's type
+_TOYS = {"hubbard": (make_hubbard_dimer, {"t": 1.0, "U": 2.0, "d": 0.5}),
+         "random": (make_random_model, {"n": 3, "ne": 2, "seed": 0})}
 
 
 def _parse_toy(text: str):
     kind, _, rest = text.partition(":")
-    if kind not in _TOY_KEYS:
+    if kind not in _TOYS:
         raise InputError(f"unknown toy model {kind!r} (try hubbard or random)")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not key or not val:
-                raise InputError(f"malformed toy parameter {item!r}")
-            params[key.strip()] = val.strip()
-    unknown = sorted(set(params) - set(_TOY_KEYS[kind]))
-    if unknown:
-        raise InputError(f"unknown {kind} parameter(s) {', '.join(unknown)}"
-                         f" (accepted: {', '.join(_TOY_KEYS[kind])})")
-    if kind == "hubbard":
+    builder, params = _TOYS[kind][0], dict(_TOYS[kind][1])
+    for item in rest.split(",") if rest else ():
+        key, _, val = (part.strip() for part in item.partition("="))
+        if not key or not val:
+            raise InputError(f"malformed toy parameter {item!r}")
+        if key not in params:
+            raise InputError(f"unknown {kind} parameter {key}"
+                             f" (accepted: {', '.join(params)})")
         try:
-            return make_hubbard_dimer(
-                t=float(params.get("t", 1.0)),
-                U=float(params.get("U", 2.0)),
-                d01=float(params.get("d", 0.5)))
+            params[key] = type(params[key])(val)
         except ValueError as exc:
-            raise InputError(f"bad hubbard parameter: {exc}") from exc
-    try:
-        return make_random_model(
-            n_orbitals=int(params.get("n", 3)),
-            n_electrons=int(params.get("ne", 2)),
-            seed=int(params.get("seed", 0)))
-    except ValueError as exc:
-        raise InputError(f"bad random-model parameter: {exc}") from exc
+            raise InputError(f"bad {kind} parameter: {exc}") from exc
+    return builder(*params.values())
 
 
 def _parse_axes(text: str):

@@ -37,8 +37,10 @@ OVERLAP, FILTER_EPS, MAX_BOXES) are module constants.
 Every search and estimate takes the SpectralData of one model and nothing
 else: the subnormalizations (alpha, beta per dipole axis), the excitation
 bound alpha_shift that sets each filter's rescale, and the filters all
-belong to it, so they live and die with one spectrum.  The filter of a
-window [wc - h, wc + h) with margin delta is a polynomial of the shape
+belong to it, so they live and die with one spectrum.  `chebfilter` builds
+only the centred indicator of [-h, h] in its own variable; this module
+alone places a window on the spectrum.  The filter of a window
+[wc - h, wc + h) with margin delta is the indicator of the shape
 (h/s, delta/s, eps) evaluated at (eigenvalues - wc)/s, with the rescale s
 rounded up to a power of 2^(1/RESCALE_STEPS) (`_rescale`).  Cells of one
 width whose rescales round alike share one polynomial, within a level and
@@ -134,7 +136,7 @@ def _filter_columns(sd: SpectralData, axis_bins, deltas, eps: float):
         filt = sd.filters.get(shape)
         if filt is None:
             _, h, delta = next(iter(cells.values()))
-            filt = sd.filters[shape] = build_indicator(-h, h, delta, eps)
+            filt = sd.filters[shape] = build_indicator(h, delta, eps)
         x = np.concatenate([(sd.eigenvalues - wc) / s
                             for (_, _, s), (wc, _, _) in cells.items()])
         vals = filt.eval(x).reshape(len(cells), -1)
@@ -457,6 +459,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     if delta is None:
         deltas = [(hi - lo) / 4.0 for lo, hi in windows]
     else:
+        check_positive("delta", delta)
         deltas = [delta] * len(windows)
     for (lo, hi), d in zip(windows, deltas):
         if not 0 < d < (hi - lo) / 2.0:

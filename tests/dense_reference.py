@@ -18,11 +18,10 @@ from respsim import build_indicator
 
 
 def dense_filter(filt, H):
-    """p(H) by T_{j+1}(Y) = 2 Y T_j(Y) - T_{j-1}(Y), Y = (H - center)/scale,
-    on the y-series of p: the stored half-series at even indices, zeros at
-    odd ones."""
-    eye = np.eye(len(H))
-    Y = (np.asarray(H) - filt.center * eye) / filt.scale
+    """p(H) by T_{j+1}(H) = 2 H T_j(H) - T_{j-1}(H), on the y-series of p:
+    the stored half-series at even indices, zeros at odd ones."""
+    Y = np.asarray(H)
+    eye = np.eye(len(Y))
     c = np.zeros(filt.degree + 1)
     c[::2] = filt.coefficients
     out = c[0] * eye
@@ -59,7 +58,7 @@ def dense_box_value(model, sd, chain_axes, windows, deltas, eps):
                                    deltas[::-1]):
         wc, h = (lo + hi) / 2.0, (hi - lo) / 2.0
         s = rescale(max(wc, sd.alpha_shift - wc))
-        p = build_indicator(-h / s, h / s, delta / s, eps)
+        p = build_indicator(h / s, delta / s, eps)
         Y = (H - (evals[0] + wc) * np.eye(len(H))) / s
         v = D[ax] @ (Q @ (dense_filter(p, Y) @ v))
     zeta = math.prod(sd.betas[ax] or 1.0 for ax in chain_axes)

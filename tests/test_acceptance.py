@@ -57,13 +57,18 @@ def test_criterion_01_jordan_wigner_roundtrip():
 def test_criterion_02_indicator_three_region_contract():
     """For (delta, eps) in {0.1, 0.05} x {1e-2, 1e-3} the indicator filter
     is >= 1-eps inside, <= eps outside, and <= 1+eps everywhere on a
-    10^4-point grid, for a centred and an off-centre window."""
+    10^4-point grid, for a centred and an off-centre window.  The filter
+    is the centred indicator; a window with centre c and half-width h is
+    placed on it through y = (x - c)/R, R = 1 + |c|, with half-width h/R
+    and margin delta/R, so the grid stays inside the filter's domain."""
     grid = np.linspace(-1.0, 1.0, 10000)
     for (delta, eps), (a, b) in itertools.product(
             itertools.product((0.1, 0.05), (1e-2, 1e-3)),
             ((-0.3, 0.3), (0.15, 0.75))):
-        f = build_indicator(a, b, delta, eps)
-        vals = f.eval(grid)
+        c, h = (a + b) / 2.0, (b - a) / 2.0
+        R = 1.0 + abs(c)
+        f = build_indicator(h / R, delta / R, eps)
+        vals = f.eval((grid - c) / R)
         inner = (grid >= a + delta) & (grid <= b - delta)
         outer = (grid <= a - delta) | (grid >= b + delta)
         assert np.min(vals[inner]) >= 1.0 - eps

@@ -160,6 +160,17 @@ def test_table_serialization():
                               "eps_stat", "degree", "rounds", "delta", "zeta"}
 
 
+@pytest.mark.parametrize("meta", [5, [("note", 1)], {"value": 99.0},
+                                  {"axes": (1, 1)}, {"window": [(3, 4)]}],
+                         ids=repr)
+def test_table_refuses_a_meta_that_is_not_a_mapping_or_names_the_entry(meta):
+    # unchecked, a meta naming value overrode the entry's value without a
+    # word, and one that is not a mapping escaped as TypeError
+    with pytest.raises(InputError, match="meta"):
+        ResponseTable(order=1, entries=[{"axes": (0, 0), "window": [(1, 2)],
+                                         "value": 1.0, "meta": meta}])
+
+
 # ---------------------------------------------------------------------------
 # first-order assembly
 # ---------------------------------------------------------------------------

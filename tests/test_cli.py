@@ -289,6 +289,8 @@ def test_main_rejects_non_finite_inputs(argv, tmp_path, capsys):
 _OUT_OF_RANGE = {
     "--toy hubbard --simulate --method direct --eps 1e-9 --gamma 0.1 "
     "--grid 0:5.4:41 --seed 7": "direct shot count below 2^63",
+    "--toy hubbard --simulate --method ae --eps 1e-300 --gamma 0.1 "
+    "--grid 0:5.4:41": "steepness k outside the float range",
     "--toy hubbard --oracle-only --gamma 1e308": "entry total_queries",
     "--toy hubbard:t=1e200 --oracle-only": "entry bin_sorting",
     "--toy hubbard --oracle-only --gamma 1e-200 --eps 1e-200":

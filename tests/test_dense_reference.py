@@ -14,10 +14,13 @@ def test_dense_filter_matches_eigendecomposition():
     A = rng.normal(size=(12, 12))
     A = (A + A.T) / 2.0
     A /= 1.05 * np.linalg.norm(A, 2)
-    f = build_indicator(-0.2, 0.4, 0.1, 1e-2)
-    got = dense_filter(f, A)
+    # the window (-0.2, 0.4) placed on the centred filter through
+    # y = (x - 0.1)/1.1, which keeps the spectrum inside [-1, 1]
+    f = build_indicator(0.3 / 1.1, 0.1 / 1.1, 1e-2)
+    got = dense_filter(f, (A - 0.1 * np.eye(len(A))) / 1.1)
     lam, U = np.linalg.eigh(A)
-    assert np.allclose(got, (U * f.eval(lam)) @ U.T, atol=1e-10)
+    assert np.allclose(got, (U * f.eval((lam - 0.1) / 1.1)) @ U.T,
+                       atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None,

@@ -471,6 +471,12 @@ def test_estimate_box_validation(dimer_sd):
     with pytest.raises(InputError):
         estimate_box(dimer_sd, (0, 0, 0), [(4.4, 4.5), (4.4, 4.5)], 1e-3,
                      delta=0.06)
+    # unchecked, True was taken as 1 and stored, and the others escaped as
+    # TypeError
+    for delta in (True, "0.1", [0.05]):
+        with pytest.raises(InputError, match="delta"):
+            estimate_box(dimer_sd, (0, 0), [(0.0, 4.6)], 1e-3,
+                         method="exact", delta=delta)
 
 
 @pytest.mark.parametrize("windows", [[], [(4.4, 4.5, 4.6)], [4.4],

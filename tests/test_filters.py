@@ -52,6 +52,22 @@ def test_choose_k_validation():
 
 
 @pytest.mark.parametrize("delta, eps", [
+    (0.1, 1e-300), (0.1, 5e-324),    # pi eps^2 underflows to 0
+    (0.1, 1e-160),                   # 2 / (pi eps^2) overflows
+    (1e-320, 0.1)])                  # 1 / delta overflows
+def test_choose_k_refuses_a_steepness_beyond_the_float_range(delta, eps):
+    # unchecked, these ended in ZeroDivisionError or an infinite k
+    with pytest.raises(InputError, match="float range"):
+        choose_k(delta, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-100, 1e-150, 1e-154])
+def test_choose_k_keeps_its_formula_down_to_the_float_range(eps):
+    assert choose_k(0.1, eps) == \
+        math.sqrt(2.0) / 0.1 * math.sqrt(math.log(2.0 / (math.pi * eps * eps)))
+
+
+@pytest.mark.parametrize("delta, eps", [
     (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1),
     (0.1, math.nan), (0.1, math.inf)])
 def test_choose_k_rejects_non_finite(delta, eps):
@@ -63,9 +79,21 @@ def test_choose_k_rejects_non_finite(delta, eps):
 # windowed indicator
 # ---------------------------------------------------------------------------
 
-def _check_three_regions(f: ChebyshevFilter, a, b, delta, eps):
+def _window_filter(a, b, delta, eps):
+    """The filter of the window [a, b] inside [-1, 1] and the map x -> y
+    that places it: the centred indicator of half-width h/R with margin
+    delta/R, at y = (x - c)/R, with c and h the window's centre and
+    half-width and R = 1 + |c|, so that [-1, 1] in x stays inside the
+    filter's domain."""
+    c, h = (a + b) / 2.0, (b - a) / 2.0
+    R = 1.0 + abs(c)
+    return (build_indicator(h / R, delta / R, eps),
+            lambda x: (np.asarray(x, dtype=float) - c) / R)
+
+
+def _check_three_regions(f: ChebyshevFilter, place, a, b, delta, eps):
     x = np.linspace(-1.0, 1.0, 4001)
-    vals = f.eval(x)
+    vals = f.eval(place(x))
     center, half = (a + b) / 2.0, (b - a) / 2.0
     inner = np.abs(x - center) <= half - delta
     outer = np.abs(x - center) >= half + delta
@@ -76,23 +104,22 @@ def _check_three_regions(f: ChebyshevFilter, a, b, delta, eps):
 
 
 def test_indicator_centered_window():
-    a, b, delta, eps = -0.3, 0.3, 0.08, 1e-2
-    f = build_indicator(a, b, delta, eps)
+    half, delta, eps = 0.3, 0.08, 1e-2
+    f = build_indicator(half, delta, eps)
     x = np.linspace(-1.0, 1.0, 401)
     assert np.array_equal(f.eval(x), f.eval(-x))     # even in y, bit for bit
-    assert (f.center - f.half_width, f.center + f.half_width) == \
-        pytest.approx((a, b))
-    _check_three_regions(f, a, b, delta, eps)
+    assert f.half_width == half
+    _check_three_regions(f, lambda y: y, -half, half, delta, eps)
 
 
 def test_indicator_off_center_window():
     a, b, delta, eps = 0.2, 0.7, 0.05, 1e-3
-    f = build_indicator(a, b, delta, eps)
-    _check_three_regions(f, a, b, delta, eps)
+    f, place = _window_filter(a, b, delta, eps)
+    _check_three_regions(f, place, a, b, delta, eps)
 
 
 def test_indicator_certificate_recorded():
-    f = build_indicator(-0.2, 0.4, 0.1, 1e-2)
+    f = _window_filter(-0.2, 0.4, 0.1, 1e-2)[0]
     cert = f.certificate
     assert cert["inner_min"] >= 1.0 - f.eps
     assert cert["outer_max"] <= f.eps
@@ -117,10 +144,10 @@ def test_indicator_holds_on_uniform_grids(center, half_frac, delta_frac,
     delta = max(0.06, delta_frac * half)
     eps = 10.0 ** log_eps
     a, b = center - half, center + half
-    f = build_indicator(a, b, delta, eps)
-    assert np.min(f.eval(UNIFORM_FLOOR_GRID)) >= 0.0
+    f, place = _window_filter(a, b, delta, eps)
+    assert np.min(f.eval(place(UNIFORM_FLOOR_GRID))) >= 0.0
     x = UNIFORM_CONTRACT_GRID
-    vals = f.eval(x)
+    vals = f.eval(place(x))
     inner = np.abs(x - center) <= half - delta
     outer = np.abs(x - center) >= half + delta
     assert np.min(vals[inner]) >= 1.0 - eps
@@ -140,7 +167,7 @@ def test_indicator_certifies_without_pointwise_evaluation(monkeypatch):
     monkeypatch.setattr(np.polynomial.chebyshev, "chebval", tripwire)
     for a, b, delta, eps in ((-0.3, 0.3, 0.08, 1e-2), (0.2, 0.7, 0.05, 1e-3),
                              (-0.02, 0.02, 0.004, 1e-3)):
-        f = build_indicator(a, b, delta, eps)
+        f = _window_filter(a, b, delta, eps)[0]
         n_grid = f.certificate["grid_size"]
         assert n_grid >= 8 * f.degree
         assert next_fast_len(n_grid, real=True) == n_grid
@@ -179,7 +206,8 @@ def test_eval_matches_clenshaw(center, log_delta_y, half_ratio, log_eps,
     scale = 1.0 + abs(center)
     delta = 10.0 ** log_delta_y * scale
     half = min(half_ratio * delta, 1.0 - abs(center))
-    f = build_indicator(center - half, center + half, delta, 10.0 ** log_eps)
+    f, place = _window_filter(center - half, center + half, delta,
+                              10.0 ** log_eps)
     rng = np.random.default_rng(seed)
     edges = center + np.array([-half, half])
     x = np.concatenate([
@@ -187,7 +215,7 @@ def test_eval_matches_clenshaw(center, log_delta_y, half_ratio, log_eps,
         rng.uniform(-1.0, 1.0, n_points),
         (edges[:, None] + delta * rng.uniform(-2.0, 2.0, (2, 50))).ravel()])
     x = x[np.abs(x) <= 1.0]
-    y = (x - f.center) / f.scale
+    y = place(x)
     t = 2.0 * y * y - 1.0
     half_series = f.coefficients
     want = CHEB.chebval(t, half_series)
@@ -195,11 +223,11 @@ def test_eval_matches_clenshaw(center, log_delta_y, half_ratio, log_eps,
     bound = np.finfo(float).eps * (
         f.degree * np.sum(np.abs(f.coefficients)) + slope)
     assert 32 <= f.degree <= DEGREE_CAP
-    assert np.all(np.abs(f.eval(x) - want) <= bound)
+    assert np.all(np.abs(f.eval(y) - want) <= bound)
 
 
 def test_eval_keeps_the_shape_and_takes_no_points():
-    f = build_indicator(-0.3, 0.3, 0.08, 1e-2)
+    f = build_indicator(0.3, 0.08, 1e-2)
     grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     assert f.eval(grid).shape == (3, 4)
     assert f.eval(grid).ravel().tolist() == f.eval(grid.ravel()).tolist()
@@ -211,8 +239,8 @@ def test_eval_values_do_not_depend_on_the_other_points():
     # a point's value is bit-identical alone, among other points and at
     # any position, so values evaluated together can be cached one by one
     rng = np.random.default_rng(5)
-    for a, b, delta in ((-0.3, 0.3, 0.08), (-0.01, 0.01, 0.003)):
-        f = build_indicator(a, b, delta, 1e-2)
+    for half, delta in ((0.3, 0.08), (0.01, 0.003)):
+        f = build_indicator(half, delta, 1e-2)
         x = rng.uniform(-1.0, 1.0, 37)
         together = f.eval(x).tolist()
         assert [f.eval(x[i:i + 1])[0] for i in range(len(x))] == together
@@ -223,7 +251,7 @@ def test_eval_memory_stays_in_its_block_budget():
     """200 001 points at a degree near DEGREE_CAP: unblocked, the baby and
     giant tables would take about 2 GB.  The peak is the block budget plus
     the clamped points, the output and the coefficient table."""
-    f = build_indicator(-1e-3, 1e-3, 2.8e-4, 1e-3)
+    f = build_indicator(1e-3, 2.8e-4, 1e-3)
     assert f.degree > 0.9 * DEGREE_CAP
     x = np.linspace(-1.0, 1.0, 200001)
     tracemalloc.start()
@@ -237,26 +265,35 @@ def test_eval_memory_stays_in_its_block_budget():
 
 
 def test_eval_clamps_roundoff_and_refuses_points_beyond_it():
-    f = build_indicator(0.2, 0.7, 0.05, 1e-3)     # y = (x - 0.45) / 1.45
-    lo, hi = f.center - f.scale, f.center + f.scale
-    assert f.eval(hi + 1e-14) == f.eval(hi)
-    assert f.eval(lo - 1e-14) == f.eval(lo)
+    f, place = _window_filter(0.2, 0.7, 0.05, 1e-3)  # y = (x - 0.45) / 1.45
+    lo, hi = 0.45 - 1.45, 0.45 + 1.45
+    assert f.eval(place(hi + 1e-14)) == f.eval(place(hi))
+    assert f.eval(place(lo - 1e-14)) == f.eval(place(lo))
     for bad in (hi + 1e-9, lo - 1e-9, 3.0, np.nan, np.inf):
         with pytest.raises(InputError):
-            f.eval(np.array([0.0, bad]))
+            f.eval(place(np.array([0.0, bad])))
 
 
 def test_indicator_validation():
     with pytest.raises(InputError):
-        build_indicator(-1.2, 0.5, 0.1, 1e-2)        # outside [-1, 1]
+        build_indicator(1.2, 0.1, 1e-2)              # beyond [-1, 1]
     with pytest.raises(InputError):
-        build_indicator(0.5, 0.2, 0.1, 1e-2)         # reversed window
+        build_indicator(-0.15, 0.1, 1e-2)            # reversed window
     with pytest.raises(InputError):
-        build_indicator(-0.1, 0.1, 0.2, 1e-2)        # ramp wider than window
+        build_indicator(0.1, 0.2, 1e-2)              # ramp wider than window
     with pytest.raises(InputError):
-        build_indicator(-0.1, 0.1, 0.05, 1.5)
+        build_indicator(0.1, 0.05, 1.5)
     with pytest.raises(ResourceError):
-        build_indicator(-0.1, 0.1, 1e-5, 1e-2)       # degree cap
+        build_indicator(0.1, 1e-5, 1e-2)             # degree cap
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.05, 1e-2), (math.inf, 0.05, 1e-2), (True, 0.05, 1e-2),
+    ("0.1", 0.05, 1e-2), (0.1, math.nan, 1e-2), (0.1, 0.0, 1e-2),
+    (0.1, 0.05, math.nan), (0.1, 0.05, 0.0), (0.1, 0.05, None)], ids=repr)
+def test_indicator_admits_positive_finite_reals_only(args):
+    with pytest.raises(InputError):
+        build_indicator(*args)
 
 
 # ---------------------------------------------------------------------------
