@@ -44,11 +44,9 @@ alone places a window on the spectrum.  The filter of a window
 (h/s, delta/s, eps) evaluated at (eigenvalues - wc)/s, with the rescale s
 rounded up to a power of 2^(1/RESCALE_STEPS) (`_rescale`).  Cells of one
 width whose rescales round alike share one polynomial, within a level and
-across levels and searches: each shape is built once per spectrum and kept
-in SpectralData.filters, and each window's values are evaluated once, in
-one eval call per shape per level, and kept in SpectralData.filter_values.
-No filter state is held at module level, and repeated searches over the
-same spectrum rebuild and re-evaluate nothing.
+across levels and searches.  Each shape is built, and each window
+evaluated by one eval call, once per spectrum (SpectralData.filters and
+.filter_values), so repeated searches rebuild and re-evaluate nothing.
 """
 
 from __future__ import annotations
@@ -109,41 +107,32 @@ def _rescale(wc: float, alpha_shift: float) -> float:
 def _filter_columns(sd: SpectralData, axis_bins, deltas, eps: float):
     """Per box axis, (degrees, values) of the indicator filters of its bins
     with that axis's margin: a degree per bin, and the values at
-    sd.eigenvalues as the columns of a fresh (M, bins) array.
+    sd.eigenvalues as the columns of a fresh (M, bins) array, which
+    `_chain_images` may change in place.
 
     The bin [wc - h, wc + h) gets the filter of shape (h/s, delta/s, eps)
     at the points (eigenvalues - wc)/s, s = `_rescale(wc)`.  Its
-    three-region certificate, stated in units of s, is the bin's own.  Each
-    shape's polynomial is built once per spectrum (sd.filters); the values
-    of bins not yet in sd.filter_values come from one eval call per shape
-    over all of them.
+    three-region certificate, stated in units of s, is the bin's own.  A
+    bin looks its shape up in sd.filters and its values in
+    sd.filter_values, building or evaluating (one eval call) on a miss.
     """
-    keys = []
-    todo = {}
+    columns = []
     for bins, delta in zip(axis_bins, deltas):
-        row = []
+        degrees, values = [], []
         for lo, hi in bins:
             wc, h = (lo + hi) / 2.0, (hi - lo) / 2.0
             s = _rescale(wc, sd.alpha_shift)
             shape = (round(h / s, 12), round(delta / s, 12), float(eps))
             key = (shape, round(wc, 12), s)
-            row.append(key)
+            if shape not in sd.filters:
+                sd.filters[shape] = build_indicator(h / s, delta / s, eps)
+            filt = sd.filters[shape]
             if key not in sd.filter_values:
-                todo.setdefault(shape, {}).setdefault(key, (wc, h / s,
-                                                            delta / s))
-        keys.append(row)
-    for shape, cells in todo.items():
-        filt = sd.filters.get(shape)
-        if filt is None:
-            _, h, delta = next(iter(cells.values()))
-            filt = sd.filters[shape] = build_indicator(h, delta, eps)
-        x = np.concatenate([(sd.eigenvalues - wc) / s
-                            for (_, _, s), (wc, _, _) in cells.items()])
-        vals = filt.eval(x).reshape(len(cells), -1)
-        sd.filter_values.update(zip(cells, vals))
-    return [([sd.filters[key[0]].degree for key in row],
-             np.array([sd.filter_values[key] for key in row]).T)
-            for row in keys]
+                sd.filter_values[key] = filt.eval((sd.eigenvalues - wc) / s)
+            degrees.append(filt.degree)
+            values.append(sd.filter_values[key])
+        columns.append((degrees, np.array(values).T))
+    return columns
 
 
 def chain_zeta(sd: SpectralData, chain_axes) -> float:
@@ -301,17 +290,19 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
     if len(chain_axes) < 2:
         raise InputError("need at least two chain axes")
     check_positive("gamma", gamma)
-    if not math.isfinite(sd.alpha_shift / gamma):
-        raise InputError("alpha_shift/gamma must be finite")
+    # the span gamma 2^L is finite when L < 1024 and 2 gamma is finite
+    if not (sd.alpha_shift / gamma < 2.0 ** 1023 and 2.0 * gamma < math.inf):
+        raise InputError("gamma must keep the span gamma 2^L finite")
+    levels = max(1, math.ceil(math.log2(sd.alpha_shift / gamma)))
+    span = (0.0, gamma * 2 ** levels)
     check_positive("tau", tau)
-    # the multinomial draw takes N_s as a 64-bit integer
-    if not tau ** 2 * 2.0 ** 63 > math.log(4.0 / EPS_CONF):
-        raise InputError("tau must keep N_s below 2^63")
+    # a finite tau^2, and N_s below the multinomial draw's 64-bit limit
+    if not (tau * tau < math.inf
+            and tau ** 2 * 2.0 ** 63 > math.log(4.0 / EPS_CONF)):
+        raise InputError("tau must keep tau^2 finite and N_s below 2^63")
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     ndim = len(chain_axes) - 1
-    levels = max(1, math.ceil(math.log2(sd.alpha_shift / gamma)))
-    span = (0.0, gamma * 2 ** levels)
     n_s = math.ceil(math.log(4.0 / EPS_CONF) / tau ** 2)
     config = {"gamma": float(gamma), "branching": BRANCHING,
               "tau": float(tau), "eps_conf": EPS_CONF, "N_s": n_s,
@@ -320,7 +311,6 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
     trace = SearchTrace(config=config, seed=seed, dims=ndim)
     split = (BRANCHING,) * ndim
     queue = deque([((span,) * ndim, 0, split)])
-    seen_peaks = set()
     zeta = chain_zeta(sd, chain_axes)
 
     while queue:
@@ -342,61 +332,44 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
         trace.per_level_queries[lvl_key] = \
             trace.per_level_queries.get(lvl_key, 0) + charge
         prominent = [i for i in range(ncells) if scores[i] > tau]
-        terminal = max(widths) <= gamma * (1.0 + 1e-9)
-
-        def record(decision):
-            trace.levels.append({
-                "box": [list(iv) for iv in box],
-                "depth": depth,
-                "nbins": list(nbins),
-                "counts": [int(c) for c in counts],
-                "R": R.tolist(),
-                "prominent": prominent,
-                "decision": decision,
-                "charge": charge,
-            })
-
+        level = {"box": [list(iv) for iv in box], "depth": depth,
+                 "nbins": list(nbins), "counts": [int(c) for c in counts],
+                 "R": R.tolist(), "prominent": prominent,
+                 "decision": "empty", "charge": charge}
+        trace.levels.append(level)
         if not prominent:
-            record("empty")
             continue
-        if terminal:
-            record("peaks")
-            for i in prominent:
-                key = tuple((round(a, 12), round(b, 12)) for a, b in cells[i])
-                if key not in seen_peaks:
-                    seen_peaks.add(key)
-                    trace.peaks.append([list(iv) for iv in cells[i]])
+        if max(widths) <= gamma * (1.0 + 1e-9):
+            # no peak repeats: a level queues disjoint cells of its own box
+            level["decision"] = "peaks"
+            trace.peaks.extend([list(iv) for iv in cells[i]]
+                               for i in prominent)
             continue
         # each decision picks the box searched next and the cells it uses;
         # the other prominent cells are marked and queued behind
         dominant = [i for i in prominent
                     if all(R[i, j] == 1 for j in range(ncells) if j != i)]
-        merge = None
-        if not dominant:
-            tied = ((i, j) for a, i in enumerate(prominent)
-                    for j in prominent[a + 1:] if R[i, j] == 0)
-            for i, j in tied:
-                axis = _adjacent_pair(i, j, nbins)
-                if axis is not None:
-                    merge = (i, j, axis)
-                    break
+        tied = ((i, j, _adjacent_pair(i, j, nbins))
+                for a, i in enumerate(prominent) for j in prominent[a + 1:]
+                if R[i, j] == 0)
+        merge = None if dominant else next(
+            (m for m in tied if m[2] is not None), None)
         if dominant:
-            decision, used = "descend", (dominant[0],)
+            level["decision"], used = "descend", (dominant[0],)
             first, first_nbins = cells[dominant[0]], split
         elif merge is not None:
             i, j, axis = merge
             lo = min(cells[i][axis][0], cells[j][axis][0])
             hi = max(cells[i][axis][1], cells[j][axis][1])
-            decision, used = "merge", (i, j)
+            level["decision"], used = "merge", (i, j)
             first = tuple((lo, hi) if d == axis else cells[i][d]
                           for d in range(ndim))
             first_nbins = tuple(2 * BRANCHING if d == axis else BRANCHING
                                 for d in range(ndim))
         else:
             pick = int(rng.choice(np.array(prominent)))
-            decision, used = "random-pick", (pick,)
+            level["decision"], used = "random-pick", (pick,)
             first, first_nbins = cells[pick], split
-        record(decision)
         queue.appendleft((first, depth + 1, first_nbins))
         for r in prominent:
             if r not in used:
@@ -467,10 +440,12 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     chain_axes = check_axes(chain_axes, len(windows) + 1)
     zeta = chain_zeta(sd, chain_axes)
     eps_v = eps / (2.0 * zeta)
-    # the direct method's binomial draw takes a 64-bit shot count
-    direct_shots = 2.0 * math.log(12.0) / max(eps_v ** 2, math.ulp(0.0))
-    if method == "direct" and not direct_shots < 2.0 ** 63:
-        raise InputError("eps must keep the direct shot count below 2^63")
+    if method == "direct":
+        # the binomial draw's 64-bit shot count, from a finite eps_v^2
+        direct_shots = (2.0 * math.log(12.0) / max(eps_v ** 2, math.ulp(0.0))
+                        if eps_v * eps_v < math.inf else math.nan)
+        if not direct_shots < 2.0 ** 63:
+            raise InputError("eps must give a direct shot count below 2^63")
     eps_f = min(eps_v, 0.4)
     axis_bins = [[w] for w in windows]
     u, degree = _chain_images(sd, chain_axes, axis_bins, deltas, eps_f)

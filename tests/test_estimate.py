@@ -216,18 +216,20 @@ def test_config_sample_bound(dimer_sd):
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -0.1, 1e-10,
-                                 1e-200])
+                                 1e-200, 1e308])
 def test_config_rejects_a_non_finite_or_non_positive_tau(dimer_sd, tau):
-    # a tau whose sample count overflows a 64-bit integer (1e-10) or
-    # tau^2 (1e-200) is refused with the non-positive ones
+    # a tau whose sample count overflows a 64-bit integer (1e-10) or whose
+    # tau^2 underflows (1e-200) or overflows (1e308) is refused with the
+    # non-positive ones
     with pytest.raises(InputError, match="tau"):
         binary_search_nd(dimer_sd, (0, 0), 0.1, tau)
 
 
 def test_config_validation(dimer_sd):
     # 1e-320 passes as positive and finite, but alpha_shift/gamma
-    # overflowed to an OverflowError in the span's level count
-    for gamma in (0.0, -0.1, np.nan, np.inf, 1e-320):
+    # overflowed to an OverflowError in the span's level count; 5e-308
+    # asks 2^1024 and 1e308 an infinite span gamma 2^L
+    for gamma in (0.0, -0.1, np.nan, np.inf, 1e-320, 5e-308, 1e308):
         with pytest.raises(InputError, match="gamma"):
             binary_search_nd(dimer_sd, (0, 0), gamma, 0.02)
 
@@ -275,6 +277,34 @@ def test_search_depth_is_bounded_by_the_span(which, gamma, tau, chain, seed,
         est = estimate_box(sd, chain, peak, 1e-2, method="exact")
         assert est.window == tuple(map(tuple, peak))
     assert not trace.truncated
+
+
+def _overlap_on_every_axis(p, q):
+    return all(min(hp, hq) - max(lp, lq) > 1e-12
+               for (lp, hp), (lq, hq) in zip(p, q))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 3), filling=st.floats(0.0, 1.0),
+       model_seed=st.integers(0, 99), gamma=st.floats(0.1, 1.0),
+       tau=st.sampled_from([0.02, 0.004]),
+       chain=st.lists(st.integers(0, 2), min_size=2, max_size=4),
+       seed=st.integers(0, 9))
+def test_search_peaks_are_disjoint_boxes(n, filling, model_seed, gamma, tau,
+                                         chain, seed):
+    # a level queues disjoint cells of its own box, so the boxes searched
+    # at one depth are disjoint, no two peaks of a search overlap on every
+    # axis, and none repeats
+    n_electrons = 1 + round(filling * (2 * n - 2))
+    sd = diagonalize(make_random_model(n, n_electrons, model_seed))
+    trace = binary_search_nd(sd, chain, gamma, tau, seed=seed)
+    for a, p in enumerate(trace.peaks):
+        assert not any(_overlap_on_every_axis(p, q)
+                       for q in trace.peaks[a + 1:])
+    for a, lvl in enumerate(trace.levels):
+        assert not any(_overlap_on_every_axis(lvl["box"], other["box"])
+                       for other in trace.levels[a + 1:]
+                       if other["depth"] == lvl["depth"])
 
 
 def test_hubbard_gamma005_search_reaches_depth_10(dimer_sd):
@@ -496,12 +526,13 @@ def test_estimate_box_rejects_a_non_finite_eps(dimer_sd, method, eps):
         estimate_box(dimer_sd, (0, 0), WINDOW, eps, method=method)
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-200, 5e-324])
+@pytest.mark.parametrize("eps", [1e-9, 1e-200, 5e-324, 1e200])
 def test_estimate_box_refuses_a_direct_eps_of_2_63_shots(dimer_sd, eps,
                                                          monkeypatch):
     # the binomial draw takes a 64-bit count: on the dimer (zeta = 1) 1e-9
-    # asks 2.0e19 shots, 1e-200 underflows eps_v ** 2 and 5e-324 eps_v;
-    # unchecked, they ended in OverflowError or ZeroDivisionError
+    # asks 2.0e19 shots, 1e-200 underflows eps_v ** 2, 5e-324 eps_v, and
+    # 1e200 overflows eps_v ** 2; unchecked, they ended in OverflowError or
+    # ZeroDivisionError
     def build(*args, **kwargs):
         raise AssertionError("a filter was built")
 
@@ -514,9 +545,17 @@ def test_estimate_box_refuses_a_direct_eps_of_2_63_shots(dimer_sd, eps,
 def test_estimate_box_draws_direct_shots_up_to_2_63(dimer_sd):
     assert 2 ** 62 < estimate_box(dimer_sd, (0, 0), WINDOW, 2e-9,
                                   method="direct").shots < 2 ** 63
-    # the other methods make no binomial draw, so their counts are not cut
+    # the other methods make no binomial draw, so their counts are not cut,
+    # and an eps whose square overflows runs as one whose square does not
     assert estimate_box(dimer_sd, (0, 0), WINDOW, 1e-9).shots \
         == math.ceil(2.0 / (1e-9 / 2.0))
+    for method in ("ae", "exact"):
+        huge, big = (estimate_box(dimer_sd, (0, 0), WINDOW, eps,
+                                  method=method).as_dict()
+                     for eps in (1e200, 1e154))
+        assert huge.pop("eps_filter") == huge.pop("eps_stat") == 5e199
+        assert big.pop("eps_filter") == big.pop("eps_stat") == 5e153
+        assert huge == big
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +625,8 @@ def test_readme_order3_builds_14_filters(dimer):
 
 
 def test_a_level_evaluates_each_shape_once(dimer, monkeypatch):
-    # one eval call per filter shape over every window it serves, and none
-    # for windows already evaluated on this spectrum
+    # cells share filter shapes, each window not yet on the spectrum gets
+    # one eval call of its own, and windows already evaluated get none
     calls = []
     real_eval = ChebyshevFilter.eval
 
@@ -599,10 +638,10 @@ def test_a_level_evaluates_each_shape_once(dimer, monkeypatch):
     sd = diagonalize(dimer)
     cells = [(i * 0.5, (i + 1) * 0.5) for i in range(8)]
     _filter_columns(sd, [cells], [0.1], 1e-2)
-    assert len(calls) == len(sd.filters) < len(cells)
-    assert sum(calls) == len(cells) * sd.n_states
+    assert calls == [sd.n_states] * len(cells)
+    assert len(sd.filters) < len(cells)
     _filter_columns(sd, [cells[:3], cells[2:]], [0.1, 0.1], 1e-2)
-    assert len(calls) == len(sd.filters)
+    assert len(calls) == len(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,11 @@ def test_indicator_validation():
         build_indicator(0.1, 0.2, 1e-2)              # ramp wider than window
     with pytest.raises(InputError):
         build_indicator(0.1, 0.05, 1.5)
-    with pytest.raises(ResourceError):
-        build_indicator(0.1, 1e-5, 1e-2)             # degree cap
+    # degree cap; below delta ~ 1e-153 the first guess is inf
+    for args in ((0.1, 1e-5, 1e-2), (0.5, 1e-150, 1e-3), (1.0, 1e-160, 0.1),
+                 (1.0, 1e-200, 0.1)):
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            build_indicator(*args)
 
 
 @pytest.mark.parametrize("args", [
