@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AXIS_LETTERS, InputError, ResourceError, check_axes,
-                     check_positive, check_reals, check_seed, check_triples,
-                     check_windows, is_finite_real, is_int)
+                     check_grid, check_positive, check_reals, check_seed,
+                     check_triples, check_windows, is_finite_real, is_int)
 from .estimate import (METHODS, OVERLAP, binary_search_nd, chain_zeta,
                        estimate_box)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1,
@@ -155,7 +155,7 @@ def assemble_alpha1(table: ResponseTable, omega_grid, gamma: float
     ax_out, ax_in = table.entries[0]["axes"]
     if len(table.select((ax_out, ax_in))) != len(table.entries):
         raise InputError("first-order assembly needs one dipole chain")
-    om = check_reals(omega_grid, "frequency grid points")
+    om = check_grid(omega_grid)
     vals = np.zeros(om.shape, dtype=complex)
     for e in table.entries:
         (wt,) = _centres(e)
@@ -386,8 +386,9 @@ def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
     axes, gamma, eps and window_width go through `respsim.errors`; a
     method outside METHODS, eps of 1 or more, an order other than 1 or 3,
     a grid not a non-empty 1-D sequence of finite reals or an out_dir that
-    is empty, a file or under a file raise InputError, and a grid above
-    GRID_POINT_CAP points ResourceError."""
+    is not a str or os.PathLike of text, or is empty, a file or under a
+    file raise InputError, and a grid above GRID_POINT_CAP points
+    ResourceError."""
     check_positive("gamma", gamma)
     check_positive("eps", eps)
     if eps >= 1:
@@ -410,6 +411,10 @@ def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
         if not (grid.ndim == 1 and grid.size):
             raise InputError("grid must be a non-empty list of finite reals")
     if out_dir is not None:
+        if not isinstance(out_dir, (str, os.PathLike)) or not isinstance(
+                os.fspath(out_dir), str):
+            raise InputError(f"output directory {out_dir!r} must be a str "
+                             "or an os.PathLike")
         path = out_dir  # its nearest existing ancestor, "" for the cwd
         while path and not os.path.lexists(path):
             path = os.path.dirname(path)
@@ -470,16 +475,26 @@ def run_pipeline(sd: SpectralData, gamma: float, eps: float = 2e-3,
     }
 
     if mode == "simulate":
-        if order == 1:
-            result.update(_simulate_alpha1(
-                sd, gamma, eps, axes, grid, seed, method, window_width))
-        else:
-            result.update(_simulate_alpha3(
-                sd, gamma, eps, axes, oracle.frequencies, seed, method))
+        traces, boxes, width = (
+            _search_alpha1(sd, gamma, axes, seed, window_width) if order == 1
+            else _search_alpha3(sd, gamma, axes, seed))
+        tables = {d: ResponseTable(order=d, margin=OVERLAP * width)
+                  for d in range(order, 0, -1)}
+        for idx, (ch, windows, delta) in enumerate(boxes):
+            tables[len(ch) - 1].add(estimate_box(
+                sd, ch, windows, eps, method=method, delta=delta,
+                seed=_child_seed(seed, idx)))
+        response = None
+        if all(t.entries for t in tables.values()):
+            response = (
+                assemble_alpha1(tables[1], grid, gamma) if order == 1 else
+                assemble_alpha3(tables, oracle.frequencies, gamma, {
+                    ax: float(sd.transition_dipoles[ax][0, 0])
+                    for ax in set(axes)}))
+        result.update(traces=traces, tables=tables, result=response)
         manifest["queries_total"] = sum(
-            t.queries_total for t in result["traces"].values()) + sum(
-            e["meta"]["queries"] for t in result["tables"].values()
-            for e in t.entries)
+            t.queries_total for t in traces.values()) + sum(
+            e["meta"]["queries"] for t in tables.values() for e in t.entries)
 
     result.update(cost=cost, qpe=qpe,
                   manifest=dict(manifest, alpha=sd.alpha, beta=ci.beta))
@@ -496,29 +511,26 @@ def _search_name(chain) -> str:
     return f"d{len(chain) - 1}_" + "".join(AXIS_LETTERS[a] for a in chain)
 
 
-def _simulate_alpha1(sd, gamma, eps, axes, grid, seed, method, window_width):
-    width = gamma / 8.0
-    trace = binary_search_nd(sd, axes, width, 0.02, seed=seed)
-    peaks = _dedupe_windows(trace.peaks, gamma / 2.0)
-    est_width = window_width if window_width is not None else width
+def _search_alpha1(sd, gamma, axes, seed, window_width):
+    """Order 1's search, as (traces, boxes, width): its found windows
+    merged and re-binned on the estimation grid of `width`, each box
+    (chain, windows, delta) with a margin of a third of its width."""
+    trace = binary_search_nd(sd, axes, gamma / 8.0, 0.02, seed=seed)
+    width = window_width if window_width is not None else gamma / 8.0
     windows = []
-    for lo, hi in peaks:
-        win = _ancestor_bin((lo + hi) / 2.0, est_width)
+    for lo, hi in _dedupe_windows(trace.peaks, gamma / 2.0):
+        win = _ancestor_bin((lo + hi) / 2.0, width)
         if win not in windows:
             windows.append(win)
-    table = ResponseTable(order=1, margin=OVERLAP * est_width)
-    for idx, win in enumerate(windows):
-        table.add(estimate_box(
-            sd, axes, [win], eps, method=method,
-            delta=(win[1] - win[0]) / 3.0, seed=_child_seed(seed, idx)))
-    return {"traces": {_search_name(axes): trace}, "tables": {1: table},
-            "result": (assemble_alpha1(table, grid, gamma)
-                       if table.entries else None)}
+    boxes = [(axes, [win], (win[1] - win[0]) / 3.0) for win in windows]
+    return {_search_name(axes): trace}, boxes, width
 
 
-def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
+def _search_alpha3(sd, gamma, axes, seed):
+    """Order 3's searches, as (traces, boxes, width): the depth-3 box search
+    and one search per segment chain, every peak a box at estimate_box's
+    default margin (delta None)."""
     chain = (axes[3],) + axes[:3]                      # (i1, i_tr, i3, i2)
-    width = gamma
     # Nested amplitudes spread over BRANCHING**3 cells per box, so the
     # per-bin elevation is far smaller than in the 1-D search; a tighter
     # threshold (with its matching sample-size bound) keeps genuine boxes
@@ -531,20 +543,11 @@ def _simulate_alpha3(sd, gamma, eps, axes, triples, seed, method):
     for depth, first in ((2, seed + 1), (1, seed + 11)):
         jobs += [(_search_name(ch), ch, first + k) for k, ch in
                  enumerate(ch for ch in chains if len(ch) == depth + 1)]
-    traces = {name: binary_search_nd(sd, ch, width, tau, seed=s)
+    traces = {name: binary_search_nd(sd, ch, gamma, tau, seed=s)
               for name, ch, s in jobs}
-    tables = {d: ResponseTable(order=d, margin=OVERLAP * width)
-              for d in (3, 2, 1)}
-    boxes = [(ch, box) for name, ch, _ in jobs for box in traces[name].peaks]
-    for idx, (ch, box) in enumerate(boxes):
-        tables[len(ch) - 1].add(estimate_box(
-            sd, ch, box, eps, method=method, seed=_child_seed(seed, idx)))
-    result = None
-    if all(t.entries for t in tables.values()):
-        gdip = {ax: float(sd.transition_dipoles[ax][0, 0])
-                for ax in set(axes)}
-        result = assemble_alpha3(tables, triples, gamma, ground_dipoles=gdip)
-    return {"traces": traces, "tables": tables, "result": result}
+    boxes = [(ch, box, None) for name, ch, _ in jobs
+             for box in traces[name].peaks]
+    return traces, boxes, gamma
 
 
 def _render_csv(response, axes) -> str:

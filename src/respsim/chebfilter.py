@@ -209,10 +209,10 @@ def build_indicator(half_width: float, delta: float, eps: float
         return 0.5 * (erf(k * (y + kappa)) + erf(k * (kappa - y)))
 
     L = math.log(8.0 / eps)
-    # a first guess beyond the cap stays a float: for delta below about
-    # 1e-153, k^2 and so the guess are inf
+    # an inf first guess stays a float: for delta below about 1e-153, k^2
+    # and so the guess are inf
     guess = 1.1 * math.sqrt(2.0 * (k * k + L) * L)
-    degree = max(32, int(guess) + 2) if guess < DEGREE_CAP else guess + 2
+    degree = max(32, int(guess) + 2) if guess < math.inf else guess
     while True:
         if degree > DEGREE_CAP:
             raise ResourceError(

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, and the checks that admit
 the inputs every layer shares: dipole chain axes, seeds, positive scalars,
-arrays of reals (frequency grids), frequency triples and (lo, hi) windows.
+arrays of reals, frequency grids, frequency triples and (lo, hi) windows.
 
 The CLI maps these onto exit codes: InputError -> 2, ResourceError -> 3,
 StatisticalFailure -> 4.
@@ -81,6 +81,15 @@ def check_reals(values, what: str) -> np.ndarray:
     if not all(map(is_finite_real, values.ravel())):
         raise InputError(f"{what} must be finite real numbers")
     return values.astype(float)
+
+
+def check_grid(grid) -> np.ndarray:
+    """Frequency grid points as a 1-D float array, every entry
+    is_finite_real; a bare number is one point."""
+    grid = np.atleast_1d(check_reals(grid, "frequency grid points"))
+    if grid.ndim != 1:
+        raise InputError("a frequency grid must be a number or 1-D")
+    return grid
 
 
 def check_triples(triples) -> np.ndarray:

@@ -231,17 +231,29 @@ class SearchTrace:
     levels: list = field(default_factory=list)
     peaks: list = field(default_factory=list)
     marked: list = field(default_factory=list)
-    queries_total: int = 0
-    per_level_queries: dict = field(default_factory=dict)
     truncated: bool = False
 
     @property
     def found(self) -> bool:
         return len(self.peaks) > 0
 
+    @property
+    def queries_total(self) -> int:
+        return sum(level["charge"] for level in self.levels)
+
+    @property
+    def per_level_queries(self) -> dict:
+        """Each level's "charge" summed by its depth, keyed as text."""
+        out = {}
+        for level in self.levels:
+            key = str(level["depth"])
+            out[key] = out.get(key, 0) + level["charge"]
+        return out
+
     def as_dict(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "found": self.found}
+                "found": self.found, "queries_total": self.queries_total,
+                "per_level_queries": self.per_level_queries}
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +336,13 @@ def binary_search_nd(sd: SpectralData, chain_axes, gamma: float, tau: float,
         u, degree = _chain_images(sd, chain_axes, axis_bins, deltas,
                                   FILTER_EPS)
         counts = _sample_counts(rng, u[0] / zeta, n_s)
-        charge = n_s * degree
         scores = np.abs(counts / n_s - 1.0 / (2.0 * ncells))
         R = _relation_matrix(np.subtract.outer(scores, scores), tau)
-        trace.queries_total += charge
-        lvl_key = str(depth)
-        trace.per_level_queries[lvl_key] = \
-            trace.per_level_queries.get(lvl_key, 0) + charge
         prominent = [i for i in range(ncells) if scores[i] > tau]
         level = {"box": [list(iv) for iv in box], "depth": depth,
                  "nbins": list(nbins), "counts": [int(c) for c in counts],
                  "R": R.tolist(), "prominent": prominent,
-                 "decision": "empty", "charge": charge}
+                 "decision": "empty", "charge": n_s * degree}
         trace.levels.append(level)
         if not prominent:
             continue

@@ -105,7 +105,9 @@ class ModelSpec:
 
 
 def make_hubbard_dimer(t: float, U: float, d01: float) -> ModelSpec:
-    """Two-site model: hopping -t, on-site U, one inter-site dipole axis."""
+    """Two-site model: hopping -t, on-site U, one inter-site dipole axis;
+    the label shows each parameter as given."""
+    check_reals((t, U, d01), "t, U and d")
     T_spat = np.array([[0.0, -t], [-t, 0.0]])
     V_spat = np.zeros((2, 2, 2, 2))
     V_spat[0, 0, 0, 0] = U / 2
@@ -170,8 +172,14 @@ def _parse_header(lines):
 
 
 def _stripped_lines(path):
+    """(line number, text) of each line of the UTF-8 file `path` that holds
+    more than a comment; an unreadable file raises InputError."""
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path} as UTF-8 text: {exc}") from None
     out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if text:
             out.append((lineno, text))

@@ -31,8 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (InputError, ResourceError, check_axes, check_positive,
-                     check_reals, check_triples, check_windows)
+from .errors import (InputError, ResourceError, check_axes, check_grid,
+                     check_positive, check_triples, check_windows)
 from .models import DEFAULT_MODE_CAP, PRUNE_TOL, ModelSpec
 
 DEGENERACY_TOL = 1e-10
@@ -278,8 +278,7 @@ def alpha1(sd: SpectralData, i: int, j: int, omega_grid, gamma: float
     """Linear susceptibility on a grid of finite frequencies."""
     i, j = check_axes((i, j), 2)
     check_positive("gamma", gamma)
-    omega_grid = np.atleast_1d(check_reals(omega_grid,
-                                           "frequency grid points"))
+    omega_grid = check_grid(omega_grid)
     w = sd.eigenvalues[1:]
     dd = sd.transition_dipoles[i][0, 1:] * sd.transition_dipoles[j][1:, 0]
     om = omega_grid[:, None]

@@ -927,6 +927,18 @@ ADMISSION_PROBES = {
     "assemble_alpha3 ground moment [0.1, 0.2]":
         lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
                                    [(1.0, 1.0, 1.0)], 0.1, {0: [0.1, 0.2]}),
+    "alpha1 grid [[1.0], [2.0]]":
+        lambda sd: alpha1(sd, 0, 0, [[1.0], [2.0]], 0.1),
+    "assemble_alpha1 grid [[1.0], [2.0]]":
+        lambda sd: assemble_alpha1(_table(1, {}), [[1.0], [2.0]], 0.1),
+    "make_hubbard_dimer t '1'": lambda sd: make_hubbard_dimer("1", 2, 0.5),
+    "make_hubbard_dimer t None": lambda sd: make_hubbard_dimer(None, 2, 0.5),
+    "make_hubbard_dimer t True, d '0.5'":
+        lambda sd: make_hubbard_dimer(True, 2.0, "0.5"),
+    "run_pipeline out_dir 5": lambda sd: run_pipeline(
+        sd, 0.1, mode="oracle", out_dir=5),
+    "run_pipeline out_dir b'out'": lambda sd: run_pipeline(
+        sd, 0.1, mode="oracle", out_dir=b"out"),
 }
 
 

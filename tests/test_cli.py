@@ -136,6 +136,11 @@ def test_main_input_errors(tmp_path, capsys):
         assert main(["--model", path, "--oracle-only"]) == 2
         assert main(["--model", str(ints), "--dipole", path]) == 2
     assert capsys.readouterr().err.count("file not found") == 4
+    # a model file that is not UTF-8 text
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff")
+    assert main(["--model", str(bad), "--oracle-only"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 # every long option, as the --help text must name it

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spin_orbital
@@ -287,9 +287,16 @@ def _overlap_on_every_axis(p, q):
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 3), filling=st.floats(0.0, 1.0),
        model_seed=st.integers(0, 99), gamma=st.floats(0.1, 1.0),
-       tau=st.sampled_from([0.02, 0.004]),
+       tau=st.sampled_from([0.02, 0.004, 0.001]),
        chain=st.lists(st.integers(0, 2), min_size=2, max_size=4),
        seed=st.integers(0, 9))
+# depth-2 searches that return 13, 4 and 3 peaks
+@example(n=2, filling=0.5, model_seed=0, gamma=0.4, tau=0.001,
+         chain=[1, 0, 1], seed=0)
+@example(n=2, filling=0.5, model_seed=6, gamma=1.0, tau=0.001,
+         chain=[0, 1, 0], seed=6)
+@example(n=3, filling=0.25, model_seed=0, gamma=1.0, tau=0.001,
+         chain=[0, 0, 0], seed=0)
 def test_search_peaks_are_disjoint_boxes(n, filling, model_seed, gamma, tau,
                                          chain, seed):
     # a level queues disjoint cells of its own box, so the boxes searched
@@ -336,7 +343,9 @@ def test_search_1d_finds_bright_line(dimer_sd):
     assert any(lo <= BRIGHT < hi for ((lo, hi),) in trace.peaks)
     for ((lo, hi),) in trace.peaks:
         assert hi - lo == pytest.approx(0.2, rel=1e-12)
-    assert trace.queries_total == sum(trace.per_level_queries.values())
+    for depth, total in trace.per_level_queries.items():
+        assert total == sum(lvl["charge"] for lvl in trace.levels
+                            if str(lvl["depth"]) == depth)
     assert trace.queries_total > 0
     assert set(trace.levels[0]) == {"box", "depth", "nbins", "counts", "R",
                                     "prominent", "decision", "charge"}

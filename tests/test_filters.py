@@ -286,7 +286,8 @@ def test_indicator_validation():
     # degree cap; below delta ~ 1e-153 the first guess is inf
     for args in ((0.1, 1e-5, 1e-2), (0.5, 1e-150, 1e-3), (1.0, 1e-160, 0.1),
                  (1.0, 1e-200, 0.1)):
-        with pytest.raises(ResourceError, match="exceeds cap"):
+        with pytest.raises(ResourceError,
+                           match=r"indicator degree (\d+|inf) exceeds cap"):
             build_indicator(*args)
 
 

@@ -230,6 +230,11 @@ def test_load_errors(tmp_path):
     bad.write_text("&FCI NORB=2 NELEC=2\n&END\n1.0 1 0 1 0\n")
     with pytest.raises(InputError):       # mixed zero/nonzero indices
         load_fcidump_like(bad)
+    bad.write_bytes(b"\xff")
+    with pytest.raises(InputError, match="bad.txt"):     # not UTF-8
+        load_fcidump_like(bad)
+    with pytest.raises(InputError, match="bad.txt"):     # dipole not UTF-8
+        load_fcidump_like(ints, dipole_path=bad)
 
 
 @pytest.mark.parametrize("records, line, message", [
