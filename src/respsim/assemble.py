@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AXIS_LETTERS, InputError, ResourceError, check_axes,
-                     check_grid, check_positive, check_reals, check_seed,
-                     check_triples, check_windows, is_finite_real, is_int)
+                     check_grid, check_path, check_positive, check_reals,
+                     check_seed, check_triples, check_windows, is_finite_real,
+                     is_int)
 from .estimate import (METHODS, OVERLAP, binary_search_nd, chain_zeta,
                        estimate_box)
 from .spectra import (SpectralData, SusceptibilityResult, alpha1,
@@ -70,7 +71,10 @@ class ResponseTable:
         self.order = int(self.order)
         if not (is_finite_real(self.margin) and self.margin >= 0):
             raise InputError("margin must be non-negative and finite")
-        entries, self.entries = self.entries, []
+        try:
+            entries, self.entries = iter(self.entries), []
+        except TypeError:
+            raise InputError("entries must be an iterable of entries") from None
         for e in entries:
             self.add(e)
 
@@ -86,6 +90,9 @@ class ResponseTable:
         self.entries.append(rec)
 
     def _normalize(self, est) -> dict:
+        if not (hasattr(est, "as_dict") or isinstance(est, Mapping)):
+            raise InputError(f"entry {est!r} is neither a mapping nor has "
+                             "as_dict")
         meta = est.as_dict() if hasattr(est, "as_dict") else dict(est)
         missing = [k for k in ("axes", "window", "value") if k not in meta]
         if missing:
@@ -212,7 +219,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
     finite real number) times each product of its segments' entries, over
     the denominator with pinned positions at zero; if its moment product is
     nonzero, every segment needs entries.  A depth-1 or depth-2 entry whose
-    chain no term reads is rejected.
+    chain no term reads is rejected, and so is a response that leaves the
+    float range (the denominator product overflows from |w| near 1e154).
     """
     check_positive("gamma", gamma)
     for depth in (1, 2, 3):
@@ -226,6 +234,8 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
         if e["axes"] not in read:
             raise InputError(f"no term reads {_search_name(e['axes'])} entries")
     i1, i_tr, i3, i2 = chain
+    if not isinstance(ground_dipoles, Mapping):
+        raise InputError("ground moments must be a mapping of axis to moment")
     gd = check_reals([ground_dipoles.get(ax, 0.0) for ax in chain],
                      "ground moments")
     if gd.shape != (4,):
@@ -256,6 +266,10 @@ def assemble_alpha3(tables, omega_triples, gamma: float,
                     centres[min(a, b)] = c      # the index between a and b
             vals += (math.prod((e["value"] for e in entries), start=coef)
                      / den(*centres))
+    for row, v in zip(triples.tolist(), vals.tolist()):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise InputError(f"the response at the triple {tuple(row)} is "
+                             "not finite: its terms leave the float range")
 
     return SusceptibilityResult(order=3, frequencies=triples, values=vals,
                                 gamma=gamma, axes=(i_tr, i3, i2, i1))
@@ -411,10 +425,7 @@ def check_run_options(gamma: float, eps: float = 2e-3, order: int = 1,
         if not (grid.ndim == 1 and grid.size):
             raise InputError("grid must be a non-empty list of finite reals")
     if out_dir is not None:
-        if not isinstance(out_dir, (str, os.PathLike)) or not isinstance(
-                os.fspath(out_dir), str):
-            raise InputError(f"output directory {out_dir!r} must be a str "
-                             "or an os.PathLike")
+        check_path(out_dir, "output directory")
         path = out_dir  # its nearest existing ancestor, "" for the cwd
         while path and not os.path.lexists(path):
             path = os.path.dirname(path)

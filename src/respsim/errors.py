@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the checks that admit
 the inputs every layer shares: dipole chain axes, seeds, positive scalars,
-arrays of reals, frequency grids, frequency triples and (lo, hi) windows.
+arrays of reals, frequency grids, frequency triples, (lo, hi) windows and
+file paths.
 
 The CLI maps these onto exit codes: InputError -> 2, ResourceError -> 3,
 StatisticalFailure -> 4.
@@ -8,6 +9,7 @@ StatisticalFailure -> 4.
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -72,6 +74,15 @@ def check_positive(name: str, x) -> None:
     """Refuses x unless it is a positive finite real number."""
     if not (is_finite_real(x) and x > 0):
         raise InputError(f"{name} must be positive and finite")
+
+
+def check_path(path, what: str) -> str:
+    """A file path as a str: a str or an os.PathLike of text; `what`
+    names the path in the error."""
+    if not isinstance(path, (str, os.PathLike)) or not isinstance(
+            os.fspath(path), str):
+        raise InputError(f"{what} {path!r} must be a str or an os.PathLike")
+    return os.fspath(path)
 
 
 def check_reals(values, what: str) -> np.ndarray:

@@ -448,7 +448,7 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
     zeta = chain_zeta(sd, chain_axes)
     eps_v = eps / (2.0 * zeta)
     if method == "direct":
-        # the binomial draw's 64-bit shot count, from a finite eps_v^2
+        # the draw's 64-bit shot count, from a finite eps_v^2
         direct_shots = (2.0 * math.log(12.0) / max(eps_v ** 2, math.ulp(0.0))
                         if eps_v * eps_v < math.inf else math.nan)
         if not direct_shots < 2.0 ** 63:
@@ -464,8 +464,8 @@ def estimate_box(sd: SpectralData, chain_axes, windows, eps: float,
         # ground term is subtracted from what it reads
         ground = float(u_raw[0]) / zeta - value
         shots = math.ceil(direct_shots)
-        p0 = _lcu_probabilities([value + ground])[0]
-        v_hat = 2.0 * rng.binomial(shots, p0) / shots - 1.0 - ground
+        hits = int(_sample_counts(rng, [value + ground], shots)[0])
+        v_hat = 2.0 * hits / shots - 1.0 - ground
     else:
         shots = math.ceil(2.0 / eps_v)
         v_hat = value

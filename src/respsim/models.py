@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (AXIS_LETTERS, InputError, ResourceError, check_reals,
-                     check_seed, is_int)
+from .errors import (AXIS_LETTERS, InputError, ResourceError, check_path,
+                     check_reals, check_seed, is_int)
 
 PRUNE_TOL = 1e-14  # magnitudes at or below it count as zero
 # largest spin-orbital (mode) count N = 2n that diagonalize and the
@@ -244,13 +244,15 @@ def _fill(array, index, images, values):
 def load_fcidump_like(path, dipole_path=None) -> ModelSpec:
     """Read spatial integrals plus an optional dipole file into a
     ModelSpec.  Without a dipole file the dipoles are zero and a warning
-    says so; a named file must exist.  A header declaring more than
+    says so; a named file must exist.  Each path is a str or an
+    os.PathLike (`check_path`).  A header declaring more than
     DEFAULT_MODE_CAP spin orbitals raises ResourceError before any
     integral array is allocated."""
-    path = Path(path)
+    path = Path(check_path(path, "integral file"))
     if not path.is_file():
         raise InputError(f"integral file not found: {path}")
-    if dipole_path is not None and not Path(dipole_path).is_file():
+    if dipole_path is not None and not Path(
+            check_path(dipole_path, "dipole file")).is_file():
         raise InputError(f"dipole file not found: {dipole_path}")
     lines = _stripped_lines(path)
     if not lines:

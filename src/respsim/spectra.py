@@ -20,7 +20,8 @@ is the depth-1 chain (i, j).
 Third order is the double-sided pathway R1 (`r_pathway_fd`): in time order
 the dipoles multiply rho0 = |0><0| on the left, the right and the right,
 Tr[d_i rho] closes the trace, and with i^3 folded in each time integral
-gives a resonance factor 1/(w_a - w_b - W - i*gamma), W cumulative.
+gives a resonance factor 1/(w_a - w_b - W - i*gamma), W cumulative.  Every
+walk here, R1's too, starts from the ground column d[:, 0].
 """
 
 from __future__ import annotations
@@ -300,18 +301,17 @@ def r_pathway_fd(sd: SpectralData, axes, omega_triples, gamma: float
     (w1, w2, w3), for axes = (i, i3, i2, i1): the dipoles i1, i2, i3 act in
     time order on the left, right and right of rho0 = |0><0|, each step
     followed by 1/(w_a - w_b - W_k - i gamma) at the cumulative frequencies
-    W1 = w1, W2 = W1 + w2, W3 = W2 + w3, and Tr[d_i rho] closes the trace."""
+    W1 = w1, W2 = W1 + w2, W3 = W2 + w3, and Tr[d_i rho] closes the trace.
+    From the ground column, d_i1 rho0 d_i2 is one outer product."""
     i, i3, i2, i1 = check_axes(axes, 4)
     check_positive("gamma", gamma)
     triples = check_triples(omega_triples)
-    d = sd.transition_dipoles
-    wdiff = sd.eigenvalues[:, None] - sd.eigenvalues[None, :]
-    rho0 = np.zeros((sd.n_states, sd.n_states), dtype=complex)
-    rho0[0, 0] = 1.0
+    d, w = sd.transition_dipoles, sd.eigenvalues
+    wdiff = w[:, None] - w[None, :]
     vals = np.empty(len(triples), dtype=complex)
     for k, (W1, W2, W3) in enumerate(np.cumsum(triples, axis=1).tolist()):
-        rho = d[i1] @ rho0 / (wdiff - W1 - 1j * gamma)
-        rho = rho @ d[i2] / (wdiff - W2 - 1j * gamma)
+        rho = np.outer(d[i1][:, 0] / (w - W1 - 1j * gamma),
+                       d[i2][0]) / (wdiff - W2 - 1j * gamma)
         rho = rho @ d[i3] / (wdiff - W3 - 1j * gamma)
         vals[k] = np.trace(d[i] @ rho)
     return SusceptibilityResult(3, triples, vals, gamma, (i, i3, i2, i1))

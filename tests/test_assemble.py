@@ -26,6 +26,7 @@ from respsim import (
     cost_report,
     diagonalize,
     estimate_box,
+    load_fcidump_like,
     make_hubbard_dimer,
     make_random_model,
     qpe_baseline_report,
@@ -414,6 +415,12 @@ def test_assemble_alpha3_validation(dimer_sd):
                         [(1.0, 0.2, 0.3)], 0.1, ground_dipoles=gd)
     with pytest.raises(InputError):
         assemble_alpha3(tabs, [(1.0, 0.2)], 0.1, ground_dipoles=gd)
+    # the denominator product overflows at 1e200 on the diagonal: the
+    # response there is refused, by its triple, rather than returned as nan
+    with pytest.raises(InputError, match=r"\(1e\+200, 1e\+200, 1e\+200\) "
+                                         "is not finite"):
+        assemble_alpha3(tabs, [(1.0, 0.2, 0.3), (1e200,) * 3], 0.1,
+                        ground_dipoles=gd)
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +946,22 @@ ADMISSION_PROBES = {
         sd, 0.1, mode="oracle", out_dir=5),
     "run_pipeline out_dir b'out'": lambda sd: run_pipeline(
         sd, 0.1, mode="oracle", out_dir=b"out"),
+    "assemble_alpha3 ground_dipoles None":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(1.0, 1.0, 1.0)], 0.2, None),
+    "assemble_alpha3 ground_dipoles [0.0]":
+        lambda sd: assemble_alpha3({d: _table(d, {}) for d in (1, 2, 3)},
+                                   [(1.0, 1.0, 1.0)], 0.2, [0.0]),
+    "ResponseTable entries [5]": lambda sd: ResponseTable(entries=[5]),
+    "ResponseTable entries [None]": lambda sd: ResponseTable(entries=[None]),
+    "ResponseTable entries ['ab']": lambda sd: ResponseTable(entries=["ab"]),
+    "ResponseTable entries 5": lambda sd: ResponseTable(entries=5),
+    "ResponseTable add 3.0": lambda sd: ResponseTable().add(3.0),
+    "load_fcidump_like path None": lambda sd: load_fcidump_like(None),
+    "load_fcidump_like path 5": lambda sd: load_fcidump_like(5),
+    # an existing integral file, so the dipole path is the one looked at
+    "load_fcidump_like dipole_path 5":
+        lambda sd: load_fcidump_like(__file__, dipole_path=5),
 }
 
 

@@ -300,6 +300,8 @@ _OUT_OF_RANGE = {
     "--toy hubbard:t=1e200 --oracle-only": "entry bin_sorting",
     "--toy hubbard --oracle-only --gamma 1e-200 --eps 1e-200":
         "entry peak_height",
+    "--toy hubbard --simulate --order 3 --gamma 0.2 --method exact "
+    "--axes xxxx --grid 1:1e200:3": "is not finite",
 }
 
 

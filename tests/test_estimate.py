@@ -447,6 +447,10 @@ def test_estimate_window_direct(dimer_sd):
                           seed=0)
     assert abs(direct.value - exact.value) <= eps
     assert direct.shots > exact.shots            # 1/eps^2 vs 1/eps scaling
+    # the seeded draw, frozen: a direct estimate is the one-bin Hadamard
+    # draw of `_sample_counts`
+    assert (direct.value, direct.shots, direct.queries) == (
+        0.19951571142953184, 4969814, 37601612724)
 
 
 def test_estimate_window_validation(dimer_sd):

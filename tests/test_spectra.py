@@ -726,6 +726,21 @@ def test_r1_is_the_reference_walk_bit_for_bit(dimer_sd):
     want = [pathway_fd(dimer_sd, 1, (0,) * 4, 3 * w, 2 * w, w, 0.2)
             for w in grid]
     assert got.values.tobytes() == np.array(want).tobytes()
+    # random models at n = 1..4, empty to full, on random chains and
+    # off-diagonal triples: R1 walks from the ground column, the reference
+    # from a dense rho0
+    rng = np.random.default_rng(43)
+    for n in range(1, 5):
+        for eta in sorted({0, 1, n, 2 * n - 1, 2 * n}):
+            sd = diagonalize(make_random_model(n, eta, 10 * n + eta))
+            for _ in range(4):
+                axes = tuple(rng.integers(0, 3, 4).tolist())
+                triples = rng.uniform(-3.0, 3.0, (3, 3))
+                got = r_pathway_fd(sd, axes, triples, 0.2)
+                want = [pathway_fd(sd, 1, axes, *np.cumsum(t)[::-1], 0.2)
+                        for t in triples]
+                assert got.values.tobytes() == np.array(want).tobytes(), (
+                    n, eta, axes)
 
 
 # ---------------------------------------------------------------------------
